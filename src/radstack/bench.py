@@ -17,6 +17,7 @@ from .errors import IoError, ParseError
 from .geometry import polyline_arclengths, project_point_to_polyline
 from .planner import Planner, PlannerConfig
 from .simulator import EpisodeLog, SimConfig, run_episode
+from .topology import _chain_points
 
 TOGGLE_PRESETS = {
     "full": {},
@@ -59,23 +60,13 @@ class BenchReport:
         )
 
 
-def _route_polyline(scenario):
-    pts = []
-    for lane_id in scenario.route:
-        p = scenario.lane_by_id(lane_id).points
-        if pts and np.linalg.norm(pts[-1] - p[0]) < 1e-6:
-            p = p[1:]
-        pts.extend(p)
-    return np.asarray(pts)
-
-
 def route_completion(log: EpisodeLog) -> float:
     """Fraction of the goal's route arclength reached by the episode end."""
     if "goal_reached" in log.event_names:
         return 1.0
     if not log.records:
         return 0.0
-    pts = _route_polyline(log.scenario)
+    pts, _, _ = _chain_points(log.scenario, log.scenario.route)
     s_cum = polyline_arclengths(pts)
     goal = log.scenario.goal
     s_goal, _, _, _ = project_point_to_polyline((goal.x, goal.y), pts, s_cum)

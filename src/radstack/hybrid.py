@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import HorizonMismatchError
 from .proposals import ProposalSet
-from .scene import Pose2, Trajectory
+from .scene import Trajectory
 from .scoring import ScoreContext, select_best
 
 DEFAULT_LEARNED_OFFSETS = (-0.5, 0.5)
@@ -16,14 +16,9 @@ DEFAULT_LEARNED_OFFSETS = (-0.5, 0.5)
 
 def _shift_lateral(traj: Trajectory, offset: float) -> Trajectory:
     """Displace every waypoint along its own left-normal by `offset` metres."""
-    samples = []
-    for pose, speed in traj.samples:
-        nx = -np.sin(pose.heading)
-        ny = np.cos(pose.heading)
-        samples.append(
-            (Pose2(pose.x + offset * nx, pose.y + offset * ny, pose.heading), speed)
-        )
-    return Trajectory(dt=traj.dt, samples=tuple(samples), tag="learned_offset")
+    normal = np.stack([-np.sin(traj.headings), np.cos(traj.headings)], axis=1)
+    positions = traj.positions + offset * normal
+    return Trajectory(traj.dt, positions, traj.headings, traj.speeds, "learned_offset")
 
 
 def inject_learned(proposals: ProposalSet, learned: Trajectory, offsets=DEFAULT_LEARNED_OFFSETS) -> ProposalSet:

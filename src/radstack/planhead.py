@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DivergenceError, IoError, ParseError
 from .scene import EgoState, Pose2, Trajectory
 from .topology import ProposalPath, project_onto_path
-from .vocabulary import Vocabulary, instantiate_vocabulary
+from .vocabulary import Vocabulary, instantiate_vocabulary, slice_ego_windows
 
 FEATURE_DIM = 64
 HIDDEN_DIM = 128
@@ -122,18 +122,11 @@ def harvest_training_samples(
     from .topology import graph_search
 
     samples = []
-    n = len(ego_states)
-    for i in range(0, n - horizon_steps, stride):
+    windows = slice_ego_windows(ego_states, horizon_steps, stride)
+    for i, expert in zip(range(0, len(ego_states) - horizon_steps, stride), windows):
         ego = ego_states[i]
         path = graph_search(ego, scenario)[0]
         feats = extract_features(ego, agents_seq[i], path, scenario.goal)
-        anchor = ego.pose
-        c, s = math.cos(anchor.heading), math.sin(anchor.heading)
-        expert = np.empty((horizon_steps, 2))
-        for j in range(horizon_steps):
-            p = ego_states[i + 1 + j].pose
-            dx, dy = p.x - anchor.x, p.y - anchor.y
-            expert[j] = (c * dx + s * dy, -s * dx + c * dy)
         samples.append(TrainingSample(features=feats, expert=expert))
     return samples
 

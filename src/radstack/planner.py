@@ -30,6 +30,7 @@ from .planhead import (
 from .proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposals
 from .scene import EgoState, Scenario, Trajectory, agent_footprint
 from .scoring import (
+    D_BLOCK,
     MIN_PROGRESS,
     RelaxationState,
     ScoreContext,
@@ -152,7 +153,7 @@ class Planner:
                 self._relax_hold_since = t
             return det
         if self._relax_hold:
-            blocker = _blocker_distance(ego, agents, route_path, d_block=15.0)
+            blocker = _blocker_distance(ego, agents, route_path, d_block=D_BLOCK)
             on_road = self._footprint_inside(ego)
             timed_out = (
                 self._relax_hold_since is not None

@@ -15,22 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import normalize_angles
-from .scene import EgoState, Pose2, Trajectory, trajectory_from_arrays
+from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
 from .topology import ProposalPath, project_onto_path
-
-try:  # numba accelerates the sequential rollout loop; numpy path is equivalent
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def _njit(*a, **k):
-        def deco(f):
-            return f
-
-        return deco
 
 B_HARD = 6.0  # m/s^2, hard braking clamp
 MAX_OFFSET = 3.0  # m
@@ -136,7 +122,6 @@ def idm_accel(v: float, v_lead: float, gap: float, p: IdmParams) -> float:
     return float(min(p.a_max, max(-B_HARD, a)))
 
 
-@_njit(cache=True)
 def _step_kernel(
     s_hist,
     l_hist,
@@ -357,18 +342,7 @@ def _rollout_rows(ego: EgoState, rows: list, agents, cfg: ProposalConfig):
         normal = np.stack([-np.sin(head), np.cos(head)], axis=-1)
         xy[:, members, :] = pos + l_hist[:, members, None] * normal
 
-    # Headings from segment directions, holding through stationary segments.
-    d = np.diff(xy, axis=0)  # (steps, n, 2)
-    seg = np.hypot(d[..., 0], d[..., 1])
-    moving = seg > 1e-6
-    heads_raw = np.arctan2(d[..., 1], d[..., 0])
-    move_idx = np.arange(1, steps + 1)[:, None] * moving  # 0 where stationary
-    last_move = np.maximum.accumulate(move_idx, axis=0)  # 1-based index of last motion
-    padded = np.concatenate([np.full((1, n), ego.pose.heading), heads_raw])
-    heads = np.take_along_axis(padded, last_move, axis=0)
-
-    all_heads = np.concatenate([np.full((1, n), ego.pose.heading), heads])
-    all_speeds = np.concatenate([np.full((1, n), ego.speed), seg / dt])
+    all_heads, all_speeds = segment_headings_and_speeds(xy, ego.pose.heading, ego.speed, dt)
     first = (ego.pose, ego.speed)
     trajectories = [
         trajectory_from_arrays(dt, xy[:, i, :], all_heads[:, i], all_speeds[:, i], "idm", first)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,51 +132,67 @@ class Lane:
         return self.centerline[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-indexed plan: samples[i] = (pose, speed) at t = i * dt.
+    """Time-indexed plan: sample i is the state at t = i * dt.
 
-    Sample 0 is the current state; there are horizon_steps + 1 samples.
+    positions (S+1, 2), headings (S+1,) and speeds (S+1,) hold the samples;
+    sample 0 is the current state and S = horizon_steps.
     """
 
     dt: float
-    samples: tuple  # tuple of (Pose2, speed)
+    positions: np.ndarray
+    headings: np.ndarray
+    speeds: np.ndarray
     tag: str = "idm"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError("trajectory.dt: must be > 0")
-        if len(self.samples) < 2:
-            raise ValidationError("trajectory.samples: needs >= 2 samples")
+        for name in ("positions", "headings", "speeds"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = len(self.positions)
+        if n < 2:
+            raise ValidationError("trajectory.positions: needs >= 2 samples")
+        if len(self.headings) != n or len(self.speeds) != n:
+            raise ValidationError(
+                f"trajectory: {n} positions, {len(self.headings)} headings, "
+                f"{len(self.speeds)} speeds; lengths must match"
+            )
         if self.tag not in TRAJECTORY_TAGS:
             raise ValidationError(f"trajectory.tag: unknown tag {self.tag!r}")
 
     @property
     def horizon_steps(self) -> int:
-        return len(self.samples) - 1
-
-    @property
-    def poses(self) -> tuple:
-        return tuple(p for p, _ in self.samples)
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p, _ in self.samples])
-
-    @cached_property
-    def headings(self) -> np.ndarray:
-        return np.array([p.heading for p, _ in self.samples])
-
-    @cached_property
-    def speeds(self) -> np.ndarray:
-        return np.array([v for _, v in self.samples])
+        return len(self.positions) - 1
 
     @property
     def end_position(self) -> np.ndarray:
-        return self.samples[-1][0].xy
+        return self.positions[-1]
 
     def retag(self, tag: str) -> "Trajectory":
         return replace(self, tag=tag)
+
+
+def segment_headings_and_speeds(waypoints: np.ndarray, heading0: float, speed0: float, dt: float):
+    """Headings and speeds of waypoints (S+1, 2) or a batch (S+1, n, 2).
+
+    Sample 0 takes heading0 and speed0. Each later sample takes its segment's
+    direction, held from the last moving segment through standstill (heading0
+    until the first motion), and speed = segment length / dt. Returns arrays
+    shaped (S+1,) or (S+1, n).
+    """
+    d = np.diff(waypoints, axis=0)
+    seg = np.hypot(d[..., 0], d[..., 1])
+    raw = np.arctan2(d[..., 1], d[..., 0])
+    steps = len(seg)
+    step_no = np.arange(1, steps + 1).reshape((steps,) + (1,) * (seg.ndim - 1))
+    last_move = np.maximum.accumulate(step_no * (seg > 1e-6), axis=0)  # 0 before any motion
+    first_heading = np.full((1,) + seg.shape[1:], heading0)
+    held = np.take_along_axis(np.concatenate([first_heading, raw]), last_move, axis=0)
+    headings = np.concatenate([first_heading, held])
+    speeds = np.concatenate([np.full((1,) + seg.shape[1:], speed0), seg / dt])
+    return headings, speeds
 
 
 def trajectory_from_arrays(
@@ -188,35 +203,20 @@ def trajectory_from_arrays(
     tag: str,
     first: tuple | None = None,
 ) -> Trajectory:
-    """Internal fast constructor from already-valid arrays.
+    """Trajectory from sample arrays, with sample 0 pinned to `first`.
 
-    Headings must already be normalized; `first`, when given, replaces
-    sample 0 with an exact (Pose2, speed) pair (the current ego state).
-    Array caches are pre-warmed so downstream scoring does not re-stack.
+    `first`, when given, is the exact (Pose2, speed) ego state; it is written
+    over sample 0 of copies of the arrays, so the inputs are left unchanged.
     """
-    samples = []
-    for j in range(len(xy)):
-        p = object.__new__(Pose2)
-        object.__setattr__(p, "x", float(xy[j, 0]))
-        object.__setattr__(p, "y", float(xy[j, 1]))
-        object.__setattr__(p, "heading", float(headings[j]))
-        samples.append((p, float(speeds[j])))
     if first is not None:
-        samples[0] = first
+        pose, speed = first
         xy = xy.copy()
         headings = headings.copy()
         speeds = speeds.copy()
-        xy[0] = (first[0].x, first[0].y)
-        headings[0] = first[0].heading
-        speeds[0] = first[1]
-    t = object.__new__(Trajectory)
-    object.__setattr__(t, "dt", dt)
-    object.__setattr__(t, "samples", tuple(samples))
-    object.__setattr__(t, "tag", tag)
-    t.__dict__["positions"] = xy
-    t.__dict__["headings"] = headings
-    t.__dict__["speeds"] = speeds
-    return t
+        xy[0] = (pose.x, pose.y)
+        headings[0] = pose.heading
+        speeds[0] = speed
+    return Trajectory(dt, xy, headings, speeds, tag)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ from .geometry import (
     rect_corners_batch,
     rects_overlap_batch,
 )
+from .proposals import CORRIDOR_HALF_WIDTH, CORRIDOR_MARGIN
 from .scene import AgentState, EgoState, Pose2, Scenario, Trajectory
 from .topology import ProposalPath
 
@@ -344,7 +345,7 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
     start = path.start
     best = None
     for i, a in enumerate(stopped):
-        band = max(2.0, a.half_width + ego.half_width + 0.3)
+        band = max(CORRIDOR_HALF_WIDTH, a.half_width + ego.half_width + CORRIDOR_MARGIN)
         if abs(lat_a[i]) >= band:
             continue
         s_i = s_a[i]

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import IoError, OffMapError, ParseError
 from .geometry import normalize_angle, points_in_polygons, rects_overlap
 from .planner import Planner, PlannerConfig
-from .proposals import IdmParams, idm_accel
+from .proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
 from .scene import (
     AgentState,
     EgoState,
@@ -317,7 +317,7 @@ def _step_vehicle(agent: AgentState, agents, scenario: Scenario, dt: float, ego)
         entities.append((ego.pose, ego.speed, ego.half_length, ego.half_width))
     for pose, speed, half_len, half_w in entities:
         s_o, lat_o, head_o, _ = project_point_to_polyline((pose.x, pose.y), lane.points, s_cum)
-        if abs(lat_o) > agent.half_width + half_w + 0.3:
+        if abs(lat_o) > agent.half_width + half_w + CORRIDOR_MARGIN:
             continue
         d = s_o - s_self - half_len - agent.half_length
         if d <= 0:

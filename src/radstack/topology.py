@@ -158,10 +158,10 @@ def _enumerate_chains(scenario: Scenario, start_lane_id: str, ego_xy, horizon_le
     remaining0 = start.length - s_ego
 
     chains = []
-    # Heap entries: (consumed_length, tiebreak, chain_tuple, frontier_lane_id)
-    heap = [(remaining0, (start_lane_id,), (start_lane_id,))]
+    # Heap entries: (consumed_length, chain); equal lengths pop in lane-id order.
+    heap = [(remaining0, (start_lane_id,))]
     while heap:
-        consumed, tiebreak, chain = heapq.heappop(heap)
+        consumed, chain = heapq.heappop(heap)
         lane = scenario.lane_by_id(chain[-1])
         succs = sorted(lane.successors)
         if consumed >= horizon_length or not succs:
@@ -172,9 +172,7 @@ def _enumerate_chains(scenario: Scenario, start_lane_id: str, ego_xy, horizon_le
                 chains.append(chain)
                 continue
             succ = scenario.lane_by_id(succ_id)
-            heapq.heappush(
-                heap, (consumed + succ.length, tiebreak + (succ_id,), chain + (succ_id,))
-            )
+            heapq.heappush(heap, (consumed + succ.length, chain + (succ_id,)))
     # Drop chains that are strict prefixes of another chain (forks keep leaves).
     chains = sorted(set(chains))
     leaves = [c for c in chains if not any(len(o) > len(c) and o[: len(c)] == c for o in chains)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClusterError, IoError, ParseError, ValidationError
-from .scene import EgoState, Pose2, Trajectory, trajectory_from_arrays
+from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
 
 V_MAX = 20.0  # m/s bound used by the start-near-origin invariant
 
@@ -169,26 +169,13 @@ def instantiate_vocabulary(
     world[:, 0] = ego.pose.x + c * proto[:, 0] - s * proto[:, 1]
     world[:, 1] = ego.pose.y + s * proto[:, 0] + c * proto[:, 1]
     pts = np.concatenate([[(ego.pose.x, ego.pose.y)], world])
-    d = np.diff(pts, axis=0)
-    seg = np.hypot(d[:, 0], d[:, 1])
-    return _waypoints_to_trajectory(pts, seg, ego, dt, tag)
+    heads, speeds = segment_headings_and_speeds(pts, ego.pose.heading, ego.speed, dt)
+    return trajectory_from_arrays(dt, pts, heads, speeds, tag, (ego.pose, ego.speed))
 
 
 def instantiate_prototype(vocab: Vocabulary, index: int, ego: EgoState, tag: str = "vocabulary") -> Trajectory:
     """Instantiate vocab.prototypes[index] at the ego pose with the vocab dt."""
     return instantiate_vocabulary(vocab.prototypes[index], ego, dt=vocab.dt, tag=tag)
-
-
-def _waypoints_to_trajectory(pts, seg, ego: EgoState, dt: float, tag: str) -> Trajectory:
-    pts = np.asarray(pts, dtype=float)
-    moving = seg > 1e-6
-    raw = np.arctan2(np.diff(pts[:, 1]), np.diff(pts[:, 0]))
-    move_idx = np.arange(1, len(seg) + 1) * moving  # 0 where stationary
-    last_move = np.maximum.accumulate(move_idx)
-    padded = np.concatenate([[ego.pose.heading], raw])
-    heads = np.concatenate([[ego.pose.heading], padded[last_move]])
-    speeds = np.concatenate([[ego.speed], seg / dt])
-    return trajectory_from_arrays(dt, pts, heads, speeds, tag, (ego.pose, ego.speed))
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

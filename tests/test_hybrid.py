@@ -4,7 +4,7 @@ import pytest
 from radstack.errors import HorizonMismatchError
 from radstack.hybrid import hybrid_select, inject_learned
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
-from radstack.scene import EgoState, Pose2, Trajectory
+from radstack.scene import EgoState, Trajectory
 from radstack.scoring import ScoreContext, ScoreWeights, forecast_agents, select_best
 from radstack.topology import graph_search
 
@@ -13,10 +13,10 @@ from conftest import static_car, straight_path, straight_scenario
 
 def _straight_learned(v=8.0, steps=40, dt=0.1, y=0.0, tag="learned"):
     xs = np.arange(steps + 1) * v * dt
-    samples = tuple(
-        (Pose2(float(x), float(y), 0.0), float(v)) for x in xs
+    xy = np.stack([xs, np.full(steps + 1, y)], axis=1)
+    return Trajectory(
+        dt=dt, positions=xy, headings=np.zeros(steps + 1), speeds=np.full(steps + 1, v), tag=tag
     )
-    return Trajectory(dt=dt, samples=samples, tag=tag)
 
 
 def _rule_proposals(scenario, agents=()):

@@ -77,8 +77,9 @@ def test_rollout_empty_road_constant_speed():
     assert np.allclose(traj.speeds, 10.0, atol=1e-6)
     assert np.abs(traj.positions[:, 1]).max() < 1e-9
     # First sample equals the ego state exactly.
-    assert traj.samples[0][0] == s.ego.pose
-    assert traj.samples[0][1] == s.ego.speed
+    assert tuple(traj.positions[0]) == (s.ego.pose.x, s.ego.pose.y)
+    assert traj.headings[0] == s.ego.pose.heading
+    assert traj.speeds[0] == s.ego.speed
 
 
 def _fine_step_idm_reference(v_init, gap_init, p, horizon, dt_fine=0.001):
@@ -138,8 +139,10 @@ def test_every_proposal_starts_at_ego_pose():
     path = straight_path(s)
     ps = generate_proposals(s.ego, [path], [static_car("c", 30.0, 0.0)], _default_cfg())
     for prop in ps:
-        assert prop.trajectory.samples[0][0] == s.ego.pose
-        assert prop.trajectory.samples[0][1] == s.ego.speed
+        traj = prop.trajectory
+        assert tuple(traj.positions[0]) == (s.ego.pose.x, s.ego.pose.y)
+        assert traj.headings[0] == s.ego.pose.heading
+        assert traj.speeds[0] == s.ego.speed
 
 
 def test_proposal_order_is_path_offset_fraction():

@@ -19,6 +19,7 @@ from radstack.scene import (
     load_scenario,
     save_scenario,
     scenario_to_dict,
+    segment_headings_and_speeds,
 )
 from radstack.topology import augment_with_adjacents, graph_search
 
@@ -48,13 +49,46 @@ def test_lane_needs_two_points():
 
 
 def test_trajectory_invariants():
-    samples = ((Pose2(0, 0, 0), 1.0), (Pose2(1, 0, 0), 1.0))
+    xy, heads, speeds = np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2), np.ones(2)
     with pytest.raises(ValidationError):
-        Trajectory(dt=0.0, samples=samples)
+        Trajectory(dt=0.0, positions=xy, headings=heads, speeds=speeds)
     with pytest.raises(ValidationError):
-        Trajectory(dt=0.1, samples=samples[:1])
+        Trajectory(dt=0.1, positions=xy[:1], headings=heads[:1], speeds=speeds[:1])
     with pytest.raises(ValidationError):
-        Trajectory(dt=0.1, samples=samples, tag="nonsense")
+        Trajectory(dt=0.1, positions=xy, headings=heads, speeds=speeds, tag="nonsense")
+
+
+def test_trajectory_rejects_unequal_array_lengths():
+    xy, heads, speeds = np.zeros((3, 2)), np.zeros(3), np.ones(3)
+    with pytest.raises(ValidationError, match="lengths must match"):
+        Trajectory(dt=0.1, positions=xy, headings=heads[:2], speeds=speeds)
+    with pytest.raises(ValidationError, match="lengths must match"):
+        Trajectory(dt=0.1, positions=xy, headings=heads, speeds=np.ones(4))
+    with pytest.raises(ValidationError, match="lengths must match"):
+        Trajectory(dt=0.1, positions=xy[:2], headings=heads, speeds=speeds)
+
+
+def test_segment_headings_hold_through_standstill():
+    # Still, then east, then north, then stopped: the first heading is the
+    # ego's until motion starts; the stop keeps the last moving heading.
+    pts = np.array([[0, 0], [0, 0], [1, 0], [1, 1], [1, 1], [1, 1]], dtype=float)
+    heads, speeds = segment_headings_and_speeds(pts, 0.25, 3.0, 0.5)
+    assert heads.tolist() == [0.25, 0.25, 0.0, math.pi / 2, math.pi / 2, math.pi / 2]
+    assert speeds.tolist() == [3.0, 0.0, 2.0, 2.0, 0.0, 0.0]
+
+
+def test_segment_headings_batch_matches_rows():
+    rng = np.random.default_rng(4)
+    steps = rng.normal(size=(12, 5, 2))
+    steps[rng.random((12, 5)) < 0.3] = 0.0  # standstill segments, some at the start
+    steps[:2, 0] = 0.0
+    batch = np.concatenate([np.zeros((1, 5, 2)), np.cumsum(steps, axis=0)])
+    heads, speeds = segment_headings_and_speeds(batch, -1.0, 2.5, 0.1)
+    assert heads.shape == speeds.shape == (13, 5)
+    for i in range(5):
+        row_heads, row_speeds = segment_headings_and_speeds(batch[:, i], -1.0, 2.5, 0.1)
+        assert np.array_equal(heads[:, i], row_heads)
+        assert np.array_equal(speeds[:, i], row_speeds)
 
 
 MINIMAL = {

@@ -38,11 +38,7 @@ def _traj_from_xy(xy, dt=0.1, speeds=None, tag="idm", heading=None):
     if speeds is None:
         seg = np.hypot(d[:, 0], d[:, 1]) / dt
         speeds = np.concatenate([seg[:1], seg])
-    samples = tuple(
-        (Pose2(float(x), float(y), float(h)), float(v))
-        for (x, y), h, v in zip(xy, heads, speeds)
-    )
-    return Trajectory(dt=dt, samples=samples, tag=tag)
+    return Trajectory(dt=dt, positions=xy, headings=heads, speeds=speeds, tag=tag)
 
 
 def _straight_traj(v=10.0, steps=40, dt=0.1, y=0.0, tag="idm"):

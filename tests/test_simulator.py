@@ -67,8 +67,10 @@ def test_bicycle_clamps_commands():
 
 def _reference(v=5.0, steps=60, dt=0.1, y=0.0):
     xs = np.arange(steps + 1) * v * dt
-    samples = tuple((Pose2(float(x), y, 0.0), v) for x in xs)
-    return Trajectory(dt=dt, samples=samples, tag="replay")
+    xy = np.stack([xs, np.full(steps + 1, y)], axis=1)
+    return Trajectory(
+        dt=dt, positions=xy, headings=np.zeros(steps + 1), speeds=np.full(steps + 1, v), tag="replay"
+    )
 
 
 def test_lqr_on_reference_near_zero_commands():

@@ -98,7 +98,9 @@ def test_instantiate_identity_at_origin():
     traj = instantiate_vocabulary(proto, ego, dt=0.1)
     assert traj.tag == "vocabulary"
     assert np.allclose(traj.positions[1:], proto)
-    assert traj.samples[0][0] == ego.pose
+    assert tuple(traj.positions[0]) == (ego.pose.x, ego.pose.y)
+    assert traj.headings[0] == ego.pose.heading
+    assert traj.speeds[0] == ego.speed
 
 
 def test_instantiate_quarter_turn_maps_x_to_y():
