@@ -59,6 +59,7 @@ from .scoring import (
 from .planhead import (
     PlanHeadModel,
     TrainingSample,
+    encode_features,
     extract_features,
     forward_classify,
     forward_refine,

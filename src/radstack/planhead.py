@@ -241,18 +241,22 @@ def refine_loss(refined: np.ndarray, v_star: np.ndarray) -> float:
     return float(np.linalg.norm(diff, axis=-1).mean())
 
 
-def forward_classify(model: PlanHeadModel, features: np.ndarray):
-    """(logits, best_index, coarse plan v_hat) in one encoder+classifier pass."""
+def encode_features(model: PlanHeadModel, features: np.ndarray) -> np.ndarray:
+    """Encoder output (1, H) for one feature vector; both heads read it."""
     h, _ = _encode(model, np.asarray(features, dtype=float)[None, :])
-    logits = _classify(model, h)[0]
+    return h
+
+
+def forward_classify(model: PlanHeadModel, encoding: np.ndarray):
+    """(logits, best_index, coarse plan v_hat) from an encoder output."""
+    logits = _classify(model, encoding)[0]
     best = int(np.argmax(logits))
     return logits, best, model.vocab.prototypes[best].copy()
 
 
-def forward_refine(model: PlanHeadModel, features: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+def forward_refine(model: PlanHeadModel, encoding: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     """v_hat plus clamped per-waypoint offsets from the refinement head."""
-    h, _ = _encode(model, np.asarray(features, dtype=float)[None, :])
-    off, _ = _refine(model, h, np.asarray(v_hat, dtype=float)[None, :, :])
+    off, _ = _refine(model, encoding, np.asarray(v_hat, dtype=float)[None, :, :])
     return v_hat + off[0].reshape(model.t, 2)
 
 
@@ -368,21 +372,24 @@ def plan_anytime(
 ):
     """Staged inference: classification always yields a complete plan.
 
-    Returns (Trajectory, stage timings). With budget=classify_only, or when
-    `interrupt()` reports True after the classify stage, the coarse prototype
-    plan is returned; it is never an error and never a partial trajectory.
+    Returns (Trajectory, stage timings). The features are encoded once, in
+    the classify stage, and refinement reads the same encoding. With
+    budget=classify_only, or when `interrupt()` reports True after the
+    classify stage, the coarse prototype plan is returned; it is never an
+    error and never a partial trajectory.
     """
     if budget not in (CLASSIFY_ONLY, CLASSIFY_AND_REFINE):
         raise ValueError(f"unknown budget {budget!r}")
     timings = []
     t0 = time.perf_counter()
-    logits, best, v_hat = forward_classify(model, features)
+    encoding = encode_features(model, features)
+    _, _, v_hat = forward_classify(model, encoding)
     timings.append(("classify", time.perf_counter() - t0))
 
     waypoints = v_hat
     if budget == CLASSIFY_AND_REFINE and not (interrupt is not None and interrupt()):
         t1 = time.perf_counter()
-        waypoints = forward_refine(model, features, v_hat)
+        waypoints = forward_refine(model, encoding, v_hat)
         timings.append(("refine", time.perf_counter() - t1))
     traj = instantiate_vocabulary(waypoints, ego, dt=model.vocab.dt, tag="learned")
     return traj, timings

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .geometry import project_points_to_polyline
 from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
 from .topology import ProposalPath, project_onto_path
 
@@ -148,76 +149,61 @@ def _step_kernel(
     dt,
     steps,
 ):
-    """Sequential IDM + lateral-blend integration for all proposal rows.
+    """IDM + lateral-blend integration, one array update per step for all rows.
 
-    Per step: pick the nearest agent ahead whose lateral band covers the
-    current blend position; follow it with IDM, or creep past it when the
-    proposal's target offset clears the band; brake for the path terminus.
+    Per step and row: pick the nearest agent ahead whose lateral band covers
+    the current blend position (the first such agent on equal gaps); follow it
+    with IDM, or creep past it when the proposal's target offset clears the
+    band; brake for the path terminus. s, l and v are advanced in place.
     """
     n = len(s)
-    n_agents = a_s.shape[1]
+    rows = np.arange(n)
+    has_agents = a_s.shape[1] > 0
+    any_terminus = bool(terminus.any())
+    free_flow = np.full(n, np.inf)
+    no_bypass = np.zeros(n, dtype=bool)
     for k in range(steps):
-        t_now = k * dt
-        for i in range(n):
-            gap = np.inf
-            v_lead = 0.0
-            bypass = False
-            overlap = 0.0
-            for j in range(n_agents):
-                s_ak = a_s[i, j] + a_vlon[i, j] * t_now
-                if s_ak <= s[i] + 1e-9:
-                    continue
-                dl_j = abs(a_lat[i, j] - l[i])
-                if dl_j >= a_band[i, j]:
-                    continue
-                g = s_ak - s[i] - a_hlen[i, j] - ego_half_length
-                if g < gap:
-                    gap = g
-                    v_lead = a_vlon[i, j]
-                    bypass = bypass_clear[i, j]
-                    overlap = 1.0 - dl_j / a_band[i, j]
-            if terminus[i]:
-                term_gap = path_len[i] - s[i] - ego_half_length
-                if term_gap < gap:
-                    gap = max(term_gap, 0.05)
-                    v_lead = 0.0
-                    bypass = False
-            if gap < 0.05:
-                gap = 0.05
+        gap, v_lead, bypass = free_flow, 0.0, no_bypass
+        if has_agents:
+            s_col = s[:, None]
+            s_ak = a_s + a_vlon * (k * dt)
+            dl_a = np.abs(a_lat - l[:, None])
+            lead = (s_ak > s_col + 1e-9) & (dl_a < a_band)
+            g = np.where(lead, s_ak - s_col - a_hlen - ego_half_length, np.inf)
+            j = np.argmin(g, axis=1)
+            gap = g[rows, j]
+            # A row without a lead keeps gap = inf, where v_lead only enters
+            # through s_star / gap = 0, so it needs no masking.
+            v_lead = a_vlon[rows, j]
+            bypass = lead[rows, j] & bypass_clear[rows, j]
+        if any_terminus:
+            term_gap = path_len - s - ego_half_length
+            stop = terminus & (term_gap < gap)
+            gap = np.where(stop, term_gap, gap)
+            v_lead = np.where(stop, 0.0, v_lead)
+            bypass = bypass & ~stop
+        gap = np.maximum(gap, 0.05)
 
-            s_star = s0[i] + max(0.0, v[i] * T_h[i] + v[i] * (v[i] - v_lead) / brake_scale[i])
-            if math.isinf(gap):
-                interaction = 0.0
-            else:
-                interaction = (s_star / gap) ** 2
-            a = a_max[i] * (1.0 - (v[i] / v0[i]) ** delta[i] - interaction)
-            if bypass and not math.isinf(gap):
-                # The go-around gap floor shrinks as the blend gains lateral
-                # clearance, so the rollout can spiral out of a tight pocket;
-                # the scorer's collision check remains the safety authority.
-                floor = CREEP_MIN_GAP * overlap
-                creep_gap = max(gap - floor + s0[i], 0.05)
-                a_creep = a_max[i] * (
-                    1.0 - (v[i] / creep_v0[i]) ** delta[i] - (s_star / creep_gap) ** 2
-                )
-                if a_creep > a:
-                    a = a_creep
-            if a > a_max[i]:
-                a = a_max[i]
-            elif a < -B_HARD:
-                a = -B_HARD
+        s_star = s0 + np.maximum(0.0, v * T_h + v * (v - v_lead) / brake_scale)
+        q = s_star / gap  # 0 in free flow
+        a = a_max * (1.0 - (v / v0) ** delta - q * q)
+        if bypass.any():
+            # The go-around gap floor shrinks as the blend gains lateral
+            # clearance, so the rollout can spiral out of a tight pocket;
+            # the scorer's collision check remains the safety authority.
+            overlap = 1.0 - dl_a[rows, j] / a_band[rows, j]
+            creep_gap = np.maximum(gap - CREEP_MIN_GAP * overlap + s0, 0.05)
+            q_creep = s_star / creep_gap
+            a_creep = a_max * (1.0 - (v / creep_v0) ** delta - q_creep * q_creep)
+            a = np.where(bypass, np.maximum(a, a_creep), a)
+        a = np.minimum(np.maximum(a, -B_HARD), a_max)
 
-            rate = min(LATERAL_RATE, LATERAL_SPEED_RATIO * v[i]) * dt
-            s[i] = s[i] + v[i] * dt
-            v[i] = max(0.0, v[i] + a * dt)
-            dl = targets[i] - l[i]
-            if dl > rate:
-                dl = rate
-            elif dl < -rate:
-                dl = -rate
-            l[i] = l[i] + dl
-            s_hist[k + 1, i] = s[i]
-            l_hist[k + 1, i] = l[i]
+        rate = np.minimum(LATERAL_RATE, LATERAL_SPEED_RATIO * v) * dt
+        s += v * dt
+        v[:] = np.maximum(0.0, v + a * dt)
+        l += np.minimum(np.maximum(targets - l, -rate), rate)
+        s_hist[k + 1] = s
+        l_hist[k + 1] = l
 
 
 def _project_agents(path: ProposalPath, agents, ego: EgoState):
@@ -226,8 +212,6 @@ def _project_agents(path: ProposalPath, agents, ego: EgoState):
         z = np.zeros(0)
         return z, z, z, z, z
     pos = np.array([[a.pose.x, a.pose.y] for a in agents])
-    from .geometry import project_points_to_polyline
-
     s, lat = project_points_to_polyline(pos, path.points, path.s)
     _, path_head = path.pose_at(s)
     heads = np.array([a.pose.heading for a in agents])

@@ -106,7 +106,7 @@ class Lane:
             raise ValidationError(f"lanes[{self.id}].centerline: needs >= 2 points")
         if self.direction not in LANE_DIRECTIONS:
             raise ValidationError(f"lanes[{self.id}].direction: unknown {self.direction!r}")
-        pts = self.points
+        pts = np.array([[p.x, p.y] for p in self.centerline])
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if (seg <= 0).any():
             raise ValidationError(f"lanes[{self.id}].centerline: arclength not monotone")
@@ -114,14 +114,25 @@ class Lane:
             raise ValidationError(
                 f"lanes[{self.id}].centerline: segment exceeds max length {MAX_SEGMENT_LENGTH} m"
             )
+        s = polyline_arclengths(pts)
+        pts.flags.writeable = False
+        s.flags.writeable = False
+        object.__setattr__(self, "_points", pts)
+        object.__setattr__(self, "_s", s)
 
     @property
     def points(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.centerline])
+        """(N, 2) centerline points, built once and read-only."""
+        return self._points
+
+    @property
+    def s(self) -> np.ndarray:
+        """(N,) cumulative arclength of the centerline, read-only."""
+        return self._s
 
     @property
     def length(self) -> float:
-        return float(polyline_arclengths(self.points)[-1])
+        return float(self._s[-1])
 
     @property
     def start(self) -> Pose2:
@@ -310,10 +321,45 @@ def _pose_to_list(p: Pose2):
     return [p.x, p.y, p.heading]
 
 
+def _number(v, path: str) -> float:
+    """v as a finite float; ValidationError naming path otherwise."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: expected a number, got {v!r}") from e
+    if not math.isfinite(x):
+        raise ValidationError(f"{path}: must be finite, got {x}")
+    return x
+
+
+def _list(v, path: str) -> list:
+    if not isinstance(v, list):
+        raise ValidationError(f"{path}: expected a list, got {type(v).__name__}")
+    return v
+
+
+def _object(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValidationError(f"{path}: expected an object, got {type(v).__name__}")
+    return v
+
+
 def _pose_from_list(v, path: str) -> Pose2:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ValidationError(f"{path}: expected [x, y, heading]")
-    return Pose2(float(v[0]), float(v[1]), float(v[2]))
+    return Pose2(*(_number(x, f"{path}[{k}]") for k, x in enumerate(v)))
+
+
+def _polygon_from_list(v, path: str) -> np.ndarray:
+    try:
+        poly = np.asarray(_list(v, path), dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: expected a list of [x, y] points") from e
+    if poly.ndim != 2 or poly.shape[1] != 2:
+        raise ValidationError(f"{path}: expected a list of [x, y] points")
+    if not np.isfinite(poly).all():
+        raise ValidationError(f"{path}: points must be finite")
+    return poly
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -381,17 +427,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ValidationError(f"missing top-level keys: {sorted(missing)}")
 
     lanes = []
-    for i, d in enumerate(doc["lanes"]):
+    for i, d in enumerate(_list(doc["lanes"], "lanes")):
+        d = _object(d, f"lanes[{i}]")
         try:
+            speed_limit = _number(d["speed_limit"], f"lanes[{i}].speed_limit")
+            if speed_limit < 0:
+                raise ValidationError(f"lanes[{i}].speed_limit: must be >= 0, got {speed_limit}")
             lanes.append(
                 Lane(
                     id=str(d["id"]),
                     centerline=tuple(
                         _pose_from_list(p, f"lanes[{i}].centerline[{j}]")
-                        for j, p in enumerate(d["centerline"])
+                        for j, p in enumerate(_list(d["centerline"], f"lanes[{i}].centerline"))
                     ),
-                    speed_limit=float(d["speed_limit"]),
-                    successors=tuple(str(x) for x in d.get("successors", [])),
+                    speed_limit=speed_limit,
+                    successors=tuple(
+                        str(x) for x in _list(d.get("successors", []), f"lanes[{i}].successors")
+                    ),
                     left_adjacent=d.get("left_adjacent"),
                     right_adjacent=d.get("right_adjacent"),
                     direction=str(d.get("direction", "route_aligned")),
@@ -400,43 +452,50 @@ def scenario_from_dict(doc: dict) -> Scenario:
         except KeyError as e:
             raise ValidationError(f"lanes[{i}]: missing key {e.args[0]!r}") from e
     agents = []
-    for i, d in enumerate(doc["agents"]):
+    for i, d in enumerate(_list(doc["agents"], "agents")):
+        d = _object(d, f"agents[{i}]")
         try:
             agents.append(
                 AgentState(
                     id=str(d["id"]),
                     pose=_pose_from_list(d["pose"], f"agents[{i}].pose"),
-                    speed=float(d["speed"]),
-                    half_length=float(d["half_length"]),
-                    half_width=float(d["half_width"]),
+                    speed=_number(d["speed"], f"agents[{i}].speed"),
+                    half_length=_number(d["half_length"], f"agents[{i}].half_length"),
+                    half_width=_number(d["half_width"], f"agents[{i}].half_width"),
                     kind=str(d.get("kind", "vehicle")),
                 )
             )
         except KeyError as e:
             raise ValidationError(f"agents[{i}]: missing key {e.args[0]!r}") from e
-    e = doc["ego"]
+    e = _object(doc["ego"], "ego")
     try:
         ego = EgoState(
             pose=_pose_from_list(e["pose"], "ego.pose"),
-            speed=float(e["speed"]),
-            accel=float(e.get("accel", 0.0)),
-            steering=float(e.get("steering", 0.0)),
-            wheelbase=float(e["wheelbase"]),
-            half_length=float(e["half_length"]),
-            half_width=float(e["half_width"]),
+            speed=_number(e["speed"], "ego.speed"),
+            accel=_number(e.get("accel", 0.0), "ego.accel"),
+            steering=_number(e.get("steering", 0.0), "ego.steering"),
+            wheelbase=_number(e["wheelbase"], "ego.wheelbase"),
+            half_length=_number(e["half_length"], "ego.half_length"),
+            half_width=_number(e["half_width"], "ego.half_width"),
         )
     except KeyError as err:
         raise ValidationError(f"ego: missing key {err.args[0]!r}") from err
 
     scenario = Scenario(
         lanes=tuple(lanes),
-        drivable_area=tuple(np.asarray(p, dtype=float) for p in doc["drivable_area"]),
-        crosswalks=tuple(np.asarray(p, dtype=float) for p in doc["crosswalks"]),
+        drivable_area=tuple(
+            _polygon_from_list(p, f"drivable_area[{i}]")
+            for i, p in enumerate(_list(doc["drivable_area"], "drivable_area"))
+        ),
+        crosswalks=tuple(
+            _polygon_from_list(p, f"crosswalks[{i}]")
+            for i, p in enumerate(_list(doc["crosswalks"], "crosswalks"))
+        ),
         agents=tuple(agents),
         ego=ego,
-        route=tuple(str(x) for x in doc["route"]),
+        route=tuple(str(x) for x in _list(doc["route"], "route")),
         goal=_pose_from_list(doc["goal"], "goal"),
-        duration=float(doc["duration"]),
+        duration=_number(doc["duration"], "duration"),
         seed=int(doc["seed"]),
     )
     validate_scenario(scenario)

@@ -245,9 +245,8 @@ def _agent_lane(scenario: Scenario, agent: AgentState):
     """Lane whose direction best matches the agent heading, within 3 m."""
     best = None
     for lane in scenario.lanes:
-        s_cum = polyline_arclengths(lane.points)
         s, lat, head, _ = project_point_to_polyline(
-            (agent.pose.x, agent.pose.y), lane.points, s_cum
+            (agent.pose.x, agent.pose.y), lane.points, lane.s
         )
         if abs(lat) > 3.0:
             continue
@@ -256,8 +255,8 @@ def _agent_lane(scenario: Scenario, agent: AgentState):
             continue
         key = (abs(lat), lane.id)
         if best is None or key < best[0]:
-            best = (key, lane, s_cum)
-    return (best[1], best[2]) if best else (None, None)
+            best = (key, lane)
+    return best[1] if best else None
 
 
 def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoState | None = None):
@@ -296,7 +295,7 @@ _AGENT_IDM = IdmParams(v0=8.0, T_h=1.5, s0=2.0, a_max=1.5, b_comf=2.0)
 
 
 def _step_vehicle(agent: AgentState, agents, scenario: Scenario, dt: float, ego):
-    lane, s_cum = _agent_lane(scenario, agent)
+    lane = _agent_lane(scenario, agent)
     if lane is None:
         p = agent.pose
         return replace(
@@ -307,6 +306,7 @@ def _step_vehicle(agent: AgentState, agents, scenario: Scenario, dt: float, ego)
                 p.heading,
             ),
         )
+    s_cum = lane.s
     s_self, _, _, _ = project_point_to_polyline((agent.pose.x, agent.pose.y), lane.points, s_cum)
 
     # Nearest entity ahead in this lane corridor (other agents and the ego).

@@ -140,8 +140,7 @@ def _build_path(scenario, lane_ids, ego_xy, horizon_length, source, reverse_firs
 
 
 def _nearest_distance(lane, ego_xy) -> float:
-    s_cum = polyline_arclengths(lane.points)
-    s, lateral, _, foot = project_point_to_polyline(ego_xy, lane.points, s_cum)
+    _, _, _, foot = project_point_to_polyline(ego_xy, lane.points, lane.s)
     return float(np.hypot(*(np.asarray(ego_xy) - foot)))
 
 
@@ -153,8 +152,7 @@ def _enumerate_chains(scenario: Scenario, start_lane_id: str, ego_xy, horizon_le
     chain per branch; ties resolve by lane-id order so output is deterministic.
     """
     start = scenario.lane_by_id(start_lane_id)
-    s_cum = polyline_arclengths(start.points)
-    s_ego, _, _, _ = project_point_to_polyline(ego_xy, start.points, s_cum)
+    s_ego, _, _, _ = project_point_to_polyline(ego_xy, start.points, start.s)
     remaining0 = start.length - s_ego
 
     chains = []

@@ -11,6 +11,7 @@ from radstack.planhead import (
     PlanHeadModel,
     TrainingSample,
     _batch_forward_backward,
+    encode_features,
     extract_features,
     forward_classify,
     forward_refine,
@@ -150,8 +151,8 @@ def test_forward_classify_deterministic():
     vocab = _tiny_vocab()
     model = init_model(vocab, d=8, h=16, seed=3)
     x = np.random.default_rng(4).normal(size=8)
-    a = forward_classify(model, x)
-    b = forward_classify(model, x)
+    a = forward_classify(model, encode_features(model, x))
+    b = forward_classify(model, encode_features(model, x))
     assert np.array_equal(a[0], b[0])
     assert a[1] == b[1]
 
@@ -160,14 +161,14 @@ def test_forward_classify_permutation_independence():
     vocab = _tiny_vocab(k=4)
     model = init_model(vocab, d=8, h=16, seed=3)
     x = np.random.default_rng(5).normal(size=8)
-    _, _, v_hat = forward_classify(model, x)
+    _, _, v_hat = forward_classify(model, encode_features(model, x))
 
     perm = np.array([2, 0, 3, 1])
     vocab_p = Vocabulary(prototypes=vocab.prototypes[perm], dt=vocab.dt)
     model_p = PlanHeadModel(vocab=vocab_p, d=8, h=16, params=dict(model.params))
     model_p.params["wc"] = model.params["wc"][perm]
     model_p.params["bc"] = model.params["bc"][perm]
-    _, _, v_hat_p = forward_classify(model_p, x)
+    _, _, v_hat_p = forward_classify(model_p, encode_features(model_p, x))
     assert np.allclose(v_hat, v_hat_p)
 
 
@@ -176,9 +177,9 @@ def test_zero_init_refiner_is_identity():
     model = init_model(vocab, d=8, h=16, seed=0)
     rng = np.random.default_rng(6)
     for _ in range(100):
-        x = rng.normal(size=8)
-        _, _, v_hat = forward_classify(model, x)
-        refined = forward_refine(model, x, v_hat)
+        h = encode_features(model, rng.normal(size=8))
+        _, _, v_hat = forward_classify(model, h)
+        refined = forward_refine(model, h, v_hat)
         assert np.max(np.abs(refined - v_hat)) == 0.0
 
 
@@ -187,9 +188,9 @@ def test_refine_offsets_clamped():
     model = init_model(vocab, d=8, h=16, seed=0)
     model.params["wr2"] = np.full_like(model.params["wr2"], 50.0)
     model.params["br2"] = np.full_like(model.params["br2"], 50.0)
-    x = np.random.default_rng(7).normal(size=8)
-    _, _, v_hat = forward_classify(model, x)
-    refined = forward_refine(model, x, v_hat)
+    h = encode_features(model, np.random.default_rng(7).normal(size=8))
+    _, _, v_hat = forward_classify(model, h)
+    refined = forward_refine(model, h, v_hat)
     assert np.max(np.abs(refined - v_hat)) <= OFFSET_CLAMP + 1e-12
 
 
@@ -280,8 +281,9 @@ def test_refiner_learns_constant_lateral_bias():
     model, _ = train(model, samples, epochs=800, lr=0.1)
     offsets = []
     for s in samples[:20]:
-        _, _, v_hat = forward_classify(model, s.features)
-        refined = forward_refine(model, s.features, v_hat)
+        h = encode_features(model, s.features)
+        _, _, v_hat = forward_classify(model, h)
+        refined = forward_refine(model, h, v_hat)
         offsets.append((refined - v_hat)[:, 1].mean())
     assert 0.4 <= float(np.mean(offsets)) <= 0.6
 
@@ -294,7 +296,7 @@ def test_classifier_agrees_with_nearest_prototype_oracle():
     model, _ = train(model, train_samples, epochs=300, lr=5e-2)
     agree = 0
     for s in held_out:
-        _, best, _ = forward_classify(model, s.features)
+        _, best, _ = forward_classify(model, encode_features(model, s.features))
         d2 = ((vocab.prototypes - s.expert) ** 2).sum(axis=(1, 2))
         if best == int(np.argmin(d2)):
             agree += 1
@@ -340,6 +342,19 @@ def test_plan_anytime_interrupt_bit_identical():
     assert [name for name, _ in timings] == ["classify"]
     t_full, _ = plan_anytime(model, x, _ego(), budget=CLASSIFY_AND_REFINE)
     assert not np.array_equal(t_only.positions, t_full.positions)
+
+
+def test_plan_anytime_encodes_once(monkeypatch):
+    import radstack.planhead as planhead
+
+    model = init_model(_tiny_vocab(), d=8, h=16, seed=0)
+    x = np.random.default_rng(13).normal(size=8)
+    calls = []
+    real_encode = planhead._encode
+    monkeypatch.setattr(planhead, "_encode", lambda *a: calls.append(1) or real_encode(*a))
+    _, timings = plan_anytime(model, x, _ego(), budget=CLASSIFY_AND_REFINE)
+    assert [name for name, _ in timings] == ["classify", "refine"]
+    assert len(calls) == 1
 
 
 # -- features ----------------------------------------------------------------------
@@ -422,6 +437,6 @@ def test_model_round_trip(tmp_path):
     for name in model.params:
         assert np.allclose(loaded.params[name], model.params[name])
     x = np.random.default_rng(0).normal(size=8)
-    a = forward_classify(model, x)
-    b = forward_classify(loaded, x)
+    a = forward_classify(model, encode_features(model, x))
+    b = forward_classify(loaded, encode_features(loaded, x))
     assert np.allclose(a[0], b[0])

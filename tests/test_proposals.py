@@ -6,8 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from radstack.proposals import (
     B_HARD,
+    CORRIDOR_MARGIN,
+    CREEP_MIN_GAP,
+    CREEP_SPEED,
+    LATERAL_RATE,
+    LATERAL_SPEED_RATIO,
     IdmParams,
     ProposalConfig,
+    _step_kernel,
     generate_proposals,
     idm_accel,
     rollout_idm,
@@ -194,3 +200,239 @@ def test_rollout_rejects_large_offset():
     path = straight_path(s)
     with pytest.raises(ValueError):
         rollout_idm(s.ego, path, 5.0, IdmParams(), [], _default_cfg())
+
+
+# --------------------------------------------------------------------------
+# Rollout kernel: the vectorized kernel against the scalar loop it replaced,
+# and hand oracles for the terminus, creep and lead-choice branches.
+
+
+def _reference_step_kernel(
+    s_hist,
+    l_hist,
+    s,
+    l,
+    v,
+    targets,
+    v0,
+    T_h,
+    s0,
+    a_max,
+    brake_scale,
+    delta,
+    creep_v0,
+    a_s,
+    a_lat,
+    a_vlon,
+    a_band,
+    a_hlen,
+    bypass_clear,
+    path_len,
+    terminus,
+    ego_half_length,
+    dt,
+    steps,
+):
+    """The scalar steps x rows x agents loop that `_step_kernel` vectorizes.
+
+    Per step: pick the nearest agent ahead whose lateral band covers the
+    current blend position; follow it with IDM, or creep past it when the
+    proposal's target offset clears the band; brake for the path terminus.
+    """
+    n = len(s)
+    n_agents = a_s.shape[1]
+    for k in range(steps):
+        t_now = k * dt
+        for i in range(n):
+            gap = np.inf
+            v_lead = 0.0
+            bypass = False
+            overlap = 0.0
+            for j in range(n_agents):
+                s_ak = a_s[i, j] + a_vlon[i, j] * t_now
+                if s_ak <= s[i] + 1e-9:
+                    continue
+                dl_j = abs(a_lat[i, j] - l[i])
+                if dl_j >= a_band[i, j]:
+                    continue
+                g = s_ak - s[i] - a_hlen[i, j] - ego_half_length
+                if g < gap:
+                    gap = g
+                    v_lead = a_vlon[i, j]
+                    bypass = bypass_clear[i, j]
+                    overlap = 1.0 - dl_j / a_band[i, j]
+            if terminus[i]:
+                term_gap = path_len[i] - s[i] - ego_half_length
+                if term_gap < gap:
+                    gap = max(term_gap, 0.05)
+                    v_lead = 0.0
+                    bypass = False
+            if gap < 0.05:
+                gap = 0.05
+
+            s_star = s0[i] + max(0.0, v[i] * T_h[i] + v[i] * (v[i] - v_lead) / brake_scale[i])
+            if math.isinf(gap):
+                interaction = 0.0
+            else:
+                interaction = (s_star / gap) ** 2
+            a = a_max[i] * (1.0 - (v[i] / v0[i]) ** delta[i] - interaction)
+            if bypass and not math.isinf(gap):
+                # The go-around gap floor shrinks as the blend gains lateral
+                # clearance, so the rollout can spiral out of a tight pocket;
+                # the scorer's collision check remains the safety authority.
+                floor = CREEP_MIN_GAP * overlap
+                creep_gap = max(gap - floor + s0[i], 0.05)
+                a_creep = a_max[i] * (
+                    1.0 - (v[i] / creep_v0[i]) ** delta[i] - (s_star / creep_gap) ** 2
+                )
+                if a_creep > a:
+                    a = a_creep
+            if a > a_max[i]:
+                a = a_max[i]
+            elif a < -B_HARD:
+                a = -B_HARD
+
+            rate = min(LATERAL_RATE, LATERAL_SPEED_RATIO * v[i]) * dt
+            s[i] = s[i] + v[i] * dt
+            v[i] = max(0.0, v[i] + a * dt)
+            dl = targets[i] - l[i]
+            if dl > rate:
+                dl = rate
+            elif dl < -rate:
+                dl = -rate
+            l[i] = l[i] + dl
+            s_hist[k + 1, i] = s[i]
+            l_hist[k + 1, i] = l[i]
+
+
+@st.composite
+def _kernel_case(draw):
+    """Random kernel inputs: rows 1-40, agents 0-9, steps 1-40.
+
+    Agents are moving or static; some rows end at a path terminus; targets
+    clear some agents' bands (bypass_clear); tie rows give agents 0 and 1 the
+    same gap but different lateral positions.
+    """
+    n = draw(st.integers(1, 40))
+    n_agents = draw(st.integers(0, 9))
+    steps = draw(st.integers(1, 40))
+    static_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    terminus_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    tie_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    s = rng.uniform(0.0, 5.0, n)
+    l = rng.uniform(-1.5, 1.5, n)
+    v = rng.uniform(0.0, 12.0, n)
+    targets = rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], n)
+    v0 = rng.uniform(0.5, 15.0, n)
+    a_max = rng.uniform(0.8, 2.5, n)
+    a_s = s[:, None] + rng.uniform(-10.0, 60.0, (n, n_agents))
+    a_lat = rng.uniform(-4.0, 4.0, (n, n_agents))
+    a_vlon = np.where(rng.random((n, n_agents)) < static_share, 0.0, rng.uniform(-3.0, 10.0, (n, n_agents)))
+    a_band = rng.uniform(2.0, 3.0, (n, n_agents))
+    a_hlen = rng.uniform(0.3, 2.5, (n, n_agents))
+    if n_agents >= 2:
+        tie = rng.random(n) < tie_share
+        for col in (a_s, a_vlon, a_hlen):
+            col[tie, 1] = col[tie, 0]
+        a_lat[tie, 1] = a_lat[tie, 0] + rng.choice([-1.0, 1.0], int(tie.sum()))
+    return dict(
+        s=s,
+        l=l,
+        v=v,
+        targets=targets,
+        v0=v0,
+        T_h=rng.uniform(1.0, 2.5, n),
+        s0=rng.uniform(1.0, 4.0, n),
+        a_max=a_max,
+        brake_scale=2.0 * np.sqrt(a_max * rng.uniform(1.0, 3.0, n)),
+        delta=rng.choice([2.0, 4.0, 4.5], n),
+        creep_v0=np.minimum(v0, CREEP_SPEED),
+        a_s=a_s,
+        a_lat=a_lat,
+        a_vlon=a_vlon,
+        a_band=a_band,
+        a_hlen=a_hlen,
+        bypass_clear=np.abs(a_lat - targets[:, None]) >= a_band,
+        path_len=s + rng.uniform(3.0, 80.0, n),
+        terminus=rng.random(n) < terminus_share,
+        ego_half_length=2.3,
+        dt=0.1,
+        steps=steps,
+    )
+
+
+def _run_kernel(kernel, case):
+    args = dict(case)
+    n, steps = len(case["s"]), case["steps"]
+    s_hist, l_hist = np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    s_hist[0], l_hist[0] = case["s"], case["l"]
+    for name in ("s", "l", "v"):
+        args[name] = case[name].copy()
+    kernel(s_hist, l_hist, **args)
+    return s_hist, l_hist
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_kernel_case())
+def test_step_kernel_matches_scalar_reference(case):
+    # Not bit-identical: numpy's array power may round x ** delta 1 ulp away
+    # from the libm pow the scalar loop calls.
+    s_ref, l_ref = _run_kernel(_reference_step_kernel, case)
+    s_vec, l_vec = _run_kernel(_step_kernel, case)
+    np.testing.assert_allclose(s_vec, s_ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(l_vec, l_ref, rtol=0.0, atol=1e-12)
+
+
+def test_rollout_stops_before_path_terminus():
+    # The lane ends 40 m ahead and nothing else is on it.
+    s = straight_scenario(ego_speed=8.0, length=40.0, goal_x=35.0)
+    path = straight_path(s)
+    assert path.ends_at_terminus
+    traj = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [], ProposalConfig(horizon=20.0))
+    stopped = np.flatnonzero(traj.speeds == 0.0)
+    assert len(stopped) > 0
+    first = stopped[0]
+    assert (traj.speeds[first:] == 0.0).all()
+    assert (traj.positions[first:] == traj.positions[first]).all()
+    assert traj.positions[:, 0].max() <= path.length - s.ego.half_length
+
+
+def test_rollout_creeps_past_blocker_only_when_offset_clears_its_band():
+    # The ego waits 5.4 m (bumper to bumper) behind a parked car; the car's
+    # lateral band is 1.0 + 0.95 + CORRIDOR_MARGIN = 2.25 m, so offset 3.0
+    # clears it and offset 0.0 does not.
+    s = straight_scenario(ego_speed=0.0)
+    path = straight_path(s)
+    blocker = static_car("b", 10.0, 0.0)
+    band = blocker.half_width + s.ego.half_width + CORRIDOR_MARGIN
+    cfg = ProposalConfig(horizon=15.0)
+    around = rollout_idm(s.ego, path, 3.0, IdmParams(v0=8.0), [blocker], cfg)
+    x, y = around.positions.T
+    in_band = np.abs(y[:-1]) < band
+    assert in_band[0] and not in_band[-1]
+    assert (np.diff(x)[in_band] / cfg.dt).max() <= CREEP_SPEED
+    assert x[-1] > blocker.pose.x + blocker.half_length + s.ego.half_length
+
+    behind = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [blocker], cfg)
+    rear = blocker.pose.x - blocker.half_length - s.ego.half_length
+    assert behind.positions[:, 0].max() < rear
+    assert behind.speeds[-1] == 0.0
+    assert np.abs(behind.positions[:, 1]).max() == 0.0
+
+
+def test_rollout_follows_in_band_lead_and_ignores_nearer_out_of_band_agent():
+    s = straight_scenario(ego_speed=8.0)
+    path = straight_path(s)
+    beside = static_car("beside", 15.0, 2.6)  # 2.6 m off the centerline, band 2.25 m
+    ahead = static_car("ahead", 30.0, 0.0)
+    cfg = ProposalConfig(horizon=10.0)
+    both = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [beside, ahead], cfg)
+    only_ahead = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [ahead], cfg)
+    assert np.array_equal(both.positions, only_ahead.positions)
+    assert np.array_equal(both.speeds, only_ahead.speeds)
+    x = both.positions[:, 0]
+    assert x[-1] > beside.pose.x
+    assert x.max() < ahead.pose.x - ahead.half_length - s.ego.half_length
+    assert both.speeds[-1] < 0.1

@@ -18,6 +18,7 @@ from radstack.scene import (
     generate_synthetic_scenario,
     load_scenario,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
     segment_headings_and_speeds,
 )
@@ -255,3 +256,117 @@ def test_goal_outside_drivable_bbox_rejected():
     )
     with pytest.raises(ValidationError, match="goal"):
         validate_scenario(s)
+
+
+# -- scenario input boundary ------------------------------------------------------
+
+
+def _minimal_with_agent() -> dict:
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["agents"] = [
+        {
+            "id": "car",
+            "pose": [12.0, 0.0, 0.0],
+            "speed": 2.0,
+            "half_length": 2.3,
+            "half_width": 1.0,
+            "kind": "vehicle",
+        }
+    ]
+    return doc
+
+
+def _set(doc: dict, keys: tuple, value):
+    target = doc
+    for k in keys[:-1]:
+        target = target[k]
+    target[keys[-1]] = value
+
+
+def test_minimal_with_agent_loads():
+    assert len(scenario_from_dict(_minimal_with_agent()).agents) == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "keys, field",
+    [
+        (("lanes", 0, "centerline", 1, 0), r"lanes\[0\]\.centerline\[1\]\[0\]"),
+        (("ego", "pose", 2), r"ego\.pose\[2\]"),
+        (("ego", "speed"), r"ego\.speed"),
+        (("ego", "steering"), r"ego\.steering"),
+        (("ego", "half_width"), r"ego\.half_width"),
+        (("agents", 0, "pose", 1), r"agents\[0\]\.pose\[1\]"),
+        (("agents", 0, "speed"), r"agents\[0\]\.speed"),
+        (("agents", 0, "half_length"), r"agents\[0\]\.half_length"),
+        (("lanes", 0, "speed_limit"), r"lanes\[0\]\.speed_limit"),
+        (("goal", 0), r"goal\[0\]"),
+        (("duration",), r"duration"),
+    ],
+)
+def test_non_finite_number_rejected_with_field_path(keys, field, value):
+    doc = _minimal_with_agent()
+    _set(doc, keys, value)
+    with pytest.raises(ValidationError, match=f"^{field}: must be finite"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["drivable_area", "crosswalks"])
+@pytest.mark.parametrize(
+    "polygon, problem",
+    [
+        ([[0.0, 0.0], [1.0, math.nan], [1.0, 1.0]], "points must be finite"),
+        ([[0.0, 0.0], [1.0, 0.0, 2.0], [1.0, 1.0]], "expected a list of"),
+        ([0.0, 1.0, 2.0], "expected a list of"),
+    ],
+)
+def test_malformed_polygon_rejected_with_field_path(key, polygon, problem):
+    doc = _minimal_with_agent()
+    doc[key] = [polygon]
+    with pytest.raises(ValidationError, match=f"^{key}\\[0\\]: {problem}"):
+        scenario_from_dict(doc)
+
+
+def test_negative_speed_limit_rejected():
+    doc = _minimal_with_agent()
+    doc["lanes"][0]["speed_limit"] = -1.0
+    with pytest.raises(ValidationError, match=r"^lanes\[0\]\.speed_limit: must be >= 0"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["lanes", "agents", "drivable_area", "crosswalks", "route"])
+@pytest.mark.parametrize("value", [5, "only", {"id": "only"}, None])
+def test_top_level_collection_must_be_a_list(key, value):
+    doc = _minimal_with_agent()
+    doc[key] = value
+    with pytest.raises(ValidationError, match=f"^{key}: expected a list"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "keys, field",
+    [
+        (("lanes", 0), r"lanes\[0\]"),
+        (("agents", 0), r"agents\[0\]"),
+        (("ego",), r"ego"),
+    ],
+)
+@pytest.mark.parametrize("value", [5, [1.0, 2.0], "car", None])
+def test_entry_must_be_an_object(keys, field, value):
+    doc = _minimal_with_agent()
+    _set(doc, keys, value)
+    with pytest.raises(ValidationError, match=f"^{field}: expected an object"):
+        scenario_from_dict(doc)
+
+
+def test_cli_run_reports_malformed_scenario_in_one_line(tmp_path, capsys):
+    from radstack.cli import main
+
+    doc = _minimal_with_agent()
+    doc["lanes"] = 5
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(p), "--planner", "rad"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "run: lanes: expected a list, got int\n"
