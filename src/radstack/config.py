@@ -6,49 +6,82 @@ Unknown keys are errors. RADSTACK_SEED overrides seed flags for CI runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import replace
 
 from .errors import ConfigError, IoError, ParseError
+from .planhead import CLASSIFY_AND_REFINE, CLASSIFY_ONLY
 from .planner import PlannerConfig
-from .proposals import IdmParams, ProposalConfig
-from .scoring import ScoreWeights
-from .simulator import SimConfig
+from .proposals import IdmParams
+from .simulator import AGENT_POLICIES, SimConfig
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# Value kinds: (description for the error message, predicate).
+_BOOL = ("a boolean", lambda v: isinstance(v, bool))
+_INT = ("an integer", _is_int)
+_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_number(v) and v >= 0)
+_NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
+_FRACTIONS = (
+    "a list of numbers in (0, 1]",
+    lambda v: isinstance(v, list) and all(_is_number(x) and 0 < x <= 1 for x in v),
+)
+
+
+def _one_of(*choices):
+    return (f"one of {list(choices)}", lambda v: v in choices)
+
+
+_DISTURBANCES = (
+    "a list of [tick, metres] pairs",
+    lambda v: isinstance(v, list)
+    and all(isinstance(d, list) and len(d) == 2 and _is_int(d[0]) and _is_number(d[1]) for d in v),
+)
 
 _SECTIONS = {
-    "planner": (
-        "replan",
-        "enable_adjacents",
-        "enable_opposing",
-        "enable_vocabulary",
-        "enable_relaxation",
-        "max_paths",
-        "horizon_length",
-        "min_progress",
-        "learned_offsets",
-        "planhead_budget",
-    ),
-    "weights": ("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal"),
-    "proposal": ("offsets", "speed_fractions", "horizon", "dt"),
-    "idm": ("v0", "T_h", "s0", "a_max", "b_comf", "delta"),
-    "sim": (
-        "dt",
-        "planner_period",
-        "horizon",
-        "agent_policy",
-        "disturbances",
-        "seed",
-        "goal_radius",
-        "deadlock_window",
-        "deadlock_displacement",
-        "record_breakdowns",
-    ),
+    "planner": {
+        "replan": _BOOL,
+        "enable_adjacents": _BOOL,
+        "enable_opposing": _BOOL,
+        "enable_vocabulary": _BOOL,
+        "enable_relaxation": _BOOL,
+        "max_paths": _COUNT,
+        "horizon_length": _POSITIVE,
+        "min_progress": _NON_NEGATIVE,
+        "learned_offsets": _NUMBERS,
+        "planhead_budget": _one_of(CLASSIFY_ONLY, CLASSIFY_AND_REFINE),
+    },
+    "weights": {k: _NON_NEGATIVE for k in ("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal")},
+    "proposal": {"offsets": _NUMBERS, "speed_fractions": _FRACTIONS, "horizon": _POSITIVE, "dt": _POSITIVE},
+    "idm": {k: _POSITIVE for k in ("v0", "T_h", "s0", "a_max", "b_comf", "delta")},
+    "sim": {
+        "dt": _POSITIVE,
+        "planner_period": _COUNT,
+        "horizon": _POSITIVE,
+        "agent_policy": _one_of(*AGENT_POLICIES),
+        "disturbances": _DISTURBANCES,
+        "seed": _INT,
+        "goal_radius": _NON_NEGATIVE,
+        "deadlock_window": _POSITIVE,
+        "deadlock_displacement": _NON_NEGATIVE,
+        "record_breakdowns": _BOOL,
+    },
 }
 _TOP_KEYS = set(_SECTIONS) | {"model_path", "vocab_path"}
 
 
 def load_config(path) -> dict:
-    """Parse and validate a config document; unknown keys raise ConfigError."""
+    """Parse and validate a config document; unknown keys and bad values raise ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -61,11 +94,16 @@ def load_config(path) -> dict:
 
 
 def validate_config(doc: dict) -> None:
+    """Unknown keys, and values of the wrong type or range, raise ConfigError
+    naming the field (e.g. ``sim.planner_period``)."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("model_path", "vocab_path"):
+        if key in doc and not isinstance(doc[key], str):
+            raise ConfigError(f"{key}: expected a string, got {doc[key]!r}")
     for section, keys in _SECTIONS.items():
         if section not in doc:
             continue
@@ -74,6 +112,10 @@ def validate_config(doc: dict) -> None:
         bad = set(doc[section]) - set(keys)
         if bad:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
+        for key, value in doc[section].items():
+            expected, ok = keys[key]
+            if not ok(value):
+                raise ConfigError(f"{section}.{key}: expected {expected}, got {value!r}")
 
 
 def _tupled(value):

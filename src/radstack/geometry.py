@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+CONTACT_TOL = 1e-9  # m; boxes this close count as touching, so rounding never decides contact
 
 
 def normalize_angle(a: float) -> float:
@@ -67,48 +68,29 @@ def rect_corners_batch(
     return np.stack([wx, wy], axis=-1)
 
 
-def _project_extents(corners: np.ndarray, axes: np.ndarray):
-    # corners (...,4,2), axes (...,A,2) -> min/max (...,A)
-    proj = np.einsum("...ck,...ak->...ac", corners, axes)
-    return proj.min(axis=-1), proj.max(axis=-1)
+def boxes_overlap(dx, dy, heading_a, half_length_a, half_width_a, heading_b, half_length_b, half_width_b):
+    """Separating-axis test for oriented boxes in pose form, broadcast over all arguments.
 
-
-def rects_overlap(corners_a: np.ndarray, corners_b: np.ndarray) -> bool:
-    """Separating-axis test for two oriented rectangles; touching counts as overlap."""
-    return bool(
-        rects_overlap_batch(corners_a[None, ...], corners_b[None, ...])[0]
-    )
-
-
-def rects_overlap_batch(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
-    """Vectorized SAT over broadcastable batches of rectangle corners.
-
-    corners_a, corners_b: (..., 4, 2) with broadcast-compatible leading shape.
-    Returns a boolean array of the broadcast shape. Touching counts as overlap,
-    so separation requires a strictly positive gap on some axis.
+    Box a has the given heading and half extents; box b's centre lies at
+    d = (dx, dy) from a's centre. On each of the 4 box axes u the boxes are
+    apart iff |d.u| exceeds the sum of their projected half extents, e.g. on
+    a's length axis la + lb |cos(hb - ha)| + wb |sin(hb - ha)|, by more than
+    CONTACT_TOL. Touching counts as overlap: boxes laid edge to edge by
+    construction (a lane offset plus two half widths) land a few ulps apart
+    either way, and must not be told apart by rounding.
+    Returns a boolean array of the broadcast shape.
     """
-    corners_a, corners_b = np.broadcast_arrays(corners_a, corners_b)
-    # Two distinct edge normals per rectangle suffice for SAT.
-    ea = corners_a[..., 1, :] - corners_a[..., 0, :]
-    eb = corners_a[..., 3, :] - corners_a[..., 0, :]
-    ec = corners_b[..., 1, :] - corners_b[..., 0, :]
-    ed = corners_b[..., 3, :] - corners_b[..., 0, :]
-    axes = np.stack([ea, eb, ec, ed], axis=-2)  # (...,4,2)
-    norm = np.linalg.norm(axes, axis=-1, keepdims=True)
-    # Degenerate (zero-size) edges produce a zero axis; projections collapse
-    # to a point and never separate, which is the safe default.
-    axes = np.divide(axes, norm, out=np.zeros_like(axes), where=norm > 0)
-    amin, amax = _project_extents(corners_a, axes)
-    bmin, bmax = _project_extents(corners_b, axes)
-    separated = (amax < bmin) | (bmax < amin)
-    return ~separated.any(axis=-1)
-
-
-def rects_overlap_pairs(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
-    """SAT over aligned pairs: corners_a, corners_b both (K, 4, 2) -> (K,) bool."""
-    if len(corners_a) == 0:
-        return np.zeros(0, dtype=bool)
-    return rects_overlap_batch(corners_a, corners_b)
+    ca, sa = np.cos(heading_a), np.sin(heading_a)
+    cb, sb = np.cos(heading_b), np.sin(heading_b)
+    c = np.abs(ca * cb + sa * sb)  # |cos(hb - ha)|
+    s = np.abs(ca * sb - sa * cb)  # |sin(hb - ha)|
+    tol = CONTACT_TOL
+    return (
+        (np.abs(dx * ca + dy * sa) <= half_length_a + half_length_b * c + half_width_b * s + tol)
+        & (np.abs(dy * ca - dx * sa) <= half_width_a + half_length_b * s + half_width_b * c + tol)
+        & (np.abs(dx * cb + dy * sb) <= half_length_b + half_length_a * c + half_width_a * s + tol)
+        & (np.abs(dy * cb - dx * sb) <= half_width_b + half_length_a * s + half_width_a * c + tol)
+    )
 
 
 def point_in_polygon(pt, polygon: np.ndarray) -> bool:
@@ -258,7 +240,7 @@ def project_point_to_polyline(p, pts: np.ndarray, s_cum: np.ndarray | None = Non
 def project_points_to_polyline(ps: np.ndarray, pts: np.ndarray, s_cum: np.ndarray | None = None):
     """Vectorized projection of many points onto one polyline.
 
-    ps: (N, 2). Returns (s: (N,), lateral: (N,)).
+    ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,).
     """
     pts = np.asarray(pts, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -281,7 +263,7 @@ def project_points_to_polyline(ps: np.ndarray, pts: np.ndarray, s_cum: np.ndarra
     s = s_cum[idx] + u_best * np.sqrt(len2[idx])
     head = np.arctan2(ey[idx], ex[idx])
     lateral = -np.sin(head) * fx[rows, idx] + np.cos(head) * fy[rows, idx]
-    return s, lateral
+    return s, lateral, head
 
 
 def interpolate_on_polyline(pts: np.ndarray, s_cum: np.ndarray, s: np.ndarray):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import points_in_polygons
 from .hybrid import hybrid_select, inject_learned
 from .planhead import (
     CLASSIFY_AND_REFINE,
@@ -28,7 +27,7 @@ from .planhead import (
     plan_anytime,
 )
 from .proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposals
-from .scene import EgoState, Scenario, Trajectory, agent_footprint
+from .scene import EgoState, Scenario, Trajectory, footprint_inside_drivable
 from .scoring import (
     D_BLOCK,
     MIN_PROGRESS,
@@ -154,7 +153,7 @@ class Planner:
             return det
         if self._relax_hold:
             blocker = _blocker_distance(ego, agents, route_path, d_block=D_BLOCK)
-            on_road = self._footprint_inside(ego)
+            on_road = footprint_inside_drivable(ego, self.scenario)
             timed_out = (
                 self._relax_hold_since is not None
                 and t - self._relax_hold_since > RELAX_HOLD_TIMEOUT
@@ -171,9 +170,6 @@ class Planner:
                 blocker_distance=blocker,
             )
         return det
-
-    def _footprint_inside(self, ego: EgoState) -> bool:
-        return bool(points_in_polygons(agent_footprint(ego), self.scenario.drivable_area).all())
 
     # -- topology -------------------------------------------------------------
 

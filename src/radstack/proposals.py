@@ -107,20 +107,17 @@ class ProposalSet:
         )
 
 
-def idm_accel(v: float, v_lead: float, gap: float, p: IdmParams) -> float:
+def idm_accel(v, v_lead, gap, p: IdmParams):
     """Intelligent-driver-model acceleration, clamped to [-B_HARD, a_max].
 
-    gap may be math.inf for free flow. The dynamic part of the desired gap is
-    floored at zero so the response stays monotone in v and gap.
+    Elementwise over arrays; gap may be inf for free flow. The dynamic part of
+    the desired gap is floored at zero so the response stays monotone in v and
+    gap.
     """
-    free = 1.0 - (v / p.v0) ** p.delta
-    if math.isinf(gap):
-        interaction = 0.0
-    else:
-        s_star = p.s0 + max(0.0, v * p.T_h + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf)))
-        interaction = (s_star / gap) ** 2
-    a = p.a_max * (free - interaction)
-    return float(min(p.a_max, max(-B_HARD, a)))
+    s_star = p.s0 + np.maximum(0.0, v * p.T_h + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf)))
+    q = s_star / gap  # 0 in free flow
+    a = p.a_max * (1.0 - (v / p.v0) ** p.delta - q * q)
+    return np.minimum(np.maximum(a, -B_HARD), p.a_max)
 
 
 def _step_kernel(
@@ -212,7 +209,7 @@ def _project_agents(path: ProposalPath, agents, ego: EgoState):
         z = np.zeros(0)
         return z, z, z, z, z
     pos = np.array([[a.pose.x, a.pose.y] for a in agents])
-    s, lat = project_points_to_polyline(pos, path.points, path.s)
+    s, lat, _ = project_points_to_polyline(pos, path.points, path.s)
     _, path_head = path.pose_at(s)
     heads = np.array([a.pose.heading for a in agents])
     v_lon = np.array([a.speed for a in agents]) * np.cos(heads - path_head)

@@ -17,6 +17,7 @@ from .errors import IoError, ParseError, ValidationError
 from .geometry import (
     normalize_angle,
     point_in_polygon,
+    points_in_polygons,
     polyline_arclengths,
     rect_corners,
 )
@@ -312,6 +313,11 @@ def agent_footprint(a) -> np.ndarray:
     return rect_corners(a.pose.x, a.pose.y, a.pose.heading, a.half_length, a.half_width)
 
 
+def footprint_inside_drivable(a, scenario: Scenario) -> bool:
+    """True iff every footprint corner lies in the drivable union (boundary inclusive)."""
+    return bool(points_in_polygons(agent_footprint(a), scenario.drivable_area).all())
+
+
 # --------------------------------------------------------------------------
 # Serialization (schema v1). Key order is fixed so save -> load -> save is
 # byte-identical; floats use repr round-tripping via json.
@@ -330,6 +336,13 @@ def _number(v, path: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{path}: must be finite, got {x}")
     return x
+
+
+def _integer(v, path: str) -> int:
+    """v as an int; ValidationError naming path for bools, non-integral or non-finite values."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v != int(v):
+        raise ValidationError(f"{path}: expected an integer, got {v!r}")
+    return int(v)
 
 
 def _list(v, path: str) -> list:
@@ -496,7 +509,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         route=tuple(str(x) for x in _list(doc["route"], "route")),
         goal=_pose_from_list(doc["goal"], "goal"),
         duration=_number(doc["duration"], "duration"),
-        seed=int(doc["seed"]),
+        seed=_integer(doc["seed"], "seed"),
     )
     validate_scenario(scenario)
     return scenario

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    boxes_overlap,
     normalize_angles,
     points_in_polygon,
     points_in_polygons,
     project_points_to_polyline,
     rect_corners_batch,
-    rects_overlap_batch,
 )
 from .proposals import CORRIDOR_HALF_WIDTH, CORRIDOR_MARGIN
 from .scene import AgentState, EgoState, Pose2, Scenario, Trajectory
@@ -123,15 +123,6 @@ class WorldForecast:
         self.headings = heads
         self.half_lengths = np.array([a.half_length for a in self.agents])
         self.half_widths = np.array([a.half_width for a in self.agents])
-        corners = [
-            rect_corners_batch(
-                self.positions[i], np.full(horizon_steps + 1, heads[i]),
-                self.half_lengths[i], self.half_widths[i],
-            )
-            for i in range(n)
-        ]
-        # (A, S+1, 4, 2)
-        self.corners = np.stack(corners) if n else np.zeros((0, horizon_steps + 1, 4, 2))
 
     def __len__(self):
         return len(self.agents)
@@ -139,11 +130,6 @@ class WorldForecast:
 
 def forecast_agents(agents, horizon_steps: int, dt: float) -> WorldForecast:
     return WorldForecast(agents, horizon_steps, dt)
-
-
-def _ego_corner_track(traj: Trajectory, ego_dims) -> np.ndarray:
-    half_length, half_width = ego_dims
-    return rect_corners_batch(traj.positions, traj.headings, half_length, half_width)
 
 
 def check_collision(traj: Trajectory, f: WorldForecast, ego_dims=(2.3, 0.95)) -> int:
@@ -155,14 +141,18 @@ def check_collision(traj: Trajectory, f: WorldForecast, ego_dims=(2.3, 0.95)) ->
         return 1
     if traj.horizon_steps != f.steps:
         raise ValueError("trajectory and forecast horizons differ")
-    ego = _ego_corner_track(traj, ego_dims)  # (S+1, 4, 2)
-    hit = rects_overlap_batch(ego[None, :, :, :], f.corners)
+    hit = boxes_overlap(
+        f.positions[..., 0] - traj.positions[:, 0],  # (A, S+1)
+        f.positions[..., 1] - traj.positions[:, 1],
+        traj.headings, *ego_dims,
+        f.headings[:, None], f.half_lengths[:, None], f.half_widths[:, None],
+    )
     return 0 if bool(hit.any()) else 1
 
 
 def check_drivable_area(traj: Trajectory, scenario: Scenario, ego_dims=(2.3, 0.95)) -> int:
     """1 if every footprint corner stays inside the drivable union (boundary inclusive)."""
-    corners = _ego_corner_track(traj, ego_dims).reshape(-1, 2)
+    corners = rect_corners_batch(traj.positions, traj.headings, *ego_dims).reshape(-1, 2)
     inside = np.zeros(len(corners), dtype=bool)
     for poly in scenario.drivable_area:
         inside |= points_in_polygon(corners, poly)
@@ -174,7 +164,7 @@ def check_drivable_area(traj: Trajectory, scenario: Scenario, ego_dims=(2.3, 0.9
 def route_progress(traj: Trajectory, path: ProposalPath) -> float:
     """Arclength gain of the trajectory projected onto a reference path."""
     ends = np.stack([traj.positions[0], traj.positions[-1]])
-    s, _ = project_points_to_polyline(ends, path.points, path.s)
+    s, _, _ = project_points_to_polyline(ends, path.points, path.s)
     return float(s[1] - s[0])
 
 
@@ -208,7 +198,6 @@ def _ttc_clear(traj: Trajectory, f: WorldForecast, ego_dims, window: float) -> i
     pos = traj.positions
     heads = traj.headings
     speeds = traj.speeds
-    steps = traj.horizon_steps
     live = speeds > 0.05
     if not live.any():
         return 1
@@ -217,12 +206,14 @@ def _ttc_clear(traj: Trajectory, f: WorldForecast, ego_dims, window: float) -> i
     dirs = np.stack([np.cos(heads[idx_i]), np.sin(heads[idx_i])], axis=1)  # (I, 2)
     adv = speeds[idx_i, None] * taus  # (I, J)
     proj = pos[idx_i, None, :] + adv[:, :, None] * dirs[:, None, :]  # (I, J, 2)
-    head_ij = np.repeat(heads[idx_i, None], n_sub, axis=1)
-    ego = rect_corners_batch(proj, head_ij, *ego_dims)  # (I, J, 4, 2)
     # Forecast index i + j, clamped to the horizon.
     j_idx = np.minimum(idx_i[:, None] + np.arange(1, n_sub + 1)[None, :], f.steps)  # (I, J)
-    agents = f.corners[:, j_idx]  # (A, I, J, 4, 2)
-    hit = rects_overlap_batch(ego[None, ...], agents)
+    agents = f.positions[:, j_idx]  # (A, I, J, 2)
+    hit = boxes_overlap(
+        agents[..., 0] - proj[..., 0], agents[..., 1] - proj[..., 1],
+        heads[idx_i, None], *ego_dims,
+        f.headings[:, None, None], f.half_lengths[:, None, None], f.half_widths[:, None, None],
+    )
     return 0 if bool(hit.any()) else 1
 
 
@@ -232,7 +223,7 @@ def _speed_compliance(traj: Trajectory, limit: float, tol: float) -> float:
 
 
 def _direction_compliance(traj: Trajectory, path: ProposalPath, dir_tol: float) -> float:
-    s, _ = project_points_to_polyline(traj.positions, path.points, path.s)
+    s, _, _ = project_points_to_polyline(traj.positions, path.points, path.s)
     ds = np.diff(s)
     idx = np.clip(np.searchsorted(path.s, s[:-1], side="right") - 1, 0, len(path.opposing_mask) - 1)
     opposing = path.opposing_mask[idx]
@@ -336,8 +327,8 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
     if not stopped:
         return None
     pos = np.array([[a.pose.x, a.pose.y] for a in stopped])
-    s_a, lat_a = project_points_to_polyline(pos, path.points, path.s)
-    s_e, _ = project_points_to_polyline(
+    s_a, lat_a, _ = project_points_to_polyline(pos, path.points, path.s)
+    s_e, _, _ = project_points_to_polyline(
         np.array([[ego.pose.x, ego.pose.y]]), path.points, path.s
     )
     s_e = float(s_e[0])
@@ -421,36 +412,33 @@ TAG_PRIORITY = {"idm": 0, "learned": 1, "learned_offset": 2, "vocabulary": 3, "r
 def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) -> np.ndarray:
     """Vectorized forward-projection clearance flag per proposal (1 = clear).
 
-    Pairs are prefiltered by center distance so the SAT test only runs where
-    footprints could possibly meet.
+    Only live samples (speed > 0.05 m/s) are projected, and pairs are
+    prefiltered by center distance so the box test only runs where footprints
+    could possibly meet.
     """
-    n_props, n_steps = speeds.shape
-    if len(f) == 0:
-        return np.ones(n_props)
-    n_sub = int(window / f.dt)
-    if n_sub < 1:
-        return np.ones(n_props)
-    taus = np.arange(1, n_sub + 1) * f.dt  # (J,)
-    dirs = np.stack([np.cos(heads), np.sin(heads)], axis=-1)  # (P, S, 2)
-    adv = speeds[..., None] * taus[None, None, :]  # (P, S, J)
-    proj = pos[:, :, None, :] + adv[..., None] * dirs[:, :, None, :]  # (P, S, J, 2)
-    j_idx = np.minimum(np.arange(n_steps)[:, None] + np.arange(1, n_sub + 1)[None, :], f.steps)
-    agent_pos = f.positions[:, j_idx]  # (A, S, J, 2)
-
-    ego_reach = math.hypot(*ego_dims)
-    reach = ego_reach + np.hypot(f.half_lengths, f.half_widths)  # (A,)
-    delta = proj[:, None] - agent_pos[None]  # (P, A, S, J, 2)
-    near = (delta[..., 0] ** 2 + delta[..., 1] ** 2) < (reach[None, :, None, None] ** 2)
-    live = speeds > 0.05
-    near &= live[:, None, :, None]
-    if not near.any():
-        return np.ones(n_props)
-    p_i, a_i, s_i, j_i = np.nonzero(near)
-    ego_c = rect_corners_batch(proj[p_i, s_i, j_i], heads[p_i, s_i], *ego_dims)
-    agent_c = f.corners[a_i, j_idx[s_i, j_i]]
-    hit = rects_overlap_batch(ego_c, agent_c)
+    n_props = len(speeds)
     out = np.ones(n_props)
-    out[np.unique(p_i[hit])] = 0.0
+    n_sub = int(window / f.dt)
+    if len(f) == 0 or n_sub < 1:
+        return out
+    p_l, s_l = np.nonzero(speeds > 0.05)  # (L,) live samples
+    taus = np.arange(1, n_sub + 1) * f.dt  # (J,)
+    head = heads[p_l, s_l]
+    adv = speeds[p_l, s_l, None] * taus  # (L, J)
+    px = pos[p_l, s_l, 0, None] + adv * np.cos(head)[:, None]
+    py = pos[p_l, s_l, 1, None] + adv * np.sin(head)[:, None]
+    j_idx = np.minimum(s_l[:, None] + np.arange(1, n_sub + 1), f.steps)  # (L, J)
+    dx = f.positions[:, j_idx, 0] - px  # (A, L, J)
+    dy = f.positions[:, j_idx, 1] - py
+
+    reach = math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths)  # (A,)
+    near = dx * dx + dy * dy < (reach**2)[:, None, None]
+    a_i, l_i, j_i = np.nonzero(near)
+    hit = boxes_overlap(
+        dx[a_i, l_i, j_i], dy[a_i, l_i, j_i], head[l_i], *ego_dims,
+        f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
+    )
+    out[p_l[l_i[hit]]] = 0.0
     return out
 
 
@@ -489,25 +477,26 @@ def score_proposals(proposals, ctx: ScoreContext) -> list:
     if any(p.trajectory.horizon_steps != f.steps for p in props):
         raise ValueError("trajectory and forecast horizons differ")
 
-    corners = rect_corners_batch(pos, heads, *ctx.ego_dims)  # (P, S+1, 4, 2)
-
     # Multiplicative terms; collision pairs prefiltered by center distance.
     cols = np.ones(n)
     if len(f):
-        ego_reach = math.hypot(*ctx.ego_dims)
-        reach = ego_reach + np.hypot(f.half_lengths, f.half_widths)  # (A,)
-        delta = pos[:, None] - f.positions[None]  # (P, A, S+1, 2)
-        near = (delta[..., 0] ** 2 + delta[..., 1] ** 2) < (reach[None, :, None] ** 2)
-        if near.any():
-            p_i, a_i, s_i = np.nonzero(near)
-            hit = rects_overlap_batch(corners[p_i, s_i], f.corners[a_i, s_i])
-            cols[np.unique(p_i[hit])] = 0.0
+        reach = math.hypot(*ctx.ego_dims) + np.hypot(f.half_lengths, f.half_widths)  # (A,)
+        dx = f.positions[None, :, :, 0] - pos[:, None, :, 0]  # (P, A, S+1)
+        dy = f.positions[None, :, :, 1] - pos[:, None, :, 1]
+        near = dx * dx + dy * dy < (reach**2)[None, :, None]
+        p_i, a_i, s_i = np.nonzero(near)
+        hit = boxes_overlap(
+            dx[p_i, a_i, s_i], dy[p_i, a_i, s_i], heads[p_i, s_i], *ctx.ego_dims,
+            f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
+        )
+        cols[p_i[hit]] = 0.0
+    corners = rect_corners_batch(pos, heads, *ctx.ego_dims)  # (P, S+1, 4, 2)
     inside = points_in_polygons(corners.reshape(-1, 2), ctx.scenario.drivable_area)
     ras = inside.reshape(n, -1).all(axis=1).astype(float)
 
     # Route progress for every proposal, in one projection call.
     endpoints = np.concatenate([pos[:, 0, :], pos[:, -1, :]])
-    s_ends, _ = project_points_to_polyline(endpoints, ctx.route_path.points, ctx.route_path.s)
+    s_ends, _, _ = project_points_to_polyline(endpoints, ctx.route_path.points, ctx.route_path.s)
     gains = s_ends[n:] - s_ends[:n]
 
     relax_active = ctx.relax.active
@@ -548,7 +537,7 @@ def score_proposals(proposals, ctx: ScoreContext) -> list:
             parts.append(np.stack([props[i].s_track for i in idx_track]))
         if idx_proj:
             pts_flat = pos[np.asarray(idx_proj)].reshape(-1, 2)
-            s_flat, _ = project_points_to_polyline(pts_flat, path.points, path.s)
+            s_flat, _, _ = project_points_to_polyline(pts_flat, path.points, path.s)
             parts.append(s_flat.reshape(len(idx_proj), steps + 1))
         s_grp = np.concatenate(parts)
         ds = np.diff(s_grp, axis=1)

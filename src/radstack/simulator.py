@@ -16,7 +16,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import IoError, OffMapError, ParseError
-from .geometry import normalize_angle, points_in_polygons, rects_overlap
+from .geometry import (
+    boxes_overlap,
+    normalize_angle,
+    normalize_angles,
+    polyline_arclengths,
+    project_point_to_polyline,
+    project_points_to_polyline,
+)
 from .planner import Planner, PlannerConfig
 from .proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
 from .scene import (
@@ -25,12 +32,10 @@ from .scene import (
     Pose2,
     Scenario,
     Trajectory,
-    agent_footprint,
+    footprint_inside_drivable,
     scenario_from_dict,
     scenario_to_dict,
 )
-from .topology import ProposalPath
-from .geometry import project_point_to_polyline, polyline_arclengths
 
 MAX_ACCEL_CMD = 3.0  # m/s^2
 MAX_BRAKE_CMD = 6.0  # m/s^2
@@ -241,110 +246,85 @@ def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()
 # Background agents
 
 
-def _agent_lane(scenario: Scenario, agent: AgentState):
-    """Lane whose direction best matches the agent heading, within 3 m."""
-    best = None
-    for lane in scenario.lanes:
-        s, lat, head, _ = project_point_to_polyline(
-            (agent.pose.x, agent.pose.y), lane.points, lane.s
-        )
-        if abs(lat) > 3.0:
-            continue
-        align = math.cos(agent.pose.heading - head)
-        if align < 0.5:
-            continue
-        key = (abs(lat), lane.id)
-        if best is None or key < best[0]:
-            best = (key, lane)
-    return best[1] if best else None
+_AGENT_IDM = IdmParams(v0=8.0, T_h=1.5, s0=2.0, a_max=1.5, b_comf=2.0)
 
 
 def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoState | None = None):
-    """Advance background agents one step.
+    """Advance background agents one step, every agent from the previous states.
 
-    reactive_idm: vehicles follow their lane with IDM against the nearest
-    entity ahead in their corridor and pure-pursuit steering; pedestrians move
-    at constant velocity; static agents do not move.
+    reactive_idm: a vehicle takes the lane whose direction matches its heading
+    (cos >= 0.5) with the least |lateral| within 3 m, ties to the lower lane
+    id. It follows that lane with IDM against the nearest entity ahead in its
+    corridor (other agents and the ego; the first one on equal gaps) and
+    steers by pure pursuit. Vehicles off every lane and pedestrians move at
+    constant velocity; static agents do not move.
     replay: every non-static agent continues at its scripted constant velocity.
     """
     if policy not in AGENT_POLICIES:
         raise ValueError(f"unknown agent policy {policy!r}")
-    out = []
-    for agent in agents:
-        if agent.kind == "static":
-            out.append(agent)
-            continue
-        if policy == "replay" or agent.kind == "pedestrian":
-            p = agent.pose
-            out.append(
-                replace(
-                    agent,
-                    pose=Pose2(
-                        p.x + agent.speed * math.cos(p.heading) * dt,
-                        p.y + agent.speed * math.sin(p.heading) * dt,
-                        p.heading,
-                    ),
-                )
-            )
-            continue
-        out.append(_step_vehicle(agent, agents, scenario, dt, ego))
-    return out
+    agents = list(agents)
+    if not agents:
+        return []
+    x, y, h, v, hl, hw = np.array(
+        [[a.pose.x, a.pose.y, a.pose.heading, a.speed, a.half_length, a.half_width] for a in agents]
+    ).T
+    heading, speed = h.copy(), v.copy()
+    veh = [i for i, a in enumerate(agents) if a.kind == "vehicle"] if policy == "reactive_idm" else []
+    if veh:
+        veh = np.asarray(veh)
+        # The entities a vehicle may follow: every agent, then the ego.
+        ent = (x, y, h, v, hl, hw)
+        if ego is not None:
+            e = (ego.pose.x, ego.pose.y, ego.pose.heading, ego.speed, ego.half_length, ego.half_width)
+            ent = tuple(np.append(col, val) for col, val in zip(ent, e))
+        ex, ey, eh, ev, ehl, ehw = ent
+        lanes = scenario.lanes
+        proj = [project_points_to_polyline(np.stack([ex, ey], axis=1), lane.points, lane.s) for lane in lanes]
 
+        # Lanes in id order; only a strictly smaller |lateral| takes over.
+        best = np.full(len(veh), np.inf)
+        lane_of = np.full(len(veh), -1)
+        for k in sorted(range(len(lanes)), key=lambda k: lanes[k].id):
+            _, lat, head = proj[k]
+            lat = np.abs(lat[veh])
+            take = (lat <= 3.0) & (np.cos(h[veh] - head[veh]) >= 0.5) & (lat < best)
+            best[take] = lat[take]
+            lane_of[take] = k
 
-_AGENT_IDM = IdmParams(v0=8.0, T_h=1.5, s0=2.0, a_max=1.5, b_comf=2.0)
+        for k in np.unique(lane_of[lane_of >= 0]):
+            lane = lanes[k]
+            rows = veh[lane_of == k]
+            s_e, lat_e, head_e = proj[k]
+            s_self = s_e[rows]
+            # A vehicle's own column has d = -2 half lengths, so it never leads.
+            d = s_e - s_self[:, None] - ehl - hl[rows, None]
+            lead = (np.abs(lat_e) <= hw[rows, None] + ehw + CORRIDOR_MARGIN) & (d > 0)
+            g = np.where(lead, d, np.inf)
+            j = np.argmin(g, axis=1)
+            gap = g[np.arange(len(rows)), j]
+            # Without a lead the gap stays inf and v_lead drops out of IDM.
+            v_lead = ev[j] * np.cos(eh[j] - head_e[j])
+            p = replace(_AGENT_IDM, v0=min(_AGENT_IDM.v0, lane.speed_limit))
+            a_cmd = idm_accel(v[rows], v_lead, np.maximum(gap, 0.05), p)
+            speed[rows] = np.maximum(0.0, v[rows] + a_cmd * dt)
 
-
-def _step_vehicle(agent: AgentState, agents, scenario: Scenario, dt: float, ego):
-    lane = _agent_lane(scenario, agent)
-    if lane is None:
-        p = agent.pose
-        return replace(
-            agent,
-            pose=Pose2(
-                p.x + agent.speed * math.cos(p.heading) * dt,
-                p.y + agent.speed * math.sin(p.heading) * dt,
-                p.heading,
-            ),
-        )
-    s_cum = lane.s
-    s_self, _, _, _ = project_point_to_polyline((agent.pose.x, agent.pose.y), lane.points, s_cum)
-
-    # Nearest entity ahead in this lane corridor (other agents and the ego).
-    gap = math.inf
-    v_lead = 0.0
-    entities = [(a.pose, a.speed, a.half_length, a.half_width) for a in agents if a.id != agent.id]
-    if ego is not None:
-        entities.append((ego.pose, ego.speed, ego.half_length, ego.half_width))
-    for pose, speed, half_len, half_w in entities:
-        s_o, lat_o, head_o, _ = project_point_to_polyline((pose.x, pose.y), lane.points, s_cum)
-        if abs(lat_o) > agent.half_width + half_w + CORRIDOR_MARGIN:
-            continue
-        d = s_o - s_self - half_len - agent.half_length
-        if d <= 0:
-            continue
-        if d < gap:
-            gap = d
-            v_lead = speed * math.cos(pose.heading - head_o)
-
-    p = replace(_AGENT_IDM, v0=min(_AGENT_IDM.v0, lane.speed_limit))
-    a_cmd = idm_accel(agent.speed, v_lead, max(gap, 0.05) if math.isfinite(gap) else math.inf, p)
-    v_new = max(0.0, agent.speed + a_cmd * dt)
-
-    # Pure-pursuit steer toward a point ahead on the lane.
-    look = max(3.0, 1.5 * agent.speed)
-    s_target = min(s_self + look, s_cum[-1])
-    x_t = np.interp(s_target, s_cum, lane.points[:, 0])
-    y_t = np.interp(s_target, s_cum, lane.points[:, 1])
-    alpha = normalize_angle(
-        math.atan2(y_t - agent.pose.y, x_t - agent.pose.x) - agent.pose.heading
-    )
-    wheelbase = max(1.0, agent.half_length)
-    steer = math.atan2(2.0 * wheelbase * math.sin(alpha), look)
-    steer = min(STEER_LIMIT, max(-STEER_LIMIT, steer))
-    heading = normalize_angle(agent.pose.heading + agent.speed / wheelbase * math.tan(steer) * dt)
-    x = agent.pose.x + agent.speed * math.cos(agent.pose.heading) * dt
-    y = agent.pose.y + agent.speed * math.sin(agent.pose.heading) * dt
-    return replace(agent, pose=Pose2(x, y, heading), speed=v_new)
+            # Pure-pursuit steer toward a point ahead on the lane.
+            look = np.maximum(3.0, 1.5 * v[rows])
+            s_target = np.minimum(s_self + look, lane.s[-1])
+            x_t = np.interp(s_target, lane.s, lane.points[:, 0])
+            y_t = np.interp(s_target, lane.s, lane.points[:, 1])
+            alpha = normalize_angles(np.arctan2(y_t - y[rows], x_t - x[rows]) - h[rows])
+            wheelbase = np.maximum(1.0, hl[rows])
+            steer = np.clip(np.arctan2(2.0 * wheelbase * np.sin(alpha), look), -STEER_LIMIT, STEER_LIMIT)
+            heading[rows] = normalize_angles(h[rows] + v[rows] / wheelbase * np.tan(steer) * dt)
+    x_new = (x + v * np.cos(h) * dt).tolist()
+    y_new = (y + v * np.sin(h) * dt).tolist()
+    heading, speed = heading.tolist(), speed.tolist()
+    return [
+        a if a.kind == "static"
+        else replace(a, pose=Pose2(x_new[i], y_new[i], heading[i]), speed=speed[i])
+        for i, a in enumerate(agents)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -376,15 +356,13 @@ def record_agents(rec: dict):
 
 
 def _ego_collides(ego: EgoState, agents) -> bool:
-    ec = agent_footprint(ego)
-    for a in agents:
-        if rects_overlap(ec, agent_footprint(a)):
-            return True
-    return False
-
-
-def _ego_inside_drivable(ego: EgoState, scenario: Scenario) -> bool:
-    return bool(points_in_polygons(agent_footprint(ego), scenario.drivable_area).all())
+    if not agents:
+        return False
+    x, y, h, hl, hw = np.array(
+        [[a.pose.x, a.pose.y, a.pose.heading, a.half_length, a.half_width] for a in agents]
+    ).T
+    e = ego.pose
+    return bool(boxes_overlap(x - e.x, y - e.y, e.heading, ego.half_length, ego.half_width, h, hl, hw).any())
 
 
 def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> EpisodeLog:
@@ -480,7 +458,7 @@ def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> Ep
         if _ego_collides(ego, agents):
             record_event(tick + 1, "collision")
             break
-        if not _ego_inside_drivable(ego, scenario):
+        if not footprint_inside_drivable(ego, scenario):
             record_event(tick + 1, "off_road")
         if math.hypot(ego.pose.x - scenario.goal.x, ego.pose.y - scenario.goal.y) <= cfg.goal_radius:
             record_event(tick + 1, "goal_reached")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from radstack.geometry import (
+    boxes_overlap,
     interpolate_on_polyline,
     normalize_angle,
     normalize_angles,
@@ -16,7 +17,6 @@ from radstack.geometry import (
     project_point_to_polyline,
     project_points_to_polyline,
     rect_corners,
-    rects_overlap,
     resample_polyline,
 )
 
@@ -64,25 +64,89 @@ def test_rect_corners_counterclockwise(heading, hl, hw):
         assert u[0] * v[1] - u[1] * v[0] > 0
 
 
+def _overlap(a, b) -> bool:
+    """boxes_overlap on two (x, y, heading, half_length, half_width) boxes."""
+    ax, ay, ah, al, aw = a
+    bx, by, bh, bl, bw = b
+    return bool(boxes_overlap(bx - ax, by - ay, ah, al, aw, bh, bl, bw))
+
+
+def _corner_sat(a, b):
+    """Reference: separating-axis test on the corners of two boxes.
+
+    Projects all 8 corners on the 4 unit edge normals. Returns (overlap, gap):
+    gap is the largest separation over the axes, <= 0 when the boxes overlap.
+    """
+    ca, cb = rect_corners(*a), rect_corners(*b)
+    gap = -math.inf
+    for c in (ca, cb):
+        for edge in (c[1] - c[0], c[3] - c[0]):
+            axis = edge / np.linalg.norm(edge)
+            pa, pb = ca @ axis, cb @ axis
+            gap = max(gap, pb.min() - pa.max(), pa.min() - pb.max())
+    return bool(gap <= 0.0), gap
+
+
 def test_sat_overlap_and_separation():
-    a = rect_corners(0, 0, 0, 2, 1)
-    assert rects_overlap(a, a)
-    far = rect_corners(100, 0, 0.3, 2, 1)
-    assert not rects_overlap(a, far)
+    a = (0, 0, 0, 2, 1)
+    assert _overlap(a, a)
+    assert not _overlap(a, (100, 0, 0.3, 2, 1))
 
 
 def test_sat_grazing_pass():
-    a = rect_corners(0, 0, 0, 2, 1)
-    clear = rect_corners(0, 2.01, 0, 2, 1)  # 0.01 m clearance
-    touch = rect_corners(0, 1.99, 0, 2, 1)  # 0.01 m interpenetration
-    assert not rects_overlap(a, clear)
-    assert rects_overlap(a, touch)
+    a = (0, 0, 0, 2, 1)
+    assert not _overlap(a, (0, 2.01, 0, 2, 1))  # 0.01 m clearance
+    assert _overlap(a, (0, 1.99, 0, 2, 1))  # 0.01 m interpenetration
 
 
 def test_sat_touching_counts_as_overlap():
-    a = rect_corners(0, 0, 0, 2, 1)
-    b = rect_corners(4.0, 0, 0, 2, 1)  # edges exactly coincide at x = 2
-    assert rects_overlap(a, b)
+    a = (0, 0, 0, 2, 1)
+    assert _overlap(a, (4.0, 0, 0, 2, 1))  # edges exactly coincide at x = 2
+    assert _overlap(a, (0, 2.0, 0, 2, 1))  # edges exactly coincide at y = 1
+    assert _overlap(a, (4.0, 2.0, 0, 2, 1))  # corners touch at (2, 1)
+
+
+def test_sat_contact_within_rounding_counts_as_touching():
+    a = (0, 0, 0, 2, 1)
+    assert _overlap(a, (4.0 + 1e-12, 0, 0, 2, 1))
+    assert not _overlap(a, (4.0 + 1e-6, 0, 0, 2, 1))
+    # Edge to edge by construction, 1.5e-15 m apart after rounding: a plan
+    # 0.5 m left of a lane at y = -1.8 passing a car parked at y = -3.4.
+    ego = (36.69891953409458, -1.2999999999999985, 4.456998809269036e-16, 2.3, 0.95)
+    assert _overlap(ego, (41.24283498724906, -3.4, math.pi, 2.3, 1.15))
+
+
+@pytest.mark.parametrize("margin, hit", [(0.01, False), (-0.01, True)])
+def test_sat_rotated_corner_against_edge(margin, hit):
+    # A 2 x 2 box turned 45 degrees reaches sqrt(2) m along x from its centre:
+    # its corner sits `margin` m beyond the edge x = 2 of an axis-aligned box.
+    # Either box's axes must separate the pair, so test both orders.
+    edge = (0, 0, 0, 2, 1)
+    corner = (2 + math.sqrt(2) + margin, 0.3, math.pi / 4, 1, 1)
+    assert _overlap(edge, corner) is hit
+    assert _overlap(corner, edge) is hit
+    turned = (0, 0, math.pi / 2, 2, 1)  # the same edge box, turned a quarter
+    assert _overlap(turned, (0.3, 2 + math.sqrt(2) + margin, math.pi / 4, 1, 1)) is hit
+
+
+_box = st.tuples(
+    st.floats(-6, 6), st.floats(-6, 6), st.floats(-math.pi, math.pi), st.floats(0.1, 4), st.floats(0.1, 4)
+)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_box, _box)
+def test_boxes_overlap_matches_corner_sat(a, b):
+    overlap, gap = _corner_sat(a, b)
+    assume(abs(gap) > 1e-9)  # rounding decides exact contact either way
+    assert _overlap(a, b) is overlap
+    assert _overlap(b, a) is overlap
+
+
+def test_boxes_overlap_broadcasts():
+    # One ego box against three agents along x: apart, touching, overlapping.
+    hit = boxes_overlap(np.array([5.0, 4.0, 3.0]), 0.0, 0.0, 2.0, 1.0, 0.0, 2.0, np.array([1.0, 1.0, 1.0]))
+    assert hit.tolist() == [False, True, True]
 
 
 def test_point_in_polygon_inclusive():
@@ -145,11 +209,12 @@ def test_project_points_matches_scalar():
     pts = np.array([[0, 0], [10, 0], [10, 10]], dtype=float)
     s_cum = polyline_arclengths(pts)
     qs = np.array([[1.0, 2.0], [9.5, 1.0], [10.5, 9.0], [-1.0, -1.0]])
-    s_b, lat_b = project_points_to_polyline(qs, pts, s_cum)
+    s_b, lat_b, head_b = project_points_to_polyline(qs, pts, s_cum)
     for i, q in enumerate(qs):
-        s, lat, _, _ = project_point_to_polyline(q, pts, s_cum)
+        s, lat, head, _ = project_point_to_polyline(q, pts, s_cum)
         assert s_b[i] == pytest.approx(s, abs=1e-12)
         assert lat_b[i] == pytest.approx(lat, abs=1e-12)
+        assert head_b[i] == head
 
 
 def test_lateral_sign_is_left_positive():

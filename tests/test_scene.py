@@ -370,3 +370,18 @@ def test_cli_run_reports_malformed_scenario_in_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "run: lanes: expected a list, got int\n"
+
+
+@pytest.mark.parametrize("value", [None, True, False, 1.5, math.nan, math.inf, "7", [7]])
+def test_seed_must_be_an_integer(value):
+    doc = _minimal_with_agent()
+    doc["seed"] = value
+    with pytest.raises(ValidationError, match="^seed: expected an integer"):
+        scenario_from_dict(doc)
+
+
+def test_integral_float_seed_is_taken_as_int():
+    doc = _minimal_with_agent()
+    doc["seed"] = 7.0
+    seed = scenario_from_dict(doc).seed
+    assert seed == 7 and type(seed) is int

@@ -53,7 +53,7 @@ def test_forecast_static_agent_stationary():
     a = static_car("s", 10.0, 0.0)
     f = forecast_agents([a], 40, 0.1)
     assert np.allclose(f.positions[0], f.positions[0, 0])
-    assert np.array_equal(f.corners[0, 0], f.corners[0, -1])
+    assert np.array_equal(f.positions[0, 0], f.positions[0, -1])
 
 
 def test_forecast_constant_velocity_advance():

@@ -2,10 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
+from radstack.geometry import interpolate_on_polyline, normalize_angle, project_point_to_polyline
 from radstack.planner import Planner, PlannerConfig
-from radstack.scene import AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
+from radstack.proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
+from radstack.scene import (
+    SCENARIO_KINDS,
+    AgentState,
+    EgoState,
+    Pose2,
+    Trajectory,
+    generate_synthetic_scenario,
+)
 from radstack.simulator import (
+    STEER_LIMIT,
     LqrConfig,
     SimConfig,
     bicycle_step,
@@ -17,7 +29,7 @@ from radstack.simulator import (
     step_agents,
 )
 
-from conftest import static_car, straight_scenario
+from conftest import static_car, straight_lane, straight_scenario
 
 
 def _ego(x=0.0, y=0.0, heading=0.0, speed=5.0):
@@ -158,8 +170,7 @@ def test_step_agents_idm_approaches_reference_speed():
 
 
 def test_step_agents_platoon_no_collision():
-    from radstack.scene import agent_footprint
-    from radstack.geometry import rects_overlap
+    from radstack.geometry import boxes_overlap
 
     s = straight_scenario(length=600.0, goal_x=550.0)
     agents = [
@@ -170,7 +181,185 @@ def test_step_agents_platoon_no_collision():
         agents = step_agents(agents, s, "reactive_idm", 0.1)
         for i in range(3):
             for j in range(i + 1, 3):
-                assert not rects_overlap(agent_footprint(agents[i]), agent_footprint(agents[j]))
+                a, b = agents[i], agents[j]
+                assert not boxes_overlap(
+                    b.pose.x - a.pose.x, b.pose.y - a.pose.y, a.pose.heading, a.half_length, a.half_width,
+                    b.pose.heading, b.half_length, b.half_width,
+                )
+
+
+def _reference_agent_lane(scenario, agent):
+    """Lane whose direction best matches the agent heading, within 3 m."""
+    best = None
+    for lane in scenario.lanes:
+        s, lat, head, _ = project_point_to_polyline(
+            (agent.pose.x, agent.pose.y), lane.points, lane.s
+        )
+        if abs(lat) > 3.0:
+            continue
+        align = math.cos(agent.pose.heading - head)
+        if align < 0.5:
+            continue
+        key = (abs(lat), lane.id)
+        if best is None or key < best[0]:
+            best = (key, lane)
+    return best[1] if best else None
+
+
+_REFERENCE_IDM = IdmParams(v0=8.0, T_h=1.5, s0=2.0, a_max=1.5, b_comf=2.0)
+
+
+def _reference_step_vehicle(agent, agents, scenario, dt, ego):
+    """Reference: one vehicle at a time, one scalar projection per entity."""
+    lane = _reference_agent_lane(scenario, agent)
+    if lane is None:
+        p = agent.pose
+        return replace(
+            agent,
+            pose=Pose2(
+                p.x + agent.speed * math.cos(p.heading) * dt,
+                p.y + agent.speed * math.sin(p.heading) * dt,
+                p.heading,
+            ),
+        )
+    s_cum = lane.s
+    s_self, _, _, _ = project_point_to_polyline((agent.pose.x, agent.pose.y), lane.points, s_cum)
+
+    # Nearest entity ahead in this lane corridor (other agents and the ego).
+    gap = math.inf
+    v_lead = 0.0
+    entities = [(a.pose, a.speed, a.half_length, a.half_width) for a in agents if a.id != agent.id]
+    if ego is not None:
+        entities.append((ego.pose, ego.speed, ego.half_length, ego.half_width))
+    for pose, speed, half_len, half_w in entities:
+        s_o, lat_o, head_o, _ = project_point_to_polyline((pose.x, pose.y), lane.points, s_cum)
+        if abs(lat_o) > agent.half_width + half_w + CORRIDOR_MARGIN:
+            continue
+        d = s_o - s_self - half_len - agent.half_length
+        if d <= 0:
+            continue
+        if d < gap:
+            gap = d
+            v_lead = speed * math.cos(pose.heading - head_o)
+
+    p = replace(_REFERENCE_IDM, v0=min(_REFERENCE_IDM.v0, lane.speed_limit))
+    a_cmd = idm_accel(agent.speed, v_lead, max(gap, 0.05) if math.isfinite(gap) else math.inf, p)
+    v_new = max(0.0, agent.speed + a_cmd * dt)
+
+    # Pure-pursuit steer toward a point ahead on the lane.
+    look = max(3.0, 1.5 * agent.speed)
+    s_target = min(s_self + look, s_cum[-1])
+    x_t = np.interp(s_target, s_cum, lane.points[:, 0])
+    y_t = np.interp(s_target, s_cum, lane.points[:, 1])
+    alpha = normalize_angle(
+        math.atan2(y_t - agent.pose.y, x_t - agent.pose.x) - agent.pose.heading
+    )
+    wheelbase = max(1.0, agent.half_length)
+    steer = math.atan2(2.0 * wheelbase * math.sin(alpha), look)
+    steer = min(STEER_LIMIT, max(-STEER_LIMIT, steer))
+    heading = normalize_angle(agent.pose.heading + agent.speed / wheelbase * math.tan(steer) * dt)
+    x = agent.pose.x + agent.speed * math.cos(agent.pose.heading) * dt
+    y = agent.pose.y + agent.speed * math.sin(agent.pose.heading) * dt
+    return replace(agent, pose=Pose2(x, y, heading), speed=v_new)
+
+
+def _reference_step_agents(agents, scenario, dt, ego):
+    out = []
+    for a in agents:
+        if a.kind == "static":
+            out.append(a)
+        elif a.kind == "pedestrian":
+            p = a.pose
+            out.append(replace(a, pose=Pose2(
+                p.x + a.speed * math.cos(p.heading) * dt, p.y + a.speed * math.sin(p.heading) * dt, p.heading
+            )))
+        else:
+            out.append(_reference_step_vehicle(a, agents, scenario, dt, ego))
+    return out
+
+
+@st.composite
+def _traffic_case(draw):
+    """A synthetic scenario with 1-10 vehicles placed about its lanes.
+
+    Most sit near a lane with its heading (or against it), some 3.5-8 m off
+    every lane; `twins` copy a vehicle's pose and length under a new id, so a
+    follower sees two leads at exactly the same gap. A static agent and a
+    pedestrian ride along, and an ego is present or not.
+    """
+    scenario = generate_synthetic_scenario(draw(st.sampled_from(SCENARIO_KINDS)), draw(st.integers(0, 3)))
+    n = draw(st.integers(1, 10))
+    twins = draw(st.integers(0, min(3, n - 1)))
+    with_ego = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pose_near_lanes():
+        lane = scenario.lanes[rng.integers(len(scenario.lanes))]
+        (xy,), (head,) = interpolate_on_polyline(lane.points, lane.s, np.array([rng.uniform(0.0, lane.length)]))
+        off = rng.uniform(-1.8, 1.8) if rng.random() < 0.8 else rng.choice([-1, 1]) * rng.uniform(3.5, 8.0)
+        head += rng.uniform(-0.4, 0.4) + (math.pi if rng.random() < 0.15 else 0.0)
+        return Pose2(xy[0] - off * math.sin(head), xy[1] + off * math.cos(head), head)
+
+    agents = []
+    for i in range(n - twins):
+        agents.append(AgentState(
+            id=f"v{i}", pose=pose_near_lanes(), speed=float(rng.uniform(0.0, 12.0)),
+            half_length=float(rng.uniform(1.5, 3.0)), half_width=float(rng.uniform(0.8, 1.2)),
+        ))
+    for i in range(twins):
+        src = agents[rng.integers(len(agents))]
+        agents.append(replace(src, id=f"t{i}", speed=float(rng.uniform(0.0, 12.0))))
+    agents.insert(rng.integers(len(agents) + 1), AgentState(
+        id="ped", pose=pose_near_lanes(), speed=1.2, half_length=0.3, half_width=0.3, kind="pedestrian"
+    ))
+    agents.insert(rng.integers(len(agents) + 1), AgentState(
+        id="parked", pose=pose_near_lanes(), speed=0.0, half_length=2.3, half_width=1.0, kind="static"
+    ))
+    ego = None
+    if with_ego:
+        ego = EgoState(pose=pose_near_lanes(), speed=float(rng.uniform(0.0, 12.0)))
+    return scenario, agents, ego
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_traffic_case())
+def test_step_agents_matches_scalar_reference(case):
+    # Not bit-identical: the array projection, power and trig may round the
+    # last bit differently from the scalar calls.
+    scenario, agents, ego = case
+    got = step_agents(agents, scenario, "reactive_idm", 0.1, ego=ego)
+    want = _reference_step_agents(agents, scenario, 0.1, ego)
+    assert [a.id for a in got] == [a.id for a in want]
+    for g, w in zip(got, want):
+        assert g.kind == w.kind and g.half_length == w.half_length
+        assert abs(g.pose.x - w.pose.x) <= 1e-12
+        assert abs(g.pose.y - w.pose.y) <= 1e-12
+        assert abs(normalize_angle(g.pose.heading - w.pose.heading)) <= 1e-12
+        assert abs(g.speed - w.speed) <= 1e-12
+
+
+def test_step_agents_follows_first_of_equal_gap_leads():
+    # Two leads 20 m ahead at the same arclength: the slow one listed first
+    # sets the follower's IDM lead speed, as the scalar strict < did.
+    s = straight_scenario()
+    follower = AgentState(id="f", pose=Pose2(10.0, 0.0, 0.0), speed=8.0, half_length=2.3, half_width=1.0)
+    slow = AgentState(id="s", pose=Pose2(34.6, 0.4, 0.0), speed=0.0, half_length=2.3, half_width=1.0)
+    fast = replace(slow, id="q", pose=Pose2(34.6, -0.4, 0.0), speed=8.0)
+    a_slow = step_agents([follower, slow, fast], s, "reactive_idm", 0.1)[0].speed
+    a_fast = step_agents([follower, fast, slow], s, "reactive_idm", 0.1)[0].speed
+    assert a_slow < a_fast < 8.0
+    assert a_slow == pytest.approx(_reference_step_agents([follower, slow, fast], s, 0.1, None)[0].speed, abs=1e-12)
+
+
+def test_step_agents_lane_tie_goes_to_lower_lane_id():
+    # Two lanes on the same centreline tie on |lateral|; "lane_a" (4 m/s)
+    # wins over "lane_b" (10 m/s) though it is listed second, so the vehicle
+    # brakes toward 4 m/s instead of speeding up toward the 8 m/s agent cap.
+    s = replace(straight_scenario(), lanes=(straight_lane("lane_b", limit=10.0), straight_lane("lane_a", limit=4.0)))
+    car = AgentState(id="v", pose=Pose2(10.0, 0.5, 0.0), speed=6.0, half_length=2.3, half_width=1.0)
+    out = step_agents([car], s, "reactive_idm", 0.1)[0]
+    assert out.speed < 6.0
+    assert out.speed == pytest.approx(_reference_step_agents([car], s, 0.1, None)[0].speed, abs=1e-12)
 
 
 def test_step_agents_replay_exact_script():
