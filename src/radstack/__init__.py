@@ -46,15 +46,9 @@ from .scoring import (
     ScoreContext,
     ScoreWeights,
     WorldForecast,
-    aggregate_score,
-    check_collision,
-    check_drivable_area,
-    check_min_progress,
     detect_relaxation,
     forecast_agents,
-    goal_cost,
     select_best,
-    weighted_objectives,
 )
 from .planhead import (
     PlanHeadModel,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IoError, ParseError
+from .errors import IoError
 from .geometry import polyline_arclengths, project_point_to_polyline
 from .planner import Planner, PlannerConfig
 from .simulator import EpisodeLog, SimConfig, run_episode
@@ -50,14 +50,6 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return {"rows": self.rows, "latency": self.latency, "config": self.config_echo}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BenchReport":
-        return cls(
-            rows=list(doc.get("rows", [])),
-            latency=dict(doc.get("latency", {})),
-            config_echo=dict(doc.get("config", {})),
-        )
 
 
 def route_completion(log: EpisodeLog) -> float:
@@ -212,17 +204,6 @@ def emit_report(report: BenchReport, fmt: str, path) -> None:
             f.write(text)
     except OSError as e:
         raise IoError(f"cannot write report {path}: {e}") from e
-
-
-def load_report(path) -> BenchReport:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise IoError(f"cannot read report {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed report {path}: {e}") from e
-    return BenchReport.from_dict(doc)
 
 
 def _text_table(report: BenchReport) -> str:

@@ -27,7 +27,6 @@ def _is_number(v) -> bool:
 
 # Value kinds: (description for the error message, predicate).
 _BOOL = ("a boolean", lambda v: isinstance(v, bool))
-_INT = ("an integer", _is_int)
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
 _NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_number(v) and v >= 0)
@@ -70,7 +69,6 @@ _SECTIONS = {
         "horizon": _POSITIVE,
         "agent_policy": _one_of(*AGENT_POLICIES),
         "disturbances": _DISTURBANCES,
-        "seed": _INT,
         "goal_radius": _NON_NEGATIVE,
         "deadlock_window": _POSITIVE,
         "deadlock_displacement": _NON_NEGATIVE,

@@ -137,14 +137,12 @@ def polygon_as_aabb(polygon: np.ndarray):
     poly = np.asarray(polygon, dtype=float)
     if len(poly) != 4:
         return None
-    xs = np.unique(poly[:, 0])
-    ys = np.unique(poly[:, 1])
-    if len(xs) != 2 or len(ys) != 2:
+    corners = {(x, y) for x, y in poly.tolist()}
+    xs = sorted({x for x, _ in corners})
+    ys = sorted({y for _, y in corners})
+    if len(xs) != 2 or len(ys) != 2 or corners != {(x, y) for x in xs for y in ys}:
         return None
-    want = {(x, y) for x in xs for y in ys}
-    if {(x, y) for x, y in poly} != want:
-        return None
-    return float(xs[0]), float(ys[0]), float(xs[1]), float(ys[1])
+    return xs[0], ys[0], xs[1], ys[1]
 
 
 def points_in_polygons(pts: np.ndarray, polygons) -> np.ndarray:
@@ -174,16 +172,6 @@ def polyline_arclengths(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def polyline_headings(pts: np.ndarray) -> np.ndarray:
-    """Per-vertex headings from segment directions (last vertex repeats)."""
-    pts = np.asarray(pts, dtype=float)
-    d = np.diff(pts, axis=0)
-    h = np.arctan2(d[:, 1], d[:, 0])
-    if len(h) == 0:
-        return np.zeros(len(pts))
-    return np.concatenate([h, h[-1:]])
 
 
 def resample_polyline(pts: np.ndarray, ds: float) -> np.ndarray:

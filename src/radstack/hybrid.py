@@ -4,9 +4,10 @@ into the rule-based proposal set and let the rules scorer pick the winner.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .errors import HorizonMismatchError
 from .proposals import ProposalSet
 from .scene import Trajectory
 from .scoring import ScoreContext, select_best
@@ -22,22 +23,13 @@ def _shift_lateral(traj: Trajectory, offset: float) -> Trajectory:
 
 
 def inject_learned(proposals: ProposalSet, learned: Trajectory, offsets=DEFAULT_LEARNED_OFFSETS) -> ProposalSet:
-    """Append the learned plan and its offset variants to the proposal set.
+    """A copy of the proposal set with the learned plan and its offset variants appended.
 
-    The result has |input| + 1 + |offsets| entries. Raises
-    HorizonMismatchError when the learned trajectory's sampling differs.
+    The result has |input| + 1 + |offsets| rows. Raises HorizonMismatchError
+    when the learned trajectory's sampling differs.
     """
-    if abs(learned.dt - proposals.dt) > 1e-12 or learned.horizon_steps != proposals.horizon_steps:
-        raise HorizonMismatchError(
-            f"learned plan has dt={learned.dt}, steps={learned.horizon_steps}; "
-            f"set expects dt={proposals.dt}, steps={proposals.horizon_steps}"
-        )
-    out = ProposalSet(
-        proposals=list(proposals.proposals), dt=proposals.dt, horizon_steps=proposals.horizon_steps
-    )
-    out.add(learned.retag("learned"))
-    for off in offsets:
-        out.add(_shift_lateral(learned, off))
+    out = replace(proposals)
+    out.add(learned.retag("learned"), *(_shift_lateral(learned, off) for off in offsets))
     return out
 
 
@@ -50,9 +42,9 @@ def hybrid_select(
     """Rules-scored selection over the injected union.
 
     With no learned plan this reduces exactly to rule-based selection.
-    Returns (winning trajectory, breakdowns, scored proposal set).
+    Returns (winning trajectory, Scores, scored proposal set, winner's row).
     """
     if learned is not None:
         proposals = inject_learned(proposals, learned, offsets)
-    winner, breakdowns = select_best(proposals, ctx)
-    return winner, breakdowns, proposals
+    winner, scores, best = select_best(proposals, ctx)
+    return winner, scores, proposals, best

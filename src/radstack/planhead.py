@@ -324,15 +324,6 @@ def _batch_forward_backward(model: PlanHeadModel, x, y, v_star):
     return loss, grads
 
 
-def batch_loss(model: PlanHeadModel, samples) -> float:
-    """Mean (plan + refine) loss over samples, no gradients."""
-    x = np.stack([s.features for s in samples])
-    y = np.stack([soft_targets(s.expert, model.vocab) for s in samples])
-    v_star = np.stack([s.expert for s in samples])
-    loss, _ = _batch_forward_backward(model, x, y, v_star)
-    return loss
-
-
 def train(model: PlanHeadModel, samples, epochs: int, lr: float = 1e-2, seed: int = 0):
     """Full-batch gradient descent on the summed losses; deterministic in seed.
 
@@ -432,6 +423,9 @@ _PARAM_SHAPES = {
 
 
 def load_model(path) -> PlanHeadModel:
+    """Read a model file. A missing field, or a size, vocab, dt or parameter
+    of the wrong type, shape or with a non-finite value, raises ParseError
+    naming the field."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -439,16 +433,42 @@ def load_model(path) -> PlanHeadModel:
         raise IoError(f"cannot read model file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed model file {path}: {e}") from e
-    try:
-        d, h, k, t = int(doc["d"]), int(doc["h"]), int(doc["k"]), int(doc["t"])
-        vocab = Vocabulary(prototypes=np.array(doc["vocab"]).reshape(k, t, 2), dt=float(doc["dt"]))
-        params = {}
-        for name, shape_fn in _PARAM_SHAPES.items():
-            shape = shape_fn(d, h, k, t)
-            arr = np.array(doc["params"][name], dtype=float)
-            if arr.size != int(np.prod(shape)):
-                raise ParseError(f"model parameter {name} has wrong size")
-            params[name] = arr.reshape(shape)
-    except (KeyError, ValueError) as e:
-        raise ParseError(f"malformed model file {path}: {e}") from e
+
+    def fail(name, problem):
+        return ParseError(f"malformed model file {path}: {name}: {problem}")
+
+    def get(container, name, label=None):
+        if not isinstance(container, dict) or name not in container:
+            raise fail(label or name, "missing")
+        return container[name]
+
+    def numbers(name, value, size):
+        try:
+            arr = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.size != size:
+            raise fail(name, f"expected {size} numbers")
+        if not np.isfinite(arr).all():
+            raise fail(name, "non-finite value")
+        return arr
+
+    sizes = []
+    for name in ("d", "h", "k", "t"):
+        v = get(doc, name)
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise fail(name, f"expected an integer >= 1, got {v!r}")
+        sizes.append(v)
+    d, h, k, t = sizes
+    dt = get(doc, "dt")
+    if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not math.isfinite(dt) or dt <= 0:
+        raise fail("dt", f"expected a finite number > 0, got {dt!r}")
+    protos = numbers("vocab", get(doc, "vocab"), k * t * 2)
+    vocab = Vocabulary(prototypes=protos.reshape(k, t, 2), dt=float(dt))
+    doc_params = get(doc, "params")
+    params = {}
+    for name, shape_fn in _PARAM_SHAPES.items():
+        shape = shape_fn(d, h, k, t)
+        arr = numbers(f"params.{name}", get(doc_params, name, f"params.{name}"), int(np.prod(shape)))
+        params[name] = arr.reshape(shape)
     return PlanHeadModel(vocab=vocab, d=d, h=h, params=params)

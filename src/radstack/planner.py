@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hybrid import hybrid_select, inject_learned
+from .hybrid import hybrid_select
 from .planhead import (
     CLASSIFY_AND_REFINE,
-    CLASSIFY_ONLY,
     PlanHeadModel,
     extract_features,
     plan_anytime,
@@ -34,7 +34,6 @@ from .scoring import (
     RelaxationState,
     ScoreContext,
     ScoreWeights,
-    WorldForecast,
     _blocker_distance,
     detect_relaxation,
     forecast_agents,
@@ -85,12 +84,13 @@ BASELINE_STATIC_OVERRIDES = dict(
 @dataclass
 class PlanResult:
     trajectory: Trajectory
-    breakdowns: list
+    breakdowns: Sequence  # Scores, one ScoreBreakdown per proposal row; [] for planhead
     proposals: ProposalSet | None
     paths: list
     stage_times: list  # (stage name, seconds)
     relax: RelaxationState
     replan_root_gap: float  # max distance from a path start to the ego projection
+    winner: int = -1  # the trajectory's row in proposals; -1 without proposals
 
 
 class Planner:
@@ -217,8 +217,7 @@ class Planner:
         forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
         proposals = generate_proposals(ego, paths, agents, cfg.proposal, base_params=cfg.idm)
         if cfg.enable_vocabulary and self.vocabulary is not None:
-            for i in range(self.vocabulary.K):
-                proposals.add(instantiate_prototype(self.vocabulary, i, ego))
+            proposals.add(*(instantiate_prototype(self.vocabulary, i, ego) for i in range(self.vocabulary.K)))
         stage_times.append(("proposals", time.perf_counter() - t1))
 
         t2 = time.perf_counter()
@@ -239,11 +238,11 @@ class Planner:
                 self.model, features, ego, budget=cfg.planhead_budget
             )
             stage_times.extend(head_times)
-            winner, breakdowns, proposals = hybrid_select(
+            winner, scores, proposals, best = hybrid_select(
                 proposals, learned, ctx, offsets=cfg.learned_offsets
             )
         else:
-            winner, breakdowns = select_best(proposals, ctx)
+            winner, scores, best = select_best(proposals, ctx)
         stage_times.append(("scoring", time.perf_counter() - t2))
 
         gap = 0.0
@@ -252,12 +251,13 @@ class Planner:
             gap = max(gap, float(np.linalg.norm(path.pose_at(s_ego)[0][0] - path.start)))
         return PlanResult(
             trajectory=winner,
-            breakdowns=breakdowns,
+            breakdowns=scores,
             proposals=proposals,
             paths=paths,
             stage_times=stage_times,
             relax=relax,
             replan_root_gap=gap,
+            winner=best,
         )
 
     def _plan_learned(self, ego: EgoState, agents) -> PlanResult:

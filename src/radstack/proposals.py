@@ -11,10 +11,12 @@ the safety authority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import HorizonMismatchError
 from .geometry import project_points_to_polyline
 from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
 from .topology import ProposalPath, project_onto_path
@@ -65,46 +67,100 @@ class ProposalConfig:
         return int(round(self.horizon / self.dt))
 
 
-@dataclass(frozen=True, eq=False)
-class Proposal:
-    """A scored-candidate trajectory with its provenance."""
+# Trajectory tags in tie-break order; a row's tag code is its position here.
+TAG_PRIORITY = ("idm", "learned", "learned_offset", "vocabulary", "replay")
 
-    trajectory: Trajectory
-    path: ProposalPath | None
+
+class Proposal(NamedTuple):
+    """One row of a ProposalSet, read back for logs; s_track is None off a rollout."""
+
+    index: int
+    tag: str
     path_index: int
     offset: float
     speed_fraction: float
-    index: int  # position in the deterministic product order
-    s_track: np.ndarray | None = None  # rollout arclength along its own path
+    s_track: np.ndarray | None
 
 
 @dataclass(eq=False)
 class ProposalSet:
-    proposals: list
+    """Candidate trajectories as columns, one row per proposal.
+
+    Rows from generate_proposals come first, in its product order, and carry
+    their path (path_index into paths) and rollout arclength s_track. Rows
+    appended by add (vocabulary and learned plans) have path_index -1, offset
+    and fraction 0 and a NaN s_track. A row's index is its position.
+    """
+
     dt: float
-    horizon_steps: int
+    positions: np.ndarray  # (P, S+1, 2)
+    headings: np.ndarray  # (P, S+1)
+    speeds: np.ndarray  # (P, S+1)
+    s_track: np.ndarray  # (P, S+1) arclength along the row's own path
+    path_index: np.ndarray  # (P,) int
+    offsets: np.ndarray  # (P,)
+    fractions: np.ndarray  # (P,)
+    tags: np.ndarray  # (P,) int codes into TAG_PRIORITY
+    paths: tuple = ()
+
+    @classmethod
+    def empty(cls, dt: float, horizon_steps: int) -> "ProposalSet":
+        n = horizon_steps + 1
+        z = np.zeros((0, n))
+        return cls(dt, np.zeros((0, n, 2)), z, z, z, np.zeros(0, int), np.zeros(0), np.zeros(0), np.zeros(0, int))
+
+    @property
+    def horizon_steps(self) -> int:
+        return self.positions.shape[1] - 1
+
+    @property
+    def tracked(self) -> np.ndarray:
+        """Row mask: rows with a path and a rollout arclength."""
+        return self.path_index >= 0
 
     def __len__(self):
-        return len(self.proposals)
+        return len(self.positions)
+
+    def __getitem__(self, i) -> Proposal:
+        j = int(self.path_index[i])
+        return Proposal(
+            i, TAG_PRIORITY[self.tags[i]], j, float(self.offsets[i]), float(self.fractions[i]),
+            self.s_track[i] if j >= 0 else None,
+        )
 
     def __iter__(self):
-        return iter(self.proposals)
+        return (self[i] for i in range(len(self)))
 
-    def __getitem__(self, i):
-        return self.proposals[i]
+    def path(self, i):
+        """The row's ProposalPath, or None for an appended row."""
+        j = self.path_index[i]
+        return self.paths[j] if j >= 0 else None
 
-    def add(self, trajectory: Trajectory, path=None, path_index=-1, offset=0.0, fraction=0.0, s_track=None):
-        self.proposals.append(
-            Proposal(
-                trajectory=trajectory,
-                path=path,
-                path_index=path_index,
-                offset=offset,
-                speed_fraction=fraction,
-                index=len(self.proposals),
-                s_track=s_track,
-            )
+    def trajectory(self, i) -> Trajectory:
+        """Row i as a Trajectory (copies of its arrays)."""
+        return trajectory_from_arrays(
+            self.dt, self.positions[i].copy(), self.headings[i].copy(), self.speeds[i].copy(),
+            TAG_PRIORITY[self.tags[i]],
         )
+
+    def add(self, *trajectories: Trajectory) -> None:
+        """Append one row per trajectory. Raises HorizonMismatchError when a
+        trajectory's sampling differs from the set's."""
+        for t in trajectories:
+            if abs(t.dt - self.dt) > 1e-12 or t.horizon_steps != self.horizon_steps:
+                raise HorizonMismatchError(
+                    f"trajectory has dt={t.dt}, steps={t.horizon_steps}; "
+                    f"set expects dt={self.dt}, steps={self.horizon_steps}"
+                )
+        n = len(trajectories)
+        self.positions = np.concatenate([self.positions, [t.positions for t in trajectories]])
+        self.headings = np.concatenate([self.headings, [t.headings for t in trajectories]])
+        self.speeds = np.concatenate([self.speeds, [t.speeds for t in trajectories]])
+        self.s_track = np.concatenate([self.s_track, np.full((n, self.s_track.shape[1]), np.nan)])
+        self.path_index = np.concatenate([self.path_index, np.full(n, -1)])
+        self.offsets = np.concatenate([self.offsets, np.zeros(n)])
+        self.fractions = np.concatenate([self.fractions, np.zeros(n)])
+        self.tags = np.concatenate([self.tags, [TAG_PRIORITY.index(t.tag) for t in trajectories]])
 
 
 def idm_accel(v, v_lead, gap, p: IdmParams):
@@ -224,7 +280,8 @@ def _project_agents(path: ProposalPath, agents, ego: EgoState):
 def _rollout_rows(ego: EgoState, rows: list, agents, cfg: ProposalConfig):
     """Roll out many (path, offset, params) rows in one vectorized loop.
 
-    rows: list of (path, offset, IdmParams). Returns one Trajectory per row.
+    rows: list of (path, offset, IdmParams). Returns (positions (n, S+1, 2),
+    headings, speeds, arclengths along each row's path), the last three (n, S+1).
     """
     n = len(rows)
     steps = cfg.horizon_steps
@@ -323,13 +380,15 @@ def _rollout_rows(ego: EgoState, rows: list, agents, cfg: ProposalConfig):
         normal = np.stack([-np.sin(head), np.cos(head)], axis=-1)
         xy[:, members, :] = pos + l_hist[:, members, None] * normal
 
-    all_heads, all_speeds = segment_headings_and_speeds(xy, ego.pose.heading, ego.speed, dt)
-    first = (ego.pose, ego.speed)
-    trajectories = [
-        trajectory_from_arrays(dt, xy[:, i, :], all_heads[:, i], all_speeds[:, i], "idm", first)
-        for i in range(n)
-    ]
-    return trajectories, s_hist.T  # (n, steps + 1) arclengths
+    heads, speeds = segment_headings_and_speeds(xy, ego.pose.heading, ego.speed, dt)
+    # Rows first; sample 0 is pinned to the exact ego state.
+    positions = np.ascontiguousarray(xy.transpose(1, 0, 2))
+    positions[:, 0] = (ego.pose.x, ego.pose.y)
+    headings = np.ascontiguousarray(heads.T)
+    headings[:, 0] = ego.pose.heading
+    speeds = np.ascontiguousarray(speeds.T)
+    speeds[:, 0] = ego.speed
+    return positions, headings, speeds, np.ascontiguousarray(s_hist.T)
 
 
 def rollout_idm(
@@ -343,7 +402,8 @@ def rollout_idm(
     """Single IDM rollout along a path toward a lateral offset target."""
     if abs(offset) > MAX_OFFSET:
         raise ValueError(f"offset {offset} exceeds max offset {MAX_OFFSET}")
-    return _rollout_rows(ego, [(path, offset, p)], agents, cfg)[0][0]
+    positions, headings, speeds, _ = _rollout_rows(ego, [(path, offset, p)], agents, cfg)
+    return trajectory_from_arrays(cfg.dt, positions[0], headings[0], speeds[0], "idm")
 
 
 def generate_proposals(
@@ -362,7 +422,6 @@ def generate_proposals(
     """
     if not paths:
         raise ValueError("paths must be nonempty")
-    ps = ProposalSet(proposals=[], dt=cfg.dt, horizon_steps=cfg.horizon_steps)
     base = base_params or IdmParams()
     rows = []
     meta = []
@@ -374,8 +433,10 @@ def generate_proposals(
                 else:
                     p = replace(base, v0=max(0.1, frac * path.speed_limit))
                 rows.append((path, off, p))
-                meta.append((path, path_index, off, frac))
-    trajectories, s_tracks = _rollout_rows(ego, rows, agents, cfg)
-    for traj, s_track, (path, path_index, off, frac) in zip(trajectories, s_tracks, meta):
-        ps.add(traj, path=path, path_index=path_index, offset=off, fraction=frac, s_track=s_track)
-    return ps
+                meta.append((path_index, off, frac))
+    positions, headings, speeds, s_track = _rollout_rows(ego, rows, agents, cfg)
+    meta = np.array(meta, dtype=float)  # (n, 3): path index, offset, fraction
+    return ProposalSet(
+        cfg.dt, positions, headings, speeds, s_track, meta[:, 0].astype(int),
+        meta[:, 1], meta[:, 2], np.zeros(len(rows), int), tuple(paths),
+    )

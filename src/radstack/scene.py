@@ -46,12 +46,6 @@ class Pose2:
     def xy(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
-    def transform_point(self, local_xy) -> np.ndarray:
-        """Map a point from this pose's frame into the world frame."""
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        lx, ly = float(local_xy[0]), float(local_xy[1])
-        return np.array([self.x + c * lx - s * ly, self.y + s * lx + c * ly])
-
 
 @dataclass(frozen=True)
 class EgoState:
@@ -177,10 +171,6 @@ class Trajectory:
     @property
     def horizon_steps(self) -> int:
         return len(self.positions) - 1
-
-    @property
-    def end_position(self) -> np.ndarray:
-        return self.positions[-1]
 
     def retag(self, tag: str) -> "Trajectory":
         return replace(self, tag=tag)

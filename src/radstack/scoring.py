@@ -1,8 +1,10 @@
-"""Proposal scoring: multiplicative safety penalties scaling a weighted sum of
-driving-quality objectives, a terminal goal-distance term entering negatively,
-and context-aware relaxation of drivable-area / driving-direction penalties.
+"""Proposal scoring over a columnar ProposalSet: multiplicative safety
+penalties scaling a weighted sum of driving-quality objectives, a terminal
+goal-distance term entering negatively, and context-aware relaxation of
+drivable-area / driving-direction penalties (the nuPlan/PDM metric split).
 
-Sign convention: higher is better. A proposal's aggregate is
+Every term is a (P,) column over the proposal rows. Sign convention: higher
+is better. A proposal's aggregate is
 
     P * (sum_i w_i * c_i) / (sum_i w_i) - w_goal * min(goal_cost / goal_norm, 1)
 
@@ -13,20 +15,19 @@ c_dr are lifted to the relaxation floor; c_col is never relaxed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .geometry import (
     boxes_overlap,
     normalize_angles,
-    points_in_polygon,
     points_in_polygons,
     project_points_to_polyline,
     rect_corners_batch,
 )
-from .proposals import CORRIDOR_HALF_WIDTH, CORRIDOR_MARGIN
-from .scene import AgentState, EgoState, Pose2, Scenario, Trajectory
+from .proposals import CORRIDOR_HALF_WIDTH, CORRIDOR_MARGIN, ProposalSet
+from .scene import EgoState, Scenario
 from .topology import ProposalPath
 
 RELAX_FLOOR = 0.5
@@ -120,6 +121,7 @@ class WorldForecast:
         vel = speeds[:, None] * np.stack([np.cos(heads), np.sin(heads)], axis=1)
         # (A, S+1, 2)
         self.positions = pos0[:, None, :] + vel[:, None, :] * t[None, :, None]
+        self.velocities = vel  # (A, 2)
         self.headings = heads
         self.half_lengths = np.array([a.half_length for a in self.agents])
         self.half_widths = np.array([a.half_width for a in self.agents])
@@ -130,163 +132,6 @@ class WorldForecast:
 
 def forecast_agents(agents, horizon_steps: int, dt: float) -> WorldForecast:
     return WorldForecast(agents, horizon_steps, dt)
-
-
-def check_collision(traj: Trajectory, f: WorldForecast, ego_dims=(2.3, 0.95)) -> int:
-    """1 if the ego footprint never overlaps any forecast footprint, else 0.
-
-    Touching counts as overlap. traj and f must share dt and step count.
-    """
-    if len(f) == 0:
-        return 1
-    if traj.horizon_steps != f.steps:
-        raise ValueError("trajectory and forecast horizons differ")
-    hit = boxes_overlap(
-        f.positions[..., 0] - traj.positions[:, 0],  # (A, S+1)
-        f.positions[..., 1] - traj.positions[:, 1],
-        traj.headings, *ego_dims,
-        f.headings[:, None], f.half_lengths[:, None], f.half_widths[:, None],
-    )
-    return 0 if bool(hit.any()) else 1
-
-
-def check_drivable_area(traj: Trajectory, scenario: Scenario, ego_dims=(2.3, 0.95)) -> int:
-    """1 if every footprint corner stays inside the drivable union (boundary inclusive)."""
-    corners = rect_corners_batch(traj.positions, traj.headings, *ego_dims).reshape(-1, 2)
-    inside = np.zeros(len(corners), dtype=bool)
-    for poly in scenario.drivable_area:
-        inside |= points_in_polygon(corners, poly)
-        if inside.all():
-            return 1
-    return 1 if inside.all() else 0
-
-
-def route_progress(traj: Trajectory, path: ProposalPath) -> float:
-    """Arclength gain of the trajectory projected onto a reference path."""
-    ends = np.stack([traj.positions[0], traj.positions[-1]])
-    s, _, _ = project_points_to_polyline(ends, path.points, path.s)
-    return float(s[1] - s[0])
-
-
-def check_min_progress(
-    traj: Trajectory,
-    path: ProposalPath,
-    min_progress: float = MIN_PROGRESS,
-    max_feasible_gain: float | None = None,
-) -> int:
-    """0 iff this trajectory stalls while some feasible proposal can progress.
-
-    max_feasible_gain is the best route gain among proposals that are not
-    multiplicatively killed; None means no such context (single-proposal use),
-    in which case a stalled trajectory is exempt.
-    """
-    gain = route_progress(traj, path)
-    if gain >= min_progress:
-        return 1
-    if max_feasible_gain is None or max_feasible_gain < min_progress:
-        return 1  # nothing can progress; no penalty
-    return 0
-
-
-def _ttc_clear(traj: Trajectory, f: WorldForecast, ego_dims, window: float) -> int:
-    """1 unless projecting the ego forward at each step's speed hits the forecast."""
-    if len(f) == 0:
-        return 1
-    n_sub = int(window / f.dt)
-    if n_sub < 1:
-        return 1
-    pos = traj.positions
-    heads = traj.headings
-    speeds = traj.speeds
-    live = speeds > 0.05
-    if not live.any():
-        return 1
-    idx_i = np.nonzero(live)[0]
-    taus = (np.arange(1, n_sub + 1) * f.dt)[None, :]  # (1, J)
-    dirs = np.stack([np.cos(heads[idx_i]), np.sin(heads[idx_i])], axis=1)  # (I, 2)
-    adv = speeds[idx_i, None] * taus  # (I, J)
-    proj = pos[idx_i, None, :] + adv[:, :, None] * dirs[:, None, :]  # (I, J, 2)
-    # Forecast index i + j, clamped to the horizon.
-    j_idx = np.minimum(idx_i[:, None] + np.arange(1, n_sub + 1)[None, :], f.steps)  # (I, J)
-    agents = f.positions[:, j_idx]  # (A, I, J, 2)
-    hit = boxes_overlap(
-        agents[..., 0] - proj[..., 0], agents[..., 1] - proj[..., 1],
-        heads[idx_i, None], *ego_dims,
-        f.headings[:, None, None], f.half_lengths[:, None, None], f.half_widths[:, None, None],
-    )
-    return 0 if bool(hit.any()) else 1
-
-
-def _speed_compliance(traj: Trajectory, limit: float, tol: float) -> float:
-    over = traj.speeds > limit + tol
-    return float(1.0 - over.mean())
-
-
-def _direction_compliance(traj: Trajectory, path: ProposalPath, dir_tol: float) -> float:
-    s, _, _ = project_points_to_polyline(traj.positions, path.points, path.s)
-    ds = np.diff(s)
-    idx = np.clip(np.searchsorted(path.s, s[:-1], side="right") - 1, 0, len(path.opposing_mask) - 1)
-    opposing = path.opposing_mask[idx]
-    against = float(np.where(opposing, np.maximum(ds, 0.0), np.maximum(-ds, 0.0)).sum())
-    if against < DIR_EPS:
-        return 1.0
-    if against < dir_tol:
-        return 0.5
-    return 0.0
-
-
-def _comfort(traj: Trajectory) -> float:
-    dt = traj.dt
-    v = traj.speeds
-    heads = traj.headings
-    a_lon = np.diff(v) / dt
-    yaw_rate = normalize_angles(np.diff(heads)) / dt
-    a_lat = v[:-1] * yaw_rate
-    jerk = np.diff(a_lon, prepend=a_lon[:1]) / dt
-    yaw_acc = np.diff(yaw_rate, prepend=yaw_rate[:1]) / dt
-    ok = (
-        (a_lon <= COMFORT_ACCEL_MAX)
-        & (a_lon >= -COMFORT_DECEL_MAX)
-        & (np.abs(a_lat) <= COMFORT_LAT_ACCEL)
-        & (np.abs(jerk) <= COMFORT_JERK)
-        & (np.abs(yaw_rate) <= COMFORT_YAW_RATE)
-        & (np.abs(yaw_acc) <= COMFORT_YAW_ACCEL)
-    )
-    return float(ok.mean())
-
-
-def weighted_objectives(
-    traj: Trajectory,
-    f: WorldForecast,
-    scenario: Scenario,
-    path: ProposalPath,
-    max_route_gain: float | None = None,
-    ego_dims=(2.3, 0.95),
-    ttc_window: float = TTC_WINDOW,
-    speed_tol: float = SPEED_TOL,
-    dir_tol: float = DIR_TOL,
-) -> tuple:
-    """(c_ttc, c_dr, c_sp, c_ep, c_cf), each in [0, 1].
-
-    max_route_gain normalizes ego progress across the proposal set; when it is
-    None or non-positive every proposal is exempt (c_ep = 1).
-    """
-    c_ttc = float(_ttc_clear(traj, f, ego_dims, ttc_window))
-    c_sp = _speed_compliance(traj, path.speed_limit, speed_tol)
-    gain = max(0.0, route_progress(traj, path))
-    if max_route_gain is None or max_route_gain <= 0.0:
-        c_ep = 1.0
-    else:
-        c_ep = min(1.0, gain / max_route_gain)
-    c_dr = _direction_compliance(traj, path, dir_tol)
-    c_cf = _comfort(traj)
-    return c_ttc, c_dr, c_sp, c_ep, c_cf
-
-
-def goal_cost(traj: Trajectory, goal: Pose2) -> float:
-    """Euclidean distance from the trajectory's last position to the goal."""
-    end = traj.end_position
-    return float(math.hypot(end[0] - goal.x, end[1] - goal.y))
 
 
 def detect_relaxation(
@@ -353,43 +198,33 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
     return best
 
 
-def aggregate_score(
-    c_col: float,
-    c_ra: float,
-    c_mp: float,
+def aggregate(
+    c_col,
+    c_ra,
+    c_mp,
     objectives: tuple,
-    goal_cost_m: float,
+    goal_cost,
     weights: ScoreWeights,
     relax: RelaxationState = RelaxationState(),
     goal_norm: float = 1.0,
-) -> ScoreBreakdown:
-    """Combine penalty and objective terms into one breakdown (higher is better)."""
+):
+    """Aggregate score, elementwise over arrays of terms (higher is better).
+
+    objectives is (c_ttc, c_dr, c_sp, c_ep, c_cf).
+    """
     c_ttc, c_dr, c_sp, c_ep, c_cf = objectives
-    c_ra_eff = max(c_ra, RELAX_FLOOR) if relax.active else c_ra
-    c_dr_eff = max(c_dr, RELAX_FLOOR) if relax.active else c_dr
-    penalty = c_col * c_ra_eff * c_mp
+    if relax.active:
+        c_ra = np.maximum(c_ra, RELAX_FLOOR)
+        c_dr = np.maximum(c_dr, RELAX_FLOOR)
     weighted = (
         weights.w_ttc * c_ttc
-        + weights.w_dr * c_dr_eff
+        + weights.w_dr * c_dr
         + weights.w_sp * c_sp
         + weights.w_ep * c_ep
         + weights.w_cf * c_cf
     ) / weights.weighted_total
-    norm_goal = min(goal_cost_m / goal_norm, 1.0) if goal_norm > 0 else 0.0
-    aggregate = penalty * weighted - weights.w_goal * norm_goal
-    return ScoreBreakdown(
-        c_col=c_col,
-        c_ra=c_ra,
-        c_mp=c_mp,
-        c_ttc=c_ttc,
-        c_dr=c_dr,
-        c_sp=c_sp,
-        c_ep=c_ep,
-        c_cf=c_cf,
-        goal_cost=goal_cost_m,
-        aggregate=float(aggregate),
-        relaxed=relax.active,
-    )
+    norm_goal = np.minimum(goal_cost / goal_norm, 1.0) if goal_norm > 0 else 0.0
+    return c_col * c_ra * c_mp * weighted - weights.w_goal * norm_goal
 
 
 @dataclass
@@ -406,39 +241,53 @@ class ScoreContext:
     ego_dims: tuple = (2.3, 0.95)
 
 
-TAG_PRIORITY = {"idm": 0, "learned": 1, "learned_offset": 2, "vocabulary": 3, "replay": 4}
+BROAD_PHASE_SLACK = 1e-6  # m; keeps the TTC broad phase conservative under rounding
 
 
 def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) -> np.ndarray:
-    """Vectorized forward-projection clearance flag per proposal (1 = clear).
+    """Forward-projection clearance flag per proposal (1 = clear).
 
-    Only live samples (speed > 0.05 m/s) are projected, and pairs are
-    prefiltered by center distance so the box test only runs where footprints
-    could possibly meet.
+    Each live sample i (speed > 0.05 m/s) is projected along its heading at
+    sub-steps tau = dt .. J dt and checked against the forecast at step i + j,
+    clamped to the horizon. Broad phase: per (agent, live sample) pair, the
+    ego's projected centres lie on a segment, and so do the agent's forecast
+    centres over its clamped steps; each segment lies in the circle around its
+    midpoint. Only pairs whose circles come within reach get the (pairs, J)
+    centre-distance grid, and only centres within reach get the box test.
     """
-    n_props = len(speeds)
-    out = np.ones(n_props)
+    out = np.ones(len(speeds))
     n_sub = int(window / f.dt)
     if len(f) == 0 or n_sub < 1:
         return out
     p_l, s_l = np.nonzero(speeds > 0.05)  # (L,) live samples
     taus = np.arange(1, n_sub + 1) * f.dt  # (J,)
+    v = speeds[p_l, s_l]
     head = heads[p_l, s_l]
-    adv = speeds[p_l, s_l, None] * taus  # (L, J)
-    px = pos[p_l, s_l, 0, None] + adv * np.cos(head)[:, None]
-    py = pos[p_l, s_l, 1, None] + adv * np.sin(head)[:, None]
-    j_idx = np.minimum(s_l[:, None] + np.arange(1, n_sub + 1), f.steps)  # (L, J)
-    dx = f.positions[:, j_idx, 0] - px  # (A, L, J)
-    dy = f.positions[:, j_idx, 1] - py
-
+    cos, sin = np.cos(head), np.sin(head)
+    x, y = pos[p_l, s_l, 0], pos[p_l, s_l, 1]
     reach = math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths)  # (A,)
-    near = dx * dx + dy * dy < (reach**2)[:, None, None]
-    a_i, l_i, j_i = np.nonzero(near)
-    hit = boxes_overlap(
-        dx[a_i, l_i, j_i], dy[a_i, l_i, j_i], head[l_i], *ego_dims,
-        f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
+
+    tau_mid, tau_half = 0.5 * (taus[0] + taus[-1]), 0.5 * (taus[-1] - taus[0])
+    j0, j1 = np.minimum(s_l + 1, f.steps), np.minimum(s_l + n_sub, f.steps)
+    t_mid, t_half = 0.5 * (j0 + j1) * f.dt, 0.5 * (j1 - j0) * f.dt  # (L,)
+    gap_x = f.positions[:, 0, 0, None] + f.velocities[:, 0, None] * t_mid - (x + v * tau_mid * cos)  # (A, L)
+    gap_y = f.positions[:, 0, 1, None] + f.velocities[:, 1, None] * t_mid - (y + v * tau_mid * sin)
+    bound = (
+        reach[:, None] + v * tau_half + np.hypot(*f.velocities.T)[:, None] * t_half + BROAD_PHASE_SLACK
     )
-    out[p_l[l_i[hit]]] = 0.0
+    a_i, l_i = np.nonzero(gap_x * gap_x + gap_y * gap_y <= bound * bound)
+
+    adv = v[l_i, None] * taus  # (pairs, J)
+    j_idx = np.minimum(s_l[l_i, None] + np.arange(1, n_sub + 1), f.steps)
+    dx = f.positions[a_i[:, None], j_idx, 0] - (x[l_i, None] + adv * cos[l_i, None])
+    dy = f.positions[a_i[:, None], j_idx, 1] - (y[l_i, None] + adv * sin[l_i, None])
+    k, j = np.nonzero(dx * dx + dy * dy < (reach**2)[a_i, None])
+    a_k = a_i[k]
+    hit = boxes_overlap(
+        dx[k, j], dy[k, j], head[l_i[k]], *ego_dims,
+        f.headings[a_k], f.half_lengths[a_k], f.half_widths[a_k],
+    )
+    out[p_l[l_i[k[hit]]]] = 0.0
     return out
 
 
@@ -446,8 +295,11 @@ def _batch_comfort(speeds, heads, dt) -> np.ndarray:
     a_lon = np.diff(speeds, axis=1) / dt
     yaw_rate = normalize_angles(np.diff(heads, axis=1)) / dt
     a_lat = speeds[:, :-1] * yaw_rate
-    jerk = np.diff(a_lon, axis=1, prepend=a_lon[:, :1]) / dt
-    yaw_acc = np.diff(yaw_rate, axis=1, prepend=yaw_rate[:, :1]) / dt
+    # Jerk and yaw acceleration are 0 at the first step.
+    jerk = np.zeros_like(a_lon)
+    jerk[:, 1:] = np.diff(a_lon, axis=1) / dt
+    yaw_acc = np.zeros_like(yaw_rate)
+    yaw_acc[:, 1:] = np.diff(yaw_rate, axis=1) / dt
     ok = (
         (a_lon <= COMFORT_ACCEL_MAX)
         & (a_lon >= -COMFORT_DECEL_MAX)
@@ -459,22 +311,55 @@ def _batch_comfort(speeds, heads, dt) -> np.ndarray:
     return ok.mean(axis=1)
 
 
-def score_proposals(proposals, ctx: ScoreContext) -> list:
-    """One ScoreBreakdown per proposal, in proposal order.
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Score terms as (P,) columns over the proposal rows.
 
-    Semantically identical to applying the per-term operations proposal by
-    proposal; evaluated as one vectorized batch.
+    Reads as a sequence of ScoreBreakdown: a record is built only when an
+    entry is indexed or iterated.
     """
-    props = list(proposals)
-    if not props:
-        return []
-    n = len(props)
-    steps = props[0].trajectory.horizon_steps
-    pos = np.stack([p.trajectory.positions for p in props])  # (P, S+1, 2)
-    heads = np.stack([p.trajectory.headings for p in props])
-    speeds = np.stack([p.trajectory.speeds for p in props])
+
+    c_col: np.ndarray
+    c_ra: np.ndarray
+    c_mp: np.ndarray
+    c_ttc: np.ndarray
+    c_dr: np.ndarray
+    c_sp: np.ndarray
+    c_ep: np.ndarray
+    c_cf: np.ndarray
+    goal_cost: np.ndarray
+    aggregate: np.ndarray
+    relaxed: bool = False
+
+    def __len__(self):
+        return len(self.aggregate)
+
+    def __getitem__(self, i) -> ScoreBreakdown:
+        return ScoreBreakdown(
+            *(float(getattr(self, f.name)[i]) for f in fields(ScoreBreakdown)[:-1]), relaxed=self.relaxed
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
+    """Score every row of the set in one batch.
+
+    Multiplicative terms: c_col (no footprint overlap with the forecast), c_ra
+    (every footprint corner inside the drivable area) and c_mp (0 when the row
+    gains less than min_progress along the route while a row that c_col and
+    c_ra keep can). Objectives: c_ttc (forward projection clear), c_dr and c_sp
+    (driving direction and speed limit of the row's own path, the route path
+    for rows without one), c_ep (route gain over the best gain) and c_cf
+    (nuPlan comfort bounds). goal_cost is the end point's distance to the goal.
+    """
+    n = len(proposals)
+    steps = proposals.horizon_steps
+    pos, heads, speeds = proposals.positions, proposals.headings, proposals.speeds
     f = ctx.forecast
-    if any(p.trajectory.horizon_steps != f.steps for p in props):
+    route = ctx.route_path
+    if steps != f.steps:
         raise ValueError("trajectory and forecast horizons differ")
 
     # Multiplicative terms; collision pairs prefiltered by center distance.
@@ -496,94 +381,64 @@ def score_proposals(proposals, ctx: ScoreContext) -> list:
 
     # Route progress for every proposal, in one projection call.
     endpoints = np.concatenate([pos[:, 0, :], pos[:, -1, :]])
-    s_ends, _, _ = project_points_to_polyline(endpoints, ctx.route_path.points, ctx.route_path.s)
+    s_ends, _, _ = project_points_to_polyline(endpoints, route.points, route.s)
     gains = s_ends[n:] - s_ends[:n]
 
-    relax_active = ctx.relax.active
-    ras_eff = np.maximum(ras, RELAX_FLOOR) if relax_active else ras
+    ras_eff = np.maximum(ras, RELAX_FLOOR) if ctx.relax.active else ras
     feasible = (cols * ras_eff) > 0
     feasible_gain = float(gains[feasible].max()) if feasible.any() else 0.0
     max_gain = float(np.maximum(gains, 0.0).max()) if n else 0.0
-
     stall = gains < ctx.min_progress
     exempt = feasible_gain < ctx.min_progress
     mps = np.where(stall & ~exempt, 0.0, 1.0)
 
     c_ttcs = _batch_ttc(pos, heads, speeds, f, ctx.ego_dims, TTC_WINDOW)
-    c_cfs = _batch_comfort(speeds, heads, props[0].trajectory.dt)
+    c_cfs = _batch_comfort(speeds, heads, proposals.dt)
     if max_gain <= 0:
         c_eps = np.ones(n)
     else:
         c_eps = np.minimum(1.0, np.maximum(gains, 0.0) / max_gain)
 
-    # Speed and direction compliance depend on each proposal's own path.
-    # Rollouts carry their along-path arclength, sparing a re-projection;
-    # externally injected trajectories (vocabulary, learned) are projected.
-    c_sps = np.empty(n)
-    c_drs = np.empty(n)
-    groups = {}
-    for i, p in enumerate(props):
-        path = p.path if p.path is not None else ctx.route_path
-        key = id(path)
-        if key not in groups:
-            groups[key] = (path, [], [])
-        groups[key][1 if p.s_track is not None else 2].append(i)
-    for path, idx_track, idx_proj in groups.values():
-        idxs = np.asarray(idx_track + idx_proj)
-        over = speeds[idxs] > path.speed_limit + SPEED_TOL
-        c_sps[idxs] = 1.0 - over.mean(axis=1)
-        parts = []
-        if idx_track:
-            parts.append(np.stack([props[i].s_track for i in idx_track]))
-        if idx_proj:
-            pts_flat = pos[np.asarray(idx_proj)].reshape(-1, 2)
-            s_flat, _, _ = project_points_to_polyline(pts_flat, path.points, path.s)
-            parts.append(s_flat.reshape(len(idx_proj), steps + 1))
-        s_grp = np.concatenate(parts)
-        ds = np.diff(s_grp, axis=1)
-        seg_idx = np.clip(
-            np.searchsorted(path.s, s_grp[:, :-1], side="right") - 1,
-            0,
-            len(path.opposing_mask) - 1,
-        )
-        opposing = path.opposing_mask[seg_idx]
-        against = np.where(opposing, np.maximum(ds, 0.0), np.maximum(-ds, 0.0)).sum(axis=1)
-        c_drs[idxs] = np.where(against < DIR_EPS, 1.0, np.where(against < DIR_TOL, 0.5, 0.0))
+    # Speed and direction compliance against each row's own path; path index
+    # -1 (an appended row) picks the route path, appended last. Rollouts carry
+    # their arclength along their path; appended rows are projected.
+    paths = proposals.paths + (route,)
+    limits = np.array([p.speed_limit for p in paths])[proposals.path_index]
+    c_sps = 1.0 - (speeds > (limits + SPEED_TOL)[:, None]).mean(axis=1)
+    s = proposals.s_track
+    appended = ~proposals.tracked
+    if appended.any():
+        s = s.copy()
+        s_flat, _, _ = project_points_to_polyline(pos[appended].reshape(-1, 2), route.points, route.s)
+        s[appended] = s_flat.reshape(-1, steps + 1)
+    opposing = np.empty((n, steps), dtype=bool)
+    for j, path in enumerate(paths):
+        rows = proposals.path_index == (j if j < len(proposals.paths) else -1)
+        seg = np.searchsorted(path.s, s[rows, :-1], side="right") - 1
+        opposing[rows] = path.opposing_mask[np.clip(seg, 0, len(path.opposing_mask) - 1)]
+    ds = np.diff(s, axis=1)
+    against = np.where(opposing, np.maximum(ds, 0.0), np.maximum(-ds, 0.0)).sum(axis=1)
+    c_drs = np.where(against < DIR_EPS, 1.0, np.where(against < DIR_TOL, 0.5, 0.0))
 
     goal = ctx.scenario.goal
     goal_costs = np.hypot(pos[:, -1, 0] - goal.x, pos[:, -1, 1] - goal.y)
-
-    out = []
-    for i in range(n):
-        out.append(
-            aggregate_score(
-                float(cols[i]),
-                float(ras[i]),
-                float(mps[i]),
-                (float(c_ttcs[i]), float(c_drs[i]), float(c_sps[i]), float(c_eps[i]), float(c_cfs[i])),
-                float(goal_costs[i]),
-                ctx.weights,
-                ctx.relax,
-                ctx.goal_norm,
-            )
-        )
-    return out
+    objectives = (c_ttcs, c_drs, c_sps, c_eps, c_cfs)
+    return Scores(
+        cols, ras, mps, *objectives, goal_costs,
+        aggregate(cols, ras, mps, objectives, goal_costs, ctx.weights, ctx.relax, ctx.goal_norm),
+        relaxed=ctx.relax.active,
+    )
 
 
-def select_best(proposals, ctx: ScoreContext) -> tuple:
-    """(winning trajectory, breakdowns). Deterministic argmax of aggregate.
+def select_best(proposals: ProposalSet, ctx: ScoreContext) -> tuple:
+    """(winning trajectory, Scores, winner's row). Deterministic argmax of aggregate.
 
-    Ties break on tag priority (idm first), then lowest proposal index, so the
-    result is independent of input permutation given stable indices.
+    Ties break on tag priority (idm first), then lowest row, so the result is
+    independent of input permutation given stable indices. Only the winner
+    becomes a Trajectory.
     """
-    breakdowns = score_proposals(proposals, ctx)
-    if not breakdowns:
+    if not len(proposals):
         raise ValueError("cannot select from an empty proposal set")
-    best = None
-    best_key = None
-    for p, b in zip(proposals, breakdowns):
-        key = (-b.aggregate, TAG_PRIORITY.get(p.trajectory.tag, 9), p.index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = p
-    return best.trajectory, breakdowns
+    scores = score_proposals(proposals, ctx)
+    best = int(np.lexsort((np.arange(len(proposals)), proposals.tags, -scores.aggregate))[0])
+    return proposals.trajectory(best), scores, best

@@ -52,7 +52,6 @@ class SimConfig:
     horizon: float = 4.0
     agent_policy: str = "reactive_idm"
     disturbances: tuple = ()  # ((tick, lateral metres), ...)
-    seed: int = 0
     goal_radius: float = 3.0
     deadlock_window: float = 10.0
     deadlock_displacement: float = 0.5
@@ -407,7 +406,7 @@ def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> Ep
                         {
                             "tick": tick,
                             "index": prop.index,
-                            "tag": prop.trajectory.tag,
+                            "tag": prop.tag,
                             "path_index": prop.path_index,
                             "offset": prop.offset,
                             "fraction": prop.speed_fraction,
@@ -418,12 +417,10 @@ def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> Ep
         winner_breakdown = None
         winner_source = current_plan.trajectory.tag
         if current_plan.breakdowns and current_plan.proposals is not None:
-            for prop, b in zip(current_plan.proposals, current_plan.breakdowns):
-                if prop.trajectory is current_plan.trajectory:
-                    winner_breakdown = b.to_record()
-                    if prop.path is not None:
-                        winner_source = prop.path.source
-                    break
+            winner_breakdown = current_plan.breakdowns[current_plan.winner].to_record()
+            path = current_plan.proposals.path(current_plan.winner)
+            if path is not None:
+                winner_source = path.source
 
         log.records.append(
             {

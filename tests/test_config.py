@@ -25,7 +25,6 @@ GOOD = {
         "planner_period": 2,
         "agent_policy": "replay",
         "disturbances": [[30, 2.0]],
-        "seed": 3,
         "goal_radius": 0.0,
         "record_breakdowns": True,
     },
@@ -62,7 +61,6 @@ def test_good_values_pass_and_build():
         ("sim", "horizon", math.inf),
         ("sim", "agent_policy", "idm"),
         ("sim", "disturbances", [[30]]),
-        ("sim", "seed", 1.5),
         ("sim", "deadlock_window", 0.0),
         ("sim", "record_breakdowns", "yes"),
     ],
@@ -71,6 +69,12 @@ def test_bad_value_names_its_field(section, key, value):
     doc = {section: {key: value}}
     with pytest.raises(ConfigError, match=f"^{section}\\.{key}: expected "):
         validate_config(doc)
+
+
+def test_sim_seed_is_an_unknown_key():
+    # Nothing reads a simulator seed: episodes are deterministic without one.
+    with pytest.raises(ConfigError, match="unknown keys in config section 'sim': \\['seed'\\]"):
+        validate_config({"sim": {"seed": 3}})
 
 
 @pytest.mark.parametrize("key", ["model_path", "vocab_path"])

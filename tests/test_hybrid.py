@@ -3,7 +3,7 @@ import pytest
 
 from radstack.errors import HorizonMismatchError
 from radstack.hybrid import hybrid_select, inject_learned
-from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
+from radstack.proposals import ProposalConfig, generate_proposals
 from radstack.scene import EgoState, Trajectory
 from radstack.scoring import ScoreContext, ScoreWeights, forecast_agents, select_best
 from radstack.topology import graph_search
@@ -29,7 +29,7 @@ def test_inject_adds_one_without_offsets(plain_scenario):
     n = len(ps)
     out = inject_learned(ps, _straight_learned(), offsets=())
     assert len(out) == n + 1
-    assert out[n].trajectory.tag == "learned"
+    assert out[n].tag == "learned"
     assert len(ps) == n  # input set untouched
 
 
@@ -38,7 +38,7 @@ def test_inject_offsets_cardinality_and_tags(plain_scenario):
     n = len(ps)
     out = inject_learned(ps, _straight_learned(), offsets=(-0.5, 0.5))
     assert len(out) == n + 3
-    tags = [p.trajectory.tag for p in out.proposals[n:]]
+    tags = [p.tag for p in out][n:]
     assert tags == ["learned", "learned_offset", "learned_offset"]
 
 
@@ -46,7 +46,7 @@ def test_inject_normal_shift_oracle(plain_scenario):
     ps, _ = _rule_proposals(plain_scenario)
     learned = _straight_learned()
     out = inject_learned(ps, learned, offsets=(0.5,))
-    shifted = out.proposals[-1].trajectory
+    shifted = out.trajectory(len(out) - 1)
     delta = shifted.positions - learned.positions
     assert np.allclose(delta[:, 0], 0.0, atol=1e-12)
     assert np.allclose(delta[:, 1], 0.5, atol=1e-12)
@@ -72,9 +72,9 @@ def _ctx(scenario, path, agents=()):
 def test_hybrid_without_learned_equals_rule_selection(plain_scenario):
     ps, path = _rule_proposals(plain_scenario)
     ctx = _ctx(plain_scenario, path)
-    rad_winner, rad_breakdowns = select_best(ps, ctx)
-    winner, breakdowns, out = hybrid_select(ps, None, ctx)
-    assert winner is rad_winner
+    rad_winner, rad_breakdowns, rad_best = select_best(ps, ctx)
+    winner, breakdowns, out, best = hybrid_select(ps, None, ctx)
+    assert best == rad_best and np.array_equal(winner.positions, rad_winner.positions)
     assert len(out) == len(ps)
     assert [b.aggregate for b in breakdowns] == [b.aggregate for b in rad_breakdowns]
 
@@ -82,13 +82,13 @@ def test_hybrid_without_learned_equals_rule_selection(plain_scenario):
 def test_hybrid_tie_keeps_idm_tag(plain_scenario):
     ps, path = _rule_proposals(plain_scenario)
     ctx = _ctx(plain_scenario, path)
-    rad_winner, _ = select_best(ps, ctx)
+    rad_winner, _, _ = select_best(ps, ctx)
     # Inject a learned plan identical to the rule winner: tie broken by tag.
     learned = rad_winner.retag("learned")
-    winner, breakdowns, out = hybrid_select(ps, learned, ctx, offsets=())
+    winner, breakdowns, out, best = hybrid_select(ps, learned, ctx, offsets=())
     assert winner.tag == "idm"
     learned_b = breakdowns[len(ps)]
-    winner_b = breakdowns[[p.trajectory for p in out].index(winner)]
+    winner_b = breakdowns[best]
     assert learned_b.aggregate == pytest.approx(winner_b.aggregate, abs=1e-9)
 
 
@@ -103,11 +103,10 @@ def test_hybrid_learned_wins_when_only_escape(plain_scenario):
     ps, path = _rule_proposals(plain_scenario, agents)
     ctx = _ctx(plain_scenario, agents=agents, path=path)
     learned = _straight_learned(v=5.0, y=0.0)
-    winner, breakdowns, out = hybrid_select(ps, learned, ctx, offsets=())
-    assert winner.tag == "learned"
-    idx = [p.trajectory for p in out].index(winner)
-    assert breakdowns[idx].c_col == 1
-    assert breakdowns[idx].c_ttc == 1
+    winner, breakdowns, out, best = hybrid_select(ps, learned, ctx, offsets=())
+    assert winner.tag == "learned" and best == len(ps)
+    assert breakdowns[best].c_col == 1
+    assert breakdowns[best].c_ttc == 1
 
 
 def test_hybrid_monotone_safety_collision_variants(plain_scenario):
@@ -115,11 +114,10 @@ def test_hybrid_monotone_safety_collision_variants(plain_scenario):
     blocker = static_car("c", 30.0, 0.0)
     ps, path = _rule_proposals(plain_scenario, [blocker])
     ctx = _ctx(plain_scenario, agents=[blocker], path=path)
-    rad_winner, _ = select_best(ps, ctx)
+    rad_winner, _, _ = select_best(ps, ctx)
     learned = _straight_learned(v=10.0, y=0.0)  # rams the blocker
-    winner, breakdowns, out = hybrid_select(ps, learned, ctx, offsets=(-0.3, 0.3))
-    for p, b in zip(out.proposals[len(ps):], breakdowns[len(ps):]):
-        assert b.c_col == 0
+    winner, breakdowns, out, _ = hybrid_select(ps, learned, ctx, offsets=(-0.3, 0.3))
+    assert list(breakdowns.c_col[len(ps):]) == [0, 0, 0]
     assert np.array_equal(winner.positions, rad_winner.positions)
 
 
@@ -128,8 +126,8 @@ def test_hybrid_breakdown_schema_shared(plain_scenario):
     # fields and identical values on identical inputs.
     ps, path = _rule_proposals(plain_scenario)
     ctx = _ctx(plain_scenario, path)
-    idm_clone = ps[10].trajectory.retag("learned")
-    winner, breakdowns, out = hybrid_select(ps, idm_clone, ctx, offsets=())
+    idm_clone = ps.trajectory(10).retag("learned")
+    winner, breakdowns, out, _ = hybrid_select(ps, idm_clone, ctx, offsets=())
     rec_idm = breakdowns[10].to_record()
     rec_learned = breakdowns[len(ps)].to_record()
     assert rec_idm.keys() == rec_learned.keys()

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from radstack.cli import main
 from radstack.errors import DivergenceError
 from radstack.planhead import (
     CLASSIFY_AND_REFINE,
@@ -25,7 +27,7 @@ from radstack.planhead import (
     soft_targets,
     train,
 )
-from radstack.scene import AgentState, EgoState, Pose2
+from radstack.scene import AgentState, EgoState, Pose2, generate_synthetic_scenario, save_scenario
 from radstack.vocabulary import Vocabulary
 
 from conftest import straight_path, straight_scenario
@@ -440,3 +442,38 @@ def test_model_round_trip(tmp_path):
     a = forward_classify(model, encode_features(model, x))
     b = forward_classify(loaded, encode_features(loaded, x))
     assert np.allclose(a[0], b[0])
+
+
+def _nan_params(doc):
+    doc["params"] = {name: [math.nan] * len(v) for name, v in doc["params"].items()}
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda doc: doc.update(d=[64]), "d: expected an integer >= 1, got [64]"),
+        (lambda doc: doc.update(k="3"), "k: expected an integer >= 1, got '3'"),
+        (lambda doc: doc.pop("t"), "t: missing"),
+        (lambda doc: doc.update(dt=math.nan), "dt: expected a finite number > 0, got nan"),
+        (lambda doc: doc.update(vocab=[[1.0]]), "vocab: expected 30 numbers"),
+        (lambda doc: doc["vocab"][0].__setitem__(3, math.inf), "vocab: non-finite value"),
+        (lambda doc: doc.update(params=[]), "params.w1: missing"),
+        (lambda doc: doc["params"].pop("wc"), "params.wc: missing"),
+        (lambda doc: doc["params"].update(b1="x"), "params.b1: expected 16 numbers"),
+        (lambda doc: doc["params"].update(w2=[0.0] * 255), "params.w2: expected 256 numbers"),
+        (_nan_params, "params.w1: non-finite value"),
+    ],
+)
+def test_cli_reports_malformed_model_in_one_line(tmp_path, capsys, edit, problem):
+    model_path = tmp_path / "model.json"
+    save_model(init_model(_tiny_vocab(), d=8, h=16, seed=0), model_path)
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    scenario = tmp_path / "scenario.json"
+    save_scenario(generate_synthetic_scenario("blocked_lane", 7), scenario)
+    argv = ["run", "--scenario", str(scenario), "--planner", "planhead", "--model", str(model_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"run: malformed model file {model_path}: {problem}\n"

@@ -134,7 +134,7 @@ def test_proposal_count_product_rule():
     path = straight_path(s)
     ps = generate_proposals(s.ego, [path, path, path], [], _default_cfg())
     assert len(ps) == 45
-    assert all(p.trajectory.tag == "idm" for p in ps)
+    assert all(p.tag == "idm" for p in ps)
     cfg = ProposalConfig(offsets=(-1.0, 0.0), speed_fractions=(0.5, 1.0))
     ps2 = generate_proposals(s.ego, [path, path], [], cfg)
     assert len(ps2) == 2 * 2 * 2
@@ -144,8 +144,8 @@ def test_every_proposal_starts_at_ego_pose():
     s = straight_scenario(ego_speed=6.0)
     path = straight_path(s)
     ps = generate_proposals(s.ego, [path], [static_car("c", 30.0, 0.0)], _default_cfg())
-    for prop in ps:
-        traj = prop.trajectory
+    for i in range(len(ps)):
+        traj = ps.trajectory(i)
         assert tuple(traj.positions[0]) == (s.ego.pose.x, s.ego.pose.y)
         assert traj.headings[0] == s.ego.pose.heading
         assert traj.speeds[0] == s.ego.speed

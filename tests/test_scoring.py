@@ -1,26 +1,26 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radstack.proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposals
+from radstack.geometry import boxes_overlap
+from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
 from radstack.scene import AgentState, EgoState, Pose2, Trajectory
 from radstack.scoring import (
     RELAX_FLOOR,
+    TTC_WINDOW,
     RelaxationState,
     ScoreContext,
     ScoreWeights,
-    aggregate_score,
-    check_collision,
-    check_drivable_area,
-    check_min_progress,
+    _batch_ttc,
+    aggregate,
     detect_relaxation,
     forecast_agents,
-    goal_cost,
     score_proposals,
     select_best,
-    weighted_objectives,
 )
 from radstack.topology import graph_search
 
@@ -72,88 +72,95 @@ def test_forecast_heading_trig_oracle():
     assert step[1] == pytest.approx(0.6 * math.sin(h), abs=1e-12)
 
 
-# -- multiplicative penalty terms --------------------------------------------
+def _proposal_set(trajs):
+    ps = ProposalSet.empty(dt=trajs[0].dt, horizon_steps=trajs[0].horizon_steps)
+    ps.add(*trajs)
+    return ps
+
+
+def _score(trajs, scenario=None, path=None, agents=(), min_progress=0.5):
+    """Scores of a batch of trajectories on the straight road (ego dims 2.3 x 0.95)."""
+    scenario = scenario or straight_scenario()
+    ctx = ScoreContext(
+        scenario=scenario,
+        forecast=forecast_agents(list(agents), trajs[0].horizon_steps, trajs[0].dt),
+        route_path=path or straight_path(scenario),
+        goal_norm=100.0,
+        min_progress=min_progress,
+    )
+    return score_proposals(_proposal_set(trajs), ctx)
+
+
+# -- multiplicative penalty terms (batches of one) ---------------------------
 
 
 def test_collision_identical_boxes_step_zero():
     traj = _straight_traj(v=0.0, steps=10)
-    f = forecast_agents([static_car("c", 0.0, 0.0)], 10, 0.1)
-    assert check_collision(traj, f) == 0
+    assert _score([traj], agents=[static_car("c", 0.0, 0.0)]).c_col[0] == 0
 
 
 def test_collision_far_agents_clear():
     traj = _straight_traj(v=10.0, steps=40)
-    f = forecast_agents([static_car("c", 20.0, 60.0)], 40, 0.1)
-    assert check_collision(traj, f) == 1
+    assert _score([traj], agents=[static_car("c", 20.0, 60.0)]).c_col[0] == 1
 
 
 def test_collision_grazing_pass_sat_oracle():
     traj = _straight_traj(v=10.0, steps=40)  # ego half width 0.95 around y = 0
-    dims = (2.3, 0.95)
     clear = static_car("c", 20.0, 0.95 + 1.0 + 0.01)  # 0.01 m clearance
     graze = static_car("g", 20.0, 0.95 + 1.0 - 0.01)  # 0.01 m interpenetration
-    assert check_collision(traj, forecast_agents([clear], 40, 0.1), dims) == 1
-    assert check_collision(traj, forecast_agents([graze], 40, 0.1), dims) == 0
+    assert _score([traj], agents=[clear]).c_col[0] == 1
+    assert _score([traj], agents=[graze]).c_col[0] == 0
 
 
 def test_drivable_area_checks(plain_scenario):
     center = _straight_traj(v=10.0, steps=40)
-    assert check_drivable_area(center, plain_scenario) == 1
+    assert _score([center], plain_scenario).c_ra[0] == 1
     offroad = _straight_traj(v=10.0, steps=40, y=10.0)
-    assert check_drivable_area(offroad, plain_scenario) == 0
+    assert _score([offroad], plain_scenario).c_ra[0] == 0
 
 
 def test_drivable_boundary_inclusive(plain_scenario):
     # Drivable polygon spans y in [-4, 4]; ego half width 0.95: corners at
     # exactly y = 4.0 remain compliant.
     edge = _straight_traj(v=10.0, steps=40, y=4.0 - 0.95)
-    assert check_drivable_area(edge, plain_scenario, ego_dims=(2.3, 0.95)) == 1
+    assert _score([edge], plain_scenario).c_ra[0] == 1
     beyond = _straight_traj(v=10.0, steps=40, y=4.0 - 0.95 + 1e-3)
-    assert check_drivable_area(beyond, plain_scenario, ego_dims=(2.3, 0.95)) == 0
+    assert _score([beyond], plain_scenario).c_ra[0] == 0
 
 
 def test_min_progress_relative_exemption(plain_path):
     stationary = _straight_traj(v=0.0, steps=40)
     mover = _straight_traj(v=10.0, steps=40)
-    assert check_min_progress(stationary, plain_path, 2.0, max_feasible_gain=10.0) == 0
-    assert check_min_progress(mover, plain_path, 2.0, max_feasible_gain=10.0) == 1
+    assert list(_score([stationary, mover], path=plain_path, min_progress=2.0).c_mp) == [0, 1]
     # Nothing can progress: exemption.
-    assert check_min_progress(stationary, plain_path, 2.0, max_feasible_gain=0.0) == 1
-    assert check_min_progress(stationary, plain_path, 2.0) == 1
+    assert _score([stationary], path=plain_path, min_progress=2.0).c_mp[0] == 1
+    # The only mover leaves the road, so it does not obligate progress.
+    offroad = _straight_traj(v=10.0, steps=40, y=10.0)
+    assert list(_score([stationary, offroad], path=plain_path, min_progress=2.0).c_mp) == [1, 1]
 
 
 # -- weighted objective terms -------------------------------------------------
 
 
 def test_weighted_objectives_clean_drive(plain_scenario, plain_path):
-    traj = _straight_traj(v=9.0, steps=40)
-    f = forecast_agents([], 40, 0.1)
-    c_ttc, c_dr, c_sp, c_ep, c_cf = weighted_objectives(
-        traj, f, plain_scenario, plain_path, max_route_gain=36.0
-    )
-    assert (c_ttc, c_dr, c_sp, c_cf) == (1.0, 1.0, 1.0, 1.0)
-    assert c_ep == pytest.approx(1.0)
+    b = _score([_straight_traj(v=9.0, steps=40)], plain_scenario, plain_path)[0]
+    assert (b.c_ttc, b.c_dr, b.c_sp, b.c_ep, b.c_cf) == (1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_speed_compliance_double_limit(plain_scenario, plain_path):
     traj = _straight_traj(v=20.0, steps=40)  # limit is 10
-    f = forecast_agents([], 40, 0.1)
-    _, _, c_sp, _, _ = weighted_objectives(traj, f, plain_scenario, plain_path)
-    assert c_sp == 0.0
+    assert _score([traj], plain_scenario, plain_path).c_sp[0] == 0.0
 
 
 def test_direction_compliance_reversing_oracle(plain_scenario, plain_path):
     # 5 m of travel against the lane direction.
     xs = np.linspace(30.0, 25.0, 41)
     traj = _traj_from_xy(np.stack([xs, np.zeros(41)], axis=1), heading=0.0)
-    f = forecast_agents([], 40, 0.1)
-    _, c_dr, _, _, _ = weighted_objectives(traj, f, plain_scenario, plain_path)
-    assert c_dr == 0.0
+    assert _score([traj], plain_scenario, plain_path).c_dr[0] == 0.0
     # Under two metres of reversing: half credit.
     xs2 = np.linspace(30.0, 29.0, 41)
     traj2 = _traj_from_xy(np.stack([xs2, np.zeros(41)], axis=1), heading=0.0)
-    _, c_dr2, _, _, _ = weighted_objectives(traj2, f, plain_scenario, plain_path)
-    assert c_dr2 == 0.5
+    assert _score([traj2], plain_scenario, plain_path).c_dr[0] == 0.5
 
 
 def test_ttc_projection_detects_near_stop_conflict(plain_scenario, plain_path):
@@ -161,36 +168,133 @@ def test_ttc_projection_detects_near_stop_conflict(plain_scenario, plain_path):
     # window the projected footprint reaches the blocker.
     traj = _straight_traj(v=10.0, steps=40)
     blocker = static_car("b", 16.0, 0.0)
-    f = forecast_agents([blocker], 40, 0.1)
-    c_ttc, _, _, _, _ = weighted_objectives(traj, f, plain_scenario, plain_path)
-    assert c_ttc == 0.0
+    assert _score([traj], plain_scenario, plain_path, agents=[blocker]).c_ttc[0] == 0.0
 
 
 def test_comfort_flags_hard_braking(plain_scenario, plain_path):
     speeds = np.concatenate([[10.0], np.maximum(0.0, 10.0 - 0.6 * np.arange(1, 41))])
     xs = np.concatenate([[0.0], np.cumsum(speeds[1:] * 0.1)])
     traj = _traj_from_xy(np.stack([xs, np.zeros(41)], axis=1), speeds=speeds, heading=0.0)
-    f = forecast_agents([], 40, 0.1)
-    _, _, _, _, c_cf = weighted_objectives(traj, f, plain_scenario, plain_path)
-    assert c_cf < 1.0  # -6 m/s^2 exceeds the comfortable deceleration bound
+    # -6 m/s^2 exceeds the comfortable deceleration bound on steps 0-15; the
+    # stop (-4 m/s^2, then 0) breaks the jerk bound on steps 16 and 17.
+    assert _score([traj], plain_scenario, plain_path).c_cf[0] == pytest.approx(22 / 40)
 
 
 # -- goal cost ----------------------------------------------------------------
 
 
+def _goal_cost(traj, dx, dy):
+    end = traj.positions[-1]
+    scenario = replace(straight_scenario(), goal=Pose2(end[0] + dx, end[1] + dy, 0.0))
+    return _score([traj], scenario).goal_cost[0]
+
+
 def test_goal_cost_zero_and_345():
     traj = _straight_traj(v=1.0, steps=10)
-    end = traj.end_position
-    assert goal_cost(traj, Pose2(end[0], end[1], 0.0)) == 0.0
-    assert goal_cost(traj, Pose2(end[0] + 3.0, end[1] + 4.0, 0.0)) == pytest.approx(5.0)
+    assert _goal_cost(traj, 0.0, 0.0) == 0.0
+    assert _goal_cost(traj, 3.0, 4.0) == pytest.approx(5.0)
 
 
 @given(st.floats(-100, 100), st.floats(-100, 100))
 def test_goal_cost_hypot_oracle(dx, dy):
     traj = _straight_traj(v=2.0, steps=5)
-    end = traj.end_position
-    g = Pose2(end[0] + dx, end[1] + dy, 0.0)
-    assert goal_cost(traj, g) == pytest.approx(math.hypot(dx, dy), abs=1e-12)
+    assert _goal_cost(traj, dx, dy) == pytest.approx(math.hypot(dx, dy), abs=1e-12)
+
+
+# -- TTC broad phase ------------------------------------------------------------
+
+
+def _reference_batch_ttc(pos, heads, speeds, f, ego_dims, window):
+    """The TTC flags from the full (agents, live samples, sub-steps) grid."""
+    out = np.ones(len(speeds))
+    n_sub = int(window / f.dt)
+    if len(f) == 0 or n_sub < 1:
+        return out
+    p_l, s_l = np.nonzero(speeds > 0.05)
+    taus = np.arange(1, n_sub + 1) * f.dt
+    head = heads[p_l, s_l]
+    adv = speeds[p_l, s_l, None] * taus
+    px = pos[p_l, s_l, 0, None] + adv * np.cos(head)[:, None]
+    py = pos[p_l, s_l, 1, None] + adv * np.sin(head)[:, None]
+    j_idx = np.minimum(s_l[:, None] + np.arange(1, n_sub + 1), f.steps)
+    dx = f.positions[:, j_idx, 0] - px  # (A, L, J)
+    dy = f.positions[:, j_idx, 1] - py
+    reach = math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths)
+    near = dx * dx + dy * dy < (reach**2)[:, None, None]
+    a_i, l_i, j_i = np.nonzero(near)
+    hit = boxes_overlap(
+        dx[a_i, l_i, j_i], dy[a_i, l_i, j_i], head[l_i], *ego_dims,
+        f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
+    )
+    out[p_l[l_i[hit]]] = 0.0
+    return out
+
+
+_SAMPLE_SPEED = st.one_of(
+    st.just(0.0), st.just(0.05), st.just(float(np.nextafter(0.05, 1.0))), st.floats(0.0, 15.0)
+)
+
+
+@st.composite
+def _ttc_case(draw):
+    """Proposals in a 30 m square and agents aimed at their projections.
+
+    Agents are static (forecast speed 0), stationary vehicles, or moving;
+    each starts where its forecast passes within 3 m of one sample's projected
+    centre at one sub-step. Samples include speeds at the 0.05 m/s live
+    threshold and samples close enough to the horizon that forecast indices
+    clamp. One agent may sit exactly at reach from one projected centre.
+    """
+    dt = draw(st.sampled_from([0.1, 0.125]))
+    steps = draw(st.integers(2, 20))
+    n_props = draw(st.integers(1, 4))
+    n = n_props * (steps + 1)
+    angle = st.floats(-math.pi, math.pi)
+    pos = np.array(draw(st.lists(st.floats(-15.0, 15.0), min_size=2 * n, max_size=2 * n))).reshape(n_props, steps + 1, 2)
+    heads = np.array(draw(st.lists(angle, min_size=n, max_size=n))).reshape(n_props, steps + 1)
+    speeds = np.array(draw(st.lists(_SAMPLE_SPEED, min_size=n, max_size=n))).reshape(n_props, steps + 1)
+    ego_dims = draw(st.sampled_from([(2.3, 0.95), (3.0, 4.0)]))
+    agents = []
+    for i in range(draw(st.integers(0, 5))):
+        p, k, j = draw(st.integers(0, n_props - 1)), draw(st.integers(0, steps)), draw(st.integers(1, 9))
+        kind = draw(st.sampled_from(["static", "vehicle", "vehicle"]))
+        speed = 0.0 if kind == "static" else draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+        heading = draw(angle)
+        target = pos[p, k] + speeds[p, k] * j * dt * np.array([math.cos(heads[p, k]), math.sin(heads[p, k])])
+        target += np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
+        start = target - speed * min(k + j, steps) * dt * np.array([math.cos(heading), math.sin(heading)])
+        agents.append(
+            AgentState(
+                id=f"a{i}", pose=Pose2(float(start[0]), float(start[1]), heading), speed=speed,
+                half_length=draw(st.floats(0.3, 2.5)), half_width=draw(st.floats(0.3, 1.2)), kind=kind,
+            )
+        )
+    if draw(st.booleans()):
+        # A static agent at reach from a sample's heading-0 projection at
+        # sub-step j; with dt = 0.125 and ego dims (3, 4) every value is
+        # exact, so the centres are exactly reach apart.
+        p, k, j = draw(st.integers(0, n_props - 1)), draw(st.integers(0, steps)), draw(st.integers(1, 7))
+        pos[p, k] = (draw(st.integers(-8, 8)), draw(st.integers(-8, 8)))
+        heads[p, k], speeds[p, k] = 0.0, 2.0
+        reach = math.hypot(*ego_dims) + math.hypot(1.0, 0.75)
+        x = pos[p, k, 0] + 2.0 * (j * dt) + reach
+        agents.append(AgentState(id="r", pose=Pose2(x, pos[p, k, 1], 0.0), speed=0.0,
+                                 half_length=1.0, half_width=0.75, kind="static"))
+    return pos, heads, speeds, forecast_agents(agents, steps, dt), ego_dims
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_ttc_case(), st.sampled_from([TTC_WINDOW, 0.875]))
+def test_batch_ttc_broad_phase_matches_full_grid(case, window):
+    pos, heads, speeds, f, ego_dims = case
+    # The proposals as drawn, and one row per sample with only that sample
+    # live, so that a single missed hit changes a flag.
+    p, k = np.nonzero(np.ones_like(speeds, dtype=bool))
+    single = np.zeros((len(p), speeds.shape[1]))
+    single[np.arange(len(p)), k] = speeds[p, k]
+    for rows in ((pos, heads, speeds), (pos[p], heads[p], single)):
+        expected = _reference_batch_ttc(*rows, f, ego_dims, window)
+        assert np.array_equal(_batch_ttc(*rows, f, ego_dims, window), expected)
 
 
 # -- relaxation ----------------------------------------------------------------
@@ -233,75 +337,92 @@ def test_relaxation_requires_stop_duration(plain_path):
 
 
 def test_aggregate_all_ones_is_one():
-    b = aggregate_score(1, 1, 1, (1, 1, 1, 1, 1), 0.0, ScoreWeights(), goal_norm=100.0)
-    assert b.aggregate == pytest.approx(1.0)
+    assert aggregate(1, 1, 1, (1, 1, 1, 1, 1), 0.0, ScoreWeights(), goal_norm=100.0) == pytest.approx(1.0)
 
 
 def test_aggregate_collision_kills_exactly():
     w = ScoreWeights(w_goal=0.0)
-    b = aggregate_score(0, 1, 1, (1, 1, 1, 1, 1), 37.0, w, goal_norm=100.0)
-    assert b.aggregate == 0.0
+    assert aggregate(0, 1, 1, (1, 1, 1, 1, 1), 37.0, w, goal_norm=100.0) == 0.0
 
 
 def test_aggregate_scalar_oracle():
     # weights (ttc, dr, sp, ep, cf) = (5, 1, 4, 5, 2); objectives (1, .5, 1, .8, 1)
     w = ScoreWeights(w_ttc=5, w_dr=1, w_sp=4, w_ep=5, w_cf=2, w_goal=0.0)
-    b = aggregate_score(1, 1, 1, (1.0, 0.5, 1.0, 0.8, 1.0), 0.0, w)
-    assert b.aggregate == pytest.approx((5 + 0.5 + 4 + 4 + 2) / 17)
-    assert b.aggregate == pytest.approx(0.9118, abs=1e-4)
+    agg = aggregate(1, 1, 1, (1.0, 0.5, 1.0, 0.8, 1.0), 0.0, w)
+    assert agg == pytest.approx((5 + 0.5 + 4 + 4 + 2) / 17)
+    assert agg == pytest.approx(0.9118, abs=1e-4)
+
+
+def _reference_aggregate(c_col, c_ra, c_mp, objectives, goal_cost, w, relax, goal_norm):
+    """One row's aggregate in Python floats, term by term."""
+    c_ttc, c_dr, c_sp, c_ep, c_cf = objectives
+    c_ra_eff = max(c_ra, RELAX_FLOOR) if relax.active else c_ra
+    c_dr_eff = max(c_dr, RELAX_FLOOR) if relax.active else c_dr
+    penalty = c_col * c_ra_eff * c_mp
+    weighted = (
+        w.w_ttc * c_ttc + w.w_dr * c_dr_eff + w.w_sp * c_sp + w.w_ep * c_ep + w.w_cf * c_cf
+    ) / w.weighted_total
+    norm_goal = min(goal_cost / goal_norm, 1.0) if goal_norm > 0 else 0.0
+    return penalty * weighted - w.w_goal * norm_goal
+
+
+def test_aggregate_array_matches_scalar_reference_bitwise():
+    rng = np.random.default_rng(4)
+    terms = rng.uniform(0, 1, size=(5, 400))
+    terms[:, ::7] = rng.integers(0, 2, size=(5, 58))
+    pens = rng.integers(0, 2, size=(3, 400)).astype(float)
+    gc = rng.uniform(0, 150, size=400)
+    w = ScoreWeights(w_ttc=4.5, w_dr=1.3, w_sp=3.7, w_ep=5.1, w_cf=2.2, w_goal=0.3)
+    for relax in (RelaxationState(), RelaxationState(active=True)):
+        batch = aggregate(*pens, tuple(terms), gc, w, relax, goal_norm=90.0)
+        for i in range(400):
+            row = _reference_aggregate(*pens[:, i].tolist(), tuple(terms[:, i].tolist()), float(gc[i]), w, relax, 90.0)
+            assert batch[i] == row
 
 
 def test_relaxation_lifts_ra_and_dr_only():
     w = ScoreWeights()
     relax = RelaxationState(active=True, stopped_duration=4.0, blocker_distance=5.0)
-    b = aggregate_score(1, 0, 1, (1, 0, 1, 1, 1), 0.0, w, relax=relax)
     expected_weighted = (5 + 1 * RELAX_FLOOR + 4 + 5 + 2) / 17
-    assert b.aggregate == pytest.approx(RELAX_FLOOR * expected_weighted)
+    assert aggregate(1, 0, 1, (1, 0, 1, 1, 1), 0.0, w, relax=relax) == pytest.approx(RELAX_FLOOR * expected_weighted)
     # c_col is never lifted.
-    b2 = aggregate_score(0, 0, 1, (1, 0, 1, 1, 1), 0.0, w, relax=relax)
-    assert b2.aggregate == pytest.approx(0.0)
+    assert aggregate(0, 0, 1, (1, 0, 1, 1, 1), 0.0, w, relax=relax) == pytest.approx(0.0)
 
 
 def test_relaxation_never_changes_collision_term():
     rng = np.random.default_rng(1)
     w = ScoreWeights()
-    for _ in range(100):
-        terms = rng.uniform(0, 1, size=5)
-        c_col = float(rng.integers(0, 2))
-        c_ra = float(rng.integers(0, 2))
-        c_mp = float(rng.integers(0, 2))
-        gc = float(rng.uniform(0, 120))
-        relax = RelaxationState(active=True, stopped_duration=5.0, blocker_distance=4.0)
-        b_rel = aggregate_score(c_col, c_ra, c_mp, tuple(terms), gc, w, relax, goal_norm=100.0)
-        # Recompute by lifting only c_ra / c_dr by hand.
-        terms_l = terms.copy()
-        terms_l[1] = max(terms_l[1], RELAX_FLOOR)
-        manual = aggregate_score(
-            c_col, max(c_ra, RELAX_FLOOR), c_mp, tuple(terms_l), gc, w, goal_norm=100.0
-        )
-        assert b_rel.aggregate == pytest.approx(manual.aggregate, abs=1e-12)
-        assert b_rel.c_col == c_col
+    relax = RelaxationState(active=True, stopped_duration=5.0, blocker_distance=4.0)
+    terms = rng.uniform(0, 1, size=(5, 100))
+    c_col, c_ra, c_mp = rng.integers(0, 2, size=(3, 100)).astype(float)
+    gc = rng.uniform(0, 120, size=100)
+    relaxed = aggregate(c_col, c_ra, c_mp, tuple(terms), gc, w, relax, goal_norm=100.0)
+    # Recompute by lifting only c_ra / c_dr by hand.
+    lifted = terms.copy()
+    lifted[1] = np.maximum(lifted[1], RELAX_FLOOR)
+    manual = aggregate(c_col, np.maximum(c_ra, RELAX_FLOOR), c_mp, tuple(lifted), gc, w, goal_norm=100.0)
+    assert relaxed == pytest.approx(manual, abs=1e-12)
+    assert np.all(relaxed[c_col == 0] <= 0.0)
 
 
 def test_aggregate_bounds():
     w = ScoreWeights()
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        terms = tuple(rng.uniform(0, 1, size=5))
-        pens = rng.integers(0, 2, size=3)
-        gc = float(rng.uniform(0, 500))
-        b = aggregate_score(*pens, terms, gc, w, goal_norm=100.0)
-        assert -w.w_goal - 1e-12 <= b.aggregate <= 1.0 + 1e-12
+    terms = rng.uniform(0, 1, size=(5, 300))
+    pens = rng.integers(0, 2, size=(3, 300))
+    gc = rng.uniform(0, 500, size=300)
+    agg = aggregate(*pens, tuple(terms), gc, w, goal_norm=100.0)
+    assert np.all((-w.w_goal - 1e-12 <= agg) & (agg <= 1.0 + 1e-12))
 
 
 def test_aggregate_monotone_in_each_objective():
     w = ScoreWeights(w_goal=0.0)
     base = (0.9, 0.8, 0.7, 0.6, 0.5)
-    b0 = aggregate_score(1, 1, 1, base, 0.0, w).aggregate
+    b0 = aggregate(1, 1, 1, base, 0.0, w)
     for i in range(5):
         worse = list(base)
         worse[i] -= 0.3
-        assert aggregate_score(1, 1, 1, tuple(worse), 0.0, w).aggregate < b0
+        assert aggregate(1, 1, 1, tuple(worse), 0.0, w) < b0
 
 
 def test_goal_null_equivalence_with_pdm_only():
@@ -310,13 +431,11 @@ def test_goal_null_equivalence_with_pdm_only():
     w_goal0 = ScoreWeights(w_goal=0.0)
     for _ in range(100):
         n = int(rng.integers(2, 12))
-        aggs, aggs_pdm = [], []
-        for _ in range(n):
-            terms = tuple(rng.uniform(0, 1, size=5))
-            pens = tuple(rng.integers(0, 2, size=3))
-            gc = float(rng.uniform(0, 100))
-            aggs.append(aggregate_score(*pens, terms, gc, w_goal0, goal_norm=80.0).aggregate)
-            aggs_pdm.append(aggregate_score(*pens, terms, 0.0, w_goal0, goal_norm=1.0).aggregate)
+        terms = tuple(rng.uniform(0, 1, size=(5, n)))
+        pens = rng.integers(0, 2, size=(3, n))
+        gc = rng.uniform(0, 100, size=n)
+        aggs = aggregate(*pens, terms, gc, w_goal0, goal_norm=80.0)
+        aggs_pdm = aggregate(*pens, terms, np.zeros(n), w_goal0, goal_norm=1.0)
         assert int(np.argmax(aggs)) == int(np.argmax(aggs_pdm))
 
 
@@ -334,18 +453,13 @@ def _score_context(scenario, path, agents=(), relax=RelaxationState(), weights=N
     )
 
 
-def _proposal_set(trajs):
-    ps = ProposalSet(proposals=[], dt=0.1, horizon_steps=40)
-    for t in trajs:
-        ps.add(t)
-    return ps
-
-
 def test_select_single_proposal(plain_scenario, plain_path):
-    ps = _proposal_set([_straight_traj(v=8.0)])
+    traj = _straight_traj(v=8.0)
+    ps = _proposal_set([traj])
     ctx = _score_context(plain_scenario, plain_path)
-    winner, breakdowns = select_best(ps, ctx)
-    assert winner is ps[0].trajectory
+    winner, breakdowns, best = select_best(ps, ctx)
+    assert best == 0
+    assert np.array_equal(winner.positions, traj.positions) and winner.tag == traj.tag
     assert len(breakdowns) == 1
 
 
@@ -355,8 +469,9 @@ def test_select_safe_slow_over_colliding_fast(plain_scenario, plain_path):
     slow = _straight_traj(v=2.0)  # stays short of it
     ps = _proposal_set([fast, slow])
     ctx = _score_context(plain_scenario, plain_path, agents=[blocker])
-    winner, breakdowns = select_best(ps, ctx)
-    assert winner is slow
+    winner, breakdowns, best = select_best(ps, ctx)
+    assert best == 1
+    assert np.array_equal(winner.positions, slow.positions)
     assert breakdowns[0].c_col == 0
     assert breakdowns[1].c_col == 1
 
@@ -379,11 +494,10 @@ def test_select_lane_change_wins_when_only_escape(blocked_scenario):
         goal_norm=120.0,
     )
     breakdowns = score_proposals(ps, ctx)
-    winner, _ = select_best(ps, ctx)
-    best_idx = max(range(len(ps)), key=lambda i: (breakdowns[i].aggregate, -i))
-    winner_prop = ps[best_idx]
-    assert winner_prop.path.source == "left_adjacent"
-    assert breakdowns[best_idx].c_col == 1
+    _, _, best = select_best(ps, ctx)
+    assert best == max(range(len(ps)), key=lambda i: (breakdowns[i].aggregate, -i))
+    assert ps.path(best).source == "left_adjacent"
+    assert breakdowns[best].c_col == 1
 
 
 def test_select_deterministic_under_permutation(plain_scenario, plain_path):
@@ -391,52 +505,28 @@ def test_select_deterministic_under_permutation(plain_scenario, plain_path):
     trajs = [_straight_traj(v=float(v)) for v in rng.uniform(2, 9, size=8)]
     ps = _proposal_set(trajs)
     ctx = _score_context(plain_scenario, plain_path)
-    winner, _ = select_best(ps, ctx)
+    winner, _, _ = select_best(ps, ctx)
     # Same trajectories, permuted arrival order, indices reassigned: the
     # winner is the same trajectory value.
     perm = list(reversed(trajs))
     ps2 = _proposal_set(perm)
-    winner2, _ = select_best(ps2, ctx)
+    winner2, _, _ = select_best(ps2, ctx)
     assert winner.positions == pytest.approx(winner2.positions)
 
 
-def test_batch_scorer_matches_scalar_operations(plain_scenario, plain_path):
-    # The vectorized scorer must agree with the per-term contract operations.
-    rng = np.random.default_rng(7)
-    agents = [static_car("b", 30.0, 0.5), static_car("c", 60.0, -2.0)]
-    trajs = []
-    for _ in range(10):
-        v = float(rng.uniform(0, 10))
-        y = float(rng.uniform(-2, 2))
-        trajs.append(_straight_traj(v=v, y=y))
-    ps = _proposal_set(trajs)
-    ctx = _score_context(plain_scenario, plain_path, agents=agents)
-    batch = score_proposals(ps, ctx)
-
-    f = ctx.forecast
-    gains = [max(0.0, _route_gain(t, plain_path)) for t in trajs]
-    feasible = [
-        check_collision(t, f, ctx.ego_dims) * check_drivable_area(t, plain_scenario, ctx.ego_dims)
-        for t in trajs
-    ]
-    feas_gain = max((g for g, ok in zip(gains, feasible) if ok), default=0.0)
-    max_gain = max(gains)
-    for t, b in zip(trajs, batch):
-        assert b.c_col == check_collision(t, f, ctx.ego_dims)
-        assert b.c_ra == check_drivable_area(t, plain_scenario, ctx.ego_dims)
-        assert b.c_mp == check_min_progress(t, plain_path, ctx.min_progress, feas_gain)
-        c_ttc, c_dr, c_sp, c_ep, c_cf = weighted_objectives(
-            t, f, plain_scenario, plain_path, max_route_gain=max_gain, ego_dims=ctx.ego_dims
-        )
-        assert b.c_ttc == c_ttc
-        assert b.c_dr == c_dr
-        assert b.c_sp == pytest.approx(c_sp)
-        assert b.c_ep == pytest.approx(c_ep)
-        assert b.c_cf == pytest.approx(c_cf)
-        assert b.goal_cost == pytest.approx(goal_cost(t, plain_scenario.goal))
-
-
-def _route_gain(traj, path):
-    from radstack.scoring import route_progress
-
-    return route_progress(traj, path)
+def test_select_ties_break_on_tag_priority_then_index(plain_scenario, plain_path):
+    # One trajectory under five tags scores identically; the winner is the
+    # idm row, and among the two idm rows the lower index, in any order.
+    base = _straight_traj(v=7.0)
+    tags = ["vocabulary", "idm", "learned_offset", "learned", "idm"]
+    ctx = _score_context(plain_scenario, plain_path, agents=[static_car("c", 60.0, 3.0)])
+    for order in itertools.permutations(range(5)):
+        ps = _proposal_set([base.retag(tags[i]) for i in order])
+        winner, scores, best = select_best(ps, ctx)
+        assert len(set(scores.aggregate)) == 1
+        assert winner.tag == "idm"
+        assert best == min(k for k, i in enumerate(order) if tags[i] == "idm")
+    # Without idm rows, learned beats learned_offset beats vocabulary.
+    for order in itertools.permutations(["vocabulary", "learned_offset", "learned"]):
+        winner, _, _ = select_best(_proposal_set([base.retag(t) for t in order]), ctx)
+        assert winner.tag == "learned"

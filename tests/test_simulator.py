@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -419,6 +420,21 @@ def test_run_episode_bit_deterministic(tmp_path, blocked_scenario):
     save_episode_log(a, pa)
     save_episode_log(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+# sha256 of the `rad` episode log with every proposal's breakdown on
+# blocked_lane seed 7 (one static blocker; 160 ticks, 4800 proposal rows).
+# A change that keeps planning byte-identical keeps this value. To regenerate
+# after a deliberate behaviour change, run this test's episode, save the log
+# with save_episode_log and take `sha256sum` of the file; say why it moved.
+BLOCKED_LANE_7_BREAKDOWN_LOG_SHA256 = "b7e7dcecba1ef6972230955694e139f7756d6a7748d077378c0edc03e786d482"
+
+
+def test_rad_breakdown_log_matches_recorded_digest(tmp_path, blocked_scenario):
+    log = run_episode(blocked_scenario, "rad", SimConfig(record_breakdowns=True))
+    p = tmp_path / "rad.jsonl"
+    save_episode_log(log, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_BREAKDOWN_LOG_SHA256
 
 
 def test_episode_log_round_trip(tmp_path, blocked_scenario):
