@@ -9,6 +9,7 @@ overrides seed flags for CI.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,35 @@ from .vocabulary import kmeans_cluster, load_vocabulary, save_vocabulary, slice_
 from dataclasses import replace
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+_COUNT = _int_at_least(1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radstack",
@@ -50,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scenarios", help="generate deterministic synthetic scenarios")
     p.add_argument("--kind", required=True, choices=SCENARIO_KINDS)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_COUNT, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -65,26 +95,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster-vocab", help="cluster harvested ego trajectories")
     p.add_argument("--episodes", required=True, help="directory of episode logs")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_COUNT, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--horizon-steps", type=int, default=40)
-    p.add_argument("--stride", type=int, default=5)
+    p.add_argument("--horizon-steps", type=_COUNT, default=40)
+    p.add_argument("--stride", type=_COUNT, default=5)
 
     p = sub.add_parser("train-head", help="train the learned plan head")
     p.add_argument("--samples", required=True, help="directory of episode logs to harvest")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-2)
+    p.add_argument("--epochs", type=_COUNT, default=200)
+    p.add_argument("--lr", type=_positive_float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=5)
+    p.add_argument("--stride", type=_COUNT, default=5)
 
     p = sub.add_parser("bench", help="batch evaluation and latency harness")
     p.add_argument("--scenarios", required=True, help="directory of scenario files")
     p.add_argument("--planners", required=True, help="comma-separated planner kinds")
     p.add_argument("--toggles", default="full", help=f"comma-separated presets: {','.join(sorted(TOGGLE_PRESETS))}")
-    p.add_argument("--latency-calls", type=int, default=0)
+    p.add_argument("--latency-calls", type=_int_at_least(0), default=0)
     p.add_argument("--report", required=True)
     p.add_argument("--format", default="structured", choices=("structured", "text_table", "svg_summary"))
     p.add_argument("--config", default=None)

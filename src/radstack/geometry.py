@@ -2,6 +2,12 @@
 
 Everything operates on plain floats / numpy arrays in the world frame
 (right-handed, meters, heading 0 = +x).
+
+Batch projection onto a polyline reads a SegmentTable that the polyline's
+owner (a scene Lane or a topology ProposalPath) builds once and keeps for
+its lifetime. Large batches prune segments chunk by chunk before the exact
+pass and return the same bits as the dense pass; see
+project_points_to_polyline.
 """
 
 from __future__ import annotations
@@ -225,32 +231,118 @@ def project_point_to_polyline(p, pts: np.ndarray, s_cum: np.ndarray | None = Non
     return float(s), float(lateral), float(heading), foot[i]
 
 
-def project_points_to_polyline(ps: np.ndarray, pts: np.ndarray, s_cum: np.ndarray | None = None):
+CHUNK = 8  # segments per broad-phase chunk of a SegmentTable
+PRUNE_MIN_PAIRS = 12_000  # points x segments from which the broad phase pays for itself
+PRUNE_MARGIN = 1e-6  # m; slack on the broad phase's upper bound, far above rounding
+
+
+class SegmentTable:
+    """A polyline's points, arclengths and per-segment arrays, built once.
+
+    Rows of `cols` are segment start x, start y, direction x, direction y and
+    the inverse squared length (0 for a degenerate segment), padded to whole
+    CHUNK-segment chunks by repeating the last segment. `cols` is built by
+    the first projection and the chunks' bounding boxes by the first large
+    one, so a polyline that is never projected pays only for its arclengths.
+    """
+
+    def __init__(self, points: np.ndarray):
+        pts = np.asarray(points, dtype=float)
+        self._d = np.diff(pts, axis=0)
+        self.points = pts
+        self.len2 = (self._d * self._d).sum(axis=1)
+        # The arithmetic of polyline_arclengths, on the squared lengths.
+        self.s = np.concatenate([[0.0], np.cumsum(np.sqrt(self.len2))])
+        self.n_chunks = -(-len(self.len2) // CHUNK)
+        self._cols = None
+        self._boxes = None
+
+    @property
+    def cols(self) -> np.ndarray:
+        if self._cols is None:
+            m = self.n_segments
+            cols = np.empty((5, self.n_chunks * CHUNK))
+            cols[:2, :m] = self.points[:-1].T
+            cols[2:4, :m] = self._d.T
+            cols[4, :m] = np.where(self.len2 > 0, 1.0 / np.maximum(self.len2, 1e-300), 0.0)
+            cols[:, m:] = cols[:, m - 1 : m]
+            self._cols = cols
+        return self._cols
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.len2)
+
+    def boxes(self) -> tuple:
+        """(x0, y0, x1, y1) per chunk over its vertices, and the chunk-boundary vertices."""
+        if self._boxes is None:
+            m, c = self.n_segments, self.n_chunks
+            pad = np.concatenate([self.points, np.repeat(self.points[-1:], c * CHUNK - m, axis=0)])
+            inner = pad[:-1].reshape(c, CHUNK, 2)
+            ends = pad[CHUNK::CHUNK]  # each chunk's closing vertex
+            lo = np.minimum(inner.min(axis=1), ends)
+            hi = np.maximum(inner.max(axis=1), ends)
+            self._boxes = (lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], pad[::CHUNK].T.copy())
+        return self._boxes
+
+
+def _segment_window(ps: np.ndarray, table: SegmentTable):
+    """Segment indices (N, K) per point that hold its nearest segment, or None for all.
+
+    A chunk is pruned when the distance from the point to its box exceeds the
+    distance to the nearest chunk-boundary vertex plus PRUNE_MARGIN: every
+    segment in it is then farther than a point of the polyline, so it holds
+    neither the minimum nor a tie with it. Each point gets the contiguous run
+    of chunks from its first to its last survivor, widened to the widest run
+    of the batch.
+    """
+    x0, y0, x1, y1, (vx, vy) = table.boxes()
+    px, py = ps[:, 0, None], ps[:, 1, None]
+    gx = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
+    gy = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
+    dvx, dvy = vx - px, vy - py
+    reach = np.sqrt((dvx * dvx + dvy * dvy).min(axis=1)) + PRUNE_MARGIN
+    keep = gx * gx + gy * gy <= (reach * reach)[:, None]  # (N, C)
+    c = table.n_chunks
+    first = keep.argmax(axis=1)
+    width = c - int((keep[:, ::-1].argmax(axis=1) + first).min())
+    if width * CHUNK >= table.n_segments:
+        return None
+    start = np.minimum(first, c - width) * CHUNK
+    return start[:, None] + np.arange(width * CHUNK)
+
+
+def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     """Vectorized projection of many points onto one polyline.
 
-    ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,).
+    ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,);
+    lateral is positive to the left. Each point takes the first segment of
+    least squared distance to its clamped foot point. Above PRUNE_MIN_PAIRS
+    points x segments a broad phase over the table's chunk boxes narrows each
+    point to a contiguous window of segments (_segment_window); the narrow
+    phase is the same elementwise arithmetic over the window in ascending
+    segment order, so the result is bit-identical to the dense pass.
     """
-    pts = np.asarray(pts, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    if s_cum is None:
-        s_cum = polyline_arclengths(pts)
-    ax, ay = pts[:-1, 0], pts[:-1, 1]
-    ex = np.diff(pts[:, 0])
-    ey = np.diff(pts[:, 1])
-    len2 = ex * ex + ey * ey
-    inv_len2 = np.where(len2 > 0, 1.0 / np.maximum(len2, 1e-300), 0.0)
+    window = None
+    if len(ps) * table.n_segments >= PRUNE_MIN_PAIRS:
+        window = _segment_window(ps, table)
+    if window is None:
+        ax, ay, ex, ey, inv_len2 = table.cols[:, : table.n_segments]
+    else:
+        ax, ay, ex, ey, inv_len2 = table.cols[:, window]
     dx = ps[:, 0, None] - ax
     dy = ps[:, 1, None] - ay
     u = np.clip((dx * ex + dy * ey) * inv_len2, 0.0, 1.0)
     fx = dx - u * ex
     fy = dy - u * ey
     d2 = fx * fx + fy * fy
-    idx = np.argmin(d2, axis=1)
+    k = np.argmin(d2, axis=1)
     rows = np.arange(len(ps))
-    u_best = u[rows, idx]
-    s = s_cum[idx] + u_best * np.sqrt(len2[idx])
-    head = np.arctan2(ey[idx], ex[idx])
-    lateral = -np.sin(head) * fx[rows, idx] + np.cos(head) * fy[rows, idx]
+    idx = k if window is None else window[rows, k]
+    s = table.s[idx] + u[rows, k] * np.sqrt(table.len2[idx])
+    head = np.arctan2(table.cols[3, idx], table.cols[2, idx])
+    lateral = -np.sin(head) * fx[rows, k] + np.cos(head) * fy[rows, k]
     return s, lateral, head
 
 

@@ -11,7 +11,7 @@ the safety authority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -259,72 +259,49 @@ def _step_kernel(
         l_hist[k + 1] = l
 
 
-def _project_agents(path: ProposalPath, agents, ego: EgoState):
-    """Per-agent along-path state: (s, lateral, longitudinal speed, band, half_len)."""
-    if not agents:
-        z = np.zeros(0)
-        return z, z, z, z, z
-    pos = np.array([[a.pose.x, a.pose.y] for a in agents])
-    s, lat, _ = project_points_to_polyline(pos, path.points, path.s)
+def _project_agents(path: ProposalPath, agent_xy, agent_heading, agent_speed):
+    """Per-agent along-path state: (s, lateral, longitudinal speed)."""
+    s, lat, _ = project_points_to_polyline(agent_xy, path.segments)
     _, path_head = path.pose_at(s)
-    heads = np.array([a.pose.heading for a in agents])
-    v_lon = np.array([a.speed for a in agents]) * np.cos(heads - path_head)
-    band = np.maximum(
-        CORRIDOR_HALF_WIDTH,
-        np.array([a.half_width for a in agents]) + ego.half_width + CORRIDOR_MARGIN,
-    )
-    half_len = np.array([a.half_length for a in agents])
-    return s, lat, v_lon, band, half_len
+    return s, lat, agent_speed * np.cos(agent_heading - path_head)
 
 
-def _rollout_rows(ego: EgoState, rows: list, agents, cfg: ProposalConfig):
-    """Roll out many (path, offset, params) rows in one vectorized loop.
+def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, agents, cfg: ProposalConfig):
+    """Roll out many (path, offset, v0) rows in one vectorized loop.
 
-    rows: list of (path, offset, IdmParams). Returns (positions (n, S+1, 2),
-    headings, speeds, arclengths along each row's path), the last three (n, S+1).
+    Row i follows paths[path_of_row[i]] toward lateral offset targets[i] at
+    reference speed v0[i]; every other IDM parameter comes from p. Returns
+    (positions (n, S+1, 2), headings, speeds, arclengths along each row's
+    path), the last three (n, S+1).
     """
-    n = len(rows)
+    n = len(path_of_row)
     steps = cfg.horizon_steps
     dt = cfg.dt
-
-    paths = []
-    path_of_row = np.empty(n, dtype=int)
-    for i, (path, _, _) in enumerate(rows):
-        for j, seen in enumerate(paths):
-            if seen is path:
-                path_of_row[i] = j
-                break
-        else:
-            paths.append(path)
-            path_of_row[i] = len(paths) - 1
 
     # Per-path ego projection and agent projections, expanded to rows.
     n_agents = len(agents)
     s_ego_p = np.empty(len(paths))
     l_ego_p = np.empty(len(paths))
-    ag = np.zeros((len(paths), n_agents, 5))  # s, lat, v_lon, band, half_len
+    ag = np.zeros((3, len(paths), n_agents))  # s, lat, v_lon
+    if n_agents:
+        x, y, heading, speed, half_length, half_width = np.array(
+            [[a.pose.x, a.pose.y, a.pose.heading, a.speed, a.half_length, a.half_width] for a in agents]
+        ).T
+        agent_xy = np.stack([x, y], axis=1)
     for j, path in enumerate(paths):
         s_ego_p[j], l_ego_p[j], _ = project_onto_path(path, ego.pose)
         if n_agents:
-            a_s, a_lat, a_vlon, a_band, a_hlen = _project_agents(path, agents, ego)
-            ag[j] = np.stack([a_s, a_lat, a_vlon, a_band, a_hlen], axis=1)
+            ag[:, j] = _project_agents(path, agent_xy, heading, speed)
 
-    a_s = ag[path_of_row, :, 0]  # (n, A)
-    a_lat = ag[path_of_row, :, 1]
-    a_vlon = ag[path_of_row, :, 2]
-    a_band = ag[path_of_row, :, 3]
-    a_hlen = ag[path_of_row, :, 4]
+    a_s, a_lat, a_vlon = ag[:, path_of_row]  # each (n, A)
+    if n_agents:
+        band = np.maximum(CORRIDOR_HALF_WIDTH, half_width + ego.half_width + CORRIDOR_MARGIN)
+        a_band = np.tile(band, (n, 1))  # contiguous (n, A): cheaper per step than a broadcast view
+        a_hlen = np.tile(half_length, (n, 1))
+    else:
+        a_band = a_hlen = np.zeros((n, 0))
 
-    targets = np.array([off for _, off, _ in rows], dtype=float)
-    params = [p for _, _, p in rows]
-    v0 = np.array([p.v0 for p in params])
-    T_h = np.array([p.T_h for p in params])
-    s0 = np.array([p.s0 for p in params])
-    a_max = np.array([p.a_max for p in params])
-    brake_scale = 2.0 * np.sqrt(a_max * np.array([p.b_comf for p in params]))
-    delta = np.array([p.delta for p in params])
     creep_v0 = np.minimum(v0, CREEP_SPEED)
-
     path_len = np.array([p.length for p in paths])[path_of_row]
     terminus = np.array([p.ends_at_terminus for p in paths], dtype=bool)[path_of_row]
 
@@ -336,10 +313,12 @@ def _rollout_rows(ego: EgoState, rows: list, agents, cfg: ProposalConfig):
     l_hist = np.empty((steps + 1, n))
     s_hist[0], l_hist[0] = s, l
 
-    bypass_clear = (
-        np.abs(a_lat - targets[:, None]) >= a_band
-        if n_agents
-        else np.zeros((n, 0), dtype=bool)
+    bypass_clear = np.abs(a_lat - targets[:, None]) >= a_band
+    # The shared IDM parameters go in as (n,) columns: on arrays this small a
+    # Python-scalar operand costs more per ufunc call than a column, and a
+    # scalar exponent of 2 or 0.5 rounds differently from a column of them.
+    T_h, s0, a_max, brake_scale, delta = np.repeat(
+        [[p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]], n, axis=1
     )
     _step_kernel(
         s_hist,
@@ -402,7 +381,9 @@ def rollout_idm(
     """Single IDM rollout along a path toward a lateral offset target."""
     if abs(offset) > MAX_OFFSET:
         raise ValueError(f"offset {offset} exceeds max offset {MAX_OFFSET}")
-    positions, headings, speeds, _ = _rollout_rows(ego, [(path, offset, p)], agents, cfg)
+    positions, headings, speeds, _ = _rollout_rows(
+        ego, [path], np.zeros(1, dtype=int), np.array([float(offset)]), np.array([p.v0]), p, agents, cfg
+    )
     return trajectory_from_arrays(cfg.dt, positions[0], headings[0], speeds[0], "idm")
 
 
@@ -411,32 +392,26 @@ def generate_proposals(
     paths: list,
     agents,
     cfg: ProposalConfig,
-    params_per_fraction: list | None = None,
     base_params: IdmParams | None = None,
 ) -> ProposalSet:
     """The full candidate set: |paths| x |offsets| x |speed_fractions| rollouts.
 
     Output order is the deterministic product order (path-major, then offset,
-    then fraction). When params_per_fraction is None, each fraction maps to
-    base_params with v0 = fraction * path speed limit.
+    then fraction). Each row follows base_params with v0 = max(0.1, fraction
+    * path speed limit).
     """
     if not paths:
         raise ValueError("paths must be nonempty")
-    base = base_params or IdmParams()
-    rows = []
-    meta = []
-    for path_index, path in enumerate(paths):
-        for off in cfg.offsets:
-            for frac_i, frac in enumerate(cfg.speed_fractions):
-                if params_per_fraction is not None:
-                    p = params_per_fraction[frac_i]
-                else:
-                    p = replace(base, v0=max(0.1, frac * path.speed_limit))
-                rows.append((path, off, p))
-                meta.append((path_index, off, frac))
-    positions, headings, speeds, s_track = _rollout_rows(ego, rows, agents, cfg)
-    meta = np.array(meta, dtype=float)  # (n, 3): path index, offset, fraction
+    n_off, n_frac = len(cfg.offsets), len(cfg.speed_fractions)
+    path_index = np.repeat(np.arange(len(paths)), n_off * n_frac)
+    offsets = np.tile(np.repeat(np.asarray(cfg.offsets, dtype=float), n_frac), len(paths))
+    fractions = np.tile(np.asarray(cfg.speed_fractions, dtype=float), len(paths) * n_off)
+    limits = np.array([path.speed_limit for path in paths], dtype=float)[path_index]
+    v0 = np.maximum(0.1, fractions * limits)
+    positions, headings, speeds, s_track = _rollout_rows(
+        ego, paths, path_index, offsets, v0, base_params or IdmParams(), agents, cfg
+    )
     return ProposalSet(
-        cfg.dt, positions, headings, speeds, s_track, meta[:, 0].astype(int),
-        meta[:, 1], meta[:, 2], np.zeros(len(rows), int), tuple(paths),
+        cfg.dt, positions, headings, speeds, s_track, path_index,
+        offsets, fractions, np.zeros(len(path_index), int), tuple(paths),
     )

@@ -18,8 +18,8 @@ from .geometry import (
     normalize_angle,
     point_in_polygon,
     points_in_polygons,
-    polyline_arclengths,
     rect_corners,
+    SegmentTable,
 )
 
 AGENT_KINDS = ("vehicle", "pedestrian", "static")
@@ -109,25 +109,29 @@ class Lane:
             raise ValidationError(
                 f"lanes[{self.id}].centerline: segment exceeds max length {MAX_SEGMENT_LENGTH} m"
             )
-        s = polyline_arclengths(pts)
         pts.flags.writeable = False
-        s.flags.writeable = False
-        object.__setattr__(self, "_points", pts)
-        object.__setattr__(self, "_s", s)
+        segments = SegmentTable(pts)
+        segments.s.flags.writeable = False
+        object.__setattr__(self, "_segments", segments)
 
     @property
     def points(self) -> np.ndarray:
         """(N, 2) centerline points, built once and read-only."""
-        return self._points
+        return self._segments.points
 
     @property
     def s(self) -> np.ndarray:
         """(N,) cumulative arclength of the centerline, read-only."""
-        return self._s
+        return self._segments.s
+
+    @property
+    def segments(self) -> SegmentTable:
+        """The centerline's segment table, for project_points_to_polyline."""
+        return self._segments
 
     @property
     def length(self) -> float:
-        return float(self._s[-1])
+        return float(self._segments.s[-1])
 
     @property
     def start(self) -> Pose2:

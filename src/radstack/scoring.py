@@ -172,10 +172,8 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
     if not stopped:
         return None
     pos = np.array([[a.pose.x, a.pose.y] for a in stopped])
-    s_a, lat_a, _ = project_points_to_polyline(pos, path.points, path.s)
-    s_e, _, _ = project_points_to_polyline(
-        np.array([[ego.pose.x, ego.pose.y]]), path.points, path.s
-    )
+    s_a, lat_a, _ = project_points_to_polyline(pos, path.segments)
+    s_e, _, _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), path.segments)
     s_e = float(s_e[0])
     _, head0 = path.pose_at(0.0)
     start = path.start
@@ -379,10 +377,13 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     inside = points_in_polygons(corners.reshape(-1, 2), ctx.scenario.drivable_area)
     ras = inside.reshape(n, -1).all(axis=1).astype(float)
 
-    # Route progress for every proposal, in one projection call.
-    endpoints = np.concatenate([pos[:, 0, :], pos[:, -1, :]])
-    s_ends, _, _ = project_points_to_polyline(endpoints, route.points, route.s)
-    gains = s_ends[n:] - s_ends[:n]
+    # Route progress for every proposal, in one projection call. Most rows
+    # start at the ego pose, so each distinct start point is projected once
+    # (keyed as x + iy; -0.0 and 0.0 merge, which leaves s unchanged).
+    start = pos[:, 0, :]
+    _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
+    s_ends, _, _ = project_points_to_polyline(np.concatenate([start[first], pos[:, -1, :]]), route.segments)
+    gains = s_ends[len(first):] - s_ends[start_of_row]
 
     ras_eff = np.maximum(ras, RELAX_FLOOR) if ctx.relax.active else ras
     feasible = (cols * ras_eff) > 0
@@ -409,7 +410,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     appended = ~proposals.tracked
     if appended.any():
         s = s.copy()
-        s_flat, _, _ = project_points_to_polyline(pos[appended].reshape(-1, 2), route.points, route.s)
+        s_flat, _, _ = project_points_to_polyline(pos[appended].reshape(-1, 2), route.segments)
         s[appended] = s_flat.reshape(-1, steps + 1)
     opposing = np.empty((n, steps), dtype=bool)
     for j, path in enumerate(paths):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IoError, OffMapError, ParseError
+from .errors import IoError, OffMapError, ParseError, ValidationError
 from .geometry import (
     boxes_overlap,
     normalize_angle,
@@ -30,6 +30,7 @@ from .scene import (
     AgentState,
     EgoState,
     Pose2,
+    TRAJECTORY_TAGS,
     Scenario,
     Trajectory,
     footprint_inside_drivable,
@@ -278,7 +279,7 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
             ent = tuple(np.append(col, val) for col, val in zip(ent, e))
         ex, ey, eh, ev, ehl, ehw = ent
         lanes = scenario.lanes
-        proj = [project_points_to_polyline(np.stack([ex, ey], axis=1), lane.points, lane.s) for lane in lanes]
+        proj = [project_points_to_polyline(np.stack([ex, ey], axis=1), lane.segments) for lane in lanes]
 
         # Lanes in id order; only a strictly smaller |lateral| takes over.
         best = np.full(len(veh), np.inf)
@@ -497,37 +498,87 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         raise IoError(f"cannot write episode log {path}: {e}") from e
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_agent_row(v) -> bool:
+    return (
+        isinstance(v, list) and len(v) == 8 and isinstance(v[0], str)
+        and all(map(_is_number, v[1:7])) and isinstance(v[7], str)
+    )
+
+
+# Episode-log fields the program reads: (description for the error message, predicate).
+_LOG_FIELDS = {
+    "planner": ("a string", lambda v: isinstance(v, str)),
+    "dt": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
+    "scenario": ("an object", lambda v: isinstance(v, dict)),
+    "tick": ("an integer >= 0", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0),
+    "ego": ("[x, y, heading, speed, accel, steering] as finite numbers",
+            lambda v: isinstance(v, list) and len(v) == 6 and all(map(_is_number, v))),
+    "agents": ("a list of [id, x, y, heading, speed, half_length, half_width, kind]",
+               lambda v: isinstance(v, list) and all(map(_is_agent_row, v))),
+    "tag": (f"one of {list(TRAJECTORY_TAGS)}", lambda v: v in TRAJECTORY_TAGS),
+    "breakdown": ("null or an object with a finite aggregate",
+                  lambda v: v is None or (isinstance(v, dict) and _is_number(v.get("aggregate")))),
+    "name": (f"one of {list(EVENT_NAMES)}", lambda v: v in EVENT_NAMES),
+}
+_RECORD_FIELDS = {
+    "header": ("planner", "dt", "scenario"),
+    "tick": ("tick", "ego", "agents", "tag", "breakdown"),
+    "proposal": ("tick",),
+    "event": ("tick", "name"),
+}
+
+
 def load_episode_log(path) -> EpisodeLog:
+    """Read a log written by save_episode_log.
+
+    Every field the program reads is checked; a malformed line raises
+    ParseError naming the line and the field.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+            lines = f.read().splitlines()
     except OSError as e:
         raise IoError(f"cannot read episode log {path}: {e}") from e
-    if not lines:
-        raise ParseError(f"episode log {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed episode log {path}: {e}") from e
-    if header.get("type") != "header":
-        raise ParseError(f"episode log {path} missing header record")
-    log = EpisodeLog(
-        scenario=scenario_from_dict(header["scenario"]),
-        planner_kind=header["planner"],
-        dt=float(header["dt"]),
-    )
-    for ln in lines[1:]:
+    records = []
+    for number, ln in enumerate(lines, start=1):
+        if not ln.strip():
+            continue
+        where = f"malformed episode log {path} line {number}"
         try:
             rec = json.loads(ln)
         except json.JSONDecodeError as e:
-            raise ParseError(f"malformed episode log line in {path}: {e}") from e
+            raise ParseError(f"{where}: {e}") from e
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: expected an object, got {type(rec).__name__}")
         kind = rec.pop("type", None)
+        allowed = ("header",) if not records else ("tick", "proposal", "event")
+        if kind not in allowed:
+            raise ParseError(f"{where}: type: expected one of {list(allowed)}, got {kind!r}")
+        for key in _RECORD_FIELDS[kind]:
+            if key not in rec:
+                raise ParseError(f"{where}: {key}: missing")
+            desc, ok = _LOG_FIELDS[key]
+            if not ok(rec[key]):
+                raise ParseError(f"{where}: {key}: expected {desc}, got {rec[key]!r}")
+        if kind == "header":
+            try:
+                scenario = scenario_from_dict(rec["scenario"])
+            except (ParseError, ValidationError) as e:
+                raise ParseError(f"{where}: scenario: {e}") from e
+        records.append((kind, rec))
+    if not records:
+        raise ParseError(f"episode log {path} is empty")
+    header = records[0][1]
+    log = EpisodeLog(scenario=scenario, planner_kind=header["planner"], dt=float(header["dt"]))
+    for kind, rec in records[1:]:
         if kind == "tick":
             log.records.append(rec)
         elif kind == "proposal":
             log.proposal_records.append(rec)
-        elif kind == "event":
-            log.events.append((rec["tick"], rec["name"]))
         else:
-            raise ParseError(f"unknown record type {kind!r} in {path}")
+            log.events.append((rec["tick"], rec["name"]))
     return log

@@ -21,6 +21,7 @@ from .geometry import (
     polyline_arclengths,
     project_point_to_polyline,
     resample_polyline,
+    SegmentTable,
 )
 from .scene import EgoState, Pose2, Scenario
 
@@ -49,15 +50,20 @@ class ProposalPath:
     ends_at_terminus: bool = False  # chain exhausted before the horizon cut
 
     def __post_init__(self):
-        object.__setattr__(self, "_s", polyline_arclengths(self.points))
+        object.__setattr__(self, "_segments", SegmentTable(self.points))
 
     @property
     def s(self) -> np.ndarray:
-        return self._s
+        return self._segments.s
+
+    @property
+    def segments(self) -> SegmentTable:
+        """The path's segment table, for project_points_to_polyline."""
+        return self._segments
 
     @property
     def length(self) -> float:
-        return float(self._s[-1])
+        return float(self._segments.s[-1])
 
     @property
     def start(self) -> np.ndarray:
@@ -66,7 +72,7 @@ class ProposalPath:
     def pose_at(self, s) -> tuple:
         """(positions, headings) at arclengths s (scalar or array), clamped."""
         arr = np.atleast_1d(np.asarray(s, dtype=float))
-        pos, head = interpolate_on_polyline(self.points, self._s, arr)
+        pos, head = interpolate_on_polyline(self.points, self.s, arr)
         return pos, head
 
 

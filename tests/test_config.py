@@ -7,6 +7,9 @@ from radstack.cli import main
 from radstack.config import build_planner_config, build_sim_config, validate_config
 from radstack.errors import ConfigError
 from radstack.scene import generate_synthetic_scenario, scenario_to_dict
+from radstack.simulator import EpisodeLog, save_episode_log
+
+from conftest import straight_scenario
 
 
 GOOD = {
@@ -122,3 +125,100 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+# -- CLI boundaries: episode logs and numeric flags ---------------------------
+
+
+def _episode_log_lines(tmp_path):
+    """The lines of a small valid log: 12 ticks of straight driving at 5 m/s and one event."""
+    log = EpisodeLog(scenario=straight_scenario(), planner_kind="rad", dt=0.1)
+    for tick in range(12):
+        log.records.append(
+            {"tick": tick, "ego": [0.5 * tick, 0.0, 0.0, 5.0, 0.0, 0.0], "agents": [], "tag": "idm", "breakdown": None}
+        )
+    log.events.append((12, "goal_reached"))
+    p = tmp_path / "ep.jsonl"
+    save_episode_log(log, p)
+    return [json.loads(ln) for ln in p.read_text().splitlines()]
+
+
+def _cluster_vocab(tmp_path, lines):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    path = logs / "ep.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+    argv = ["cluster-vocab", "--episodes", str(logs), "--k", "1", "--horizon-steps", "4", "--stride", "2"]
+    return main(argv + ["--out", str(tmp_path / "vocab.txt")]), path
+
+
+def test_cli_clusters_a_valid_episode_log(tmp_path, capsys):
+    assert _cluster_vocab(tmp_path, _episode_log_lines(tmp_path))[0] == 0
+    assert capsys.readouterr().err == ""
+
+
+def _set(line, key, value):
+    def edit(lines):
+        lines[line][key] = value
+
+    return edit
+
+
+def _drop(line, key):
+    def edit(lines):
+        del lines[line][key]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_set(0, "dt", None), "line 1: dt: expected a finite number > 0, got None"),
+        (_set(0, "dt", -0.1), "line 1: dt: expected a finite number > 0, got -0.1"),
+        (lambda lines: lines.__setitem__(0, [1]), "line 1: expected an object, got list"),
+        (_drop(0, "planner"), "line 1: planner: missing"),
+        (_set(0, "scenario", {}), "line 1: scenario: missing top-level keys: "),
+        (lambda lines: lines.pop(0), "line 1: type: expected one of ['header'], got 'tick'"),
+        (_set(1, "type", "note"), "line 2: type: expected one of ['tick', 'proposal', 'event'], got 'note'"),
+        (_set(1, "ego", [0.0]), "line 2: ego: expected [x, y, heading, speed, accel, steering] as finite numbers, got [0.0]"),
+        (_set(1, "agents", [["a", 1.0]]), "line 2: agents: expected a list of [id, x, y, heading, speed, half_length, half_width, kind], got [['a', 1.0]]"),
+        (_set(2, "tag", "rules"), "line 3: tag: expected one of ['idm', 'vocabulary', 'learned', 'learned_offset', 'replay'], got 'rules'"),
+        (_set(2, "breakdown", {"aggregate": "high"}), "line 3: breakdown: expected null or an object with a finite aggregate, got {'aggregate': 'high'}"),
+        (_set(3, "tick", -1), "line 4: tick: expected an integer >= 0, got -1"),
+        (_drop(13, "tick"), "line 14: tick: missing"),
+        (_set(13, "name", "crash"), "line 14: name: expected one of ['collision', 'off_road', 'goal_reached', 'deadlock', 'off_map_error'], got 'crash'"),
+    ],
+)
+def test_cli_reports_malformed_episode_log_in_one_line(tmp_path, capsys, edit, problem):
+    lines = _episode_log_lines(tmp_path)
+    edit(lines)
+    code, path = _cluster_vocab(tmp_path, lines)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cluster-vocab: malformed episode log {path} {problem}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["gen-scenarios", "--kind", "blocked_lane", "--count", "-1", "--out", "o"], "--count: expected an integer >= 1, got '-1'"),
+        (["cluster-vocab", "--episodes", "e", "--k", "0", "--out", "o"], "--k: expected an integer >= 1, got '0'"),
+        (["cluster-vocab", "--episodes", "e", "--k", "2", "--stride", "0", "--out", "o"], "--stride: expected an integer >= 1, got '0'"),
+        (["cluster-vocab", "--episodes", "e", "--k", "2", "--horizon-steps", "0", "--out", "o"], "--horizon-steps: expected an integer >= 1, got '0'"),
+        (["train-head", "--samples", "e", "--vocab", "v", "--epochs", "-3", "--out", "o"], "--epochs: expected an integer >= 1, got '-3'"),
+        (["train-head", "--samples", "e", "--vocab", "v", "--lr", "nan", "--out", "o"], "--lr: expected a finite number > 0, got 'nan'"),
+        (["train-head", "--samples", "e", "--vocab", "v", "--lr", "0", "--out", "o"], "--lr: expected a finite number > 0, got '0'"),
+        (["train-head", "--samples", "e", "--vocab", "v", "--lr", "inf", "--out", "o"], "--lr: expected a finite number > 0, got 'inf'"),
+        (["bench", "--scenarios", "s", "--planners", "rad", "--report", "r", "--latency-calls", "-1"], "--latency-calls: expected an integer >= 0, got '-1'"),
+    ],
+)
+def test_cli_rejects_out_of_range_flags_as_usage_errors(capsys, argv, problem):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"radstack {argv[0]}: error: argument {problem}"

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from radstack import geometry
 from radstack.geometry import (
     boxes_overlap,
     interpolate_on_polyline,
@@ -16,6 +18,7 @@ from radstack.geometry import (
     polyline_arclengths,
     project_point_to_polyline,
     project_points_to_polyline,
+    SegmentTable,
     rect_corners,
     resample_polyline,
 )
@@ -209,7 +212,7 @@ def test_project_points_matches_scalar():
     pts = np.array([[0, 0], [10, 0], [10, 10]], dtype=float)
     s_cum = polyline_arclengths(pts)
     qs = np.array([[1.0, 2.0], [9.5, 1.0], [10.5, 9.0], [-1.0, -1.0]])
-    s_b, lat_b, head_b = project_points_to_polyline(qs, pts, s_cum)
+    s_b, lat_b, head_b = project_points_to_polyline(qs, SegmentTable(pts))
     for i, q in enumerate(qs):
         s, lat, head, _ = project_point_to_polyline(q, pts, s_cum)
         assert s_b[i] == pytest.approx(s, abs=1e-12)
@@ -223,3 +226,90 @@ def test_lateral_sign_is_left_positive():
     assert lateral == pytest.approx(1.0)
     _, lateral, _, _ = project_point_to_polyline((5.0, -2.0), pts)
     assert lateral == pytest.approx(-2.0)
+
+
+def _reference_project_points(ps, pts):
+    """The dense projection over every segment, as it was before segment tables."""
+    s_cum = polyline_arclengths(pts)
+    ax, ay = pts[:-1, 0], pts[:-1, 1]
+    ex = np.diff(pts[:, 0])
+    ey = np.diff(pts[:, 1])
+    len2 = ex * ex + ey * ey
+    inv_len2 = np.where(len2 > 0, 1.0 / np.maximum(len2, 1e-300), 0.0)
+    dx = ps[:, 0, None] - ax
+    dy = ps[:, 1, None] - ay
+    u = np.clip((dx * ex + dy * ey) * inv_len2, 0.0, 1.0)
+    fx = dx - u * ex
+    fy = dy - u * ey
+    d2 = fx * fx + fy * fy
+    idx = np.argmin(d2, axis=1)
+    rows = np.arange(len(ps))
+    s = s_cum[idx] + u[rows, idx] * np.sqrt(len2[idx])
+    head = np.arctan2(ey[idx], ex[idx])
+    lateral = -np.sin(head) * fx[rows, idx] + np.cos(head) * fy[rows, idx]
+    return s, lateral, head
+
+
+@st.composite
+def _projection_case(draw):
+    """A polyline and query points that stress the broad phase.
+
+    Polylines have 1-60 segments (any remainder modulo the chunk size): a
+    lattice walk of axis-aligned unit-multiple segments, where points on a
+    bend's bisector tie exactly between two segments, a zigzag whose chunk
+    boxes are wide but whose segments are far from most of the box, or a
+    smooth random walk with an occasional repeated vertex. Points sit on
+    vertices, on bisectors, near the line, or up to 10 km off it (far
+    points widen every window, so only some examples have them); 1-40 or
+    200-400 points, so points x segments falls on both sides of
+    PRUNE_MIN_PAIRS.
+    """
+    m = draw(st.integers(1, 60))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(200, 400)))
+    shape = draw(st.sampled_from(["lattice", "zigzag", "walk"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "lattice":
+        steps = rng.integers(1, 4, (m, 1)) * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])[rng.integers(0, 4, m)]
+        # No immediate reversal, so no segment folds back onto the last.
+        for i in range(1, m):
+            if (steps[i] == -steps[i - 1]).all():
+                steps[i] = steps[i - 1]
+    elif shape == "zigzag":
+        steps = np.stack([np.full(m, 0.5), np.where(np.arange(m) % 2 == 0, 6.0, -6.0)], axis=1)
+    else:
+        heading = np.cumsum(rng.normal(0.0, 0.6, m))
+        lengths = rng.uniform(0.2, 3.0, m) * (rng.random(m) > 0.05)
+        steps = np.stack([lengths * np.cos(heading), lengths * np.sin(heading)], axis=1)
+    pts = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]) + rng.integers(-50, 50, 2)
+    vertex = pts[rng.integers(0, m + 1, n)]
+    t = rng.choice([0.0, 0.25, 0.5, 1.0, 3.0], (n, 1))
+    diagonal = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[rng.integers(0, 4, n)]
+    kind = rng.choice(4, n, p=draw(st.sampled_from([(1, 0, 0, 0), (0.3, 0.4, 0.3, 0), (0.2, 0.3, 0.3, 0.2)])))
+    ps = np.where(
+        (kind == 0)[:, None],
+        vertex,
+        np.where(
+            (kind == 1)[:, None],
+            vertex + t * diagonal,
+            np.where(
+                (kind == 2)[:, None],
+                vertex + rng.normal(0.0, 2.0, (n, 2)),
+                vertex + rng.uniform(-1e4, 1e4, (n, 2)),
+            ),
+        ),
+    )
+    return ps, pts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_projection_case())
+def test_pruned_projection_matches_dense_reference_bitwise(case):
+    ps, pts = case
+    ref = _reference_project_points(ps, pts)
+    table = SegmentTable(pts)
+    assert np.array_equal(table.s, polyline_arclengths(pts))
+    for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then the broad phase always
+        with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
+            got = project_points_to_polyline(ps, table)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -139,6 +139,17 @@ def test_min_progress_relative_exemption(plain_path):
     assert list(_score([stationary, offroad], path=plain_path, min_progress=2.0).c_mp) == [1, 1]
 
 
+def test_progress_gain_is_measured_from_each_row_start(plain_path):
+    # Rows 0, 1 and 3 start at the ego, row 2 starts 6 m ahead and offset
+    # rows like it start beside it: each row's gain runs from its own start.
+    def row(x0, step, y=0.0):
+        return _traj_from_xy(np.stack([x0 + step * np.arange(41), np.full(41, y)], axis=1))
+
+    rows = [row(0.0, 0.5), row(0.0, 0.5, y=0.5), row(6.0, 0.25), row(0.0, 0.25)]
+    # Gains 20, 20, 10 and 10 m over the best gain of 20 m.
+    assert list(_score(rows, path=plain_path).c_ep) == [1.0, 1.0, 0.5, 0.5]
+
+
 # -- weighted objective terms -------------------------------------------------
 
 

@@ -30,6 +30,8 @@ from radstack.simulator import (
     step_agents,
 )
 
+from radstack.vocabulary import Vocabulary
+
 from conftest import static_car, straight_lane, straight_scenario
 
 
@@ -435,6 +437,38 @@ def test_rad_breakdown_log_matches_recorded_digest(tmp_path, blocked_scenario):
     p = tmp_path / "rad.jsonl"
     save_episode_log(log, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_BREAKDOWN_LOG_SHA256
+
+
+# sha256 of the same episode log when `rad` also scores a hand-made
+# 4-prototype vocabulary (151 ticks to goal_reached, 38 of them won by a
+# vocabulary row, 5134 proposal rows). Each tick re-projects the 164 samples of
+# the vocabulary rows onto the route, above PRUNE_MIN_PAIRS, so this pins the
+# broad-phase projection. Regenerate as above.
+BLOCKED_LANE_7_VOCABULARY_LOG_SHA256 = "45d42b26ec3b16f4c3937b8e57d7a312f497a871406d427993dabbe7cbf867fb"
+
+
+def _four_prototype_vocabulary():
+    t = np.arange(1, 41) * 0.1  # s, the default 4 s horizon
+    ramp = np.minimum(t / 3.0, 1.0)
+    return Vocabulary(
+        prototypes=np.stack(
+            [
+                np.stack([4.0 * t, 0.0 * t], axis=1),  # slow, straight
+                np.stack([8.0 * t, 0.0 * t], axis=1),  # at the limit, straight
+                np.stack([7.0 * t, 3.5 * ramp], axis=1),  # one lane left
+                np.stack([6.0 * t, -1.0 * ramp], axis=1),  # a metre right
+            ]
+        ),
+        dt=0.1,
+    )
+
+
+def test_rad_vocabulary_log_matches_recorded_digest(tmp_path, blocked_scenario):
+    planner = Planner(blocked_scenario, kind="rad", vocabulary=_four_prototype_vocabulary())
+    log = run_episode(blocked_scenario, planner, SimConfig(record_breakdowns=True))
+    p = tmp_path / "rad_vocabulary.jsonl"
+    save_episode_log(log, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_VOCABULARY_LOG_SHA256
 
 
 def test_episode_log_round_trip(tmp_path, blocked_scenario):
