@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import IoError
-from .geometry import polyline_arclengths, project_point_to_polyline
+from .geometry import project_points_to_polyline, SegmentTable
 from .planner import Planner, PlannerConfig
 from .simulator import EpisodeLog, SimConfig, run_episode
 from .topology import _chain_points
@@ -59,16 +59,13 @@ def route_completion(log: EpisodeLog) -> float:
     if not log.records:
         return 0.0
     pts, _, _ = _chain_points(log.scenario, log.scenario.route)
-    s_cum = polyline_arclengths(pts)
-    goal = log.scenario.goal
-    s_goal, _, _, _ = project_point_to_polyline((goal.x, goal.y), pts, s_cum)
+    goal, start = log.scenario.goal, log.scenario.ego.pose
+    x, y = log.records[-1]["ego"][0], log.records[-1]["ego"][1]
+    (s_goal, s_start, s_end), _, _, _ = project_points_to_polyline(
+        np.array([[goal.x, goal.y], [start.x, start.y], [x, y]]), SegmentTable(pts)
+    )
     if s_goal <= 0:
         return 1.0
-    x, y = log.records[-1]["ego"][0], log.records[-1]["ego"][1]
-    s_end, _, _, _ = project_point_to_polyline((x, y), pts, s_cum)
-    s_start, _, _, _ = project_point_to_polyline(
-        (log.scenario.ego.pose.x, log.scenario.ego.pose.y), pts, s_cum
-    )
     return float(min(1.0, max(0.0, (s_end - s_start) / max(s_goal - s_start, 1e-9))))
 
 

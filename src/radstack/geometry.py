@@ -3,11 +3,14 @@
 Everything operates on plain floats / numpy arrays in the world frame
 (right-handed, meters, heading 0 = +x).
 
-Batch projection onto a polyline reads a SegmentTable that the polyline's
-owner (a scene Lane or a topology ProposalPath) builds once and keeps for
-its lifetime. Large batches prune segments chunk by chunk before the exact
-pass and return the same bits as the dense pass; see
-project_points_to_polyline.
+project_points_to_polyline is the one projection onto a polyline: it takes
+a batch of points (one point is a batch of one) and returns arclength,
+signed lateral, heading and foot point per point. It reads a SegmentTable
+that the polyline's owner (a scene Lane or a topology ProposalPath) builds
+once and keeps for its lifetime; a caller with a polyline of its own builds
+one table and projects every point it needs through it. Large batches prune
+segments chunk by chunk before the exact pass and return the same bits as
+the dense pass.
 """
 
 from __future__ import annotations
@@ -37,6 +40,15 @@ def normalize_angles(a: np.ndarray) -> np.ndarray:
     # np.mod maps exact -pi to +pi already; keep +pi, move anything <= -pi up
     out = np.where(out <= -math.pi, out + TWO_PI, out)
     return out
+
+
+def to_local_frame(points, x: float, y: float, heading: float) -> np.ndarray:
+    """World points (..., 2) in the frame of the pose (x, y, heading): x forward, y left."""
+    points = np.asarray(points, dtype=float)
+    c, s = math.cos(heading), math.sin(heading)
+    dx = points[..., 0] - x
+    dy = points[..., 1] - y
+    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
 
 
 def rect_corners(
@@ -201,36 +213,6 @@ def resample_polyline(pts: np.ndarray, ds: float) -> np.ndarray:
     return np.stack([x, y], axis=1)
 
 
-def project_point_to_polyline(p, pts: np.ndarray, s_cum: np.ndarray | None = None):
-    """Project a point onto a polyline.
-
-    Returns (arclength, signed_lateral, heading_at_foot, foot_point).
-    Lateral is positive to the left of the travel direction.
-    """
-    pts = np.asarray(pts, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if s_cum is None:
-        s_cum = polyline_arclengths(pts)
-    a = pts[:-1]
-    b = pts[1:]
-    e = b - a
-    seg_len2 = (e * e).sum(axis=1)
-    rel = p[None, :] - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(seg_len2 > 0, (rel * e).sum(axis=1) / seg_len2, 0.0)
-    u = np.clip(u, 0.0, 1.0)
-    foot = a + u[:, None] * e
-    d2 = ((p[None, :] - foot) ** 2).sum(axis=1)
-    i = int(np.argmin(d2))
-    seg_len = math.sqrt(seg_len2[i]) if seg_len2[i] > 0 else 0.0
-    s = s_cum[i] + u[i] * seg_len
-    heading = math.atan2(e[i, 1], e[i, 0]) if seg_len > 0 else 0.0
-    dx = p - foot[i]
-    # Left-normal of the segment direction.
-    lateral = -math.sin(heading) * dx[0] + math.cos(heading) * dx[1]
-    return float(s), float(lateral), float(heading), foot[i]
-
-
 CHUNK = 8  # segments per broad-phase chunk of a SegmentTable
 PRUNE_MIN_PAIRS = 12_000  # points x segments from which the broad phase pays for itself
 PRUNE_MARGIN = 1e-6  # m; slack on the broad phase's upper bound, far above rounding
@@ -251,9 +233,11 @@ class SegmentTable:
         self._d = np.diff(pts, axis=0)
         self.points = pts
         self.len2 = (self._d * self._d).sum(axis=1)
+        self.lengths = np.sqrt(self.len2)
         # The arithmetic of polyline_arclengths, on the squared lengths.
-        self.s = np.concatenate([[0.0], np.cumsum(np.sqrt(self.len2))])
+        self.s = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.n_chunks = -(-len(self.len2) // CHUNK)
+        self._headings = np.full(len(self.len2), np.nan)  # taken on first use
         self._cols = None
         self._boxes = None
 
@@ -268,6 +252,18 @@ class SegmentTable:
             cols[:, m:] = cols[:, m - 1 : m]
             self._cols = cols
         return self._cols
+
+    def headings(self, idx: np.ndarray) -> np.ndarray:
+        """Direction angles of segments idx (0 if degenerate), each taken once.
+
+        By math.atan2: numpy's arctan2 may take a vector routine that differs
+        from it in the last bit on some CPUs."""
+        head = self._headings[idx]
+        todo = np.isnan(head)
+        if todo.any():
+            seg = idx[todo]
+            head[todo] = self._headings[seg] = [math.atan2(dy, dx) for dx, dy in self._d[seg].tolist()]
+        return head
 
     @property
     def n_segments(self) -> int:
@@ -315,13 +311,14 @@ def _segment_window(ps: np.ndarray, table: SegmentTable):
 def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     """Vectorized projection of many points onto one polyline.
 
-    ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,);
-    lateral is positive to the left. Each point takes the first segment of
-    least squared distance to its clamped foot point. Above PRUNE_MIN_PAIRS
-    points x segments a broad phase over the table's chunk boxes narrows each
-    point to a contiguous window of segments (_segment_window); the narrow
-    phase is the same elementwise arithmetic over the window in ascending
-    segment order, so the result is bit-identical to the dense pass.
+    ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,),
+    and the foot points (N, 2); lateral is positive to the left of the travel
+    direction. Each point takes the first segment of least squared distance
+    to its clamped foot point. Above PRUNE_MIN_PAIRS points x segments a
+    broad phase over the table's chunk boxes narrows each point to a
+    contiguous window of segments (_segment_window); the narrow phase is the
+    same elementwise arithmetic over the window in ascending segment order,
+    so the result is bit-identical to the dense pass.
     """
     ps = np.asarray(ps, dtype=float)
     window = None
@@ -333,17 +330,19 @@ def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
         ax, ay, ex, ey, inv_len2 = table.cols[:, window]
     dx = ps[:, 0, None] - ax
     dy = ps[:, 1, None] - ay
-    u = np.clip((dx * ex + dy * ey) * inv_len2, 0.0, 1.0)
+    u = np.minimum(np.maximum((dx * ex + dy * ey) * inv_len2, 0.0), 1.0)  # np.clip, at less call overhead
     fx = dx - u * ex
     fy = dy - u * ey
     d2 = fx * fx + fy * fy
     k = np.argmin(d2, axis=1)
     rows = np.arange(len(ps))
     idx = k if window is None else window[rows, k]
-    s = table.s[idx] + u[rows, k] * np.sqrt(table.len2[idx])
-    head = np.arctan2(table.cols[3, idx], table.cols[2, idx])
+    u_k = u[rows, k]
+    s = table.s[idx] + u_k * table.lengths[idx]
+    head = table.headings(idx)
     lateral = -np.sin(head) * fx[rows, k] + np.cos(head) * fy[rows, k]
-    return s, lateral, head
+    foot = table.points[idx] + u_k[:, None] * table._d[idx]
+    return s, lateral, head, foot
 
 
 def interpolate_on_polyline(pts: np.ndarray, s_cum: np.ndarray, s: np.ndarray):

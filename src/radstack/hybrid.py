@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .proposals import ProposalSet
+from .proposals import LATERAL_RATE, LATERAL_SPEED_RATIO, ProposalSet
 from .scene import Trajectory
 from .scoring import ScoreContext, select_best
 
@@ -16,9 +16,16 @@ DEFAULT_LEARNED_OFFSETS = (-0.5, 0.5)
 
 
 def _shift_lateral(traj: Trajectory, offset: float) -> Trajectory:
-    """Displace every waypoint along its own left-normal by `offset` metres."""
+    """Displace the waypoints along their own left-normals, ramping in to `offset` metres.
+
+    Sample 0 stays at the ego; each step adds at most the lateral rate cap
+    of the IDM offset rows, min(LATERAL_RATE, LATERAL_SPEED_RATIO * v) * dt
+    at the step's starting speed v, until the shift reaches |offset|.
+    """
+    rate = np.minimum(LATERAL_RATE, LATERAL_SPEED_RATIO * traj.speeds[:-1]) * traj.dt
+    shift = np.copysign(np.minimum(np.concatenate([[0.0], np.cumsum(rate)]), abs(offset)), offset)
     normal = np.stack([-np.sin(traj.headings), np.cos(traj.headings)], axis=1)
-    positions = traj.positions + offset * normal
+    positions = traj.positions + shift[:, None] * normal
     return Trajectory(traj.dt, positions, traj.headings, traj.speeds, "learned_offset")
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, IoError, ParseError
+from .geometry import to_local_frame
 from .scene import EgoState, Pose2, Trajectory
 from .topology import ProposalPath, project_onto_path
 from .vocabulary import Vocabulary, instantiate_vocabulary, slice_ego_windows
@@ -66,10 +67,8 @@ def extract_features(ego: EgoState, agents, path: ProposalPath, goal: Pose2) -> 
         f[6] = curv.mean()
         f[7] = np.abs(curv).max()
 
-    c, s = math.cos(ego.pose.heading), math.sin(ego.pose.heading)
-    gdx, gdy = goal.x - ego.pose.x, goal.y - ego.pose.y
-    gx = c * gdx + s * gdy
-    gy = -s * gdx + c * gdy
+    pose = ego.pose
+    gx, gy = to_local_frame((goal.x, goal.y), pose.x, pose.y, pose.heading)
     dist = math.hypot(gx, gy)
     f[8] = min(dist, 200.0)
     if dist > 1e-9:
@@ -79,12 +78,10 @@ def extract_features(ego: EgoState, agents, path: ProposalPath, goal: Pose2) -> 
     ranked = sorted(
         agents,
         key=lambda a: (math.hypot(a.pose.x - ego.pose.x, a.pose.y - ego.pose.y), a.id),
-    )
-    for slot, a in enumerate(ranked[:N_AGENT_SLOTS]):
+    )[:N_AGENT_SLOTS]
+    xy = np.array([[a.pose.x, a.pose.y] for a in ranked]).reshape(-1, 2)
+    for slot, (a, (rx, ry)) in enumerate(zip(ranked, to_local_frame(xy, pose.x, pose.y, pose.heading))):
         base = 11 + slot * AGENT_FEATURES
-        dx, dy = a.pose.x - ego.pose.x, a.pose.y - ego.pose.y
-        rx = c * dx + s * dy
-        ry = -s * dx + c * dy
         rel_head = a.pose.heading - ego.pose.heading
         vx = a.speed * math.cos(rel_head)
         vy = a.speed * math.sin(rel_head)

@@ -261,7 +261,7 @@ def _step_kernel(
 
 def _project_agents(path: ProposalPath, agent_xy, agent_heading, agent_speed):
     """Per-agent along-path state: (s, lateral, longitudinal speed)."""
-    s, lat, _ = project_points_to_polyline(agent_xy, path.segments)
+    s, lat, _, _ = project_points_to_polyline(agent_xy, path.segments)
     _, path_head = path.pose_at(s)
     return s, lat, agent_speed * np.cos(agent_heading - path_head)
 

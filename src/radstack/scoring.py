@@ -25,6 +25,7 @@ from .geometry import (
     points_in_polygons,
     project_points_to_polyline,
     rect_corners_batch,
+    to_local_frame,
 )
 from .proposals import CORRIDOR_HALF_WIDTH, CORRIDOR_MARGIN, ProposalSet
 from .scene import EgoState, Scenario
@@ -171,10 +172,9 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
     stopped = [a for a in agents if a.kind == "static" or a.speed < 0.1]
     if not stopped:
         return None
-    pos = np.array([[a.pose.x, a.pose.y] for a in stopped])
-    s_a, lat_a, _ = project_points_to_polyline(pos, path.segments)
-    s_e, _, _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), path.segments)
-    s_e = float(s_e[0])
+    pos = np.array([[ego.pose.x, ego.pose.y]] + [[a.pose.x, a.pose.y] for a in stopped])
+    s_all, lat_all, _, _ = project_points_to_polyline(pos, path.segments)
+    s_e, s_a, lat_a = float(s_all[0]), s_all[1:], lat_all[1:]
     _, head0 = path.pose_at(0.0)
     start = path.start
     best = None
@@ -186,8 +186,7 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
         if s_i < 0.25:
             # Clamped projection: resolve longitudinal position against the
             # path start frame so agents behind the start are excluded.
-            rel = np.array([a.pose.x, a.pose.y]) - start
-            s_i = float(rel[0] * math.cos(head0[0]) + rel[1] * math.sin(head0[0]))
+            s_i = float(to_local_frame(pos[i + 1], start[0], start[1], head0[0])[0])
         if s_i + a.half_length < s_e - ego.half_length:  # fully behind
             continue
         d = max(0.0, (s_i - a.half_length) - (s_e + ego.half_length))
@@ -382,7 +381,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     # (keyed as x + iy; -0.0 and 0.0 merge, which leaves s unchanged).
     start = pos[:, 0, :]
     _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
-    s_ends, _, _ = project_points_to_polyline(np.concatenate([start[first], pos[:, -1, :]]), route.segments)
+    s_ends, _, _, _ = project_points_to_polyline(np.concatenate([start[first], pos[:, -1, :]]), route.segments)
     gains = s_ends[len(first):] - s_ends[start_of_row]
 
     ras_eff = np.maximum(ras, RELAX_FLOOR) if ctx.relax.active else ras
@@ -410,7 +409,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     appended = ~proposals.tracked
     if appended.any():
         s = s.copy()
-        s_flat, _, _ = project_points_to_polyline(pos[appended].reshape(-1, 2), route.segments)
+        s_flat, _, _, _ = project_points_to_polyline(pos[appended].reshape(-1, 2), route.segments)
         s[appended] = s_flat.reshape(-1, steps + 1)
     opposing = np.empty((n, steps), dtype=bool)
     for j, path in enumerate(paths):

@@ -20,9 +20,8 @@ from .geometry import (
     boxes_overlap,
     normalize_angle,
     normalize_angles,
-    polyline_arclengths,
-    project_point_to_polyline,
     project_points_to_polyline,
+    SegmentTable,
 )
 from .planner import Planner, PlannerConfig
 from .proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
@@ -83,21 +82,7 @@ class EpisodeLog:
         return [name for _, name in self.events]
 
     def ego_states(self):
-        out = []
-        for r in self.records:
-            x, y, heading, speed, accel, steering = r["ego"]
-            out.append(
-                EgoState(
-                    pose=Pose2(x, y, heading),
-                    speed=speed,
-                    accel=accel,
-                    steering=steering,
-                    wheelbase=self.scenario.ego.wheelbase,
-                    half_length=self.scenario.ego.half_length,
-                    half_width=self.scenario.ego.half_width,
-                )
-            )
-        return out
+        return [record_ego(r, self.scenario.ego) for r in self.records]
 
 
 def bicycle_step(
@@ -216,8 +201,9 @@ def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()
     the speed error at a short lookahead. Commands are clamped by bicycle_step.
     """
     pts = reference.positions
-    s_cum = polyline_arclengths(pts)
-    s, e_lat, ref_head, _ = project_point_to_polyline((ego.pose.x, ego.pose.y), pts, s_cum)
+    table = SegmentTable(pts)
+    s_cum = table.s
+    (s,), (e_lat,), (ref_head,), _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), table)
     e_head = normalize_angle(ego.pose.heading - ref_head)
 
     idx = int(np.clip(np.searchsorted(s_cum, s, side="right") - 1, 0, len(pts) - 2))
@@ -285,7 +271,7 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
         best = np.full(len(veh), np.inf)
         lane_of = np.full(len(veh), -1)
         for k in sorted(range(len(lanes)), key=lambda k: lanes[k].id):
-            _, lat, head = proj[k]
+            _, lat, head, _ = proj[k]
             lat = np.abs(lat[veh])
             take = (lat <= 3.0) & (np.cos(h[veh] - head[veh]) >= 0.5) & (lat < best)
             best[take] = lat[take]
@@ -294,7 +280,7 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
         for k in np.unique(lane_of[lane_of >= 0]):
             lane = lanes[k]
             rows = veh[lane_of == k]
-            s_e, lat_e, head_e = proj[k]
+            s_e, lat_e, head_e, _ = proj[k]
             s_self = s_e[rows]
             # A vehicle's own column has d = -2 half lengths, so it never leads.
             d = s_e - s_self[:, None] - ehl - hl[rows, None]
@@ -340,6 +326,12 @@ def _agents_record(agents):
         [a.id, a.pose.x, a.pose.y, a.pose.heading, a.speed, a.half_length, a.half_width, a.kind]
         for a in agents
     ]
+
+
+def record_ego(rec: dict, ego: EgoState) -> EgoState:
+    """Rebuild the ego state of one tick record; dimensions come from `ego`."""
+    x, y, heading, speed, accel, steering = rec["ego"]
+    return replace(ego, pose=Pose2(x, y, heading), speed=speed, accel=accel, steering=steering)
 
 
 def record_agents(rec: dict):
@@ -569,6 +561,12 @@ def load_episode_log(path) -> EpisodeLog:
                 scenario = scenario_from_dict(rec["scenario"])
             except (ParseError, ValidationError) as e:
                 raise ParseError(f"{where}: scenario: {e}") from e
+        elif kind == "tick":
+            try:  # the checks of EgoState and AgentState, e.g. a speed >= 0
+                record_ego(rec, scenario.ego)
+                record_agents(rec)
+            except ValidationError as e:
+                raise ParseError(f"{where}: {e}") from e
         records.append((kind, rec))
     if not records:
         raise ParseError(f"episode log {path} is empty")

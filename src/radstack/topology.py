@@ -19,7 +19,7 @@ from .geometry import (
     interpolate_on_polyline,
     normalize_angle,
     polyline_arclengths,
-    project_point_to_polyline,
+    project_points_to_polyline,
     resample_polyline,
     SegmentTable,
 )
@@ -78,10 +78,8 @@ class ProposalPath:
 
 def project_onto_path(path: ProposalPath, pose: Pose2) -> tuple:
     """(arclength, signed lateral offset (+left), heading error) of a pose."""
-    s, lateral, path_heading, _ = project_point_to_polyline(
-        (pose.x, pose.y), path.points, path.s
-    )
-    return s, lateral, normalize_angle(pose.heading - path_heading)
+    (s,), (lateral,), (path_heading,), _ = project_points_to_polyline(np.array([[pose.x, pose.y]]), path.segments)
+    return float(s), float(lateral), normalize_angle(pose.heading - path_heading)
 
 
 def _chain_points(scenario: Scenario, lane_ids, reverse_first: bool = False):
@@ -104,10 +102,11 @@ def _chain_points(scenario: Scenario, lane_ids, reverse_first: bool = False):
 
 def _root_at_ego(points: np.ndarray, opposing: np.ndarray, ego_xy, horizon_length: float):
     """Cut a polyline at the ego projection and truncate to the horizon."""
-    s_cum = polyline_arclengths(points)
-    s0, _, _, foot = project_point_to_polyline(ego_xy, points, s_cum)
+    table = SegmentTable(points)
+    s_cum = table.s
+    (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), table)
     keep = s_cum > s0 + 1e-9
-    pts = np.concatenate([[foot], points[keep]])
+    pts = np.concatenate([foot, points[keep]])
     opp = np.concatenate([[opposing[min(int(np.searchsorted(s_cum, s0)), len(opposing) - 1)]], opposing[keep]])
     s_new = polyline_arclengths(pts)
     if s_new[-1] > horizon_length:
@@ -146,8 +145,8 @@ def _build_path(scenario, lane_ids, ego_xy, horizon_length, source, reverse_firs
 
 
 def _nearest_distance(lane, ego_xy) -> float:
-    _, _, _, foot = project_point_to_polyline(ego_xy, lane.points, lane.s)
-    return float(np.hypot(*(np.asarray(ego_xy) - foot)))
+    _, _, _, foot = project_points_to_polyline(np.array([ego_xy]), lane.segments)
+    return float(np.hypot(*(np.asarray(ego_xy) - foot[0])))
 
 
 def _enumerate_chains(scenario: Scenario, start_lane_id: str, ego_xy, horizon_length: float):
@@ -158,8 +157,8 @@ def _enumerate_chains(scenario: Scenario, start_lane_id: str, ego_xy, horizon_le
     chain per branch; ties resolve by lane-id order so output is deterministic.
     """
     start = scenario.lane_by_id(start_lane_id)
-    s_ego, _, _, _ = project_point_to_polyline(ego_xy, start.points, start.s)
-    remaining0 = start.length - s_ego
+    (s_ego,), _, _, _ = project_points_to_polyline(np.array([ego_xy]), start.segments)
+    remaining0 = start.length - float(s_ego)
 
     chains = []
     # Heap entries: (consumed_length, chain); equal lengths pop in lane-id order.
@@ -248,15 +247,16 @@ def _splice_opposing(scenario, opp_lane_id, base: ProposalPath, ego_xy, horizon_
     """Reversed opposing centerline for a bounded bypass, spliced back to the route."""
     opp = scenario.lane_by_id(opp_lane_id)
     rev = opp.points[::-1]
-    s_cum = polyline_arclengths(rev)
-    s0, _, _, foot = project_point_to_polyline(ego_xy, rev, s_cum)
+    table = SegmentTable(rev)
+    s_cum = table.s
+    (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), table)
     s_end = min(s0 + BYPASS_LENGTH, s_cum[-1])
     keep = (s_cum > s0 + 1e-9) & (s_cum < s_end - 1e-9)
     end_pos, _ = interpolate_on_polyline(rev, s_cum, np.array([s_end]))
-    bypass_pts = np.concatenate([[foot], rev[keep], end_pos])
+    bypass_pts = np.concatenate([foot, rev[keep], end_pos])
 
     # Merge back onto the base path MERGE_GAP metres past the bypass end.
-    s_merge, _, _, _ = project_point_to_polyline(bypass_pts[-1], base.points, base.s)
+    (s_merge,), _, _, _ = project_points_to_polyline(bypass_pts[-1:], base.segments)
     s_back = min(s_merge + MERGE_GAP, base.length)
     keep_base = base.s > s_back + 1e-9
     back_pos, _ = base.pose_at(s_back)

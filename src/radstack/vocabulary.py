@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClusterError, IoError, ParseError, ValidationError
+from .geometry import to_local_frame
 from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
 
 V_MAX = 20.0  # m/s bound used by the start-near-origin invariant
@@ -48,18 +49,11 @@ def slice_ego_windows(states, horizon_steps: int, stride: int = 5):
     states: EgoState sequence at uniform dt. Each window transforms the next
     horizon_steps positions into the frame of the window's first state.
     """
+    xy = np.array([(st.pose.x, st.pose.y) for st in states]).reshape(-1, 2)
     out = []
-    n = len(states)
-    for i in range(0, n - horizon_steps, stride):
+    for i in range(0, len(states) - horizon_steps, stride):
         anchor = states[i].pose
-        c, s = math.cos(anchor.heading), math.sin(anchor.heading)
-        pts = np.empty((horizon_steps, 2))
-        for j in range(horizon_steps):
-            p = states[i + 1 + j].pose
-            dx, dy = p.x - anchor.x, p.y - anchor.y
-            pts[j, 0] = c * dx + s * dy
-            pts[j, 1] = -s * dx + c * dy
-        out.append(pts)
+        out.append(to_local_frame(xy[i + 1 : i + 1 + horizon_steps], anchor.x, anchor.y, anchor.heading))
     return out
 
 

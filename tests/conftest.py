@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radstack.geometry import polyline_arclengths
 from radstack.scene import (
     AgentState,
     EgoState,
@@ -73,3 +74,34 @@ def static_car(agent_id, x, y, heading=0.0, half_length=2.3, half_width=1.0):
         half_width=half_width,
         kind="static",
     )
+
+
+def reference_project_points(ps, pts):
+    """The dense projection over every segment: the tests' reference for project_points_to_polyline.
+
+    Returns (s, lateral, heading, foot) like the program's projection: each
+    point takes the first segment of least squared distance to its clamped
+    foot point.
+    """
+    ps = np.asarray(ps, dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    s_cum = polyline_arclengths(pts)
+    ax, ay = pts[:-1, 0], pts[:-1, 1]
+    ex = np.diff(pts[:, 0])
+    ey = np.diff(pts[:, 1])
+    len2 = ex * ex + ey * ey
+    inv_len2 = np.where(len2 > 0, 1.0 / np.maximum(len2, 1e-300), 0.0)
+    dx = ps[:, 0, None] - ax
+    dy = ps[:, 1, None] - ay
+    u = np.clip((dx * ex + dy * ey) * inv_len2, 0.0, 1.0)
+    fx = dx - u * ex
+    fy = dy - u * ey
+    d2 = fx * fx + fy * fy
+    idx = np.argmin(d2, axis=1)
+    rows = np.arange(len(ps))
+    u = u[rows, idx]
+    s = s_cum[idx] + u * np.sqrt(len2[idx])
+    head = np.array([math.atan2(y, x) for x, y in zip(ex[idx], ey[idx])])
+    lateral = -np.sin(head) * fx[rows, idx] + np.cos(head) * fy[rows, idx]
+    foot = np.stack([ax[idx] + u * ex[idx], ay[idx] + u * ey[idx]], axis=1)
+    return s, lateral, head, foot

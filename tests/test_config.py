@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import radstack
 from radstack.cli import main
 from radstack.config import build_planner_config, build_sim_config, validate_config
 from radstack.errors import ConfigError
@@ -186,6 +191,9 @@ def _drop(line, key):
         (_set(2, "tag", "rules"), "line 3: tag: expected one of ['idm', 'vocabulary', 'learned', 'learned_offset', 'replay'], got 'rules'"),
         (_set(2, "breakdown", {"aggregate": "high"}), "line 3: breakdown: expected null or an object with a finite aggregate, got {'aggregate': 'high'}"),
         (_set(3, "tick", -1), "line 4: tick: expected an integer >= 0, got -1"),
+        (_set(3, "ego", [1.5, 0.0, 0.0, -5.0, 0.0, 0.0]), "line 4: ego.speed: must be >= 0"),
+        (_set(4, "agents", [["a", 1.0, 2.0, 0.0, 0.0, 2.3, 1.0, "truck"]]), "line 5: agents[a].kind: unknown kind 'truck'"),
+        (_set(5, "agents", [["a", 1.0, 2.0, 0.0, 0.0, 2.3, 0.0, "static"]]), "line 6: agents[a]: half extents must be > 0"),
         (_drop(13, "tick"), "line 14: tick: missing"),
         (_set(13, "name", "crash"), "line 14: name: expected one of ['collision', 'off_road', 'goal_reached', 'deadlock', 'off_map_error'], got 'crash'"),
     ],
@@ -222,3 +230,10 @@ def test_cli_rejects_out_of_range_flags_as_usage_errors(capsys, argv, problem):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == f"radstack {argv[0]}: error: argument {problem}"
+
+
+def test_python_dash_m_radstack_runs_the_cli():
+    src = str(Path(radstack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "radstack", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.startswith("usage: radstack")

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from radstack import geometry
 from radstack.geometry import (
@@ -16,12 +16,13 @@ from radstack.geometry import (
     points_in_polygons,
     polygon_as_aabb,
     polyline_arclengths,
-    project_point_to_polyline,
     project_points_to_polyline,
     SegmentTable,
     rect_corners,
     resample_polyline,
 )
+
+from conftest import reference_project_points
 
 
 def test_normalize_angle_range():
@@ -199,55 +200,106 @@ def _dense_projection_oracle(pts, s_cum, p):
 def test_projection_matches_dense_sampling_oracle():
     pts = np.array([[0, 0], [10, 0], [10, 10]], dtype=float)
     s_cum = polyline_arclengths(pts)
-    for p in [(9.5, 1.0), (11.0, 0.5), (10.5, -0.2), (3.0, 2.0)]:
+    qs = np.array([(9.5, 1.0), (11.0, 0.5), (10.5, -0.2), (3.0, 2.0)])
+    s, _, _, foot = project_points_to_polyline(qs, SegmentTable(pts))
+    for i, p in enumerate(qs):
         s_oracle, d_oracle = _dense_projection_oracle(pts, s_cum, p)
-        s, lateral, _, foot = project_point_to_polyline(p, pts, s_cum)
-        d_direct = math.dist(p, foot)
+        d_direct = math.dist(p, foot[i])
         assert d_direct == pytest.approx(d_oracle, abs=1e-6)
-        if abs(s - s_oracle) > 1e-3:  # distinct feet only happen at equidistant kinks
+        if abs(s[i] - s_oracle) > 1e-3:  # distinct feet only happen at equidistant kinks
             assert d_direct <= d_oracle + 1e-9
 
 
-def test_project_points_matches_scalar():
-    pts = np.array([[0, 0], [10, 0], [10, 10]], dtype=float)
+def _assert_bitwise(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def _random_polyline_case(draw):
+    """A random polyline, a batch of query points, and no hand oracle.
+
+    2-300 vertices from a random walk where a step may repeat its vertex (a
+    zero-length segment), fold straight back over the last step, or jump
+    back to an earlier vertex. Points sit near the line, on vertices, past
+    either end along the end segment's direction, or far off. The batch
+    holds 1-20 points or enough to reach PRUNE_MIN_PAIRS points x segments,
+    so both sides of the broad-phase threshold are drawn.
+    """
+    m = draw(st.integers(2, 300)) - 1  # segments
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    heading = np.cumsum(rng.normal(0.0, 0.8, m))
+    steps = np.stack([np.cos(heading), np.sin(heading)], axis=1) * rng.uniform(0.1, 4.0, (m, 1))
+    mix = draw(st.sampled_from([(1, 0, 0, 0), (0.7, 0.1, 0.1, 0.1), (0.4, 0.2, 0.2, 0.2)]))
+    moves = rng.choice(4, m, p=mix)
+    pts = np.empty((m + 1, 2))
+    pts[0] = rng.uniform(-100.0, 100.0, 2)
+    for i in range(m):
+        if moves[i] == 1:  # repeated vertex
+            pts[i + 1] = pts[i]
+        elif moves[i] == 2 and i > 0:  # straight back over the last step
+            pts[i + 1] = pts[i - 1]
+        elif moves[i] == 3:  # back to an earlier vertex
+            pts[i + 1] = pts[rng.integers(0, i + 1)]
+        else:
+            pts[i + 1] = pts[i] + steps[i]
+    if draw(st.booleans()):
+        n = -(-geometry.PRUNE_MIN_PAIRS // m) + draw(st.integers(0, 30))
+    else:
+        n = draw(st.integers(1, 20))
+    kind = rng.integers(0, 5, n)
+    vertex = pts[rng.integers(0, m + 1, n)]
+    first, last = pts[1] - pts[0], pts[-1] - pts[-2]
+    t = rng.uniform(0.0, 20.0, (n, 1))
+    ps = np.select(
+        [(kind == k)[:, None] for k in range(4)],
+        [
+            vertex + rng.normal(0.0, 1.5, (n, 2)),
+            vertex,
+            pts[0] - t * first + rng.normal(0.0, 0.5, (n, 2)),
+            pts[-1] + t * last + rng.normal(0.0, 0.5, (n, 2)),
+        ],
+        vertex + rng.uniform(-1e3, 1e3, (n, 2)),
+    )
+    return ps, pts, None
+
+
+ORACLE_POINTS = 4  # points per example held to the sampling oracle
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_random_polyline_case())
+@example(  # left of travel is positive, right negative
+    case=(np.array([[5.0, 1.0], [5.0, -2.0]]), np.array([[0.0, 0.0], [10.0, 0.0]]), ([5.0, 5.0], [1.0, -2.0]))
+)
+@example(  # beside a corner, past the start, and the second leg from either side
+    case=(
+        np.array([[1.0, 2.0], [9.5, 1.0], [10.5, 9.0], [-1.0, -1.0]]),
+        np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]),
+        ([1.0, 11.0, 19.0, 0.0], [2.0, 0.5, -0.5, -1.0]),
+    )
+)
+def test_projection_matches_reference_and_sampling_oracle(case):
+    ps, pts, expected = case
+    s, lateral, head, foot = got = project_points_to_polyline(ps, SegmentTable(pts))
+    _assert_bitwise(got, reference_project_points(ps, pts))
+
     s_cum = polyline_arclengths(pts)
-    qs = np.array([[1.0, 2.0], [9.5, 1.0], [10.5, 9.0], [-1.0, -1.0]])
-    s_b, lat_b, head_b = project_points_to_polyline(qs, SegmentTable(pts))
-    for i, q in enumerate(qs):
-        s, lat, head, _ = project_point_to_polyline(q, pts, s_cum)
-        assert s_b[i] == pytest.approx(s, abs=1e-12)
-        assert lat_b[i] == pytest.approx(lat, abs=1e-12)
-        assert head_b[i] == head
+    d = np.hypot(*(ps - foot).T)
+    for i in range(min(len(ps), ORACLE_POINTS)):
+        assert d[i] <= _dense_projection_oracle(pts, s_cum, ps[i])[1] + 1e-9
+    on_line, _ = interpolate_on_polyline(pts, s_cum, s)
+    assert np.allclose(on_line, foot, rtol=0.0, atol=1e-9)
 
-
-def test_lateral_sign_is_left_positive():
-    pts = np.array([[0, 0], [10, 0]], dtype=float)
-    _, lateral, _, _ = project_point_to_polyline((5.0, 1.0), pts)
-    assert lateral == pytest.approx(1.0)
-    _, lateral, _, _ = project_point_to_polyline((5.0, -2.0), pts)
-    assert lateral == pytest.approx(-2.0)
-
-
-def _reference_project_points(ps, pts):
-    """The dense projection over every segment, as it was before segment tables."""
-    s_cum = polyline_arclengths(pts)
-    ax, ay = pts[:-1, 0], pts[:-1, 1]
-    ex = np.diff(pts[:, 0])
-    ey = np.diff(pts[:, 1])
-    len2 = ex * ex + ey * ey
-    inv_len2 = np.where(len2 > 0, 1.0 / np.maximum(len2, 1e-300), 0.0)
-    dx = ps[:, 0, None] - ax
-    dy = ps[:, 1, None] - ay
-    u = np.clip((dx * ex + dy * ey) * inv_len2, 0.0, 1.0)
-    fx = dx - u * ex
-    fy = dy - u * ey
-    d2 = fx * fx + fy * fy
-    idx = np.argmin(d2, axis=1)
-    rows = np.arange(len(ps))
-    s = s_cum[idx] + u[rows, idx] * np.sqrt(len2[idx])
-    head = np.arctan2(ey[idx], ex[idx])
-    lateral = -np.sin(head) * fx[rows, idx] + np.cos(head) * fy[rows, idx]
-    return s, lateral, head
+    # Lateral is the offset from the foot along the left normal of travel.
+    left = np.cos(head) * (ps[:, 1] - foot[:, 1]) - np.sin(head) * (ps[:, 0] - foot[:, 0])
+    assert np.allclose(lateral, left, rtol=0.0, atol=1e-9 * (1.0 + d))
+    assert (np.abs(lateral) <= d * (1.0 + 1e-12) + 1e-12).all()
+    if expected is not None:
+        s_want, lateral_want = expected
+        assert s == pytest.approx(s_want, abs=1e-12)
+        assert lateral == pytest.approx(lateral_want, abs=1e-12)
 
 
 @st.composite
@@ -305,11 +357,9 @@ def _projection_case(draw):
 @given(case=_projection_case())
 def test_pruned_projection_matches_dense_reference_bitwise(case):
     ps, pts = case
-    ref = _reference_project_points(ps, pts)
+    ref = reference_project_points(ps, pts)
     table = SegmentTable(pts)
     assert np.array_equal(table.s, polyline_arclengths(pts))
     for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then the broad phase always
         with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
-            got = project_points_to_polyline(ps, table)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            _assert_bitwise(project_points_to_polyline(ps, table), ref)

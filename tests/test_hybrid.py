@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radstack.errors import HorizonMismatchError
-from radstack.hybrid import hybrid_select, inject_learned
+from radstack.hybrid import _shift_lateral, hybrid_select, inject_learned
 from radstack.proposals import ProposalConfig, generate_proposals
 from radstack.scene import EgoState, Trajectory
 from radstack.scoring import ScoreContext, ScoreWeights, forecast_agents, select_best
@@ -43,13 +43,31 @@ def test_inject_offsets_cardinality_and_tags(plain_scenario):
 
 
 def test_inject_normal_shift_oracle(plain_scenario):
+    # At 8 m/s the IDM offset rows' rate cap is min(0.75, 0.5 * 8) * 0.1 = 0.075 m
+    # per step, so the shift reaches 0.5 m after 7 steps; sample 0 stays at the ego.
     ps, _ = _rule_proposals(plain_scenario)
     learned = _straight_learned()
-    out = inject_learned(ps, learned, offsets=(0.5,))
-    shifted = out.trajectory(len(out) - 1)
-    delta = shifted.positions - learned.positions
-    assert np.allclose(delta[:, 0], 0.0, atol=1e-12)
-    assert np.allclose(delta[:, 1], 0.5, atol=1e-12)
+    out = inject_learned(ps, learned, offsets=(0.5, -0.5))
+    ramp = np.minimum(0.075 * np.arange(41), 0.5)
+    for row, sign in ((len(out) - 2, 1.0), (len(out) - 1, -1.0)):
+        delta = out.trajectory(row).positions - learned.positions
+        assert np.array_equal(delta[0], [0.0, 0.0])
+        assert np.allclose(delta[:, 0], 0.0, atol=1e-12)
+        assert np.allclose(delta[:, 1], sign * ramp, atol=1e-12)
+
+
+def test_learned_offset_ramp_follows_speed():
+    # Slow samples cap the step at half the speed: 0.5 * 1 m/s * 0.1 s = 0.05 m,
+    # then 0.75 m/s from 1.5 m/s on; a standing plan never leaves the line.
+    learned = _straight_learned(v=8.0)
+    speeds = np.where(np.arange(41) < 5, 1.0, 8.0)
+    slow = Trajectory(learned.dt, learned.positions, learned.headings, speeds, "learned")
+    delta = _shift_lateral(slow, 1.0).positions[:, 1]
+    want = np.minimum(np.concatenate([[0.0], np.cumsum(np.where(np.arange(40) < 5, 0.05, 0.075))]), 1.0)
+    assert np.allclose(delta, want, atol=1e-12)
+    assert delta[6] == pytest.approx(0.325)
+    standing = Trajectory(learned.dt, learned.positions, learned.headings, np.zeros(41), "learned")
+    assert np.array_equal(_shift_lateral(standing, 0.5).positions, learned.positions)
 
 
 def test_inject_horizon_mismatch(plain_scenario):

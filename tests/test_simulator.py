@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
-from radstack.geometry import interpolate_on_polyline, normalize_angle, project_point_to_polyline
+from radstack.geometry import interpolate_on_polyline, normalize_angle
 from radstack.planner import Planner, PlannerConfig
 from radstack.proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
 from radstack.scene import (
@@ -32,7 +32,7 @@ from radstack.simulator import (
 
 from radstack.vocabulary import Vocabulary
 
-from conftest import static_car, straight_lane, straight_scenario
+from conftest import reference_project_points, static_car, straight_lane, straight_scenario
 
 
 def _ego(x=0.0, y=0.0, heading=0.0, speed=5.0):
@@ -191,13 +191,17 @@ def test_step_agents_platoon_no_collision():
                 )
 
 
+def _reference_project(pose, lane):
+    """(s, lateral, heading) of one pose's position on a lane, by the dense reference."""
+    s, lat, head, _ = reference_project_points(np.array([[pose.x, pose.y]]), lane.points)
+    return s[0], lat[0], head[0]
+
+
 def _reference_agent_lane(scenario, agent):
     """Lane whose direction best matches the agent heading, within 3 m."""
     best = None
     for lane in scenario.lanes:
-        s, lat, head, _ = project_point_to_polyline(
-            (agent.pose.x, agent.pose.y), lane.points, lane.s
-        )
+        s, lat, head = _reference_project(agent.pose, lane)
         if abs(lat) > 3.0:
             continue
         align = math.cos(agent.pose.heading - head)
@@ -226,7 +230,7 @@ def _reference_step_vehicle(agent, agents, scenario, dt, ego):
             ),
         )
     s_cum = lane.s
-    s_self, _, _, _ = project_point_to_polyline((agent.pose.x, agent.pose.y), lane.points, s_cum)
+    s_self, _, _ = _reference_project(agent.pose, lane)
 
     # Nearest entity ahead in this lane corridor (other agents and the ego).
     gap = math.inf
@@ -235,7 +239,7 @@ def _reference_step_vehicle(agent, agents, scenario, dt, ego):
     if ego is not None:
         entities.append((ego.pose, ego.speed, ego.half_length, ego.half_width))
     for pose, speed, half_len, half_w in entities:
-        s_o, lat_o, head_o, _ = project_point_to_polyline((pose.x, pose.y), lane.points, s_cum)
+        s_o, lat_o, head_o = _reference_project(pose, lane)
         if abs(lat_o) > agent.half_width + half_w + CORRIDOR_MARGIN:
             continue
         d = s_o - s_self - half_len - agent.half_length
@@ -444,7 +448,7 @@ def test_rad_breakdown_log_matches_recorded_digest(tmp_path, blocked_scenario):
 # vocabulary row, 5134 proposal rows). Each tick re-projects the 164 samples of
 # the vocabulary rows onto the route, above PRUNE_MIN_PAIRS, so this pins the
 # broad-phase projection. Regenerate as above.
-BLOCKED_LANE_7_VOCABULARY_LOG_SHA256 = "45d42b26ec3b16f4c3937b8e57d7a312f497a871406d427993dabbe7cbf867fb"
+BLOCKED_LANE_7_VOCABULARY_LOG_SHA256 = "80d22b1cc85eb1b3c6728d9bcdf425ec4bf77f6909615225931cf212e2778f50"
 
 
 def _four_prototype_vocabulary():
