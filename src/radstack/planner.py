@@ -112,9 +112,10 @@ class Planner:
             cfg = cfg.without_goal()
         if kind in ("planhead", "hybrid") and model is None:
             raise ValueError(f"planner kind {kind!r} requires a trained model")
+        # `not <=` so that a NaN dt fails the check.
         if vocabulary is not None and (
             vocabulary.T != cfg.proposal.horizon_steps
-            or abs(vocabulary.dt - cfg.proposal.dt) > 1e-12
+            or not abs(vocabulary.dt - cfg.proposal.dt) <= 1e-12
         ):
             raise ValueError(
                 f"vocabulary sampling (T={vocabulary.T}, dt={vocabulary.dt}) does not match "
@@ -122,7 +123,7 @@ class Planner:
             )
         if model is not None and (
             model.vocab.T != cfg.proposal.horizon_steps
-            or abs(model.vocab.dt - cfg.proposal.dt) > 1e-12
+            or not abs(model.vocab.dt - cfg.proposal.dt) <= 1e-12
         ):
             raise ValueError("model vocabulary sampling does not match the proposal horizon")
         self.kind = kind
@@ -217,7 +218,9 @@ class Planner:
         forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
         proposals = generate_proposals(ego, paths, agents, cfg.proposal, base_params=cfg.idm)
         if cfg.enable_vocabulary and self.vocabulary is not None:
-            proposals.add(*(instantiate_prototype(self.vocabulary, i, ego) for i in range(self.vocabulary.K)))
+            vocab = self.vocabulary
+            rows = instantiate_prototype(vocab.prototypes, ego, vocab.dt)
+            proposals.append(vocab.dt, *rows, ("vocabulary",) * vocab.K)
         stage_times.append(("proposals", time.perf_counter() - t1))
 
         t2 = time.perf_counter()
@@ -245,9 +248,11 @@ class Planner:
             winner, scores, best = select_best(proposals, ctx)
         stage_times.append(("scoring", time.perf_counter() - t2))
 
+        # Sample 0 of a path's rollout arclength is the ego's projection onto
+        # that path; the rollout rows come first, path by path.
+        first_rows = np.searchsorted(proposals.path_index[proposals.tracked], np.arange(len(paths)))
         gap = 0.0
-        for path in paths:
-            s_ego, _, _ = project_onto_path(path, ego.pose)
+        for path, s_ego in zip(paths, proposals.s_track[first_rows, 0]):
             gap = max(gap, float(np.linalg.norm(path.pose_at(s_ego)[0][0] - path.start)))
         return PlanResult(
             trajectory=winner,

@@ -88,8 +88,8 @@ class ProposalSet:
 
     Rows from generate_proposals come first, in its product order, and carry
     their path (path_index into paths) and rollout arclength s_track. Rows
-    appended by add (vocabulary and learned plans) have path_index -1, offset
-    and fraction 0 and a NaN s_track. A row's index is its position.
+    appended by append or add (vocabulary and learned plans) have path_index
+    -1, offset and fraction 0 and a NaN s_track. A row's index is its position.
     """
 
     dt: float
@@ -147,20 +147,35 @@ class ProposalSet:
         """Append one row per trajectory. Raises HorizonMismatchError when a
         trajectory's sampling differs from the set's."""
         for t in trajectories:
-            if abs(t.dt - self.dt) > 1e-12 or t.horizon_steps != self.horizon_steps:
-                raise HorizonMismatchError(
-                    f"trajectory has dt={t.dt}, steps={t.horizon_steps}; "
-                    f"set expects dt={self.dt}, steps={self.horizon_steps}"
-                )
-        n = len(trajectories)
-        self.positions = np.concatenate([self.positions, [t.positions for t in trajectories]])
-        self.headings = np.concatenate([self.headings, [t.headings for t in trajectories]])
-        self.speeds = np.concatenate([self.speeds, [t.speeds for t in trajectories]])
+            self._check_sampling(t.dt, t.horizon_steps)
+        self.append(
+            self.dt,
+            np.array([t.positions for t in trajectories]),
+            np.array([t.headings for t in trajectories]),
+            np.array([t.speeds for t in trajectories]),
+            [t.tag for t in trajectories],
+        )
+
+    def append(self, dt: float, positions, headings, speeds, tags) -> None:
+        """Append rows without a path: positions (m, S+1, 2), headings and
+        speeds (m, S+1), and one tag name per row. Raises HorizonMismatchError
+        when dt or S differs from the set's."""
+        self._check_sampling(dt, positions.shape[1] - 1)
+        n = len(positions)
+        self.positions = np.concatenate([self.positions, positions])
+        self.headings = np.concatenate([self.headings, headings])
+        self.speeds = np.concatenate([self.speeds, speeds])
         self.s_track = np.concatenate([self.s_track, np.full((n, self.s_track.shape[1]), np.nan)])
         self.path_index = np.concatenate([self.path_index, np.full(n, -1)])
         self.offsets = np.concatenate([self.offsets, np.zeros(n)])
         self.fractions = np.concatenate([self.fractions, np.zeros(n)])
-        self.tags = np.concatenate([self.tags, [TAG_PRIORITY.index(t.tag) for t in trajectories]])
+        self.tags = np.concatenate([self.tags, [TAG_PRIORITY.index(t) for t in tags]])
+
+    def _check_sampling(self, dt: float, steps: int) -> None:
+        if not abs(dt - self.dt) <= 1e-12 or steps != self.horizon_steps:  # a NaN dt fails too
+            raise HorizonMismatchError(
+                f"trajectory has dt={dt}, steps={steps}; set expects dt={self.dt}, steps={self.horizon_steps}"
+            )
 
 
 def idm_accel(v, v_lead, gap, p: IdmParams):
@@ -207,56 +222,166 @@ def _step_kernel(
     Per step and row: pick the nearest agent ahead whose lateral band covers
     the current blend position (the first such agent on equal gaps); follow it
     with IDM, or creep past it when the proposal's target offset clears the
-    band; brake for the path terminus. s, l and v are advanced in place.
+    band; brake for the path terminus. Fills s_hist and l_hist (rows 0..steps)
+    and leaves s, l and v at the last step.
+
+    On arrays this small a ufunc call costs mostly its own overhead, so the
+    loop makes as few calls as the arithmetic allows: every constant is an
+    (n,) or (n, A) array (a Python-float operand costs more per call), every
+    result lands in a buffer allocated here, whatever does not depend on
+    (s, l, v) is computed before the loop, and quantities that take the same
+    operation share one call as rows of a stacked buffer. Each value is
+    computed by the same operations in the same order as in the elementwise
+    form, so the result is the same to the bit.
     """
-    n = len(s)
-    rows = np.arange(n)
-    has_agents = a_s.shape[1] > 0
+    n, n_agents = a_s.shape
+    eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl = np.repeat(
+        [[1e-9], [0.05], [0.0], [1.0], [-B_HARD], [LATERAL_RATE], [LATERAL_SPEED_RATIO], [CREEP_MIN_GAP],
+         [ego_half_length]],
+        n,
+        axis=1,
+    )
     any_terminus = bool(terminus.any())
-    free_flow = np.full(n, np.inf)
-    no_bypass = np.zeros(n, dtype=bool)
+    # A row without a terminus never stops for the path end: inf - s < gap is false.
+    path_end = np.where(terminus, path_len, np.inf)
+
+    # Stacked buffers, one row per quantity:
+    #   sl[k] = (s, l) at step k;
+    #   state = (a, rate, v, s_star) and incr = (a dt, rate dt, v dt, dl):
+    #   incr[:3] = state[:3] * dt, and sl[k + 1] = sl[k] + incr[2:];
+    #   ratio = state[2:] / (v0, gap) = (v / v0, s_star / gap), or
+    #   state[2:] / (creep_v0, creep_gap) on the creep branch.
+    sl = np.empty((steps + 1, 2, n))
+    sl[0] = s, l
+    state = np.zeros((4, n))
+    a, rate, v_now, s_star = state
+    v_now[:] = v
+    incr = np.empty((4, n))
+    a_dt, rate_dt, _, dl = incr
+    a_rate_v, v_s_star, scaled, ds_dl = state[:3], state[2:], incr[:3], incr[2:]
+    dts = np.full((3, n), dt)
+    den = np.stack([v0, np.zeros(n)])
+    gap = den[1]
+    den_creep = np.stack([creep_v0, np.zeros(n)])
+    creep_gap = den_creep[1]
+    ratio = np.empty((2, n))
+    v_ratio, q = ratio
+    v_lead, term_gap, a_creep, neg_rate, tmp = np.zeros((5, n))
+    bypass, stop, clear = np.zeros((3, n), dtype=bool)
+    tmp_col = tmp[:, None]
+    if n_agents:
+        # (s_ak, a_lat) per step, s_ak = a_s + a_vlon * (k * dt) as in the scalar form.
+        slak = np.empty((steps, 2, n, n_agents))
+        slak[:, 0] = a_s + a_vlon * (np.arange(steps) * dt)[:, None, None]
+        slak[:, 1] = a_lat
+        s_ak_all = slak[:, 0]
+        sl_cols = sl[:, :, :, None]
+        rel = np.empty((2, n, n_agents))  # (s_ak - s, a_lat - l), then |a_lat - l|
+        rel_s, dl_a = rel
+        ehl_a = np.full((n, n_agents), ego_half_length)
+        inf_a = np.full((n, n_agents), np.inf)
+        g = np.empty((n, n_agents))
+        lead, mask = np.zeros((2, n, n_agents), dtype=bool)
+        g_flat, dl_flat, lead_flat = g.reshape(-1), dl_a.reshape(-1), lead.reshape(-1)
+        vlon_flat, band_flat, clear_flat = (
+            np.ascontiguousarray(x).reshape(-1) for x in (a_vlon, a_band, bypass_clear)
+        )
+        row_base = np.arange(n) * n_agents
+        j = np.zeros(n, dtype=np.intp)
+        flat = np.zeros(n, dtype=np.intp)
+
     for k in range(steps):
-        gap, v_lead, bypass = free_flow, 0.0, no_bypass
-        if has_agents:
-            s_col = s[:, None]
-            s_ak = a_s + a_vlon * (k * dt)
-            dl_a = np.abs(a_lat - l[:, None])
-            lead = (s_ak > s_col + 1e-9) & (dl_a < a_band)
-            g = np.where(lead, s_ak - s_col - a_hlen - ego_half_length, np.inf)
-            j = np.argmin(g, axis=1)
-            gap = g[rows, j]
+        sl_k = sl[k]
+        s_k, l_k = sl_k
+        if n_agents:
+            np.subtract(slak[k], sl_cols[k], out=rel)
+            np.abs(dl_a, out=dl_a)
+            np.add(s_k, eps, out=tmp)
+            np.greater(s_ak_all[k], tmp_col, out=lead)
+            np.less(dl_a, a_band, out=mask)
+            np.logical_and(lead, mask, out=lead)
+            # g = ((s_ak - s) - a_hlen) - ego_half_length where lead, else inf
+            np.subtract(rel_s, a_hlen, out=rel_s)
+            np.subtract(rel_s, ehl_a, out=g)
+            np.logical_not(lead, out=mask)
+            np.copyto(g, inf_a, where=mask)
+            g.argmin(axis=1, out=j)
+            np.add(row_base, j, out=flat)
             # A row without a lead keeps gap = inf, where v_lead only enters
             # through s_star / gap = 0, so it needs no masking.
-            v_lead = a_vlon[rows, j]
-            bypass = lead[rows, j] & bypass_clear[rows, j]
+            g_flat.take(flat, out=gap, mode="clip")
+            vlon_flat.take(flat, out=v_lead, mode="clip")
+            lead_flat.take(flat, out=bypass, mode="clip")
+            clear_flat.take(flat, out=clear, mode="clip")
+            np.logical_and(bypass, clear, out=bypass)
+        else:
+            gap.fill(np.inf)
         if any_terminus:
-            term_gap = path_len - s - ego_half_length
-            stop = terminus & (term_gap < gap)
-            gap = np.where(stop, term_gap, gap)
-            v_lead = np.where(stop, 0.0, v_lead)
-            bypass = bypass & ~stop
-        gap = np.maximum(gap, 0.05)
+            np.subtract(path_end, s_k, out=term_gap)
+            np.subtract(term_gap, ehl, out=term_gap)
+            np.less(term_gap, gap, out=stop)
+            np.copyto(gap, term_gap, where=stop)
+            if n_agents:  # without agents v_lead stays 0 and bypass False
+                np.copyto(v_lead, zero, where=stop)
+                np.logical_not(stop, out=stop)
+                np.logical_and(bypass, stop, out=bypass)
+        np.maximum(gap, gap_floor, out=gap)
 
-        s_star = s0 + np.maximum(0.0, v * T_h + v * (v - v_lead) / brake_scale)
-        q = s_star / gap  # 0 in free flow
-        a = a_max * (1.0 - (v / v0) ** delta - q * q)
-        if bypass.any():
+        # s_star = s0 + max(0, v * T_h + v * (v - v_lead) / brake_scale)
+        np.multiply(v_now, T_h, out=s_star)
+        np.subtract(v_now, v_lead, out=tmp)
+        np.multiply(v_now, tmp, out=tmp)
+        np.divide(tmp, brake_scale, out=tmp)
+        np.add(s_star, tmp, out=s_star)
+        np.maximum(zero, s_star, out=s_star)
+        np.add(s0, s_star, out=s_star)
+        # a = a_max * (1 - (v / v0) ** delta - q * q), q = s_star / gap (0 in free flow)
+        np.divide(v_s_star, den, out=ratio)
+        np.power(v_ratio, delta, out=v_ratio)
+        np.multiply(q, q, out=q)
+        np.subtract(one, v_ratio, out=a)
+        np.subtract(a, q, out=a)
+        np.multiply(a_max, a, out=a)
+        if n_agents and np.count_nonzero(bypass):  # count_nonzero: a third of any()'s call cost
             # The go-around gap floor shrinks as the blend gains lateral
             # clearance, so the rollout can spiral out of a tight pocket;
             # the scorer's collision check remains the safety authority.
-            overlap = 1.0 - dl_a[rows, j] / a_band[rows, j]
-            creep_gap = np.maximum(gap - CREEP_MIN_GAP * overlap + s0, 0.05)
-            q_creep = s_star / creep_gap
-            a_creep = a_max * (1.0 - (v / creep_v0) ** delta - q_creep * q_creep)
-            a = np.where(bypass, np.maximum(a, a_creep), a)
-        a = np.minimum(np.maximum(a, -B_HARD), a_max)
+            # creep_gap = max(gap - CREEP_MIN_GAP * (1 - dl / band) + s0, 0.05)
+            dl_flat.take(flat, out=creep_gap, mode="clip")
+            band_flat.take(flat, out=tmp, mode="clip")
+            np.divide(creep_gap, tmp, out=creep_gap)
+            np.subtract(one, creep_gap, out=creep_gap)
+            np.multiply(creep_floor, creep_gap, out=creep_gap)
+            np.subtract(gap, creep_gap, out=creep_gap)
+            np.add(creep_gap, s0, out=creep_gap)
+            np.maximum(creep_gap, gap_floor, out=creep_gap)
+            np.divide(v_s_star, den_creep, out=ratio)
+            np.power(v_ratio, delta, out=v_ratio)
+            np.multiply(q, q, out=q)
+            np.subtract(one, v_ratio, out=a_creep)
+            np.subtract(a_creep, q, out=a_creep)
+            np.multiply(a_max, a_creep, out=a_creep)
+            np.maximum(a, a_creep, out=a_creep)
+            np.copyto(a, a_creep, where=bypass)
+        np.maximum(a, neg_b_hard, out=a)
+        np.minimum(a, a_max, out=a)
 
-        rate = np.minimum(LATERAL_RATE, LATERAL_SPEED_RATIO * v) * dt
-        s += v * dt
-        v[:] = np.maximum(0.0, v + a * dt)
-        l += np.minimum(np.maximum(targets - l, -rate), rate)
-        s_hist[k + 1] = s
-        l_hist[k + 1] = l
+        # rate = min(LATERAL_RATE, LATERAL_SPEED_RATIO * v) * dt, all from the step's starting v
+        np.multiply(lat_ratio, v_now, out=rate)
+        np.minimum(lat_rate, rate, out=rate)
+        np.multiply(a_rate_v, dts, out=scaled)
+        np.add(v_now, a_dt, out=v_now)
+        np.maximum(zero, v_now, out=v_now)
+        # dl = clip(targets - l, -rate, rate); then (s, l) += (v dt, dl)
+        np.negative(rate_dt, out=neg_rate)
+        np.subtract(targets, l_k, out=dl)
+        np.maximum(dl, neg_rate, out=dl)
+        np.minimum(dl, rate_dt, out=dl)
+        np.add(sl_k, ds_dl, out=sl[k + 1])
+    s_hist[:] = sl[:, 0]
+    l_hist[:] = sl[:, 1]
+    s[:], l[:] = sl[steps]
+    v[:] = v_now
 
 
 def _project_agents(path: ProposalPath, agent_xy, agent_heading, agent_speed):
@@ -311,7 +436,6 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
 
     s_hist = np.empty((steps + 1, n))
     l_hist = np.empty((steps + 1, n))
-    s_hist[0], l_hist[0] = s, l
 
     bypass_clear = np.abs(a_lat - targets[:, None]) >= a_band
     # The shared IDM parameters go in as (n,) columns: on arrays this small a

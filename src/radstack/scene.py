@@ -201,27 +201,8 @@ def segment_headings_and_speeds(waypoints: np.ndarray, heading0: float, speed0: 
     return headings, speeds
 
 
-def trajectory_from_arrays(
-    dt: float,
-    xy: np.ndarray,
-    headings: np.ndarray,
-    speeds: np.ndarray,
-    tag: str,
-    first: tuple | None = None,
-) -> Trajectory:
-    """Trajectory from sample arrays, with sample 0 pinned to `first`.
-
-    `first`, when given, is the exact (Pose2, speed) ego state; it is written
-    over sample 0 of copies of the arrays, so the inputs are left unchanged.
-    """
-    if first is not None:
-        pose, speed = first
-        xy = xy.copy()
-        headings = headings.copy()
-        speeds = speeds.copy()
-        xy[0] = (pose.x, pose.y)
-        headings[0] = pose.heading
-        speeds[0] = speed
+def trajectory_from_arrays(dt: float, xy: np.ndarray, headings: np.ndarray, speeds: np.ndarray, tag: str) -> Trajectory:
+    """Trajectory from sample arrays: where the proposals layer materializes a row."""
     return Trajectory(dt, xy, headings, speeds, tag)
 
 

@@ -144,21 +144,22 @@ def _build_path(scenario, lane_ids, ego_xy, horizon_length, source, reverse_firs
     )
 
 
-def _nearest_distance(lane, ego_xy) -> float:
-    _, _, _, foot = project_points_to_polyline(np.array([ego_xy]), lane.segments)
-    return float(np.hypot(*(np.asarray(ego_xy) - foot[0])))
+def _project_onto_lane(lane, ego_xy) -> tuple:
+    """(distance to the centerline, arclength along it) of the ego position."""
+    (s,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), lane.segments)
+    return float(np.hypot(*(np.asarray(ego_xy) - foot[0]))), float(s)
 
 
-def _enumerate_chains(scenario: Scenario, start_lane_id: str, ego_xy, horizon_length: float):
+def _enumerate_chains(scenario: Scenario, start_lane_id: str, s_ego: float, horizon_length: float):
     """Lane-id chains from a start lane, expanded by cumulative arclength.
 
     Uniform-cost expansion over successor edges (cost = lane arclength),
-    depth-limited by horizon_length past the ego projection. Forks yield one
-    chain per branch; ties resolve by lane-id order so output is deterministic.
+    depth-limited by horizon_length past the ego projection s_ego on the
+    start lane. Forks yield one chain per branch; ties resolve by lane-id
+    order so output is deterministic.
     """
     start = scenario.lane_by_id(start_lane_id)
-    (s_ego,), _, _, _ = project_points_to_polyline(np.array([ego_xy]), start.segments)
-    remaining0 = start.length - float(s_ego)
+    remaining0 = start.length - s_ego
 
     chains = []
     # Heap entries: (consumed_length, chain); equal lengths pop in lane-id order.
@@ -196,8 +197,9 @@ def graph_search(
     """
     ego_xy = (ego.pose.x, ego.pose.y)
     reachable = []
+    s_on_lane = {}
     for lane in scenario.lanes:
-        d = _nearest_distance(lane, ego_xy)
+        d, s_on_lane[lane.id] = _project_onto_lane(lane, ego_xy)
         if d <= LOCALIZATION_RADIUS and lane.direction == "route_aligned":
             reachable.append((d, lane.id))
     if not reachable:
@@ -213,7 +215,7 @@ def graph_search(
     route_set = set(scenario.route)
     keyed = []
     for d, lane_id in candidates:
-        for chain in _enumerate_chains(scenario, lane_id, ego_xy, horizon_length):
+        for chain in _enumerate_chains(scenario, lane_id, s_on_lane[lane_id], horizon_length):
             route_overlap = sum(1 for l in chain if l in route_set)
             keyed.append(((-route_overlap, d, chain), chain))
     keyed.sort(key=lambda kv: kv[0])
@@ -320,7 +322,8 @@ def augment_with_adjacents(
                 continue
             if not enable_adjacents:
                 continue
-            for chain in _enumerate_chains(scenario, adj_id, ego_xy, horizon_length):
+            _, s_ego = _project_onto_lane(adj, ego_xy)
+            for chain in _enumerate_chains(scenario, adj_id, s_ego, horizon_length):
                 if chain in seen:
                     continue
                 path = _build_path(scenario, chain, ego_xy, horizon_length, source)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateClusterError, IoError, ParseError, ValidationError
 from .geometry import to_local_frame
-from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
+from .scene import EgoState, Trajectory, segment_headings_and_speeds
 
 V_MAX = 20.0  # m/s bound used by the start-near-origin invariant
 
@@ -24,14 +24,18 @@ class Vocabulary:
     sse_history: tuple = ()  # per-iteration clustering SSE, empty if not clustered
 
     def __post_init__(self):
+        dt = self.dt
+        if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not math.isfinite(dt) or dt <= 0:
+            raise ValidationError(f"vocabulary.dt: expected a finite number > 0, got {dt!r}")
         p = np.asarray(self.prototypes, dtype=float)
         if p.ndim != 3 or p.shape[0] < 1 or p.shape[2] != 2:
             raise ValidationError("vocabulary.prototypes: expected shape (K, T, 2) with K >= 1")
-        if not np.isfinite(p).all():
-            raise ValidationError("vocabulary.prototypes: coordinates must be finite")
-        first = np.linalg.norm(p[:, 0, :], axis=1)
-        if (first > self.dt * V_MAX + 1e-9).any():
-            raise ValidationError("vocabulary.prototypes: a prototype does not start near the origin")
+        bad = ~np.isfinite(p).all(axis=(1, 2))
+        if bad.any():
+            raise ValidationError(f"vocabulary.prototypes[{int(bad.argmax())}]: coordinates must be finite")
+        far = np.linalg.norm(p[:, 0, :], axis=1) > dt * V_MAX + 1e-9
+        if far.any():
+            raise ValidationError(f"vocabulary.prototypes[{int(far.argmax())}]: does not start near the origin")
         object.__setattr__(self, "prototypes", p)
 
     @property
@@ -149,27 +153,31 @@ def kmeans_cluster(
     )
 
 
+def instantiate_prototype(prototypes: np.ndarray, ego: EgoState, dt: float):
+    """Rigidly transform ego-frame prototypes (K, T, 2) to the ego pose, all in one batch.
+
+    Returns positions (K, T+1, 2), headings and speeds (K, T+1). Sample 0 of
+    every row is the current ego state; speeds come from finite differences
+    of arclength; headings from segment directions (held through standstill).
+    """
+    proto = np.asarray(prototypes, dtype=float).transpose(1, 0, 2)  # (T, K, 2)
+    x, y, heading = ego.pose.x, ego.pose.y, ego.pose.heading
+    c, s = math.cos(heading), math.sin(heading)
+    px, py = proto[..., 0], proto[..., 1]
+    pts = np.empty((len(proto) + 1,) + proto.shape[1:])
+    pts[0] = (x, y)
+    pts[1:, :, 0] = x + c * px - s * py
+    pts[1:, :, 1] = y + s * px + c * py
+    heads, speeds = segment_headings_and_speeds(pts, heading, ego.speed, dt)
+    return pts.transpose(1, 0, 2), heads.T, speeds.T
+
+
 def instantiate_vocabulary(
     prototype: np.ndarray, ego: EgoState, dt: float = 0.1, tag: str = "vocabulary"
 ) -> Trajectory:
-    """Rigidly transform an ego-frame prototype to the ego pose.
-
-    Sample 0 is the current ego state; speeds come from finite differences of
-    arclength; headings from segment directions (held through standstill).
-    """
-    proto = np.asarray(prototype, dtype=float)
-    c, s = math.cos(ego.pose.heading), math.sin(ego.pose.heading)
-    world = np.empty_like(proto)
-    world[:, 0] = ego.pose.x + c * proto[:, 0] - s * proto[:, 1]
-    world[:, 1] = ego.pose.y + s * proto[:, 0] + c * proto[:, 1]
-    pts = np.concatenate([[(ego.pose.x, ego.pose.y)], world])
-    heads, speeds = segment_headings_and_speeds(pts, ego.pose.heading, ego.speed, dt)
-    return trajectory_from_arrays(dt, pts, heads, speeds, tag, (ego.pose, ego.speed))
-
-
-def instantiate_prototype(vocab: Vocabulary, index: int, ego: EgoState, tag: str = "vocabulary") -> Trajectory:
-    """Instantiate vocab.prototypes[index] at the ego pose with the vocab dt."""
-    return instantiate_vocabulary(vocab.prototypes[index], ego, dt=vocab.dt, tag=tag)
+    """One ego-frame prototype (T, 2) at the ego pose: instantiate_prototype with K = 1."""
+    (positions,), (headings,), (speeds,) = instantiate_prototype(np.asarray(prototype)[None], ego, dt)
+    return Trajectory(dt, positions, headings, speeds, tag)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -185,26 +193,45 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
+    """Read the save_vocabulary format. A malformed header or row raises
+    ParseError naming the file line."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
+            lines = [(number, ln.split()) for number, ln in enumerate(f, 1) if ln.strip()]
     except OSError as e:
         raise IoError(f"cannot read vocabulary file {path}: {e}") from e
     if len(lines) < 4:
-        raise ParseError("vocabulary file too short")
-    try:
-        k = int(lines[0].split()[1])
-        t = int(lines[1].split()[1])
-        dt = float(lines[2].split()[1])
-    except (IndexError, ValueError) as e:
-        raise ParseError(f"bad vocabulary header: {e}") from e
+        raise ParseError(f"malformed vocabulary file {path}: too short")
+
+    def header(i, key, parse, valid, expected):
+        number, fields = lines[i]
+        try:
+            value = parse(fields[1]) if len(fields) == 2 and fields[0] == key else None
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise ParseError(
+                f"malformed vocabulary file {path} line {number}: {key}: expected '{key} <{expected}>', "
+                f"got {' '.join(fields)!r}"
+            )
+        return value
+
+    k = header(0, "K", int, lambda v: v >= 1, "an integer >= 1")
+    t = header(1, "T", int, lambda v: v >= 1, "an integer >= 1")
+    dt = header(2, "dt", float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
     body = lines[3:]
     if len(body) != k:
-        raise ParseError(f"vocabulary header says K={k} but body has {len(body)} rows")
+        raise ParseError(f"malformed vocabulary file {path}: header says K={k} but body has {len(body)} rows")
     protos = np.empty((k, t, 2))
-    for i, row in enumerate(body):
-        vals = row.split()
+    for i, (number, vals) in enumerate(body):
+        where = f"malformed vocabulary file {path} line {number}: prototypes[{i}]"
         if len(vals) != 2 * t:
-            raise ParseError(f"vocabulary row {i} has {len(vals)} values, expected {2 * t}")
-        protos[i] = np.array([float(v) for v in vals]).reshape(t, 2)
+            raise ParseError(f"{where}: {len(vals)} values, expected {2 * t}")
+        try:
+            row = np.array([float(v) for v in vals])
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from e
+        if not np.isfinite(row).all():
+            raise ParseError(f"{where}: non-finite value {vals[int(np.argmin(np.isfinite(row)))]!r}")
+        protos[i] = row.reshape(t, 2)
     return Vocabulary(prototypes=protos, dt=dt)

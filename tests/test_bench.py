@@ -1,4 +1,8 @@
+import importlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +28,16 @@ def test_route_completion_partway_through_a_multi_lane_route():
     expected = (s_end - s_start) / (s_goal - s_start)
     assert 0.2 < expected < 0.8
     assert route_completion(log) == pytest.approx(expected, rel=1e-12)
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
+    # A traced benchmark run swaps each (module, attr) of TARGETS for a
+    # wrapper; a renamed or removed name would crash it, so check them here.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look the module up
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

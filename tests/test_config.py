@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radstack
@@ -13,6 +14,7 @@ from radstack.config import build_planner_config, build_sim_config, validate_con
 from radstack.errors import ConfigError
 from radstack.scene import generate_synthetic_scenario, scenario_to_dict
 from radstack.simulator import EpisodeLog, save_episode_log
+from radstack.vocabulary import Vocabulary, save_vocabulary
 
 from conftest import straight_scenario
 
@@ -130,6 +132,32 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "line, text, problem",
+    [
+        (3, "dt nan", "line 3: dt: expected 'dt <a finite number > 0>', got 'dt nan'"),
+        (3, "dt -0.1", "line 3: dt: expected 'dt <a finite number > 0>', got 'dt -0.1'"),
+        (3, "dt", "line 3: dt: expected 'dt <a finite number > 0>', got 'dt'"),
+        (1, "K two", "line 1: K: expected 'K <an integer >= 1>', got 'K two'"),
+        (2, "steps 40", "line 2: T: expected 'T <an integer >= 1>', got 'steps 40'"),
+        (5, "nan" + " 0.0" * 79, "line 5: prototypes[1]: non-finite value 'nan'"),
+        (4, "0.0 x" + " 0.0" * 78, "line 4: prototypes[0]: could not convert string to float: 'x'"),
+        (4, "0.0", "line 4: prototypes[0]: 1 values, expected 80"),
+    ],
+)
+def test_cli_reports_malformed_vocabulary_in_one_line(tmp_path, capsys, line, text, problem):
+    path = tmp_path / "vocab.txt"
+    save_vocabulary(Vocabulary(prototypes=np.zeros((2, 40, 2)), dt=0.1), path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["run", "--scenario", _scenario_file(tmp_path), "--planner", "rad", "--vocab", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"run: malformed vocabulary file {path} {problem}\n"
 
 
 # -- CLI boundaries: episode logs and numeric flags ---------------------------

@@ -20,7 +20,7 @@ from radstack.proposals import (
 )
 from radstack.scene import EgoState, Pose2
 
-from conftest import static_car, straight_path, straight_scenario
+from conftest import reference_step_kernel, static_car, straight_path, straight_scenario
 
 
 def test_idm_free_flow_equilibrium():
@@ -306,18 +306,20 @@ def _reference_step_kernel(
 
 
 @st.composite
-def _kernel_case(draw):
+def _kernel_case(draw, bypass_heavy=False, all_terminus=False):
     """Random kernel inputs: rows 1-40, agents 0-9, steps 1-40.
 
     Agents are moving or static; some rows end at a path terminus; targets
     clear some agents' bands (bypass_clear); tie rows give agents 0 and 1 the
-    same gap but different lateral positions.
+    same gap but different lateral positions. bypass_heavy puts every agent
+    2-15 m ahead inside the row's band with a target that clears it, so most
+    rows creep; all_terminus ends every row at a path terminus.
     """
     n = draw(st.integers(1, 40))
-    n_agents = draw(st.integers(0, 9))
+    n_agents = draw(st.integers(1 if bypass_heavy else 0, 9))
     steps = draw(st.integers(1, 40))
     static_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    terminus_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    terminus_share = 1.0 if all_terminus else draw(st.sampled_from([0.0, 0.5, 1.0]))
     tie_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -332,6 +334,10 @@ def _kernel_case(draw):
     a_vlon = np.where(rng.random((n, n_agents)) < static_share, 0.0, rng.uniform(-3.0, 10.0, (n, n_agents)))
     a_band = rng.uniform(2.0, 3.0, (n, n_agents))
     a_hlen = rng.uniform(0.3, 2.5, (n, n_agents))
+    if bypass_heavy:
+        a_s = s[:, None] + rng.uniform(2.0, 15.0, (n, n_agents))
+        a_lat = l[:, None] + rng.uniform(-0.5, 0.5, (n, n_agents))
+        targets = np.where(a_lat[:, 0] < 0.0, 3.0, -3.0)
     if n_agents >= 2:
         tie = rng.random(n) < tie_share
         for col in (a_s, a_vlon, a_hlen):
@@ -383,6 +389,23 @@ def test_step_kernel_matches_scalar_reference(case):
     s_vec, l_vec = _run_kernel(_step_kernel, case)
     np.testing.assert_allclose(s_vec, s_ref, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(l_vec, l_ref, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.one_of(_kernel_case(), _kernel_case(bypass_heavy=True), _kernel_case(all_terminus=True)))
+def test_step_kernel_matches_numpy_reference_bitwise(case):
+    # The buffered kernel must compute the reference's arithmetic in the same
+    # order: every history sample and the final s, l and v agree in all 64 bits.
+    n, steps = len(case["s"]), case["steps"]
+    results = []
+    for kernel in (reference_step_kernel, _step_kernel):
+        args = dict(case, s=case["s"].copy(), l=case["l"].copy(), v=case["v"].copy())
+        s_hist, l_hist = np.full((steps + 1, n), np.nan), np.full((steps + 1, n), np.nan)
+        s_hist[0], l_hist[0] = case["s"], case["l"]
+        kernel(s_hist, l_hist, **args)
+        results.append((s_hist, l_hist, args["s"], args["l"], args["v"]))
+    for ref, new in zip(*results):
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
 
 
 def test_rollout_stops_before_path_terminus():

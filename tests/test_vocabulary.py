@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radstack.errors import DegenerateClusterError, ParseError
+from radstack.errors import DegenerateClusterError, ParseError, ValidationError
+from radstack.planner import Planner
 from radstack.scene import EgoState, Pose2, generate_synthetic_scenario
 from radstack.simulator import SimConfig, run_episode
 from radstack.vocabulary import (
     Vocabulary,
     collect_expert_trajectories,
+    instantiate_prototype,
     instantiate_vocabulary,
     kmeans_cluster,
     load_vocabulary,
@@ -128,6 +131,70 @@ def test_instantiate_speeds_from_arclength():
     ego = EgoState(pose=Pose2(0, 0, 0), speed=8.0)
     traj = instantiate_vocabulary(proto, ego, dt=0.1)
     assert np.allclose(traj.speeds[1:], 8.0)
+
+
+@st.composite
+def _prototypes_and_pose(draw):
+    """K = 1-20 prototypes of T = 1-40 samples at an ego pose.
+
+    Headings sit near +-pi, where a segment direction is most sensitive to
+    rounding, or anywhere; some prototypes stand still for their first
+    samples (held heading), some back up, some stop and go on.
+    """
+    k, t = draw(st.integers(1, 20)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = rng.uniform(-0.2, 1.2, (k, t, 1)) * np.stack([np.ones((k, t)), rng.uniform(-0.3, 0.3, (k, t))], axis=2)
+    still = rng.integers(0, t + 1, k)
+    step[np.arange(t)[None, :] < still[:, None]] = 0.0
+    step[rng.random((k, t)) < 0.1] = 0.0
+    protos = np.cumsum(step, axis=1)
+    heading = draw(
+        st.one_of(
+            st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0)]),
+            st.floats(-math.pi, math.pi),
+        )
+    )
+    ego = EgoState(pose=Pose2(rng.uniform(-500, 500), rng.uniform(-500, 500), heading), speed=rng.uniform(0, 15))
+    return protos, ego
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_prototypes_and_pose())
+def test_batched_instantiation_matches_single_prototype_bitwise(case):
+    protos, ego = case
+    positions, headings, speeds = instantiate_prototype(protos, ego, 0.1)
+    assert positions.shape == (len(protos), protos.shape[1] + 1, 2)
+    bits = lambda x: np.ascontiguousarray(x).view(np.int64)
+    for k, proto in enumerate(protos):
+        one = instantiate_vocabulary(proto, ego, dt=0.1)
+        assert np.array_equal(bits(positions[k]), bits(one.positions))
+        assert np.array_equal(bits(headings[k]), bits(one.headings))
+        assert np.array_equal(bits(speeds[k]), bits(one.speeds))
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1, "0.1", True])
+def test_vocabulary_rejects_a_bad_dt_by_name(dt):
+    # A negative dt is reported as the dt, not as a prototype far from the origin.
+    with pytest.raises(ValidationError, match=r"^vocabulary\.dt: expected a finite number > 0, got "):
+        Vocabulary(prototypes=np.zeros((1, 3, 2)), dt=dt)
+
+
+@pytest.mark.parametrize(
+    "row, value, problem",
+    [(2, math.nan, "coordinates must be finite"), (1, 5.0, "does not start near the origin")],
+)
+def test_vocabulary_names_the_bad_prototype(row, value, problem):
+    protos = np.zeros((3, 4, 2))
+    protos[row, 0, 0] = value
+    with pytest.raises(ValidationError, match=rf"^vocabulary\.prototypes\[{row}\]: {problem}$"):
+        Vocabulary(prototypes=protos, dt=0.1)
+
+
+def test_planner_sampling_check_fails_on_a_nan_dt():
+    vocab = Vocabulary(prototypes=np.zeros((1, 40, 2)), dt=0.1)
+    object.__setattr__(vocab, "dt", math.nan)  # past the constructor's own check
+    with pytest.raises(ValueError, match="does not match the proposal horizon"):
+        Planner(generate_synthetic_scenario("blocked_lane", 7), vocabulary=vocab)
 
 
 def test_vocabulary_round_trip(tmp_path):
