@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import IoError
-from .geometry import project_points_to_polyline, SegmentTable
+from .geometry import project_points_to_polyline
 from .planner import Planner, PlannerConfig
 from .simulator import EpisodeLog, SimConfig, run_episode
-from .topology import _chain_points
 
 TOGGLE_PRESETS = {
     "full": {},
@@ -58,11 +57,11 @@ def route_completion(log: EpisodeLog) -> float:
         return 1.0
     if not log.records:
         return 0.0
-    pts, _, _ = _chain_points(log.scenario, log.scenario.route)
+    route, _, _ = log.scenario.chain(log.scenario.route)
     goal, start = log.scenario.goal, log.scenario.ego.pose
     x, y = log.records[-1]["ego"][0], log.records[-1]["ego"][1]
     (s_goal, s_start, s_end), _, _, _ = project_points_to_polyline(
-        np.array([[goal.x, goal.y], [start.x, start.y], [x, y]]), SegmentTable(pts)
+        np.array([[goal.x, goal.y], [start.x, start.y], [x, y]]), route
     )
     if s_goal <= 0:
         return 1.0

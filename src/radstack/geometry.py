@@ -3,14 +3,17 @@
 Everything operates on plain floats / numpy arrays in the world frame
 (right-handed, meters, heading 0 = +x).
 
-project_points_to_polyline is the one projection onto a polyline: it takes
-a batch of points (one point is a batch of one) and returns arclength,
-signed lateral, heading and foot point per point. It reads a SegmentTable
-that the polyline's owner (a scene Lane or a topology ProposalPath) builds
-once and keeps for its lifetime; a caller with a polyline of its own builds
-one table and projects every point it needs through it. Large batches prune
-segments chunk by chunk before the exact pass and return the same bits as
-the dense pass.
+SegmentTable is the one polyline type: it holds a polyline's points,
+cumulative arclengths and per-segment headings, and gives positions and
+poses at arclengths (points_at, pose_at) and a uniform resampling
+(resample). project_points_to_polyline is the one projection onto a
+polyline: it takes a batch of points (one point is a batch of one) and
+returns arclength, signed lateral, heading and foot point per point. A
+polyline's owner (a scene Lane, a Scenario's lane chain or a topology
+ProposalPath) builds its table once and keeps it for its lifetime; a caller
+with a polyline of its own builds one table and reads every point it needs
+through it. Large batches prune segments chunk by chunk before the exact
+pass and return the same bits as the dense pass.
 """
 
 from __future__ import annotations
@@ -185,34 +188,6 @@ def points_in_polygons(pts: np.ndarray, polygons) -> np.ndarray:
     return inside
 
 
-def polyline_arclengths(pts: np.ndarray) -> np.ndarray:
-    """Cumulative arclength of a polyline, starting at 0."""
-    pts = np.asarray(pts, dtype=float)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def resample_polyline(pts: np.ndarray, ds: float) -> np.ndarray:
-    """Resample a polyline at uniform arclength step ds (piecewise linear).
-
-    The first and last points are preserved exactly.
-    """
-    pts = np.asarray(pts, dtype=float)
-    s = polyline_arclengths(pts)
-    total = s[-1]
-    if total <= 0:
-        return pts[:1].copy()
-    n = max(1, int(math.floor(total / ds + 1e-9)))
-    targets = np.arange(n + 1) * ds
-    if total - targets[-1] > 1e-9:
-        targets = np.concatenate([targets, [total]])
-    else:
-        targets[-1] = total
-    x = np.interp(targets, s, pts[:, 0])
-    y = np.interp(targets, s, pts[:, 1])
-    return np.stack([x, y], axis=1)
-
-
 CHUNK = 8  # segments per broad-phase chunk of a SegmentTable
 PRUNE_MIN_PAIRS = 12_000  # points x segments from which the broad phase pays for itself
 PRUNE_MARGIN = 1e-6  # m; slack on the broad phase's upper bound, far above rounding
@@ -221,11 +196,14 @@ PRUNE_MARGIN = 1e-6  # m; slack on the broad phase's upper bound, far above roun
 class SegmentTable:
     """A polyline's points, arclengths and per-segment arrays, built once.
 
-    Rows of `cols` are segment start x, start y, direction x, direction y and
-    the inverse squared length (0 for a degenerate segment), padded to whole
-    CHUNK-segment chunks by repeating the last segment. `cols` is built by
-    the first projection and the chunks' bounding boxes by the first large
-    one, so a polyline that is never projected pays only for its arclengths.
+    The program's one polyline type: positions and poses at arclengths,
+    uniform resampling and (through project_points_to_polyline) projection
+    all read it. Rows of `cols` are segment start x, start y, direction x,
+    direction y and the inverse squared length (0 for a degenerate segment),
+    padded to whole CHUNK-segment chunks by repeating the last segment.
+    `cols` is built by the first projection, the headings by their first
+    use and the chunks' bounding boxes by the first large projection, so a
+    polyline that is never projected pays only for its arclengths.
     """
 
     def __init__(self, points: np.ndarray):
@@ -234,10 +212,9 @@ class SegmentTable:
         self.points = pts
         self.len2 = (self._d * self._d).sum(axis=1)
         self.lengths = np.sqrt(self.len2)
-        # The arithmetic of polyline_arclengths, on the squared lengths.
         self.s = np.concatenate([[0.0], np.cumsum(self.lengths)])
         self.n_chunks = -(-len(self.len2) // CHUNK)
-        self._headings = np.full(len(self.len2), np.nan)  # taken on first use
+        self._headings = None
         self._cols = None
         self._boxes = None
 
@@ -253,21 +230,53 @@ class SegmentTable:
             self._cols = cols
         return self._cols
 
-    def headings(self, idx: np.ndarray) -> np.ndarray:
-        """Direction angles of segments idx (0 if degenerate), each taken once.
+    @property
+    def headings(self) -> np.ndarray:
+        """Direction angle of every segment (0 if degenerate), taken on first use.
 
         By math.atan2: numpy's arctan2 may take a vector routine that differs
         from it in the last bit on some CPUs."""
-        head = self._headings[idx]
-        todo = np.isnan(head)
-        if todo.any():
-            seg = idx[todo]
-            head[todo] = self._headings[seg] = [math.atan2(dy, dx) for dx, dy in self._d[seg].tolist()]
-        return head
+        if self._headings is None:
+            self._headings = np.array([math.atan2(dy, dx) for dx, dy in self._d.tolist()])
+        return self._headings
 
     @property
     def n_segments(self) -> int:
         return len(self.len2)
+
+    @property
+    def length(self) -> float:
+        return float(self.s[-1])
+
+    def points_at(self, s) -> np.ndarray:
+        """Positions (..., 2) at arclengths s (any shape), clamped to the polyline."""
+        s = np.clip(np.asarray(s, dtype=float), self.s[0], self.s[-1])
+        return np.stack([np.interp(s, self.s, self.points[:, 0]), np.interp(s, self.s, self.points[:, 1])], axis=-1)
+
+    def pose_at(self, s) -> tuple:
+        """(positions (..., 2), headings (...)) at arclengths s, clamped.
+
+        A heading is that of the segment holding s; at a vertex, the one
+        starting there."""
+        s = np.clip(np.asarray(s, dtype=float), self.s[0], self.s[-1])
+        idx = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, self.n_segments - 1)
+        return self.points_at(s), self.headings[idx]
+
+    def resample(self, ds: float) -> "SegmentTable":
+        """The polyline at uniform arclength step ds, the last step shorter.
+
+        Both endpoints are kept exactly; a polyline of no length gives one point.
+        """
+        total = self.s[-1]
+        if total <= 0:
+            return SegmentTable(self.points[:1].copy())
+        n = max(1, int(math.floor(total / ds + 1e-9)))
+        targets = np.arange(n + 1) * ds
+        if total - targets[-1] > 1e-9:
+            targets = np.concatenate([targets, [total]])
+        else:
+            targets[-1] = total
+        return SegmentTable(self.points_at(targets))
 
     def boxes(self) -> tuple:
         """(x0, y0, x1, y1) per chunk over its vertices, and the chunk-boundary vertices."""
@@ -339,18 +348,8 @@ def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     idx = k if window is None else window[rows, k]
     u_k = u[rows, k]
     s = table.s[idx] + u_k * table.lengths[idx]
-    head = table.headings(idx)
+    head = table.headings[idx]
     lateral = -np.sin(head) * fx[rows, k] + np.cos(head) * fy[rows, k]
     foot = table.points[idx] + u_k[:, None] * table._d[idx]
     return s, lateral, head, foot
 
-
-def interpolate_on_polyline(pts: np.ndarray, s_cum: np.ndarray, s: np.ndarray):
-    """Positions and headings at arclengths s (clamped to the polyline range)."""
-    s = np.clip(np.asarray(s, dtype=float), s_cum[0], s_cum[-1])
-    x = np.interp(s, s_cum, pts[:, 0])
-    y = np.interp(s, s_cum, pts[:, 1])
-    idx = np.clip(np.searchsorted(s_cum, s, side="right") - 1, 0, len(pts) - 2)
-    d = pts[idx + 1] - pts[idx]
-    heading = np.arctan2(d[:, 1], d[:, 0])
-    return np.stack([x, y], axis=1), heading

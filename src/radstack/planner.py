@@ -253,7 +253,7 @@ class Planner:
         first_rows = np.searchsorted(proposals.path_index[proposals.tracked], np.arange(len(paths)))
         gap = 0.0
         for path, s_ego in zip(paths, proposals.s_track[first_rows, 0]):
-            gap = max(gap, float(np.linalg.norm(path.pose_at(s_ego)[0][0] - path.start)))
+            gap = max(gap, float(np.linalg.norm(path.segments.points_at(s_ego) - path.start)))
         return PlanResult(
             trajectory=winner,
             breakdowns=scores,
@@ -275,7 +275,7 @@ class Planner:
         traj, head_times = plan_anytime(self.model, features, ego, budget=cfg.planhead_budget)
         stage_times.extend(head_times)
         s_ego, _, _ = project_onto_path(route_path, ego.pose)
-        gap = float(np.linalg.norm(route_path.pose_at(s_ego)[0][0] - route_path.start))
+        gap = float(np.linalg.norm(route_path.segments.points_at(s_ego) - route_path.start))
         return PlanResult(
             trajectory=traj,
             breakdowns=[],

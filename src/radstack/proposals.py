@@ -387,7 +387,7 @@ def _step_kernel(
 def _project_agents(path: ProposalPath, agent_xy, agent_heading, agent_speed):
     """Per-agent along-path state: (s, lateral, longitudinal speed)."""
     s, lat, _, _ = project_points_to_polyline(agent_xy, path.segments)
-    _, path_head = path.pose_at(s)
+    _, path_head = path.segments.pose_at(s)
     return s, lat, agent_speed * np.cos(agent_heading - path_head)
 
 
@@ -476,7 +476,7 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     for j, path in enumerate(paths):
         members = path_of_row == j
         s_flat = np.clip(s_hist[:, members].reshape(-1), 0.0, path.length)
-        pos, head = path.pose_at(s_flat)
+        pos, head = path.segments.pose_at(s_flat)
         m = int(members.sum())
         pos = pos.reshape(steps + 1, m, 2)
         head = head.reshape(steps + 1, m)

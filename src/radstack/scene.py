@@ -102,15 +102,14 @@ class Lane:
         if self.direction not in LANE_DIRECTIONS:
             raise ValidationError(f"lanes[{self.id}].direction: unknown {self.direction!r}")
         pts = np.array([[p.x, p.y] for p in self.centerline])
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if (seg <= 0).any():
+        pts.flags.writeable = False
+        segments = SegmentTable(pts)
+        if (segments.lengths <= 0).any():
             raise ValidationError(f"lanes[{self.id}].centerline: arclength not monotone")
-        if (seg > MAX_SEGMENT_LENGTH + 1e-9).any():
+        if (segments.lengths > MAX_SEGMENT_LENGTH + 1e-9).any():
             raise ValidationError(
                 f"lanes[{self.id}].centerline: segment exceeds max length {MAX_SEGMENT_LENGTH} m"
             )
-        pts.flags.writeable = False
-        segments = SegmentTable(pts)
         segments.s.flags.writeable = False
         object.__setattr__(self, "_segments", segments)
 
@@ -126,7 +125,7 @@ class Lane:
 
     @property
     def segments(self) -> SegmentTable:
-        """The centerline's segment table, for project_points_to_polyline."""
+        """The centerline's segment table: projection, positions and poses at arclengths."""
         return self._segments
 
     @property
@@ -202,7 +201,10 @@ def segment_headings_and_speeds(waypoints: np.ndarray, heading0: float, speed0: 
 
 
 def trajectory_from_arrays(dt: float, xy: np.ndarray, headings: np.ndarray, speeds: np.ndarray, tag: str) -> Trajectory:
-    """Trajectory from sample arrays: where the proposals layer materializes a row."""
+    """Trajectory from sample arrays: where the proposals layer materializes a row.
+
+    A thin wrapper on purpose: perfbench's proposals.materialize span is
+    recorded around this name as the proposals module looks it up."""
     return Trajectory(dt, xy, headings, speeds, tag)
 
 
@@ -218,11 +220,37 @@ class Scenario:
     duration: float
     seed: int
 
+    def __post_init__(self):
+        # reversed: of duplicate ids (which validate_scenario rejects) the first wins
+        object.__setattr__(self, "_lanes", {lane.id: lane for lane in reversed(self.lanes)})
+        object.__setattr__(self, "_chains", {})
+
     def lane_by_id(self, lane_id: str) -> Lane:
-        for lane in self.lanes:
-            if lane.id == lane_id:
-                return lane
-        raise KeyError(lane_id)
+        return self._lanes[lane_id]
+
+    def chain(self, lane_ids) -> tuple:
+        """(SegmentTable, opposing flag per point, min speed limit) of lanes joined in order.
+
+        A lane's first point is dropped where it lies within 1e-6 m of the
+        previous lane's last point. Each chain is built once and kept, its
+        arrays read-only.
+        """
+        lane_ids = tuple(lane_ids)
+        chain = self._chains.get(lane_ids)
+        if chain is None:
+            lanes = [self._lanes[lane_id] for lane_id in lane_ids]
+            pts, opposing = [], []
+            for lane in lanes:
+                p = lane.points
+                if pts and np.linalg.norm(pts[-1][-1] - p[0]) < 1e-6:
+                    p = p[1:]
+                pts.append(p)
+                opposing.append(np.full(len(p), lane.direction == "opposing"))
+            pts, opposing = np.concatenate(pts), np.concatenate(opposing)
+            pts.flags.writeable = opposing.flags.writeable = False
+            chain = (SegmentTable(pts), opposing, min(lane.speed_limit for lane in lanes))
+            self._chains[lane_ids] = chain
+        return chain
 
     @property
     def lane_ids(self) -> tuple:

@@ -175,7 +175,7 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
     pos = np.array([[ego.pose.x, ego.pose.y]] + [[a.pose.x, a.pose.y] for a in stopped])
     s_all, lat_all, _, _ = project_points_to_polyline(pos, path.segments)
     s_e, s_a, lat_a = float(s_all[0]), s_all[1:], lat_all[1:]
-    _, head0 = path.pose_at(0.0)
+    _, head0 = path.segments.pose_at(0.0)
     start = path.start
     best = None
     for i, a in enumerate(stopped):
@@ -186,7 +186,7 @@ def _blocker_distance(ego: EgoState, agents, path: ProposalPath, d_block: float)
         if s_i < 0.25:
             # Clamped projection: resolve longitudinal position against the
             # path start frame so agents behind the start are excluded.
-            s_i = float(to_local_frame(pos[i + 1], start[0], start[1], head0[0])[0])
+            s_i = float(to_local_frame(pos[i + 1], start[0], start[1], float(head0))[0])
         if s_i + a.half_length < s_e - ego.half_length:  # fully behind
             continue
         d = max(0.0, (s_i - a.half_length) - (s_e + ego.half_length))

@@ -297,8 +297,7 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
             # Pure-pursuit steer toward a point ahead on the lane.
             look = np.maximum(3.0, 1.5 * v[rows])
             s_target = np.minimum(s_self + look, lane.s[-1])
-            x_t = np.interp(s_target, lane.s, lane.points[:, 0])
-            y_t = np.interp(s_target, lane.s, lane.points[:, 1])
+            x_t, y_t = lane.segments.points_at(s_target).T
             alpha = normalize_angles(np.arctan2(y_t - y[rows], x_t - x[rows]) - h[rows])
             wheelbase = np.maximum(1.0, hl[rows])
             steer = np.clip(np.arctan2(2.0 * wheelbase * np.sin(alpha), look), -STEER_LIMIT, STEER_LIMIT)

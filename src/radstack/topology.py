@@ -4,25 +4,23 @@ Paths are re-rooted at the current ego projection on every call, so the
 planner's search space always reflects the instantaneous topology. Adjacent
 and opposing centerlines extend the base route paths for lane changes and
 short bypasses.
+
+Lane chains are fixed per scenario, and Scenario.chain joins each one into a
+SegmentTable once. Per call, a path is rooted at the ego's foot point on its
+polyline (a chain, or an opposing bypass spliced back onto a route path),
+and every path then goes through one builder, _make_path: cut at the
+horizon, resample at RESAMPLE_DS, carry the opposing flags over.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OffMapError
-from .geometry import (
-    interpolate_on_polyline,
-    normalize_angle,
-    polyline_arclengths,
-    project_points_to_polyline,
-    resample_polyline,
-    SegmentTable,
-)
+from .geometry import normalize_angle, project_points_to_polyline, SegmentTable
 from .scene import EgoState, Pose2, Scenario
 
 LOCALIZATION_RADIUS = 10.0  # m
@@ -43,37 +41,27 @@ class ProposalPath:
     """A drivable reference line rooted at the ego projection."""
 
     lane_sequence: tuple
-    points: np.ndarray  # (N, 2) resampled at uniform ds
+    segments: SegmentTable  # the polyline, resampled at uniform ds
     source: str  # ego_route | left_adjacent | right_adjacent | opposing
     speed_limit: float  # min over traversed lanes
     opposing_mask: np.ndarray  # (N,) True where the point lies on opposing-direction lane
     ends_at_terminus: bool = False  # chain exhausted before the horizon cut
 
-    def __post_init__(self):
-        object.__setattr__(self, "_segments", SegmentTable(self.points))
+    @property
+    def points(self) -> np.ndarray:
+        return self.segments.points
 
     @property
     def s(self) -> np.ndarray:
-        return self._segments.s
-
-    @property
-    def segments(self) -> SegmentTable:
-        """The path's segment table, for project_points_to_polyline."""
-        return self._segments
+        return self.segments.s
 
     @property
     def length(self) -> float:
-        return float(self._segments.s[-1])
+        return self.segments.length
 
     @property
     def start(self) -> np.ndarray:
-        return self.points[0]
-
-    def pose_at(self, s) -> tuple:
-        """(positions, headings) at arclengths s (scalar or array), clamped."""
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        pos, head = interpolate_on_polyline(self.points, self.s, arr)
-        return pos, head
+        return self.segments.points[0]
 
 
 def project_onto_path(path: ProposalPath, pose: Pose2) -> tuple:
@@ -82,66 +70,41 @@ def project_onto_path(path: ProposalPath, pose: Pose2) -> tuple:
     return float(s), float(lateral), normalize_angle(pose.heading - path_heading)
 
 
-def _chain_points(scenario: Scenario, lane_ids, reverse_first: bool = False):
-    """Concatenate lane centerlines into one polyline with per-point flags."""
-    pts = []
-    opposing = []
-    limit = math.inf
-    for idx, lane_id in enumerate(lane_ids):
-        lane = scenario.lane_by_id(lane_id)
-        p = lane.points
-        if reverse_first and idx == 0:
-            p = p[::-1]
-        if pts and np.linalg.norm(pts[-1] - p[0]) < 1e-6:
-            p = p[1:]
-        pts.extend(p)
-        opposing.extend([lane.direction == "opposing"] * len(p))
-        limit = min(limit, lane.speed_limit)
-    return np.asarray(pts, dtype=float), np.asarray(opposing, dtype=bool), limit
+def _make_path(pts, opposing, horizon_length, lane_sequence, source, speed_limit):
+    """The path along pts, cut at horizon_length and resampled; None if it has no length.
 
-
-def _root_at_ego(points: np.ndarray, opposing: np.ndarray, ego_xy, horizon_length: float):
-    """Cut a polyline at the ego projection and truncate to the horizon."""
-    table = SegmentTable(points)
-    s_cum = table.s
-    (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), table)
-    keep = s_cum > s0 + 1e-9
-    pts = np.concatenate([foot, points[keep]])
-    opp = np.concatenate([[opposing[min(int(np.searchsorted(s_cum, s0)), len(opposing) - 1)]], opposing[keep]])
-    s_new = polyline_arclengths(pts)
-    if s_new[-1] > horizon_length:
-        cut = int(np.searchsorted(s_new, horizon_length, side="right"))
-        end_pos, _ = interpolate_on_polyline(pts, s_new, np.array([horizon_length]))
-        pts = np.concatenate([pts[:cut], end_pos])
-        opp = np.concatenate([opp[:cut], opp[cut - 1 : cut]])
-    return pts, opp
-
-
-def _resample_with_mask(pts: np.ndarray, opp: np.ndarray):
-    res = resample_polyline(pts, RESAMPLE_DS)
-    s_orig = polyline_arclengths(pts)
-    s_res = polyline_arclengths(res)
-    idx = np.clip(np.searchsorted(s_orig, s_res, side="right") - 1, 0, len(opp) - 1)
-    return res, opp[idx]
-
-
-def _build_path(scenario, lane_ids, ego_xy, horizon_length, source, reverse_first=False):
-    points, opposing, limit = _chain_points(scenario, lane_ids, reverse_first=reverse_first)
-    pts, opp = _root_at_ego(points, opposing, ego_xy, horizon_length)
-    length = polyline_arclengths(pts)[-1]
-    if length < 1e-6:
+    opposing flags each point of pts, and a resampled point takes the flag of
+    the point that starts its segment. The path ends at a terminus when,
+    before resampling, it is more than 1 m shorter than the horizon.
+    """
+    table = SegmentTable(pts)
+    if table.length > horizon_length:
+        cut = int(np.searchsorted(table.s, horizon_length, side="right"))
+        table = SegmentTable(np.concatenate([pts[:cut], table.points_at(horizon_length)[None]]))
+        opposing = np.concatenate([opposing[:cut], opposing[cut - 1 : cut]])
+    if table.length < 1e-6:
         return None
-    res, mask = _resample_with_mask(pts, opp)
-    if len(res) < 2:
-        return None
+    res = table.resample(RESAMPLE_DS)
+    idx = np.clip(np.searchsorted(table.s, res.s, side="right") - 1, 0, len(opposing) - 1)
     return ProposalPath(
-        lane_sequence=tuple(lane_ids),
-        points=res,
+        lane_sequence=lane_sequence,
+        segments=res,
         source=source,
-        speed_limit=limit,
-        opposing_mask=mask,
-        ends_at_terminus=length < horizon_length - 1.0,
+        speed_limit=speed_limit,
+        opposing_mask=opposing[idx],
+        ends_at_terminus=table.length < horizon_length - 1.0,
     )
+
+
+def _build_path(scenario, lane_ids, ego_xy, horizon_length, source):
+    """The lane chain's path from the ego projection onto it."""
+    table, opposing, limit = scenario.chain(lane_ids)
+    (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), table)
+    keep = table.s > s0 + 1e-9
+    pts = np.concatenate([foot, table.points[keep]])
+    first = opposing[min(int(np.searchsorted(table.s, s0)), len(opposing) - 1)]
+    opp = np.concatenate([[first], opposing[keep]])
+    return _make_path(pts, opp, horizon_length, tuple(lane_ids), source, limit)
 
 
 def _project_onto_lane(lane, ego_xy) -> tuple:
@@ -248,41 +211,24 @@ def _adjacent_chain_start(scenario, path: ProposalPath, side: str):
 def _splice_opposing(scenario, opp_lane_id, base: ProposalPath, ego_xy, horizon_length):
     """Reversed opposing centerline for a bounded bypass, spliced back to the route."""
     opp = scenario.lane_by_id(opp_lane_id)
-    rev = opp.points[::-1]
-    table = SegmentTable(rev)
-    s_cum = table.s
-    (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), table)
-    s_end = min(s0 + BYPASS_LENGTH, s_cum[-1])
-    keep = (s_cum > s0 + 1e-9) & (s_cum < s_end - 1e-9)
-    end_pos, _ = interpolate_on_polyline(rev, s_cum, np.array([s_end]))
-    bypass_pts = np.concatenate([foot, rev[keep], end_pos])
+    rev = SegmentTable(opp.points[::-1])
+    (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), rev)
+    s_end = min(s0 + BYPASS_LENGTH, rev.length)
+    keep = (rev.s > s0 + 1e-9) & (rev.s < s_end - 1e-9)
+    bypass_pts = np.concatenate([foot, rev.points[keep], rev.points_at(s_end)[None]])
 
     # Merge back onto the base path MERGE_GAP metres past the bypass end.
     (s_merge,), _, _, _ = project_points_to_polyline(bypass_pts[-1:], base.segments)
     s_back = min(s_merge + MERGE_GAP, base.length)
-    keep_base = base.s > s_back + 1e-9
-    back_pos, _ = base.pose_at(s_back)
-    tail = np.concatenate([back_pos, base.points[keep_base]])
+    tail = np.concatenate([base.segments.points_at(s_back)[None], base.points[base.s > s_back + 1e-9]])
     pts = np.concatenate([bypass_pts, tail])
-    opp_mask = np.concatenate(
-        [np.ones(len(bypass_pts), dtype=bool), np.zeros(len(tail), dtype=bool)]
-    )
-    s_all = polyline_arclengths(pts)
-    if s_all[-1] > horizon_length:
-        cut = int(np.searchsorted(s_all, horizon_length, side="right"))
-        end_p, _ = interpolate_on_polyline(pts, s_all, np.array([horizon_length]))
-        pts = np.concatenate([pts[:cut], end_p])
-        opp_mask = np.concatenate([opp_mask[:cut], opp_mask[cut - 1 : cut]])
-    res, mask = _resample_with_mask(pts, opp_mask)
-    if len(res) < 2:
-        return None
-    return ProposalPath(
-        lane_sequence=(opp_lane_id,) + base.lane_sequence,
-        points=res,
-        source="opposing",
-        speed_limit=min(opp.speed_limit, base.speed_limit),
-        opposing_mask=mask,
-        ends_at_terminus=polyline_arclengths(res)[-1] < horizon_length - 1.0,
+    return _make_path(
+        pts,
+        np.arange(len(pts)) < len(bypass_pts),
+        horizon_length,
+        (opp_lane_id,) + base.lane_sequence,
+        "opposing",
+        min(opp.speed_limit, base.speed_limit),
     )
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from radstack.geometry import polyline_arclengths
 from radstack.proposals import B_HARD, CREEP_MIN_GAP, LATERAL_RATE, LATERAL_SPEED_RATIO
 from radstack.scene import (
     AgentState,
@@ -86,11 +85,11 @@ def reference_project_points(ps, pts):
     """
     ps = np.asarray(ps, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    s_cum = polyline_arclengths(pts)
     ax, ay = pts[:-1, 0], pts[:-1, 1]
     ex = np.diff(pts[:, 0])
     ey = np.diff(pts[:, 1])
     len2 = ex * ex + ey * ey
+    s_cum = np.concatenate([[0.0], np.cumsum(np.sqrt(len2))])
     inv_len2 = np.where(len2 > 0, 1.0 / np.maximum(len2, 1e-300), 0.0)
     dx = ps[:, 0, None] - ax
     dy = ps[:, 1, None] - ay

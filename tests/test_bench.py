@@ -33,6 +33,8 @@ def test_route_completion_partway_through_a_multi_lane_route():
 def test_perfbench_trace_targets_resolve(monkeypatch):
     # A traced benchmark run swaps each (module, attr) of TARGETS for a
     # wrapper; a renamed or removed name would crash it, so check them here.
+    # Some targets exist only to be wrapped: proposals.trajectory_from_arrays
+    # is a one-line constructor call, and it is the proposals.materialize span.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)

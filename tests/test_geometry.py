@@ -8,18 +8,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from radstack import geometry
 from radstack.geometry import (
     boxes_overlap,
-    interpolate_on_polyline,
     normalize_angle,
     normalize_angles,
     point_in_polygon,
     points_in_polygon,
     points_in_polygons,
     polygon_as_aabb,
-    polyline_arclengths,
     project_points_to_polyline,
     SegmentTable,
     rect_corners,
-    resample_polyline,
 )
 
 from conftest import reference_project_points
@@ -174,24 +171,24 @@ def test_points_in_polygons_aabb_matches_general():
 
 def test_resample_preserves_endpoints():
     pts = np.array([[0, 0], [10, 0], [10, 5]], dtype=float)
-    r = resample_polyline(pts, 1.0)
+    r = SegmentTable(pts).resample(1.0).points
     assert np.allclose(r[0], pts[0])
     assert np.allclose(r[-1], pts[-1])
     seg = np.linalg.norm(np.diff(r, axis=0), axis=1)
     assert (seg <= 1.0 + 1e-9).all()
 
 
-def _dense_projection_oracle(pts, s_cum, p):
+def _dense_projection_oracle(table, p):
     # Brute-force nearest point: 10^4 coarse samples, then a local refinement
     # pass around the coarse minimum so kinks resolve to ~1e-7 m.
-    dense_s = np.linspace(0, s_cum[-1], 10_000)
-    dense_pts, _ = interpolate_on_polyline(pts, s_cum, dense_s)
+    dense_s = np.linspace(0, table.length, 10_000)
+    dense_pts = table.points_at(dense_s)
     d2 = ((dense_pts - np.array(p)) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
     lo = dense_s[max(0, i - 2)]
     hi = dense_s[min(len(dense_s) - 1, i + 2)]
     fine_s = np.linspace(lo, hi, 10_000)
-    fine_pts, _ = interpolate_on_polyline(pts, s_cum, fine_s)
+    fine_pts = table.points_at(fine_s)
     f2 = ((fine_pts - np.array(p)) ** 2).sum(axis=1)
     j = int(np.argmin(f2))
     return fine_s[j], math.sqrt(f2[j])
@@ -199,11 +196,11 @@ def _dense_projection_oracle(pts, s_cum, p):
 
 def test_projection_matches_dense_sampling_oracle():
     pts = np.array([[0, 0], [10, 0], [10, 10]], dtype=float)
-    s_cum = polyline_arclengths(pts)
+    table = SegmentTable(pts)
     qs = np.array([(9.5, 1.0), (11.0, 0.5), (10.5, -0.2), (3.0, 2.0)])
-    s, _, _, foot = project_points_to_polyline(qs, SegmentTable(pts))
+    s, _, _, foot = project_points_to_polyline(qs, table)
     for i, p in enumerate(qs):
-        s_oracle, d_oracle = _dense_projection_oracle(pts, s_cum, p)
+        s_oracle, d_oracle = _dense_projection_oracle(table, p)
         d_direct = math.dist(p, foot[i])
         assert d_direct == pytest.approx(d_oracle, abs=1e-6)
         if abs(s[i] - s_oracle) > 1e-3:  # distinct feet only happen at equidistant kinks
@@ -282,14 +279,14 @@ ORACLE_POINTS = 4  # points per example held to the sampling oracle
 )
 def test_projection_matches_reference_and_sampling_oracle(case):
     ps, pts, expected = case
-    s, lateral, head, foot = got = project_points_to_polyline(ps, SegmentTable(pts))
+    table = SegmentTable(pts)
+    s, lateral, head, foot = got = project_points_to_polyline(ps, table)
     _assert_bitwise(got, reference_project_points(ps, pts))
 
-    s_cum = polyline_arclengths(pts)
     d = np.hypot(*(ps - foot).T)
     for i in range(min(len(ps), ORACLE_POINTS)):
-        assert d[i] <= _dense_projection_oracle(pts, s_cum, ps[i])[1] + 1e-9
-    on_line, _ = interpolate_on_polyline(pts, s_cum, s)
+        assert d[i] <= _dense_projection_oracle(table, ps[i])[1] + 1e-9
+    on_line = table.points_at(s)
     assert np.allclose(on_line, foot, rtol=0.0, atol=1e-9)
 
     # Lateral is the offset from the foot along the left normal of travel.
@@ -359,7 +356,49 @@ def test_pruned_projection_matches_dense_reference_bitwise(case):
     ps, pts = case
     ref = reference_project_points(ps, pts)
     table = SegmentTable(pts)
-    assert np.array_equal(table.s, polyline_arclengths(pts))
+    assert np.array_equal(table.s, np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))]))
     for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then the broad phase always
         with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
             _assert_bitwise(project_points_to_polyline(ps, table), ref)
+
+
+def test_resample_of_a_zero_length_polyline_is_one_point():
+    pts = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    res = SegmentTable(pts).resample(1.0)
+    assert np.array_equal(res.points, pts[:1])
+    assert res.length == 0.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_random_polyline_case(), ds=st.floats(0.05, 5.0))
+@example(case=(None, np.array([[0.0, 0.0], [3.0 + 5e-10, 0.0]]), None), ds=1.0)  # last step within 1e-9 of ds
+def test_resample_keeps_endpoints_exactly_and_steps_at_most_ds(case, ds):
+    _, pts, _ = case
+    table = SegmentTable(pts)
+    res = table.resample(ds)
+    assert np.array_equal(res.points[0], pts[0])
+    assert np.array_equal(res.points[-1], pts[-1 if table.length > 0 else 0])
+    assert (res.lengths <= ds + 1e-9).all()
+    if table.length > 0:
+        assert len(res.points) == math.ceil(table.length / ds - 1e-9) + 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_random_polyline_case(), seed=st.integers(0, 2**32 - 1))
+def test_points_and_poses_at_match_interp_and_segment_atan2(case, seed):
+    _, pts, _ = case
+    table = SegmentTable(pts)
+    s_cum, total = table.s, table.length
+    d = np.diff(pts, axis=0)
+    assert np.array_equal(table.headings, [math.atan2(dy, dx) for dx, dy in d])
+
+    rng = np.random.default_rng(seed)
+    # every vertex, random arclengths, and clamping below 0 and past the end
+    s = np.concatenate([s_cum, rng.uniform(-5.0, total + 5.0, 40), [-1.0, -1e-300, np.nextafter(total, np.inf), total + 7.0]])
+    want = np.stack([np.interp(s, s_cum, pts[:, 0]), np.interp(s, s_cum, pts[:, 1])], axis=-1)
+    pos, head = table.pose_at(s)
+    _assert_bitwise((table.points_at(s), pos), (want, want))
+    _assert_bitwise((table.points_at(s[3]),), (want[3],))
+    # the heading is that of the last segment starting at or before s
+    k = [np.flatnonzero(s_cum[:-1] <= min(max(si, 0.0), total))[-1] for si in s]
+    assert np.array_equal(head, [math.atan2(d[i, 1], d[i, 0]) for i in k])

@@ -385,3 +385,32 @@ def test_integral_float_seed_is_taken_as_int():
     doc["seed"] = 7.0
     seed = scenario_from_dict(doc).seed
     assert seed == 7 and type(seed) is int
+
+
+def test_scenario_chain_is_built_once_and_joins_lanes():
+    a = straight_lane("a", x0=0.0, x1=50.0, limit=10.0, successors=("b",))
+    b = straight_lane("b", x0=50.0, x1=100.0, limit=7.0, successors=("c",), direction="opposing")
+    c = straight_lane("c", x0=100.001, x1=150.0, limit=9.0)  # 1 mm gap: both vertices stay
+    s = Scenario(
+        lanes=(a, b, c),
+        drivable_area=(rect(-5.0, -4.0, 155.0, 4.0),),
+        crosswalks=(),
+        agents=(),
+        ego=EgoState(pose=Pose2(0.0, 0.0, 0.0), speed=5.0),
+        route=("a", "b", "c"),
+        goal=Pose2(140.0, 0.0, 0.0),
+        duration=10.0,
+        seed=0,
+    )
+    table, opposing, limit = chain = s.chain(("a", "b", "c"))
+    assert s.chain(["a", "b", "c"]) is chain
+    assert np.array_equal(table.points, np.concatenate([a.points, b.points[1:], c.points]))
+    want = [False] * len(a.points) + [True] * (len(b.points) - 1) + [False] * len(c.points)
+    assert opposing.tolist() == want
+    assert limit == 7.0
+    assert s.chain(("b",))[0].n_segments == len(b.points) - 1
+    with pytest.raises(ValueError):
+        table.points[0, 0] = 1.0  # shared by every caller, so read-only
+    assert s.lane_by_id("c") is c
+    with pytest.raises(KeyError):
+        s.lane_by_id("d")

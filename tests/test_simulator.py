@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
-from radstack.geometry import interpolate_on_polyline, normalize_angle
+from radstack.geometry import normalize_angle
 from radstack.planner import Planner, PlannerConfig
 from radstack.proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
 from radstack.scene import (
@@ -302,7 +302,7 @@ def _traffic_case(draw):
 
     def pose_near_lanes():
         lane = scenario.lanes[rng.integers(len(scenario.lanes))]
-        (xy,), (head,) = interpolate_on_polyline(lane.points, lane.s, np.array([rng.uniform(0.0, lane.length)]))
+        xy, head = lane.segments.pose_at(rng.uniform(0.0, lane.length))
         off = rng.uniform(-1.8, 1.8) if rng.random() < 0.8 else rng.choice([-1, 1]) * rng.uniform(3.5, 8.0)
         head += rng.uniform(-0.4, 0.4) + (math.pi if rng.random() < 0.15 else 0.0)
         return Pose2(xy[0] - off * math.sin(head), xy[1] + off * math.cos(head), head)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,5 +179,38 @@ def test_replanning_invariant_over_displacements(plain_scenario):
         ego = EgoState(pose=Pose2(x, y, float(rng.uniform(-0.3, 0.3))), speed=5.0)
         for path in graph_search(ego, plain_scenario):
             s_ego, _, _ = project_onto_path(path, ego.pose)
-            foot, _ = path.pose_at(s_ego)
-            assert np.linalg.norm(foot[0] - path.start) <= SNAP_RADIUS
+            assert np.linalg.norm(path.segments.points_at(s_ego) - path.start) <= SNAP_RADIUS
+
+
+def _route_pose(scenario, offset):
+    """The pose `offset` metres along the route centerlines, by arithmetic of its own."""
+    lanes = {lane.id: lane for lane in scenario.lanes}
+    pts = np.concatenate([lanes[lane_id].points for lane_id in scenario.route])
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    k = int(np.searchsorted(s, offset, side="right")) - 1
+    d = pts[k + 1] - pts[k]
+    x, y = pts[k] + (offset - s[k]) / np.hypot(*d) * d
+    return Pose2(float(x), float(y), math.atan2(d[1], d[0]))
+
+
+# sha256 of the graph_search + augment_with_adjacents paths below, pinned
+# before the path builder moved onto SegmentTable, which holds the move to
+# the same bits.
+TOPOLOGY_GOLDEN_SHA256 = "93b4a8167ff13c5ce31b206e05d8ec16c6abad69b036c81cbd82e954c2aaec1d"
+
+
+def test_topology_paths_match_golden_digest():
+    h = hashlib.sha256()
+    for kind in ("blocked_lane", "lane_change_required", "intersection_turn", "deadlock_pair"):
+        for seed in (7, 8):
+            scenario = generate_synthetic_scenario(kind, seed)
+            for offset in (None, 20.0, 50.0):
+                pose = scenario.ego.pose if offset is None else _route_pose(scenario, offset)
+                ego = replace(scenario.ego, pose=pose)
+                paths = augment_with_adjacents(graph_search(ego, scenario), scenario, ego, enable_opposing=True)
+                for p in paths:
+                    key = (kind, seed, offset, p.lane_sequence, p.source, bool(p.ends_at_terminus), float(p.speed_limit))
+                    h.update(repr(key).encode())
+                    h.update(np.ascontiguousarray(p.points, dtype=float).tobytes())
+                    h.update(np.asarray(p.opposing_mask, dtype=bool).tobytes())
+    assert h.hexdigest() == TOPOLOGY_GOLDEN_SHA256
