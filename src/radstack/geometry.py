@@ -75,18 +75,14 @@ def rect_corners(
     return local @ rot.T + np.array([x, y])
 
 
-def rect_corners_batch(
-    xy: np.ndarray, heading: np.ndarray, half_length: float, half_width: float
-) -> np.ndarray:
-    """Corners for a batch of poses. xy: (..., 2), heading: (...,) -> (..., 4, 2)."""
-    c = np.cos(heading)
-    s = np.sin(heading)
+def rect_corners_batch(xy: np.ndarray, heading: np.ndarray, half_length: float, half_width: float) -> tuple:
+    """Corners for a batch of poses, in rect_corners' order. xy: (..., 2),
+    heading: (...,) -> (corner x, corner y), each (..., 4)."""
+    c = np.cos(heading)[..., None]
+    s = np.sin(heading)[..., None]
     lx = np.array([half_length, -half_length, -half_length, half_length])
     ly = np.array([half_width, half_width, -half_width, -half_width])
-    # (...,4)
-    wx = xy[..., 0:1] + lx * c[..., None] - ly * s[..., None]
-    wy = xy[..., 1:2] + lx * s[..., None] + ly * c[..., None]
-    return np.stack([wx, wy], axis=-1)
+    return xy[..., 0:1] + lx * c - ly * s, xy[..., 1:2] + lx * s + ly * c
 
 
 def boxes_overlap(dx, dy, heading_a, half_length_a, half_width_a, heading_b, half_length_b, half_width_b):
@@ -166,25 +162,20 @@ def polygon_as_aabb(polygon: np.ndarray):
     return xs[0], ys[0], xs[1], ys[1]
 
 
-def points_in_polygons(pts: np.ndarray, polygons) -> np.ndarray:
-    """Inclusive membership of points in a union of polygons.
+def points_in_polygons(x: np.ndarray, y: np.ndarray, polygons, boxes) -> np.ndarray:
+    """Inclusive membership of points (x, y, of one shape) in a union of polygons.
 
-    Axis-aligned rectangles take a fast bounding-box path.
+    boxes[i] is polygon_as_aabb(polygons[i]), computed once by the caller: a
+    box is tested against its bounds, any other polygon by points_in_polygon.
     """
-    pts = np.asarray(pts, dtype=float)
-    inside = np.zeros(len(pts), dtype=bool)
-    for poly in polygons:
-        todo = ~inside
-        if not todo.any():
-            break
-        aabb = polygon_as_aabb(poly)
-        sub = pts[todo]
-        if aabb is not None:
-            x0, y0, x1, y1 = aabb
-            hit = (sub[:, 0] >= x0) & (sub[:, 0] <= x1) & (sub[:, 1] >= y0) & (sub[:, 1] <= y1)
+    inside = np.zeros(np.shape(x), dtype=bool)
+    for poly, box in zip(polygons, boxes):
+        if box is None:
+            hit = points_in_polygon(np.stack([x, y], axis=-1).reshape(-1, 2), poly).reshape(inside.shape)
         else:
-            hit = points_in_polygon(sub, poly)
-        inside[todo] |= hit
+            x0, y0, x1, y1 = box
+            hit = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+        inside |= hit
     return inside
 
 
@@ -248,19 +239,28 @@ class SegmentTable:
     def length(self) -> float:
         return float(self.s[-1])
 
-    def points_at(self, s) -> np.ndarray:
-        """Positions (..., 2) at arclengths s (any shape), clamped to the polyline."""
-        s = np.clip(np.asarray(s, dtype=float), self.s[0], self.s[-1])
+    def _clamp(self, s) -> np.ndarray:
+        return np.minimum(np.maximum(np.asarray(s, dtype=float), self.s[0]), self.s[-1])
+
+    def _interp(self, s) -> np.ndarray:
         return np.stack([np.interp(s, self.s, self.points[:, 0]), np.interp(s, self.s, self.points[:, 1])], axis=-1)
 
-    def pose_at(self, s) -> tuple:
-        """(positions (..., 2), headings (...)) at arclengths s, clamped.
+    def segment_index(self, s) -> np.ndarray:
+        """Index of the segment holding each arclength s in [0, length]; at a
+        vertex, the segment starting there (the last segment at the end)."""
+        return np.minimum(np.searchsorted(self.s, s, side="right") - 1, self.n_segments - 1)
 
-        A heading is that of the segment holding s; at a vertex, the one
-        starting there."""
-        s = np.clip(np.asarray(s, dtype=float), self.s[0], self.s[-1])
-        idx = np.clip(np.searchsorted(self.s, s, side="right") - 1, 0, self.n_segments - 1)
-        return self.points_at(s), self.headings[idx]
+    def points_at(self, s) -> np.ndarray:
+        """Positions (..., 2) at arclengths s (any shape), clamped to the polyline."""
+        return self._interp(self._clamp(s))
+
+    def pose_at(self, s) -> tuple:
+        """(positions (..., 2), headings (...)) at arclengths s (any shape),
+        clamped to the polyline once (by np.minimum/np.maximum, which cost less
+        per call than np.clip). A heading is that of the segment holding s
+        (segment_index): at a vertex, the one starting there."""
+        s = self._clamp(s)
+        return self._interp(s), self.headings[self.segment_index(s)]
 
     def resample(self, ds: float) -> "SegmentTable":
         """The polyline at uniform arclength step ds, the last step shorter.

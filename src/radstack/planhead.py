@@ -225,13 +225,6 @@ def plan_loss(logits: np.ndarray, y: np.ndarray) -> float:
     return float(lse - (y * s).sum())
 
 
-def plan_loss_grad(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d plan_loss / d logits = softmax(logits) - y."""
-    s = np.asarray(logits, dtype=float)
-    e = np.exp(s - s.max())
-    return e / e.sum() - y
-
-
 def refine_loss(refined: np.ndarray, v_star: np.ndarray) -> float:
     """Mean over waypoints of the per-waypoint Euclidean error (not squared)."""
     diff = np.asarray(refined, dtype=float) - np.asarray(v_star, dtype=float)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import HorizonMismatchError
 from .geometry import project_points_to_polyline
 from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
-from .topology import ProposalPath, project_onto_path
+from .topology import ProposalPath
 
 B_HARD = 6.0  # m/s^2, hard braking clamp
 MAX_OFFSET = 3.0  # m
@@ -267,7 +267,7 @@ def _step_kernel(
     ratio = np.empty((2, n))
     v_ratio, q = ratio
     v_lead, term_gap, a_creep, neg_rate, tmp = np.zeros((5, n))
-    bypass, stop, clear = np.zeros((3, n), dtype=bool)
+    bypass, stop = np.zeros((2, n), dtype=bool)
     tmp_col = tmp[:, None]
     if n_agents:
         # (s_ak, a_lat) per step, s_ak = a_s + a_vlon * (k * dt) as in the scalar form.
@@ -282,10 +282,8 @@ def _step_kernel(
         inf_a = np.full((n, n_agents), np.inf)
         g = np.empty((n, n_agents))
         lead, mask = np.zeros((2, n, n_agents), dtype=bool)
-        g_flat, dl_flat, lead_flat = g.reshape(-1), dl_a.reshape(-1), lead.reshape(-1)
-        vlon_flat, band_flat, clear_flat = (
-            np.ascontiguousarray(x).reshape(-1) for x in (a_vlon, a_band, bypass_clear)
-        )
+        g_flat, dl_flat, mask_flat = g.reshape(-1), dl_a.reshape(-1), mask.reshape(-1)
+        vlon_flat, band_flat = (np.ascontiguousarray(x).reshape(-1) for x in (a_vlon, a_band))
         row_base = np.arange(n) * n_agents
         j = np.zeros(n, dtype=np.intp)
         flat = np.zeros(n, dtype=np.intp)
@@ -311,9 +309,8 @@ def _step_kernel(
             # through s_star / gap = 0, so it needs no masking.
             g_flat.take(flat, out=gap, mode="clip")
             vlon_flat.take(flat, out=v_lead, mode="clip")
-            lead_flat.take(flat, out=bypass, mode="clip")
-            clear_flat.take(flat, out=clear, mode="clip")
-            np.logical_and(bypass, clear, out=bypass)
+            np.logical_and(lead, bypass_clear, out=mask)
+            mask_flat.take(flat, out=bypass, mode="clip")
         else:
             gap.fill(np.inf)
         if any_terminus:
@@ -384,39 +381,38 @@ def _step_kernel(
     v[:] = v_now
 
 
-def _project_agents(path: ProposalPath, agent_xy, agent_heading, agent_speed):
-    """Per-agent along-path state: (s, lateral, longitudinal speed)."""
-    s, lat, _, _ = project_points_to_polyline(agent_xy, path.segments)
-    _, path_head = path.segments.pose_at(s)
-    return s, lat, agent_speed * np.cos(agent_heading - path_head)
-
-
 def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, agents, cfg: ProposalConfig):
     """Roll out many (path, offset, v0) rows in one vectorized loop.
 
     Row i follows paths[path_of_row[i]] toward lateral offset targets[i] at
-    reference speed v0[i]; every other IDM parameter comes from p. Returns
-    (positions (n, S+1, 2), headings, speeds, arclengths along each row's
-    path), the last three (n, S+1).
+    reference speed v0[i]; every other IDM parameter comes from p. Rows are
+    path-major: path_of_row is non-decreasing, so each path's rows are one
+    slice. The ego and all agents are projected onto each path in one call,
+    the ego as point 0. Returns (positions (n, S+1, 2), headings, speeds,
+    arclengths along each row's path), the last three (n, S+1).
     """
     n = len(path_of_row)
     steps = cfg.horizon_steps
     dt = cfg.dt
 
-    # Per-path ego projection and agent projections, expanded to rows.
+    # Per-path projections of [ego; agents], expanded to rows. An agent's
+    # longitudinal speed is taken against the heading of the path segment
+    # holding its arclength.
     n_agents = len(agents)
-    s_ego_p = np.empty(len(paths))
-    l_ego_p = np.empty(len(paths))
+    ego_sl = np.empty((2, len(paths)))  # s, lat
     ag = np.zeros((3, len(paths), n_agents))  # s, lat, v_lon
+    pts = np.array([[ego.pose.x, ego.pose.y]] + [[a.pose.x, a.pose.y] for a in agents])
     if n_agents:
-        x, y, heading, speed, half_length, half_width = np.array(
-            [[a.pose.x, a.pose.y, a.pose.heading, a.speed, a.half_length, a.half_width] for a in agents]
+        heading, speed, half_length, half_width = np.array(
+            [[a.pose.heading, a.speed, a.half_length, a.half_width] for a in agents]
         ).T
-        agent_xy = np.stack([x, y], axis=1)
     for j, path in enumerate(paths):
-        s_ego_p[j], l_ego_p[j], _ = project_onto_path(path, ego.pose)
+        table = path.segments
+        s_j, l_j, _, _ = project_points_to_polyline(pts, table)
+        ego_sl[:, j] = s_j[0], l_j[0]
         if n_agents:
-            ag[:, j] = _project_agents(path, agent_xy, heading, speed)
+            ag[0, j], ag[1, j] = s_j[1:], l_j[1:]
+            ag[2, j] = speed * np.cos(heading - table.headings[table.segment_index(s_j[1:])])
 
     a_s, a_lat, a_vlon = ag[:, path_of_row]  # each (n, A)
     if n_agents:
@@ -430,8 +426,7 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     path_len = np.array([p.length for p in paths])[path_of_row]
     terminus = np.array([p.ends_at_terminus for p in paths], dtype=bool)[path_of_row]
 
-    s = s_ego_p[path_of_row].copy()
-    l = l_ego_p[path_of_row].copy()
+    s, l = ego_sl[:, path_of_row]
     v = np.full(n, ego.speed)
 
     s_hist = np.empty((steps + 1, n))
@@ -471,17 +466,15 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
         steps,
     )
 
-    # Reconstruct world-frame samples: centerline point + lateral along normal.
+    # Reconstruct world-frame samples: centerline point + lateral along the
+    # normal (-sin, cos), one slice of rows per path.
     xy = np.empty((steps + 1, n, 2))
+    edges = np.searchsorted(path_of_row, np.arange(len(paths) + 1))
     for j, path in enumerate(paths):
-        members = path_of_row == j
-        s_flat = np.clip(s_hist[:, members].reshape(-1), 0.0, path.length)
-        pos, head = path.segments.pose_at(s_flat)
-        m = int(members.sum())
-        pos = pos.reshape(steps + 1, m, 2)
-        head = head.reshape(steps + 1, m)
-        normal = np.stack([-np.sin(head), np.cos(head)], axis=-1)
-        xy[:, members, :] = pos + l_hist[:, members, None] * normal
+        rows = slice(edges[j], edges[j + 1])
+        pos, head = path.segments.pose_at(s_hist[:, rows])
+        xy[:, rows, 0] = pos[..., 0] - l_hist[:, rows] * np.sin(head)
+        xy[:, rows, 1] = pos[..., 1] + l_hist[:, rows] * np.cos(head)
 
     heads, speeds = segment_headings_and_speeds(xy, ego.pose.heading, ego.speed, dt)
     # Rows first; sample 0 is pinned to the exact ego state.

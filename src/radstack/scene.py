@@ -18,6 +18,7 @@ from .geometry import (
     normalize_angle,
     point_in_polygon,
     points_in_polygons,
+    polygon_as_aabb,
     rect_corners,
     SegmentTable,
 )
@@ -224,6 +225,7 @@ class Scenario:
         # reversed: of duplicate ids (which validate_scenario rejects) the first wins
         object.__setattr__(self, "_lanes", {lane.id: lane for lane in reversed(self.lanes)})
         object.__setattr__(self, "_chains", {})
+        object.__setattr__(self, "_drivable_boxes", None)
 
     def lane_by_id(self, lane_id: str) -> Lane:
         return self._lanes[lane_id]
@@ -251,6 +253,13 @@ class Scenario:
             chain = (SegmentTable(pts), opposing, min(lane.speed_limit for lane in lanes))
             self._chains[lane_ids] = chain
         return chain
+
+    @property
+    def drivable_boxes(self) -> tuple:
+        """polygon_as_aabb of each drivable_area polygon (None if no box), built once."""
+        if self._drivable_boxes is None:
+            object.__setattr__(self, "_drivable_boxes", tuple(polygon_as_aabb(p) for p in self.drivable_area))
+        return self._drivable_boxes
 
     @property
     def lane_ids(self) -> tuple:
@@ -318,7 +327,8 @@ def agent_footprint(a) -> np.ndarray:
 
 def footprint_inside_drivable(a, scenario: Scenario) -> bool:
     """True iff every footprint corner lies in the drivable union (boundary inclusive)."""
-    return bool(points_in_polygons(agent_footprint(a), scenario.drivable_area).all())
+    x, y = agent_footprint(a).T
+    return bool(points_in_polygons(x, y, scenario.drivable_area, scenario.drivable_boxes).all())
 
 
 # --------------------------------------------------------------------------

@@ -344,7 +344,8 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     """Score every row of the set in one batch.
 
     Multiplicative terms: c_col (no footprint overlap with the forecast), c_ra
-    (every footprint corner inside the drivable area) and c_mp (0 when the row
+    (every footprint corner inside the drivable area, tested against the
+    scenario's drivable_boxes, built once per scenario) and c_mp (0 when the row
     gains less than min_progress along the route while a row that c_col and
     c_ra keep can). Objectives: c_ttc (forward projection clear), c_dr and c_sp
     (driving direction and speed limit of the row's own path, the route path
@@ -372,15 +373,18 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
             f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
         )
         cols[p_i[hit]] = 0.0
-    corners = rect_corners_batch(pos, heads, *ctx.ego_dims)  # (P, S+1, 4, 2)
-    inside = points_in_polygons(corners.reshape(-1, 2), ctx.scenario.drivable_area)
-    ras = inside.reshape(n, -1).all(axis=1).astype(float)
+    wx, wy = rect_corners_batch(pos, heads, *ctx.ego_dims)  # each (P, S+1, 4)
+    inside = points_in_polygons(wx, wy, ctx.scenario.drivable_area, ctx.scenario.drivable_boxes)
+    ras = inside.all(axis=(1, 2)).astype(float)
 
-    # Route progress for every proposal, in one projection call. Most rows
-    # start at the ego pose, so each distinct start point is projected once
-    # (keyed as x + iy; -0.0 and 0.0 merge, which leaves s unchanged).
+    # Route progress for every proposal, in one projection call, each distinct
+    # start point once: in practice all rows start at the ego pose; otherwise
+    # by np.unique on x + iy (-0.0 and 0.0 merge, which leaves s unchanged).
     start = pos[:, 0, :]
-    _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
+    if n and (start == start[0]).all():
+        first, start_of_row = [0], np.zeros(n, dtype=np.intp)
+    else:
+        _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
     s_ends, _, _, _ = project_points_to_polyline(np.concatenate([start[first], pos[:, -1, :]]), route.segments)
     gains = s_ends[len(first):] - s_ends[start_of_row]
 

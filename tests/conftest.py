@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from radstack.proposals import B_HARD, CREEP_MIN_GAP, LATERAL_RATE, LATERAL_SPEED_RATIO
+from radstack.geometry import points_in_polygon, polygon_as_aabb, project_points_to_polyline
+from radstack.proposals import (
+    B_HARD,
+    CORRIDOR_HALF_WIDTH,
+    CORRIDOR_MARGIN,
+    CREEP_MIN_GAP,
+    CREEP_SPEED,
+    LATERAL_RATE,
+    LATERAL_SPEED_RATIO,
+    _step_kernel,
+)
 from radstack.scene import (
     AgentState,
     EgoState,
@@ -11,8 +21,9 @@ from radstack.scene import (
     Pose2,
     Scenario,
     generate_synthetic_scenario,
+    segment_headings_and_speeds,
 )
-from radstack.topology import ProposalPath, graph_search
+from radstack.topology import ProposalPath, graph_search, project_onto_path
 
 
 def straight_lane(lane_id="lane_a", y=0.0, x0=0.0, x1=120.0, limit=10.0, **kw):
@@ -190,3 +201,93 @@ def reference_step_kernel(
         l += np.minimum(np.maximum(targets - l, -rate), rate)
         s_hist[k + 1] = s
         l_hist[k + 1] = l
+
+
+def reference_points_in_polygons(pts, polygons):
+    """Inclusive membership of points (N, 2) in a union of polygons, each
+    polygon classified as a box on every call: the tests' reference for the
+    scorer's drivable-area term, which reads a scenario's boxes built once."""
+    pts = np.asarray(pts, dtype=float)
+    inside = np.zeros(len(pts), dtype=bool)
+    for poly in polygons:
+        todo = ~inside
+        if not todo.any():
+            break
+        aabb = polygon_as_aabb(poly)
+        sub = pts[todo]
+        if aabb is not None:
+            x0, y0, x1, y1 = aabb
+            hit = (sub[:, 0] >= x0) & (sub[:, 0] <= x1) & (sub[:, 1] >= y0) & (sub[:, 1] <= y1)
+        else:
+            hit = points_in_polygon(sub, poly)
+        inside[todo] |= hit
+    return inside
+
+
+def reference_rollout_rows(ego, paths, path_of_row, targets, v0, p, agents, cfg):
+    """The rollout set-up as one projection of the ego per path, one batch
+    projection of the agents per path (path heading by pose_at) and a
+    world-frame rebuild per boolean row mask: the tests' bitwise reference
+    for proposals._rollout_rows, with the same kernel and return values.
+    """
+    n = len(path_of_row)
+    steps = cfg.horizon_steps
+    n_agents = len(agents)
+    s_ego_p = np.empty(len(paths))
+    l_ego_p = np.empty(len(paths))
+    ag = np.zeros((3, len(paths), n_agents))  # s, lat, v_lon
+    if n_agents:
+        x, y, heading, speed, half_length, half_width = np.array(
+            [[a.pose.x, a.pose.y, a.pose.heading, a.speed, a.half_length, a.half_width] for a in agents]
+        ).T
+        agent_xy = np.stack([x, y], axis=1)
+    for j, path in enumerate(paths):
+        s_ego_p[j], l_ego_p[j], _ = project_onto_path(path, ego.pose)
+        if n_agents:
+            s_a, lat_a, _, _ = project_points_to_polyline(agent_xy, path.segments)
+            _, path_head = path.segments.pose_at(s_a)
+            ag[:, j] = s_a, lat_a, speed * np.cos(heading - path_head)
+
+    a_s, a_lat, a_vlon = ag[:, path_of_row]
+    if n_agents:
+        band = np.maximum(CORRIDOR_HALF_WIDTH, half_width + ego.half_width + CORRIDOR_MARGIN)
+        a_band = np.tile(band, (n, 1))
+        a_hlen = np.tile(half_length, (n, 1))
+    else:
+        a_band = a_hlen = np.zeros((n, 0))
+    s = s_ego_p[path_of_row].copy()
+    l = l_ego_p[path_of_row].copy()
+    v = np.full(n, ego.speed)
+    s_hist = np.empty((steps + 1, n))
+    l_hist = np.empty((steps + 1, n))
+    T_h, s0, a_max, brake_scale, delta = np.repeat(
+        [[p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]], n, axis=1
+    )
+    _step_kernel(
+        s_hist, l_hist, s, l, v, targets, v0, T_h, s0, a_max, brake_scale, delta,
+        np.minimum(v0, CREEP_SPEED), a_s, a_lat, a_vlon, a_band, a_hlen,
+        np.abs(a_lat - targets[:, None]) >= a_band,
+        np.array([path.length for path in paths])[path_of_row],
+        np.array([path.ends_at_terminus for path in paths], dtype=bool)[path_of_row],
+        float(ego.half_length), cfg.dt, steps,
+    )
+
+    xy = np.empty((steps + 1, n, 2))
+    for j, path in enumerate(paths):
+        members = path_of_row == j
+        s_flat = np.clip(s_hist[:, members].reshape(-1), 0.0, path.length)
+        pos, head = path.segments.pose_at(s_flat)
+        m = int(members.sum())
+        pos = pos.reshape(steps + 1, m, 2)
+        head = head.reshape(steps + 1, m)
+        normal = np.stack([-np.sin(head), np.cos(head)], axis=-1)
+        xy[:, members, :] = pos + l_hist[:, members, None] * normal
+
+    heads, speeds = segment_headings_and_speeds(xy, ego.pose.heading, ego.speed, cfg.dt)
+    positions = np.ascontiguousarray(xy.transpose(1, 0, 2))
+    positions[:, 0] = (ego.pose.x, ego.pose.y)
+    headings = np.ascontiguousarray(heads.T)
+    headings[:, 0] = ego.pose.heading
+    speeds = np.ascontiguousarray(speeds.T)
+    speeds[:, 0] = ego.speed
+    return positions, headings, speeds, np.ascontiguousarray(s_hist.T)

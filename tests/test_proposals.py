@@ -1,8 +1,9 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radstack.proposals import (
     B_HARD,
@@ -13,14 +14,16 @@ from radstack.proposals import (
     LATERAL_SPEED_RATIO,
     IdmParams,
     ProposalConfig,
+    _rollout_rows,
     _step_kernel,
     generate_proposals,
     idm_accel,
     rollout_idm,
 )
-from radstack.scene import EgoState, Pose2
+from radstack.scene import SCENARIO_KINDS, AgentState, EgoState, Pose2, generate_synthetic_scenario
+from radstack.topology import augment_with_adjacents, graph_search
 
-from conftest import reference_step_kernel, static_car, straight_path, straight_scenario
+from conftest import reference_rollout_rows, reference_step_kernel, static_car, straight_path, straight_scenario
 
 
 def test_idm_free_flow_equilibrium():
@@ -459,3 +462,90 @@ def test_rollout_follows_in_band_lead_and_ignores_nearer_out_of_band_agent():
     assert x[-1] > beside.pose.x
     assert x.max() < ahead.pose.x - ahead.half_length - s.ego.half_length
     assert both.speeds[-1] < 0.1
+
+
+@lru_cache(maxsize=None)
+def _kind_paths(kind, seed):
+    scenario = generate_synthetic_scenario(kind, seed)
+    paths = graph_search(scenario.ego, scenario)
+    return scenario, tuple(augment_with_adjacents(paths, scenario, scenario.ego, enable_opposing=True))
+
+
+@st.composite
+def _rollout_case(draw):
+    """Rows over the first paths of a synthetic kind, and 0-10 moving agents
+    placed behind a path's start, past its end, exactly on a vertex (any, or
+    one where the path bends) or near one."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    scenario, paths = _kind_paths(kind, draw(st.integers(7, 8)))
+    paths = paths[: draw(st.integers(1, len(paths)))]
+    agents = []
+    for i in range(draw(st.integers(0, 10))):
+        table = paths[draw(st.integers(0, len(paths) - 1))].segments
+        pts = table.points
+        where = draw(st.sampled_from(("behind", "past", "vertex", "bend", "near")))
+        if where in ("behind", "past"):
+            end, prev = (pts[0], pts[1]) if where == "behind" else (pts[-1], pts[-2])
+            d = end - prev
+            xy = end + d / np.hypot(*d) * draw(st.floats(0.1, 20.0))
+        elif where == "bend" and (bends := np.flatnonzero(np.diff(table.headings)) + 1).size:
+            # A bend vertex projects to the end of the segment before it, at
+            # the arclength where the next segment's heading starts.
+            xy = pts[bends[draw(st.integers(0, len(bends) - 1))]]
+        else:
+            xy = pts[draw(st.integers(0, len(pts) - 1))]
+            if where == "near":
+                xy = xy + np.array([draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))])
+        agents.append(
+            AgentState(
+                id=f"agent_{i}",
+                pose=Pose2(float(xy[0]), float(xy[1]), draw(st.floats(-math.pi, math.pi))),
+                speed=draw(st.floats(0.0, 12.0)),
+                half_length=draw(st.floats(0.3, 3.0)),
+                half_width=draw(st.floats(0.3, 1.2)),
+            )
+        )
+    counts = [draw(st.integers(1, 4)) for _ in paths]
+    n = sum(counts)
+    targets = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    v0 = draw(st.lists(st.floats(0.1, 15.0), min_size=n, max_size=n))
+    return _rows_case(scenario.ego, paths, counts, targets, v0, agents)
+
+
+def _rows_case(ego, paths, counts, targets, v0, agents):
+    return dict(
+        ego=ego,
+        paths=paths,
+        path_of_row=np.repeat(np.arange(len(paths)), counts),
+        targets=np.array(targets, dtype=float),
+        v0=np.array(v0, dtype=float),
+        p=IdmParams(),
+        agents=tuple(agents),
+        cfg=ProposalConfig(),
+    )
+
+
+def _bend_case():
+    """A moving agent on each of the first bend vertices of the intersection_turn path."""
+    scenario, paths = _kind_paths("intersection_turn", 7)
+    table = paths[0].segments
+    bends = np.flatnonzero(np.diff(table.headings)) + 1
+    agents = [
+        AgentState(f"agent_{i}", Pose2(*table.points[k].tolist(), 1.0), 8.0, 2.0, 1.0)
+        for i, k in enumerate(bends[::4])
+    ]
+    return _rows_case(scenario.ego, paths[:1], [3], [0.0, 1.0, -1.0], [5.0, 10.0, 15.0], agents)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_rollout_case())
+@example(case=_bend_case())
+def test_rollout_rows_match_reference_set_up_bitwise(case):
+    # One [ego; agents] projection per path, the agents' path heading read
+    # from the segment table and the rebuild on row slices must give the
+    # per-path projections and boolean-mask rebuild of the reference to the bit.
+    new = _rollout_rows(**case)
+    ref = reference_rollout_rows(**case)
+    for a, b in zip(new, ref):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from radstack import scene
 from radstack.errors import IoError, ParseError, ValidationError
+from radstack.geometry import polygon_as_aabb
 from radstack.scene import (
     SCENARIO_KINDS,
     AgentState,
@@ -15,6 +18,7 @@ from radstack.scene import (
     Scenario,
     Trajectory,
     agent_footprint,
+    footprint_inside_drivable,
     generate_synthetic_scenario,
     load_scenario,
     save_scenario,
@@ -414,3 +418,26 @@ def test_scenario_chain_is_built_once_and_joins_lanes():
     assert s.lane_by_id("c") is c
     with pytest.raises(KeyError):
         s.lane_by_id("d")
+
+
+def test_scenario_builds_its_drivable_boxes_once(monkeypatch):
+    box = rect(-5.0, -4.0, 125.0, 4.0)
+    tri = np.array([[60.0, 4.0], [80.0, 4.0], [70.0, 12.0]])
+    calls = []
+
+    def counting_aabb(poly):
+        calls.append(len(poly))
+        return polygon_as_aabb(poly)
+
+    monkeypatch.setattr(scene, "polygon_as_aabb", counting_aabb)
+    s = replace(straight_scenario(), drivable_area=(box, tri))
+    assert calls == []  # built on first use
+    boxes = s.drivable_boxes
+    assert s.drivable_boxes is boxes
+    assert boxes == ((-5.0, -4.0, 125.0, 4.0), None)
+    ego = s.ego
+    assert footprint_inside_drivable(ego, s)
+    assert not footprint_inside_drivable(replace(ego, pose=Pose2(64.0, 6.0, 0.0)), s)  # a corner left of the triangle
+    assert footprint_inside_drivable(replace(ego, pose=Pose2(70.0, 6.0, 0.0)), s)  # triangle plus box
+    assert calls == [4, 3]  # once per polygon, however many tests read them
+    assert replace(s).drivable_boxes is not boxes  # a new scenario builds its own

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radstack.geometry import boxes_overlap
+from radstack.geometry import boxes_overlap, rect_corners_batch
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
-from radstack.scene import AgentState, EgoState, Pose2, Trajectory
+from radstack.scene import AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
 from radstack.scoring import (
     RELAX_FLOOR,
     TTC_WINDOW,
@@ -24,7 +24,7 @@ from radstack.scoring import (
 )
 from radstack.topology import graph_search
 
-from conftest import static_car, straight_path, straight_scenario
+from conftest import rect, reference_points_in_polygons, static_car, straight_path, straight_scenario
 
 
 def _traj_from_xy(xy, dt=0.1, speeds=None, tag="idm", heading=None):
@@ -451,6 +451,57 @@ def test_goal_null_equivalence_with_pdm_only():
 
 
 # -- selection -----------------------------------------------------------------
+
+
+def _rows(poses, steps=10, dt=0.1):
+    """Trajectories standing at each (x, y, heading), one row per pose."""
+    return [
+        Trajectory(dt, np.tile([x, y], (steps + 1, 1)), np.full(steps + 1, h), np.zeros(steps + 1))
+        for x, y, h in poses
+    ]
+
+
+# Ego 2.0 x 1.0 half extents at heading 0: corners land at exact binary offsets.
+_EDGE = [(3.0, 3.0, 0.0), (123.0, -3.0, 0.0), (-3.0, 0.0, 0.0), (3.0, 3.0 + 2**-40, 0.0), (60.0, 0.0, 0.3)]
+_STRADDLE = [(49.0, 0.0, 0.0), (50.0, 2.5, 0.0), (60.0, 3.5, 0.2), (55.0, 0.0, math.pi / 2)]
+_TRIANGLE = [(70.0, 5.0, 0.0), (70.0, 6.0, 0.0), (70.0, 9.0, 0.0), (64.0, 5.0, 0.1), (20.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "polygons, poses",
+    [
+        ((rect(-5.0, -4.0, 125.0, 4.0),), _EDGE),
+        ((rect(-5.0, -4.0, 50.0, 4.0), rect(50.0, -4.0, 130.0, 4.0)), _STRADDLE),
+        ((rect(-5.0, -4.0, 125.0, 4.0), np.array([[60.0, 4.0], [80.0, 4.0], [70.0, 12.0]])), _TRIANGLE),
+        ((rect(-5.0, -4.0, 125.0, 4.0),), []),
+    ],
+    ids=["corner_on_box_edge", "straddles_two_boxes", "triangle", "no_rows"],
+)
+def test_drivable_term_matches_the_union_of_polygons_bitwise(polygons, poses):
+    scenario = replace(straight_scenario(), drivable_area=polygons)
+    ps = ProposalSet.empty(0.1, 10)
+    if poses:
+        ps.add(*_rows(poses))
+    ctx = replace(_score_context(scenario, straight_path(scenario)), forecast=forecast_agents([], 10, 0.1))
+    ctx.ego_dims = (2.0, 1.0)
+    c_ra = score_proposals(ps, ctx).c_ra
+    corners = np.stack(rect_corners_batch(ps.positions, ps.headings, *ctx.ego_dims), axis=-1)
+    inside = reference_points_in_polygons(corners.reshape(-1, 2), polygons)
+    want = inside.reshape(len(ps), 11 * 4).all(axis=1).astype(float)
+    assert c_ra.shape == want.shape == (len(poses),)
+    assert np.array_equal(c_ra.view(np.int64), want.view(np.int64))
+    if poses:  # the cases hold rows on both sides of the boundary
+        assert 0.0 < c_ra.mean() < 1.0
+
+
+def test_scoring_an_empty_set_returns_empty_scores():
+    scenario = generate_synthetic_scenario("blocked_lane", 1)
+    path = graph_search(scenario.ego, scenario)[0]
+    ctx = _score_context(scenario, path, agents=scenario.agents)
+    scores = score_proposals(ProposalSet.empty(0.1, 40), ctx)
+    assert len(scores) == 0
+    for name in ("c_col", "c_ra", "c_mp", "c_ttc", "c_dr", "c_sp", "c_ep", "c_cf", "goal_cost", "aggregate"):
+        assert getattr(scores, name).shape == (0,)
 
 
 def _score_context(scenario, path, agents=(), relax=RelaxationState(), weights=None):
