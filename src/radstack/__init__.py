@@ -32,14 +32,7 @@ from .scene import (
 )
 from .topology import ProposalPath, augment_with_adjacents, graph_search, project_onto_path
 from .proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposals, idm_accel, rollout_idm
-from .vocabulary import (
-    Vocabulary,
-    collect_expert_trajectories,
-    instantiate_vocabulary,
-    kmeans_cluster,
-    load_vocabulary,
-    save_vocabulary,
-)
+from .vocabulary import Vocabulary, kmeans_cluster, load_vocabulary, save_vocabulary
 from .scoring import (
     RelaxationState,
     ScoreBreakdown,
@@ -65,8 +58,8 @@ from .planhead import (
     train,
 )
 from .hybrid import hybrid_select, inject_learned
-from .planner import Planner, PlannerConfig, make_planner
+from .planner import Planner, PlannerConfig
 from .simulator import EpisodeLog, SimConfig, bicycle_step, lqr_track, run_episode, step_agents
-from .bench import BenchReport, emit_report, measure_latency, run_suite
+from .bench import BenchReport, emit_report, run_suite
 
 __version__ = "0.1.0"

@@ -1,14 +1,13 @@
-"""Batch evaluation, metric aggregation, latency harness, and report emission.
+"""Batch evaluation, metric aggregation and report emission.
 
-Reports are pure functions of the episode logs; two runs with identical flags
-produce byte-identical report and log files (latency sections are included
-only when latency measurement is requested, since wall-clock times vary).
+Reports are pure functions of the episode logs and hold no wall-clock data,
+so two runs with identical flags produce byte-identical report and log files.
+Planner timing is measured by perfbench, not here.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,11 +43,11 @@ def apply_toggles(cfg: PlannerConfig, toggles: str) -> PlannerConfig:
 @dataclass
 class BenchReport:
     rows: list = field(default_factory=list)
-    latency: dict = field(default_factory=dict)
     config_echo: dict = field(default_factory=dict)
+    logs: dict = field(default_factory=dict)  # (scenario, planner, toggles) -> EpisodeLog; not reported
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows, "latency": self.latency, "config": self.config_echo}
+        return {"rows": self.rows, "config": self.config_echo}
 
 
 def route_completion(log: EpisodeLog) -> float:
@@ -118,7 +117,6 @@ def run_suite(
             "sim": {"dt": sim_cfg.dt, "horizon": sim_cfg.horizon, "agent_policy": sim_cfg.agent_policy},
         }
     )
-    logs = {}
     for name, scenario in scenario_items:
         for kind in planner_kinds:
             for toggle in toggles:
@@ -139,45 +137,9 @@ def run_suite(
                 }
                 report.rows.append(row)
                 if keep_logs:
-                    logs[(name, kind, toggle)] = log
+                    report.logs[(name, kind, toggle)] = log
     report.rows.sort(key=lambda r: (r["scenario"], r["planner"], r["toggles"]))
-    if keep_logs:
-        report.logs = logs
     return report
-
-
-def measure_latency(fn, n_calls: int = 1000, warmup: int = 50) -> dict:
-    """Warm-start latency stats for a zero-argument callable (monotonic clock)."""
-    for _ in range(warmup):
-        fn()
-    times = np.empty(n_calls)
-    for i in range(n_calls):
-        t0 = time.perf_counter()
-        fn()
-        times[i] = time.perf_counter() - t0
-    return {
-        "n": n_calls,
-        "mean_s": float(times.mean()),
-        "p50_s": float(np.percentile(times, 50)),
-        "p95_s": float(np.percentile(times, 95)),
-    }
-
-
-def measure_planner_latency(planner_factory, scenario, n_calls: int = 1000, warmup: int = 50) -> dict:
-    """End-to-end per-call planning latency on a fixed scene fixture.
-
-    Scenario loading is excluded; the measured call covers topology, proposals
-    and scoring (rules planners) or feature extraction plus the staged head
-    (learned planner).
-    """
-    planner = planner_factory()
-    ego = scenario.ego
-    agents = list(scenario.agents)
-
-    def call():
-        planner.plan(ego, agents, t=0.0)
-
-    return measure_latency(call, n_calls=n_calls, warmup=warmup)
 
 
 # --------------------------------------------------------------------------
@@ -222,15 +184,6 @@ def _text_table(report: BenchReport) -> str:
     ]
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    if report.latency:
-        lines.append("")
-        lines.append("latency (ms): mean / p50 / p95 over n calls")
-        for key in sorted(report.latency):
-            st = report.latency[key]
-            lines.append(
-                f"  {key}: {st['mean_s'] * 1e3:.3f} / {st['p50_s'] * 1e3:.3f} / "
-                f"{st['p95_s'] * 1e3:.3f}  (n={st['n']})"
-            )
     return "\n".join(lines) + "\n"
 
 

@@ -11,49 +11,29 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .bench import (
-    BenchReport,
-    TOGGLE_PRESETS,
-    emit_report,
-    measure_planner_latency,
-    run_suite,
-)
+from .bench import TOGGLE_PRESETS, emit_report, run_suite
 from .config import build_planner_config, build_sim_config, load_config, resolve_seed
-from .errors import RadstackError
-from .planhead import (
-    CLASSIFY_AND_REFINE,
-    CLASSIFY_ONLY,
-    TrainingSample,
-    harvest_training_samples,
-    init_model,
-    load_model,
-    save_model,
-    train,
-)
-from .planner import PLANNER_KINDS, Planner, PlannerConfig
+from .errors import IoError, RadstackError
+from .planhead import harvest_training_samples, init_model, load_model, save_model, train
+from .planner import PLANNER_KINDS, Planner
 from .scene import SCENARIO_KINDS, generate_synthetic_scenario, load_scenario, save_scenario
 from .render import render_episode_svg
 from .simulator import SimConfig, load_episode_log, record_agents, run_episode, save_episode_log
 from .vocabulary import kmeans_cluster, load_vocabulary, save_vocabulary, slice_ego_windows
 
-from dataclasses import replace
 
-
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
-
-    return parse
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _positive_float(text: str) -> float:
@@ -67,7 +47,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-_COUNT = _int_at_least(1)
+def _output_dir(path, flag: str) -> Path:
+    """Create the directory given to `flag`, with its parents; IoError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"{flag} {path}: cannot create directory: {e.strerror}") from e
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scenarios", help="generate deterministic synthetic scenarios")
     p.add_argument("--kind", required=True, choices=SCENARIO_KINDS)
-    p.add_argument("--count", type=_COUNT, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -95,26 +82,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster-vocab", help="cluster harvested ego trajectories")
     p.add_argument("--episodes", required=True, help="directory of episode logs")
-    p.add_argument("--k", type=_COUNT, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--horizon-steps", type=_COUNT, default=40)
-    p.add_argument("--stride", type=_COUNT, default=5)
+    p.add_argument("--horizon-steps", type=_count, default=40)
+    p.add_argument("--stride", type=_count, default=5)
 
     p = sub.add_parser("train-head", help="train the learned plan head")
     p.add_argument("--samples", required=True, help="directory of episode logs to harvest")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", type=_COUNT, default=200)
+    p.add_argument("--epochs", type=_count, default=200)
     p.add_argument("--lr", type=_positive_float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=_COUNT, default=5)
+    p.add_argument("--stride", type=_count, default=5)
 
-    p = sub.add_parser("bench", help="batch evaluation and latency harness")
+    p = sub.add_parser("bench", help="batch closed-loop evaluation and report")
     p.add_argument("--scenarios", required=True, help="directory of scenario files")
     p.add_argument("--planners", required=True, help="comma-separated planner kinds")
     p.add_argument("--toggles", default="full", help=f"comma-separated presets: {','.join(sorted(TOGGLE_PRESETS))}")
-    p.add_argument("--latency-calls", type=_int_at_least(0), default=0)
     p.add_argument("--report", required=True)
     p.add_argument("--format", default="structured", choices=("structured", "text_table", "svg_summary"))
     p.add_argument("--config", default=None)
@@ -147,8 +133,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_gen_scenarios(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out, "--out")
     seed0 = resolve_seed(args.seed)
     for i in range(args.count):
         seed = seed0 + i
@@ -229,7 +214,7 @@ def _cmd_train_head(args) -> int:
         raise RadstackError("no training samples could be harvested from the logs")
     seed = resolve_seed(args.seed)
     model = init_model(vocab, seed=seed)
-    model, curve = train(model, samples, epochs=args.epochs, lr=args.lr, seed=seed)
+    model, curve = train(model, samples, epochs=args.epochs, lr=args.lr)
     save_model(model, args.out)
     print(
         f"trained on {len(samples)} samples for {args.epochs} epochs: "
@@ -254,34 +239,14 @@ def _cmd_bench(args) -> int:
         if kind in ("planhead", "hybrid") and model is None:
             raise RadstackError(f"missing config key 'model_path' (or --model) for planner {kind}")
 
+    logs_dir = _output_dir(args.logs_dir, "--logs-dir") if args.logs_dir else None
+
     report = run_suite(
         items, planners, toggles, sim_cfg, planner_cfg,
-        vocabulary=vocab, model=model, keep_logs=bool(args.logs_dir),
+        vocabulary=vocab, model=model, keep_logs=logs_dir is not None,
     )
-    if args.logs_dir:
-        logs_dir = Path(args.logs_dir)
-        logs_dir.mkdir(parents=True, exist_ok=True)
-        for (name, kind, toggle), log in report.logs.items():
-            save_episode_log(log, logs_dir / f"{name}__{kind}__{toggle}.jsonl")
-
-    if args.latency_calls > 0:
-        fixture = items[0][1]
-        for kind in planners:
-            report.latency[kind] = measure_planner_latency(
-                lambda kind=kind: Planner(
-                    fixture, kind=kind, config=planner_cfg, vocabulary=vocab, model=model
-                ),
-                fixture,
-                n_calls=args.latency_calls,
-            )
-        if model is not None:
-            for budget in (CLASSIFY_ONLY, CLASSIFY_AND_REFINE):
-                cfg_b = replace(planner_cfg, planhead_budget=budget)
-                report.latency[f"planhead.{budget}"] = measure_planner_latency(
-                    lambda cfg_b=cfg_b: Planner(fixture, kind="planhead", config=cfg_b, model=model),
-                    fixture,
-                    n_calls=args.latency_calls,
-                )
+    for (name, kind, toggle), log in report.logs.items():
+        save_episode_log(log, logs_dir / f"{name}__{kind}__{toggle}.jsonl")
     emit_report(report, args.format, args.report)
     print(f"{len(report.rows)} rows -> {args.report}")
     return 0

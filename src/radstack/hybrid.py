@@ -30,13 +30,21 @@ def _shift_lateral(traj: Trajectory, offset: float) -> Trajectory:
 
 
 def inject_learned(proposals: ProposalSet, learned: Trajectory, offsets=DEFAULT_LEARNED_OFFSETS) -> ProposalSet:
-    """A copy of the proposal set with the learned plan and its offset variants appended.
+    """A new proposal set: the input's rows, then the learned plan and its offset variants.
 
-    The result has |input| + 1 + |offsets| rows. Raises HorizonMismatchError
-    when the learned trajectory's sampling differs.
+    The result has |input| + 1 + |offsets| rows and the input is left as it
+    was. Raises HorizonMismatchError when the learned trajectory's sampling
+    differs.
     """
-    out = replace(proposals)
-    out.add(learned.retag("learned"), *(_shift_lateral(learned, off) for off in offsets))
+    rows = [learned, *(_shift_lateral(learned, off) for off in offsets)]
+    out = replace(proposals)  # shares the input's arrays; append rebinds them
+    out.append(
+        learned.dt,
+        np.stack([t.positions for t in rows]),
+        np.stack([t.headings for t in rows]),
+        np.stack([t.speeds for t in rows]),
+        ["learned"] + ["learned_offset"] * len(offsets),
+    )
     return out
 
 

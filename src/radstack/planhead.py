@@ -20,7 +20,7 @@ from .errors import DivergenceError, IoError, ParseError
 from .geometry import to_local_frame
 from .scene import EgoState, Pose2, Trajectory
 from .topology import ProposalPath, project_onto_path
-from .vocabulary import Vocabulary, instantiate_vocabulary, slice_ego_windows
+from .vocabulary import Vocabulary, instantiate_prototype, slice_ego_windows
 
 FEATURE_DIM = 64
 HIDDEN_DIM = 128
@@ -202,7 +202,7 @@ def _refine(model: PlanHeadModel, h: np.ndarray, v_hat: np.ndarray):
     return off, (u, r1, raw)
 
 
-def soft_targets(v_star: np.ndarray, vocab: Vocabulary, temperature: float = 1.0) -> np.ndarray:
+def soft_targets(v_star: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     """Distribution over prototypes by squared-distance proximity to v_star.
 
     Computed with max-subtraction for numerical stability; sums to 1.
@@ -211,7 +211,7 @@ def soft_targets(v_star: np.ndarray, vocab: Vocabulary, temperature: float = 1.0
     if v_star.shape != (vocab.T, 2):
         raise ValueError(f"v_star shape {v_star.shape} != (T={vocab.T}, 2)")
     d2 = ((vocab.prototypes - v_star[None, :, :]) ** 2).sum(axis=(1, 2))
-    logits = -d2 / temperature
+    logits = -d2
     logits -= logits.max()
     e = np.exp(logits)
     return e / e.sum()
@@ -314,12 +314,12 @@ def _batch_forward_backward(model: PlanHeadModel, x, y, v_star):
     return loss, grads
 
 
-def train(model: PlanHeadModel, samples, epochs: int, lr: float = 1e-2, seed: int = 0):
-    """Full-batch gradient descent on the summed losses; deterministic in seed.
+def train(model: PlanHeadModel, samples, epochs: int, lr: float = 1e-2):
+    """Full-batch gradient descent on the summed losses; deterministic, with no
+    stochastic choices (the initial weights carry the seed, see init_model).
 
     Returns (model, loss_curve). Raises DivergenceError on non-finite loss.
     """
-    del seed  # full-batch descent has no stochastic choices to drive
     if not samples:
         raise ValueError("samples must be nonempty")
     x = np.stack([np.asarray(s.features, dtype=float) for s in samples])
@@ -372,8 +372,9 @@ def plan_anytime(
         t1 = time.perf_counter()
         waypoints = forward_refine(model, encoding, v_hat)
         timings.append(("refine", time.perf_counter() - t1))
-    traj = instantiate_vocabulary(waypoints, ego, dt=model.vocab.dt, tag="learned")
-    return traj, timings
+    dt = model.vocab.dt
+    (positions,), (headings,), (speeds,) = instantiate_prototype(waypoints[None], ego, dt)
+    return Trajectory(dt, positions, headings, speeds, "learned"), timings
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hybrid import hybrid_select
+from .hybrid import DEFAULT_LEARNED_OFFSETS, hybrid_select
 from .planhead import (
     CLASSIFY_AND_REFINE,
     PlanHeadModel,
@@ -29,7 +29,6 @@ from .planhead import (
 from .proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposals
 from .scene import EgoState, Scenario, Trajectory, footprint_inside_drivable
 from .scoring import (
-    D_BLOCK,
     MIN_PROGRESS,
     RelaxationState,
     ScoreContext,
@@ -65,7 +64,7 @@ class PlannerConfig:
     max_paths: int = DEFAULT_MAX_PATHS
     horizon_length: float = DEFAULT_HORIZON_LENGTH
     min_progress: float = MIN_PROGRESS
-    learned_offsets: tuple = (-0.5, 0.5)
+    learned_offsets: tuple = DEFAULT_LEARNED_OFFSETS
     planhead_budget: str = CLASSIFY_AND_REFINE
 
     def without_goal(self) -> "PlannerConfig":
@@ -153,7 +152,7 @@ class Planner:
                 self._relax_hold_since = t
             return det
         if self._relax_hold:
-            blocker = _blocker_distance(ego, agents, route_path, d_block=D_BLOCK)
+            blocker = _blocker_distance(ego, agents, route_path)
             on_road = footprint_inside_drivable(ego, self.scenario)
             timed_out = (
                 self._relax_hold_since is not None
@@ -285,13 +284,3 @@ class Planner:
             relax=RelaxationState(),
             replan_root_gap=gap,
         )
-
-
-def make_planner(
-    kind: str,
-    scenario: Scenario,
-    config: PlannerConfig | None = None,
-    vocabulary: Vocabulary | None = None,
-    model: PlanHeadModel | None = None,
-) -> Planner:
-    return Planner(scenario, kind=kind, config=config, vocabulary=vocabulary, model=model)

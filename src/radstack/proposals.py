@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HorizonMismatchError
 from .geometry import project_points_to_polyline
-from .scene import EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
+from .scene import TRAJECTORY_TAGS, EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
 from .topology import ProposalPath
 
 B_HARD = 6.0  # m/s^2, hard braking clamp
@@ -67,10 +67,6 @@ class ProposalConfig:
         return int(round(self.horizon / self.dt))
 
 
-# Trajectory tags in tie-break order; a row's tag code is its position here.
-TAG_PRIORITY = ("idm", "learned", "learned_offset", "vocabulary", "replay")
-
-
 class Proposal(NamedTuple):
     """One row of a ProposalSet, read back for logs; s_track is None off a rollout."""
 
@@ -88,7 +84,7 @@ class ProposalSet:
 
     Rows from generate_proposals come first, in its product order, and carry
     their path (path_index into paths) and rollout arclength s_track. Rows
-    appended by append or add (vocabulary and learned plans) have path_index
+    added by append (vocabulary and learned plans) have path_index
     -1, offset and fraction 0 and a NaN s_track. A row's index is its position.
     """
 
@@ -100,7 +96,7 @@ class ProposalSet:
     path_index: np.ndarray  # (P,) int
     offsets: np.ndarray  # (P,)
     fractions: np.ndarray  # (P,)
-    tags: np.ndarray  # (P,) int codes into TAG_PRIORITY
+    tags: np.ndarray  # (P,) int codes into TRAJECTORY_TAGS
     paths: tuple = ()
 
     @classmethod
@@ -124,7 +120,7 @@ class ProposalSet:
     def __getitem__(self, i) -> Proposal:
         j = int(self.path_index[i])
         return Proposal(
-            i, TAG_PRIORITY[self.tags[i]], j, float(self.offsets[i]), float(self.fractions[i]),
+            i, TRAJECTORY_TAGS[self.tags[i]], j, float(self.offsets[i]), float(self.fractions[i]),
             self.s_track[i] if j >= 0 else None,
         )
 
@@ -140,27 +136,18 @@ class ProposalSet:
         """Row i as a Trajectory (copies of its arrays)."""
         return trajectory_from_arrays(
             self.dt, self.positions[i].copy(), self.headings[i].copy(), self.speeds[i].copy(),
-            TAG_PRIORITY[self.tags[i]],
-        )
-
-    def add(self, *trajectories: Trajectory) -> None:
-        """Append one row per trajectory. Raises HorizonMismatchError when a
-        trajectory's sampling differs from the set's."""
-        for t in trajectories:
-            self._check_sampling(t.dt, t.horizon_steps)
-        self.append(
-            self.dt,
-            np.array([t.positions for t in trajectories]),
-            np.array([t.headings for t in trajectories]),
-            np.array([t.speeds for t in trajectories]),
-            [t.tag for t in trajectories],
+            TRAJECTORY_TAGS[self.tags[i]],
         )
 
     def append(self, dt: float, positions, headings, speeds, tags) -> None:
         """Append rows without a path: positions (m, S+1, 2), headings and
         speeds (m, S+1), and one tag name per row. Raises HorizonMismatchError
         when dt or S differs from the set's."""
-        self._check_sampling(dt, positions.shape[1] - 1)
+        steps = positions.shape[1] - 1
+        if not abs(dt - self.dt) <= 1e-12 or steps != self.horizon_steps:  # a NaN dt fails too
+            raise HorizonMismatchError(
+                f"trajectory has dt={dt}, steps={steps}; set expects dt={self.dt}, steps={self.horizon_steps}"
+            )
         n = len(positions)
         self.positions = np.concatenate([self.positions, positions])
         self.headings = np.concatenate([self.headings, headings])
@@ -169,13 +156,7 @@ class ProposalSet:
         self.path_index = np.concatenate([self.path_index, np.full(n, -1)])
         self.offsets = np.concatenate([self.offsets, np.zeros(n)])
         self.fractions = np.concatenate([self.fractions, np.zeros(n)])
-        self.tags = np.concatenate([self.tags, [TAG_PRIORITY.index(t) for t in tags]])
-
-    def _check_sampling(self, dt: float, steps: int) -> None:
-        if not abs(dt - self.dt) <= 1e-12 or steps != self.horizon_steps:  # a NaN dt fails too
-            raise HorizonMismatchError(
-                f"trajectory has dt={dt}, steps={steps}; set expects dt={self.dt}, steps={self.horizon_steps}"
-            )
+        self.tags = np.concatenate([self.tags, [TRAJECTORY_TAGS.index(t) for t in tags]])
 
 
 def idm_accel(v, v_lead, gap, p: IdmParams):

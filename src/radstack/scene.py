@@ -2,7 +2,9 @@
 and a deterministic synthetic-scenario generator.
 
 World frame: right-handed, meters, heading 0 = +x, angles in (-pi, pi].
-Scenario files are JSON documents with explicit units (schema v1, see README).
+Scenario files are JSON documents in meters, seconds and radians (schema v1):
+lanes, drivable_area, crosswalks, agents, ego, route, goal, duration and seed;
+scenario_to_dict writes every key and scenario_from_dict checks them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .geometry import (
 
 AGENT_KINDS = ("vehicle", "pedestrian", "static")
 LANE_DIRECTIONS = ("route_aligned", "opposing")
-TRAJECTORY_TAGS = ("idm", "vocabulary", "learned", "learned_offset", "replay")
+# Trajectory tags in tie-break order: a proposal row's tag code is its position here.
+TRAJECTORY_TAGS = ("idm", "learned", "learned_offset", "vocabulary", "replay")
 
 MAX_SEGMENT_LENGTH = 25.0  # m, max spacing between centerline points
 JOIN_EPSILON = 0.1  # m, successor start must join within this of lane end

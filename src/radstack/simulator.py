@@ -2,15 +2,15 @@
 an LQR trajectory tracker, reactive IDM or replay background agents, event
 detection, and per-tick planner invocation.
 
-Episode logs serialize as line-delimited JSON. Wall-clock planner timings are
-kept in memory only so identical runs produce byte-identical log files.
+Episode logs serialize as line-delimited JSON and hold no wall-clock data, so
+identical runs produce byte-identical log files. Planner timing is measured by
+perfbench.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,7 +74,6 @@ class EpisodeLog:
     dt: float
     records: list = field(default_factory=list)  # per-tick dicts
     events: list = field(default_factory=list)  # (tick, name)
-    plan_times: list = field(default_factory=list)  # seconds, in memory only
     proposal_records: list = field(default_factory=list)
 
     @property
@@ -85,18 +84,10 @@ class EpisodeLog:
         return [record_ego(r, self.scenario.ego) for r in self.records]
 
 
-def bicycle_step(
-    ego: EgoState,
-    accel_cmd: float,
-    steer_cmd: float,
-    dt: float,
-    max_accel: float = MAX_ACCEL_CMD,
-    max_brake: float = MAX_BRAKE_CMD,
-    steer_limit: float = STEER_LIMIT,
-) -> EgoState:
+def bicycle_step(ego: EgoState, accel_cmd: float, steer_cmd: float, dt: float) -> EgoState:
     """One kinematic-bicycle integration step; commands clamped, no reverse."""
-    a = min(max_accel, max(-max_brake, accel_cmd))
-    steer = min(steer_limit, max(-steer_limit, steer_cmd))
+    a = min(MAX_ACCEL_CMD, max(-MAX_BRAKE_CMD, accel_cmd))
+    steer = min(STEER_LIMIT, max(-STEER_LIMIT, steer_cmd))
     x = ego.pose.x + ego.speed * math.cos(ego.pose.heading) * dt
     y = ego.pose.y + ego.speed * math.sin(ego.pose.heading) * dt
     heading = normalize_angle(
@@ -384,13 +375,11 @@ def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> Ep
 
     for tick in range(n_ticks):
         if tick % cfg.planner_period == 0 or current_plan is None:
-            t0 = time.perf_counter()
             try:
                 result = planner.plan(ego, agents, t=tick * cfg.dt)
             except OffMapError:
                 record_event(tick, "off_map_error")
                 break
-            log.plan_times.append(time.perf_counter() - t0)
             current_plan = result
             if cfg.record_breakdowns and result.proposals is not None:
                 for prop, b in zip(result.proposals, result.breakdowns):

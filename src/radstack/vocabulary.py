@@ -12,9 +12,10 @@ import numpy as np
 
 from .errors import DegenerateClusterError, IoError, ParseError, ValidationError
 from .geometry import to_local_frame
-from .scene import EgoState, Trajectory, segment_headings_and_speeds
+from .scene import EgoState, segment_headings_and_speeds
 
 V_MAX = 20.0  # m/s bound used by the start-near-origin invariant
+KMEANS_MAX_ITERS = 100  # cap on Lloyd iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,29 +62,6 @@ def slice_ego_windows(states, horizon_steps: int, stride: int = 5):
     return out
 
 
-def collect_expert_trajectories(
-    scenarios,
-    policy,
-    count: int,
-    horizon_steps: int = 40,
-    stride: int = 5,
-):
-    """Harvest up to `count` ego-frame windows by running `policy` on scenarios.
-
-    policy: callable Scenario -> sequence of executed EgoState (uniform dt).
-    Deterministic for a fixed scenario list and deterministic policy.
-    """
-    if not scenarios:
-        raise ValueError("scenarios must be nonempty")
-    samples = []
-    for scenario in scenarios:
-        states = policy(scenario)
-        samples.extend(slice_ego_windows(states, horizon_steps, stride))
-        if len(samples) >= count:
-            break
-    return samples[:count]
-
-
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(x)
     centers = np.empty((k, x.shape[1]))
@@ -102,18 +80,12 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def kmeans_cluster(
-    samples,
-    k: int,
-    max_iters: int = 100,
-    seed: int = 0,
-    dt: float = 0.1,
-) -> Vocabulary:
+def kmeans_cluster(samples, k: int, seed: int = 0, dt: float = 0.1) -> Vocabulary:
     """Lloyd's iterations over flattened trajectories with k-means++ seeding.
 
-    Stops when assignments stabilize or after max_iters. Empty clusters are
-    re-seeded to the point farthest from its center; if that is impossible a
-    DegenerateClusterError is raised.
+    Stops when assignments stabilize or after KMEANS_MAX_ITERS. Empty clusters
+    are re-seeded to the point farthest from its center; if that is
+    impossible a DegenerateClusterError is raised.
     """
     samples = [np.asarray(s, dtype=float) for s in samples]
     if len(samples) < k:
@@ -125,7 +97,7 @@ def kmeans_cluster(
 
     assign = np.full(len(x), -1)
     sse_history = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         for j in range(k):
@@ -170,14 +142,6 @@ def instantiate_prototype(prototypes: np.ndarray, ego: EgoState, dt: float):
     pts[1:, :, 1] = y + s * px + c * py
     heads, speeds = segment_headings_and_speeds(pts, heading, ego.speed, dt)
     return pts.transpose(1, 0, 2), heads.T, speeds.T
-
-
-def instantiate_vocabulary(
-    prototype: np.ndarray, ego: EgoState, dt: float = 0.1, tag: str = "vocabulary"
-) -> Trajectory:
-    """One ego-frame prototype (T, 2) at the ego pose: instantiate_prototype with K = 1."""
-    (positions,), (headings,), (speeds,) = instantiate_prototype(np.asarray(prototype)[None], ego, dt)
-    return Trajectory(dt, positions, headings, speeds, tag)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from radstack.bench import route_completion
-from radstack.scene import generate_synthetic_scenario
+from radstack.cli import main
+from radstack.scene import generate_synthetic_scenario, scenario_to_dict
 from radstack.simulator import EpisodeLog
 
 
@@ -43,3 +45,34 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
     assert tracing.TARGETS
     for module, attr, _ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_bench_runs_end_to_end_and_repeats_byte_for_byte(tmp_path, capsys):
+    # One scenario cut to 1 s, two planners, two toggle presets: 4 rows.
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    doc = scenario_to_dict(generate_synthetic_scenario("blocked_lane", 7))
+    (scenarios / "blocked_lane_0007.json").write_text(json.dumps({**doc, "duration": 1.0}))
+    formats = ("structured", "text_table", "svg_summary")
+    for run in ("a", "b"):
+        for fmt in formats:
+            argv = [
+                "bench", "--scenarios", str(scenarios), "--planners", "rad,baseline_static",
+                "--toggles", "full,no_goal", "--format", fmt,
+                "--report", str(tmp_path / run / f"report_{fmt}"), "--logs-dir", str(tmp_path / run / f"logs_{fmt}"),
+            ]
+            assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
+    assert len(files) == len(formats) * (1 + 4)
+    for rel in files:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), str(rel)
+
+    report = json.loads((tmp_path / "a" / "report_structured").read_text())
+    assert set(report) == {"rows", "config"}
+    keys = [(r["scenario"], r["planner"], r["toggles"]) for r in report["rows"]]
+    assert keys == sorted(keys) and len(keys) == 4
+    assert {k[1:] for k in keys} == {(p, t) for p in ("rad", "baseline_static") for t in ("full", "no_goal")}
+    table = (tmp_path / "a" / "report_text_table").read_text()
+    assert len(table.splitlines()) == 2 + 4 and "latency" not in table

@@ -216,7 +216,7 @@ def _drop(line, key):
         (_set(1, "type", "note"), "line 2: type: expected one of ['tick', 'proposal', 'event'], got 'note'"),
         (_set(1, "ego", [0.0]), "line 2: ego: expected [x, y, heading, speed, accel, steering] as finite numbers, got [0.0]"),
         (_set(1, "agents", [["a", 1.0]]), "line 2: agents: expected a list of [id, x, y, heading, speed, half_length, half_width, kind], got [['a', 1.0]]"),
-        (_set(2, "tag", "rules"), "line 3: tag: expected one of ['idm', 'vocabulary', 'learned', 'learned_offset', 'replay'], got 'rules'"),
+        (_set(2, "tag", "rules"), "line 3: tag: expected one of ['idm', 'learned', 'learned_offset', 'vocabulary', 'replay'], got 'rules'"),
         (_set(2, "breakdown", {"aggregate": "high"}), "line 3: breakdown: expected null or an object with a finite aggregate, got {'aggregate': 'high'}"),
         (_set(3, "tick", -1), "line 4: tick: expected an integer >= 0, got -1"),
         (_set(3, "ego", [1.5, 0.0, 0.0, -5.0, 0.0, 0.0]), "line 4: ego.speed: must be >= 0"),
@@ -248,7 +248,6 @@ def test_cli_reports_malformed_episode_log_in_one_line(tmp_path, capsys, edit, p
         (["train-head", "--samples", "e", "--vocab", "v", "--lr", "nan", "--out", "o"], "--lr: expected a finite number > 0, got 'nan'"),
         (["train-head", "--samples", "e", "--vocab", "v", "--lr", "0", "--out", "o"], "--lr: expected a finite number > 0, got '0'"),
         (["train-head", "--samples", "e", "--vocab", "v", "--lr", "inf", "--out", "o"], "--lr: expected a finite number > 0, got 'inf'"),
-        (["bench", "--scenarios", "s", "--planners", "rad", "--report", "r", "--latency-calls", "-1"], "--latency-calls: expected an integer >= 0, got '-1'"),
     ],
 )
 def test_cli_rejects_out_of_range_flags_as_usage_errors(capsys, argv, problem):
@@ -258,6 +257,27 @@ def test_cli_rejects_out_of_range_flags_as_usage_errors(capsys, argv, problem):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == f"radstack {argv[0]}: error: argument {problem}"
+
+
+@pytest.mark.parametrize("case", ["existing_file", "under_a_file"])
+@pytest.mark.parametrize("command, flag", [("gen-scenarios", "--out"), ("bench", "--logs-dir")])
+def test_cli_reports_an_unusable_output_directory_in_one_line(tmp_path, capsys, command, flag, case):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    target = taken if case == "existing_file" else taken / "sub"
+    if command == "gen-scenarios":
+        argv = ["gen-scenarios", "--kind", "blocked_lane", "--out", str(target)]
+    else:
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        _scenario_file(scenarios, duration=0.3)
+        report = str(tmp_path / "report.json")
+        argv = ["bench", "--scenarios", str(scenarios), "--planners", "rad", "--report", report, "--logs-dir", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{command}: {flag} {target}: cannot create directory: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_python_dash_m_radstack_runs_the_cli():

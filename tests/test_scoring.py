@@ -73,8 +73,15 @@ def test_forecast_heading_trig_oracle():
 
 
 def _proposal_set(trajs):
-    ps = ProposalSet.empty(dt=trajs[0].dt, horizon_steps=trajs[0].horizon_steps)
-    ps.add(*trajs)
+    dt = trajs[0].dt
+    ps = ProposalSet.empty(dt=dt, horizon_steps=trajs[0].horizon_steps)
+    ps.append(
+        dt,
+        np.stack([t.positions for t in trajs]),
+        np.stack([t.headings for t in trajs]),
+        np.stack([t.speeds for t in trajs]),
+        [t.tag for t in trajs],
+    )
     return ps
 
 
@@ -479,9 +486,7 @@ _TRIANGLE = [(70.0, 5.0, 0.0), (70.0, 6.0, 0.0), (70.0, 9.0, 0.0), (64.0, 5.0, 0
 )
 def test_drivable_term_matches_the_union_of_polygons_bitwise(polygons, poses):
     scenario = replace(straight_scenario(), drivable_area=polygons)
-    ps = ProposalSet.empty(0.1, 10)
-    if poses:
-        ps.add(*_rows(poses))
+    ps = _proposal_set(_rows(poses)) if poses else ProposalSet.empty(0.1, 10)
     ctx = replace(_score_context(scenario, straight_path(scenario)), forecast=forecast_agents([], 10, 0.1))
     ctx.ego_dims = (2.0, 1.0)
     c_ra = score_proposals(ps, ctx).c_ra

@@ -10,9 +10,7 @@ from radstack.scene import EgoState, Pose2, generate_synthetic_scenario
 from radstack.simulator import SimConfig, run_episode
 from radstack.vocabulary import (
     Vocabulary,
-    collect_expert_trajectories,
     instantiate_prototype,
-    instantiate_vocabulary,
     kmeans_cluster,
     load_vocabulary,
     save_vocabulary,
@@ -95,23 +93,28 @@ def test_kmeans_requires_enough_samples():
         kmeans_cluster([np.zeros((4, 2))], 2)
 
 
+def _instantiate_one(proto, ego):
+    """Positions, headings and speeds of one prototype (T, 2): the batch form at K = 1."""
+    (positions,), (headings,), (speeds,) = instantiate_prototype(proto[None], ego, 0.1)
+    return positions, headings, speeds
+
+
 def test_instantiate_identity_at_origin():
     proto = np.stack([np.linspace(0.5, 5, 10), np.zeros(10)], axis=1)
     ego = EgoState(pose=Pose2(0, 0, 0), speed=5.0)
-    traj = instantiate_vocabulary(proto, ego, dt=0.1)
-    assert traj.tag == "vocabulary"
-    assert np.allclose(traj.positions[1:], proto)
-    assert tuple(traj.positions[0]) == (ego.pose.x, ego.pose.y)
-    assert traj.headings[0] == ego.pose.heading
-    assert traj.speeds[0] == ego.speed
+    positions, headings, speeds = _instantiate_one(proto, ego)
+    assert np.allclose(positions[1:], proto)
+    assert tuple(positions[0]) == (ego.pose.x, ego.pose.y)
+    assert headings[0] == ego.pose.heading
+    assert speeds[0] == ego.speed
 
 
 def test_instantiate_quarter_turn_maps_x_to_y():
     proto = np.stack([np.linspace(0.5, 5, 10), np.zeros(10)], axis=1)
     ego = EgoState(pose=Pose2(0, 0, math.pi / 2), speed=5.0)
-    traj = instantiate_vocabulary(proto, ego, dt=0.1)
-    assert np.allclose(traj.positions[1:, 0], 0.0, atol=1e-12)
-    assert np.allclose(traj.positions[1:, 1], proto[:, 0], atol=1e-12)
+    positions, _, _ = _instantiate_one(proto, ego)
+    assert np.allclose(positions[1:, 0], 0.0, atol=1e-12)
+    assert np.allclose(positions[1:, 1], proto[:, 0], atol=1e-12)
 
 
 def test_instantiate_rigid_transform_oracle():
@@ -119,18 +122,18 @@ def test_instantiate_rigid_transform_oracle():
     proto = np.cumsum(np.abs(rng.normal(0.3, 0.1, size=(8, 2))), axis=0) * 0.3
     proto[0] *= 0.1
     ego = EgoState(pose=Pose2(10.0, 5.0, math.pi / 4), speed=3.0)
-    traj = instantiate_vocabulary(proto, ego, dt=0.1)
+    positions, _, _ = _instantiate_one(proto, ego)
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     rot = np.array([[c, -s], [s, c]])
     expected = proto @ rot.T + np.array([10.0, 5.0])
-    assert np.max(np.abs(traj.positions[1:] - expected)) < 1e-9
+    assert np.max(np.abs(positions[1:] - expected)) < 1e-9
 
 
 def test_instantiate_speeds_from_arclength():
     proto = np.stack([np.linspace(0.8, 8.0, 10), np.zeros(10)], axis=1)
     ego = EgoState(pose=Pose2(0, 0, 0), speed=8.0)
-    traj = instantiate_vocabulary(proto, ego, dt=0.1)
-    assert np.allclose(traj.speeds[1:], 8.0)
+    _, _, speeds = _instantiate_one(proto, ego)
+    assert np.allclose(speeds[1:], 8.0)
 
 
 @st.composite
@@ -166,10 +169,10 @@ def test_batched_instantiation_matches_single_prototype_bitwise(case):
     assert positions.shape == (len(protos), protos.shape[1] + 1, 2)
     bits = lambda x: np.ascontiguousarray(x).view(np.int64)
     for k, proto in enumerate(protos):
-        one = instantiate_vocabulary(proto, ego, dt=0.1)
-        assert np.array_equal(bits(positions[k]), bits(one.positions))
-        assert np.array_equal(bits(headings[k]), bits(one.headings))
-        assert np.array_equal(bits(speeds[k]), bits(one.speeds))
+        one = _instantiate_one(proto, ego)
+        assert np.array_equal(bits(positions[k]), bits(one[0]))
+        assert np.array_equal(bits(headings[k]), bits(one[1]))
+        assert np.array_equal(bits(speeds[k]), bits(one[2]))
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1, "0.1", True])
@@ -219,12 +222,9 @@ def test_vocabulary_header_mismatch(tmp_path):
         load_vocabulary(p)
 
 
-def _run_policy(kind="blocked_lane"):
-    def policy(scenario):
-        log = run_episode(scenario, "rad", SimConfig())
-        return log.ego_states()
-
-    return policy
+def _expert_windows(scenario, count):
+    """The first `count` 40-step ego-frame windows of a closed-loop `rad` episode."""
+    return slice_ego_windows(run_episode(scenario, "rad", SimConfig()).ego_states(), 40, 5)[:count]
 
 
 def test_collect_straight_road_samples_stay_straight():
@@ -233,7 +233,7 @@ def test_collect_straight_road_samples_stay_straight():
     from dataclasses import replace
 
     scenario = replace(scenario, agents=())
-    samples = collect_expert_trajectories([scenario], _run_policy(), count=20, horizon_steps=40)
+    samples = _expert_windows(scenario, 20)
     assert len(samples) >= 10
     for w in samples:
         assert np.abs(w[:, 1]).max() < 0.2
@@ -241,8 +241,8 @@ def test_collect_straight_road_samples_stay_straight():
 
 def test_collect_deterministic():
     scenario = generate_synthetic_scenario("intersection_turn", 1)
-    a = collect_expert_trajectories([scenario], _run_policy(), count=10, horizon_steps=40)
-    b = collect_expert_trajectories([scenario], _run_policy(), count=10, horizon_steps=40)
+    a = _expert_windows(scenario, 10)
+    b = _expert_windows(scenario, 10)
     assert len(a) == len(b)
     for wa, wb in zip(a, b):
         assert np.array_equal(wa, wb)
@@ -250,7 +250,7 @@ def test_collect_deterministic():
 
 def test_collect_intersection_contains_arcs():
     scenario = generate_synthetic_scenario("intersection_turn", 1)
-    samples = collect_expert_trajectories([scenario], _run_policy(), count=60, horizon_steps=40)
+    samples = _expert_windows(scenario, 60)
     max_turn = 0.0
     for w in samples:
         d = np.diff(np.vstack([[0.0, 0.0], w]), axis=0)
