@@ -145,6 +145,9 @@ def _cmd_gen_scenarios(args) -> int:
 
 
 def _load_run_context(args):
+    """(planner config, sim config, vocabulary, model) of `run` and `bench`: the
+    --config file, with --vocab and --model taking precedence over its
+    vocab_path and model_path."""
     doc = load_config(args.config) if args.config else {}
     planner_cfg = build_planner_config(doc)
     sim_cfg = build_sim_config(doc)
@@ -155,7 +158,7 @@ def _load_run_context(args):
     if vocab_path:
         vocab = load_vocabulary(vocab_path)
     model = None
-    model_path = getattr(args, "model", None) or doc.get("model_path")
+    model_path = args.model or doc.get("model_path")
     if model_path:
         model = load_model(model_path)
     return planner_cfg, sim_cfg, vocab, model
@@ -230,11 +233,7 @@ def _cmd_bench(args) -> int:
     items = [(p.stem, load_scenario(p)) for p in scenario_paths]
     planners = [k.strip().replace("-", "_") for k in args.planners.split(",") if k.strip()]
     toggles = [t.strip() for t in args.toggles.split(",") if t.strip()]
-    doc = load_config(args.config) if args.config else {}
-    planner_cfg = build_planner_config(doc)
-    sim_cfg = build_sim_config(doc)
-    vocab = load_vocabulary(args.vocab) if args.vocab else None
-    model = load_model(args.model) if args.model else None
+    planner_cfg, sim_cfg, vocab, model = _load_run_context(args)
     for kind in planners:
         if kind in ("planhead", "hybrid") and model is None:
             raise RadstackError(f"missing config key 'model_path' (or --model) for planner {kind}")

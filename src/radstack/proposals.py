@@ -206,14 +206,28 @@ def _step_kernel(
     band; brake for the path terminus. Fills s_hist and l_hist (rows 0..steps)
     and leaves s, l and v at the last step.
 
-    On arrays this small a ufunc call costs mostly its own overhead, so the
-    loop makes as few calls as the arithmetic allows: every constant is an
-    (n,) or (n, A) array (a Python-float operand costs more per call), every
-    result lands in a buffer allocated here, whatever does not depend on
-    (s, l, v) is computed before the loop, and quantities that take the same
-    operation share one call as rows of a stacked buffer. Each value is
-    computed by the same operations in the same order as in the elementwise
-    form, so the result is the same to the bit.
+    On arrays this small a ufunc call costs mostly its own overhead, and a
+    call that broadcasts an (n, 1) operand against (n, A) costs about twice a
+    same-shape one. So the loop makes as few calls as the arithmetic allows:
+    every constant is an (n,) or (n, A) array (a Python-float operand costs
+    more per call), every result lands in a buffer allocated here, whatever
+    does not depend on (s, l, v) is computed before the loop, quantities that
+    take the same operation share one call as rows of a stacked buffer, and
+    the row state reaches its (row, column) pairs by one flat take.
+
+    Lead columns: the A agents, then, when any row's path ends at a terminus,
+    the path end as one more column: at path_len with half length 0, speed 0,
+    an infinite band and no bypass. Its gap ((path_len - s) - 0) - ehl has the
+    bits of the terminus gap (path_len - s) - ehl. Its lead test value stands
+    in for s_ak: +inf on terminus rows and -inf on the others, so it leads
+    exactly the terminus rows, also past the path end. argmin takes the first
+    of equal gaps, so an agent wins a tie with the path end, as the strict
+    "terminus gap < agent gap" of the elementwise form does.
+
+    A step makes 42 ufunc calls with agents (39 when bypass_clear has no
+    True) and 26 without (28 with a terminus), and 15 more when some row
+    creeps. Each value is computed by the same operations in the same order
+    as in the elementwise form, so the result is the same to the bit.
     """
     n, n_agents = a_s.shape
     eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl = np.repeat(
@@ -223,17 +237,19 @@ def _step_kernel(
         axis=1,
     )
     any_terminus = bool(terminus.any())
-    # A row without a terminus never stops for the path end: inf - s < gap is false.
-    path_end = np.where(terminus, path_len, np.inf)
+    any_clear = bool(bypass_clear.any())
 
     # Stacked buffers, one row per quantity:
-    #   sl[k] = (s, l) at step k;
+    #   sl[k] = (s, l, s + 1e-9) at step k, the last row written by step k
+    #   and only with agents;
     #   state = (a, rate, v, s_star) and incr = (a dt, rate dt, v dt, dl):
-    #   incr[:3] = state[:3] * dt, and sl[k + 1] = sl[k] + incr[2:];
+    #   incr[:3] = state[:3] * dt, and sl[k + 1, :2] = sl[k, :2] + incr[2:];
     #   ratio = state[2:] / (v0, gap) = (v / v0, s_star / gap), or
-    #   state[2:] / (creep_v0, creep_gap) on the creep branch.
-    sl = np.empty((steps + 1, 2, n))
-    sl[0] = s, l
+    #   state[2:] / (creep_v0, creep_gap) on the creep branch;
+    #   lead_gap = (gap before its floor, v_lead) of the chosen lead.
+    sl = np.empty((steps + 1, 3, n))
+    sl[0, :2] = s, l
+    sl_flat, s_l, s_eps = sl.reshape(steps + 1, -1), sl[:, :2], sl[:, 2]
     state = np.zeros((4, n))
     a, rate, v_now, s_star = state
     v_now[:] = v
@@ -247,63 +263,77 @@ def _step_kernel(
     creep_gap = den_creep[1]
     ratio = np.empty((2, n))
     v_ratio, q = ratio
-    v_lead, term_gap, a_creep, neg_rate, tmp = np.zeros((5, n))
-    bypass, stop = np.zeros((2, n), dtype=bool)
-    tmp_col = tmp[:, None]
+    lead_gap = np.zeros((2, n))
+    raw_gap, v_lead = lead_gap
+    raw_gap.fill(np.inf)  # free flow; v_lead then only enters through s_star / gap = 0
+    a_creep, neg_rate, tmp = np.zeros((3, n))
+    bypass = np.zeros(n, dtype=bool)
     if n_agents:
-        # (s_ak, a_lat) per step, s_ak = a_s + a_vlon * (k * dt) as in the scalar form.
-        slak = np.empty((steps, 2, n, n_agents))
-        slak[:, 0] = a_s + a_vlon * (np.arange(steps) * dt)[:, None, None]
-        slak[:, 1] = a_lat
-        s_ak_all = slak[:, 0]
-        sl_cols = sl[:, :, :, None]
-        rel = np.empty((2, n, n_agents))  # (s_ak - s, a_lat - l), then |a_lat - l|
-        rel_s, dl_a = rel
-        ehl_a = np.full((n, n_agents), ego_half_length)
-        inf_a = np.full((n, n_agents), np.inf)
-        g = np.empty((n, n_agents))
-        lead, mask = np.zeros((2, n, n_agents), dtype=bool)
-        g_flat, dl_flat, mask_flat = g.reshape(-1), dl_a.reshape(-1), mask.reshape(-1)
-        vlon_flat, band_flat = (np.ascontiguousarray(x).reshape(-1) for x in (a_vlon, a_band))
-        row_base = np.arange(n) * n_agents
+        n_cols = n_agents + any_terminus
+        end = slice(n_agents, None)  # the path-end column; empty without a terminus
+        # (s_ak, a_lat, lead test value) per step and column, s_ak = a_s + a_vlon * (k * dt)
+        slak = np.empty((steps, 3, n, n_cols))
+        slak[:, 0, :, :n_agents] = a_s + a_vlon * (np.arange(steps) * dt)[:, None, None]
+        slak[:, 0, :, end] = path_len[:, None]
+        slak[:, 1, :, :n_agents], slak[:, 1, :, end] = a_lat, 0.0
+        slak[:, 2] = slak[:, 0]
+        slak[:, 2, :, end] = np.where(terminus, np.inf, -np.inf)[:, None]
+        sl_ak, lead_test = slak[:, :2], slak[:, 2]
+        # pairs[:, i, c] = sl[k][:, i]: the flat index of row i's quantity, per column
+        pair_index = np.repeat(np.arange(3 * n), n_cols).reshape(3, n, n_cols)
+        pairs = np.empty((3, n, n_cols))
+        pair_s_l, pair_s_eps = pairs[:2], pairs[2]
+        # rel = (s_ak - s, |a_lat - l|, band) and g_v = (g, v_lon) per pair
+        rel = np.empty((3, n, n_cols))
+        rel_s_l, rel_s, dl_a, band = rel[:2], rel[0], rel[1], rel[2]
+        band[:, :n_agents], band[:, end] = a_band, np.inf
+        g_v = np.empty((2, n, n_cols))
+        g = g_v[0]
+        g_v[1, :, :n_agents], g_v[1, :, end] = a_vlon, 0.0
+        hlen = np.zeros((n, n_cols))
+        hlen[:, :n_agents] = a_hlen
+        clear = np.zeros((n, n_cols), dtype=bool)
+        clear[:, :n_agents] = bypass_clear
+        ehl_a = np.full((n, n_cols), ego_half_length)
+        inf_a = np.full((n, n_cols), np.inf)
+        not_lead, mask = np.zeros((2, n, n_cols), dtype=bool)
+        g_v_flat, dl_band_flat, mask_flat = g_v.reshape(2, -1), rel.reshape(3, -1)[1:], mask.reshape(-1)
+        dl_band = np.empty((2, n))  # (dl, band) of the chosen lead, on the creep branch
+        row_base = np.arange(n) * n_cols
         j = np.zeros(n, dtype=np.intp)
         flat = np.zeros(n, dtype=np.intp)
+    elif any_terminus:
+        # A row without a terminus never stops for the path end: (inf - s) - ehl = inf.
+        path_end = np.where(terminus, path_len, np.inf)
 
     for k in range(steps):
-        sl_k = sl[k]
+        sl_k = s_l[k]
         s_k, l_k = sl_k
         if n_agents:
-            np.subtract(slak[k], sl_cols[k], out=rel)
+            np.add(s_k, eps, out=s_eps[k])
+            sl_flat[k].take(pair_index, out=pairs, mode="clip")
+            np.subtract(sl_ak[k], pair_s_l, out=rel_s_l)
             np.abs(dl_a, out=dl_a)
-            np.add(s_k, eps, out=tmp)
-            np.greater(s_ak_all[k], tmp_col, out=lead)
-            np.less(dl_a, a_band, out=mask)
-            np.logical_and(lead, mask, out=lead)
-            # g = ((s_ak - s) - a_hlen) - ego_half_length where lead, else inf
-            np.subtract(rel_s, a_hlen, out=rel_s)
+            # Not a lead: at or behind s + 1e-9, or outside the band.
+            np.less_equal(lead_test[k], pair_s_eps, out=not_lead)
+            np.greater_equal(dl_a, band, out=mask)
+            np.bitwise_or(not_lead, mask, out=not_lead)
+            # g = ((s_ak - s) - hlen) - ego_half_length for a lead, else inf
+            np.subtract(rel_s, hlen, out=rel_s)
             np.subtract(rel_s, ehl_a, out=g)
-            np.logical_not(lead, out=mask)
-            np.copyto(g, inf_a, where=mask)
+            np.putmask(g, not_lead, inf_a)  # putmask: cheaper per call than copyto(where=)
             g.argmin(axis=1, out=j)
             np.add(row_base, j, out=flat)
             # A row without a lead keeps gap = inf, where v_lead only enters
             # through s_star / gap = 0, so it needs no masking.
-            g_flat.take(flat, out=gap, mode="clip")
-            vlon_flat.take(flat, out=v_lead, mode="clip")
-            np.logical_and(lead, bypass_clear, out=mask)
-            mask_flat.take(flat, out=bypass, mode="clip")
-        else:
-            gap.fill(np.inf)
-        if any_terminus:
-            np.subtract(path_end, s_k, out=term_gap)
-            np.subtract(term_gap, ehl, out=term_gap)
-            np.less(term_gap, gap, out=stop)
-            np.copyto(gap, term_gap, where=stop)
-            if n_agents:  # without agents v_lead stays 0 and bypass False
-                np.copyto(v_lead, zero, where=stop)
-                np.logical_not(stop, out=stop)
-                np.logical_and(bypass, stop, out=bypass)
-        np.maximum(gap, gap_floor, out=gap)
+            g_v_flat.take(flat, axis=1, out=lead_gap, mode="clip")
+            if any_clear:
+                np.greater(clear, not_lead, out=mask)  # clear and a lead
+                mask_flat.take(flat, out=bypass, mode="clip")
+        elif any_terminus:
+            np.subtract(path_end, s_k, out=raw_gap)
+            np.subtract(raw_gap, ehl, out=raw_gap)
+        np.maximum(raw_gap, gap_floor, out=gap)
 
         # s_star = s0 + max(0, v * T_h + v * (v - v_lead) / brake_scale)
         np.multiply(v_now, T_h, out=s_star)
@@ -320,14 +350,13 @@ def _step_kernel(
         np.subtract(one, v_ratio, out=a)
         np.subtract(a, q, out=a)
         np.multiply(a_max, a, out=a)
-        if n_agents and np.count_nonzero(bypass):  # count_nonzero: a third of any()'s call cost
+        if any_clear and np.count_nonzero(bypass):  # count_nonzero: a third of any()'s call cost
             # The go-around gap floor shrinks as the blend gains lateral
             # clearance, so the rollout can spiral out of a tight pocket;
             # the scorer's collision check remains the safety authority.
             # creep_gap = max(gap - CREEP_MIN_GAP * (1 - dl / band) + s0, 0.05)
-            dl_flat.take(flat, out=creep_gap, mode="clip")
-            band_flat.take(flat, out=tmp, mode="clip")
-            np.divide(creep_gap, tmp, out=creep_gap)
+            dl_band_flat.take(flat, axis=1, out=dl_band, mode="clip")
+            np.divide(dl_band[0], dl_band[1], out=creep_gap)
             np.subtract(one, creep_gap, out=creep_gap)
             np.multiply(creep_floor, creep_gap, out=creep_gap)
             np.subtract(gap, creep_gap, out=creep_gap)
@@ -340,7 +369,7 @@ def _step_kernel(
             np.subtract(a_creep, q, out=a_creep)
             np.multiply(a_max, a_creep, out=a_creep)
             np.maximum(a, a_creep, out=a_creep)
-            np.copyto(a, a_creep, where=bypass)
+            np.putmask(a, bypass, a_creep)
         np.maximum(a, neg_b_hard, out=a)
         np.minimum(a, a_max, out=a)
 
@@ -355,10 +384,10 @@ def _step_kernel(
         np.subtract(targets, l_k, out=dl)
         np.maximum(dl, neg_rate, out=dl)
         np.minimum(dl, rate_dt, out=dl)
-        np.add(sl_k, ds_dl, out=sl[k + 1])
+        np.add(sl_k, ds_dl, out=s_l[k + 1])
     s_hist[:] = sl[:, 0]
     l_hist[:] = sl[:, 1]
-    s[:], l[:] = sl[steps]
+    s[:], l[:] = s_l[steps]
     v[:] = v_now
 
 

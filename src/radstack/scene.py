@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,9 +178,6 @@ class Trajectory:
     @property
     def horizon_steps(self) -> int:
         return len(self.positions) - 1
-
-    def retag(self, tag: str) -> "Trajectory":
-        return replace(self, tag=tag)
 
 
 def segment_headings_and_speeds(waypoints: np.ndarray, heading0: float, speed0: float, dt: float):

@@ -72,6 +72,12 @@ class ScoreWeights:
 
 @dataclass(frozen=True)
 class RelaxationState:
+    """Whether rule relaxation is on, and what triggered it.
+
+    blocker_distance is None until the ego has been stopped for T_BLOCK: the
+    blocker search runs only once relaxation can trigger.
+    """
+
     active: bool = False
     stopped_duration: float = 0.0
     blocker_distance: float | None = None
@@ -136,7 +142,9 @@ def detect_relaxation(
 
     history: recent ego states (oldest first, current last), spaced dt apart.
     Active iff speed stayed < 0.5 m/s for at least T_BLOCK seconds and a
-    stopped agent occupies the route corridor within D_BLOCK ahead.
+    stopped agent occupies the route corridor within D_BLOCK ahead. The
+    blocker is searched for only after T_BLOCK stopped; before that
+    blocker_distance is None.
     """
     if not history:
         return RelaxationState()
@@ -148,10 +156,13 @@ def detect_relaxation(
         else:
             break
     stopped_duration = run * dt
+    if stopped_duration < T_BLOCK:
+        return RelaxationState(stopped_duration=stopped_duration)
     blocker_distance = _blocker_distance(ego, agents, path)
-    active = stopped_duration >= T_BLOCK and blocker_distance is not None
     return RelaxationState(
-        active=active, stopped_duration=stopped_duration, blocker_distance=blocker_distance
+        active=blocker_distance is not None,
+        stopped_duration=stopped_duration,
+        blocker_distance=blocker_distance,
     )
 
 

@@ -5,12 +5,15 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from radstack.bench import route_completion
 from radstack.cli import main
+from radstack.planhead import init_model, save_model
 from radstack.scene import generate_synthetic_scenario, scenario_to_dict
 from radstack.simulator import EpisodeLog
+from radstack.vocabulary import Vocabulary, save_vocabulary
 
 
 def test_route_completion_partway_through_a_multi_lane_route():
@@ -76,3 +79,22 @@ def test_bench_runs_end_to_end_and_repeats_byte_for_byte(tmp_path, capsys):
     assert {k[1:] for k in keys} == {(p, t) for p in ("rad", "baseline_static") for t in ("full", "no_goal")}
     table = (tmp_path / "a" / "report_text_table").read_text()
     assert len(table.splitlines()) == 2 + 4 and "latency" not in table
+
+
+def test_bench_reads_model_and_vocabulary_paths_from_config(tmp_path, capsys):
+    # The hybrid planner's assets named only in --config, as `run` reads them.
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    doc = scenario_to_dict(generate_synthetic_scenario("blocked_lane", 7))
+    (scenarios / "blocked_lane_0007.json").write_text(json.dumps({**doc, "duration": 0.5}))
+    t = np.arange(1, 41) * 0.1
+    vocab = Vocabulary(prototypes=np.stack([np.stack([s * t, 0.0 * t], axis=1) for s in (4.0, 8.0)]), dt=0.1)
+    save_vocabulary(vocab, tmp_path / "vocab.txt")
+    save_model(init_model(vocab, seed=0), tmp_path / "model.npz")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model_path": str(tmp_path / "model.npz"), "vocab_path": str(tmp_path / "vocab.txt")}))
+    report = tmp_path / "report.json"
+    argv = ["bench", "--scenarios", str(scenarios), "--planners", "hybrid", "--config", str(cfg), "--report", str(report)]
+    assert main(argv) == 0, capsys.readouterr().err
+    rows = json.loads(report.read_text())["rows"]
+    assert [(r["scenario"], r["planner"]) for r in rows] == [("blocked_lane_0007", "hybrid")]

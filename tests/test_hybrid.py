@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ def test_hybrid_tie_keeps_idm_tag(plain_scenario):
     ctx = _ctx(plain_scenario, path)
     rad_winner, _, _ = select_best(ps, ctx)
     # Inject a learned plan identical to the rule winner: tie broken by tag.
-    learned = rad_winner.retag("learned")
+    learned = replace(rad_winner, tag="learned")
     winner, breakdowns, out, best = hybrid_select(ps, learned, ctx, offsets=())
     assert winner.tag == "idm"
     learned_b = breakdowns[len(ps)]
@@ -144,7 +146,7 @@ def test_hybrid_breakdown_schema_shared(plain_scenario):
     # fields and identical values on identical inputs.
     ps, path = _rule_proposals(plain_scenario)
     ctx = _ctx(plain_scenario, path)
-    idm_clone = ps.trajectory(10).retag("learned")
+    idm_clone = replace(ps.trajectory(10), tag="learned")
     winner, breakdowns, out, _ = hybrid_select(ps, idm_clone, ctx, offsets=())
     rec_idm = breakdowns[10].to_record()
     rec_learned = breakdowns[len(ps)].to_record()

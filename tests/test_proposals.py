@@ -309,21 +309,26 @@ def _reference_step_kernel(
 
 
 @st.composite
-def _kernel_case(draw, bypass_heavy=False, all_terminus=False):
+def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False):
     """Random kernel inputs: rows 1-40, agents 0-9, steps 1-40.
 
-    Agents are moving or static; some rows end at a path terminus; targets
-    clear some agents' bands (bypass_clear); tie rows give agents 0 and 1 the
-    same gap but different lateral positions. bypass_heavy puts every agent
-    2-15 m ahead inside the row's band with a target that clears it, so most
-    rows creep; all_terminus ends every row at a path terminus.
+    Agents are moving or static; some rows end at a path terminus, some of
+    them starting within 1e-9 m of the path end or past it; targets clear
+    some agents' bands (bypass_clear), or none do; tie rows give agents 0 and
+    1 the same gap but different lateral positions; end-tie rows put agent 0
+    at the path end with half length 0, so its gap equals the terminus gap to
+    the bit. bypass_heavy puts every agent 2-15 m ahead inside the row's band
+    with a target that clears it, so most rows creep; all_terminus ends every
+    row at a path terminus; no_agents has no agents and some terminus rows.
     """
     n = draw(st.integers(1, 40))
-    n_agents = draw(st.integers(1 if bypass_heavy else 0, 9))
+    n_agents = 0 if no_agents else draw(st.integers(1 if bypass_heavy else 0, 9))
     steps = draw(st.integers(1, 40))
     static_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    terminus_share = 1.0 if all_terminus else draw(st.sampled_from([0.0, 0.5, 1.0]))
+    terminus_share = 1.0 if all_terminus else draw(st.sampled_from([0.5, 1.0] if no_agents else [0.0, 0.5, 1.0]))
     tie_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    at_end_share, end_tie_share = draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([0.0, 0.5]))
+    no_clear = not bypass_heavy and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     s = rng.uniform(0.0, 5.0, n)
@@ -341,11 +346,25 @@ def _kernel_case(draw, bypass_heavy=False, all_terminus=False):
         a_s = s[:, None] + rng.uniform(2.0, 15.0, (n, n_agents))
         a_lat = l[:, None] + rng.uniform(-0.5, 0.5, (n, n_agents))
         targets = np.where(a_lat[:, 0] < 0.0, 3.0, -3.0)
+    path_len = s + rng.uniform(3.0, 80.0, n)
+    terminus = rng.random(n) < terminus_share
+    at_end = rng.random(n) < at_end_share
+    path_len[at_end] = s[at_end] + rng.choice([-3.0, -1e-9, 0.0, 5e-10, 1e-9], int(at_end.sum()))
+    terminus |= at_end
+    if n_agents:
+        end_tie = rng.random(n) < end_tie_share
+        a_s[end_tie, 0] = path_len[end_tie]
+        a_hlen[end_tie, 0] = 0.0
+        a_lat[end_tie, 0] = l[end_tie]
+        terminus |= end_tie
     if n_agents >= 2:
         tie = rng.random(n) < tie_share
         for col in (a_s, a_vlon, a_hlen):
             col[tie, 1] = col[tie, 0]
         a_lat[tie, 1] = a_lat[tie, 0] + rng.choice([-1.0, 1.0], int(tie.sum()))
+    bypass_clear = np.abs(a_lat - targets[:, None]) >= a_band
+    if no_clear:
+        bypass_clear[:] = False
     return dict(
         s=s,
         l=l,
@@ -363,9 +382,9 @@ def _kernel_case(draw, bypass_heavy=False, all_terminus=False):
         a_vlon=a_vlon,
         a_band=a_band,
         a_hlen=a_hlen,
-        bypass_clear=np.abs(a_lat - targets[:, None]) >= a_band,
-        path_len=s + rng.uniform(3.0, 80.0, n),
-        terminus=rng.random(n) < terminus_share,
+        bypass_clear=bypass_clear,
+        path_len=path_len,
+        terminus=terminus,
         ego_half_length=2.3,
         dt=0.1,
         steps=steps,
@@ -395,7 +414,11 @@ def test_step_kernel_matches_scalar_reference(case):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=st.one_of(_kernel_case(), _kernel_case(bypass_heavy=True), _kernel_case(all_terminus=True)))
+@given(
+    case=st.one_of(
+        _kernel_case(), _kernel_case(bypass_heavy=True), _kernel_case(all_terminus=True), _kernel_case(no_agents=True)
+    )
+)
 def test_step_kernel_matches_numpy_reference_bitwise(case):
     # The buffered kernel must compute the reference's arithmetic in the same
     # order: every history sample and the final s, l and v agree in all 64 bits.

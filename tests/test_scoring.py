@@ -351,6 +351,17 @@ def test_relaxation_requires_stop_duration(plain_path):
     assert not r.active
 
 
+def test_relaxation_skips_blocker_search_below_t_block(plain_path):
+    # Stopped just under T_BLOCK behind a blocker the search would find.
+    blocker = static_car("b", 58.0, 0.0)
+    r = detect_relaxation(_history([8.0] * 40 + [0.0] * 29), [blocker], plain_path, dt=0.1)
+    assert not r.active
+    assert r.blocker_distance is None
+    assert r.stopped_duration == pytest.approx(2.9)
+    r = detect_relaxation(_history([8.0] * 40 + [0.0] * 30), [blocker], plain_path, dt=0.1)
+    assert r.active and r.blocker_distance is not None
+
+
 # -- aggregation ----------------------------------------------------------------
 
 
@@ -588,12 +599,12 @@ def test_select_ties_break_on_tag_priority_then_index(plain_scenario, plain_path
     tags = ["vocabulary", "idm", "learned_offset", "learned", "idm"]
     ctx = _score_context(plain_scenario, plain_path, agents=[static_car("c", 60.0, 3.0)])
     for order in itertools.permutations(range(5)):
-        ps = _proposal_set([base.retag(tags[i]) for i in order])
+        ps = _proposal_set([replace(base, tag=tags[i]) for i in order])
         winner, scores, best = select_best(ps, ctx)
         assert len(set(scores.aggregate)) == 1
         assert winner.tag == "idm"
         assert best == min(k for k, i in enumerate(order) if tags[i] == "idm")
     # Without idm rows, learned beats learned_offset beats vocabulary.
     for order in itertools.permutations(["vocabulary", "learned_offset", "learned"]):
-        winner, _, _ = select_best(_proposal_set([base.retag(t) for t in order]), ctx)
+        winner, _, _ = select_best(_proposal_set([replace(base, tag=t) for t in order]), ctx)
         assert winner.tag == "learned"
