@@ -122,32 +122,37 @@ def _tupled(value):
     return value
 
 
+def _replaced(obj, section: str, values: dict):
+    """obj with the keys of one config section replaced. A ValueError from the
+    dataclass's own checks becomes a ConfigError naming the keys the section
+    set (e.g. ``proposal.horizon, proposal.dt: ...``)."""
+    try:
+        return replace(obj, **{k: _tupled(v) for k, v in values.items()})
+    except ValueError as e:
+        raise ConfigError(f"{', '.join(f'{section}.{k}' for k in values)}: {e}") from e
+
+
 def build_planner_config(doc: dict) -> PlannerConfig:
     cfg = PlannerConfig()
     if "proposal" in doc:
-        cfg = replace(cfg, proposal=replace(cfg.proposal, **{k: _tupled(v) for k, v in doc["proposal"].items()}))
+        cfg = replace(cfg, proposal=_replaced(cfg.proposal, "proposal", doc["proposal"]))
     if "weights" in doc:
-        cfg = replace(cfg, weights=replace(cfg.weights, **doc["weights"]))
+        cfg = replace(cfg, weights=_replaced(cfg.weights, "weights", doc["weights"]))
     if "idm" in doc:
-        base = cfg.idm or IdmParams()
-        cfg = replace(cfg, idm=replace(base, **doc["idm"]))
+        cfg = replace(cfg, idm=_replaced(cfg.idm or IdmParams(), "idm", doc["idm"]))
     if "planner" in doc:
-        cfg = replace(cfg, **{k: _tupled(v) for k, v in doc["planner"].items()})
+        cfg = _replaced(cfg, "planner", doc["planner"])
     return cfg
 
 
 def build_sim_config(doc: dict) -> SimConfig:
     cfg = SimConfig()
     if "sim" in doc:
-        cfg = replace(cfg, **{k: _tupled(v) for k, v in doc["sim"].items()})
-    if "proposal" in doc:
-        # Keep the simulated planning horizon in sync with proposal overrides.
-        overrides = doc["proposal"]
-        cfg = replace(
-            cfg,
-            dt=overrides.get("dt", cfg.dt),
-            horizon=overrides.get("horizon", cfg.horizon),
-        )
+        cfg = _replaced(cfg, "sim", doc["sim"])
+    # Keep the simulated planning horizon in sync with proposal overrides.
+    synced = {k: v for k, v in doc.get("proposal", {}).items() if k in ("horizon", "dt")}
+    if synced:
+        cfg = _replaced(cfg, "proposal", synced)
     return cfg
 
 

@@ -14,6 +14,15 @@ ProposalPath) builds its table once and keeps it for its lifetime; a caller
 with a polyline of its own builds one table and reads every point it needs
 through it. Large batches prune segments chunk by chunk before the exact
 pass and return the same bits as the dense pass.
+
+The planner's per-tick path calls numpy through ufuncs, ndarray methods and
+slicing, not through numpy's Python-level functions (np.diff, np.clip,
+np.tile, np.argmin, np.searchsorted, ...), whose wrapper costs as much as the
+work on arrays this small. On (41, 24) float64 arrays (Python 3.11.7, numpy
+2.4.6, best of 5): np.diff 4.4 us against 1.6 us for a[1:] - a[:-1], np.clip
+4.9 us against 3.2 us for np.minimum(np.maximum(...)), np.tile 5.0 us against
+1.3 us for x[None].repeat(n, axis=0), np.argmin(b, axis=1) 2.4 us against
+0.9 us for b.argmin(axis=1).
 """
 
 from __future__ import annotations
@@ -51,7 +60,10 @@ def to_local_frame(points, x: float, y: float, heading: float) -> np.ndarray:
     c, s = math.cos(heading), math.sin(heading)
     dx = points[..., 0] - x
     dy = points[..., 1] - y
-    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+    out = np.empty(points.shape[:-1] + (2,))
+    out[..., 0] = c * dx + s * dy
+    out[..., 1] = -s * dx + c * dy
+    return out
 
 
 def rect_corners(
@@ -124,7 +136,7 @@ def points_in_polygon(pts: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     poly = np.asarray(polygon, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     x0, y0 = poly[:, 0], poly[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    x1, y1 = np.concatenate((x0[1:], x0[:1])), np.concatenate((y0[1:], y0[:1]))
 
     # Ray cast to +x: count crossings of edges straddling the horizontal line.
     straddle = (y0[None, :] > y[:, None]) != (y1[None, :] > y[:, None])
@@ -142,7 +154,7 @@ def points_in_polygon(pts: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     py = y[:, None] - y0[None, :]
     seg_len2 = ex * ex + ey * ey
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.clip(np.where(seg_len2 > 0, (px * ex + py * ey) / seg_len2, 0.0), 0.0, 1.0)
+        u = np.minimum(np.maximum(np.where(seg_len2 > 0, (px * ex + py * ey) / seg_len2, 0.0), 0.0), 1.0)
     dx = px - u * ex
     dy2 = py - u * ey
     on_edge = (dx * dx + dy2 * dy2 < 1e-18).any(axis=1)
@@ -168,10 +180,12 @@ def points_in_polygons(x: np.ndarray, y: np.ndarray, polygons, boxes) -> np.ndar
     boxes[i] is polygon_as_aabb(polygons[i]), computed once by the caller: a
     box is tested against its bounds, any other polygon by points_in_polygon.
     """
-    inside = np.zeros(np.shape(x), dtype=bool)
+    inside = np.zeros(x.shape, dtype=bool)
     for poly, box in zip(polygons, boxes):
         if box is None:
-            hit = points_in_polygon(np.stack([x, y], axis=-1).reshape(-1, 2), poly).reshape(inside.shape)
+            pts = np.empty((x.size, 2))
+            pts[:, 0], pts[:, 1] = x.reshape(-1), y.reshape(-1)
+            hit = points_in_polygon(pts, poly).reshape(inside.shape)
         else:
             x0, y0, x1, y1 = box
             hit = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
@@ -199,11 +213,13 @@ class SegmentTable:
 
     def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=float)
-        self._d = np.diff(pts, axis=0)
+        self._d = pts[1:] - pts[:-1]
         self.points = pts
         self.len2 = (self._d * self._d).sum(axis=1)
         self.lengths = np.sqrt(self.len2)
-        self.s = np.concatenate([[0.0], np.cumsum(self.lengths)])
+        self.s = np.empty(len(self.lengths) + 1)
+        self.s[0] = 0.0
+        self.lengths.cumsum(out=self.s[1:])
         self.n_chunks = -(-len(self.len2) // CHUNK)
         self._headings = None
         self._cols = None
@@ -242,13 +258,16 @@ class SegmentTable:
     def _clamp(self, s) -> np.ndarray:
         return np.minimum(np.maximum(np.asarray(s, dtype=float), self.s[0]), self.s[-1])
 
-    def _interp(self, s) -> np.ndarray:
-        return np.stack([np.interp(s, self.s, self.points[:, 0]), np.interp(s, self.s, self.points[:, 1])], axis=-1)
+    def _interp(self, s: np.ndarray) -> np.ndarray:
+        out = np.empty(s.shape + (2,))
+        out[..., 0] = np.interp(s, self.s, self.points[:, 0])
+        out[..., 1] = np.interp(s, self.s, self.points[:, 1])
+        return out
 
     def segment_index(self, s) -> np.ndarray:
         """Index of the segment holding each arclength s in [0, length]; at a
         vertex, the segment starting there (the last segment at the end)."""
-        return np.minimum(np.searchsorted(self.s, s, side="right") - 1, self.n_segments - 1)
+        return np.minimum(self.s.searchsorted(s, side="right") - 1, self.n_segments - 1)
 
     def points_at(self, s) -> np.ndarray:
         """Positions (..., 2) at arclengths s (any shape), clamped to the polyline."""
@@ -282,7 +301,7 @@ class SegmentTable:
         """(x0, y0, x1, y1) per chunk over its vertices, and the chunk-boundary vertices."""
         if self._boxes is None:
             m, c = self.n_segments, self.n_chunks
-            pad = np.concatenate([self.points, np.repeat(self.points[-1:], c * CHUNK - m, axis=0)])
+            pad = np.concatenate([self.points, self.points[-1:].repeat(c * CHUNK - m, axis=0)])
             inner = pad[:-1].reshape(c, CHUNK, 2)
             ends = pad[CHUNK::CHUNK]  # each chunk's closing vertex
             lo = np.minimum(inner.min(axis=1), ends)
@@ -343,7 +362,7 @@ def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     fx = dx - u * ex
     fy = dy - u * ey
     d2 = fx * fx + fy * fy
-    k = np.argmin(d2, axis=1)
+    k = d2.argmin(axis=1)
     rows = np.arange(len(ps))
     idx = k if window is None else window[rows, k]
     u_k = u[rows, k]

@@ -249,7 +249,7 @@ class Planner:
 
         # Sample 0 of a path's rollout arclength is the ego's projection onto
         # that path; the rollout rows come first, path by path.
-        first_rows = np.searchsorted(proposals.path_index[proposals.tracked], np.arange(len(paths)))
+        first_rows = proposals.path_index[proposals.tracked].searchsorted(np.arange(len(paths)))
         gap = 0.0
         for path, s_ego in zip(paths, proposals.s_track[first_rows, 0]):
             gap = max(gap, float(np.linalg.norm(path.segments.points_at(s_ego) - path.start)))

@@ -57,6 +57,8 @@ class ProposalConfig:
     def __post_init__(self):
         if 0.0 not in self.offsets:
             raise ValueError("ProposalConfig.offsets must contain 0 (the centerline)")
+        if any(abs(o) > MAX_OFFSET for o in self.offsets):
+            raise ValueError(f"ProposalConfig.offsets must lie in [-{MAX_OFFSET}, {MAX_OFFSET}] m")
         if any(f <= 0 or f > 1 for f in self.speed_fractions):
             raise ValueError("ProposalConfig.speed_fractions must lie in (0, 1]")
         if self.horizon <= 0 or self.dt <= 0:
@@ -172,6 +174,13 @@ def idm_accel(v, v_lead, gap, p: IdmParams):
     return np.minimum(np.maximum(a, -B_HARD), p.a_max)
 
 
+# The ufuncs of _step_kernel's loop, bound once: a module attribute lookup
+# per call is a measurable share of a call on arrays this small.
+_add, _subtract, _multiply, _divide, _power = np.add, np.subtract, np.multiply, np.divide, np.power
+_absolute, _negative, _maximum, _minimum = np.absolute, np.negative, np.maximum, np.minimum
+_less_equal, _greater_equal, _greater, _bitwise_or = np.less_equal, np.greater_equal, np.greater, np.bitwise_or
+
+
 def _step_kernel(
     s_hist,
     l_hist,
@@ -224,18 +233,23 @@ def _step_kernel(
     of equal gaps, so an agent wins a tie with the path end, as the strict
     "terminus gap < agent gap" of the elementwise form does.
 
+    The loop calls the ufuncs through the module-level names bound above
+    (_add, _subtract, ...), not through the numpy namespace, and passes the
+    output buffer positionally, which costs less per call than out=. The
+    exceptions are _maximum and _minimum, which keep out=: numpy 2.4
+    deprecates a third positional argument to np.maximum and np.minimum, and
+    the tests turn that DeprecationWarning into an error.
+
     A step makes 42 ufunc calls with agents (39 when bypass_clear has no
     True) and 26 without (28 with a terminus), and 15 more when some row
     creeps. Each value is computed by the same operations in the same order
     as in the elementwise form, so the result is the same to the bit.
     """
     n, n_agents = a_s.shape
-    eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl = np.repeat(
+    eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl = np.array(
         [[1e-9], [0.05], [0.0], [1.0], [-B_HARD], [LATERAL_RATE], [LATERAL_SPEED_RATIO], [CREEP_MIN_GAP],
-         [ego_half_length]],
-        n,
-        axis=1,
-    )
+         [ego_half_length]]
+    ).repeat(n, axis=1)
     any_terminus = bool(terminus.any())
     any_clear = bool(bypass_clear.any())
 
@@ -257,10 +271,9 @@ def _step_kernel(
     a_dt, rate_dt, _, dl = incr
     a_rate_v, v_s_star, scaled, ds_dl = state[:3], state[2:], incr[:3], incr[2:]
     dts = np.full((3, n), dt)
-    den = np.stack([v0, np.zeros(n)])
-    gap = den[1]
-    den_creep = np.stack([creep_v0, np.zeros(n)])
-    creep_gap = den_creep[1]
+    den, den_creep = np.zeros((2, 2, n))
+    den[0], den_creep[0] = v0, creep_v0
+    gap, creep_gap = den[1], den_creep[1]
     ratio = np.empty((2, n))
     v_ratio, q = ratio
     lead_gap = np.zeros((2, n))
@@ -280,7 +293,7 @@ def _step_kernel(
         slak[:, 2, :, end] = np.where(terminus, np.inf, -np.inf)[:, None]
         sl_ak, lead_test = slak[:, :2], slak[:, 2]
         # pairs[:, i, c] = sl[k][:, i]: the flat index of row i's quantity, per column
-        pair_index = np.repeat(np.arange(3 * n), n_cols).reshape(3, n, n_cols)
+        pair_index = np.arange(3 * n).repeat(n_cols).reshape(3, n, n_cols)
         pairs = np.empty((3, n, n_cols))
         pair_s_l, pair_s_eps = pairs[:2], pairs[2]
         # rel = (s_ak - s, |a_lat - l|, band) and g_v = (g, v_lon) per pair
@@ -310,81 +323,81 @@ def _step_kernel(
         sl_k = s_l[k]
         s_k, l_k = sl_k
         if n_agents:
-            np.add(s_k, eps, out=s_eps[k])
+            _add(s_k, eps, s_eps[k])
             sl_flat[k].take(pair_index, out=pairs, mode="clip")
-            np.subtract(sl_ak[k], pair_s_l, out=rel_s_l)
-            np.abs(dl_a, out=dl_a)
+            _subtract(sl_ak[k], pair_s_l, rel_s_l)
+            _absolute(dl_a, dl_a)
             # Not a lead: at or behind s + 1e-9, or outside the band.
-            np.less_equal(lead_test[k], pair_s_eps, out=not_lead)
-            np.greater_equal(dl_a, band, out=mask)
-            np.bitwise_or(not_lead, mask, out=not_lead)
+            _less_equal(lead_test[k], pair_s_eps, not_lead)
+            _greater_equal(dl_a, band, mask)
+            _bitwise_or(not_lead, mask, not_lead)
             # g = ((s_ak - s) - hlen) - ego_half_length for a lead, else inf
-            np.subtract(rel_s, hlen, out=rel_s)
-            np.subtract(rel_s, ehl_a, out=g)
+            _subtract(rel_s, hlen, rel_s)
+            _subtract(rel_s, ehl_a, g)
             np.putmask(g, not_lead, inf_a)  # putmask: cheaper per call than copyto(where=)
             g.argmin(axis=1, out=j)
-            np.add(row_base, j, out=flat)
+            _add(row_base, j, flat)
             # A row without a lead keeps gap = inf, where v_lead only enters
             # through s_star / gap = 0, so it needs no masking.
             g_v_flat.take(flat, axis=1, out=lead_gap, mode="clip")
             if any_clear:
-                np.greater(clear, not_lead, out=mask)  # clear and a lead
+                _greater(clear, not_lead, mask)  # clear and a lead
                 mask_flat.take(flat, out=bypass, mode="clip")
         elif any_terminus:
-            np.subtract(path_end, s_k, out=raw_gap)
-            np.subtract(raw_gap, ehl, out=raw_gap)
-        np.maximum(raw_gap, gap_floor, out=gap)
+            _subtract(path_end, s_k, raw_gap)
+            _subtract(raw_gap, ehl, raw_gap)
+        _maximum(raw_gap, gap_floor, out=gap)
 
         # s_star = s0 + max(0, v * T_h + v * (v - v_lead) / brake_scale)
-        np.multiply(v_now, T_h, out=s_star)
-        np.subtract(v_now, v_lead, out=tmp)
-        np.multiply(v_now, tmp, out=tmp)
-        np.divide(tmp, brake_scale, out=tmp)
-        np.add(s_star, tmp, out=s_star)
-        np.maximum(zero, s_star, out=s_star)
-        np.add(s0, s_star, out=s_star)
+        _multiply(v_now, T_h, s_star)
+        _subtract(v_now, v_lead, tmp)
+        _multiply(v_now, tmp, tmp)
+        _divide(tmp, brake_scale, tmp)
+        _add(s_star, tmp, s_star)
+        _maximum(zero, s_star, out=s_star)
+        _add(s0, s_star, s_star)
         # a = a_max * (1 - (v / v0) ** delta - q * q), q = s_star / gap (0 in free flow)
-        np.divide(v_s_star, den, out=ratio)
-        np.power(v_ratio, delta, out=v_ratio)
-        np.multiply(q, q, out=q)
-        np.subtract(one, v_ratio, out=a)
-        np.subtract(a, q, out=a)
-        np.multiply(a_max, a, out=a)
+        _divide(v_s_star, den, ratio)
+        _power(v_ratio, delta, v_ratio)
+        _multiply(q, q, q)
+        _subtract(one, v_ratio, a)
+        _subtract(a, q, a)
+        _multiply(a_max, a, a)
         if any_clear and np.count_nonzero(bypass):  # count_nonzero: a third of any()'s call cost
             # The go-around gap floor shrinks as the blend gains lateral
             # clearance, so the rollout can spiral out of a tight pocket;
             # the scorer's collision check remains the safety authority.
             # creep_gap = max(gap - CREEP_MIN_GAP * (1 - dl / band) + s0, 0.05)
             dl_band_flat.take(flat, axis=1, out=dl_band, mode="clip")
-            np.divide(dl_band[0], dl_band[1], out=creep_gap)
-            np.subtract(one, creep_gap, out=creep_gap)
-            np.multiply(creep_floor, creep_gap, out=creep_gap)
-            np.subtract(gap, creep_gap, out=creep_gap)
-            np.add(creep_gap, s0, out=creep_gap)
-            np.maximum(creep_gap, gap_floor, out=creep_gap)
-            np.divide(v_s_star, den_creep, out=ratio)
-            np.power(v_ratio, delta, out=v_ratio)
-            np.multiply(q, q, out=q)
-            np.subtract(one, v_ratio, out=a_creep)
-            np.subtract(a_creep, q, out=a_creep)
-            np.multiply(a_max, a_creep, out=a_creep)
-            np.maximum(a, a_creep, out=a_creep)
+            _divide(dl_band[0], dl_band[1], creep_gap)
+            _subtract(one, creep_gap, creep_gap)
+            _multiply(creep_floor, creep_gap, creep_gap)
+            _subtract(gap, creep_gap, creep_gap)
+            _add(creep_gap, s0, creep_gap)
+            _maximum(creep_gap, gap_floor, out=creep_gap)
+            _divide(v_s_star, den_creep, ratio)
+            _power(v_ratio, delta, v_ratio)
+            _multiply(q, q, q)
+            _subtract(one, v_ratio, a_creep)
+            _subtract(a_creep, q, a_creep)
+            _multiply(a_max, a_creep, a_creep)
+            _maximum(a, a_creep, out=a_creep)
             np.putmask(a, bypass, a_creep)
-        np.maximum(a, neg_b_hard, out=a)
-        np.minimum(a, a_max, out=a)
+        _maximum(a, neg_b_hard, out=a)
+        _minimum(a, a_max, out=a)
 
         # rate = min(LATERAL_RATE, LATERAL_SPEED_RATIO * v) * dt, all from the step's starting v
-        np.multiply(lat_ratio, v_now, out=rate)
-        np.minimum(lat_rate, rate, out=rate)
-        np.multiply(a_rate_v, dts, out=scaled)
-        np.add(v_now, a_dt, out=v_now)
-        np.maximum(zero, v_now, out=v_now)
+        _multiply(lat_ratio, v_now, rate)
+        _minimum(lat_rate, rate, out=rate)
+        _multiply(a_rate_v, dts, scaled)
+        _add(v_now, a_dt, v_now)
+        _maximum(zero, v_now, out=v_now)
         # dl = clip(targets - l, -rate, rate); then (s, l) += (v dt, dl)
-        np.negative(rate_dt, out=neg_rate)
-        np.subtract(targets, l_k, out=dl)
-        np.maximum(dl, neg_rate, out=dl)
-        np.minimum(dl, rate_dt, out=dl)
-        np.add(sl_k, ds_dl, out=s_l[k + 1])
+        _negative(rate_dt, neg_rate)
+        _subtract(targets, l_k, dl)
+        _maximum(dl, neg_rate, out=dl)
+        _minimum(dl, rate_dt, out=dl)
+        _add(sl_k, ds_dl, s_l[k + 1])
     s_hist[:] = sl[:, 0]
     l_hist[:] = sl[:, 1]
     s[:], l[:] = s_l[steps]
@@ -427,8 +440,8 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     a_s, a_lat, a_vlon = ag[:, path_of_row]  # each (n, A)
     if n_agents:
         band = np.maximum(CORRIDOR_HALF_WIDTH, half_width + ego.half_width + CORRIDOR_MARGIN)
-        a_band = np.tile(band, (n, 1))  # contiguous (n, A): cheaper per step than a broadcast view
-        a_hlen = np.tile(half_length, (n, 1))
+        a_band = band[None].repeat(n, axis=0)  # contiguous (n, A): cheaper per step than a broadcast view
+        a_hlen = half_length[None].repeat(n, axis=0)
     else:
         a_band = a_hlen = np.zeros((n, 0))
 
@@ -446,9 +459,9 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     # The shared IDM parameters go in as (n,) columns: on arrays this small a
     # Python-scalar operand costs more per ufunc call than a column, and a
     # scalar exponent of 2 or 0.5 rounds differently from a column of them.
-    T_h, s0, a_max, brake_scale, delta = np.repeat(
-        [[p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]], n, axis=1
-    )
+    T_h, s0, a_max, brake_scale, delta = np.array(
+        [[p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]]
+    ).repeat(n, axis=1)
     _step_kernel(
         s_hist,
         l_hist,
@@ -479,7 +492,7 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     # Reconstruct world-frame samples: centerline point + lateral along the
     # normal (-sin, cos), one slice of rows per path.
     xy = np.empty((steps + 1, n, 2))
-    edges = np.searchsorted(path_of_row, np.arange(len(paths) + 1))
+    edges = path_of_row.searchsorted(np.arange(len(paths) + 1))
     for j, path in enumerate(paths):
         rows = slice(edges[j], edges[j + 1])
         pos, head = path.segments.pose_at(s_hist[:, rows])
@@ -530,9 +543,9 @@ def generate_proposals(
     if not paths:
         raise ValueError("paths must be nonempty")
     n_off, n_frac = len(cfg.offsets), len(cfg.speed_fractions)
-    path_index = np.repeat(np.arange(len(paths)), n_off * n_frac)
-    offsets = np.tile(np.repeat(np.asarray(cfg.offsets, dtype=float), n_frac), len(paths))
-    fractions = np.tile(np.asarray(cfg.speed_fractions, dtype=float), len(paths) * n_off)
+    path_index = np.arange(len(paths)).repeat(n_off * n_frac)
+    offsets = np.array(cfg.offsets, dtype=float).repeat(n_frac)[None].repeat(len(paths), axis=0).reshape(-1)
+    fractions = np.array(cfg.speed_fractions, dtype=float)[None].repeat(len(paths) * n_off, axis=0).reshape(-1)
     limits = np.array([path.speed_limit for path in paths], dtype=float)[path_index]
     v0 = np.maximum(0.1, fractions * limits)
     positions, headings, speeds, s_track = _rollout_rows(

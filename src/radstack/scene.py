@@ -188,16 +188,22 @@ def segment_headings_and_speeds(waypoints: np.ndarray, heading0: float, speed0: 
     until the first motion), and speed = segment length / dt. Returns arrays
     shaped (S+1,) or (S+1, n).
     """
-    d = np.diff(waypoints, axis=0)
+    d = waypoints[1:] - waypoints[:-1]
     seg = np.hypot(d[..., 0], d[..., 1])
-    raw = np.arctan2(d[..., 1], d[..., 0])
     steps = len(seg)
     step_no = np.arange(1, steps + 1).reshape((steps,) + (1,) * (seg.ndim - 1))
     last_move = np.maximum.accumulate(step_no * (seg > 1e-6), axis=0)  # 0 before any motion
-    first_heading = np.full((1,) + seg.shape[1:], heading0)
-    held = np.take_along_axis(np.concatenate([first_heading, raw]), last_move, axis=0)
-    headings = np.concatenate([first_heading, held])
-    speeds = np.concatenate([np.full((1,) + seg.shape[1:], speed0), seg / dt])
+    # raw[k] = (heading0, then each segment's direction)[k]; sample k + 1 holds raw[last_move[k]]
+    raw = np.empty(waypoints.shape[:-1])
+    raw[0] = heading0
+    np.arctan2(d[..., 1], d[..., 0], out=raw[1:])
+    width = raw[0].size
+    headings = np.empty(raw.shape)
+    headings[0] = heading0
+    headings[1:] = raw.reshape(-1)[last_move * width + np.arange(width)]
+    speeds = np.empty(raw.shape)
+    speeds[0] = speed0
+    np.divide(seg, dt, out=speeds[1:])
     return headings, speeds
 
 

@@ -115,7 +115,9 @@ class WorldForecast:
         pos0 = np.array([[a.pose.x, a.pose.y] for a in self.agents]).reshape(n, 2)
         heads = np.array([a.pose.heading for a in self.agents])
         speeds = np.array([0.0 if a.kind == "static" else a.speed for a in self.agents])
-        vel = speeds[:, None] * np.stack([np.cos(heads), np.sin(heads)], axis=1)
+        vel = np.empty((n, 2))
+        vel[:, 0], vel[:, 1] = np.cos(heads), np.sin(heads)
+        vel *= speeds[:, None]
         # (A, S+1, 2)
         self.positions = pos0[:, None, :] + vel[:, None, :] * t[None, :, None]
         self.velocities = vel  # (A, 2)
@@ -255,7 +257,7 @@ def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) ->
     n_sub = int(window / f.dt)
     if len(f) == 0 or n_sub < 1:
         return out
-    p_l, s_l = np.nonzero(speeds > 0.05)  # (L,) live samples
+    p_l, s_l = (speeds > 0.05).nonzero()  # (L,) live samples
     taus = np.arange(1, n_sub + 1) * f.dt  # (J,)
     v = speeds[p_l, s_l]
     head = heads[p_l, s_l]
@@ -271,13 +273,13 @@ def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) ->
     bound = (
         reach[:, None] + v * tau_half + np.hypot(*f.velocities.T)[:, None] * t_half + BROAD_PHASE_SLACK
     )
-    a_i, l_i = np.nonzero(gap_x * gap_x + gap_y * gap_y <= bound * bound)
+    a_i, l_i = (gap_x * gap_x + gap_y * gap_y <= bound * bound).nonzero()
 
     adv = v[l_i, None] * taus  # (pairs, J)
     j_idx = np.minimum(s_l[l_i, None] + np.arange(1, n_sub + 1), f.steps)
     dx = f.positions[a_i[:, None], j_idx, 0] - (x[l_i, None] + adv * cos[l_i, None])
     dy = f.positions[a_i[:, None], j_idx, 1] - (y[l_i, None] + adv * sin[l_i, None])
-    k, j = np.nonzero(dx * dx + dy * dy < (reach**2)[a_i, None])
+    k, j = (dx * dx + dy * dy < (reach**2)[a_i, None]).nonzero()
     a_k = a_i[k]
     hit = boxes_overlap(
         dx[k, j], dy[k, j], head[l_i[k]], *ego_dims,
@@ -288,14 +290,14 @@ def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) ->
 
 
 def _batch_comfort(speeds, heads, dt) -> np.ndarray:
-    a_lon = np.diff(speeds, axis=1) / dt
-    yaw_rate = normalize_angles(np.diff(heads, axis=1)) / dt
+    a_lon = (speeds[:, 1:] - speeds[:, :-1]) / dt
+    yaw_rate = normalize_angles(heads[:, 1:] - heads[:, :-1]) / dt
     a_lat = speeds[:, :-1] * yaw_rate
     # Jerk and yaw acceleration are 0 at the first step.
-    jerk = np.zeros_like(a_lon)
-    jerk[:, 1:] = np.diff(a_lon, axis=1) / dt
-    yaw_acc = np.zeros_like(yaw_rate)
-    yaw_acc[:, 1:] = np.diff(yaw_rate, axis=1) / dt
+    jerk = np.zeros(a_lon.shape)
+    jerk[:, 1:] = (a_lon[:, 1:] - a_lon[:, :-1]) / dt
+    yaw_acc = np.zeros(yaw_rate.shape)
+    yaw_acc[:, 1:] = (yaw_rate[:, 1:] - yaw_rate[:, :-1]) / dt
     ok = (
         (a_lon <= COMFORT_ACCEL_MAX)
         & (a_lon >= -COMFORT_DECEL_MAX)
@@ -305,6 +307,20 @@ def _batch_comfort(speeds, heads, dt) -> np.ndarray:
         & (np.abs(yaw_acc) <= COMFORT_YAW_ACCEL)
     )
     return ok.mean(axis=1)
+
+
+def _batch_direction(s, path_index, paths) -> np.ndarray:
+    """Driving-direction credit per row from its arclengths s (P, S+1) along
+    paths[path_index], path index -1 taking the last path: 1 below DIR_EPS m
+    of travel against the lane direction, 0.5 below DIR_TOL m, else 0."""
+    opposing = np.empty((len(s), s.shape[1] - 1), dtype=bool)
+    for j, path in enumerate(paths):
+        rows = path_index == (j if j < len(paths) - 1 else -1)
+        seg = path.s.searchsorted(s[rows, :-1], side="right") - 1
+        opposing[rows] = path.opposing_mask[np.minimum(np.maximum(seg, 0), len(path.opposing_mask) - 1)]
+    ds = s[:, 1:] - s[:, :-1]
+    against = np.where(opposing, np.maximum(ds, 0.0), np.maximum(-ds, 0.0)).sum(axis=1)
+    return np.where(against < DIR_EPS, 1.0, np.where(against < DIR_TOL, 0.5, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +382,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
         dx = f.positions[None, :, :, 0] - pos[:, None, :, 0]  # (P, A, S+1)
         dy = f.positions[None, :, :, 1] - pos[:, None, :, 1]
         near = dx * dx + dy * dy < (reach**2)[None, :, None]
-        p_i, a_i, s_i = np.nonzero(near)
+        p_i, a_i, s_i = near.nonzero()
         hit = boxes_overlap(
             dx[p_i, a_i, s_i], dy[p_i, a_i, s_i], heads[p_i, s_i], *ctx.ego_dims,
             f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
@@ -414,14 +430,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
         s = s.copy()
         s_flat, _, _, _ = project_points_to_polyline(pos[appended].reshape(-1, 2), route.segments)
         s[appended] = s_flat.reshape(-1, steps + 1)
-    opposing = np.empty((n, steps), dtype=bool)
-    for j, path in enumerate(paths):
-        rows = proposals.path_index == (j if j < len(proposals.paths) else -1)
-        seg = np.searchsorted(path.s, s[rows, :-1], side="right") - 1
-        opposing[rows] = path.opposing_mask[np.clip(seg, 0, len(path.opposing_mask) - 1)]
-    ds = np.diff(s, axis=1)
-    against = np.where(opposing, np.maximum(ds, 0.0), np.maximum(-ds, 0.0)).sum(axis=1)
-    c_drs = np.where(against < DIR_EPS, 1.0, np.where(against < DIR_TOL, 0.5, 0.0))
+    c_drs = _batch_direction(s, proposals.path_index, paths)
 
     goal = ctx.scenario.goal
     goal_costs = np.hypot(pos[:, -1, 0] - goal.x, pos[:, -1, 1] - goal.y)

@@ -79,13 +79,13 @@ def _make_path(pts, opposing, horizon_length, lane_sequence, source, speed_limit
     """
     table = SegmentTable(pts)
     if table.length > horizon_length:
-        cut = int(np.searchsorted(table.s, horizon_length, side="right"))
+        cut = int(table.s.searchsorted(horizon_length, side="right"))
         table = SegmentTable(np.concatenate([pts[:cut], table.points_at(horizon_length)[None]]))
         opposing = np.concatenate([opposing[:cut], opposing[cut - 1 : cut]])
     if table.length < 1e-6:
         return None
     res = table.resample(RESAMPLE_DS)
-    idx = np.clip(np.searchsorted(table.s, res.s, side="right") - 1, 0, len(opposing) - 1)
+    idx = np.minimum(np.maximum(table.s.searchsorted(res.s, side="right") - 1, 0), len(opposing) - 1)
     return ProposalPath(
         lane_sequence=lane_sequence,
         segments=res,
@@ -102,7 +102,7 @@ def _build_path(scenario, lane_ids, ego_xy, horizon_length, source):
     (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), table)
     keep = table.s > s0 + 1e-9
     pts = np.concatenate([foot, table.points[keep]])
-    first = opposing[min(int(np.searchsorted(table.s, s0)), len(opposing) - 1)]
+    first = opposing[min(int(table.s.searchsorted(s0)), len(opposing) - 1)]
     opp = np.concatenate([[first], opposing[keep]])
     return _make_path(pts, opp, horizon_length, tuple(lane_ids), source, limit)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radstack.geometry import points_in_polygon, polygon_as_aabb, project_points_to_polyline
+from radstack.geometry import normalize_angles, points_in_polygon, polygon_as_aabb, project_points_to_polyline
 from radstack.proposals import (
     B_HARD,
     CORRIDOR_HALF_WIDTH,
@@ -22,6 +22,16 @@ from radstack.scene import (
     Scenario,
     generate_synthetic_scenario,
     segment_headings_and_speeds,
+)
+from radstack.scoring import (
+    COMFORT_ACCEL_MAX,
+    COMFORT_DECEL_MAX,
+    COMFORT_JERK,
+    COMFORT_LAT_ACCEL,
+    COMFORT_YAW_ACCEL,
+    COMFORT_YAW_RATE,
+    DIR_EPS,
+    DIR_TOL,
 )
 from radstack.topology import ProposalPath, graph_search, project_onto_path
 
@@ -291,3 +301,78 @@ def reference_rollout_rows(ego, paths, path_of_row, targets, v0, p, agents, cfg)
     speeds = np.ascontiguousarray(speeds.T)
     speeds[:, 0] = ego.speed
     return positions, headings, speeds, np.ascontiguousarray(s_hist.T)
+
+
+class ReferenceSegmentTable:
+    """Arclengths, points_at, pose_at and segment_index of a polyline by
+    np.diff, np.cumsum, np.stack and np.searchsorted: the tests' bitwise
+    reference for geometry.SegmentTable, which takes the same values by
+    slicing and ndarray methods."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+        d = np.diff(self.points, axis=0)
+        self.s = np.concatenate([[0.0], np.cumsum(np.sqrt((d * d).sum(axis=1)))])
+        self.headings = np.array([math.atan2(dy, dx) for dx, dy in d.tolist()])
+
+    def segment_index(self, s):
+        return np.minimum(np.searchsorted(self.s, s, side="right") - 1, len(self.s) - 2)
+
+    def points_at(self, s):
+        c = np.minimum(np.maximum(np.asarray(s, dtype=float), self.s[0]), self.s[-1])
+        x, y = self.points[:, 0], self.points[:, 1]
+        return np.stack([np.interp(c, self.s, x), np.interp(c, self.s, y)], axis=-1)
+
+    def pose_at(self, s):
+        c = np.minimum(np.maximum(np.asarray(s, dtype=float), self.s[0]), self.s[-1])
+        return self.points_at(c), self.headings[self.segment_index(c)]
+
+
+def reference_segment_headings_and_speeds(waypoints, heading0, speed0, dt):
+    """The concatenating form by np.diff and np.take_along_axis: the tests'
+    bitwise reference for scene.segment_headings_and_speeds."""
+    d = np.diff(waypoints, axis=0)
+    seg = np.hypot(d[..., 0], d[..., 1])
+    raw = np.arctan2(d[..., 1], d[..., 0])
+    steps = len(seg)
+    step_no = np.arange(1, steps + 1).reshape((steps,) + (1,) * (seg.ndim - 1))
+    last_move = np.maximum.accumulate(step_no * (seg > 1e-6), axis=0)
+    first_heading = np.full((1,) + seg.shape[1:], heading0)
+    held = np.take_along_axis(np.concatenate([first_heading, raw]), last_move, axis=0)
+    headings = np.concatenate([first_heading, held])
+    speeds = np.concatenate([np.full((1,) + seg.shape[1:], speed0), seg / dt])
+    return headings, speeds
+
+
+def reference_batch_comfort(speeds, heads, dt):
+    """The comfort term by np.diff and np.zeros_like: the tests' bitwise
+    reference for scoring._batch_comfort."""
+    a_lon = np.diff(speeds, axis=1) / dt
+    yaw_rate = normalize_angles(np.diff(heads, axis=1)) / dt
+    a_lat = speeds[:, :-1] * yaw_rate
+    jerk = np.zeros_like(a_lon)
+    jerk[:, 1:] = np.diff(a_lon, axis=1) / dt
+    yaw_acc = np.zeros_like(yaw_rate)
+    yaw_acc[:, 1:] = np.diff(yaw_rate, axis=1) / dt
+    ok = (
+        (a_lon <= COMFORT_ACCEL_MAX)
+        & (a_lon >= -COMFORT_DECEL_MAX)
+        & (np.abs(a_lat) <= COMFORT_LAT_ACCEL)
+        & (np.abs(jerk) <= COMFORT_JERK)
+        & (np.abs(yaw_rate) <= COMFORT_YAW_RATE)
+        & (np.abs(yaw_acc) <= COMFORT_YAW_ACCEL)
+    )
+    return ok.mean(axis=1)
+
+
+def reference_batch_direction(s, path_index, paths):
+    """The direction term by np.searchsorted, np.clip and np.diff: the tests'
+    bitwise reference for scoring._batch_direction."""
+    opposing = np.empty((len(s), s.shape[1] - 1), dtype=bool)
+    for j, path in enumerate(paths):
+        rows = path_index == (j if j < len(paths) - 1 else -1)
+        seg = np.searchsorted(path.s, s[rows, :-1], side="right") - 1
+        opposing[rows] = path.opposing_mask[np.clip(seg, 0, len(path.opposing_mask) - 1)]
+    ds = np.diff(s, axis=1)
+    against = np.where(opposing, np.maximum(ds, 0.0), np.maximum(-ds, 0.0)).sum(axis=1)
+    return np.where(against < DIR_EPS, 1.0, np.where(against < DIR_TOL, 0.5, 0.0))

@@ -135,6 +135,41 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"proposal": {"horizon": 0.01}}, "run: proposal.horizon: SimConfig.horizon must be a multiple of dt\n"),
+        (
+            {"proposal": {"horizon": 0.25, "dt": 0.1}},
+            "run: proposal.horizon, proposal.dt: SimConfig.horizon must be a multiple of dt\n",
+        ),
+        (
+            {"proposal": {"offsets": [1.0]}},
+            "run: proposal.offsets: ProposalConfig.offsets must contain 0 (the centerline)\n",
+        ),
+        (
+            {"proposal": {"offsets": [0.0, 9.0]}},
+            "run: proposal.offsets: ProposalConfig.offsets must lie in [-3.0, 3.0] m\n",
+        ),
+        (
+            {"weights": {"w_ttc": 0, "w_dr": 0, "w_sp": 0, "w_ep": 0, "w_cf": 0}},
+            "run: weights.w_ttc, weights.w_dr, weights.w_sp, weights.w_ep, weights.w_cf: "
+            "at least one objective weight must be positive\n",
+        ),
+    ],
+)
+def test_cli_names_the_config_keys_a_dataclass_check_rejects(tmp_path, capsys, config, message):
+    # Values of the right type that a config dataclass's own checks reject
+    # (also across sections, as proposal.horizon against the simulator's dt).
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["run", "--scenario", _scenario_file(tmp_path), "--planner", "rad", "--config", str(cfg)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize(
     "line, text, problem",
     [
         (3, "dt nan", "line 3: dt: expected 'dt <a finite number > 0>', got 'dt nan'"),

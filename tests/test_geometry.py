@@ -19,7 +19,7 @@ from radstack.geometry import (
     rect_corners,
 )
 
-from conftest import reference_project_points
+from conftest import ReferenceSegmentTable, reference_project_points
 
 
 def test_normalize_angle_range():
@@ -407,3 +407,21 @@ def test_points_and_poses_at_match_interp_and_segment_atan2(case, seed):
     # the heading is that of the last segment starting at or before s
     k = [np.flatnonzero(s_cum[:-1] <= min(max(si, 0.0), total))[-1] for si in s]
     assert np.array_equal(head, [math.atan2(d[i, 1], d[i, 0]) for i in k])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_random_polyline_case(), seed=st.integers(0, 2**32 - 1))
+@example(  # zero-length segments first, in the middle and last
+    case=(None, np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [4.0, 3.0], [4.0, 3.0]]), None), seed=0
+)
+def test_segment_table_matches_reference_forms_bitwise(case, seed):
+    _, pts, _ = case
+    table, ref = SegmentTable(pts), ReferenceSegmentTable(pts)
+    _assert_bitwise((table.s,), (ref.s,))
+    rng = np.random.default_rng(seed)
+    # every vertex, random arclengths in and past the polyline, as (N,), (K, M) and a scalar
+    s = np.concatenate([ref.s, rng.uniform(-5.0, ref.s[-1] + 5.0, 40), [-1e-300, np.nextafter(ref.s[-1], np.inf)]])
+    inside = np.minimum(np.maximum(s, 0.0), ref.s[-1])
+    for q in (s, s[:40].reshape(8, 5), s[len(pts) + 3]):
+        _assert_bitwise((table.points_at(q), *table.pose_at(q)), (ref.points_at(q), *ref.pose_at(q)))
+    _assert_bitwise((table.segment_index(inside),), (ref.segment_index(inside),))

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radstack import scene
 from radstack.errors import IoError, ParseError, ValidationError
@@ -28,7 +29,7 @@ from radstack.scene import (
 )
 from radstack.topology import augment_with_adjacents, graph_search
 
-from conftest import rect, straight_lane, straight_scenario
+from conftest import rect, reference_segment_headings_and_speeds, straight_lane, straight_scenario
 
 
 def test_pose_heading_normalized():
@@ -94,6 +95,49 @@ def test_segment_headings_batch_matches_rows():
         row_heads, row_speeds = segment_headings_and_speeds(batch[:, i], -1.0, 2.5, 0.1)
         assert np.array_equal(heads[:, i], row_heads)
         assert np.array_equal(speeds[:, i], row_speeds)
+
+
+@st.composite
+def _waypoint_case(draw):
+    """Waypoints (S+1, 2) or a batch (S+1, n, 2) from random steps.
+
+    Some steps are 0 (a standstill at the start, in the middle or
+    throughout) and some lie just above or just below the 1e-6 m motion
+    threshold.
+    """
+    steps = draw(st.integers(1, 40))
+    batch = draw(st.one_of(st.none(), st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (steps,) if batch is None else (steps, batch)
+    length = rng.uniform(0.0, 3.0, shape)
+    tiny = rng.random(shape) < 0.2
+    length[tiny] = 1e-6 * (1.0 + rng.choice([-1e-6, 1e-6], shape))[tiny]
+    a, b = sorted(rng.integers(0, steps + 1, 2))
+    standstill = draw(st.sampled_from(["none", "start", "middle", "all"]))
+    if standstill == "start":
+        length[: max(b, 1)] = 0.0
+    elif standstill == "middle":
+        length[a:b] = 0.0
+    elif standstill == "all":
+        length[:] = 0.0
+    angle = rng.uniform(-math.pi, math.pi, shape)
+    moves = np.stack([length * np.cos(angle), length * np.sin(angle)], axis=-1)
+    start = rng.uniform(-100.0, 100.0, (1,) + shape[1:] + (2,))
+    waypoints = np.concatenate([start, start + np.cumsum(moves, axis=0)])
+    heading0 = draw(st.floats(-math.pi, math.pi))
+    speed0 = draw(st.floats(0.0, 20.0))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.5]))
+    return waypoints, heading0, speed0, dt
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_waypoint_case())
+def test_segment_headings_and_speeds_match_reference_bitwise(case):
+    got = segment_headings_and_speeds(*case)
+    ref = reference_segment_headings_and_speeds(*case)
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 MINIMAL = {

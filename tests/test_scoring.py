@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radstack.geometry import boxes_overlap, rect_corners_batch
+from radstack.geometry import SegmentTable, boxes_overlap, rect_corners_batch
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
 from radstack.scene import AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
 from radstack.scoring import (
@@ -15,6 +15,8 @@ from radstack.scoring import (
     RelaxationState,
     ScoreContext,
     ScoreWeights,
+    _batch_comfort,
+    _batch_direction,
     _batch_ttc,
     aggregate,
     detect_relaxation,
@@ -22,9 +24,17 @@ from radstack.scoring import (
     score_proposals,
     select_best,
 )
-from radstack.topology import graph_search
+from radstack.topology import ProposalPath, graph_search
 
-from conftest import rect, reference_points_in_polygons, static_car, straight_path, straight_scenario
+from conftest import (
+    rect,
+    reference_batch_comfort,
+    reference_batch_direction,
+    reference_points_in_polygons,
+    static_car,
+    straight_path,
+    straight_scenario,
+)
 
 
 def _traj_from_xy(xy, dt=0.1, speeds=None, tag="idm", heading=None):
@@ -608,3 +618,45 @@ def test_select_ties_break_on_tag_priority_then_index(plain_scenario, plain_path
     for order in itertools.permutations(["vocabulary", "learned_offset", "learned"]):
         winner, _, _ = select_best(_proposal_set([replace(base, tag=t) for t in order]), ctx)
         assert winner.tag == "learned"
+
+
+def _assert_bitwise(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 30),
+    steps=st.integers(1, 40),
+    dt=st.sampled_from([0.05, 0.1, 0.5]),
+)
+def test_batch_comfort_matches_reference_bitwise(seed, rows, steps, dt):
+    # Speeds that hold, ramp and jump; headings that turn and wrap past +-pi.
+    rng = np.random.default_rng(seed)
+    speeds = np.maximum(0.0, rng.uniform(0.0, 15.0, (rows, 1)) + np.cumsum(rng.normal(0.0, 0.3, (rows, steps + 1)), axis=1))
+    speeds[rng.random((rows, steps + 1)) < 0.1] = 0.0
+    heads = np.cumsum(rng.normal(0.0, 0.08, (rows, steps + 1)), axis=1) + rng.uniform(-math.pi, math.pi, (rows, 1))
+    heads = (heads + math.pi) % (2.0 * math.pi) - math.pi
+    _assert_bitwise(_batch_comfort(speeds, heads, dt), reference_batch_comfort(speeds, heads, dt))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 4), rows=st.integers(1, 30), steps=st.integers(1, 40))
+def test_batch_direction_matches_reference_bitwise(seed, n_paths, rows, steps):
+    # Paths with repeated vertices and mixed opposing flags; rollouts that
+    # advance, stop and reverse, also before the start and past the end. The
+    # last path serves the rows with path index -1, as the route does.
+    rng = np.random.default_rng(seed)
+    paths = []
+    for _ in range(n_paths):
+        m = int(rng.integers(2, 30))
+        step = rng.choice([0.0, 0.5, 1.0], m - 1, p=[0.1, 0.3, 0.6])
+        pts = np.stack([np.concatenate([[0.0], np.cumsum(step)]), np.zeros(m)], axis=1)
+        paths.append(
+            ProposalPath((), SegmentTable(pts), "ego_route", 10.0, rng.random(m) < 0.4)
+        )
+    path_index = rng.integers(-1, n_paths - 1, rows)
+    s = rng.uniform(-3.0, 5.0, (rows, 1)) + np.cumsum(rng.normal(0.4, 0.6, (rows, steps + 1)), axis=1)
+    _assert_bitwise(_batch_direction(s, path_index, tuple(paths)), reference_batch_direction(s, path_index, tuple(paths)))
