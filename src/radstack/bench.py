@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IoError
+from .errors import write_text
 from .geometry import project_points_to_polyline
 from .planner import Planner, PlannerConfig
 from .simulator import EpisodeLog, SimConfig, run_episode
@@ -114,7 +114,8 @@ def run_suite(
             "planners": list(planner_kinds),
             "toggles": list(toggles),
             "scenarios": [name for name, _ in scenario_items],
-            "sim": {"dt": sim_cfg.dt, "horizon": sim_cfg.horizon, "agent_policy": sim_cfg.agent_policy},
+            # The planned horizon, under its old key so reports stay comparable.
+            "sim": {"dt": sim_cfg.dt, "horizon": planner_cfg.proposal.horizon, "agent_policy": sim_cfg.agent_policy},
         }
     )
     for name, scenario in scenario_items:
@@ -157,11 +158,7 @@ def emit_report(report: BenchReport, fmt: str, path) -> None:
         text = _text_table(report)
     else:
         text = _svg_summary(report)
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        raise IoError(f"cannot write report {path}: {e}") from e
+    write_text(path, text, "report")
 
 
 def _text_table(report: BenchReport) -> str:

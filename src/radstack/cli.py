@@ -9,42 +9,25 @@ overrides seed flags for CI.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .bench import TOGGLE_PRESETS, emit_report, run_suite
 from .config import build_planner_config, build_sim_config, load_config, resolve_seed
-from .errors import IoError, RadstackError
+from .errors import IoError, RadstackError, from_text, integer, number
 from .planhead import harvest_training_samples, init_model, load_model, save_model, train
 from .planner import PLANNER_KINDS, Planner
 from .scene import SCENARIO_KINDS, generate_synthetic_scenario, load_scenario, save_scenario
 from .render import render_episode_svg
-from .simulator import SimConfig, load_episode_log, record_agents, run_episode, save_episode_log
+from .simulator import load_episode_log, record_agents, run_episode, save_episode_log
 from .vocabulary import kmeans_cluster, load_vocabulary, save_vocabulary, slice_ego_windows
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+# argparse types: an integer >= 1, a finite number > 0.
+_count = partial(from_text, read=integer, error=argparse.ArgumentTypeError, at_least=1)
+_positive_float = partial(from_text, read=number, error=argparse.ArgumentTypeError, above=0)
 
 
 def _output_dir(path, flag: str) -> Path:
@@ -144,10 +127,10 @@ def _cmd_gen_scenarios(args) -> int:
     return 0
 
 
-def _load_run_context(args):
-    """(planner config, sim config, vocabulary, model) of `run` and `bench`: the
-    --config file, with --vocab and --model taking precedence over its
-    vocab_path and model_path."""
+def _load_run_context(args, kinds):
+    """(planner config, sim config, vocabulary, model) of `run` and `bench`
+    for planners of the given kinds: the --config file, with --vocab and
+    --model taking precedence over its vocab_path and model_path."""
     doc = load_config(args.config) if args.config else {}
     planner_cfg = build_planner_config(doc)
     sim_cfg = build_sim_config(doc)
@@ -161,17 +144,16 @@ def _load_run_context(args):
     model_path = args.model or doc.get("model_path")
     if model_path:
         model = load_model(model_path)
+    for kind in kinds:
+        if kind in ("planhead", "hybrid") and model is None:
+            raise RadstackError(f"missing config key 'model_path' (or --model) for planner {kind}")
     return planner_cfg, sim_cfg, vocab, model
 
 
 def _cmd_run(args) -> int:
     kind = args.planner.replace("-", "_")
     scenario = load_scenario(args.scenario)
-    planner_cfg, sim_cfg, vocab, model = _load_run_context(args)
-    if kind in ("planhead", "hybrid") and model is None:
-        raise RadstackError(
-            f"missing config key 'model_path' (or --model) required for --planner {args.planner}"
-        )
+    planner_cfg, sim_cfg, vocab, model = _load_run_context(args, [kind])
     planner = Planner(scenario, kind=kind, config=planner_cfg, vocabulary=vocab, model=model)
     log = run_episode(scenario, planner, sim_cfg)
     if args.log:
@@ -233,10 +215,7 @@ def _cmd_bench(args) -> int:
     items = [(p.stem, load_scenario(p)) for p in scenario_paths]
     planners = [k.strip().replace("-", "_") for k in args.planners.split(",") if k.strip()]
     toggles = [t.strip() for t in args.toggles.split(",") if t.strip()]
-    planner_cfg, sim_cfg, vocab, model = _load_run_context(args)
-    for kind in planners:
-        if kind in ("planhead", "hybrid") and model is None:
-            raise RadstackError(f"missing config key 'model_path' (or --model) for planner {kind}")
+    planner_cfg, sim_cfg, vocab, model = _load_run_context(args, planners)
 
     logs_dir = _output_dir(args.logs_dir, "--logs-dir") if args.logs_dir else None
 

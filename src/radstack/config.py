@@ -1,159 +1,136 @@
 """Config documents: the same JSON text format as scenario files, carrying
-overrides for the planner, scorer, proposal, IDM, and simulator defaults.
-Unknown keys are errors. RADSTACK_SEED overrides seed flags for CI runs.
+overrides of the defaults. Each section overrides one dataclass:
+
+  planner  -- PlannerConfig: toggles, max_paths, horizon_length, min_progress,
+              learned_offsets, planhead_budget
+  weights  -- ScoreWeights
+  proposal -- ProposalConfig: offsets, speed_fractions, horizon, dt
+  idm      -- IdmParams
+  sim      -- SimConfig
+
+plus model_path and vocab_path, the plan-head and vocabulary files.
+
+Sampling: proposal.horizon and proposal.dt set the plan that every planner
+samples (the horizon a whole multiple of dt); sim.dt is the simulation step.
+
+Unknown keys and bad values are ConfigErrors naming the field.
+RADSTACK_SEED overrides seed flags for CI runs.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from dataclasses import replace
+from functools import partial
 
-from .errors import ConfigError, IoError, ParseError
+from .errors import ConfigError, array, expected, from_text, integer, number, obj, read_json, string
 from .planhead import CLASSIFY_AND_REFINE, CLASSIFY_ONLY
 from .planner import PlannerConfig
 from .proposals import IdmParams
 from .simulator import AGENT_POLICIES, SimConfig
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+# Value readers: (value, field path) -> the value as its dataclass takes it.
+_count = partial(integer, error=ConfigError, at_least=1)
+_positive = partial(number, error=ConfigError, above=0)
+_non_negative = partial(number, error=ConfigError, at_least=0)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _bool(v, path):
+    if isinstance(v, bool):
+        return v
+    raise expected(ConfigError, path, "a boolean", v)
 
 
-# Value kinds: (description for the error message, predicate).
-_BOOL = ("a boolean", lambda v: isinstance(v, bool))
-_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-_POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
-_NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_number(v) and v >= 0)
-_NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
-_FRACTIONS = (
-    "a list of numbers in (0, 1]",
-    lambda v: isinstance(v, list) and all(_is_number(x) and 0 < x <= 1 for x in v),
-)
+def _numbers(v, path):
+    return tuple(array(v, path, ConfigError, (None,), "a list of finite numbers").tolist())
+
+
+def _fractions(v, path):
+    return tuple(number(x, f"{path}[{i}]", ConfigError, above=0, at_most=1) for i, x in enumerate(_numbers(v, path)))
 
 
 def _one_of(*choices):
-    return (f"one of {list(choices)}", lambda v: v in choices)
+    return partial(string, error=ConfigError, choices=choices)
 
 
-_DISTURBANCES = (
-    "a list of [tick, metres] pairs",
-    lambda v: isinstance(v, list)
-    and all(isinstance(d, list) and len(d) == 2 and _is_int(d[0]) and _is_number(d[1]) for d in v),
-)
+def _disturbances(v, path):
+    """((tick, lateral metres), ...) from [[tick, metres], ...]."""
+    pairs = array(v, path, ConfigError, (None, 2), "a list of [tick, metres] pairs").tolist()
+    return tuple((integer(tick, f"{path}[{i}][0]", ConfigError), m) for i, (tick, m) in enumerate(pairs))
+
 
 _SECTIONS = {
     "planner": {
-        "replan": _BOOL,
-        "enable_adjacents": _BOOL,
-        "enable_opposing": _BOOL,
-        "enable_vocabulary": _BOOL,
-        "enable_relaxation": _BOOL,
-        "max_paths": _COUNT,
-        "horizon_length": _POSITIVE,
-        "min_progress": _NON_NEGATIVE,
-        "learned_offsets": _NUMBERS,
+        "replan": _bool,
+        "enable_adjacents": _bool,
+        "enable_opposing": _bool,
+        "enable_vocabulary": _bool,
+        "enable_relaxation": _bool,
+        "max_paths": _count,
+        "horizon_length": _positive,
+        "min_progress": _non_negative,
+        "learned_offsets": _numbers,
         "planhead_budget": _one_of(CLASSIFY_ONLY, CLASSIFY_AND_REFINE),
     },
-    "weights": {k: _NON_NEGATIVE for k in ("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal")},
-    "proposal": {"offsets": _NUMBERS, "speed_fractions": _FRACTIONS, "horizon": _POSITIVE, "dt": _POSITIVE},
-    "idm": {k: _POSITIVE for k in ("v0", "T_h", "s0", "a_max", "b_comf", "delta")},
+    "weights": dict.fromkeys(("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal"), _non_negative),
+    "proposal": {"offsets": _numbers, "speed_fractions": _fractions, "horizon": _positive, "dt": _positive},
+    "idm": dict.fromkeys(("v0", "T_h", "s0", "a_max", "b_comf", "delta"), _positive),
     "sim": {
-        "dt": _POSITIVE,
-        "planner_period": _COUNT,
-        "horizon": _POSITIVE,
+        "dt": _positive,
+        "planner_period": _count,
         "agent_policy": _one_of(*AGENT_POLICIES),
-        "disturbances": _DISTURBANCES,
-        "goal_radius": _NON_NEGATIVE,
-        "deadlock_window": _POSITIVE,
-        "deadlock_displacement": _NON_NEGATIVE,
-        "record_breakdowns": _BOOL,
+        "disturbances": _disturbances,
+        "goal_radius": _non_negative,
+        "deadlock_window": _positive,
+        "deadlock_displacement": _non_negative,
+        "record_breakdowns": _bool,
     },
 }
-_TOP_KEYS = set(_SECTIONS) | {"model_path", "vocab_path"}
+_ASSET_KEYS = ("model_path", "vocab_path")
 
 
 def load_config(path) -> dict:
-    """Parse and validate a config document; unknown keys and bad values raise ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise IoError(f"cannot read config file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed config file {path}: {e}") from e
-    validate_config(doc)
-    return doc
+    """Parse and read a config document; unknown keys and bad values raise ConfigError."""
+    return validate_config(read_json(path, "config file"))
 
 
-def validate_config(doc: dict) -> None:
-    """Unknown keys, and values of the wrong type or range, raise ConfigError
-    naming the field (e.g. ``sim.planner_period``)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("model_path", "vocab_path"):
-        if key in doc and not isinstance(doc[key], str):
-            raise ConfigError(f"{key}: expected a string, got {doc[key]!r}")
-    for section, keys in _SECTIONS.items():
-        if section not in doc:
-            continue
-        if not isinstance(doc[section], dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        bad = set(doc[section]) - set(keys)
-        if bad:
-            raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
-        for key, value in doc[section].items():
-            expected, ok = keys[key]
-            if not ok(value):
-                raise ConfigError(f"{section}.{key}: expected {expected}, got {value!r}")
+def validate_config(doc: dict) -> dict:
+    """doc with every value read as its dataclass takes it. Unknown keys, and
+    values of the wrong type or range, raise ConfigError naming the field
+    (e.g. ``sim.planner_period``)."""
+    doc = obj(doc, "", ConfigError, optional=(*_ASSET_KEYS, *_SECTIONS))
+    out = {key: string(doc[key], key, ConfigError) for key in _ASSET_KEYS if key in doc}
+    for section, readers in _SECTIONS.items():
+        if section in doc:
+            values = obj(doc[section], section, ConfigError, optional=readers)
+            out[section] = {key: readers[key](v, f"{section}.{key}") for key, v in values.items()}
+    return out
 
 
-def _tupled(value):
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
-
-
-def _replaced(obj, section: str, values: dict):
-    """obj with the keys of one config section replaced. A ValueError from the
+def _replaced(base, section: str, values: dict):
+    """base with the keys of one config section replaced. A ValueError from the
     dataclass's own checks becomes a ConfigError naming the keys the section
     set (e.g. ``proposal.horizon, proposal.dt: ...``)."""
     try:
-        return replace(obj, **{k: _tupled(v) for k, v in values.items()})
+        return replace(base, **values)
     except ValueError as e:
         raise ConfigError(f"{', '.join(f'{section}.{k}' for k in values)}: {e}") from e
 
 
 def build_planner_config(doc: dict) -> PlannerConfig:
+    doc = validate_config(doc)
     cfg = PlannerConfig()
-    if "proposal" in doc:
-        cfg = replace(cfg, proposal=_replaced(cfg.proposal, "proposal", doc["proposal"]))
-    if "weights" in doc:
-        cfg = replace(cfg, weights=_replaced(cfg.weights, "weights", doc["weights"]))
-    if "idm" in doc:
-        cfg = replace(cfg, idm=_replaced(cfg.idm or IdmParams(), "idm", doc["idm"]))
-    if "planner" in doc:
-        cfg = _replaced(cfg, "planner", doc["planner"])
-    return cfg
+    for section in ("proposal", "weights", "idm"):  # PlannerConfig fields of the same names
+        if section in doc:
+            base = getattr(cfg, section) or IdmParams()  # idm defaults to None
+            cfg = replace(cfg, **{section: _replaced(base, section, doc[section])})
+    return _replaced(cfg, "planner", doc.get("planner", {}))
 
 
 def build_sim_config(doc: dict) -> SimConfig:
-    cfg = SimConfig()
-    if "sim" in doc:
-        cfg = _replaced(cfg, "sim", doc["sim"])
-    # Keep the simulated planning horizon in sync with proposal overrides.
-    synced = {k: v for k, v in doc.get("proposal", {}).items() if k in ("horizon", "dt")}
-    if synced:
-        cfg = _replaced(cfg, "proposal", synced)
-    return cfg
+    doc = validate_config(doc)
+    return _replaced(SimConfig(), "sim", doc.get("sim", {}))
 
 
 def resolve_seed(flag_value: int) -> int:
@@ -161,7 +138,4 @@ def resolve_seed(flag_value: int) -> int:
     env = os.environ.get("RADSTACK_SEED")
     if env is None:
         return flag_value
-    try:
-        return int(env)
-    except ValueError as e:
-        raise ConfigError(f"RADSTACK_SEED must be an integer, got {env!r}") from e
+    return from_text(env, integer, "RADSTACK_SEED", ConfigError)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, IoError, ParseError
+from .errors import DivergenceError, ParseError, array, integer, number, obj, read_json, write_text
 from .geometry import to_local_frame
 from .scene import EgoState, Pose2, Trajectory
 from .topology import ProposalPath, project_onto_path
@@ -154,26 +154,33 @@ class PlanHeadModel:
         return self.vocab.T
 
 
+def _param_shapes(d: int, h: int, k: int, t: int) -> dict:
+    """Parameter name -> shape, in the order init_model draws them."""
+    return {
+        "w1": (h, d),
+        "b1": (h,),
+        "w2": (h, h),
+        "b2": (h,),
+        "wc": (k, h),
+        "bc": (k,),
+        "wr1": (h, 2 * t + h),
+        "br1": (h,),
+        "wr2": (2 * t, h),
+        "br2": (2 * t,),
+    }
+
+
 def init_model(vocab: Vocabulary, d: int = FEATURE_DIM, h: int = HIDDEN_DIM, seed: int = 0) -> PlanHeadModel:
     rng = np.random.default_rng(seed)
-    k, t = vocab.K, vocab.T
-    u = t * 2 + h
 
     def glorot(n_out, n_in):
         lim = math.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-lim, lim, size=(n_out, n_in))
 
+    # Biases and wr2 start at zero (wr2: the refiner starts as the identity).
     params = {
-        "w1": glorot(h, d),
-        "b1": np.zeros(h),
-        "w2": glorot(h, h),
-        "b2": np.zeros(h),
-        "wc": glorot(k, h),
-        "bc": np.zeros(k),
-        "wr1": glorot(h, u),
-        "br1": np.zeros(h),
-        "wr2": np.zeros((t * 2, h)),  # zero-init: refiner starts as identity
-        "br2": np.zeros(t * 2),
+        name: glorot(*shape) if name in ("w1", "w2", "wc", "wr1") else np.zeros(shape)
+        for name, shape in _param_shapes(d, h, vocab.K, vocab.T).items()
     }
     return PlanHeadModel(vocab=vocab, d=d, h=h, params=params)
 
@@ -391,75 +398,27 @@ def save_model(model: PlanHeadModel, path) -> None:
         "vocab": model.vocab.prototypes.reshape(model.k, -1).tolist(),
         "params": {name: arr.reshape(-1).tolist() for name, arr in model.params.items()},
     }
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
-    except OSError as e:
-        raise IoError(f"cannot write model file {path}: {e}") from e
-
-
-_PARAM_SHAPES = {
-    "w1": lambda d, h, k, t: (h, d),
-    "b1": lambda d, h, k, t: (h,),
-    "w2": lambda d, h, k, t: (h, h),
-    "b2": lambda d, h, k, t: (h,),
-    "wc": lambda d, h, k, t: (k, h),
-    "bc": lambda d, h, k, t: (k,),
-    "wr1": lambda d, h, k, t: (h, 2 * t + h),
-    "br1": lambda d, h, k, t: (h,),
-    "wr2": lambda d, h, k, t: (2 * t, h),
-    "br2": lambda d, h, k, t: (2 * t,),
-}
+    write_text(path, json.dumps(doc, indent=1) + "\n", "model file")
 
 
 def load_model(path) -> PlanHeadModel:
     """Read a model file. A missing field, or a size, vocab, dt or parameter
-    of the wrong type, shape or with a non-finite value, raises ParseError
+    of the wrong type or shape or with a non-finite value, raises ParseError
     naming the field."""
+    doc = read_json(path, "model file")
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise IoError(f"cannot read model file {path}: {e}") from e
-    except json.JSONDecodeError as e:
+        obj(doc, "", ParseError, ("d", "h", "k", "t", "dt", "vocab", "params"), optional=None)
+        d, h, k, t = (integer(doc[name], name, ParseError, at_least=1) for name in "dhkt")
+        dt = number(doc["dt"], "dt", ParseError, above=0)
+        protos = array(doc["vocab"], "vocab", ParseError, (k, 2 * t), f"{k * 2 * t} numbers in {k} rows")
+        shapes = _param_shapes(d, h, k, t)
+        doc_params = obj(doc["params"], "params", ParseError, tuple(shapes), optional=None)
+        params = {}
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            values = array(doc_params[name], f"params.{name}", ParseError, (size,), f"{size} numbers")
+            params[name] = values.reshape(shape)
+    except ParseError as e:
         raise ParseError(f"malformed model file {path}: {e}") from e
-
-    def fail(name, problem):
-        return ParseError(f"malformed model file {path}: {name}: {problem}")
-
-    def get(container, name, label=None):
-        if not isinstance(container, dict) or name not in container:
-            raise fail(label or name, "missing")
-        return container[name]
-
-    def numbers(name, value, size):
-        try:
-            arr = np.array(value, dtype=float)
-        except (TypeError, ValueError):
-            arr = None
-        if arr is None or arr.size != size:
-            raise fail(name, f"expected {size} numbers")
-        if not np.isfinite(arr).all():
-            raise fail(name, "non-finite value")
-        return arr
-
-    sizes = []
-    for name in ("d", "h", "k", "t"):
-        v = get(doc, name)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise fail(name, f"expected an integer >= 1, got {v!r}")
-        sizes.append(v)
-    d, h, k, t = sizes
-    dt = get(doc, "dt")
-    if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not math.isfinite(dt) or dt <= 0:
-        raise fail("dt", f"expected a finite number > 0, got {dt!r}")
-    protos = numbers("vocab", get(doc, "vocab"), k * t * 2)
-    vocab = Vocabulary(prototypes=protos.reshape(k, t, 2), dt=float(dt))
-    doc_params = get(doc, "params")
-    params = {}
-    for name, shape_fn in _PARAM_SHAPES.items():
-        shape = shape_fn(d, h, k, t)
-        arr = numbers(f"params.{name}", get(doc_params, name, f"params.{name}"), int(np.prod(shape)))
-        params[name] = arr.reshape(shape)
+    vocab = Vocabulary(prototypes=protos.reshape(k, t, 2), dt=dt)
     return PlanHeadModel(vocab=vocab, d=d, h=h, params=params)

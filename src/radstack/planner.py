@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import HorizonMismatchError
 from .hybrid import DEFAULT_LEARNED_OFFSETS, hybrid_select
 from .planhead import (
     CLASSIFY_AND_REFINE,
@@ -111,20 +112,14 @@ class Planner:
             cfg = cfg.without_goal()
         if kind in ("planhead", "hybrid") and model is None:
             raise ValueError(f"planner kind {kind!r} requires a trained model")
-        # `not <=` so that a NaN dt fails the check.
-        if vocabulary is not None and (
-            vocabulary.T != cfg.proposal.horizon_steps
-            or not abs(vocabulary.dt - cfg.proposal.dt) <= 1e-12
-        ):
-            raise ValueError(
-                f"vocabulary sampling (T={vocabulary.T}, dt={vocabulary.dt}) does not match "
-                f"the proposal horizon (T={cfg.proposal.horizon_steps}, dt={cfg.proposal.dt})"
-            )
-        if model is not None and (
-            model.vocab.T != cfg.proposal.horizon_steps
-            or not abs(model.vocab.dt - cfg.proposal.dt) <= 1e-12
-        ):
-            raise ValueError("model vocabulary sampling does not match the proposal horizon")
+        steps, dt = cfg.proposal.horizon_steps, cfg.proposal.dt
+        for name, vocab in (("vocabulary", vocabulary), ("model vocabulary", model and model.vocab)):
+            # `not <=` so that a NaN dt fails the check.
+            if vocab is not None and (vocab.T != steps or not abs(vocab.dt - dt) <= 1e-12):
+                raise HorizonMismatchError(
+                    f"{name} sampling (T={vocab.T}, dt={vocab.dt}) does not match "
+                    f"the proposal horizon (T={steps}, dt={dt})"
+                )
         self.kind = kind
         self.config = cfg
         self.scenario = scenario

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HorizonMismatchError
+from .errors import HorizonMismatchError, number
 from .geometry import project_points_to_polyline
 from .scene import TRAJECTORY_TAGS, EgoState, Trajectory, segment_headings_and_speeds, trajectory_from_arrays
 from .topology import ProposalPath
@@ -61,8 +61,11 @@ class ProposalConfig:
             raise ValueError(f"ProposalConfig.offsets must lie in [-{MAX_OFFSET}, {MAX_OFFSET}] m")
         if any(f <= 0 or f > 1 for f in self.speed_fractions):
             raise ValueError("ProposalConfig.speed_fractions must lie in (0, 1]")
-        if self.horizon <= 0 or self.dt <= 0:
-            raise ValueError("ProposalConfig horizon and dt must be positive")
+        number(self.horizon, "ProposalConfig.horizon", ValueError, above=0)
+        number(self.dt, "ProposalConfig.dt", ValueError, above=0)
+        steps = self.horizon / self.dt
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+            raise ValueError("ProposalConfig.horizon must be a multiple of dt")
 
     @property
     def horizon_steps(self) -> int:

@@ -4,11 +4,7 @@ and the ego trace colored by the winning proposal's tag per tick.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from .errors import IoError
+from .errors import write_text
 from .geometry import rect_corners
 from .simulator import EpisodeLog
 
@@ -29,12 +25,7 @@ def _poly_points(poly, tf) -> str:
 
 
 def render_episode_svg(log: EpisodeLog, path) -> None:
-    text = episode_svg(log)
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        raise IoError(f"cannot write SVG {path}: {e}") from e
+    write_text(path, episode_svg(log), "SVG")
 
 
 def episode_svg(log: EpisodeLog) -> str:

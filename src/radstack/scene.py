@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, ParseError, ValidationError
+from .errors import ValidationError, array, expected, integer, items, number, obj, read_json, string, write_text
 from .geometry import (
     normalize_angle,
     point_in_polygon,
@@ -307,6 +307,9 @@ def validate_scenario(s: Scenario) -> None:
             )
     if not s.drivable_area:
         raise ValidationError("drivable_area: must not be empty")
+    for i, poly in enumerate(s.drivable_area):
+        if len(poly) < 3:
+            raise ValidationError(f"drivable_area[{i}]: needs >= 3 points")
     lo = np.min([poly.min(axis=0) for poly in s.drivable_area], axis=0)
     hi = np.max([poly.max(axis=0) for poly in s.drivable_area], axis=0)
     gx, gy = s.goal.x, s.goal.y
@@ -344,54 +347,6 @@ def footprint_inside_drivable(a, scenario: Scenario) -> bool:
 
 def _pose_to_list(p: Pose2):
     return [p.x, p.y, p.heading]
-
-
-def _number(v, path: str) -> float:
-    """v as a finite float; ValidationError naming path otherwise."""
-    try:
-        x = float(v)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: expected a number, got {v!r}") from e
-    if not math.isfinite(x):
-        raise ValidationError(f"{path}: must be finite, got {x}")
-    return x
-
-
-def _integer(v, path: str) -> int:
-    """v as an int; ValidationError naming path for bools, non-integral or non-finite values."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v != int(v):
-        raise ValidationError(f"{path}: expected an integer, got {v!r}")
-    return int(v)
-
-
-def _list(v, path: str) -> list:
-    if not isinstance(v, list):
-        raise ValidationError(f"{path}: expected a list, got {type(v).__name__}")
-    return v
-
-
-def _object(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(v).__name__}")
-    return v
-
-
-def _pose_from_list(v, path: str) -> Pose2:
-    if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise ValidationError(f"{path}: expected [x, y, heading]")
-    return Pose2(*(_number(x, f"{path}[{k}]") for k, x in enumerate(v)))
-
-
-def _polygon_from_list(v, path: str) -> np.ndarray:
-    try:
-        poly = np.asarray(_list(v, path), dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: expected a list of [x, y] points") from e
-    if poly.ndim != 2 or poly.shape[1] != 2:
-        raise ValidationError(f"{path}: expected a list of [x, y] points")
-    if not np.isfinite(poly).all():
-        raise ValidationError(f"{path}: points must be finite")
-    return poly
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -437,98 +392,66 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+_SCENARIO_KEYS = ("lanes", "drivable_area", "crosswalks", "agents", "ego", "route", "goal", "duration", "seed")
+_EGO_NUMBERS = ("speed", "wheelbase", "half_length", "half_width")
+
+
+def _pose(v, path: str) -> Pose2:
+    # Three reads cost less than one numpy conversion of three numbers.
+    if not (isinstance(v, list) and len(v) == 3):
+        raise expected(ValidationError, path, "[x, y, heading]", v)
+    return Pose2(*[number(x, f"{path}[{i}]") for i, x in enumerate(v)])
+
+
+def _polygon(v, path: str) -> np.ndarray:
+    return array(v, path, ValidationError, (None, 2), "a list of [x, y] points")
+
+
+def _lane(d, path: str) -> Lane:
+    refs = ("left_adjacent", "right_adjacent")
+    d = obj(d, path, required=("id", "centerline", "speed_limit"), optional=("successors", "direction", *refs))
+    centerline = array(d["centerline"], f"{path}.centerline", ValidationError, (None, 3), "a list of [x, y, heading]")
+    return Lane(
+        id=string(d["id"], f"{path}.id"),
+        centerline=tuple(Pose2(x, y, h) for x, y, h in centerline.tolist()),
+        speed_limit=number(d["speed_limit"], f"{path}.speed_limit", at_least=0),
+        successors=tuple(string(x, p) for p, x in items(d.get("successors", []), f"{path}.successors")),
+        direction=string(d.get("direction", "route_aligned"), f"{path}.direction"),
+        **{k: None if d.get(k) is None else string(d[k], f"{path}.{k}") for k in refs},
+    )
+
+
+def _agent(d, path: str) -> AgentState:
+    d = obj(d, path, required=("id", "pose", "speed", "half_length", "half_width"), optional=("kind",))
+    return AgentState(
+        id=string(d["id"], f"{path}.id"),
+        pose=_pose(d["pose"], f"{path}.pose"),
+        speed=number(d["speed"], f"{path}.speed"),
+        half_length=number(d["half_length"], f"{path}.half_length"),
+        half_width=number(d["half_width"], f"{path}.half_width"),
+        kind=string(d.get("kind", "vehicle"), f"{path}.kind"),
+    )
+
+
+def _ego(d) -> EgoState:
+    d = obj(d, "ego", required=("pose", *_EGO_NUMBERS), optional=("accel", "steering"))
+    numbers = {k: number(d.get(k, 0.0), f"ego.{k}") for k in (*_EGO_NUMBERS, "accel", "steering")}
+    return EgoState(pose=_pose(d["pose"], "ego.pose"), **numbers)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-    known = {
-        "lanes",
-        "drivable_area",
-        "crosswalks",
-        "agents",
-        "ego",
-        "route",
-        "goal",
-        "duration",
-        "seed",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
-    missing = known - set(doc)
-    if missing:
-        raise ValidationError(f"missing top-level keys: {sorted(missing)}")
-
-    lanes = []
-    for i, d in enumerate(_list(doc["lanes"], "lanes")):
-        d = _object(d, f"lanes[{i}]")
-        try:
-            speed_limit = _number(d["speed_limit"], f"lanes[{i}].speed_limit")
-            if speed_limit < 0:
-                raise ValidationError(f"lanes[{i}].speed_limit: must be >= 0, got {speed_limit}")
-            lanes.append(
-                Lane(
-                    id=str(d["id"]),
-                    centerline=tuple(
-                        _pose_from_list(p, f"lanes[{i}].centerline[{j}]")
-                        for j, p in enumerate(_list(d["centerline"], f"lanes[{i}].centerline"))
-                    ),
-                    speed_limit=speed_limit,
-                    successors=tuple(
-                        str(x) for x in _list(d.get("successors", []), f"lanes[{i}].successors")
-                    ),
-                    left_adjacent=d.get("left_adjacent"),
-                    right_adjacent=d.get("right_adjacent"),
-                    direction=str(d.get("direction", "route_aligned")),
-                )
-            )
-        except KeyError as e:
-            raise ValidationError(f"lanes[{i}]: missing key {e.args[0]!r}") from e
-    agents = []
-    for i, d in enumerate(_list(doc["agents"], "agents")):
-        d = _object(d, f"agents[{i}]")
-        try:
-            agents.append(
-                AgentState(
-                    id=str(d["id"]),
-                    pose=_pose_from_list(d["pose"], f"agents[{i}].pose"),
-                    speed=_number(d["speed"], f"agents[{i}].speed"),
-                    half_length=_number(d["half_length"], f"agents[{i}].half_length"),
-                    half_width=_number(d["half_width"], f"agents[{i}].half_width"),
-                    kind=str(d.get("kind", "vehicle")),
-                )
-            )
-        except KeyError as e:
-            raise ValidationError(f"agents[{i}]: missing key {e.args[0]!r}") from e
-    e = _object(doc["ego"], "ego")
-    try:
-        ego = EgoState(
-            pose=_pose_from_list(e["pose"], "ego.pose"),
-            speed=_number(e["speed"], "ego.speed"),
-            accel=_number(e.get("accel", 0.0), "ego.accel"),
-            steering=_number(e.get("steering", 0.0), "ego.steering"),
-            wheelbase=_number(e["wheelbase"], "ego.wheelbase"),
-            half_length=_number(e["half_length"], "ego.half_length"),
-            half_width=_number(e["half_width"], "ego.half_width"),
-        )
-    except KeyError as err:
-        raise ValidationError(f"ego: missing key {err.args[0]!r}") from err
-
+    """The Scenario of a schema-v1 document; a bad field raises ValidationError naming it."""
+    doc = obj(doc, "", required=_SCENARIO_KEYS)
     scenario = Scenario(
-        lanes=tuple(lanes),
-        drivable_area=tuple(
-            _polygon_from_list(p, f"drivable_area[{i}]")
-            for i, p in enumerate(_list(doc["drivable_area"], "drivable_area"))
-        ),
-        crosswalks=tuple(
-            _polygon_from_list(p, f"crosswalks[{i}]")
-            for i, p in enumerate(_list(doc["crosswalks"], "crosswalks"))
-        ),
-        agents=tuple(agents),
-        ego=ego,
-        route=tuple(str(x) for x in _list(doc["route"], "route")),
-        goal=_pose_from_list(doc["goal"], "goal"),
-        duration=_number(doc["duration"], "duration"),
-        seed=_integer(doc["seed"], "seed"),
+        lanes=tuple(_lane(d, p) for p, d in items(doc["lanes"], "lanes")),
+        drivable_area=tuple(_polygon(v, p) for p, v in items(doc["drivable_area"], "drivable_area")),
+        crosswalks=tuple(_polygon(v, p) for p, v in items(doc["crosswalks"], "crosswalks")),
+        agents=tuple(_agent(d, p) for p, d in items(doc["agents"], "agents")),
+        ego=_ego(doc["ego"]),
+        route=tuple(string(x, p) for p, x in items(doc["route"], "route")),
+        goal=_pose(doc["goal"], "goal"),
+        duration=number(doc["duration"], "duration"),
+        seed=integer(doc["seed"], "seed"),
     )
     validate_scenario(scenario)
     return scenario
@@ -536,25 +459,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def save_scenario(s: Scenario, path) -> None:
     validate_scenario(s)
-    text = json.dumps(scenario_to_dict(s), indent=2) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        raise IoError(f"cannot write scenario file {path}: {e}") from e
+    write_text(path, json.dumps(scenario_to_dict(s), indent=2) + "\n", "scenario file")
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise IoError(f"cannot read scenario file {path}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed scenario file {path}: {e}") from e
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(path, "scenario file"))
 
 
 # --------------------------------------------------------------------------

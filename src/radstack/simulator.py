@@ -15,7 +15,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IoError, OffMapError, ParseError, ValidationError
+from .errors import (
+    OffMapError,
+    ParseError,
+    ValidationError,
+    array,
+    expected,
+    finite,
+    integer,
+    number,
+    obj,
+    read_text,
+    string,
+    write_text,
+)
 from .geometry import (
     boxes_overlap,
     normalize_angle,
@@ -23,7 +36,7 @@ from .geometry import (
     project_points_to_polyline,
     SegmentTable,
 )
-from .planner import Planner, PlannerConfig
+from .planner import Planner
 from .proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
 from .scene import (
     AgentState,
@@ -49,7 +62,6 @@ EVENT_NAMES = ("collision", "off_road", "goal_reached", "deadlock", "off_map_err
 class SimConfig:
     dt: float = 0.1
     planner_period: int = 1  # planner ticks every N sim ticks
-    horizon: float = 4.0
     agent_policy: str = "reactive_idm"
     disturbances: tuple = ()  # ((tick, lateral metres), ...)
     goal_radius: float = 3.0
@@ -58,11 +70,7 @@ class SimConfig:
     record_breakdowns: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("SimConfig.dt must be positive")
-        steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("SimConfig.horizon must be a multiple of dt")
+        number(self.dt, "SimConfig.dt", ValueError, above=0)
         if self.agent_policy not in AGENT_POLICIES:
             raise ValueError(f"unknown agent policy {self.agent_policy!r}")
 
@@ -350,14 +358,15 @@ def _ego_collides(ego: EgoState, agents) -> bool:
 def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> EpisodeLog:
     """Closed-loop episode: plan, track one tick, step agents, record, repeat.
 
-    planner is a Planner instance or a planner kind string. Terminates at the
-    scenario duration, on collision, or on reaching the goal; deadlock and
-    off-road are recorded as events but do not terminate.
+    planner is a Planner instance or a planner kind string. A kind string
+    plans with the default PlannerConfig, so its plans are sampled by the
+    default ProposalConfig (horizon and dt), whatever cfg.dt is. Terminates
+    at the scenario duration, on collision, or on reaching the goal; deadlock
+    and off-road are recorded as events but do not terminate. An OffMapError
+    from the planner ends the episode with an off_map_error event.
     """
     if isinstance(planner, str):
-        planner = Planner(scenario, kind=planner, config=PlannerConfig(
-            proposal=replace(PlannerConfig().proposal, horizon=cfg.horizon, dt=cfg.dt)
-        ))
+        planner = Planner(scenario, kind=planner)
     log = EpisodeLog(scenario=scenario, planner_kind=planner.kind, dt=cfg.dt)
     ego = scenario.ego
     agents = list(scenario.agents)
@@ -471,45 +480,54 @@ def save_episode_log(log: EpisodeLog, path) -> None:
         lines.append(json.dumps({"type": "proposal", **rec}))
     for tick, name in log.events:
         lines.append(json.dumps({"type": "event", "tick": tick, "name": name}))
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write episode log {path}: {e}") from e
+    write_text(path, "\n".join(lines) + "\n", "episode log")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_agent_row(v) -> bool:
-    return (
-        isinstance(v, list) and len(v) == 8 and isinstance(v[0], str)
-        and all(map(_is_number, v[1:7])) and isinstance(v[7], str)
-    )
-
-
-# Episode-log fields the program reads: (description for the error message, predicate).
-_LOG_FIELDS = {
-    "planner": ("a string", lambda v: isinstance(v, str)),
-    "dt": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
-    "scenario": ("an object", lambda v: isinstance(v, dict)),
-    "tick": ("an integer >= 0", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0),
-    "ego": ("[x, y, heading, speed, accel, steering] as finite numbers",
-            lambda v: isinstance(v, list) and len(v) == 6 and all(map(_is_number, v))),
-    "agents": ("a list of [id, x, y, heading, speed, half_length, half_width, kind]",
-               lambda v: isinstance(v, list) and all(map(_is_agent_row, v))),
-    "tag": (f"one of {list(TRAJECTORY_TAGS)}", lambda v: v in TRAJECTORY_TAGS),
-    "breakdown": ("null or an object with a finite aggregate",
-                  lambda v: v is None or (isinstance(v, dict) and _is_number(v.get("aggregate")))),
-    "name": (f"one of {list(EVENT_NAMES)}", lambda v: v in EVENT_NAMES),
-}
-_RECORD_FIELDS = {
+# The keys each record type must hold; other keys are kept unread.
+_RECORD_KEYS = {
     "header": ("planner", "dt", "scenario"),
     "tick": ("tick", "ego", "agents", "tag", "breakdown"),
     "proposal": ("tick",),
     "event": ("tick", "name"),
 }
+
+
+def _read_line(rec, log: EpisodeLog | None) -> EpisodeLog:
+    """log with one parsed line added, or a new log for the header line (log
+    None). Every field the program reads is checked; ParseError names it."""
+    rec = obj(rec, "", ParseError, optional=None)
+    kinds = ("header",) if log is None else ("tick", "proposal", "event")
+    kind = string(rec.pop("type", None), "type", ParseError, kinds)
+    obj(rec, "", ParseError, _RECORD_KEYS[kind], optional=None)
+    if kind == "header":
+        planner, dt = string(rec["planner"], "planner", ParseError), number(rec["dt"], "dt", ParseError, above=0)
+        try:
+            return EpisodeLog(scenario=scenario_from_dict(rec["scenario"]), planner_kind=planner, dt=dt)
+        except ValidationError as e:
+            raise ParseError(f"scenario: {e}") from e
+    integer(rec["tick"], "tick", ParseError, at_least=0)
+    if kind == "tick":
+        array(rec["ego"], "ego", ParseError, (6,), "[x, y, heading, speed, accel, steering] as finite numbers")
+        agents = rec["agents"]
+        if not (isinstance(agents, list) and all(isinstance(row, list) and len(row) == 8 for row in agents)):
+            what = "a list of [id, x, y, heading, speed, half_length, half_width, kind]"
+            raise expected(ParseError, "agents", what, agents)
+        for i, row in enumerate(agents):
+            for j, v in enumerate(row):
+                (string if j in (0, 7) else number)(v, f"agents[{i}][{j}]", ParseError)
+        string(rec["tag"], "tag", ParseError, TRAJECTORY_TAGS)
+        breakdown = rec["breakdown"]
+        if breakdown is not None and not (isinstance(breakdown, dict) and finite(breakdown.get("aggregate"))):
+            raise expected(ParseError, "breakdown", "null or an object with a finite aggregate", breakdown)
+        # The checks of EgoState and AgentState, e.g. a speed >= 0.
+        record_ego(rec, log.scenario.ego)
+        record_agents(rec)
+        log.records.append(rec)
+    elif kind == "proposal":
+        log.proposal_records.append(rec)
+    else:
+        log.events.append((rec["tick"], string(rec["name"], "name", ParseError, EVENT_NAMES)))
+    return log
 
 
 def load_episode_log(path) -> EpisodeLog:
@@ -518,53 +536,13 @@ def load_episode_log(path) -> EpisodeLog:
     Every field the program reads is checked; a malformed line raises
     ParseError naming the line and the field.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise IoError(f"cannot read episode log {path}: {e}") from e
-    records = []
-    for number, ln in enumerate(lines, start=1):
-        if not ln.strip():
-            continue
-        where = f"malformed episode log {path} line {number}"
-        try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{where}: {e}") from e
-        if not isinstance(rec, dict):
-            raise ParseError(f"{where}: expected an object, got {type(rec).__name__}")
-        kind = rec.pop("type", None)
-        allowed = ("header",) if not records else ("tick", "proposal", "event")
-        if kind not in allowed:
-            raise ParseError(f"{where}: type: expected one of {list(allowed)}, got {kind!r}")
-        for key in _RECORD_FIELDS[kind]:
-            if key not in rec:
-                raise ParseError(f"{where}: {key}: missing")
-            desc, ok = _LOG_FIELDS[key]
-            if not ok(rec[key]):
-                raise ParseError(f"{where}: {key}: expected {desc}, got {rec[key]!r}")
-        if kind == "header":
+    log = None
+    for number_, ln in enumerate(read_text(path, "episode log").splitlines(), start=1):
+        if ln.strip():
             try:
-                scenario = scenario_from_dict(rec["scenario"])
-            except (ParseError, ValidationError) as e:
-                raise ParseError(f"{where}: scenario: {e}") from e
-        elif kind == "tick":
-            try:  # the checks of EgoState and AgentState, e.g. a speed >= 0
-                record_ego(rec, scenario.ego)
-                record_agents(rec)
-            except ValidationError as e:
-                raise ParseError(f"{where}: {e}") from e
-        records.append((kind, rec))
-    if not records:
+                log = _read_line(json.loads(ln), log)
+            except (json.JSONDecodeError, ParseError, ValidationError) as e:
+                raise ParseError(f"malformed episode log {path} line {number_}: {e}") from e
+    if log is None:
         raise ParseError(f"episode log {path} is empty")
-    header = records[0][1]
-    log = EpisodeLog(scenario=scenario, planner_kind=header["planner"], dt=float(header["dt"]))
-    for kind, rec in records[1:]:
-        if kind == "tick":
-            log.records.append(rec)
-        elif kind == "proposal":
-            log.proposal_records.append(rec)
-        else:
-            log.events.append((rec["tick"], rec["name"]))
     return log

@@ -157,6 +157,8 @@ def graph_search(
     Expands the lane successor graph from every lane within the localization
     radius. Output is sorted route-aligned first, then by lateral distance of
     the start lane to the ego, then lexicographically; deterministic.
+    Raises OffMapError when no lane is within the radius, or when the ego is
+    past the end of every chain it can root on (a dead end).
     """
     ego_xy = (ego.pose.x, ego.pose.y)
     reachable = []
@@ -194,6 +196,10 @@ def graph_search(
         paths.append(path)
         if len(paths) >= max_paths:
             break
+    if not paths:
+        raise OffMapError(
+            f"no lane continues ahead of ego at ({ego.pose.x:.1f}, {ego.pose.y:.1f}): every chain ends behind it"
+        )
     return paths
 
 

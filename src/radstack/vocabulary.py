@@ -10,7 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClusterError, IoError, ParseError, ValidationError
+from .errors import (
+    DegenerateClusterError,
+    ParseError,
+    ValidationError,
+    expected,
+    from_text,
+    integer,
+    number,
+    read_text,
+    write_text,
+)
 from .geometry import to_local_frame
 from .scene import EgoState, segment_headings_and_speeds
 
@@ -25,9 +35,7 @@ class Vocabulary:
     sse_history: tuple = ()  # per-iteration clustering SSE, empty if not clustered
 
     def __post_init__(self):
-        dt = self.dt
-        if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not math.isfinite(dt) or dt <= 0:
-            raise ValidationError(f"vocabulary.dt: expected a finite number > 0, got {dt!r}")
+        dt = number(self.dt, "vocabulary.dt", above=0)
         p = np.asarray(self.prototypes, dtype=float)
         if p.ndim != 3 or p.shape[0] < 1 or p.shape[2] != 2:
             raise ValidationError("vocabulary.prototypes: expected shape (K, T, 2) with K >= 1")
@@ -149,53 +157,36 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     lines = [f"K {vocab.K}", f"T {vocab.T}", f"dt {vocab.dt!r}"]
     for proto in vocab.prototypes:
         lines.append(" ".join(repr(float(v)) for v in proto.reshape(-1)))
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write vocabulary file {path}: {e}") from e
+    write_text(path, "\n".join(lines) + "\n", "vocabulary file")
+
+
+# The header lines: key, reader and bounds of the value.
+_HEADER = (("K", integer, {"at_least": 1}), ("T", integer, {"at_least": 1}), ("dt", number, {"above": 0}))
 
 
 def load_vocabulary(path) -> Vocabulary:
     """Read the save_vocabulary format. A malformed header or row raises
-    ParseError naming the file line."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [(number, ln.split()) for number, ln in enumerate(f, 1) if ln.strip()]
-    except OSError as e:
-        raise IoError(f"cannot read vocabulary file {path}: {e}") from e
+    ParseError naming the file line and the field."""
+    text = read_text(path, "vocabulary file")
+    lines = [(line, ln.split()) for line, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 4:
         raise ParseError(f"malformed vocabulary file {path}: too short")
-
-    def header(i, key, parse, valid, expected):
-        number, fields = lines[i]
+    header = []
+    for (line, fields), (key, read, bounds) in zip(lines, _HEADER):
+        where = f"malformed vocabulary file {path} line {line}: {key}"
         try:
-            value = parse(fields[1]) if len(fields) == 2 and fields[0] == key else None
-        except ValueError:
-            value = None
-        if value is None or not valid(value):
-            raise ParseError(
-                f"malformed vocabulary file {path} line {number}: {key}: expected '{key} <{expected}>', "
-                f"got {' '.join(fields)!r}"
-            )
-        return value
-
-    k = header(0, "K", int, lambda v: v >= 1, "an integer >= 1")
-    t = header(1, "T", int, lambda v: v >= 1, "an integer >= 1")
-    dt = header(2, "dt", float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+            header.append(from_text(fields[1] if fields[:1] == [key] and len(fields) == 2 else "", read, where,
+                                    ParseError, **bounds))
+        except ParseError as e:  # a header line reads as one field
+            raise expected(ParseError, where, f"'{key} <{e.what}>'", " ".join(fields)) from None
+    k, t, dt = header
     body = lines[3:]
     if len(body) != k:
         raise ParseError(f"malformed vocabulary file {path}: header says K={k} but body has {len(body)} rows")
-    protos = np.empty((k, t, 2))
-    for i, (number, vals) in enumerate(body):
-        where = f"malformed vocabulary file {path} line {number}: prototypes[{i}]"
-        if len(vals) != 2 * t:
-            raise ParseError(f"{where}: {len(vals)} values, expected {2 * t}")
-        try:
-            row = np.array([float(v) for v in vals])
-        except ValueError as e:
-            raise ParseError(f"{where}: {e}") from e
-        if not np.isfinite(row).all():
-            raise ParseError(f"{where}: non-finite value {vals[int(np.argmin(np.isfinite(row)))]!r}")
-        protos[i] = row.reshape(t, 2)
-    return Vocabulary(prototypes=protos, dt=dt)
+    protos = np.empty((k, 2 * t))
+    for i, (line, values) in enumerate(body):
+        where = f"malformed vocabulary file {path} line {line}: prototypes[{i}]"
+        if len(values) != 2 * t:
+            raise ParseError(f"{where}: {len(values)} values, expected {2 * t}")
+        protos[i] = [from_text(v, number, f"{where}[{j}]", ParseError) for j, v in enumerate(values)]
+    return Vocabulary(prototypes=protos.reshape(k, t, 2), dt=dt)

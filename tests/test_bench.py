@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radstack.bench import route_completion
+from radstack.bench import route_completion, run_suite
 from radstack.cli import main
 from radstack.planhead import init_model, save_model
+from radstack.planner import PlannerConfig
+from radstack.proposals import ProposalConfig
 from radstack.scene import generate_synthetic_scenario, scenario_to_dict
 from radstack.simulator import EpisodeLog
 from radstack.vocabulary import Vocabulary, save_vocabulary
@@ -98,3 +100,8 @@ def test_bench_reads_model_and_vocabulary_paths_from_config(tmp_path, capsys):
     assert main(argv) == 0, capsys.readouterr().err
     rows = json.loads(report.read_text())["rows"]
     assert [(r["scenario"], r["planner"]) for r in rows] == [("blocked_lane_0007", "hybrid")]
+
+
+def test_bench_echoes_the_planned_horizon():
+    report = run_suite([], ["rad"], planner_cfg=PlannerConfig(proposal=ProposalConfig(horizon=2.0)))
+    assert report.config_echo["sim"] == {"dt": 0.1, "horizon": 2.0, "agent_policy": "reactive_idm"}

@@ -68,7 +68,7 @@ def test_good_values_pass_and_build():
         ("idm", "delta", True),
         ("sim", "dt", "x"),
         ("sim", "planner_period", 0),
-        ("sim", "horizon", math.inf),
+        ("sim", "goal_radius", math.inf),
         ("sim", "agent_policy", "idm"),
         ("sim", "disturbances", [[30]]),
         ("sim", "deadlock_window", 0.0),
@@ -77,13 +77,14 @@ def test_good_values_pass_and_build():
 )
 def test_bad_value_names_its_field(section, key, value):
     doc = {section: {key: value}}
-    with pytest.raises(ConfigError, match=f"^{section}\\.{key}: expected "):
+    element = r"\[1\]" if key in ("learned_offsets", "speed_fractions") else ""  # a bad element is named by its index
+    with pytest.raises(ConfigError, match=f"^{section}\\.{key}{element}: expected "):
         validate_config(doc)
 
 
 def test_sim_seed_is_an_unknown_key():
     # Nothing reads a simulator seed: episodes are deterministic without one.
-    with pytest.raises(ConfigError, match="unknown keys in config section 'sim': \\['seed'\\]"):
+    with pytest.raises(ConfigError, match="^sim: unknown keys \\['seed'\\]$"):
         validate_config({"sim": {"seed": 3}})
 
 
@@ -117,6 +118,29 @@ def test_cli_reports_malformed_scenario_seed_in_one_line(tmp_path, capsys, seed,
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["ego"].update(speed=True), "run: ego.speed: expected a finite number, got True\n"),
+        (lambda doc: doc["ego"].update(speed="3.5"), "run: ego.speed: expected a finite number, got '3.5'\n"),
+        (lambda doc: doc["agents"][0].update(id=None), "run: agents[0].id: expected a string, got None\n"),
+        (
+            lambda doc: doc["lanes"][0].update(left_adjacent=[1]),
+            "run: lanes[0].left_adjacent: expected a string, got [1]\n",
+        ),
+    ],
+)
+def test_cli_reports_a_mistyped_scenario_field_in_one_line(tmp_path, capsys, edit, message):
+    doc = scenario_to_dict(generate_synthetic_scenario("blocked_lane", 7))
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--planner", "rad"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize(
     "config, message",
     [
         ({"planner": {"max_paths": "abc"}}, "run: planner.max_paths: expected an integer >= 1, got 'abc'\n"),
@@ -137,10 +161,10 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"proposal": {"horizon": 0.01}}, "run: proposal.horizon: SimConfig.horizon must be a multiple of dt\n"),
+        ({"proposal": {"horizon": 0.01}}, "run: proposal.horizon: ProposalConfig.horizon must be a multiple of dt\n"),
         (
             {"proposal": {"horizon": 0.25, "dt": 0.1}},
-            "run: proposal.horizon, proposal.dt: SimConfig.horizon must be a multiple of dt\n",
+            "run: proposal.horizon, proposal.dt: ProposalConfig.horizon must be a multiple of dt\n",
         ),
         (
             {"proposal": {"offsets": [1.0]}},
@@ -158,8 +182,8 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
     ],
 )
 def test_cli_names_the_config_keys_a_dataclass_check_rejects(tmp_path, capsys, config, message):
-    # Values of the right type that a config dataclass's own checks reject
-    # (also across sections, as proposal.horizon against the simulator's dt).
+    # Values of the right type that a config dataclass's own checks reject,
+    # also across keys, as proposal.horizon against proposal.dt.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     argv = ["run", "--scenario", _scenario_file(tmp_path), "--planner", "rad", "--config", str(cfg)]
@@ -177,8 +201,8 @@ def test_cli_names_the_config_keys_a_dataclass_check_rejects(tmp_path, capsys, c
         (3, "dt", "line 3: dt: expected 'dt <a finite number > 0>', got 'dt'"),
         (1, "K two", "line 1: K: expected 'K <an integer >= 1>', got 'K two'"),
         (2, "steps 40", "line 2: T: expected 'T <an integer >= 1>', got 'steps 40'"),
-        (5, "nan" + " 0.0" * 79, "line 5: prototypes[1]: non-finite value 'nan'"),
-        (4, "0.0 x" + " 0.0" * 78, "line 4: prototypes[0]: could not convert string to float: 'x'"),
+        (5, "nan" + " 0.0" * 79, "line 5: prototypes[1][0]: expected a finite number, got 'nan'"),
+        (4, "0.0 x" + " 0.0" * 78, "line 4: prototypes[0][1]: expected a finite number, got 'x'"),
         (4, "0.0", "line 4: prototypes[0]: 1 values, expected 80"),
     ],
 )
@@ -244,9 +268,9 @@ def _drop(line, key):
     [
         (_set(0, "dt", None), "line 1: dt: expected a finite number > 0, got None"),
         (_set(0, "dt", -0.1), "line 1: dt: expected a finite number > 0, got -0.1"),
-        (lambda lines: lines.__setitem__(0, [1]), "line 1: expected an object, got list"),
+        (lambda lines: lines.__setitem__(0, [1]), "line 1: expected an object, got [1]"),
         (_drop(0, "planner"), "line 1: planner: missing"),
-        (_set(0, "scenario", {}), "line 1: scenario: missing top-level keys: "),
+        (_set(0, "scenario", {}), "line 1: scenario: lanes: missing"),
         (lambda lines: lines.pop(0), "line 1: type: expected one of ['header'], got 'tick'"),
         (_set(1, "type", "note"), "line 2: type: expected one of ['tick', 'proposal', 'event'], got 'note'"),
         (_set(1, "ego", [0.0]), "line 2: ego: expected [x, y, heading, speed, accel, steering] as finite numbers, got [0.0]"),

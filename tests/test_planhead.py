@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from radstack.cli import main
-from radstack.errors import DivergenceError
+from radstack.errors import DivergenceError, HorizonMismatchError
+from radstack.planner import Planner
 from radstack.planhead import (
     CLASSIFY_AND_REFINE,
     CLASSIFY_ONLY,
@@ -462,13 +463,18 @@ def _nan_params(doc):
         (lambda doc: doc.update(k="3"), "k: expected an integer >= 1, got '3'"),
         (lambda doc: doc.pop("t"), "t: missing"),
         (lambda doc: doc.update(dt=math.nan), "dt: expected a finite number > 0, got nan"),
-        (lambda doc: doc.update(vocab=[[1.0]]), "vocab: expected 30 numbers"),
-        (lambda doc: doc["vocab"][0].__setitem__(3, math.inf), "vocab: non-finite value"),
-        (lambda doc: doc.update(params=[]), "params.w1: missing"),
+        (lambda doc: doc.update(vocab=[[1.0]]), "vocab: expected 30 numbers in 3 rows, got [[1.0]]"),
+        (lambda doc: doc["vocab"][0].__setitem__(3, math.inf), "vocab[0][3]: expected a finite number, got inf"),
+        (lambda doc: doc.update(params=[]), "params: expected an object, got []"),
         (lambda doc: doc["params"].pop("wc"), "params.wc: missing"),
-        (lambda doc: doc["params"].update(b1="x"), "params.b1: expected 16 numbers"),
-        (lambda doc: doc["params"].update(w2=[0.0] * 255), "params.w2: expected 256 numbers"),
-        (_nan_params, "params.w1: non-finite value"),
+        (lambda doc: doc["params"].update(b1="x"), "params.b1: expected 16 numbers, got 'x'"),
+        (
+            lambda doc: doc["params"].update(w2=[0.0] * 255),
+            "params.w2: expected 256 numbers, got [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]",
+        ),
+        (_nan_params, "params.w1[0]: expected a finite number, got nan"),
+        (lambda doc: doc["params"]["b1"].__setitem__(2, "0.5"), "params.b1[2]: expected a finite number, got '0.5'"),
+        (lambda doc: doc["params"]["b1"].__setitem__(2, True), "params.b1[2]: expected a finite number, got True"),
     ],
 )
 def test_cli_reports_malformed_model_in_one_line(tmp_path, capsys, edit, problem):
@@ -484,3 +490,9 @@ def test_cli_reports_malformed_model_in_one_line(tmp_path, capsys, edit, problem
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"run: malformed model file {model_path}: {problem}\n"
+
+
+def test_planner_rejects_a_model_sampled_off_the_proposal_horizon():
+    model = init_model(_tiny_vocab(), d=8, h=16, seed=0)  # T = 5 against the proposal's 40
+    with pytest.raises(HorizonMismatchError, match=r"^model vocabulary sampling \(T=5, dt=0.1\) does not match"):
+        Planner(generate_synthetic_scenario("blocked_lane", 7), kind="planhead", model=model)

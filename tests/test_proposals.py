@@ -191,6 +191,17 @@ def test_closed_loop_following_never_negative_gap():
         assert min_gap > 0.0, f"trial {trial}: gap went negative"
 
 
+@pytest.mark.parametrize("horizon, dt", [(0.25, 0.1), (0.01, 0.1), (4.05, 0.1), (1.0, 0.3)])
+def test_config_rejects_a_horizon_that_is_not_a_multiple_of_dt(horizon, dt):
+    with pytest.raises(ValueError, match="^ProposalConfig.horizon must be a multiple of dt$"):
+        ProposalConfig(horizon=horizon, dt=dt)
+
+
+@pytest.mark.parametrize("horizon, dt, steps", [(4.0, 0.1, 40), (6.0, 0.1, 60), (0.3, 0.1, 3), (0.1, 0.1, 1)])
+def test_config_horizon_steps(horizon, dt, steps):
+    assert ProposalConfig(horizon=horizon, dt=dt).horizon_steps == steps
+
+
 def test_config_requires_centerline_offset():
     with pytest.raises(ValueError):
         ProposalConfig(offsets=(-1.0, 1.0))

@@ -335,7 +335,7 @@ def test_minimal_with_agent_loads():
     assert len(scenario_from_dict(_minimal_with_agent()).agents) == 1
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "3.5"])
 @pytest.mark.parametrize(
     "keys, field",
     [
@@ -355,7 +355,8 @@ def test_minimal_with_agent_loads():
 def test_non_finite_number_rejected_with_field_path(keys, field, value):
     doc = _minimal_with_agent()
     _set(doc, keys, value)
-    with pytest.raises(ValidationError, match=f"^{field}: must be finite"):
+    # A bool or a numeric string is no number either.
+    with pytest.raises(ValidationError, match=f"^{field}: expected a finite number(, | >= 0, )got {value!r}$"):
         scenario_from_dict(doc)
 
 
@@ -363,7 +364,7 @@ def test_non_finite_number_rejected_with_field_path(keys, field, value):
 @pytest.mark.parametrize(
     "polygon, problem",
     [
-        ([[0.0, 0.0], [1.0, math.nan], [1.0, 1.0]], "points must be finite"),
+        ([[0.0, 0.0], [1.0, math.nan], [1.0, 1.0]], "expected a finite number, got nan"),
         ([[0.0, 0.0], [1.0, 0.0, 2.0], [1.0, 1.0]], "expected a list of"),
         ([0.0, 1.0, 2.0], "expected a list of"),
     ],
@@ -371,14 +372,15 @@ def test_non_finite_number_rejected_with_field_path(keys, field, value):
 def test_malformed_polygon_rejected_with_field_path(key, polygon, problem):
     doc = _minimal_with_agent()
     doc[key] = [polygon]
-    with pytest.raises(ValidationError, match=f"^{key}\\[0\\]: {problem}"):
+    point = r"\[1\]\[1\]" if "finite" in problem else ""  # a bad number is named by its indices
+    with pytest.raises(ValidationError, match=f"^{key}\\[0\\]{point}: {problem}"):
         scenario_from_dict(doc)
 
 
 def test_negative_speed_limit_rejected():
     doc = _minimal_with_agent()
     doc["lanes"][0]["speed_limit"] = -1.0
-    with pytest.raises(ValidationError, match=r"^lanes\[0\]\.speed_limit: must be >= 0"):
+    with pytest.raises(ValidationError, match=r"^lanes\[0\]\.speed_limit: expected a finite number >= 0, got -1.0$"):
         scenario_from_dict(doc)
 
 
@@ -417,7 +419,7 @@ def test_cli_run_reports_malformed_scenario_in_one_line(tmp_path, capsys):
     assert main(["run", "--scenario", str(p), "--planner", "rad"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "run: lanes: expected a list, got int\n"
+    assert captured.err == "run: lanes: expected a list, got 5\n"
 
 
 @pytest.mark.parametrize("value", [None, True, False, 1.5, math.nan, math.inf, "7", [7]])
@@ -485,3 +487,37 @@ def test_scenario_builds_its_drivable_boxes_once(monkeypatch):
     assert footprint_inside_drivable(replace(ego, pose=Pose2(70.0, 6.0, 0.0)), s)  # triangle plus box
     assert calls == [4, 3]  # once per polygon, however many tests read them
     assert replace(s).drivable_boxes is not boxes  # a new scenario builds its own
+
+
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        (("agents", 0, "id"), None, r"agents\[0\]\.id"),
+        (("agents", 0, "kind"), 1, r"agents\[0\]\.kind"),
+        (("lanes", 0, "id"), 7, r"lanes\[0\]\.id"),
+        (("lanes", 0, "left_adjacent"), [1], r"lanes\[0\]\.left_adjacent"),
+        (("lanes", 0, "successors"), [True], r"lanes\[0\]\.successors\[0\]"),
+        (("route", 0), 1.0, r"route\[0\]"),
+    ],
+)
+def test_ids_and_lane_references_must_be_strings(keys, value, field):
+    doc = _minimal_with_agent()
+    _set(doc, keys, value)
+    with pytest.raises(ValidationError, match=f"^{field}: expected a string, got "):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("lanes", 0), {**MINIMAL["lanes"][0], "width": 3.5}, "lanes[0]: unknown keys ['width']"),
+        (("ego",), {"pose": [0.0, 0.0, 0.0]}, "ego.speed: missing"),
+        (("drivable_area", 0), [[0.0, 0.0], [1.0, 0.0]], "drivable_area[0]: needs >= 3 points"),
+    ],
+)
+def test_scenario_keys_and_polygon_sizes_are_checked(keys, value, message):
+    doc = _minimal_with_agent()
+    _set(doc, keys, value)
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(doc)
+    assert str(info.value) == message

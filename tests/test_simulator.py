@@ -397,6 +397,15 @@ def test_static_agents_never_move():
         assert out[0].pose == blocker.pose
 
 
+def test_planner_by_name_plans_with_the_proposal_sampling():
+    # 4 s is no multiple of 0.3 s: a planner sampled at the simulation step
+    # could not be built. The named planner plans at ProposalConfig's 0.1 s.
+    s = replace(straight_scenario(ego_speed=8.0), duration=0.9)
+    log = run_episode(s, "rad", SimConfig(dt=0.3))
+    assert len(log.records) == 3
+    assert [r["t"] for r in log.records] == [0.0, 0.3, 0.6]
+
+
 def test_run_episode_empty_road_reaches_goal():
     s = straight_scenario(ego_speed=8.0)
     log = run_episode(s, "rad", SimConfig())

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from radstack.errors import OffMapError
+from radstack.planner import Planner
 from radstack.scene import EgoState, Lane, Pose2, Scenario, generate_synthetic_scenario
+from radstack.simulator import SimConfig, run_episode
 from radstack.topology import (
     SNAP_RADIUS,
     augment_with_adjacents,
@@ -90,6 +92,19 @@ def test_off_map_error():
     ego = EgoState(pose=Pose2(50.0, 200.0, 0.0), speed=5.0)
     with pytest.raises(OffMapError):
         graph_search(ego, s)
+
+
+def test_dead_end_is_an_off_map_error():
+    # The ego 1 m past the end of lane_route, which has no successor: every
+    # chain ends behind it, so no path is left to plan on.
+    s = generate_synthetic_scenario("deadlock_pair", 320502424)
+    s = replace(s, ego=replace(s.ego, pose=Pose2(141.0, -1.8, 0.0)))
+    with pytest.raises(OffMapError, match=r"^no lane continues ahead of ego at \(141.0, -1.8\)"):
+        graph_search(s.ego, s)
+    with pytest.raises(OffMapError):
+        Planner(s, "rad").plan(s.ego, list(s.agents))
+    log = run_episode(s, "rad", SimConfig())
+    assert log.events == [(0, "off_map_error")] and log.records == []
 
 
 def test_augment_identity_without_adjacents(plain_scenario):

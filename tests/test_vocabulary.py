@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radstack.errors import DegenerateClusterError, ParseError, ValidationError
+from radstack.errors import DegenerateClusterError, HorizonMismatchError, ParseError, ValidationError
 from radstack.planner import Planner
 from radstack.scene import EgoState, Pose2, generate_synthetic_scenario
 from radstack.simulator import SimConfig, run_episode
@@ -196,7 +196,7 @@ def test_vocabulary_names_the_bad_prototype(row, value, problem):
 def test_planner_sampling_check_fails_on_a_nan_dt():
     vocab = Vocabulary(prototypes=np.zeros((1, 40, 2)), dt=0.1)
     object.__setattr__(vocab, "dt", math.nan)  # past the constructor's own check
-    with pytest.raises(ValueError, match="does not match the proposal horizon"):
+    with pytest.raises(HorizonMismatchError, match="does not match the proposal horizon"):
         Planner(generate_synthetic_scenario("blocked_lane", 7), vocabulary=vocab)
 
 
