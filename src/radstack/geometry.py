@@ -6,14 +6,25 @@ Everything operates on plain floats / numpy arrays in the world frame
 SegmentTable is the one polyline type: it holds a polyline's points,
 cumulative arclengths and per-segment headings, and gives positions and
 poses at arclengths (points_at, pose_at) and a uniform resampling
-(resample). project_points_to_polyline is the one projection onto a
-polyline: it takes a batch of points (one point is a batch of one) and
-returns arclength, signed lateral, heading and foot point per point. A
-polyline's owner (a scene Lane, a Scenario's lane chain or a topology
-ProposalPath) builds its table once and keeps it for its lifetime; a caller
-with a polyline of its own builds one table and reads every point it needs
-through it. Large batches prune segments chunk by chunk before the exact
-pass and return the same bits as the dense pass.
+(resample). A polyline's owner (a scene Lane, a Scenario's lane chain or a
+topology ProposalPath) builds its table once and keeps it for its lifetime;
+a caller with a polyline of its own builds one table and reads every point
+it needs through it.
+
+Projection onto a polyline takes a batch of points (one point is a batch of
+one). Both projections share one core (_nearest_foot), which finds each
+point's nearest segment and its clamped foot parameter:
+- project_points_to_polyline returns arclength, signed lateral, heading and
+  foot point per point;
+- project_arclengths returns the arclength alone, for callers that use
+  nothing else (the scorer's route progress and direction, route completion,
+  a bypass's merge point), so they pay for no lateral, heading or foot.
+Below PRUNE_MIN_PAIRS points x segments the core runs the dense pass over
+every segment. Above it, a broad phase over CHUNK-segment chunk boxes
+(_chunk_runs) bounds each point's run of chunks, and the grouped pruned pass
+runs the same narrow arithmetic once per group of points sharing a first
+chunk, on the contiguous column slice that holds the group's chunks. Both
+return the same bits.
 
 The planner's per-tick path calls numpy through ufuncs, ndarray methods and
 slicing, not through numpy's Python-level functions (np.diff, np.clip,
@@ -298,7 +309,9 @@ class SegmentTable:
         return SegmentTable(self.points_at(targets))
 
     def boxes(self) -> tuple:
-        """(x0, y0, x1, y1) per chunk over its vertices, and the chunk-boundary vertices."""
+        """The broad phase's arrays, each shaped (2, n, 1) for (x, y) against
+        (2, 1, N) points: every chunk's box corners lo and hi over its
+        vertices, and the chunk-boundary vertices (n_chunks + 1 of them)."""
         if self._boxes is None:
             m, c = self.n_segments, self.n_chunks
             pad = np.concatenate([self.points, self.points[-1:].repeat(c * CHUNK - m, axis=0)])
@@ -306,34 +319,97 @@ class SegmentTable:
             ends = pad[CHUNK::CHUNK]  # each chunk's closing vertex
             lo = np.minimum(inner.min(axis=1), ends)
             hi = np.maximum(inner.max(axis=1), ends)
-            self._boxes = (lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], pad[::CHUNK].T.copy())
+            self._boxes = tuple(a.T.copy()[:, :, None] for a in (lo, hi, pad[::CHUNK]))
         return self._boxes
 
 
-def _segment_window(ps: np.ndarray, table: SegmentTable):
-    """Segment indices (N, K) per point that hold its nearest segment, or None for all.
+def _chunk_runs(ps: np.ndarray, table: SegmentTable):
+    """First and one past the last chunk that may hold each point's nearest segment, (N,) each.
 
     A chunk is pruned when the distance from the point to its box exceeds the
     distance to the nearest chunk-boundary vertex plus PRUNE_MARGIN: every
     segment in it is then farther than a point of the polyline, so it holds
-    neither the minimum nor a tie with it. Each point gets the contiguous run
-    of chunks from its first to its last survivor, widened to the widest run
-    of the batch.
+    neither the minimum nor a tie with it. Any contiguous window of segments
+    that holds every surviving chunk of a point therefore gives the same first
+    minimum as the whole polyline. A point whose distances are not numbers
+    keeps every chunk. Each operation runs once on stacked x and y, over
+    (chunks, points) arrays whose rows run along the points.
     """
-    x0, y0, x1, y1, (vx, vy) = table.boxes()
-    px, py = ps[:, 0, None], ps[:, 1, None]
-    gx = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
-    gy = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
-    dvx, dvy = vx - px, vy - py
-    reach = np.sqrt((dvx * dvx + dvy * dvy).min(axis=1)) + PRUNE_MARGIN
-    keep = gx * gx + gy * gy <= (reach * reach)[:, None]  # (N, C)
-    c = table.n_chunks
-    first = keep.argmax(axis=1)
-    width = c - int((keep[:, ::-1].argmax(axis=1) + first).min())
-    if width * CHUNK >= table.n_segments:
-        return None
-    start = np.minimum(first, c - width) * CHUNK
-    return start[:, None] + np.arange(width * CHUNK)
+    lo, hi, vertices = table.boxes()
+    p = ps.T.copy()[:, None, :]  # (2, 1, N)
+    gap = lo - p
+    np.maximum(gap, p - hi, out=gap)
+    np.maximum(gap, 0.0, out=gap)
+    gap *= gap
+    dv = vertices - p
+    dv *= dv
+    reach = np.sqrt((dv[0] + dv[1]).min(axis=0)) + PRUNE_MARGIN
+    keep = ~(gap[0] + gap[1] > reach * reach)  # (C, N)
+    return keep.argmax(axis=0), (keep * np.arange(1, table.n_chunks + 1)[:, None]).max(axis=0)
+
+
+def _nearest_segments(ps: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Index into cols (5, W) of each point's first segment of least squared
+    distance to its clamped foot point."""
+    ax, ay, ex, ey, inv_len2 = cols
+    dx = ps[:, 0, None] - ax
+    dy = ps[:, 1, None] - ay
+    u = dx * ex + dy * ey
+    u *= inv_len2
+    np.maximum(u, 0.0, out=u)  # np.clip, at less call overhead
+    np.minimum(u, 1.0, out=u)
+    dx -= u * ex  # the offset from the foot point
+    dy -= u * ey
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx.argmin(axis=1)
+
+
+def _nearest_foot(ps: np.ndarray, table: SegmentTable):
+    """The core of both projections: per point, the index of its nearest
+    segment, the clamped foot parameter u on it, the offset (dx, dy) from the
+    segment start and the segment direction (ex, ey), all (N,).
+
+    Below PRUNE_MIN_PAIRS points x segments the narrow phase runs over every
+    segment. Above it, _chunk_runs bounds each point's window; points are
+    grouped by their first surviving chunk, and each group runs the narrow
+    phase on the contiguous column slice from that chunk to the group's last
+    survivor. u and the offsets are then taken once for all points, by the
+    narrow phase's own arithmetic on the chosen segment, so every value is
+    bit-identical to the dense pass.
+    """
+    ps = np.asarray(ps, dtype=float)
+    m = table.n_segments
+    cols = table.cols
+    if len(ps) * m < PRUNE_MIN_PAIRS:
+        idx = _nearest_segments(ps, cols[:, :m])
+    else:
+        first, end = _chunk_runs(ps, table)
+        order = first.argsort()
+        first = first[order]
+        bounds = [0, *((first[1:] != first[:-1]).nonzero()[0] + 1).tolist(), len(ps)]
+        starts = bounds[:-1]
+        ends = np.maximum.reduceat(end[order], starts).tolist()
+        sorted_ps = ps[order]
+        sorted_idx = np.empty(len(ps), dtype=np.intp)
+        for a, b, c0, c1 in zip(starts, bounds[1:], first[starts].tolist(), ends):
+            lo = c0 * CHUNK
+            sorted_idx[a:b] = _nearest_segments(sorted_ps[a:b], cols[:, lo : min(c1 * CHUNK, m)]) + lo
+        idx = np.empty(len(ps), dtype=np.intp)
+        idx[order] = sorted_idx
+    ax, ay, ex, ey, inv_len2 = cols[:, idx]
+    dx = ps[:, 0] - ax
+    dy = ps[:, 1] - ay
+    u = np.minimum(np.maximum((dx * ex + dy * ey) * inv_len2, 0.0), 1.0)
+    return idx, u, dx, dy, ex, ey
+
+
+def project_arclengths(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
+    """Arclength (N,) of each point's projection onto the polyline: the s of
+    project_points_to_polyline, without lateral, heading or foot point."""
+    idx, u, _, _, _, _ = _nearest_foot(ps, table)
+    return table.s[idx] + u * table.lengths[idx]
 
 
 def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
@@ -342,33 +418,11 @@ def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,),
     and the foot points (N, 2); lateral is positive to the left of the travel
     direction. Each point takes the first segment of least squared distance
-    to its clamped foot point. Above PRUNE_MIN_PAIRS points x segments a
-    broad phase over the table's chunk boxes narrows each point to a
-    contiguous window of segments (_segment_window); the narrow phase is the
-    same elementwise arithmetic over the window in ascending segment order,
-    so the result is bit-identical to the dense pass.
+    to its clamped foot point (_nearest_foot).
     """
-    ps = np.asarray(ps, dtype=float)
-    window = None
-    if len(ps) * table.n_segments >= PRUNE_MIN_PAIRS:
-        window = _segment_window(ps, table)
-    if window is None:
-        ax, ay, ex, ey, inv_len2 = table.cols[:, : table.n_segments]
-    else:
-        ax, ay, ex, ey, inv_len2 = table.cols[:, window]
-    dx = ps[:, 0, None] - ax
-    dy = ps[:, 1, None] - ay
-    u = np.minimum(np.maximum((dx * ex + dy * ey) * inv_len2, 0.0), 1.0)  # np.clip, at less call overhead
-    fx = dx - u * ex
-    fy = dy - u * ey
-    d2 = fx * fx + fy * fy
-    k = d2.argmin(axis=1)
-    rows = np.arange(len(ps))
-    idx = k if window is None else window[rows, k]
-    u_k = u[rows, k]
-    s = table.s[idx] + u_k * table.lengths[idx]
+    idx, u, dx, dy, ex, ey = _nearest_foot(ps, table)
+    s = table.s[idx] + u * table.lengths[idx]
     head = table.headings[idx]
-    lateral = -np.sin(head) * fx[rows, k] + np.cos(head) * fy[rows, k]
-    foot = table.points[idx] + u_k[:, None] * table._d[idx]
+    lateral = -np.sin(head) * (dx - u * ex) + np.cos(head) * (dy - u * ey)
+    foot = table.points[idx] + u[:, None] * table._d[idx]
     return s, lateral, head, foot
-

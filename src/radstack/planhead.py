@@ -55,12 +55,15 @@ def extract_features(ego: EgoState, agents, path: ProposalPath, goal: Pose2) -> 
     f[3] = lateral
     f[4] = heading_err
     f[5] = min(path.length - s_ego, 200.0)
-    ahead = (path.s >= s_ego) & (path.s <= s_ego + CURVATURE_LOOKAHEAD)
-    if ahead.sum() >= 3:
-        pts = path.points[ahead]
-        d = np.diff(pts, axis=0)
+    # The path points with s_ego <= s <= s_ego + CURVATURE_LOOKAHEAD: a run, as s ascends.
+    lo = path.s.searchsorted(s_ego, side="left")
+    hi = path.s.searchsorted(s_ego + CURVATURE_LOOKAHEAD, side="right")
+    if hi - lo >= 3:
+        pts = path.points[lo:hi]
+        d = pts[1:] - pts[:-1]
         heads = np.arctan2(d[:, 1], d[:, 0])
-        dh = np.abs(np.arctan2(np.sin(np.diff(heads)), np.cos(np.diff(heads))))
+        turn = heads[1:] - heads[:-1]
+        dh = np.abs(np.arctan2(np.sin(turn), np.cos(turn)))
         ds = np.hypot(d[:-1, 0], d[:-1, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
             curv = np.where(ds > 0, dh / ds, 0.0)
@@ -205,7 +208,7 @@ def _refine(model: PlanHeadModel, h: np.ndarray, v_hat: np.ndarray):
     z = u @ p["wr1"].T + p["br1"]
     r1 = np.tanh(z)
     raw = r1 @ p["wr2"].T + p["br2"]
-    off = np.clip(raw, -OFFSET_CLAMP, OFFSET_CLAMP)
+    off = np.minimum(np.maximum(raw, -OFFSET_CLAMP), OFFSET_CLAMP)  # np.clip, at less call overhead
     return off, (u, r1, raw)
 
 
@@ -247,7 +250,7 @@ def encode_features(model: PlanHeadModel, features: np.ndarray) -> np.ndarray:
 def forward_classify(model: PlanHeadModel, encoding: np.ndarray):
     """(logits, best_index, coarse plan v_hat) from an encoder output."""
     logits = _classify(model, encoding)[0]
-    best = int(np.argmax(logits))
+    best = int(logits.argmax())
     return logits, best, model.vocab.prototypes[best].copy()
 
 

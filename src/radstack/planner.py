@@ -211,10 +211,12 @@ class Planner:
         t1 = time.perf_counter()
         forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
         proposals = generate_proposals(ego, paths, agents, cfg.proposal, base_params=cfg.idm)
+        vocabulary_rows = None
         if cfg.enable_vocabulary and self.vocabulary is not None:
             vocab = self.vocabulary
-            rows = instantiate_prototype(vocab.prototypes, ego, vocab.dt)
-            proposals.append(vocab.dt, *rows, ("vocabulary",) * vocab.K)
+            vocabulary_rows = instantiate_prototype(vocab.prototypes, ego, vocab.dt)
+            if self.kind != "hybrid":  # the hybrid appends them with its learned rows
+                proposals.append(vocab.dt, *vocabulary_rows, ("vocabulary",) * vocab.K)
         stage_times.append(("proposals", time.perf_counter() - t1))
 
         t2 = time.perf_counter()
@@ -236,7 +238,7 @@ class Planner:
             )
             stage_times.extend(head_times)
             winner, scores, proposals, best = hybrid_select(
-                proposals, learned, ctx, offsets=cfg.learned_offsets
+                proposals, learned, ctx, cfg.learned_offsets, vocabulary_rows
             )
         else:
             winner, scores, best = select_best(proposals, ctx)

@@ -51,6 +51,12 @@ class Pose2:
         return np.array([self.x, self.y])
 
 
+# The numeric fields each state checks for NaN and inf on construction, with
+# math.isfinite per field: step_agents replaces every agent every tick.
+_EGO_FINITE = ("speed", "accel", "steering", "wheelbase", "half_length", "half_width")
+_AGENT_FINITE = ("speed", "half_length", "half_width")
+
+
 @dataclass(frozen=True)
 class EgoState:
     pose: Pose2
@@ -62,6 +68,9 @@ class EgoState:
     half_width: float = 0.95  # m, > 0
 
     def __post_init__(self):
+        for name in _EGO_FINITE:
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"ego.{name}: must be finite")
         if self.speed < 0:
             raise ValidationError("ego.speed: must be >= 0")
         if self.wheelbase <= 0:
@@ -82,6 +91,9 @@ class AgentState:
     kind: str = "vehicle"  # vehicle | pedestrian | static
 
     def __post_init__(self):
+        for name in _AGENT_FINITE:
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"agents[{self.id}].{name}: must be finite")
         if self.kind not in AGENT_KINDS:
             raise ValidationError(f"agents[{self.id}].kind: unknown kind {self.kind!r}")
         if self.kind == "static" and self.speed != 0.0:

@@ -23,6 +23,7 @@ from .geometry import (
     boxes_overlap,
     normalize_angles,
     points_in_polygons,
+    project_arclengths,
     project_points_to_polyline,
     rect_corners_batch,
     to_local_frame,
@@ -251,7 +252,8 @@ def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) ->
     ego's projected centres lie on a segment, and so do the agent's forecast
     centres over its clamped steps; each segment lies in the circle around its
     midpoint. Only pairs whose circles come within reach get the (pairs, J)
-    centre-distance grid, and only centres within reach get the box test.
+    centre-distance grid, and only centres within reach get the box test;
+    when a stage leaves no pair, every flag is 1 and the function returns.
     """
     out = np.ones(len(speeds))
     n_sub = int(window / f.dt)
@@ -274,12 +276,16 @@ def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) ->
         reach[:, None] + v * tau_half + np.hypot(*f.velocities.T)[:, None] * t_half + BROAD_PHASE_SLACK
     )
     a_i, l_i = (gap_x * gap_x + gap_y * gap_y <= bound * bound).nonzero()
+    if not len(a_i):
+        return out
 
     adv = v[l_i, None] * taus  # (pairs, J)
     j_idx = np.minimum(s_l[l_i, None] + np.arange(1, n_sub + 1), f.steps)
     dx = f.positions[a_i[:, None], j_idx, 0] - (x[l_i, None] + adv * cos[l_i, None])
     dy = f.positions[a_i[:, None], j_idx, 1] - (y[l_i, None] + adv * sin[l_i, None])
     k, j = (dx * dx + dy * dy < (reach**2)[a_i, None]).nonzero()
+    if not len(k):
+        return out
     a_k = a_i[k]
     hit = boxes_overlap(
         dx[k, j], dy[k, j], head[l_i[k]], *ego_dims,
@@ -366,6 +372,12 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     (driving direction and speed limit of the row's own path, the route path
     for rows without one), c_ep (route gain over the best gain) and c_cf
     (nuPlan comfort bounds). goal_cost is the end point's distance to the goal.
+
+    The route is projected once per call, arclengths only: the distinct row
+    starts, every row's end point (for the gains) and every sample of the
+    appended rows (for their direction term; rollout rows carry their own
+    arclength). The collision term skips its box test when no (row, agent,
+    sample) centre pair is within reach, as _batch_ttc does; both are exact.
     """
     n = len(proposals)
     steps = proposals.horizon_steps
@@ -383,25 +395,33 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
         dy = f.positions[None, :, :, 1] - pos[:, None, :, 1]
         near = dx * dx + dy * dy < (reach**2)[None, :, None]
         p_i, a_i, s_i = near.nonzero()
-        hit = boxes_overlap(
-            dx[p_i, a_i, s_i], dy[p_i, a_i, s_i], heads[p_i, s_i], *ctx.ego_dims,
-            f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
-        )
-        cols[p_i[hit]] = 0.0
+        if len(p_i):
+            hit = boxes_overlap(
+                dx[p_i, a_i, s_i], dy[p_i, a_i, s_i], heads[p_i, s_i], *ctx.ego_dims,
+                f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
+            )
+            cols[p_i[hit]] = 0.0
     wx, wy = rect_corners_batch(pos, heads, *ctx.ego_dims)  # each (P, S+1, 4)
     inside = points_in_polygons(wx, wy, ctx.scenario.drivable_area, ctx.scenario.drivable_boxes)
     ras = inside.all(axis=(1, 2)).astype(float)
 
-    # Route progress for every proposal, in one projection call, each distinct
-    # start point once: in practice all rows start at the ego pose; otherwise
-    # by np.unique on x + iy (-0.0 and 0.0 merge, which leaves s unchanged).
+    # Route arclengths in one projection call: each distinct row start once
+    # (in practice all rows start at the ego pose; otherwise by np.unique on
+    # x + iy, where -0.0 and 0.0 merge, which leaves s unchanged), every row's
+    # end point, then every sample of the appended rows, which carry no
+    # arclength of their own. A point's projection does not depend on the
+    # rest of the batch.
     start = pos[:, 0, :]
     if n and (start == start[0]).all():
         first, start_of_row = [0], np.zeros(n, dtype=np.intp)
     else:
         _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
-    s_ends, _, _, _ = project_points_to_polyline(np.concatenate([start[first], pos[:, -1, :]]), route.segments)
-    gains = s_ends[len(first):] - s_ends[start_of_row]
+    appended = ~proposals.tracked
+    s_route = project_arclengths(
+        np.concatenate([start[first], pos[:, -1, :], pos[appended].reshape(-1, 2)]), route.segments
+    )
+    k = len(first)
+    gains = s_route[k : k + n] - s_route[start_of_row]
 
     ras_eff = np.maximum(ras, RELAX_FLOOR) if ctx.relax.active else ras
     feasible = (cols * ras_eff) > 0
@@ -420,16 +440,15 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
 
     # Speed and direction compliance against each row's own path; path index
     # -1 (an appended row) picks the route path, appended last. Rollouts carry
-    # their arclength along their path; appended rows are projected.
+    # their arclength along their path; appended rows take their route
+    # arclengths from the projection above.
     paths = proposals.paths + (route,)
     limits = np.array([p.speed_limit for p in paths])[proposals.path_index]
     c_sps = 1.0 - (speeds > (limits + SPEED_TOL)[:, None]).mean(axis=1)
     s = proposals.s_track
-    appended = ~proposals.tracked
-    if appended.any():
+    if len(s_route) > k + n:
         s = s.copy()
-        s_flat, _, _, _ = project_points_to_polyline(pos[appended].reshape(-1, 2), route.segments)
-        s[appended] = s_flat.reshape(-1, steps + 1)
+        s[appended] = s_route[k + n :].reshape(-1, steps + 1)
     c_drs = _batch_direction(s, proposals.path_index, paths)
 
     goal = ctx.scenario.goal

@@ -34,6 +34,7 @@ from radstack.scoring import (
     DIR_TOL,
 )
 from radstack.topology import ProposalPath, graph_search, project_onto_path
+from radstack.vocabulary import Vocabulary
 
 
 def straight_lane(lane_id="lane_a", y=0.0, x0=0.0, x1=120.0, limit=10.0, **kw):
@@ -84,6 +85,23 @@ def blocked_scenario():
 @pytest.fixture
 def deadlock_scenario():
     return generate_synthetic_scenario("deadlock_pair", 7)
+
+
+def four_prototype_vocabulary():
+    """A hand-made vocabulary of four 4 s prototypes at dt 0.1, built without clustering."""
+    t = np.arange(1, 41) * 0.1  # s, the default 4 s horizon
+    ramp = np.minimum(t / 3.0, 1.0)
+    return Vocabulary(
+        prototypes=np.stack(
+            [
+                np.stack([4.0 * t, 0.0 * t], axis=1),  # slow, straight
+                np.stack([8.0 * t, 0.0 * t], axis=1),  # at the limit, straight
+                np.stack([7.0 * t, 3.5 * ramp], axis=1),  # one lane left
+                np.stack([6.0 * t, -1.0 * ramp], axis=1),  # a metre right
+            ]
+        ),
+        dt=0.1,
+    )
 
 
 def static_car(agent_id, x, y, heading=0.0, half_length=2.3, half_width=1.0):

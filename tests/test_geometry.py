@@ -14,6 +14,7 @@ from radstack.geometry import (
     points_in_polygon,
     points_in_polygons,
     polygon_as_aabb,
+    project_arclengths,
     project_points_to_polyline,
     SegmentTable,
     rect_corners,
@@ -365,6 +366,64 @@ def test_pruned_projection_matches_dense_reference_bitwise(case):
     for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then the broad phase always
         with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
             _assert_bitwise(project_points_to_polyline(ps, table), ref)
+
+
+@st.composite
+def _grouped_projection_case(draw):
+    """A route-sized polyline and a batch that takes the grouped pruned pass.
+
+    60-200 segments: a smooth walk of 0.5-2 m segments (a resampled route),
+    or a lattice walk of unit-multiple axis-aligned steps with a turn at
+    every chunk boundary, whose vertices and corner bisectors tie exactly
+    between the last segment of one chunk and the first of the next. The
+    batch holds just enough points to reach PRUNE_MIN_PAIRS points x
+    segments and up to 200 more, spread along the whole polyline so their
+    windows start in several chunks: near vertices, on chunk-boundary
+    vertices and their diagonals, past both ends along the end segments,
+    and a few far off.
+    """
+    m = draw(st.integers(60, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        heading = np.cumsum(rng.normal(0.0, 0.15, m))
+        steps = np.stack([np.cos(heading), np.sin(heading)], axis=1) * rng.uniform(0.5, 2.0, (m, 1))
+    else:
+        axes = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
+        steps = axes[(np.arange(m) // geometry.CHUNK) % 4] * rng.integers(1, 3, (m, 1))
+    pts = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]) + rng.integers(-500, 500, 2)
+    n = -(-geometry.PRUNE_MIN_PAIRS // m) + draw(st.integers(0, 200))
+    vertex = pts[rng.integers(0, m + 1, n)]
+    boundary = pts[::geometry.CHUNK][rng.integers(0, len(pts[::geometry.CHUNK]), n)]
+    diagonal = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[rng.integers(0, 4, n)]
+    t = rng.uniform(0.0, 15.0, (n, 1))
+    first, last = pts[1] - pts[0], pts[-1] - pts[-2]
+    kind = rng.choice(7, n, p=(0.35, 0.15, 0.15, 0.1, 0.1, 0.1, 0.05))
+    ps = np.select(
+        [(kind == k)[:, None] for k in range(6)],
+        [
+            vertex + rng.normal(0.0, 2.0, (n, 2)),
+            boundary,
+            boundary + rng.choice([0.25, 0.5, 1.0], (n, 1)) * diagonal,
+            pts[0] - t * first,
+            pts[-1] + t * last,
+            vertex + rng.normal(0.0, 0.3, (n, 2)),
+        ],
+        vertex + rng.uniform(-1e3, 1e3, (n, 2)),
+    )
+    return ps, pts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_grouped_projection_case())
+def test_grouped_projection_matches_dense_reference_bitwise(case):
+    ps, pts = case
+    table = SegmentTable(pts)
+    assert len(ps) * table.n_segments >= geometry.PRUNE_MIN_PAIRS
+    first, _ = geometry._chunk_runs(ps, table)
+    assert len(set(first.tolist())) > 1  # several groups, each on its own column slice
+    ref = reference_project_points(ps, pts)
+    _assert_bitwise(project_points_to_polyline(ps, table), ref)
+    _assert_bitwise((project_arclengths(ps, table),), ref[:1])
 
 
 def test_resample_of_a_zero_length_polyline_is_one_point():

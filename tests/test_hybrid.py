@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from radstack.errors import HorizonMismatchError
-from radstack.hybrid import _shift_lateral, hybrid_select, inject_learned
-from radstack.proposals import ProposalConfig, generate_proposals
+from radstack.hybrid import hybrid_select, inject_learned
+from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
 from radstack.scene import EgoState, Trajectory
 from radstack.scoring import ScoreContext, ScoreWeights, forecast_agents, select_best
 from radstack.topology import graph_search
@@ -64,12 +64,13 @@ def test_learned_offset_ramp_follows_speed():
     learned = _straight_learned(v=8.0)
     speeds = np.where(np.arange(41) < 5, 1.0, 8.0)
     slow = Trajectory(learned.dt, learned.positions, learned.headings, speeds, "learned")
-    delta = _shift_lateral(slow, 1.0).positions[:, 1]
+    delta = inject_learned(ProposalSet.empty(0.1, 40), slow, offsets=(1.0,)).positions[1, :, 1]
     want = np.minimum(np.concatenate([[0.0], np.cumsum(np.where(np.arange(40) < 5, 0.05, 0.075))]), 1.0)
     assert np.allclose(delta, want, atol=1e-12)
     assert delta[6] == pytest.approx(0.325)
     standing = Trajectory(learned.dt, learned.positions, learned.headings, np.zeros(41), "learned")
-    assert np.array_equal(_shift_lateral(standing, 0.5).positions, learned.positions)
+    out = inject_learned(ProposalSet.empty(0.1, 40), standing, offsets=(0.5, -0.5))
+    assert np.array_equal(out.positions[1:], learned.positions[None].repeat(2, axis=0))
 
 
 def test_inject_horizon_mismatch(plain_scenario):

@@ -44,6 +44,28 @@ def test_ego_invariants():
         EgoState(pose=Pose2(0, 0, 0), speed=0.0, wheelbase=0.0)
 
 
+def test_nan_ego_speed_is_rejected():
+    ego = generate_synthetic_scenario("blocked_lane", 7).ego
+    with pytest.raises(ValidationError, match=r"^ego\.speed: must be finite$"):
+        replace(ego, speed=math.nan)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["speed", "accel", "steering", "wheelbase", "half_length", "half_width"])
+def test_non_finite_ego_numbers_are_rejected_by_name(field, value):
+    ego = EgoState(pose=Pose2(0, 0, 0), speed=5.0)
+    with pytest.raises(ValidationError, match=rf"^ego\.{field}: must be finite$"):
+        replace(ego, **{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["speed", "half_length", "half_width"])
+def test_non_finite_agent_numbers_are_rejected_by_name(field, value):
+    agent = AgentState(id="car", pose=Pose2(0, 0, 0), speed=3.0, half_length=2.3, half_width=1.0)
+    with pytest.raises(ValidationError, match=rf"^agents\[car\]\.{field}: must be finite$"):
+        replace(agent, **{field: value})
+
+
 def test_static_agent_speed_invariant():
     with pytest.raises(ValidationError):
         AgentState(id="a", pose=Pose2(0, 0, 0), speed=1.0, half_length=2, half_width=1, kind="static")

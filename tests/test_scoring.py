@@ -1,12 +1,13 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radstack.geometry import SegmentTable, boxes_overlap, rect_corners_batch
+from radstack import scoring
+from radstack.geometry import CONTACT_TOL, SegmentTable, boxes_overlap, rect_corners_batch
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
 from radstack.scene import AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
 from radstack.scoring import (
@@ -14,6 +15,7 @@ from radstack.scoring import (
     TTC_WINDOW,
     RelaxationState,
     ScoreContext,
+    Scores,
     ScoreWeights,
     _batch_comfort,
     _batch_direction,
@@ -127,6 +129,55 @@ def test_collision_grazing_pass_sat_oracle():
     graze = static_car("g", 20.0, 0.95 + 1.0 - 0.01)  # 0.01 m interpenetration
     assert _score([traj], agents=[clear]).c_col[0] == 1
     assert _score([traj], agents=[graze]).c_col[0] == 0
+
+
+def _reference_collision(pos, heads, f, ego_dims):
+    """c_col from the box test on every (row, agent, sample), without the distance prefilter."""
+    out = np.ones(len(pos))
+    for p in range(len(pos)):
+        hit = boxes_overlap(
+            f.positions[:, :, 0] - pos[p, :, 0], f.positions[:, :, 1] - pos[p, :, 1], heads[p], *ego_dims,
+            f.headings[:, None], f.half_lengths[:, None], f.half_widths[:, None],
+        )
+        out[p] = 0.0 if hit.any() else 1.0
+    return out
+
+
+def test_rows_beyond_every_agents_reach_skip_the_pair_stages(monkeypatch, plain_scenario, plain_path):
+    # No (row, agent) pair comes within reach, so the collision and TTC
+    # terms return before their pair and box stages, and every column is
+    # the one their full formulas and an agent-free scoring give.
+    rows = [_straight_traj(v=v, steps=40, y=y) for v, y in ((10.0, 0.0), (6.0, 1.0), (0.0, 0.0), (3.0, -1.0))]
+    agents = [
+        static_car("parked", 30.0, 40.0),
+        AgentState(id="moving", pose=Pose2(0.0, -30.0, 0.0), speed=8.0, half_length=2.3, half_width=1.0),
+    ]
+    ps = _proposal_set(rows)
+
+    def ctx(agents):
+        forecast = forecast_agents(agents, 40, 0.1)
+        return ScoreContext(scenario=plain_scenario, forecast=forecast, route_path=plain_path, goal_norm=100.0)
+
+    free = score_proposals(ps, ctx([]))
+    f = ctx(agents).forecast
+    monkeypatch.setattr(scoring, "boxes_overlap", None)  # any call fails
+    got = score_proposals(ps, ctx(agents))
+    assert np.array_equal(got.c_col, _reference_collision(ps.positions, ps.headings, f, (2.3, 0.95)))
+    assert np.array_equal(got.c_ttc, _reference_batch_ttc(ps.positions, ps.headings, ps.speeds, f, (2.3, 0.95), TTC_WINDOW))
+    for field in fields(Scores):
+        a, b = getattr(got, field.name), getattr(free, field.name)
+        assert a == b if field.name == "relaxed" else np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_one_box_contact_at_contact_tol_kills_the_row():
+    # Samples 10 m apart: only the one at x = 20 comes within reach of the
+    # parked car, whose edge lies CONTACT_TOL from the ego's (summed in
+    # boxes_overlap's order), which counts as contact.
+    row = _traj_from_xy(np.stack([10.0 * np.arange(41), np.zeros(41)], axis=1), heading=0.0)
+    car = static_car("c", 20.0, 0.95 + 1.0 + CONTACT_TOL)
+    reach = math.hypot(2.3, 0.95) + math.hypot(car.half_length, car.half_width)
+    assert np.count_nonzero(np.hypot(row.positions[:, 0] - 20.0, row.positions[:, 1] - car.pose.y) < reach) == 1
+    assert _score([row], agents=[car]).c_col[0] == 0
 
 
 def test_drivable_area_checks(plain_scenario):

@@ -7,6 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from radstack.geometry import normalize_angle
+from radstack.planhead import init_model
 from radstack.planner import Planner, PlannerConfig
 from radstack.proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
 from radstack.scene import (
@@ -30,9 +31,7 @@ from radstack.simulator import (
     step_agents,
 )
 
-from radstack.vocabulary import Vocabulary
-
-from conftest import reference_project_points, static_car, straight_lane, straight_scenario
+from conftest import four_prototype_vocabulary, reference_project_points, static_car, straight_lane, straight_scenario
 
 
 def _ego(x=0.0, y=0.0, heading=0.0, speed=5.0):
@@ -460,28 +459,45 @@ def test_rad_breakdown_log_matches_recorded_digest(tmp_path, blocked_scenario):
 BLOCKED_LANE_7_VOCABULARY_LOG_SHA256 = "80d22b1cc85eb1b3c6728d9bcdf425ec4bf77f6909615225931cf212e2778f50"
 
 
-def _four_prototype_vocabulary():
-    t = np.arange(1, 41) * 0.1  # s, the default 4 s horizon
-    ramp = np.minimum(t / 3.0, 1.0)
-    return Vocabulary(
-        prototypes=np.stack(
-            [
-                np.stack([4.0 * t, 0.0 * t], axis=1),  # slow, straight
-                np.stack([8.0 * t, 0.0 * t], axis=1),  # at the limit, straight
-                np.stack([7.0 * t, 3.5 * ramp], axis=1),  # one lane left
-                np.stack([6.0 * t, -1.0 * ramp], axis=1),  # a metre right
-            ]
-        ),
-        dt=0.1,
-    )
-
-
 def test_rad_vocabulary_log_matches_recorded_digest(tmp_path, blocked_scenario):
-    planner = Planner(blocked_scenario, kind="rad", vocabulary=_four_prototype_vocabulary())
+    planner = Planner(blocked_scenario, kind="rad", vocabulary=four_prototype_vocabulary())
     log = run_episode(blocked_scenario, planner, SimConfig(record_breakdowns=True))
     p = tmp_path / "rad_vocabulary.jsonl"
     save_episode_log(log, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_VOCABULARY_LOG_SHA256
+
+
+# sha256 of the `hybrid` episode log on the same scenario with the same
+# vocabulary and an untrained plan head (init_model seed 0; 153 ticks to
+# goal_reached, won by 97 idm, 16 learned, 34 learned_offset and 6 vocabulary
+# rows). It pins the learned and offset rows, their one append with the
+# vocabulary rows and the merged route projection of the score call. numpy's
+# float64 arctan2 and power take other last bits on its AVX-512 dispatch
+# path than on its AVX2 or baseline path, so each family has its own value
+# (the AVX2 one is read with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR"). Regenerate as above.
+HYBRID_LOG_SHA256 = {
+    "avx512": "8a4420fb71e0f507421e85093ba88a0c6726f88b2948af2136a7eabf426d657f",
+    "avx2_or_baseline": "130a19762741325c2013e95afedfbc5eb73a46de144a9e39b833c2d9790bf159",
+}
+
+
+def _dispatch_family():
+    """"avx512" when numpy may dispatch to an AVX-512 target on this CPU."""
+    from numpy._core import _multiarray_umath as umath
+
+    features = umath.__cpu_features__
+    avx512 = [t for t in umath.__cpu_dispatch__ if t.startswith(("X86_V4", "AVX512"))]
+    return "avx512" if any(features.get(t, False) for t in avx512) else "avx2_or_baseline"
+
+
+def test_hybrid_log_matches_recorded_digest(tmp_path, blocked_scenario):
+    vocab = four_prototype_vocabulary()
+    planner = Planner(blocked_scenario, kind="hybrid", vocabulary=vocab, model=init_model(vocab, seed=0))
+    log = run_episode(blocked_scenario, planner, SimConfig(record_breakdowns=True))
+    p = tmp_path / "hybrid.jsonl"
+    save_episode_log(log, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == HYBRID_LOG_SHA256[_dispatch_family()]
 
 
 def test_episode_log_round_trip(tmp_path, blocked_scenario):

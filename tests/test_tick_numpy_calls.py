@@ -1,15 +1,18 @@
-"""The rad planner's tick calls numpy through ufuncs, ndarray methods and
-slicing only: numpy's Python-level wrappers cost 1.5-4x their C-level
-equivalents on the tick's small arrays."""
+"""The rad and hybrid planners' ticks call numpy through ufuncs, ndarray
+methods and slicing only: numpy's Python-level wrappers cost 1.5-4x their
+C-level equivalents on the tick's small arrays."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from radstack.planhead import init_model
 from radstack.planner import Planner
 from radstack.scene import SCENARIO_KINDS, AgentState, Pose2, generate_synthetic_scenario
 from radstack.simulator import run_episode
+
+from conftest import four_prototype_vocabulary
 
 # Python-level numpy functions with a C-level form the tick uses instead.
 WRAPPERS = (
@@ -24,6 +27,7 @@ WRAPPERS = (
     "cumsum",
     "repeat",
     "zeros_like",
+    "argmax",
 )
 
 
@@ -35,7 +39,7 @@ def _forbidden(name):
 
 
 class GuardedPlanner(Planner):
-    """A rad planner whose plan calls fail on any of WRAPPERS."""
+    """A planner whose plan calls fail on any of WRAPPERS."""
 
     def plan(self, ego, agents, t=0.0):
         with pytest.MonkeyPatch.context() as mp:
@@ -60,4 +64,14 @@ def _with_traffic(scenario):
 )
 def test_rad_tick_calls_no_python_level_numpy_wrapper(scenario):
     log = run_episode(scenario, GuardedPlanner(scenario, "rad"))
+    assert len(log.records) > 0
+
+
+@pytest.mark.parametrize("kind", ["blocked_lane", "intersection_turn"])
+def test_hybrid_tick_calls_no_python_level_numpy_wrapper(kind):
+    """The hybrid adds features, the plan head, the vocabulary and the learned rows to the tick."""
+    scenario = generate_synthetic_scenario(kind, 7)
+    vocab = four_prototype_vocabulary()
+    planner = GuardedPlanner(scenario, "hybrid", vocabulary=vocab, model=init_model(vocab, seed=0))
+    log = run_episode(scenario, planner)
     assert len(log.records) > 0
