@@ -12,8 +12,8 @@ a caller with a polyline of its own builds one table and reads every point
 it needs through it.
 
 Projection onto a polyline takes a batch of points (one point is a batch of
-one). Both projections share one core (_nearest_foot), which finds each
-point's nearest segment and its clamped foot parameter:
+one). Both projections share one core: _nearest_index finds each point's
+nearest segment, and _nearest_foot its clamped foot parameter on it:
 - project_points_to_polyline returns arclength, signed lateral, heading and
   foot point per point;
 - project_arclengths returns the arclength alone, for callers that use
@@ -25,6 +25,14 @@ every segment. Above it, a broad phase over CHUNK-segment chunk boxes
 runs the same narrow arithmetic once per group of points sharing a first
 chunk, on the contiguous column slice that holds the group's chunks. Both
 return the same bits.
+
+SegmentStack stacks several tables' segment arrays, padded to the longest,
+and project_points_to_polylines projects a batch of points onto all of them
+at once, in the same bits as one project_points_to_polyline per table. A
+Scenario stacks its lanes once (Scenario.lane_stack): step_agents projects
+every agent and the ego onto every lane with one call, and the topology's
+graph_search and augment_with_adjacents take the ego's arclength and foot
+point on every lane from one call.
 
 The planner's per-tick path calls numpy through ufuncs, ndarray methods and
 slicing, not through numpy's Python-level functions (np.diff, np.clip,
@@ -350,7 +358,8 @@ def _chunk_runs(ps: np.ndarray, table: SegmentTable):
 
 def _nearest_segments(ps: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Index into cols (5, W) of each point's first segment of least squared
-    distance to its clamped foot point."""
+    distance to its clamped foot point, (N,); or, for a stack's columns
+    (5, L, 1, W), into each of the L rows, (L, N)."""
     ax, ay, ex, ey, inv_len2 = cols
     dx = ps[:, 0, None] - ax
     dy = ps[:, 1, None] - ay
@@ -363,23 +372,18 @@ def _nearest_segments(ps: np.ndarray, cols: np.ndarray) -> np.ndarray:
     dx *= dx
     dy *= dy
     dx += dy
-    return dx.argmin(axis=1)
+    return dx.argmin(axis=-1)
 
 
-def _nearest_foot(ps: np.ndarray, table: SegmentTable):
-    """The core of both projections: per point, the index of its nearest
-    segment, the clamped foot parameter u on it, the offset (dx, dy) from the
-    segment start and the segment direction (ex, ey), all (N,).
+def _nearest_index(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
+    """Index (N,) of each point's first nearest segment of the polyline.
 
     Below PRUNE_MIN_PAIRS points x segments the narrow phase runs over every
     segment. Above it, _chunk_runs bounds each point's window; points are
     grouped by their first surviving chunk, and each group runs the narrow
     phase on the contiguous column slice from that chunk to the group's last
-    survivor. u and the offsets are then taken once for all points, by the
-    narrow phase's own arithmetic on the chosen segment, so every value is
-    bit-identical to the dense pass.
+    survivor, which gives the dense pass's index.
     """
-    ps = np.asarray(ps, dtype=float)
     m = table.n_segments
     cols = table.cols
     if len(ps) * m < PRUNE_MIN_PAIRS:
@@ -398,17 +402,40 @@ def _nearest_foot(ps: np.ndarray, table: SegmentTable):
             sorted_idx[a:b] = _nearest_segments(sorted_ps[a:b], cols[:, lo : min(c1 * CHUNK, m)]) + lo
         idx = np.empty(len(ps), dtype=np.intp)
         idx[order] = sorted_idx
-    ax, ay, ex, ey, inv_len2 = cols[:, idx]
+    return idx
+
+
+def _nearest_foot(ps: np.ndarray, cols: np.ndarray):
+    """The core of every projection: for points ps (N, 2) and the columns
+    cols (5, ..., N) of each point's chosen segment, the clamped foot
+    parameter u on it and the offset (dx, dy) from the segment start. They
+    are taken by the narrow phase's own arithmetic on the chosen segment, so
+    every value is bit-identical to the dense pass."""
+    ax, ay, ex, ey, inv_len2 = cols
     dx = ps[:, 0] - ax
     dy = ps[:, 1] - ay
-    u = np.minimum(np.maximum((dx * ex + dy * ey) * inv_len2, 0.0), 1.0)
-    return idx, u, dx, dy, ex, ey
+    return np.minimum(np.maximum((dx * ex + dy * ey) * inv_len2, 0.0), 1.0), dx, dy
+
+
+def _projection(ps: np.ndarray, cols: np.ndarray, s0, lengths, head):
+    """(s, lateral, heading, foot point (..., N, 2)) of points ps (N, 2) on
+    their chosen segments: cols as for _nearest_foot, and the segments'
+    start arclengths s0, lengths and headings head."""
+    u, dx, dy = _nearest_foot(ps, cols)
+    ax, ay, ex, ey, _ = cols
+    lateral = -np.sin(head) * (dx - u * ex) + np.cos(head) * (dy - u * ey)
+    foot = np.empty(u.shape + (2,))
+    foot[..., 0] = ax + u * ex
+    foot[..., 1] = ay + u * ey
+    return s0 + u * lengths, lateral, head, foot
 
 
 def project_arclengths(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
     """Arclength (N,) of each point's projection onto the polyline: the s of
     project_points_to_polyline, without lateral, heading or foot point."""
-    idx, u, _, _, _, _ = _nearest_foot(ps, table)
+    ps = np.asarray(ps, dtype=float)
+    idx = _nearest_index(ps, table)
+    u, _, _ = _nearest_foot(ps, table.cols[:, idx])
     return table.s[idx] + u * table.lengths[idx]
 
 
@@ -418,11 +445,54 @@ def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,),
     and the foot points (N, 2); lateral is positive to the left of the travel
     direction. Each point takes the first segment of least squared distance
-    to its clamped foot point (_nearest_foot).
+    to its clamped foot point (_nearest_index).
     """
-    idx, u, dx, dy, ex, ey = _nearest_foot(ps, table)
-    s = table.s[idx] + u * table.lengths[idx]
-    head = table.headings[idx]
-    lateral = -np.sin(head) * (dx - u * ex) + np.cos(head) * (dy - u * ey)
-    foot = table.points[idx] + u[:, None] * table._d[idx]
-    return s, lateral, head, foot
+    ps = np.asarray(ps, dtype=float)
+    idx = _nearest_index(ps, table)
+    return _projection(ps, table.cols[:, idx], table.s[idx], table.lengths[idx], table.headings[idx])
+
+
+class SegmentStack:
+    """Several polylines' segment arrays stacked, for one projection of a
+    batch of points onto all of them (project_points_to_polylines).
+
+    Row k holds tables[k]'s segment starts, directions, inverse squared
+    lengths, start arclengths, lengths and headings, padded to the longest
+    polyline by repeating its last segment, as SegmentTable.cols pads its
+    chunks: a padded copy ties with the real last segment, and the first
+    minimum keeps the real one.
+    """
+
+    def __init__(self, tables):
+        self.tables = tuple(tables)
+        width = max((t.n_segments for t in self.tables), default=1)
+        seg = np.empty((8, len(self.tables), width))
+        for k, t in enumerate(self.tables):
+            m = t.n_segments
+            seg[:5, k, :m] = t.cols[:, :m]
+            seg[5, k, :m] = t.s[:-1]
+            seg[6, k, :m] = t.lengths
+            seg[7, k, :m] = t.headings
+            seg[:, k, m:] = seg[:, k, m - 1 : m]
+        self.width = width
+        self.cols = seg[:5, :, None, :]  # (5, L, 1, W) against (N, 1) point columns
+        self._flat = seg.reshape(8, -1)  # gathered at row * width + segment
+        self._row_start = (np.arange(len(self.tables)) * width)[:, None]
+
+
+def project_points_to_polylines(ps: np.ndarray, stack: SegmentStack):
+    """Projection of a batch of points onto every polyline of a stack.
+
+    ps: (N, 2). Returns (s, lateral, heading), each (L, N), and the foot
+    points (L, N, 2); row k holds project_points_to_polyline(ps,
+    stack.tables[k]) in every bit. Below PRUNE_MIN_PAIRS points x polylines
+    x stack width one dense narrow phase covers every pair; from it on, each
+    polyline's nearest segments come from _nearest_index, as for one table.
+    """
+    ps = np.asarray(ps, dtype=float)
+    if len(ps) * len(stack.tables) * stack.width < PRUNE_MIN_PAIRS:
+        idx = _nearest_segments(ps, stack.cols)
+    else:
+        idx = np.array([_nearest_index(ps, t) for t in stack.tables])
+    seg = stack._flat[:, idx + stack._row_start]
+    return _projection(ps, seg[:5], *seg[5:])

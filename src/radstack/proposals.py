@@ -164,16 +164,17 @@ class ProposalSet:
         self.tags = np.concatenate([self.tags, [TRAJECTORY_TAGS.index(t) for t in tags]])
 
 
-def idm_accel(v, v_lead, gap, p: IdmParams):
+def idm_accel(v, v_lead, gap, p: IdmParams, v0=None):
     """Intelligent-driver-model acceleration, clamped to [-B_HARD, a_max].
 
-    Elementwise over arrays; gap may be inf for free flow. The dynamic part of
-    the desired gap is floored at zero so the response stays monotone in v and
+    Elementwise over arrays; gap may be inf for free flow. v0 (default p.v0)
+    may be an array, one reference speed per vehicle. The dynamic part of the
+    desired gap is floored at zero so the response stays monotone in v and
     gap.
     """
     s_star = p.s0 + np.maximum(0.0, v * p.T_h + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf)))
     q = s_star / gap  # 0 in free flow
-    a = p.a_max * (1.0 - (v / p.v0) ** p.delta - q * q)
+    a = p.a_max * (1.0 - (v / (p.v0 if v0 is None else v0)) ** p.delta - q * q)
     return np.minimum(np.maximum(a, -B_HARD), p.a_max)
 
 

@@ -22,6 +22,7 @@ from .geometry import (
     points_in_polygons,
     polygon_as_aabb,
     rect_corners,
+    SegmentStack,
     SegmentTable,
 )
 
@@ -37,13 +38,16 @@ DEFAULT_STEERING_LIMIT = 0.6  # rad
 
 @dataclass(frozen=True)
 class Pose2:
-    """Planar pose; heading is normalized into (-pi, pi] on construction."""
+    """Planar pose of finite numbers; heading is normalized into (-pi, pi] on construction."""
 
     x: float
     y: float
     heading: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
+            name = next(name for name in ("x", "y", "heading") if not math.isfinite(getattr(self, name)))
+            raise ValidationError(f"pose.{name}: must be finite")
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
     @property
@@ -244,6 +248,7 @@ class Scenario:
         object.__setattr__(self, "_lanes", {lane.id: lane for lane in reversed(self.lanes)})
         object.__setattr__(self, "_chains", {})
         object.__setattr__(self, "_drivable_boxes", None)
+        object.__setattr__(self, "_lane_stack", None)
 
     def lane_by_id(self, lane_id: str) -> Lane:
         return self._lanes[lane_id]
@@ -278,6 +283,14 @@ class Scenario:
         if self._drivable_boxes is None:
             object.__setattr__(self, "_drivable_boxes", tuple(polygon_as_aabb(p) for p in self.drivable_area))
         return self._drivable_boxes
+
+    @property
+    def lane_stack(self) -> SegmentStack:
+        """The lanes' segment tables stacked in lane order, built once: one
+        project_points_to_polylines call projects onto every lane."""
+        if self._lane_stack is None:
+            object.__setattr__(self, "_lane_stack", SegmentStack(lane.segments for lane in self.lanes))
+        return self._lane_stack
 
     @property
     def lane_ids(self) -> tuple:

@@ -329,6 +329,10 @@ def _batch_direction(s, path_index, paths) -> np.ndarray:
     return np.where(against < DIR_EPS, 1.0, np.where(against < DIR_TOL, 0.5, 0.0))
 
 
+# ScoreBreakdown's score fields in declaration order (all but relaxed).
+_TERMS = tuple(f.name for f in fields(ScoreBreakdown)[:-1])
+
+
 @dataclass(frozen=True, eq=False)
 class Scores:
     """Score terms as (P,) columns over the proposal rows.
@@ -353,9 +357,7 @@ class Scores:
         return len(self.aggregate)
 
     def __getitem__(self, i) -> ScoreBreakdown:
-        return ScoreBreakdown(
-            *(float(getattr(self, f.name)[i]) for f in fields(ScoreBreakdown)[:-1]), relaxed=self.relaxed
-        )
+        return ScoreBreakdown(*(float(getattr(self, name)[i]) for name in _TERMS), relaxed=self.relaxed)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

@@ -34,6 +34,7 @@ from .geometry import (
     normalize_angle,
     normalize_angles,
     project_points_to_polyline,
+    project_points_to_polylines,
     SegmentTable,
 )
 from .planner import Planner
@@ -102,7 +103,7 @@ def bicycle_step(ego: EgoState, accel_cmd: float, steer_cmd: float, dt: float) -
         ego.pose.heading + ego.speed / ego.wheelbase * math.tan(steer) * dt
     )
     v = max(0.0, ego.speed + a * dt)
-    return replace(ego, pose=Pose2(x, y, heading), speed=v, accel=a, steering=steer)
+    return EgoState(Pose2(x, y, heading), v, a, steer, ego.wheelbase, ego.half_length, ego.half_width)
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()
     (s,), (e_lat,), (ref_head,), _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), table)
     e_head = normalize_angle(ego.pose.heading - ref_head)
 
-    idx = int(np.clip(np.searchsorted(s_cum, s, side="right") - 1, 0, len(pts) - 2))
+    idx = min(max(int(s_cum.searchsorted(s, side="right")) - 1, 0), len(pts) - 2)
     look = min(idx + cfg.lookahead_steps, len(pts) - 1)
     v_ref = float(reference.speeds[look])
     accel_cmd = cfg.k_speed * (v_ref - ego.speed)
@@ -215,7 +216,7 @@ def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()
     j = min(idx + 1, len(heads) - 1)
     ds = max(s_cum[j] - s_cum[idx], 1e-6) if j > idx else 1e-6
     kappa = normalize_angle(heads[j] - heads[idx]) / ds if j > idx else 0.0
-    kappa = float(np.clip(kappa, -0.5, 0.5))
+    kappa = float(min(max(kappa, -0.5), 0.5))  # np.clip's NaN and -0.0, without its wrapper
 
     if ego.speed < cfg.low_speed:
         k1, k2 = cfg.low_speed_gain
@@ -244,69 +245,76 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
     steers by pure pursuit. Vehicles off every lane and pedestrians move at
     constant velocity; static agents do not move.
     replay: every non-static agent continues at its scripted constant velocity.
+
+    One pass serves every vehicle: one projection of the agents and the ego
+    onto every lane (Scenario.lane_stack), the lane choice as one masked
+    argmin over the lanes in id order, then the lead search, IDM and pure
+    pursuit once over all laned vehicles, each on its own lane's row.
     """
     if policy not in AGENT_POLICIES:
         raise ValueError(f"unknown agent policy {policy!r}")
     agents = list(agents)
     if not agents:
         return []
-    x, y, h, v, hl, hw = np.array(
-        [[a.pose.x, a.pose.y, a.pose.heading, a.speed, a.half_length, a.half_width] for a in agents]
-    ).T
+    n = len(agents)
+    lanes = scenario.lanes
+    veh = [i for i, a in enumerate(agents) if a.kind == "vehicle"] if policy == "reactive_idm" and lanes else []
+    # The entities a vehicle may follow: every agent, then the ego.
+    ent = [[a.pose.x, a.pose.y, a.pose.heading, a.speed, a.half_length, a.half_width] for a in agents]
+    if veh and ego is not None:
+        ent.append([ego.pose.x, ego.pose.y, ego.pose.heading, ego.speed, ego.half_length, ego.half_width])
+    ent = np.array(ent)
+    x, y, h, v, hl, hw = ent[:n].T
     heading, speed = h.copy(), v.copy()
-    veh = [i for i, a in enumerate(agents) if a.kind == "vehicle"] if policy == "reactive_idm" else []
     if veh:
-        veh = np.asarray(veh)
-        # The entities a vehicle may follow: every agent, then the ego.
-        ent = (x, y, h, v, hl, hw)
-        if ego is not None:
-            e = (ego.pose.x, ego.pose.y, ego.pose.heading, ego.speed, ego.half_length, ego.half_width)
-            ent = tuple(np.append(col, val) for col, val in zip(ent, e))
-        ex, ey, eh, ev, ehl, ehw = ent
-        lanes = scenario.lanes
-        proj = [project_points_to_polyline(np.stack([ex, ey], axis=1), lane.segments) for lane in lanes]
+        veh = np.array(veh)
+        _, _, eh, ev, ehl, ehw = ent.T
+        s_e, lat_e, head_e, _ = project_points_to_polylines(ent[:, :2], scenario.lane_stack)
 
-        # Lanes in id order; only a strictly smaller |lateral| takes over.
-        best = np.full(len(veh), np.inf)
-        lane_of = np.full(len(veh), -1)
-        for k in sorted(range(len(lanes)), key=lambda k: lanes[k].id):
-            _, lat, head, _ = proj[k]
-            lat = np.abs(lat[veh])
-            take = (lat <= 3.0) & (np.cos(h[veh] - head[veh]) >= 0.5) & (lat < best)
-            best[take] = lat[take]
-            lane_of[take] = k
+        # The first least |lateral| over the eligible lanes in id order.
+        by_id = np.array(sorted(range(len(lanes)), key=lambda k: lanes[k].id))
+        lanes_by_id_veh = (by_id[:, None], veh)
+        lat = np.abs(lat_e[lanes_by_id_veh])
+        eligible = (lat <= 3.0) & (np.cos(h[veh] - head_e[lanes_by_id_veh]) >= 0.5)
+        pick = np.where(eligible, lat, np.inf).argmin(axis=0)
+        on_lane = eligible[pick, np.arange(len(veh))]
+        rows, lane_of = veh[on_lane], by_id[pick[on_lane]]
 
-        for k in np.unique(lane_of[lane_of >= 0]):
-            lane = lanes[k]
-            rows = veh[lane_of == k]
-            s_e, lat_e, head_e, _ = proj[k]
-            s_self = s_e[rows]
+        if len(rows):
+            r = np.arange(len(rows))
+            s_lane, lat_lane, head_lane = s_e[lane_of], lat_e[lane_of], head_e[lane_of]  # (rows, entities)
+            s_self = s_lane[r, rows]
             # A vehicle's own column has d = -2 half lengths, so it never leads.
-            d = s_e - s_self[:, None] - ehl - hl[rows, None]
-            lead = (np.abs(lat_e) <= hw[rows, None] + ehw + CORRIDOR_MARGIN) & (d > 0)
+            d = s_lane - s_self[:, None] - ehl - hl[rows, None]
+            lead = (np.abs(lat_lane) <= hw[rows, None] + ehw + CORRIDOR_MARGIN) & (d > 0)
             g = np.where(lead, d, np.inf)
-            j = np.argmin(g, axis=1)
-            gap = g[np.arange(len(rows)), j]
+            j = g.argmin(axis=1)
+            gap = g[r, j]
             # Without a lead the gap stays inf and v_lead drops out of IDM.
-            v_lead = ev[j] * np.cos(eh[j] - head_e[j])
-            p = replace(_AGENT_IDM, v0=min(_AGENT_IDM.v0, lane.speed_limit))
-            a_cmd = idm_accel(v[rows], v_lead, np.maximum(gap, 0.05), p)
+            v_lead = ev[j] * np.cos(eh[j] - head_lane[r, j])
+            v0 = np.array([min(_AGENT_IDM.v0, lane.speed_limit) for lane in lanes])[lane_of]
+            a_cmd = idm_accel(v[rows], v_lead, np.maximum(gap, 0.05), _AGENT_IDM, v0)
             speed[rows] = np.maximum(0.0, v[rows] + a_cmd * dt)
 
             # Pure-pursuit steer toward a point ahead on the lane.
             look = np.maximum(3.0, 1.5 * v[rows])
-            s_target = np.minimum(s_self + look, lane.s[-1])
-            x_t, y_t = lane.segments.points_at(s_target).T
-            alpha = normalize_angles(np.arctan2(y_t - y[rows], x_t - x[rows]) - h[rows])
+            lane_end = np.array([lane.length for lane in lanes])[lane_of]
+            s_target = np.minimum(s_self + look, lane_end)
+            target = np.empty((len(rows), 2))
+            for k in set(lane_of.tolist()):
+                on_k = lane_of == k
+                target[on_k] = lanes[k].segments.points_at(s_target[on_k])
+            alpha = normalize_angles(np.arctan2(target[:, 1] - y[rows], target[:, 0] - x[rows]) - h[rows])
             wheelbase = np.maximum(1.0, hl[rows])
-            steer = np.clip(np.arctan2(2.0 * wheelbase * np.sin(alpha), look), -STEER_LIMIT, STEER_LIMIT)
+            steer = np.arctan2(2.0 * wheelbase * np.sin(alpha), look)
+            steer = np.minimum(np.maximum(steer, -STEER_LIMIT), STEER_LIMIT)
             heading[rows] = normalize_angles(h[rows] + v[rows] / wheelbase * np.tan(steer) * dt)
     x_new = (x + v * np.cos(h) * dt).tolist()
     y_new = (y + v * np.sin(h) * dt).tolist()
     heading, speed = heading.tolist(), speed.tolist()
     return [
         a if a.kind == "static"
-        else replace(a, pose=Pose2(x_new[i], y_new[i], heading[i]), speed=speed[i])
+        else AgentState(a.id, Pose2(x_new[i], y_new[i], heading[i]), speed[i], a.half_length, a.half_width, a.kind)
         for i, a in enumerate(agents)
     ]
 

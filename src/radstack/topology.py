@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OffMapError
-from .geometry import normalize_angle, project_arclengths, project_points_to_polyline, SegmentTable
+from .geometry import (
+    normalize_angle,
+    project_arclengths,
+    project_points_to_polyline,
+    project_points_to_polylines,
+    SegmentTable,
+)
 from .scene import EgoState, Pose2, Scenario
 
 LOCALIZATION_RADIUS = 10.0  # m
@@ -107,12 +113,6 @@ def _build_path(scenario, lane_ids, ego_xy, horizon_length, source):
     return _make_path(pts, opp, horizon_length, tuple(lane_ids), source, limit)
 
 
-def _project_onto_lane(lane, ego_xy) -> tuple:
-    """(distance to the centerline, arclength along it) of the ego position."""
-    (s,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), lane.segments)
-    return float(np.hypot(*(np.asarray(ego_xy) - foot[0]))), float(s)
-
-
 def _enumerate_chains(scenario: Scenario, start_lane_id: str, s_ego: float, horizon_length: float):
     """Lane-id chains from a start lane, expanded by cumulative arclength.
 
@@ -161,12 +161,15 @@ def graph_search(
     past the end of every chain it can root on (a dead end).
     """
     ego_xy = (ego.pose.x, ego.pose.y)
-    reachable = []
-    s_on_lane = {}
-    for lane in scenario.lanes:
-        d, s_on_lane[lane.id] = _project_onto_lane(lane, ego_xy)
-        if d <= LOCALIZATION_RADIUS and lane.direction == "route_aligned":
-            reachable.append((d, lane.id))
+    s, _, _, foot = project_points_to_polylines(np.array([ego_xy]), scenario.lane_stack)
+    s_on_lane = dict(zip(scenario.lane_ids, s[:, 0].tolist()))
+    # The distance to the foot point orders the candidates.
+    dist = np.hypot(ego_xy[0] - foot[:, 0, 0], ego_xy[1] - foot[:, 0, 1]).tolist()
+    reachable = [
+        (d, lane.id)
+        for lane, d in zip(scenario.lanes, dist)
+        if d <= LOCALIZATION_RADIUS and lane.direction == "route_aligned"
+    ]
     if not reachable:
         raise OffMapError(
             f"no lane within {LOCALIZATION_RADIUS} m of ego at ({ego.pose.x:.1f}, {ego.pose.y:.1f})"
@@ -256,6 +259,7 @@ def augment_with_adjacents(
     out = list(paths)
     seen = {p.lane_sequence for p in paths}
     ego_xy = (ego.pose.x, ego.pose.y)
+    s_on_lanes = None  # the ego's arclength on every lane, projected on first need
     for base in paths:
         if base.source != "ego_route":
             continue
@@ -274,7 +278,9 @@ def augment_with_adjacents(
                 continue
             if not enable_adjacents:
                 continue
-            _, s_ego = _project_onto_lane(adj, ego_xy)
+            if s_on_lanes is None:
+                s_on_lanes = project_points_to_polylines(np.array([ego_xy]), scenario.lane_stack)[0][:, 0].tolist()
+            s_ego = s_on_lanes[scenario.lane_ids.index(adj_id)]
             for chain in _enumerate_chains(scenario, adj_id, s_ego, horizon_length):
                 if chain in seen:
                     continue

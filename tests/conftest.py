@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,35 @@ def four_prototype_vocabulary():
         ),
         dt=0.1,
     )
+
+
+# Moving vehicles (x, y, heading, speed) added to a synthetic kind's seed-7
+# scenario by with_traffic: every lane holds one, and some follow another
+# vehicle or are followed by the ego.
+TRAFFIC = {
+    # Route lane: one between the ego and the static blocker. Left lane: two,
+    # the rear one faster than its lead.
+    "blocked_lane": ((22.0, 0.0, 0.0, 4.0), (30.0, 3.5, 0.0, 6.0), (12.0, 3.5, 0.0, 7.0)),
+    # One ahead of the ego on the approach, one in the turn, two in a column
+    # on the northbound lane, the rear one faster.
+    "intersection_turn": (
+        (14.0, 0.0, 0.0, 3.0),
+        (36.6, 2.3, 0.69, 2.5),
+        (38.96, 20.0, math.pi / 2, 4.0),
+        (38.96, 30.0, math.pi / 2, 2.0),
+    ),
+}
+
+
+def with_traffic(kind):
+    """The kind's seed-7 scenario plus its TRAFFIC vehicles, so rollouts
+    follow moving leads and step_agents runs its vehicle branch."""
+    scenario = generate_synthetic_scenario(kind, 7)
+    vehicles = tuple(
+        AgentState(id=f"vehicle_{i}", pose=Pose2(x, y, h), speed=v, half_length=2.3, half_width=1.0, kind="vehicle")
+        for i, (x, y, h, v) in enumerate(TRAFFIC[kind])
+    )
+    return replace(scenario, agents=scenario.agents + vehicles)
 
 
 def static_car(agent_id, x, y, heading=0.0, half_length=2.3, half_width=1.0):

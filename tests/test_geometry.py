@@ -16,6 +16,8 @@ from radstack.geometry import (
     polygon_as_aabb,
     project_arclengths,
     project_points_to_polyline,
+    project_points_to_polylines,
+    SegmentStack,
     SegmentTable,
     rect_corners,
 )
@@ -424,6 +426,65 @@ def test_grouped_projection_matches_dense_reference_bitwise(case):
     ref = reference_project_points(ps, pts)
     _assert_bitwise(project_points_to_polyline(ps, table), ref)
     _assert_bitwise((project_arclengths(ps, table),), ref[:1])
+
+
+@st.composite
+def _stack_case(draw):
+    """2-4 polylines of 1-20 segments each, so every row but the longest is
+    padded, and a batch of points about them.
+
+    A polyline is a lattice walk of axis-aligned unit-multiple steps, whose
+    corner bisectors are equidistant from two segments, or a smooth random
+    walk; each is offset by up to 30 m from the origin, where a zero-filled
+    padding would sit. Points sit on vertices, on corner diagonals, past
+    either end along the end segment, near a polyline, or anywhere in a box
+    about all of them (the origin included). The batch holds 1-30 points,
+    or enough for points x polylines x stack width to reach
+    PRUNE_MIN_PAIRS.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for _ in range(draw(st.integers(2, 4))):
+        m = draw(st.integers(1, 20))
+        if draw(st.booleans()):
+            axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+            steps = axes[rng.integers(0, 2, m) + 2 * (rng.random(m) < 0.2)] * rng.integers(1, 4, (m, 1))
+        else:
+            heading = np.cumsum(rng.normal(0.0, 0.5, m))
+            steps = np.stack([np.cos(heading), np.sin(heading)], axis=1) * rng.uniform(0.5, 4.0, (m, 1))
+        lines.append(np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]) + rng.integers(-30, 31, 2))
+    width = max(len(pts) - 1 for pts in lines)
+    n = draw(st.one_of(st.integers(1, 30), st.integers(0, 40).map(
+        lambda extra: -(-geometry.PRUNE_MIN_PAIRS // (len(lines) * width)) + extra
+    )))
+    ps = np.empty((n, 2))
+    diagonal = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    for i in range(n):
+        pts = lines[rng.integers(len(lines))]
+        vertex = pts[rng.integers(len(pts))]
+        t = rng.choice([0.0, 0.5, 1.0, 2.5, 6.0])
+        ps[i] = [
+            vertex,
+            vertex + t * diagonal[rng.integers(4)],
+            pts[0] - t * (pts[1] - pts[0]),
+            pts[-1] + t * (pts[-1] - pts[-2]),
+            vertex + rng.normal(0.0, 1.5, 2),
+            rng.uniform(-45.0, 45.0, 2),
+        ][rng.integers(6)]
+    return ps, lines
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_stack_case())
+def test_projection_onto_a_stack_matches_each_polyline_bitwise(case):
+    ps, lines = case
+    tables = [SegmentTable(pts) for pts in lines]
+    stack = SegmentStack(tables)
+    for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then polyline by polyline always
+        with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
+            got = project_points_to_polylines(ps, stack)
+        for k, table in enumerate(tables):
+            _assert_bitwise([a[k] for a in got], project_points_to_polyline(ps, table))
 
 
 def test_resample_of_a_zero_length_polyline_is_one_point():

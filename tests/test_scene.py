@@ -37,6 +37,15 @@ def test_pose_heading_normalized():
     assert Pose2(0, 0, -math.pi).heading == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "y", "heading"])
+def test_non_finite_pose_numbers_are_rejected_by_name(field, value):
+    # A NaN heading would otherwise pass normalize_angle into every plan, and
+    # an infinite one raise math's bare "math domain error".
+    with pytest.raises(ValidationError, match=rf"^pose\.{field}: must be finite$"):
+        Pose2(**{"x": 0.0, "y": 0.0, "heading": 0.0, field: value})
+
+
 def test_ego_invariants():
     with pytest.raises(ValidationError):
         EgoState(pose=Pose2(0, 0, 0), speed=-1.0)

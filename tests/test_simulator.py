@@ -31,7 +31,14 @@ from radstack.simulator import (
     step_agents,
 )
 
-from conftest import four_prototype_vocabulary, reference_project_points, static_car, straight_lane, straight_scenario
+from conftest import (
+    four_prototype_vocabulary,
+    reference_project_points,
+    static_car,
+    straight_lane,
+    straight_scenario,
+    with_traffic,
+)
 
 
 def _ego(x=0.0, y=0.0, heading=0.0, speed=5.0):
@@ -498,6 +505,33 @@ def test_hybrid_log_matches_recorded_digest(tmp_path, blocked_scenario):
     p = tmp_path / "hybrid.jsonl"
     save_episode_log(log, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == HYBRID_LOG_SHA256[_dispatch_family()]
+
+
+# sha256 of the `rad` episode log with every proposal's breakdown on each
+# kind's seed-7 scenario with conftest's TRAFFIC vehicles (blocked_lane: 196
+# ticks to goal_reached, 5880 proposal rows; intersection_turn: 217 ticks to
+# goal_reached, 3540 proposal rows). They pin step_agents' vehicle branch,
+# which the other recorded logs never run: lane choice, lead search, IDM and
+# pure pursuit. Each dispatch family has its own value, as for the hybrid log.
+# Regenerate as above.
+TRAFFIC_LOG_SHA256 = {
+    "blocked_lane": {
+        "avx512": "60a9b567061b04c9cc9343361f0f4fa1a2fb74f663c026000af558323d4db6a2",
+        "avx2_or_baseline": "ec988312685215b89459c1f9be43cc0e9612e08b592abbd7bf2b8b3e8d7fccff",
+    },
+    "intersection_turn": {
+        "avx512": "6181302af889951828e1e95015d28c7160f47d5e5b9471e1e5d402b8fcfd76f8",
+        "avx2_or_baseline": "c4f743987d980c475a73550ab68cc8ae5910a75076143bdd7b00afde19ff9ead",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRAFFIC_LOG_SHA256))
+def test_traffic_log_matches_recorded_digest(tmp_path, kind):
+    log = run_episode(with_traffic(kind), "rad", SimConfig(record_breakdowns=True))
+    p = tmp_path / "traffic.jsonl"
+    save_episode_log(log, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == TRAFFIC_LOG_SHA256[kind][_dispatch_family()]
 
 
 def test_episode_log_round_trip(tmp_path, blocked_scenario):
