@@ -3,36 +3,45 @@
 Everything operates on plain floats / numpy arrays in the world frame
 (right-handed, meters, heading 0 = +x).
 
-SegmentTable is the one polyline type: it holds a polyline's points,
-cumulative arclengths and per-segment headings, and gives positions and
-poses at arclengths (points_at, pose_at) and a uniform resampling
-(resample). A polyline's owner (a scene Lane, a Scenario's lane chain or a
-topology ProposalPath) builds its table once and keeps it for its lifetime;
-a caller with a polyline of its own builds one table and reads every point
-it needs through it.
+SegmentTable is the one polyline type: it holds a polyline's points and
+cumulative arclengths, and gives positions and poses at arclengths
+(points_at, pose_at) and a uniform resampling (resample). A polyline's owner
+(a scene Lane, a Scenario's lane chain or reversed lane, or a topology
+ProposalPath) builds its table once and keeps it for its lifetime; a caller
+with a polyline of its own builds one table and reads every point it needs
+through it. Its first projection builds its segment array (SegmentTable.seg),
+one column per segment holding start x/y, direction x/y, inverse squared
+length, start arclength, length, heading and the heading's -sin and cos; the
+table keeps it.
 
 Projection onto a polyline takes a batch of points (one point is a batch of
-one). Both projections share one core: _nearest_index finds each point's
-nearest segment, and _nearest_foot its clamped foot parameter on it:
+one) as (x, y) planes, and does each x/y pair of operations as one call on
+stacked (2, ...) arrays. Both projections share one core: _nearest_index
+finds each point's nearest segment, one take of the segment array reads the
+chosen columns, and _nearest_foot takes the clamped foot parameter on them:
 - project_points_to_polyline returns arclength, signed lateral, heading and
   foot point per point;
 - project_arclengths returns the arclength alone, for callers that use
   nothing else (the scorer's route progress and direction, route completion,
-  a bypass's merge point), so they pay for no lateral, heading or foot.
+  a bypass's merge point), so they pay for no lateral, heading or foot;
+- project_point_once projects one point onto a polyline projected only that
+  once (lqr_track's new reference on every tick) without building its
+  segment array: the same core on the table's narrow rows, and the heading,
+  -sin and cos of the chosen segment alone.
 Below PRUNE_MIN_PAIRS points x segments the core runs the dense pass over
 every segment. Above it, a broad phase over CHUNK-segment chunk boxes
 (_chunk_runs) bounds each point's run of chunks, and the grouped pruned pass
 runs the same narrow arithmetic once per group of points sharing a first
-chunk, on the contiguous column slice that holds the group's chunks. Both
-return the same bits.
+chunk, on the contiguous column slice that holds the group's chunks. All of
+them return the same bits.
 
 SegmentStack stacks several tables' segment arrays, padded to the longest,
 and project_points_to_polylines projects a batch of points onto all of them
 at once, in the same bits as one project_points_to_polyline per table. A
 Scenario stacks its lanes once (Scenario.lane_stack): step_agents projects
 every agent and the ego onto every lane with one call, and the topology's
-graph_search and augment_with_adjacents take the ego's arclength and foot
-point on every lane from one call.
+graph_search and augment_with_adjacents share one projection of the ego onto
+every lane per tick (Scenario.on_lanes).
 
 The planner's per-tick path calls numpy through ufuncs, ndarray methods and
 slicing, not through numpy's Python-level functions (np.diff, np.clip,
@@ -65,11 +74,19 @@ def normalize_angle(a: float) -> float:
 
 
 def normalize_angles(a: np.ndarray) -> np.ndarray:
-    """Vectorized wrap into (-pi, pi]."""
-    out = np.mod(a, TWO_PI)
-    out = np.where(out > math.pi, out - TWO_PI, out)
-    # np.mod maps exact -pi to +pi already; keep +pi, move anything <= -pi up
-    out = np.where(out <= -math.pi, out + TWO_PI, out)
+    """Vectorized wrap of an array into (-pi, pi], in the bits of
+    np.mod(a, 2 pi) moved down by 2 pi above pi.
+
+    numpy's float remainder is fmod's, made +0.0 where it is zero and moved
+    up by 2 pi where it is negative; it also computes a quotient that np.mod
+    discards, which costs four times the rest. np.fmod is exact, so these
+    steps give np.mod's bits. The result in [0, 2 pi] less 2 pi above pi
+    lies in (-pi, pi].
+    """
+    out = np.fmod(a, TWO_PI)
+    out += 0.0  # -0.0 -> +0.0
+    np.add(out, TWO_PI, out=out, where=out < 0.0)
+    np.subtract(out, TWO_PI, out=out, where=out > math.pi)
     return out
 
 
@@ -106,14 +123,18 @@ def rect_corners(
     return local @ rot.T + np.array([x, y])
 
 
-def rect_corners_batch(xy: np.ndarray, heading: np.ndarray, half_length: float, half_width: float) -> tuple:
-    """Corners for a batch of poses, in rect_corners' order. xy: (..., 2),
-    heading: (...,) -> (corner x, corner y), each (..., 4)."""
-    c = np.cos(heading)[..., None]
-    s = np.sin(heading)[..., None]
-    lx = np.array([half_length, -half_length, -half_length, half_length])
-    ly = np.array([half_width, half_width, -half_width, -half_width])
-    return xy[..., 0:1] + lx * c - ly * s, xy[..., 1:2] + lx * s + ly * c
+def rect_corners_batch(xy: np.ndarray, cs: np.ndarray, half_length: float, half_width: float) -> np.ndarray:
+    """Corners for a batch of poses, in rect_corners' order, corner-first:
+    positions xy and the headings' cos and sin cs, each as planes (2, ...),
+    -> the corners' (x, y) planes, (2, 4, ...). Each corner is x + lx cos -
+    ly sin, y + lx sin + ly cos, both planes in one call per operation."""
+    shape = (1, 4) + (1,) * (cs.ndim - 1)
+    l, w = half_length, half_width
+    out = np.array([l, -l, -l, l]).reshape(shape) * cs[:, None]
+    out += xy[:, None]
+    # -ly for x against sin, +ly for y against cos: x - a == x + (-a) exactly
+    out += np.array([[-w, -w, w, w], [w, w, -w, -w]]).reshape((2,) + shape[1:]) * cs[::-1, None]
+    return out
 
 
 def boxes_overlap(dx, dy, heading_a, half_length_a, half_width_a, heading_b, half_length_b, half_width_b):
@@ -128,8 +149,15 @@ def boxes_overlap(dx, dy, heading_a, half_length_a, half_width_a, heading_b, hal
     either way, and must not be told apart by rounding.
     Returns a boolean array of the broadcast shape.
     """
-    ca, sa = np.cos(heading_a), np.sin(heading_a)
-    cb, sb = np.cos(heading_b), np.sin(heading_b)
+    return boxes_overlap_trig(
+        dx, dy, np.cos(heading_a), np.sin(heading_a), half_length_a, half_width_a,
+        np.cos(heading_b), np.sin(heading_b), half_length_b, half_width_b,
+    )
+
+
+def boxes_overlap_trig(dx, dy, ca, sa, half_length_a, half_width_a, cb, sb, half_length_b, half_width_b):
+    """boxes_overlap with each heading given as its cos and sin, for a caller
+    that holds them already (the scorer takes every sample's once)."""
     c = np.abs(ca * cb + sa * sb)  # |cos(hb - ha)|
     s = np.abs(ca * sb - sa * cb)  # |sin(hb - ha)|
     tol = CONTACT_TOL
@@ -215,19 +243,41 @@ def points_in_polygons(x: np.ndarray, y: np.ndarray, polygons, boxes) -> np.ndar
 CHUNK = 8  # segments per broad-phase chunk of a SegmentTable
 PRUNE_MIN_PAIRS = 12_000  # points x segments from which the broad phase pays for itself
 PRUNE_MARGIN = 1e-6  # m; slack on the broad phase's upper bound, far above rounding
+SEG_ROWS = 10  # rows of a SegmentTable's per-segment array
+
+
+def _narrow_rows(table, rows) -> None:
+    """Fill rows (5, n_segments) with the narrow phase's rows of a table's
+    segments: start x, start y, direction x, direction y, inverse squared
+    length."""
+    rows[:2] = table.points[:-1].T
+    rows[2:4] = table._d.T
+    rows[4] = np.where(table.len2 > 0, 1.0 / np.maximum(table.len2, 1e-300), 0.0)
+
+
+def _trig_rows(rows) -> None:
+    """Fill rows[1:3] with -sin and cos of the headings in rows[0], by np.sin
+    and np.cos on the contiguous heading row: the same vector routine, and
+    so the same bits, as on any gathered copy of it."""
+    np.sin(rows[0], out=rows[1])
+    np.negative(rows[1], out=rows[1])
+    np.cos(rows[0], out=rows[2])
 
 
 class SegmentTable:
-    """A polyline's points, arclengths and per-segment arrays, built once.
+    """A polyline's points, arclengths and per-segment array, built once.
 
     The program's one polyline type: positions and poses at arclengths,
     uniform resampling and (through project_points_to_polyline) projection
-    all read it. Rows of `cols` are segment start x, start y, direction x,
-    direction y and the inverse squared length (0 for a degenerate segment),
+    all read it. `seg` is the per-segment array (SEG_ROWS, n_chunks * CHUNK):
+    each column holds one segment's start x and y, direction x and y, inverse
+    squared length (0 for a degenerate segment), start arclength, length,
+    heading (by math.atan2, 0 if degenerate) and the heading's -sin and cos,
     padded to whole CHUNK-segment chunks by repeating the last segment.
-    `cols` is built by the first projection, the headings by their first
-    use and the chunks' bounding boxes by the first large projection, so a
-    polyline that is never projected pays only for its arclengths.
+    `seg` is built by the first projection (or the first read of
+    `headings`, a view of its heading row) and the chunks' bounding boxes by
+    the first large projection, so a polyline that is never projected pays
+    only for its arclengths.
     """
 
     def __init__(self, points: np.ndarray):
@@ -240,31 +290,30 @@ class SegmentTable:
         self.s[0] = 0.0
         self.lengths.cumsum(out=self.s[1:])
         self.n_chunks = -(-len(self.len2) // CHUNK)
-        self._headings = None
-        self._cols = None
+        self._seg = None
         self._boxes = None
 
     @property
-    def cols(self) -> np.ndarray:
-        if self._cols is None:
+    def seg(self) -> np.ndarray:
+        if self._seg is None:
             m = self.n_segments
-            cols = np.empty((5, self.n_chunks * CHUNK))
-            cols[:2, :m] = self.points[:-1].T
-            cols[2:4, :m] = self._d.T
-            cols[4, :m] = np.where(self.len2 > 0, 1.0 / np.maximum(self.len2, 1e-300), 0.0)
-            cols[:, m:] = cols[:, m - 1 : m]
-            self._cols = cols
-        return self._cols
+            seg = np.empty((SEG_ROWS, self.n_chunks * CHUNK))
+            _narrow_rows(self, seg[:5, :m])
+            seg[5, :m] = self.s[:-1]
+            seg[6, :m] = self.lengths
+            seg[7, :m] = [math.atan2(dy, dx) for dx, dy in self._d.tolist()]
+            _trig_rows(seg[7:, :m])
+            seg[:, m:] = seg[:, m - 1 : m]
+            self._seg = seg
+        return self._seg
 
     @property
     def headings(self) -> np.ndarray:
-        """Direction angle of every segment (0 if degenerate), taken on first use.
+        """Direction angle of every segment (0 if degenerate): the heading row of `seg`.
 
         By math.atan2: numpy's arctan2 may take a vector routine that differs
         from it in the last bit on some CPUs."""
-        if self._headings is None:
-            self._headings = np.array([math.atan2(dy, dx) for dx, dy in self._d.tolist()])
-        return self._headings
+        return self.seg[7, : self.n_segments]
 
     @property
     def n_segments(self) -> int:
@@ -356,23 +405,16 @@ def _chunk_runs(ps: np.ndarray, table: SegmentTable):
     return keep.argmax(axis=0), (keep * np.arange(1, table.n_chunks + 1)[:, None]).max(axis=0)
 
 
-def _nearest_segments(ps: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Index into cols (5, W) of each point's first segment of least squared
-    distance to its clamped foot point, (N,); or, for a stack's columns
-    (5, L, 1, W), into each of the L rows, (L, N)."""
-    ax, ay, ex, ey, inv_len2 = cols
-    dx = ps[:, 0, None] - ax
-    dy = ps[:, 1, None] - ay
-    u = dx * ex + dy * ey
-    u *= inv_len2
-    np.maximum(u, 0.0, out=u)  # np.clip, at less call overhead
-    np.minimum(u, 1.0, out=u)
-    dx -= u * ex  # the offset from the foot point
-    dy -= u * ey
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx.argmin(axis=-1)
+def _nearest_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Index of each point's first segment of least squared distance to its
+    clamped foot point (_nearest_foot): p holds the points as (x, y) planes,
+    (2, N, 1) against a table's segment columns seg (SEG_ROWS or 5, 1, W),
+    giving (N,); or (2, 1, N, 1) against a stack's (SEG_ROWS, L, 1, W),
+    giving (L, N)."""
+    u, d = _nearest_foot(p, seg)
+    d -= u * seg[2:4]  # the offset from the foot point
+    d *= d
+    return (d[0] + d[1]).argmin(axis=-1)
 
 
 def _nearest_index(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
@@ -385,49 +427,53 @@ def _nearest_index(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
     survivor, which gives the dense pass's index.
     """
     m = table.n_segments
-    cols = table.cols
+    seg = table.seg
     if len(ps) * m < PRUNE_MIN_PAIRS:
-        idx = _nearest_segments(ps, cols[:, :m])
-    else:
-        first, end = _chunk_runs(ps, table)
-        order = first.argsort()
-        first = first[order]
-        bounds = [0, *((first[1:] != first[:-1]).nonzero()[0] + 1).tolist(), len(ps)]
-        starts = bounds[:-1]
-        ends = np.maximum.reduceat(end[order], starts).tolist()
-        sorted_ps = ps[order]
-        sorted_idx = np.empty(len(ps), dtype=np.intp)
-        for a, b, c0, c1 in zip(starts, bounds[1:], first[starts].tolist(), ends):
-            lo = c0 * CHUNK
-            sorted_idx[a:b] = _nearest_segments(sorted_ps[a:b], cols[:, lo : min(c1 * CHUNK, m)]) + lo
-        idx = np.empty(len(ps), dtype=np.intp)
-        idx[order] = sorted_idx
+        return _nearest_segments(ps.T[:, :, None], seg[:, None, :m])
+    first, end = _chunk_runs(ps, table)
+    order = first.argsort()
+    first = first[order]
+    bounds = [0, *((first[1:] != first[:-1]).nonzero()[0] + 1).tolist(), len(ps)]
+    starts = bounds[:-1]
+    ends = np.maximum.reduceat(end[order], starts).tolist()
+    p = ps.take(order, axis=0).T[:, :, None]
+    sorted_idx = np.empty(len(ps), dtype=np.intp)
+    for a, b, c0, c1 in zip(starts, bounds[1:], first[starts].tolist(), ends):
+        lo = c0 * CHUNK
+        sorted_idx[a:b] = _nearest_segments(p[:, a:b], seg[:, None, lo : min(c1 * CHUNK, m)]) + lo
+    idx = np.empty(len(ps), dtype=np.intp)
+    idx[order] = sorted_idx
     return idx
 
 
-def _nearest_foot(ps: np.ndarray, cols: np.ndarray):
-    """The core of every projection: for points ps (N, 2) and the columns
-    cols (5, ..., N) of each point's chosen segment, the clamped foot
-    parameter u on it and the offset (dx, dy) from the segment start. They
-    are taken by the narrow phase's own arithmetic on the chosen segment, so
-    every value is bit-identical to the dense pass."""
-    ax, ay, ex, ey, inv_len2 = cols
-    dx = ps[:, 0] - ax
-    dy = ps[:, 1] - ay
-    return np.minimum(np.maximum((dx * ex + dy * ey) * inv_len2, 0.0), 1.0), dx, dy
+def _nearest_foot(p: np.ndarray, seg: np.ndarray):
+    """The core of every projection: for points p as (x, y) planes and the
+    columns seg of their segments (broadcast against each other: (2, N) and
+    (rows, N) for each point's chosen segment, or as _nearest_segments
+    lays them out for every segment), the clamped foot parameter u and the
+    offset d (2, ...) from the segment start. Each x/y pair of operations is
+    one call on the stacked planes, and the chosen segment's values come
+    from the narrow phase's own arithmetic, so every value is bit-identical
+    to the dense pass."""
+    d = p - seg[:2]
+    t = d * seg[2:4]
+    u = t[0] + t[1]
+    u *= seg[4]
+    np.maximum(u, 0.0, out=u)  # np.clip, at less call overhead
+    np.minimum(u, 1.0, out=u)
+    return u, d
 
 
-def _projection(ps: np.ndarray, cols: np.ndarray, s0, lengths, head):
-    """(s, lateral, heading, foot point (..., N, 2)) of points ps (N, 2) on
-    their chosen segments: cols as for _nearest_foot, and the segments'
-    start arclengths s0, lengths and headings head."""
-    u, dx, dy = _nearest_foot(ps, cols)
-    ax, ay, ex, ey, _ = cols
-    lateral = -np.sin(head) * (dx - u * ex) + np.cos(head) * (dy - u * ey)
+def _projection(p: np.ndarray, seg: np.ndarray):
+    """(s, lateral, heading, foot point (..., N, 2)) of points p on their
+    chosen segments, p and seg (SEG_ROWS, ..., N) as for _nearest_foot."""
+    u, d = _nearest_foot(p, seg)
+    along = u * seg[2:4]
+    d -= along  # the offset from the foot point
+    d *= seg[8:10]  # by (-sin, cos) of the heading
     foot = np.empty(u.shape + (2,))
-    foot[..., 0] = ax + u * ex
-    foot[..., 1] = ay + u * ey
-    return s0 + u * lengths, lateral, head, foot
+    np.add(seg[:2], along, out=foot.transpose(u.ndim, *range(u.ndim)))
+    return seg[5] + u * seg[6], d[0] + d[1], seg[7], foot
 
 
 def project_arclengths(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
@@ -435,8 +481,9 @@ def project_arclengths(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
     project_points_to_polyline, without lateral, heading or foot point."""
     ps = np.asarray(ps, dtype=float)
     idx = _nearest_index(ps, table)
-    u, _, _ = _nearest_foot(ps, table.cols[:, idx])
-    return table.s[idx] + u * table.lengths[idx]
+    seg = table.seg[:7].take(idx, axis=1)
+    u, _ = _nearest_foot(ps.T, seg)
+    return seg[5] + u * seg[6]
 
 
 def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
@@ -448,35 +495,53 @@ def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     to its clamped foot point (_nearest_index).
     """
     ps = np.asarray(ps, dtype=float)
-    idx = _nearest_index(ps, table)
-    return _projection(ps, table.cols[:, idx], table.s[idx], table.lengths[idx], table.headings[idx])
+    return _projection(ps.T, table.seg.take(_nearest_index(ps, table), axis=1))
+
+
+def project_point_once(x: float, y: float, table: SegmentTable) -> tuple:
+    """(s, lateral, heading), each (1,), of one point on a polyline that is
+    projected only this once, in the bits of project_points_to_polyline.
+
+    The dense narrow phase runs on the table's narrow rows alone, and only
+    the chosen segment's column gets its arclengths, its heading (by
+    math.atan2, as in the segment array) and its -sin and cos, so the
+    table's segment array is never built. lqr_track projects the ego onto
+    its new reference this way on every tick.
+    """
+    p = np.array([[x], [y]])
+    seg = np.empty((SEG_ROWS, table.n_segments))  # rows 5 on: the chosen column only
+    _narrow_rows(table, seg[:5])
+    i = int(_nearest_segments(p[:, :, None], seg[:5, None])[0])
+    chosen = seg[:, i : i + 1]
+    dx, dy = table._d[i].tolist()
+    chosen[5:8, 0] = table.s[i], table.lengths[i], math.atan2(dy, dx)
+    _trig_rows(chosen[7:])
+    s, lateral, heading, _ = _projection(p, chosen)
+    return s, lateral, heading
 
 
 class SegmentStack:
     """Several polylines' segment arrays stacked, for one projection of a
     batch of points onto all of them (project_points_to_polylines).
 
-    Row k holds tables[k]'s segment starts, directions, inverse squared
-    lengths, start arclengths, lengths and headings, padded to the longest
-    polyline by repeating its last segment, as SegmentTable.cols pads its
+    Row k holds tables[k]'s segment array (SegmentTable.seg), padded to the
+    longest polyline by repeating its last segment, as a table pads its
     chunks: a padded copy ties with the real last segment, and the first
-    minimum keeps the real one.
+    minimum keeps the real one. `seg` is (SEG_ROWS, L, 1, W), for the dense
+    narrow phase against (2, 1, N, 1) points.
     """
 
     def __init__(self, tables):
         self.tables = tuple(tables)
         width = max((t.n_segments for t in self.tables), default=1)
-        seg = np.empty((8, len(self.tables), width))
+        seg = np.empty((SEG_ROWS, len(self.tables), width))
         for k, t in enumerate(self.tables):
             m = t.n_segments
-            seg[:5, k, :m] = t.cols[:, :m]
-            seg[5, k, :m] = t.s[:-1]
-            seg[6, k, :m] = t.lengths
-            seg[7, k, :m] = t.headings
+            seg[:, k, :m] = t.seg[:, :m]
             seg[:, k, m:] = seg[:, k, m - 1 : m]
         self.width = width
-        self.cols = seg[:5, :, None, :]  # (5, L, 1, W) against (N, 1) point columns
-        self._flat = seg.reshape(8, -1)  # gathered at row * width + segment
+        self.seg = seg[:, :, None, :]
+        self._flat = seg.reshape(SEG_ROWS, -1)  # gathered at row * width + segment
         self._row_start = (np.arange(len(self.tables)) * width)[:, None]
 
 
@@ -490,9 +555,9 @@ def project_points_to_polylines(ps: np.ndarray, stack: SegmentStack):
     polyline's nearest segments come from _nearest_index, as for one table.
     """
     ps = np.asarray(ps, dtype=float)
+    p = ps.T[:, None]  # (2, 1, N)
     if len(ps) * len(stack.tables) * stack.width < PRUNE_MIN_PAIRS:
-        idx = _nearest_segments(ps, stack.cols)
+        idx = _nearest_segments(p[..., None], stack.seg)
     else:
         idx = np.array([_nearest_index(ps, t) for t in stack.tables])
-    seg = stack._flat[:, idx + stack._row_start]
-    return _projection(ps, seg[:5], *seg[5:])
+    return _projection(p, stack._flat.take(idx + stack._row_start, axis=1))

@@ -21,6 +21,7 @@ from .geometry import (
     point_in_polygon,
     points_in_polygons,
     polygon_as_aabb,
+    project_points_to_polylines,
     rect_corners,
     SegmentStack,
     SegmentTable,
@@ -247,8 +248,10 @@ class Scenario:
         # reversed: of duplicate ids (which validate_scenario rejects) the first wins
         object.__setattr__(self, "_lanes", {lane.id: lane for lane in reversed(self.lanes)})
         object.__setattr__(self, "_chains", {})
+        object.__setattr__(self, "_reversed", {})
         object.__setattr__(self, "_drivable_boxes", None)
         object.__setattr__(self, "_lane_stack", None)
+        object.__setattr__(self, "_on_lanes", (None, None))
 
     def lane_by_id(self, lane_id: str) -> Lane:
         return self._lanes[lane_id]
@@ -277,6 +280,15 @@ class Scenario:
             self._chains[lane_ids] = chain
         return chain
 
+    def reversed_lane(self, lane_id: str) -> SegmentTable:
+        """The lane's centerline run backwards (an opposing lane as a bypass
+        drives it), as a SegmentTable built once and kept, like chain's."""
+        table = self._reversed.get(lane_id)
+        if table is None:
+            table = SegmentTable(self._lanes[lane_id].points[::-1])
+            self._reversed[lane_id] = table
+        return table
+
     @property
     def drivable_boxes(self) -> tuple:
         """polygon_as_aabb of each drivable_area polygon (None if no box), built once."""
@@ -291,6 +303,23 @@ class Scenario:
         if self._lane_stack is None:
             object.__setattr__(self, "_lane_stack", SegmentStack(lane.segments for lane in self.lanes))
         return self._lane_stack
+
+    def on_lanes(self, x: float, y: float) -> tuple:
+        """(arclength (L,), foot point (L, 2)) of the point (x, y) on every
+        lane, in lane order, from one project_points_to_polylines call.
+
+        The last point's result is kept: on a tick, graph_search and
+        augment_with_adjacents ask for the same ego position and share one
+        projection.
+        """
+        key, result = self._on_lanes
+        if key != (x, y):
+            s, _, _, foot = project_points_to_polylines(np.array([[x, y]]), self.lane_stack)
+            result = s[:, 0], foot[:, 0]
+            for a in result:
+                a.flags.writeable = False
+            object.__setattr__(self, "_on_lanes", ((x, y), result))
+        return result
 
     @property
     def lane_ids(self) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import (
-    boxes_overlap,
+    boxes_overlap_trig,
     normalize_angles,
     points_in_polygons,
     project_arclengths,
@@ -116,12 +116,14 @@ class WorldForecast:
         pos0 = np.array([[a.pose.x, a.pose.y] for a in self.agents]).reshape(n, 2)
         heads = np.array([a.pose.heading for a in self.agents])
         speeds = np.array([0.0 if a.kind == "static" else a.speed for a in self.agents])
-        vel = np.empty((n, 2))
-        vel[:, 0], vel[:, 1] = np.cos(heads), np.sin(heads)
-        vel *= speeds[:, None]
-        # (A, S+1, 2)
-        self.positions = pos0[:, None, :] + vel[:, None, :] * t[None, :, None]
-        self.velocities = vel  # (A, 2)
+        trig = np.empty((2, n))
+        np.cos(heads, out=trig[0])
+        np.sin(heads, out=trig[1])
+        vel = trig * speeds  # (2, A)
+        self.planes = pos0.T[:, :, None] + vel[:, :, None] * t  # (2, A, S+1): x and y planes
+        self.positions = self.planes.transpose(1, 2, 0)  # (A, S+1, 2)
+        self.velocities = vel.T  # (A, 2)
+        self.trig = trig  # (2, A): cos and sin of the headings
         self.headings = heads
         self.half_lengths = np.array([a.half_length for a in self.agents])
         self.half_widths = np.array([a.half_width for a in self.agents])
@@ -243,75 +245,100 @@ class ScoreContext:
 BROAD_PHASE_SLACK = 1e-6  # m; keeps the TTC broad phase conservative under rounding
 
 
-def _batch_ttc(pos, heads, speeds, f: WorldForecast, ego_dims, window: float) -> np.ndarray:
+def _batch_ttc(xy, cs, speeds, f: WorldForecast, ego_dims, window: float) -> np.ndarray:
     """Forward-projection clearance flag per proposal (1 = clear).
 
-    Each live sample i (speed > 0.05 m/s) is projected along its heading at
-    sub-steps tau = dt .. J dt and checked against the forecast at step i + j,
-    clamped to the horizon. Broad phase: per (agent, live sample) pair, the
-    ego's projected centres lie on a segment, and so do the agent's forecast
-    centres over its clamped steps; each segment lies in the circle around its
-    midpoint. Only pairs whose circles come within reach get the (pairs, J)
-    centre-distance grid, and only centres within reach get the box test;
-    when a stage leaves no pair, every flag is 1 and the function returns.
+    xy and cs are the samples' positions and their headings' cos and sin as
+    (2, P, S+1) planes. Each live sample i (speed > 0.05 m/s) is projected
+    along its heading at sub-steps tau = dt .. J dt and checked against the
+    forecast at step i + j, clamped to the horizon. Broad phase: per (agent,
+    live sample) pair, the ego's projected centres lie on a segment, and so
+    do the agent's forecast centres over its clamped steps; each segment lies
+    in the circle around its midpoint. Only pairs whose circles come within
+    reach get the (J, pairs) centre-distance grid, pairs along its inner
+    axis, and only centres within reach get the box test; when a stage
+    leaves no pair, every flag is 1 and the function returns. x and y go
+    through each stage as one stacked array, and every stage reads its
+    inputs by flat index with take, at a fraction of a fancy index's cost.
     """
     out = np.ones(len(speeds))
     n_sub = int(window / f.dt)
     if len(f) == 0 or n_sub < 1:
         return out
-    p_l, s_l = (speeds > 0.05).nonzero()  # (L,) live samples
+    width = speeds.shape[1]
+    live = (speeds > 0.05).reshape(-1).nonzero()[0]  # (L,) flat (row, sample) index
+    s_l = live % width
+    v = speeds.reshape(-1).take(live)
+    live_xy = xy.reshape(2, -1).take(live, axis=1)  # (2, L)
+    live_cs = cs.reshape(2, -1).take(live, axis=1)
     taus = np.arange(1, n_sub + 1) * f.dt  # (J,)
-    v = speeds[p_l, s_l]
-    head = heads[p_l, s_l]
-    cos, sin = np.cos(head), np.sin(head)
-    x, y = pos[p_l, s_l, 0], pos[p_l, s_l, 1]
     reach = math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths)  # (A,)
 
     tau_mid, tau_half = 0.5 * (taus[0] + taus[-1]), 0.5 * (taus[-1] - taus[0])
     j0, j1 = np.minimum(s_l + 1, f.steps), np.minimum(s_l + n_sub, f.steps)
     t_mid, t_half = 0.5 * (j0 + j1) * f.dt, 0.5 * (j1 - j0) * f.dt  # (L,)
-    gap_x = f.positions[:, 0, 0, None] + f.velocities[:, 0, None] * t_mid - (x + v * tau_mid * cos)  # (A, L)
-    gap_y = f.positions[:, 0, 1, None] + f.velocities[:, 1, None] * t_mid - (y + v * tau_mid * sin)
+    gap = f.planes[:, :, :1] + f.velocities.T[:, :, None] * t_mid - (live_xy + v * tau_mid * live_cs)[:, None]
+    gap *= gap  # (2, A, L)
     bound = (
         reach[:, None] + v * tau_half + np.hypot(*f.velocities.T)[:, None] * t_half + BROAD_PHASE_SLACK
     )
-    a_i, l_i = (gap_x * gap_x + gap_y * gap_y <= bound * bound).nonzero()
-    if not len(a_i):
+    pair = (gap[0] + gap[1] <= bound * bound).reshape(-1).nonzero()[0]  # flat (agent, live sample)
+    if not len(pair):
         return out
+    a_i = pair // len(live)
+    l_i = pair - a_i * len(live)
 
-    adv = v[l_i, None] * taus  # (pairs, J)
-    j_idx = np.minimum(s_l[l_i, None] + np.arange(1, n_sub + 1), f.steps)
-    dx = f.positions[a_i[:, None], j_idx, 0] - (x[l_i, None] + adv * cos[l_i, None])
-    dy = f.positions[a_i[:, None], j_idx, 1] - (y[l_i, None] + adv * sin[l_i, None])
-    k, j = (dx * dx + dy * dy < (reach**2)[a_i, None]).nonzero()
-    if not len(k):
+    adv = taus[:, None] * v.take(l_i)  # (J, pairs)
+    j_idx = np.minimum(s_l.take(l_i) + np.arange(1, n_sub + 1)[:, None], f.steps)
+    pair_xy = live_xy.take(l_i, axis=1)[:, None]  # (2, 1, pairs)
+    pair_cs = live_cs.take(l_i, axis=1)
+    d = f.planes.reshape(2, -1).take(a_i * (f.steps + 1) + j_idx, axis=1) - (pair_xy + adv * pair_cs[:, None])
+    d2 = d * d  # (2, J, pairs)
+    near = (d2[0] + d2[1] < (reach * reach).take(a_i)).reshape(-1).nonzero()[0]  # flat (sub-step, pair)
+    if not len(near):
         return out
-    a_k = a_i[k]
-    hit = boxes_overlap(
-        dx[k, j], dy[k, j], head[l_i[k]], *ego_dims,
-        f.headings[a_k], f.half_lengths[a_k], f.half_widths[a_k],
+    k = near % len(pair)
+    a_k = a_i.take(k)
+    dk = d.reshape(2, -1).take(near, axis=1)
+    ego_cs = pair_cs.take(k, axis=1)
+    agent_cs = f.trig.take(a_k, axis=1)
+    hit = boxes_overlap_trig(
+        dk[0], dk[1], ego_cs[0], ego_cs[1], *ego_dims,
+        agent_cs[0], agent_cs[1], f.half_lengths.take(a_k), f.half_widths.take(a_k),
     )
-    out[p_l[l_i[k[hit]]]] = 0.0
+    out[live.take(l_i.take(k[hit])) // width] = 0.0
     return out
 
 
+# The |x| <= bound tests of the comfort term: yaw rate, jerk, yaw acceleration
+# and lateral acceleration, in the order _batch_comfort stacks them.
+_COMFORT_ABS_BOUNDS = np.array([COMFORT_YAW_RATE, COMFORT_JERK, COMFORT_YAW_ACCEL, COMFORT_LAT_ACCEL])[:, None, None]
+
+
 def _batch_comfort(speeds, heads, dt) -> np.ndarray:
-    a_lon = (speeds[:, 1:] - speeds[:, :-1]) / dt
-    yaw_rate = normalize_angles(heads[:, 1:] - heads[:, :-1]) / dt
-    a_lat = speeds[:, :-1] * yaw_rate
-    # Jerk and yaw acceleration are 0 at the first step.
-    jerk = np.zeros(a_lon.shape)
-    jerk[:, 1:] = (a_lon[:, 1:] - a_lon[:, :-1]) / dt
-    yaw_acc = np.zeros(yaw_rate.shape)
-    yaw_acc[:, 1:] = (yaw_rate[:, 1:] - yaw_rate[:, :-1]) / dt
-    ok = (
-        (a_lon <= COMFORT_ACCEL_MAX)
-        & (a_lon >= -COMFORT_DECEL_MAX)
-        & (np.abs(a_lat) <= COMFORT_LAT_ACCEL)
-        & (np.abs(jerk) <= COMFORT_JERK)
-        & (np.abs(yaw_rate) <= COMFORT_YAW_RATE)
-        & (np.abs(yaw_acc) <= COMFORT_YAW_ACCEL)
-    )
+    """Share of each row's steps inside the nuPlan comfort bounds.
+
+    The step quantities are stacked in one buffer: longitudinal acceleration
+    and yaw rate, then jerk and yaw acceleration (their differences, taken in
+    one call on the flattened pair, each row's first step then set to 0),
+    then lateral acceleration. The four |x| <= bound tests are one stacked
+    comparison.
+    """
+    q = np.empty((5, len(speeds), speeds.shape[1] - 1))
+    a_lon, yaw_rate, _, _, a_lat = q
+    np.subtract(speeds[:, 1:], speeds[:, :-1], out=a_lon)
+    a_lon /= dt
+    np.divide(normalize_angles(heads[:, 1:] - heads[:, :-1]), dt, out=yaw_rate)
+    np.multiply(speeds[:, :-1], yaw_rate, out=a_lat)
+    rates, accel = q[:2].reshape(2, -1), q[2:4].reshape(2, -1)
+    np.subtract(rates[:, 1:], rates[:, :-1], out=accel[:, 1:])
+    accel[:, 1:] /= dt
+    q[2:4, :, 0] = 0.0  # jerk and yaw acceleration are 0 at the first step
+    dev = q[1:]
+    np.absolute(dev, out=dev)
+    ok = np.logical_and.reduce(dev <= _COMFORT_ABS_BOUNDS, axis=0)
+    ok &= a_lon <= COMFORT_ACCEL_MAX
+    ok &= a_lon >= -COMFORT_DECEL_MAX
     return ok.mean(axis=1)
 
 
@@ -320,8 +347,9 @@ def _batch_direction(s, path_index, paths) -> np.ndarray:
     paths[path_index], path index -1 taking the last path: 1 below DIR_EPS m
     of travel against the lane direction, 0.5 below DIR_TOL m, else 0."""
     opposing = np.empty((len(s), s.shape[1] - 1), dtype=bool)
-    for j, path in enumerate(paths):
-        rows = path_index == (j if j < len(paths) - 1 else -1)
+    for j in set(path_index.tolist()):
+        rows = path_index == j
+        path = paths[j]
         seg = path.s.searchsorted(s[rows, :-1], side="right") - 1
         opposing[rows] = path.opposing_mask[np.minimum(np.maximum(seg, 0), len(path.opposing_mask) - 1)]
     ds = s[:, 1:] - s[:, :-1]
@@ -375,15 +403,33 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     for rows without one), c_ep (route gain over the best gain) and c_cf
     (nuPlan comfort bounds). goal_cost is the end point's distance to the goal.
 
+    The samples are read once as one contiguous copy of their (x, y)
+    planes, (2, P, S+1), and their headings' cos and sin are taken once as
+    two more planes. The collision term takes the (agent, row, sample)
+    offsets in x and y from one subtraction against the forecast's planes,
+    and its box test reads the trig planes (and the forecast's) by flat
+    index; the drivable-area term lays the footprint corners out
+    corner-first, (4, P, S+1) per plane; _batch_ttc reads both planes by
+    flat index and runs its sub-step grid as (J, pairs) on stacked x/y; and
+    _batch_comfort makes its four |x| <= bound tests one comparison.
+
     The route is projected once per call, arclengths only: the distinct row
     starts, every row's end point (for the gains) and every sample of the
     appended rows (for their direction term; rollout rows carry their own
     arclength). The collision term skips its box test when no (row, agent,
     sample) centre pair is within reach, as _batch_ttc does; both are exact.
+    The direction term runs only on the rows that can travel against their
+    path: appended rows, and rollout rows on a path with an opposing flag. A
+    rollout row's arclength never decreases (the rollout's speed is never
+    negative), so every other row's credit is exactly 1.
     """
     n = len(proposals)
     steps = proposals.horizon_steps
     pos, heads, speeds = proposals.positions, proposals.headings, proposals.speeds
+    xy = pos.transpose(2, 0, 1).copy()  # (2, P, S+1)
+    cs = np.empty(xy.shape)  # cos and sin of the headings
+    np.cos(heads, out=cs[0])
+    np.sin(heads, out=cs[1])
     f = ctx.forecast
     route = ctx.route_path
     if steps != f.steps:
@@ -392,20 +438,25 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     # Multiplicative terms; collision pairs prefiltered by center distance.
     cols = np.ones(n)
     if len(f):
+        samples = n * (steps + 1)
         reach = math.hypot(*ctx.ego_dims) + np.hypot(f.half_lengths, f.half_widths)  # (A,)
-        dx = f.positions[None, :, :, 0] - pos[:, None, :, 0]  # (P, A, S+1)
-        dy = f.positions[None, :, :, 1] - pos[:, None, :, 1]
-        near = dx * dx + dy * dy < (reach**2)[None, :, None]
-        p_i, a_i, s_i = near.nonzero()
-        if len(p_i):
-            hit = boxes_overlap(
-                dx[p_i, a_i, s_i], dy[p_i, a_i, s_i], heads[p_i, s_i], *ctx.ego_dims,
-                f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
+        d = f.planes[:, :, None] - xy[:, None]  # (2, A, P, S+1)
+        d2 = d * d
+        near = (d2[0] + d2[1] < (reach * reach)[:, None, None]).reshape(-1).nonzero()[0]  # flat (agent, row, sample)
+        if len(near):
+            a_i = near // samples
+            sample = near - a_i * samples  # flat (row, sample)
+            dk = d.reshape(2, -1).take(near, axis=1)
+            ego_cs = cs.reshape(2, -1).take(sample, axis=1)
+            agent_cs = f.trig.take(a_i, axis=1)
+            hit = boxes_overlap_trig(
+                dk[0], dk[1], ego_cs[0], ego_cs[1], *ctx.ego_dims,
+                agent_cs[0], agent_cs[1], f.half_lengths.take(a_i), f.half_widths.take(a_i),
             )
-            cols[p_i[hit]] = 0.0
-    wx, wy = rect_corners_batch(pos, heads, *ctx.ego_dims)  # each (P, S+1, 4)
+            cols[sample[hit] // (steps + 1)] = 0.0
+    wx, wy = rect_corners_batch(xy, cs, *ctx.ego_dims)  # each (4, P, S+1)
     inside = points_in_polygons(wx, wy, ctx.scenario.drivable_area, ctx.scenario.drivable_boxes)
-    ras = inside.all(axis=(1, 2)).astype(float)
+    ras = np.logical_and.reduce(inside, axis=(0, 2)).astype(float)
 
     # Route arclengths in one projection call: each distinct row start once
     # (in practice all rows start at the ego pose; otherwise by np.unique on
@@ -433,7 +484,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     exempt = feasible_gain < ctx.min_progress
     mps = np.where(stall & ~exempt, 0.0, 1.0)
 
-    c_ttcs = _batch_ttc(pos, heads, speeds, f, ctx.ego_dims, TTC_WINDOW)
+    c_ttcs = _batch_ttc(xy, cs, speeds, f, ctx.ego_dims, TTC_WINDOW)
     c_cfs = _batch_comfort(speeds, heads, proposals.dt)
     if max_gain <= 0:
         c_eps = np.ones(n)
@@ -447,14 +498,16 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     paths = proposals.paths + (route,)
     limits = np.array([p.speed_limit for p in paths])[proposals.path_index]
     c_sps = 1.0 - (speeds > (limits + SPEED_TOL)[:, None]).mean(axis=1)
-    s = proposals.s_track
-    if len(s_route) > k + n:
-        s = s.copy()
-        s[appended] = s_route[k + n :].reshape(-1, steps + 1)
-    c_drs = _batch_direction(s, proposals.path_index, paths)
+    may_oppose = np.array([np.count_nonzero(p.opposing_mask) > 0 for p in proposals.paths] + [True])
+    (rows,) = may_oppose[proposals.path_index].nonzero()
+    c_drs = np.ones(n)
+    if len(rows):
+        s = proposals.s_track[rows]
+        s[appended[rows]] = s_route[k + n :].reshape(-1, steps + 1)
+        c_drs[rows] = _batch_direction(s, proposals.path_index[rows], paths)
 
     goal = ctx.scenario.goal
-    goal_costs = np.hypot(pos[:, -1, 0] - goal.x, pos[:, -1, 1] - goal.y)
+    goal_costs = np.hypot(xy[0, :, -1] - goal.x, xy[1, :, -1] - goal.y)
     objectives = (c_ttcs, c_drs, c_sps, c_eps, c_cfs)
     return Scores(
         cols, ras, mps, *objectives, goal_costs,

@@ -33,7 +33,7 @@ from .geometry import (
     boxes_overlap,
     normalize_angle,
     normalize_angles,
-    project_points_to_polyline,
+    project_point_once,
     project_points_to_polylines,
     SegmentTable,
 )
@@ -203,7 +203,7 @@ def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()
     pts = reference.positions
     table = SegmentTable(pts)
     s_cum = table.s
-    (s,), (e_lat,), (ref_head,), _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), table)
+    (s,), (e_lat,), (ref_head,) = project_point_once(ego.pose.x, ego.pose.y, table)
     e_head = normalize_angle(ego.pose.heading - ref_head)
 
     idx = min(max(int(s_cum.searchsorted(s, side="right")) - 1, 0), len(pts) - 2)

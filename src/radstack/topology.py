@@ -24,7 +24,6 @@ from .geometry import (
     normalize_angle,
     project_arclengths,
     project_points_to_polyline,
-    project_points_to_polylines,
     SegmentTable,
 )
 from .scene import EgoState, Pose2, Scenario
@@ -161,10 +160,10 @@ def graph_search(
     past the end of every chain it can root on (a dead end).
     """
     ego_xy = (ego.pose.x, ego.pose.y)
-    s, _, _, foot = project_points_to_polylines(np.array([ego_xy]), scenario.lane_stack)
-    s_on_lane = dict(zip(scenario.lane_ids, s[:, 0].tolist()))
+    s, foot = scenario.on_lanes(*ego_xy)
+    s_on_lane = dict(zip(scenario.lane_ids, s.tolist()))
     # The distance to the foot point orders the candidates.
-    dist = np.hypot(ego_xy[0] - foot[:, 0, 0], ego_xy[1] - foot[:, 0, 1]).tolist()
+    dist = np.hypot(ego_xy[0] - foot[:, 0], ego_xy[1] - foot[:, 1]).tolist()
     reachable = [
         (d, lane.id)
         for lane, d in zip(scenario.lanes, dist)
@@ -220,7 +219,7 @@ def _adjacent_chain_start(scenario, path: ProposalPath, side: str):
 def _splice_opposing(scenario, opp_lane_id, base: ProposalPath, ego_xy, horizon_length):
     """Reversed opposing centerline for a bounded bypass, spliced back to the route."""
     opp = scenario.lane_by_id(opp_lane_id)
-    rev = SegmentTable(opp.points[::-1])
+    rev = scenario.reversed_lane(opp_lane_id)
     (s0,), _, _, foot = project_points_to_polyline(np.array([ego_xy]), rev)
     s_end = min(s0 + BYPASS_LENGTH, rev.length)
     keep = (rev.s > s0 + 1e-9) & (rev.s < s_end - 1e-9)
@@ -259,7 +258,6 @@ def augment_with_adjacents(
     out = list(paths)
     seen = {p.lane_sequence for p in paths}
     ego_xy = (ego.pose.x, ego.pose.y)
-    s_on_lanes = None  # the ego's arclength on every lane, projected on first need
     for base in paths:
         if base.source != "ego_route":
             continue
@@ -278,9 +276,7 @@ def augment_with_adjacents(
                 continue
             if not enable_adjacents:
                 continue
-            if s_on_lanes is None:
-                s_on_lanes = project_points_to_polylines(np.array([ego_xy]), scenario.lane_stack)[0][:, 0].tolist()
-            s_ego = s_on_lanes[scenario.lane_ids.index(adj_id)]
+            s_ego = float(scenario.on_lanes(*ego_xy)[0][scenario.lane_ids.index(adj_id)])
             for chain in _enumerate_chains(scenario, adj_id, s_ego, horizon_length):
                 if chain in seen:
                     continue

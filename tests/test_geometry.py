@@ -15,6 +15,7 @@ from radstack.geometry import (
     points_in_polygons,
     polygon_as_aabb,
     project_arclengths,
+    project_point_once,
     project_points_to_polyline,
     project_points_to_polylines,
     SegmentStack,
@@ -36,6 +37,26 @@ def test_normalize_angle_range():
 @given(st.floats(-50, 50))
 def test_normalize_angles_matches_scalar(a):
     assert normalize_angles(np.array([a]))[0] == pytest.approx(normalize_angle(a), abs=1e-12)
+
+
+def _normalize_angles_by_mod(a):
+    """The wrap by np.mod and two np.where: the tests' bitwise reference for normalize_angles."""
+    out = np.mod(a, 2.0 * math.pi)
+    out = np.where(out > math.pi, out - 2.0 * math.pi, out)
+    return np.where(out <= -math.pi, out + 2.0 * math.pi, out)
+
+
+_ANGLE_EDGES = [k * m * math.pi + e for k in range(-6, 7) for m in (1.0, 2.0) for e in (0.0, 1e-15, -1e-15)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_ANGLE_EDGES)), min_size=1, max_size=60))
+def test_normalize_angles_matches_np_mod_form_bitwise(a):
+    # zeros of both signs, exact multiples of pi, huge values, inf and nan
+    a = np.array(a + [0.0, -0.0])
+    with np.errstate(invalid="ignore"):
+        got, want = normalize_angles(a), _normalize_angles_by_mod(a)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_rect_corners_axis_aligned():
@@ -221,6 +242,24 @@ def _assert_bitwise(got, ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+ONE_POINT_CHECKS = 8  # points per example also projected one at a time
+
+
+def _assert_warm_and_one_point_paths(ps, pts, want):
+    """want is the projection of ps onto the polyline pts. A table whose
+    segment array an earlier call built gives it in every bit, and so does
+    project_point_once, point by point, on a table whose array it never
+    builds (lqr_track's path)."""
+    warm = SegmentTable(pts)
+    project_arclengths(pts[-1:], warm)  # builds the segment array
+    assert warm._seg is not None
+    _assert_bitwise(project_points_to_polyline(ps, warm), want)
+    for i in range(min(len(ps), ONE_POINT_CHECKS)):
+        fresh = SegmentTable(pts)
+        _assert_bitwise(project_point_once(*ps[i].tolist(), fresh), [a[i : i + 1] for a in want[:3]])
+        assert fresh._seg is None
+
+
 @st.composite
 def _random_polyline_case(draw):
     """A random polyline, a batch of query points, and no hand oracle.
@@ -290,6 +329,7 @@ def test_projection_matches_reference_and_sampling_oracle(case):
     table = SegmentTable(pts)
     s, lateral, head, foot = got = project_points_to_polyline(ps, table)
     _assert_bitwise(got, reference_project_points(ps, pts))
+    _assert_warm_and_one_point_paths(ps, pts, got)
 
     d = np.hypot(*(ps - foot).T)
     for i in range(min(len(ps), ORACLE_POINTS)):
@@ -368,6 +408,7 @@ def test_pruned_projection_matches_dense_reference_bitwise(case):
     for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then the broad phase always
         with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
             _assert_bitwise(project_points_to_polyline(ps, table), ref)
+            _assert_warm_and_one_point_paths(ps, pts, ref)
 
 
 @st.composite

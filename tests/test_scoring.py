@@ -12,6 +12,7 @@ from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
 from radstack.scene import AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
 from radstack.scoring import (
     RELAX_FLOOR,
+    SPEED_TOL,
     TTC_WINDOW,
     RelaxationState,
     ScoreContext,
@@ -26,13 +27,14 @@ from radstack.scoring import (
     score_proposals,
     select_best,
 )
-from radstack.topology import ProposalPath, graph_search
+from radstack.topology import ProposalPath, augment_with_adjacents, graph_search
 
 from conftest import (
     rect,
     reference_batch_comfort,
     reference_batch_direction,
     reference_points_in_polygons,
+    reference_project_points,
     static_car,
     straight_path,
     straight_scenario,
@@ -160,7 +162,7 @@ def test_rows_beyond_every_agents_reach_skip_the_pair_stages(monkeypatch, plain_
 
     free = score_proposals(ps, ctx([]))
     f = ctx(agents).forecast
-    monkeypatch.setattr(scoring, "boxes_overlap", None)  # any call fails
+    monkeypatch.setattr(scoring, "boxes_overlap_trig", None)  # any call fails
     got = score_proposals(ps, ctx(agents))
     assert np.array_equal(got.c_col, _reference_collision(ps.positions, ps.headings, f, (2.3, 0.95)))
     assert np.array_equal(got.c_ttc, _reference_batch_ttc(ps.positions, ps.headings, ps.speeds, f, (2.3, 0.95), TTC_WINDOW))
@@ -283,6 +285,11 @@ def test_goal_cost_hypot_oracle(dx, dy):
 # -- TTC broad phase ------------------------------------------------------------
 
 
+def _planes(pos, heads):
+    """The samples' positions and their headings' cos and sin as (2, P, S+1) planes, as the scorer reads them."""
+    return pos.transpose(2, 0, 1).copy(), np.stack([np.cos(heads), np.sin(heads)])
+
+
 def _reference_batch_ttc(pos, heads, speeds, f, ego_dims, window):
     """The TTC flags from the full (agents, live samples, sub-steps) grid."""
     out = np.ones(len(speeds))
@@ -373,7 +380,7 @@ def test_batch_ttc_broad_phase_matches_full_grid(case, window):
     single[np.arange(len(p)), k] = speeds[p, k]
     for rows in ((pos, heads, speeds), (pos[p], heads[p], single)):
         expected = _reference_batch_ttc(*rows, f, ego_dims, window)
-        assert np.array_equal(_batch_ttc(*rows, f, ego_dims, window), expected)
+        assert np.array_equal(_batch_ttc(*_planes(*rows[:2]), rows[2], f, ego_dims, window), expected)
 
 
 # -- relaxation ----------------------------------------------------------------
@@ -562,8 +569,8 @@ def test_drivable_term_matches_the_union_of_polygons_bitwise(polygons, poses):
     ctx = replace(_score_context(scenario, straight_path(scenario)), forecast=forecast_agents([], 10, 0.1))
     ctx.ego_dims = (2.0, 1.0)
     c_ra = score_proposals(ps, ctx).c_ra
-    corners = np.stack(rect_corners_batch(ps.positions, ps.headings, *ctx.ego_dims), axis=-1)
-    inside = reference_points_in_polygons(corners.reshape(-1, 2), polygons)
+    corners = rect_corners_batch(*_planes(ps.positions, ps.headings), *ctx.ego_dims)  # (2, 4, P, 11)
+    inside = reference_points_in_polygons(corners.transpose(2, 1, 3, 0).reshape(-1, 2), polygons)
     want = inside.reshape(len(ps), 11 * 4).all(axis=1).astype(float)
     assert c_ra.shape == want.shape == (len(poses),)
     assert np.array_equal(c_ra.view(np.int64), want.view(np.int64))
@@ -579,6 +586,82 @@ def test_scoring_an_empty_set_returns_empty_scores():
     assert len(scores) == 0
     for name in ("c_col", "c_ra", "c_mp", "c_ttc", "c_dr", "c_sp", "c_ep", "c_cf", "goal_cost", "aggregate"):
         assert getattr(scores, name).shape == (0,)
+
+
+def _mixed_set():
+    """deadlock_pair with two moving vehicles (one oncoming in the opposing
+    lane, one ahead in the route lane), its route and opposing-bypass paths
+    and their rollout rows, then three appended rows: one over the speed
+    limit, one creeping backwards, one swerving into the opposing lane."""
+    scenario = generate_synthetic_scenario("deadlock_pair", 1)
+    movers = (
+        AgentState("oncoming", Pose2(30.0, 1.8, math.pi), 6.0, 2.3, 1.0, "vehicle"),
+        AgentState("lead", Pose2(14.0, -1.8, 0.0), 3.0, 2.3, 1.0, "vehicle"),
+    )
+    scenario = replace(scenario, agents=scenario.agents + movers)
+    ego = scenario.ego
+    paths = augment_with_adjacents(graph_search(ego, scenario), scenario, ego, enable_opposing=True)
+    cfg = ProposalConfig()
+    ps = generate_proposals(ego, paths, scenario.agents, cfg)
+    t = np.arange(cfg.horizon_steps + 1) * cfg.dt
+    pos = np.empty((3, len(t), 2))
+    pos[:, :, 1] = ego.pose.y
+    pos[0, :, 0] = ego.pose.x + 9.0 * t
+    pos[1, :, 0] = ego.pose.x + 1.0 - 0.5 * t
+    pos[2, :, 0] = ego.pose.x + 5.0 * t
+    pos[2, :, 1] += 3.6 * np.minimum(t / 2.0, 1.0)
+    heads = np.zeros((3, len(t)))
+    heads[2, 1:] = np.arctan2(np.diff(pos[2, :, 1]), np.diff(pos[2, :, 0]))
+    speeds = np.array([9.0, 0.5, 5.0])[:, None].repeat(len(t), axis=1)
+    ps.append(cfg.dt, pos, heads, speeds, ("learned", "vocabulary", "learned_offset"))
+    forecast = forecast_agents(scenario.agents, cfg.horizon_steps, cfg.dt)
+    return ps, ScoreContext(scenario=scenario, forecast=forecast, route_path=paths[0], goal_norm=100.0)
+
+
+def test_scores_of_a_mixed_set_match_the_references_bitwise():
+    ps, ctx = _mixed_set()
+    got = score_proposals(ps, ctx)
+    pos, heads, speeds, f, route = ps.positions, ps.headings, ps.speeds, ctx.forecast, ctx.route_path
+    paths = ps.paths + (route,)
+    n, width = len(ps), ps.horizon_steps + 1
+    appended = ps.path_index < 0
+    opposing_rows = np.array([paths[j].opposing_mask.any() for j in ps.path_index]) & ~appended
+    # The set holds what each term's shortcut must not skip.
+    assert appended.sum() == 3 and opposing_rows.any()
+    for name in ("c_col", "c_ra", "c_ttc", "c_sp"):
+        assert set(getattr(got, name).tolist()) == {0.0, 1.0}, name
+
+    corners = rect_corners_batch(*_planes(pos, heads), *ctx.ego_dims)  # (2, 4, P, S+1)
+    inside = reference_points_in_polygons(corners.transpose(2, 1, 3, 0).reshape(-1, 2), ctx.scenario.drivable_area)
+    c_ra = inside.reshape(n, -1).all(axis=1).astype(float)
+    c_col = _reference_collision(pos, heads, f, ctx.ego_dims)
+    s_start = reference_project_points(pos[:, 0], route.points)[0]
+    s_end = reference_project_points(pos[:, -1], route.points)[0]
+    gains = s_end - s_start
+    feasible = c_col * c_ra > 0
+    exempt = (gains[feasible].max() if feasible.any() else 0.0) < ctx.min_progress
+    c_mp = np.where((gains < ctx.min_progress) & ~exempt, 0.0, 1.0)
+    c_ep = np.minimum(1.0, np.maximum(gains, 0.0) / np.maximum(gains, 0.0).max())
+    limits = np.array([p.speed_limit for p in paths])[ps.path_index]
+    c_sp = 1.0 - (speeds > (limits + SPEED_TOL)[:, None]).mean(axis=1)
+    s = ps.s_track.copy()
+    s[appended] = reference_project_points(pos[appended].reshape(-1, 2), route.points)[0].reshape(-1, width)
+    c_dr = reference_batch_direction(s, ps.path_index, paths)
+    assert (c_dr[opposing_rows] < 1.0).any() and (c_dr[appended] < 1.0).any()
+    c_ttc = _reference_batch_ttc(pos, heads, speeds, f, ctx.ego_dims, TTC_WINDOW)
+    c_cf = reference_batch_comfort(speeds, heads, ps.dt)
+    goal = ctx.scenario.goal
+    goal_cost = np.hypot(pos[:, -1, 0] - goal.x, pos[:, -1, 1] - goal.y)
+    agg = np.array([
+        _reference_aggregate(*row[:3], row[3:8], row[8], ctx.weights, ctx.relax, ctx.goal_norm)
+        for row in zip(c_col, c_ra, c_mp, c_ttc, c_dr, c_sp, c_ep, c_cf, goal_cost)
+    ])
+    want = dict(
+        c_col=c_col, c_ra=c_ra, c_mp=c_mp, c_ttc=c_ttc, c_dr=c_dr, c_sp=c_sp, c_ep=c_ep, c_cf=c_cf,
+        goal_cost=goal_cost, aggregate=agg,
+    )
+    for name, ref in want.items():
+        assert np.array_equal(getattr(got, name).view(np.int64), ref.view(np.int64)), name
 
 
 def _score_context(scenario, path, agents=(), relax=RelaxationState(), weights=None):

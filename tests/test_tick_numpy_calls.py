@@ -29,6 +29,7 @@ WRAPPERS = (
     "argmax",
     "append",
     "unique",
+    "moveaxis",
 )
 
 # The episode step's calls in run_episode, outside Planner.plan.
