@@ -30,6 +30,8 @@ CORRIDOR_HALF_WIDTH = 2.0  # m, lead-agent lateral band (widened per agent size)
 CORRIDOR_MARGIN = 0.3  # m, extra clearance beyond summed half widths
 CREEP_SPEED = 1.0  # m/s, approach cap while maneuvering around a lead
 CREEP_MIN_GAP = 1.2  # m, bumper gap floor while creeping
+MIN_DT = 0.01  # s, smallest sampling step: the scorer's TTC grid has TTC_WINDOW / dt
+# sub-steps per step (95 at this floor) over horizon / dt steps, so it grows as 1 / dt**2
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,12 @@ class ProposalConfig:
             raise ValueError("ProposalConfig.offsets must contain 0 (the centerline)")
         if any(abs(o) > MAX_OFFSET for o in self.offsets):
             raise ValueError(f"ProposalConfig.offsets must lie in [-{MAX_OFFSET}, {MAX_OFFSET}] m")
+        if not self.speed_fractions:
+            raise ValueError("ProposalConfig.speed_fractions must not be empty")
         if any(f <= 0 or f > 1 for f in self.speed_fractions):
             raise ValueError("ProposalConfig.speed_fractions must lie in (0, 1]")
         number(self.horizon, "ProposalConfig.horizon", ValueError, above=0)
-        number(self.dt, "ProposalConfig.dt", ValueError, above=0)
+        number(self.dt, "ProposalConfig.dt", ValueError, at_least=MIN_DT)
         steps = self.horizon / self.dt
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
             raise ValueError("ProposalConfig.horizon must be a multiple of dt")
@@ -228,7 +232,9 @@ def _step_kernel(
     take the same operation share one call as rows of a stacked buffer, and
     the row state reaches its (row, column) pairs by one flat take.
 
-    Lead columns: the A agents, then, when any row's path ends at a terminus,
+    Lead columns: the A agents (_rollout_rows passes only those that can
+    lead some row, see its docstring for why the result is the same to the
+    bit), then, when any row's path ends at a terminus,
     the path end as one more column: at path_len with half length 0, speed 0,
     an infinite band and no bypass. Its gap ((path_len - s) - 0) - ehl has the
     bits of the terminus gap (path_len - s) - ehl. Its lead test value stands
@@ -408,6 +414,19 @@ def _step_kernel(
     v[:] = v_now
 
 
+def _can_lead(a_s, a_vlon, ego_s, dt, steps):
+    """(A,) mask of the agents that can lead some row: those whose largest
+    horizon arclength passes ego_s + 1e-9 on some path.
+
+    a_s and a_vlon are (paths, A), ego_s is (paths,). An agent's arclength at
+    step k is _step_kernel's a_s + a_vlon * (k * dt), monotone in k under
+    rounding, so its largest value over the steps 0..steps-1 is at one end:
+    max(a_s, a_s + a_vlon * ((steps - 1) * dt)). A NaN there keeps the agent.
+    """
+    reach = _maximum(a_s, a_s + a_vlon * ((steps - 1) * dt))
+    return ~_less_equal(reach, (ego_s + 1e-9)[:, None]).all(axis=0)
+
+
 def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, agents, cfg: ProposalConfig):
     """Roll out many (path, offset, v0) rows in one vectorized loop.
 
@@ -417,6 +436,16 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     slice. The ego and all agents are projected onto each path in one call,
     the ego as point 0. Returns (positions (n, S+1, 2), headings, speeds,
     arclengths along each row's path), the last three (n, S+1).
+
+    The kernel's lead columns are only the agents that can lead some row
+    (_can_lead); the others are dropped before the rows are expanded, and
+    with none left the kernel takes its lead-free step. The cut is exact:
+    - a row's arclength never decreases (its speed stays >= 0), so a dropped
+      agent fails the lead test s_ak <= s + 1e-9 at every step;
+    - the kept columns keep their order, so argmin still takes the first of
+      equal gaps;
+    - a row with no lead keeps gap = inf, so q = s_star / gap is 0 whatever
+      v_lead the new column 0 gives, and its bypass stays False.
     """
     n = len(path_of_row)
     steps = cfg.horizon_steps
@@ -441,6 +470,11 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
             ag[0, j], ag[1, j] = s_j[1:], l_j[1:]
             ag[2, j] = speed * np.cos(heading - table.headings[table.segment_index(s_j[1:])])
 
+    if n_agents:
+        lead = _can_lead(ag[0], ag[2], ego_sl[0], dt, steps)
+        if np.count_nonzero(lead) < n_agents:
+            ag, half_length, half_width = ag[:, :, lead], half_length[lead], half_width[lead]
+            n_agents = ag.shape[2]
     a_s, a_lat, a_vlon = ag[:, path_of_row]  # each (n, A)
     if n_agents:
         band = np.maximum(CORRIDOR_HALF_WIDTH, half_width + ego.half_width + CORRIDOR_MARGIN)

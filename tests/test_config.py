@@ -175,6 +175,19 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
             "run: proposal.offsets: ProposalConfig.offsets must lie in [-3.0, 3.0] m\n",
         ),
         (
+            {"proposal": {"speed_fractions": []}},
+            "run: proposal.speed_fractions: ProposalConfig.speed_fractions must not be empty\n",
+        ),
+        # Rejected before any planner runs: the TTC grid at dt = 1e-9 would need gigabytes.
+        (
+            {"proposal": {"dt": 1e-9, "horizon": 1e-8}},
+            "run: proposal.dt, proposal.horizon: ProposalConfig.dt: expected a finite number >= 0.01, got 1e-09\n",
+        ),
+        (
+            {"proposal": {"dt": 0.001}},
+            "run: proposal.dt: ProposalConfig.dt: expected a finite number >= 0.01, got 0.001\n",
+        ),
+        (
             {"weights": {"w_ttc": 0, "w_dr": 0, "w_sp": 0, "w_ep": 0, "w_cf": 0}},
             "run: weights.w_ttc, weights.w_dr, weights.w_sp, weights.w_ep, weights.w_cf: "
             "at least one objective weight must be positive\n",

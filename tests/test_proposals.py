@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from radstack import proposals
 from radstack.proposals import (
     B_HARD,
     CORRIDOR_MARGIN,
@@ -13,7 +14,9 @@ from radstack.proposals import (
     LATERAL_RATE,
     LATERAL_SPEED_RATIO,
     IdmParams,
+    MIN_DT,
     ProposalConfig,
+    _can_lead,
     _rollout_rows,
     _step_kernel,
     generate_proposals,
@@ -207,6 +210,23 @@ def test_config_requires_centerline_offset():
         ProposalConfig(offsets=(-1.0, 1.0))
     with pytest.raises(ValueError):
         ProposalConfig(speed_fractions=(0.0, 1.0))
+
+
+def test_config_rejects_empty_speed_fractions():
+    # An empty tuple passes the range check vacuously and leaves no proposal to select.
+    with pytest.raises(ValueError, match="^ProposalConfig.speed_fractions must not be empty$"):
+        ProposalConfig(speed_fractions=())
+
+
+@pytest.mark.parametrize("dt, horizon", [(1e-9, 1e-8), (0.005, 4.0), (np.nextafter(MIN_DT, 0.0), 1.0)])
+def test_config_rejects_dt_below_its_floor(dt, horizon):
+    # Constructor only: a planner at such a dt builds a TTC grid that grows as 1 / dt**2.
+    with pytest.raises(ValueError, match=r"^ProposalConfig.dt: expected a finite number >= 0.01, got "):
+        ProposalConfig(dt=dt, horizon=horizon)
+
+
+def test_config_accepts_dt_at_its_floor():
+    assert ProposalConfig(dt=MIN_DT, horizon=4.0).horizon_steps == 400
 
 
 def test_rollout_rejects_large_offset():
@@ -571,15 +591,89 @@ def _bend_case():
     return _rows_case(scenario.ego, paths[:1], [3], [0.0, 1.0, -1.0], [5.0, 10.0, 15.0], agents)
 
 
+def _assert_bitwise_equal(new, ref):
+    for a, b in zip(new, ref):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(case=_rollout_case())
 @example(case=_bend_case())
 def test_rollout_rows_match_reference_set_up_bitwise(case):
     # One [ego; agents] projection per path, the agents' path heading read
-    # from the segment table and the rebuild on row slices must give the
-    # per-path projections and boolean-mask rebuild of the reference to the bit.
+    # from the segment table, the lead-column cut and the rebuild on row
+    # slices must give the per-path projections, every agent column and
+    # boolean-mask rebuild of the reference to the bit.
+    _assert_bitwise_equal(_rollout_rows(**case), reference_rollout_rows(**case))
+
+
+def _kernel_columns(monkeypatch):
+    """The agent-column count of each _step_kernel call, as a list filled while the test runs."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args[13].shape[1])  # a_s, (n, A)
+        return _step_kernel(*args)
+
+    monkeypatch.setattr(proposals, "_step_kernel", spy)
+    return seen
+
+
+def _straight_rows_case(agents):
+    s = straight_scenario(ego_speed=8.0)
+    return _rows_case(s.ego, (straight_path(s),), [3], [0.0, 1.0, -1.0], [5.0, 10.0, 15.0], agents)
+
+
+def test_rollout_drops_a_static_car_behind_the_ego_bitwise(monkeypatch):
+    # The path starts at the ego, so the car projects to s = 0 and never passes s + 1e-9.
+    case = _straight_rows_case([static_car("behind", -10.0, 0.0)])
+    seen = _kernel_columns(monkeypatch)
     new = _rollout_rows(**case)
-    ref = reference_rollout_rows(**case)
-    for a, b in zip(new, ref):
-        assert a.shape == b.shape
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert seen == [0]
+    _assert_bitwise_equal(new, reference_rollout_rows(**case))  # the reference passes every agent
+
+
+def test_rollout_keeps_a_faster_car_that_passes_the_ego_bitwise(monkeypatch):
+    car = AgentState("passer", Pose2(-10.0, 0.0, 0.0), speed=12.0, half_length=2.3, half_width=1.0)
+    case = _straight_rows_case([static_car("behind", -10.0, 0.0), car])
+    seen = _kernel_columns(monkeypatch)
+    new = _rollout_rows(**case)
+    assert seen == [1]
+    _assert_bitwise_equal(new, reference_rollout_rows(**case))
+    # The kept column leads: without it the rollout differs.
+    assert not np.array_equal(new[2], _rollout_rows(**_straight_rows_case([]))[2])
+
+
+def test_can_lead_boundary_is_the_kernels_lead_test():
+    # Dropped at exactly s + 1e-9 (the kernel's s_ak <= s + 1e-9 fails to lead), kept one float up.
+    steps, dt = 40, 0.1
+    ego_s = np.array([3.0])
+    at = ego_s[0] + 1e-9
+    up = np.nextafter(at, np.inf)
+    assert not _can_lead(np.array([[at]]), np.zeros((1, 1)), ego_s, dt, steps)[0]
+    assert _can_lead(np.array([[up]]), np.zeros((1, 1)), ego_s, dt, steps)[0]
+    # Moving away: the largest arclength is a_s, at step 0.
+    assert not _can_lead(np.array([[at]]), np.full((1, 1), -5.0), ego_s, dt, steps)[0]
+    assert _can_lead(np.array([[up]]), np.full((1, 1), -5.0), ego_s, dt, steps)[0]
+    # Moving ahead: the largest arclength is a_s + a_vlon * ((steps - 1) * dt), at the last step.
+    reach = (steps - 1) * dt
+    a_s = at - reach
+    while a_s + reach > at:
+        a_s = np.nextafter(a_s, -np.inf)
+    while a_s + reach < at:
+        a_s = np.nextafter(a_s, np.inf)
+    assert a_s + reach == at
+    a_s_up = a_s
+    while a_s_up + reach == at:
+        a_s_up = np.nextafter(a_s_up, np.inf)
+    assert a_s_up + reach == up
+    assert not _can_lead(np.array([[a_s]]), np.ones((1, 1)), ego_s, dt, steps)[0]
+    assert _can_lead(np.array([[a_s_up]]), np.ones((1, 1)), ego_s, dt, steps)[0]
+
+
+def test_can_lead_keeps_an_agent_that_can_lead_on_any_path():
+    # Agent 0 is behind on both paths, agent 1 is ahead on path 1 only, agent 2 is NaN.
+    a_s = np.array([[0.0, 1.0, np.nan], [0.0, 9.0, np.nan]])
+    lead = _can_lead(a_s, np.zeros((2, 3)), np.array([2.0, 5.0]), 0.1, 40)
+    assert lead.tolist() == [False, True, True]
