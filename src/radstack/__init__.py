@@ -31,7 +31,7 @@ from .scene import (
     save_scenario,
 )
 from .topology import ProposalPath, augment_with_adjacents, graph_search, project_onto_path
-from .proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposals, idm_accel, rollout_idm
+from .proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposals, idm_accel
 from .vocabulary import Vocabulary, kmeans_cluster, load_vocabulary, save_vocabulary
 from .scoring import (
     RelaxationState,
@@ -46,10 +46,7 @@ from .scoring import (
 from .planhead import (
     PlanHeadModel,
     TrainingSample,
-    encode_features,
     extract_features,
-    forward_classify,
-    forward_refine,
     init_model,
     plan_anytime,
     plan_loss,

@@ -14,7 +14,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .bench import TOGGLE_PRESETS, emit_report, run_suite
+from .bench import REPORT_FORMATS, TOGGLE_PRESETS, emit_report, run_suite
 from .config import build_planner_config, build_sim_config, load_config, resolve_seed
 from .errors import IoError, RadstackError, from_text, integer, number
 from .planhead import harvest_training_samples, init_model, load_model, save_model, train
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planners", required=True, help="comma-separated planner kinds")
     p.add_argument("--toggles", default="full", help=f"comma-separated presets: {','.join(sorted(TOGGLE_PRESETS))}")
     p.add_argument("--report", required=True)
-    p.add_argument("--format", default="structured", choices=("structured", "text_table", "svg_summary"))
+    p.add_argument("--format", default="structured", choices=REPORT_FORMATS)
     p.add_argument("--config", default=None)
     p.add_argument("--vocab", default=None)
     p.add_argument("--model", default=None)

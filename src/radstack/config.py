@@ -26,11 +26,14 @@ from functools import partial
 from .errors import ConfigError, array, expected, from_text, integer, number, obj, read_json, string
 from .planhead import CLASSIFY_AND_REFINE, CLASSIFY_ONLY
 from .planner import PlannerConfig
-from .proposals import IdmParams
-from .simulator import AGENT_POLICIES, SimConfig
+from .simulator import SimConfig
 
 
 # Value readers: (value, field path) -> the value as its dataclass takes it.
+# The weights, proposal, idm and sim dataclasses check their own ranges, so
+# their readers check type and shape only; PlannerConfig's ranges are here.
+_number = partial(number, error=ConfigError)
+_integer = partial(integer, error=ConfigError)
 _count = partial(integer, error=ConfigError, at_least=1)
 _positive = partial(number, error=ConfigError, above=0)
 _non_negative = partial(number, error=ConfigError, at_least=0)
@@ -44,14 +47,6 @@ def _bool(v, path):
 
 def _numbers(v, path):
     return tuple(array(v, path, ConfigError, (None,), "a list of finite numbers").tolist())
-
-
-def _fractions(v, path):
-    return tuple(number(x, f"{path}[{i}]", ConfigError, above=0, at_most=1) for i, x in enumerate(_numbers(v, path)))
-
-
-def _one_of(*choices):
-    return partial(string, error=ConfigError, choices=choices)
 
 
 def _disturbances(v, path):
@@ -71,19 +66,19 @@ _SECTIONS = {
         "horizon_length": _positive,
         "min_progress": _non_negative,
         "learned_offsets": _numbers,
-        "planhead_budget": _one_of(CLASSIFY_ONLY, CLASSIFY_AND_REFINE),
+        "planhead_budget": partial(string, error=ConfigError, choices=(CLASSIFY_ONLY, CLASSIFY_AND_REFINE)),
     },
-    "weights": dict.fromkeys(("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal"), _non_negative),
-    "proposal": {"offsets": _numbers, "speed_fractions": _fractions, "horizon": _positive, "dt": _positive},
-    "idm": dict.fromkeys(("v0", "T_h", "s0", "a_max", "b_comf", "delta"), _positive),
+    "weights": dict.fromkeys(("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal"), _number),
+    "proposal": {"offsets": _numbers, "speed_fractions": _numbers, "horizon": _number, "dt": _number},
+    "idm": dict.fromkeys(("v0", "T_h", "s0", "a_max", "b_comf", "delta"), _number),
     "sim": {
-        "dt": _positive,
-        "planner_period": _count,
-        "agent_policy": _one_of(*AGENT_POLICIES),
+        "dt": _number,
+        "planner_period": _integer,
+        "agent_policy": partial(string, error=ConfigError),
         "disturbances": _disturbances,
-        "goal_radius": _non_negative,
-        "deadlock_window": _positive,
-        "deadlock_displacement": _non_negative,
+        "goal_radius": _number,
+        "deadlock_window": _number,
+        "deadlock_displacement": _number,
         "record_breakdowns": _bool,
     },
 }
@@ -97,8 +92,10 @@ def load_config(path) -> dict:
 
 def validate_config(doc: dict) -> dict:
     """doc with every value read as its dataclass takes it. Unknown keys, and
-    values of the wrong type or range, raise ConfigError naming the field
-    (e.g. ``sim.planner_period``)."""
+    values of the wrong type or shape, raise ConfigError naming the field
+    (e.g. ``sim.planner_period``); so do the planner section's values out of
+    range. The other ranges are checked when build_*_config makes the
+    dataclass."""
     doc = obj(doc, "", ConfigError, optional=(*_ASSET_KEYS, *_SECTIONS))
     out = {key: string(doc[key], key, ConfigError) for key in _ASSET_KEYS if key in doc}
     for section, readers in _SECTIONS.items():
@@ -123,8 +120,7 @@ def build_planner_config(doc: dict) -> PlannerConfig:
     cfg = PlannerConfig()
     for section in ("proposal", "weights", "idm"):  # PlannerConfig fields of the same names
         if section in doc:
-            base = getattr(cfg, section) or IdmParams()  # idm defaults to None
-            cfg = replace(cfg, **{section: _replaced(base, section, doc[section])})
+            cfg = replace(cfg, **{section: _replaced(getattr(cfg, section), section, doc[section])})
     return _replaced(cfg, "planner", doc.get("planner", {}))
 
 

@@ -45,17 +45,14 @@ every lane per tick (Scenario.on_lanes).
 
 The planner's per-tick path calls numpy through ufuncs, ndarray methods and
 slicing, not through numpy's Python-level functions (np.diff, np.clip,
-np.tile, np.argmin, np.searchsorted, ...), whose wrapper costs as much as the
-work on arrays this small. On (41, 24) float64 arrays (Python 3.11.7, numpy
-2.4.6, best of 5): np.diff 4.4 us against 1.6 us for a[1:] - a[:-1], np.clip
-4.9 us against 3.2 us for np.minimum(np.maximum(...)), np.tile 5.0 us against
-1.3 us for x[None].repeat(n, axis=0), np.argmin(b, axis=1) 2.4 us against
-0.9 us for b.argmin(axis=1).
+np.tile, np.argmin, ...), whose wrapper costs as much as the work on arrays
+this small.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -137,27 +134,19 @@ def rect_corners_batch(xy: np.ndarray, cs: np.ndarray, half_length: float, half_
     return out
 
 
-def boxes_overlap(dx, dy, heading_a, half_length_a, half_width_a, heading_b, half_length_b, half_width_b):
-    """Separating-axis test for oriented boxes in pose form, broadcast over all arguments.
+def boxes_overlap(dx, dy, ca, sa, half_length_a, half_width_a, cb, sb, half_length_b, half_width_b):
+    """Separating-axis test for oriented boxes, broadcast over all arguments.
 
-    Box a has the given heading and half extents; box b's centre lies at
-    d = (dx, dy) from a's centre. On each of the 4 box axes u the boxes are
-    apart iff |d.u| exceeds the sum of their projected half extents, e.g. on
-    a's length axis la + lb |cos(hb - ha)| + wb |sin(hb - ha)|, by more than
-    CONTACT_TOL. Touching counts as overlap: boxes laid edge to edge by
-    construction (a lane offset plus two half widths) land a few ulps apart
-    either way, and must not be told apart by rounding.
+    Box a's heading is given as its cos ca and sin sa, with its half extents;
+    box b's centre lies at d = (dx, dy) from a's centre, its heading given as
+    cb and sb. On each of the 4 box axes u the boxes are apart iff |d.u|
+    exceeds the sum of their projected half extents, e.g. on a's length axis
+    la + lb |cos(hb - ha)| + wb |sin(hb - ha)|, by more than CONTACT_TOL.
+    Touching counts as overlap: boxes laid edge to edge by construction (a
+    lane offset plus two half widths) land a few ulps apart either way, and
+    must not be told apart by rounding.
     Returns a boolean array of the broadcast shape.
     """
-    return boxes_overlap_trig(
-        dx, dy, np.cos(heading_a), np.sin(heading_a), half_length_a, half_width_a,
-        np.cos(heading_b), np.sin(heading_b), half_length_b, half_width_b,
-    )
-
-
-def boxes_overlap_trig(dx, dy, ca, sa, half_length_a, half_width_a, cb, sb, half_length_b, half_width_b):
-    """boxes_overlap with each heading given as its cos and sin, for a caller
-    that holds them already (the scorer takes every sample's once)."""
     c = np.abs(ca * cb + sa * sb)  # |cos(hb - ha)|
     s = np.abs(ca * sb - sa * cb)  # |sin(hb - ha)|
     tol = CONTACT_TOL
@@ -167,11 +156,6 @@ def boxes_overlap_trig(dx, dy, ca, sa, half_length_a, half_width_a, cb, sb, half
         & (np.abs(dx * cb + dy * sb) <= half_length_b + half_length_a * c + half_width_a * s + tol)
         & (np.abs(dy * cb - dx * sb) <= half_width_b + half_length_a * s + half_width_a * c + tol)
     )
-
-
-def point_in_polygon(pt, polygon: np.ndarray) -> bool:
-    """Inclusive point-in-polygon test (boundary counts as inside)."""
-    return bool(points_in_polygon(np.asarray(pt, dtype=float)[None, :], polygon)[0])
 
 
 def points_in_polygon(pts: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -290,22 +274,18 @@ class SegmentTable:
         self.s[0] = 0.0
         self.lengths.cumsum(out=self.s[1:])
         self.n_chunks = -(-len(self.len2) // CHUNK)
-        self._seg = None
-        self._boxes = None
 
-    @property
+    @cached_property
     def seg(self) -> np.ndarray:
-        if self._seg is None:
-            m = self.n_segments
-            seg = np.empty((SEG_ROWS, self.n_chunks * CHUNK))
-            _narrow_rows(self, seg[:5, :m])
-            seg[5, :m] = self.s[:-1]
-            seg[6, :m] = self.lengths
-            seg[7, :m] = [math.atan2(dy, dx) for dx, dy in self._d.tolist()]
-            _trig_rows(seg[7:, :m])
-            seg[:, m:] = seg[:, m - 1 : m]
-            self._seg = seg
-        return self._seg
+        m = self.n_segments
+        seg = np.empty((SEG_ROWS, self.n_chunks * CHUNK))
+        _narrow_rows(self, seg[:5, :m])
+        seg[5, :m] = self.s[:-1]
+        seg[6, :m] = self.lengths
+        seg[7, :m] = [math.atan2(dy, dx) for dx, dy in self._d.tolist()]
+        _trig_rows(seg[7:, :m])
+        seg[:, m:] = seg[:, m - 1 : m]
+        return seg
 
     @property
     def headings(self) -> np.ndarray:
@@ -365,19 +345,18 @@ class SegmentTable:
             targets[-1] = total
         return SegmentTable(self.points_at(targets))
 
+    @cached_property
     def boxes(self) -> tuple:
         """The broad phase's arrays, each shaped (2, n, 1) for (x, y) against
         (2, 1, N) points: every chunk's box corners lo and hi over its
         vertices, and the chunk-boundary vertices (n_chunks + 1 of them)."""
-        if self._boxes is None:
-            m, c = self.n_segments, self.n_chunks
-            pad = np.concatenate([self.points, self.points[-1:].repeat(c * CHUNK - m, axis=0)])
-            inner = pad[:-1].reshape(c, CHUNK, 2)
-            ends = pad[CHUNK::CHUNK]  # each chunk's closing vertex
-            lo = np.minimum(inner.min(axis=1), ends)
-            hi = np.maximum(inner.max(axis=1), ends)
-            self._boxes = tuple(a.T.copy()[:, :, None] for a in (lo, hi, pad[::CHUNK]))
-        return self._boxes
+        m, c = self.n_segments, self.n_chunks
+        pad = np.concatenate([self.points, self.points[-1:].repeat(c * CHUNK - m, axis=0)])
+        inner = pad[:-1].reshape(c, CHUNK, 2)
+        ends = pad[CHUNK::CHUNK]  # each chunk's closing vertex
+        lo = np.minimum(inner.min(axis=1), ends)
+        hi = np.maximum(inner.max(axis=1), ends)
+        return tuple(a.T.copy()[:, :, None] for a in (lo, hi, pad[::CHUNK]))
 
 
 def _chunk_runs(ps: np.ndarray, table: SegmentTable):
@@ -392,7 +371,7 @@ def _chunk_runs(ps: np.ndarray, table: SegmentTable):
     keeps every chunk. Each operation runs once on stacked x and y, over
     (chunks, points) arrays whose rows run along the points.
     """
-    lo, hi, vertices = table.boxes()
+    lo, hi, vertices = table.boxes
     p = ps.T.copy()[:, None, :]  # (2, 1, N)
     gap = lo - p
     np.maximum(gap, p - hi, out=gap)

@@ -241,25 +241,6 @@ def refine_loss(refined: np.ndarray, v_star: np.ndarray) -> float:
     return float(np.linalg.norm(diff, axis=-1).mean())
 
 
-def encode_features(model: PlanHeadModel, features: np.ndarray) -> np.ndarray:
-    """Encoder output (1, H) for one feature vector; both heads read it."""
-    h, _ = _encode(model, np.asarray(features, dtype=float)[None, :])
-    return h
-
-
-def forward_classify(model: PlanHeadModel, encoding: np.ndarray):
-    """(logits, best_index, coarse plan v_hat) from an encoder output."""
-    logits = _classify(model, encoding)[0]
-    best = int(logits.argmax())
-    return logits, best, model.vocab.prototypes[best].copy()
-
-
-def forward_refine(model: PlanHeadModel, encoding: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    """v_hat plus clamped per-waypoint offsets from the refinement head."""
-    off, _ = _refine(model, encoding, np.asarray(v_hat, dtype=float)[None, :, :])
-    return v_hat + off[0].reshape(model.t, 2)
-
-
 # --------------------------------------------------------------------------
 # Training
 
@@ -364,23 +345,26 @@ def plan_anytime(
     """Staged inference: classification always yields a complete plan.
 
     Returns (Trajectory, stage timings). The features are encoded once, in
-    the classify stage, and refinement reads the same encoding. With
-    budget=classify_only, or when `interrupt()` reports True after the
-    classify stage, the coarse prototype plan is returned; it is never an
-    error and never a partial trajectory.
+    the classify stage, and refinement reads the same encoding; both stages
+    run the forward passes training runs (_encode, _classify, _refine) on a
+    batch of one. With budget=classify_only, or when `interrupt()` reports
+    True after the classify stage, the coarse prototype plan v_hat (the
+    best-scoring prototype) is returned; it is never an error and never a
+    partial trajectory.
     """
     if budget not in (CLASSIFY_ONLY, CLASSIFY_AND_REFINE):
         raise ValueError(f"unknown budget {budget!r}")
     timings = []
     t0 = time.perf_counter()
-    encoding = encode_features(model, features)
-    _, _, v_hat = forward_classify(model, encoding)
+    h, _ = _encode(model, np.asarray(features, dtype=float)[None, :])
+    v_hat = model.vocab.prototypes[int(_classify(model, h)[0].argmax())]
     timings.append(("classify", time.perf_counter() - t0))
 
     waypoints = v_hat
     if budget == CLASSIFY_AND_REFINE and not (interrupt is not None and interrupt()):
         t1 = time.perf_counter()
-        waypoints = forward_refine(model, encoding, v_hat)
+        off, _ = _refine(model, h, v_hat[None])
+        waypoints = v_hat + off[0].reshape(model.t, 2)
         timings.append(("refine", time.perf_counter() - t1))
     dt = model.vocab.dt
     (positions,), (headings,), (speeds,) = instantiate_prototype(waypoints[None], ego, dt)

@@ -61,7 +61,7 @@ class PlannerConfig:
     enable_relaxation: bool = True
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     proposal: ProposalConfig = field(default_factory=ProposalConfig)
-    idm: "IdmParams | None" = None  # base parameters; v0 set per fraction
+    idm: IdmParams = field(default_factory=IdmParams)  # base parameters; v0 set per fraction
     max_paths: int = DEFAULT_MAX_PATHS
     horizon_length: float = DEFAULT_HORIZON_LENGTH
     min_progress: float = MIN_PROGRESS
@@ -133,14 +133,13 @@ class Planner:
         self._history: list = []
         self._relax_hold = False
         self._relax_hold_since: float | None = None
-        self._dt = cfg.proposal.dt
 
     # -- relaxation hysteresis ------------------------------------------------
 
     def _relaxation(self, ego: EgoState, agents, route_path, t: float) -> RelaxationState:
         if not self.config.enable_relaxation:
             return RelaxationState()
-        det = detect_relaxation(self._history, agents, route_path, dt=self._dt, ego=ego)
+        det = detect_relaxation(self._history, agents, route_path, dt=self.config.proposal.dt, ego=ego)
         if det.active:
             if not self._relax_hold:
                 self._relax_hold = True

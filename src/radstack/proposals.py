@@ -45,8 +45,7 @@ class IdmParams:
 
     def __post_init__(self):
         for name in ("v0", "T_h", "s0", "a_max", "b_comf", "delta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be positive")
+            number(getattr(self, name), f"IdmParams.{name}", ValueError, above=0)
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,12 @@ class ProposalConfig:
     def __post_init__(self):
         if 0.0 not in self.offsets:
             raise ValueError("ProposalConfig.offsets must contain 0 (the centerline)")
-        if any(abs(o) > MAX_OFFSET for o in self.offsets):
-            raise ValueError(f"ProposalConfig.offsets must lie in [-{MAX_OFFSET}, {MAX_OFFSET}] m")
+        for i, o in enumerate(self.offsets):
+            number(o, f"ProposalConfig.offsets[{i}]", ValueError, at_least=-MAX_OFFSET, at_most=MAX_OFFSET)
         if not self.speed_fractions:
             raise ValueError("ProposalConfig.speed_fractions must not be empty")
-        if any(f <= 0 or f > 1 for f in self.speed_fractions):
-            raise ValueError("ProposalConfig.speed_fractions must lie in (0, 1]")
+        for i, f in enumerate(self.speed_fractions):
+            number(f, f"ProposalConfig.speed_fractions[{i}]", ValueError, above=0, at_most=1)
         number(self.horizon, "ProposalConfig.horizon", ValueError, above=0)
         number(self.dt, "ProposalConfig.dt", ValueError, at_least=MIN_DT)
         steps = self.horizon / self.dt
@@ -548,29 +547,12 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     return positions, headings, speeds, np.ascontiguousarray(s_hist.T)
 
 
-def rollout_idm(
-    ego: EgoState,
-    path: ProposalPath,
-    offset: float,
-    p: IdmParams,
-    agents,
-    cfg: ProposalConfig,
-) -> Trajectory:
-    """Single IDM rollout along a path toward a lateral offset target."""
-    if abs(offset) > MAX_OFFSET:
-        raise ValueError(f"offset {offset} exceeds max offset {MAX_OFFSET}")
-    positions, headings, speeds, _ = _rollout_rows(
-        ego, [path], np.zeros(1, dtype=int), np.array([float(offset)]), np.array([p.v0]), p, agents, cfg
-    )
-    return trajectory_from_arrays(cfg.dt, positions[0], headings[0], speeds[0], "idm")
-
-
 def generate_proposals(
     ego: EgoState,
     paths: list,
     agents,
     cfg: ProposalConfig,
-    base_params: IdmParams | None = None,
+    base_params: IdmParams = IdmParams(),
 ) -> ProposalSet:
     """The full candidate set: |paths| x |offsets| x |speed_fractions| rollouts.
 
@@ -587,7 +569,7 @@ def generate_proposals(
     limits = np.array([path.speed_limit for path in paths], dtype=float)[path_index]
     v0 = np.maximum(0.1, fractions * limits)
     positions, headings, speeds, s_track = _rollout_rows(
-        ego, paths, path_index, offsets, v0, base_params or IdmParams(), agents, cfg
+        ego, paths, path_index, offsets, v0, base_params, agents, cfg
     )
     return ProposalSet(
         cfg.dt, positions, headings, speeds, s_track, path_index,

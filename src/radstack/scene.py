@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError, array, expected, integer, items, number, obj, read_json, string, write_text
 from .geometry import (
     normalize_angle,
-    point_in_polygon,
+    points_in_polygon,
     points_in_polygons,
     polygon_as_aabb,
     project_points_to_polylines,
@@ -249,8 +250,6 @@ class Scenario:
         object.__setattr__(self, "_lanes", {lane.id: lane for lane in reversed(self.lanes)})
         object.__setattr__(self, "_chains", {})
         object.__setattr__(self, "_reversed", {})
-        object.__setattr__(self, "_drivable_boxes", None)
-        object.__setattr__(self, "_lane_stack", None)
         object.__setattr__(self, "_on_lanes", (None, None))
 
     def lane_by_id(self, lane_id: str) -> Lane:
@@ -289,20 +288,16 @@ class Scenario:
             self._reversed[lane_id] = table
         return table
 
-    @property
+    @cached_property
     def drivable_boxes(self) -> tuple:
         """polygon_as_aabb of each drivable_area polygon (None if no box), built once."""
-        if self._drivable_boxes is None:
-            object.__setattr__(self, "_drivable_boxes", tuple(polygon_as_aabb(p) for p in self.drivable_area))
-        return self._drivable_boxes
+        return tuple(polygon_as_aabb(p) for p in self.drivable_area)
 
-    @property
+    @cached_property
     def lane_stack(self) -> SegmentStack:
         """The lanes' segment tables stacked in lane order, built once: one
         project_points_to_polylines call projects onto every lane."""
-        if self._lane_stack is None:
-            object.__setattr__(self, "_lane_stack", SegmentStack(lane.segments for lane in self.lanes))
-        return self._lane_stack
+        return SegmentStack(lane.segments for lane in self.lanes)
 
     def on_lanes(self, x: float, y: float) -> tuple:
         """(arclength (L,), foot point (L, 2)) of the point (x, y) on every
@@ -369,7 +364,8 @@ def validate_scenario(s: Scenario) -> None:
     gx, gy = s.goal.x, s.goal.y
     if not (lo[0] <= gx <= hi[0] and lo[1] <= gy <= hi[1]):
         raise ValidationError("goal: lies outside the drivable-area bounding box")
-    if not any(point_in_polygon((s.ego.pose.x, s.ego.pose.y), poly) for poly in s.drivable_area):
+    ego_xy = np.array([[s.ego.pose.x, s.ego.pose.y]])
+    if not any(points_in_polygon(ego_xy, poly)[0] for poly in s.drivable_area):
         raise ValidationError("ego.pose: start pose not inside drivable_area")
     if s.duration <= 0:
         raise ValidationError("duration: must be > 0")

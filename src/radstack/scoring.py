@@ -19,8 +19,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import number
 from .geometry import (
-    boxes_overlap_trig,
+    boxes_overlap,
     normalize_angles,
     points_in_polygons,
     project_arclengths,
@@ -61,8 +62,8 @@ class ScoreWeights:
     w_goal: float = 0.3
 
     def __post_init__(self):
-        if min(self.w_ttc, self.w_dr, self.w_sp, self.w_ep, self.w_cf, self.w_goal) < 0:
-            raise ValueError("score weights must be non-negative")
+        for f in fields(self):
+            number(getattr(self, f.name), f"ScoreWeights.{f.name}", ValueError, at_least=0)
         if self.weighted_total <= 0:
             raise ValueError("at least one objective weight must be positive")
 
@@ -121,10 +122,8 @@ class WorldForecast:
         np.sin(heads, out=trig[1])
         vel = trig * speeds  # (2, A)
         self.planes = pos0.T[:, :, None] + vel[:, :, None] * t  # (2, A, S+1): x and y planes
-        self.positions = self.planes.transpose(1, 2, 0)  # (A, S+1, 2)
         self.velocities = vel.T  # (A, 2)
         self.trig = trig  # (2, A): cos and sin of the headings
-        self.headings = heads
         self.half_lengths = np.array([a.half_length for a in self.agents])
         self.half_widths = np.array([a.half_width for a in self.agents])
 
@@ -302,7 +301,7 @@ def _batch_ttc(xy, cs, speeds, f: WorldForecast, ego_dims, window: float) -> np.
     dk = d.reshape(2, -1).take(near, axis=1)
     ego_cs = pair_cs.take(k, axis=1)
     agent_cs = f.trig.take(a_k, axis=1)
-    hit = boxes_overlap_trig(
+    hit = boxes_overlap(
         dk[0], dk[1], ego_cs[0], ego_cs[1], *ego_dims,
         agent_cs[0], agent_cs[1], f.half_lengths.take(a_k), f.half_widths.take(a_k),
     )
@@ -449,7 +448,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
             dk = d.reshape(2, -1).take(near, axis=1)
             ego_cs = cs.reshape(2, -1).take(sample, axis=1)
             agent_cs = f.trig.take(a_i, axis=1)
-            hit = boxes_overlap_trig(
+            hit = boxes_overlap(
                 dk[0], dk[1], ego_cs[0], ego_cs[1], *ctx.ego_dims,
                 agent_cs[0], agent_cs[1], f.half_lengths.take(a_i), f.half_widths.take(a_i),
             )

@@ -38,7 +38,7 @@ from .geometry import (
     SegmentTable,
 )
 from .planner import Planner
-from .proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
+from .proposals import CORRIDOR_MARGIN, MIN_DT, IdmParams, idm_accel
 from .scene import (
     AgentState,
     EgoState,
@@ -71,9 +71,13 @@ class SimConfig:
     record_breakdowns: bool = False
 
     def __post_init__(self):
-        number(self.dt, "SimConfig.dt", ValueError, above=0)
-        if self.agent_policy not in AGENT_POLICIES:
-            raise ValueError(f"unknown agent policy {self.agent_policy!r}")
+        # MIN_DT: the episode runs duration / dt ticks, each with a planner call.
+        number(self.dt, "SimConfig.dt", ValueError, at_least=MIN_DT)
+        integer(self.planner_period, "SimConfig.planner_period", ValueError, at_least=1)
+        string(self.agent_policy, "SimConfig.agent_policy", ValueError, AGENT_POLICIES)
+        number(self.goal_radius, "SimConfig.goal_radius", ValueError, at_least=0)
+        number(self.deadlock_window, "SimConfig.deadlock_window", ValueError, above=0)
+        number(self.deadlock_displacement, "SimConfig.deadlock_displacement", ValueError, at_least=0)
 
 
 @dataclass
@@ -106,22 +110,19 @@ def bicycle_step(ego: EgoState, accel_cmd: float, steer_cmd: float, dt: float) -
     return EgoState(Pose2(x, y, heading), v, a, steer, ego.wheelbase, ego.half_length, ego.half_width)
 
 
-@dataclass(frozen=True)
-class LqrConfig:
-    q_lateral: float = 1.0
-    q_heading: float = 0.5
-    r_steer: float = 2.0
-    k_speed: float = 1.5
-    iterations: int = 50  # cap on Riccati doubling steps; lqr_gain raises past it
-    lookahead_steps: int = 5  # speed reference index offset
-    low_speed: float = 0.1
-    low_speed_gain: tuple = (0.6, 1.2)
-
-
+# The tracker's weights and gains.
+LQR_Q_LATERAL = 1.0
+LQR_Q_HEADING = 0.5
+LQR_R_STEER = 2.0
+K_SPEED = 1.5  # 1/s, longitudinal gain on the speed error
+LOOKAHEAD_STEPS = 5  # speed reference index offset
+LOW_SPEED = 0.1  # m/s; below it the fixed LOW_SPEED_GAIN replaces the LQR gain
+LOW_SPEED_GAIN = (0.6, 1.2)  # on cross-track and heading error
+RICCATI_STEPS = 50  # cap on Riccati doubling steps; lqr_gain raises past it
 RICCATI_RTOL = 1e-13  # relative step in trace(H) at which the doubling has converged
 
 
-def lqr_gain(speed: float, dt: float, wheelbase: float, cfg: LqrConfig, iterations=None) -> np.ndarray:
+def lqr_gain(speed: float, dt: float, wheelbase: float) -> np.ndarray:
     """Infinite-horizon feedback gain for the [cross-track, heading] error state.
 
     Solves the discrete algebraic Riccati equation for P by the doubling
@@ -131,19 +132,18 @@ def lqr_gain(speed: float, dt: float, wheelbase: float, cfg: LqrConfig, iteratio
     in H is at most RICCATI_RTOL, measured in the trace (H and each step are
     positive semidefinite, so the trace bounds every entry), and returns
     K = (R + B^T P B)^-1 B^T P A, (2,).
-    `iterations` (default cfg.iterations) caps the doubling steps; reaching
-    the cap raises ValueError, as at speed 0 where B = 0 and no stabilising
-    gain exists. The 2x2 iteration is unrolled in scalars (the control is
-    1-dimensional).
+    Q = diag(LQR_Q_LATERAL, LQR_Q_HEADING) and R = LQR_R_STEER. Reaching
+    RICCATI_STEPS doubling steps raises ValueError, as at speed 0 where B = 0
+    and no stabilising gain exists. The 2x2 iteration is unrolled in scalars
+    (the control is 1-dimensional).
     """
-    n = cfg.iterations if iterations is None else iterations
     ad = speed * dt  # A = [[1, ad], [0, 1]]
     beta = speed * dt / wheelbase  # B = [0, beta]
-    r = cfg.r_steer
+    r = LQR_R_STEER
     a00, a01, a10, a11 = 1.0, ad, 0.0, 1.0
     g00, g01, g11 = 0.0, 0.0, beta * beta / r
-    h00, h01, h11 = cfg.q_lateral, 0.0, cfg.q_heading
-    for _ in range(n):
+    h00, h01, h11 = LQR_Q_LATERAL, 0.0, LQR_Q_HEADING
+    for _ in range(RICCATI_STEPS):
         # W = I + G H and its inverse.
         w00 = 1.0 + g00 * h00 + g01 * h01
         w01 = g00 * h01 + g01 * h11
@@ -189,11 +189,11 @@ def lqr_gain(speed: float, dt: float, wheelbase: float, cfg: LqrConfig, iteratio
             denom = r + beta * beta * h11
             return np.array([beta * h01 / denom, beta * (h01 * ad + h11) / denom])
     raise ValueError(
-        f"Riccati doubling did not converge in {n} steps at speed {speed} m/s"
+        f"Riccati doubling did not converge in {RICCATI_STEPS} steps at speed {speed} m/s"
     )
 
 
-def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()) -> tuple:
+def lqr_track(ego: EgoState, reference: Trajectory) -> tuple:
     """(accel_cmd, steer_cmd) tracking the reference trajectory.
 
     Lateral: LQR on [cross-track error, heading error] linearized at the
@@ -207,9 +207,9 @@ def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()
     e_head = normalize_angle(ego.pose.heading - ref_head)
 
     idx = min(max(int(s_cum.searchsorted(s, side="right")) - 1, 0), len(pts) - 2)
-    look = min(idx + cfg.lookahead_steps, len(pts) - 1)
+    look = min(idx + LOOKAHEAD_STEPS, len(pts) - 1)
     v_ref = float(reference.speeds[look])
-    accel_cmd = cfg.k_speed * (v_ref - ego.speed)
+    accel_cmd = K_SPEED * (v_ref - ego.speed)
 
     # Curvature feedforward from the reference headings around the projection.
     heads = reference.headings
@@ -218,11 +218,11 @@ def lqr_track(ego: EgoState, reference: Trajectory, cfg: LqrConfig = LqrConfig()
     kappa = normalize_angle(heads[j] - heads[idx]) / ds if j > idx else 0.0
     kappa = float(min(max(kappa, -0.5), 0.5))  # np.clip's NaN and -0.0, without its wrapper
 
-    if ego.speed < cfg.low_speed:
-        k1, k2 = cfg.low_speed_gain
+    if ego.speed < LOW_SPEED:
+        k1, k2 = LOW_SPEED_GAIN
         steer_fb = -k1 * e_lat - k2 * e_head
     else:
-        k = lqr_gain(ego.speed, reference.dt, ego.wheelbase, cfg)
+        k = lqr_gain(ego.speed, reference.dt, ego.wheelbase)
         steer_fb = float(-(k[0] * e_lat + k[1] * e_head))
     steer_cmd = steer_fb + math.atan(ego.wheelbase * kappa)
     return accel_cmd, steer_cmd
@@ -360,7 +360,9 @@ def _ego_collides(ego: EgoState, agents) -> bool:
         [[a.pose.x, a.pose.y, a.pose.heading, a.half_length, a.half_width] for a in agents]
     ).T
     e = ego.pose
-    return bool(boxes_overlap(x - e.x, y - e.y, e.heading, ego.half_length, ego.half_width, h, hl, hw).any())
+    ca, sa = np.cos(e.heading), np.sin(e.heading)
+    hit = boxes_overlap(x - e.x, y - e.y, ca, sa, ego.half_length, ego.half_width, np.cos(h), np.sin(h), hl, hw)
+    return bool(hit.any())
 
 
 def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> EpisodeLog:
@@ -379,7 +381,6 @@ def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> Ep
     ego = scenario.ego
     agents = list(scenario.agents)
     disturbances = dict(cfg.disturbances)
-    lqr_cfg = LqrConfig()
     n_ticks = int(round(scenario.duration / cfg.dt))
     seen_events = set()
     positions = []  # for deadlock detection
@@ -435,7 +436,7 @@ def run_episode(scenario: Scenario, planner, cfg: SimConfig = SimConfig()) -> Ep
             }
         )
 
-        accel_cmd, steer_cmd = lqr_track(ego, current_plan.trajectory, lqr_cfg)
+        accel_cmd, steer_cmd = lqr_track(ego, current_plan.trajectory)
         ego = bicycle_step(ego, accel_cmd, steer_cmd, cfg.dt)
         if tick in disturbances:
             jolt = disturbances[tick]

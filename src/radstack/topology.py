@@ -33,12 +33,9 @@ CONTAINMENT_RADIUS = 2.0  # m, ego counts as "on" lanes this close
 SNAP_RADIUS = 0.5  # m
 DEFAULT_MAX_PATHS = 5
 DEFAULT_HORIZON_LENGTH = 120.0  # m
-MIN_PATH_LENGTH = 5.0  # m, unless the route ends earlier
 RESAMPLE_DS = 1.0  # m
 BYPASS_LENGTH = 40.0  # m, opposing-lane excursions splice back after this
 MERGE_GAP = 12.0  # m, longitudinal run of the splice-back segment
-
-PATH_SOURCES = ("ego_route", "left_adjacent", "right_adjacent", "opposing")
 
 
 @dataclass(frozen=True, eq=False)

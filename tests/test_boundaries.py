@@ -8,6 +8,7 @@ error type, never a raw Python exception.
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from radstack.config import build_planner_config, build_sim_config, validate_config
 from radstack.errors import ConfigError, ParseError, ValidationError
 from radstack.planhead import init_model, load_model, save_model
+from radstack.proposals import MIN_DT, IdmParams, ProposalConfig
 from radstack.scene import generate_synthetic_scenario, scenario_from_dict, scenario_to_dict
-from radstack.simulator import EpisodeLog, load_episode_log, save_episode_log
+from radstack.scoring import ScoreWeights
+from radstack.simulator import EpisodeLog, SimConfig, load_episode_log, save_episode_log
 from radstack.vocabulary import Vocabulary, load_vocabulary, save_vocabulary
 
 from conftest import static_car, straight_scenario
@@ -105,6 +108,44 @@ def test_config_fields_raise_config_error(change):
         build_sim_config(doc)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, field",
+    [
+        (IdmParams, {"v0": math.nan}, "IdmParams.v0"),
+        (IdmParams, {"delta": math.inf}, "IdmParams.delta"),
+        (IdmParams, {"s0": 0.0}, "IdmParams.s0"),
+        (ProposalConfig, {"offsets": (0.0, math.nan)}, "ProposalConfig.offsets[1]"),
+        (ProposalConfig, {"offsets": (-math.inf, 0.0)}, "ProposalConfig.offsets[0]"),
+        (ProposalConfig, {"speed_fractions": (math.nan,)}, "ProposalConfig.speed_fractions[0]"),
+        (ProposalConfig, {"speed_fractions": (0.5, math.inf)}, "ProposalConfig.speed_fractions[1]"),
+        (ScoreWeights, {"w_ttc": math.nan}, "ScoreWeights.w_ttc"),
+        (ScoreWeights, {"w_goal": math.inf}, "ScoreWeights.w_goal"),
+        (ScoreWeights, {"w_dr": -1.0}, "ScoreWeights.w_dr"),
+        # Constructor only: an episode at a dt below MIN_DT runs duration / dt planner ticks.
+        (SimConfig, {"dt": 1e-6}, "SimConfig.dt"),
+        (SimConfig, {"dt": float(np.nextafter(MIN_DT, 0.0))}, "SimConfig.dt"),
+        (SimConfig, {"dt": math.nan}, "SimConfig.dt"),
+        (SimConfig, {"planner_period": 0}, "SimConfig.planner_period"),
+        (SimConfig, {"planner_period": -2}, "SimConfig.planner_period"),
+        (SimConfig, {"planner_period": 1.5}, "SimConfig.planner_period"),
+        (SimConfig, {"agent_policy": "idm"}, "SimConfig.agent_policy"),
+        (SimConfig, {"goal_radius": -0.1}, "SimConfig.goal_radius"),
+        (SimConfig, {"goal_radius": math.inf}, "SimConfig.goal_radius"),
+        (SimConfig, {"deadlock_window": 0.0}, "SimConfig.deadlock_window"),
+        (SimConfig, {"deadlock_displacement": math.nan}, "SimConfig.deadlock_displacement"),
+    ],
+)
+def test_config_dataclasses_reject_a_bad_field_by_name(cls, kwargs, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}: expected "):
+        cls(**kwargs)
+
+
+def test_config_dataclasses_accept_their_bounds():
+    SimConfig(dt=MIN_DT, planner_period=1, goal_radius=0.0, deadlock_displacement=0.0)
+    ScoreWeights(w_dr=0.0, w_goal=0.0)
+    ProposalConfig(offsets=(-3.0, 0.0, 3.0), speed_fractions=(1.0,))
 
 
 @pytest.fixture(scope="module")

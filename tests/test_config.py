@@ -76,10 +76,14 @@ def test_good_values_pass_and_build():
     ],
 )
 def test_bad_value_names_its_field(section, key, value):
+    # The config reader names the field, or the dataclass check after it does
+    # (e.g. "sim.dt: SimConfig.dt: expected ..."); a bad element is named by its index.
     doc = {section: {key: value}}
-    element = r"\[1\]" if key in ("learned_offsets", "speed_fractions") else ""  # a bad element is named by its index
-    with pytest.raises(ConfigError, match=f"^{section}\\.{key}{element}: expected "):
+    element = r"\[1\]" if key in ("learned_offsets", "speed_fractions") else ""
+    with pytest.raises(ConfigError, match=f"^{section}\\.{key}({element}|: [A-Za-z]+\\.{key}{element}): expected "):
         validate_config(doc)
+        build_planner_config(doc)
+        build_sim_config(doc)
 
 
 def test_sim_seed_is_an_unknown_key():
@@ -144,8 +148,7 @@ def test_cli_reports_a_mistyped_scenario_field_in_one_line(tmp_path, capsys, edi
     "config, message",
     [
         ({"planner": {"max_paths": "abc"}}, "run: planner.max_paths: expected an integer >= 1, got 'abc'\n"),
-        ({"sim": {"dt": "x"}}, "run: sim.dt: expected a finite number > 0, got 'x'\n"),
-        ({"sim": {"planner_period": 0}}, "run: sim.planner_period: expected an integer >= 1, got 0\n"),
+        ({"sim": {"dt": "x"}}, "run: sim.dt: expected a finite number, got 'x'\n"),
     ],
 )
 def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config, message):
@@ -172,7 +175,7 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
         ),
         (
             {"proposal": {"offsets": [0.0, 9.0]}},
-            "run: proposal.offsets: ProposalConfig.offsets must lie in [-3.0, 3.0] m\n",
+            "run: proposal.offsets: ProposalConfig.offsets[1]: expected a finite number >= -3.0 and <= 3.0, got 9.0\n",
         ),
         (
             {"proposal": {"speed_fractions": []}},
@@ -186,6 +189,13 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
         (
             {"proposal": {"dt": 0.001}},
             "run: proposal.dt: ProposalConfig.dt: expected a finite number >= 0.01, got 0.001\n",
+        ),
+        # Rejected before the episode: at sim.dt = 1e-6 a 30 s scenario runs 3e7 ticks.
+        ({"sim": {"dt": 0.001}}, "run: sim.dt: SimConfig.dt: expected a finite number >= 0.01, got 0.001\n"),
+        ({"sim": {"dt": -1}}, "run: sim.dt: SimConfig.dt: expected a finite number >= 0.01, got -1.0\n"),
+        (
+            {"sim": {"planner_period": 0}},
+            "run: sim.planner_period: SimConfig.planner_period: expected an integer >= 1, got 0\n",
         ),
         (
             {"weights": {"w_ttc": 0, "w_dr": 0, "w_sp": 0, "w_ep": 0, "w_cf": 0}},

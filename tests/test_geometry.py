@@ -10,7 +10,6 @@ from radstack.geometry import (
     boxes_overlap,
     normalize_angle,
     normalize_angles,
-    point_in_polygon,
     points_in_polygon,
     points_in_polygons,
     polygon_as_aabb,
@@ -93,7 +92,7 @@ def _overlap(a, b) -> bool:
     """boxes_overlap on two (x, y, heading, half_length, half_width) boxes."""
     ax, ay, ah, al, aw = a
     bx, by, bh, bl, bw = b
-    return bool(boxes_overlap(bx - ax, by - ay, ah, al, aw, bh, bl, bw))
+    return bool(boxes_overlap(bx - ax, by - ay, np.cos(ah), np.sin(ah), al, aw, np.cos(bh), np.sin(bh), bl, bw))
 
 
 def _corner_sat(a, b):
@@ -170,16 +169,14 @@ def test_boxes_overlap_matches_corner_sat(a, b):
 
 def test_boxes_overlap_broadcasts():
     # One ego box against three agents along x: apart, touching, overlapping.
-    hit = boxes_overlap(np.array([5.0, 4.0, 3.0]), 0.0, 0.0, 2.0, 1.0, 0.0, 2.0, np.array([1.0, 1.0, 1.0]))
+    hit = boxes_overlap(np.array([5.0, 4.0, 3.0]), 0.0, 1.0, 0.0, 2.0, 1.0, 1.0, 0.0, 2.0, np.array([1.0, 1.0, 1.0]))
     assert hit.tolist() == [False, True, True]
 
 
-def test_point_in_polygon_inclusive():
+def test_points_in_polygon_inclusive():
     poly = np.array([[0, 0], [4, 0], [4, 2], [0, 2]], dtype=float)
-    assert point_in_polygon((1, 1), poly)
-    assert not point_in_polygon((5, 1), poly)
-    assert point_in_polygon((4, 1), poly)  # boundary
-    assert point_in_polygon((0, 0), poly)  # vertex
+    # inside, outside, on an edge, on a vertex
+    assert points_in_polygon(np.array([[1, 1], [5, 1], [4, 1], [0, 0]]), poly).tolist() == [True, False, True, True]
 
 
 def test_points_in_polygons_aabb_matches_general():
@@ -252,12 +249,12 @@ def _assert_warm_and_one_point_paths(ps, pts, want):
     builds (lqr_track's path)."""
     warm = SegmentTable(pts)
     project_arclengths(pts[-1:], warm)  # builds the segment array
-    assert warm._seg is not None
+    assert "seg" in warm.__dict__
     _assert_bitwise(project_points_to_polyline(ps, warm), want)
     for i in range(min(len(ps), ONE_POINT_CHECKS)):
         fresh = SegmentTable(pts)
         _assert_bitwise(project_point_once(*ps[i].tolist(), fresh), [a[i : i + 1] for a in want[:3]])
-        assert fresh._seg is None
+        assert "seg" not in fresh.__dict__
 
 
 @st.composite

@@ -14,10 +14,9 @@ from radstack.planhead import (
     PlanHeadModel,
     TrainingSample,
     _batch_forward_backward,
-    encode_features,
+    _classify,
+    _encode,
     extract_features,
-    forward_classify,
-    forward_refine,
     init_model,
     load_model,
     plan_anytime,
@@ -157,28 +156,43 @@ def test_refine_loss_values():
 # -- model forward -------------------------------------------------------------
 
 
+def _logits(model, x):
+    """The classifier's logits (K,) of one feature vector, and its encoding (1, H)."""
+    h, _ = _encode(model, np.asarray(x, dtype=float)[None])
+    return _classify(model, h)[0], h
+
+
+def _coarse_and_offsets(model, x):
+    """plan_anytime's coarse plan v_hat (T, 2) of one feature vector, and the
+    offsets (T, 2) its refine stage adds. From an ego at the origin with
+    heading 0 a plan's positions after sample 0 are its waypoints."""
+    ego = EgoState(pose=Pose2(0.0, 0.0, 0.0), speed=4.0)
+    coarse, _ = plan_anytime(model, x, ego, budget=CLASSIFY_ONLY)
+    refined, _ = plan_anytime(model, x, ego, budget=CLASSIFY_AND_REFINE)
+    return coarse.positions[1:], refined.positions[1:] - coarse.positions[1:]
+
+
 def test_forward_classify_deterministic():
     vocab = _tiny_vocab()
     model = init_model(vocab, d=8, h=16, seed=3)
     x = np.random.default_rng(4).normal(size=8)
-    a = forward_classify(model, encode_features(model, x))
-    b = forward_classify(model, encode_features(model, x))
-    assert np.array_equal(a[0], b[0])
-    assert a[1] == b[1]
+    a, _ = _logits(model, x)
+    b, _ = _logits(model, x)
+    assert np.array_equal(a, b)
 
 
 def test_forward_classify_permutation_independence():
     vocab = _tiny_vocab(k=4)
     model = init_model(vocab, d=8, h=16, seed=3)
     x = np.random.default_rng(5).normal(size=8)
-    _, _, v_hat = forward_classify(model, encode_features(model, x))
+    v_hat, _ = _coarse_and_offsets(model, x)
 
     perm = np.array([2, 0, 3, 1])
     vocab_p = Vocabulary(prototypes=vocab.prototypes[perm], dt=vocab.dt)
     model_p = PlanHeadModel(vocab=vocab_p, d=8, h=16, params=dict(model.params))
     model_p.params["wc"] = model.params["wc"][perm]
     model_p.params["bc"] = model.params["bc"][perm]
-    _, _, v_hat_p = forward_classify(model_p, encode_features(model_p, x))
+    v_hat_p, _ = _coarse_and_offsets(model_p, x)
     assert np.allclose(v_hat, v_hat_p)
 
 
@@ -187,10 +201,8 @@ def test_zero_init_refiner_is_identity():
     model = init_model(vocab, d=8, h=16, seed=0)
     rng = np.random.default_rng(6)
     for _ in range(100):
-        h = encode_features(model, rng.normal(size=8))
-        _, _, v_hat = forward_classify(model, h)
-        refined = forward_refine(model, h, v_hat)
-        assert np.max(np.abs(refined - v_hat)) == 0.0
+        _, off = _coarse_and_offsets(model, rng.normal(size=8))
+        assert np.max(np.abs(off)) == 0.0
 
 
 def test_refine_offsets_clamped():
@@ -198,10 +210,8 @@ def test_refine_offsets_clamped():
     model = init_model(vocab, d=8, h=16, seed=0)
     model.params["wr2"] = np.full_like(model.params["wr2"], 50.0)
     model.params["br2"] = np.full_like(model.params["br2"], 50.0)
-    h = encode_features(model, np.random.default_rng(7).normal(size=8))
-    _, _, v_hat = forward_classify(model, h)
-    refined = forward_refine(model, h, v_hat)
-    assert np.max(np.abs(refined - v_hat)) <= OFFSET_CLAMP + 1e-12
+    _, off = _coarse_and_offsets(model, np.random.default_rng(7).normal(size=8))
+    assert np.max(np.abs(off)) <= OFFSET_CLAMP + 1e-12
 
 
 # -- training ------------------------------------------------------------------
@@ -291,10 +301,8 @@ def test_refiner_learns_constant_lateral_bias():
     model, _ = train(model, samples, epochs=800, lr=0.1)
     offsets = []
     for s in samples[:20]:
-        h = encode_features(model, s.features)
-        _, _, v_hat = forward_classify(model, h)
-        refined = forward_refine(model, h, v_hat)
-        offsets.append((refined - v_hat)[:, 1].mean())
+        _, off = _coarse_and_offsets(model, s.features)
+        offsets.append(off[:, 1].mean())
     assert 0.4 <= float(np.mean(offsets)) <= 0.6
 
 
@@ -306,7 +314,7 @@ def test_classifier_agrees_with_nearest_prototype_oracle():
     model, _ = train(model, train_samples, epochs=300, lr=5e-2)
     agree = 0
     for s in held_out:
-        _, best, _ = forward_classify(model, encode_features(model, s.features))
+        best = int(_logits(model, s.features)[0].argmax())
         d2 = ((vocab.prototypes - s.expert) ** 2).sum(axis=(1, 2))
         if best == int(np.argmin(d2)):
             agree += 1
@@ -447,9 +455,9 @@ def test_model_round_trip(tmp_path):
     for name in model.params:
         assert np.allclose(loaded.params[name], model.params[name])
     x = np.random.default_rng(0).normal(size=8)
-    a = forward_classify(model, encode_features(model, x))
-    b = forward_classify(loaded, encode_features(loaded, x))
-    assert np.allclose(a[0], b[0])
+    a, _ = _logits(model, x)
+    b, _ = _logits(loaded, x)
+    assert np.allclose(a, b)
 
 
 def _nan_params(doc):

@@ -21,9 +21,8 @@ from radstack.proposals import (
     _step_kernel,
     generate_proposals,
     idm_accel,
-    rollout_idm,
 )
-from radstack.scene import SCENARIO_KINDS, AgentState, EgoState, Pose2, generate_synthetic_scenario
+from radstack.scene import SCENARIO_KINDS, AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
 from radstack.topology import augment_with_adjacents, graph_search
 
 from conftest import reference_rollout_rows, reference_step_kernel, static_car, straight_path, straight_scenario
@@ -79,12 +78,19 @@ def _default_cfg():
     return ProposalConfig()
 
 
+def _rollout(ego, path, offset, p, agents, cfg):
+    """One rollout row along path toward a lateral offset, with p as it stands (v0 included)."""
+    positions, headings, speeds, _ = _rollout_rows(
+        ego, [path], np.zeros(1, dtype=int), np.array([float(offset)]), np.array([p.v0]), p, agents, cfg
+    )
+    return Trajectory(cfg.dt, positions[0], headings[0], speeds[0], "idm")
+
+
 def test_rollout_empty_road_constant_speed():
     s = straight_scenario(ego_speed=10.0, limit=10.0)
     path = straight_path(s)
     p = IdmParams(v0=10.0)
-    traj = rollout_idm(s.ego, path, 0.0, p, [], _default_cfg())
-    assert traj.tag == "idm"
+    traj = _rollout(s.ego, path, 0.0, p, [], _default_cfg())
     assert traj.horizon_steps == 40
     assert np.allclose(traj.speeds, 10.0, atol=1e-6)
     assert np.abs(traj.positions[:, 1]).max() < 1e-9
@@ -110,7 +116,7 @@ def test_rollout_static_lead_matches_fine_step_reference():
     lead = static_car("lead", 20.0 + s.ego.half_length + 2.3, 0.0)
     p = IdmParams(v0=8.0)
     cfg = ProposalConfig(horizon=8.0, dt=0.1)
-    traj = rollout_idm(s.ego, path, 0.0, p, [lead], cfg)
+    traj = _rollout(s.ego, path, 0.0, p, [lead], cfg)
     # Bumper gap over the rollout (lead rear face minus ego front face).
     gaps = (lead.pose.x - lead.half_length) - (traj.positions[:, 0] + s.ego.half_length)
     assert traj.speeds[-1] < 0.5
@@ -124,7 +130,7 @@ def test_rollout_offset_reaches_target_on_long_straight():
     s = straight_scenario(ego_speed=8.0)
     path = straight_path(s)
     cfg = ProposalConfig(horizon=6.0, dt=0.1)
-    traj = rollout_idm(s.ego, path, 1.0, IdmParams(v0=8.0), [], cfg)
+    traj = _rollout(s.ego, path, 1.0, IdmParams(v0=8.0), [], cfg)
     assert traj.positions[-1, 1] == pytest.approx(1.0, abs=0.05)
 
 
@@ -229,11 +235,11 @@ def test_config_accepts_dt_at_its_floor():
     assert ProposalConfig(dt=MIN_DT, horizon=4.0).horizon_steps == 400
 
 
-def test_rollout_rejects_large_offset():
-    s = straight_scenario()
-    path = straight_path(s)
-    with pytest.raises(ValueError):
-        rollout_idm(s.ego, path, 5.0, IdmParams(), [], _default_cfg())
+def test_config_rejects_an_offset_past_max_offset():
+    # generate_proposals takes its offsets from the config alone.
+    message = r"^ProposalConfig.offsets\[1\]: expected a finite number >= -3.0 and <= 3.0, got 5.0$"
+    with pytest.raises(ValueError, match=message):
+        ProposalConfig(offsets=(0.0, 5.0))
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +476,7 @@ def test_rollout_stops_before_path_terminus():
     s = straight_scenario(ego_speed=8.0, length=40.0, goal_x=35.0)
     path = straight_path(s)
     assert path.ends_at_terminus
-    traj = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [], ProposalConfig(horizon=20.0))
+    traj = _rollout(s.ego, path, 0.0, IdmParams(v0=8.0), [], ProposalConfig(horizon=20.0))
     stopped = np.flatnonzero(traj.speeds == 0.0)
     assert len(stopped) > 0
     first = stopped[0]
@@ -488,14 +494,14 @@ def test_rollout_creeps_past_blocker_only_when_offset_clears_its_band():
     blocker = static_car("b", 10.0, 0.0)
     band = blocker.half_width + s.ego.half_width + CORRIDOR_MARGIN
     cfg = ProposalConfig(horizon=15.0)
-    around = rollout_idm(s.ego, path, 3.0, IdmParams(v0=8.0), [blocker], cfg)
+    around = _rollout(s.ego, path, 3.0, IdmParams(v0=8.0), [blocker], cfg)
     x, y = around.positions.T
     in_band = np.abs(y[:-1]) < band
     assert in_band[0] and not in_band[-1]
     assert (np.diff(x)[in_band] / cfg.dt).max() <= CREEP_SPEED
     assert x[-1] > blocker.pose.x + blocker.half_length + s.ego.half_length
 
-    behind = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [blocker], cfg)
+    behind = _rollout(s.ego, path, 0.0, IdmParams(v0=8.0), [blocker], cfg)
     rear = blocker.pose.x - blocker.half_length - s.ego.half_length
     assert behind.positions[:, 0].max() < rear
     assert behind.speeds[-1] == 0.0
@@ -508,8 +514,8 @@ def test_rollout_follows_in_band_lead_and_ignores_nearer_out_of_band_agent():
     beside = static_car("beside", 15.0, 2.6)  # 2.6 m off the centerline, band 2.25 m
     ahead = static_car("ahead", 30.0, 0.0)
     cfg = ProposalConfig(horizon=10.0)
-    both = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [beside, ahead], cfg)
-    only_ahead = rollout_idm(s.ego, path, 0.0, IdmParams(v0=8.0), [ahead], cfg)
+    both = _rollout(s.ego, path, 0.0, IdmParams(v0=8.0), [beside, ahead], cfg)
+    only_ahead = _rollout(s.ego, path, 0.0, IdmParams(v0=8.0), [ahead], cfg)
     assert np.array_equal(both.positions, only_ahead.positions)
     assert np.array_equal(both.speeds, only_ahead.speeds)
     x = both.positions[:, 0]

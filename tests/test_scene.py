@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radstack import scene
 from radstack.errors import IoError, ParseError, ValidationError
-from radstack.geometry import polygon_as_aabb
+from radstack.geometry import SegmentTable, project_arclengths
 from radstack.scene import (
     SCENARIO_KINDS,
     AgentState,
@@ -497,27 +496,46 @@ def test_scenario_chain_is_built_once_and_joins_lanes():
         s.lane_by_id("d")
 
 
-def test_scenario_builds_its_drivable_boxes_once(monkeypatch):
-    box = rect(-5.0, -4.0, 125.0, 4.0)
-    tri = np.array([[60.0, 4.0], [80.0, 4.0], [70.0, 12.0]])
-    calls = []
-
-    def counting_aabb(poly):
-        calls.append(len(poly))
-        return polygon_as_aabb(poly)
-
-    monkeypatch.setattr(scene, "polygon_as_aabb", counting_aabb)
-    s = replace(straight_scenario(), drivable_area=(box, tri))
-    assert calls == []  # built on first use
-    boxes = s.drivable_boxes
-    assert s.drivable_boxes is boxes
-    assert boxes == ((-5.0, -4.0, 125.0, 4.0), None)
+def _drivable_reads(s):
     ego = s.ego
+    assert s.drivable_boxes == ((-5.0, -4.0, 125.0, 4.0), None)
     assert footprint_inside_drivable(ego, s)
     assert not footprint_inside_drivable(replace(ego, pose=Pose2(64.0, 6.0, 0.0)), s)  # a corner left of the triangle
     assert footprint_inside_drivable(replace(ego, pose=Pose2(70.0, 6.0, 0.0)), s)  # triangle plus box
-    assert calls == [4, 3]  # once per polygon, however many tests read them
-    assert replace(s).drivable_boxes is not boxes  # a new scenario builds its own
+
+
+def _lane_reads(s):
+    for x in (10.0, 20.0):  # two points: on_lanes keeps only the last one's projection
+        s.on_lanes(x, 0.5)
+
+
+@pytest.mark.parametrize(
+    "cls, name, reads",
+    [
+        (Scenario, "drivable_boxes", _drivable_reads),
+        (Scenario, "lane_stack", _lane_reads),
+        (SegmentTable, "seg", lambda t: project_arclengths(np.array([[3.0, 1.0]]), t)),
+        # 200 points x 100 segments: past PRUNE_MIN_PAIRS, so the broad phase reads the chunk boxes
+        (SegmentTable, "boxes", lambda t: project_arclengths(np.c_[np.linspace(0.0, 100.0, 200), np.ones(200)], t)),
+    ],
+)
+def test_lazy_caches_are_built_once_per_object(monkeypatch, cls, name, reads):
+    prop = cls.__dict__[name]
+    build, built = prop.func, []
+    monkeypatch.setattr(prop, "func", lambda obj: built.append(obj) or build(obj))
+    if cls is Scenario:
+        tri = np.array([[60.0, 4.0], [80.0, 4.0], [70.0, 12.0]])
+        obj = replace(straight_scenario(), drivable_area=(rect(-5.0, -4.0, 125.0, 4.0), tri))
+        fresh = replace(obj)
+    else:
+        obj, fresh = (SegmentTable(np.c_[np.arange(101.0), np.zeros(101)]) for _ in range(2))
+    assert built == []  # built on first use
+    reads(obj)
+    reads(obj)
+    assert built == [obj]  # once, however many reads
+    value = getattr(obj, name)
+    reads(fresh)
+    assert built == [obj, fresh] and getattr(fresh, name) is not value  # a new object builds its own
 
 
 @pytest.mark.parametrize(

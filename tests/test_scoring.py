@@ -66,22 +66,23 @@ def _straight_traj(v=10.0, steps=40, dt=0.1, y=0.0, tag="idm"):
 def test_forecast_static_agent_stationary():
     a = static_car("s", 10.0, 0.0)
     f = forecast_agents([a], 40, 0.1)
-    assert np.allclose(f.positions[0], f.positions[0, 0])
-    assert np.array_equal(f.positions[0, 0], f.positions[0, -1])
+    xy = f.planes[:, 0]  # (2, S+1)
+    assert np.allclose(xy, xy[:, :1])
+    assert np.array_equal(xy[:, 0], xy[:, -1])
 
 
 def test_forecast_constant_velocity_advance():
     a = AgentState(id="m", pose=Pose2(0, 0, 0), speed=10.0, half_length=2, half_width=1)
     f = forecast_agents([a], 10, 0.1)
-    assert np.allclose(np.diff(f.positions[0, :, 0]), 1.0)
-    assert np.allclose(f.positions[0, :, 1], 0.0)
+    assert np.allclose(np.diff(f.planes[0, 0]), 1.0)
+    assert np.allclose(f.planes[1, 0], 0.0)
 
 
 def test_forecast_heading_trig_oracle():
     h = math.pi / 3
     a = AgentState(id="m", pose=Pose2(0, 0, h), speed=6.0, half_length=2, half_width=1)
     f = forecast_agents([a], 5, 0.1)
-    step = f.positions[0, 1] - f.positions[0, 0]
+    step = f.planes[:, 0, 1] - f.planes[:, 0, 0]
     assert step[0] == pytest.approx(0.6 * math.cos(h), abs=1e-12)
     assert step[1] == pytest.approx(0.6 * math.sin(h), abs=1e-12)
 
@@ -138,8 +139,8 @@ def _reference_collision(pos, heads, f, ego_dims):
     out = np.ones(len(pos))
     for p in range(len(pos)):
         hit = boxes_overlap(
-            f.positions[:, :, 0] - pos[p, :, 0], f.positions[:, :, 1] - pos[p, :, 1], heads[p], *ego_dims,
-            f.headings[:, None], f.half_lengths[:, None], f.half_widths[:, None],
+            f.planes[0] - pos[p, :, 0], f.planes[1] - pos[p, :, 1], np.cos(heads[p]), np.sin(heads[p]), *ego_dims,
+            f.trig[0][:, None], f.trig[1][:, None], f.half_lengths[:, None], f.half_widths[:, None],
         )
         out[p] = 0.0 if hit.any() else 1.0
     return out
@@ -162,7 +163,7 @@ def test_rows_beyond_every_agents_reach_skip_the_pair_stages(monkeypatch, plain_
 
     free = score_proposals(ps, ctx([]))
     f = ctx(agents).forecast
-    monkeypatch.setattr(scoring, "boxes_overlap_trig", None)  # any call fails
+    monkeypatch.setattr(scoring, "boxes_overlap", None)  # any call fails
     got = score_proposals(ps, ctx(agents))
     assert np.array_equal(got.c_col, _reference_collision(ps.positions, ps.headings, f, (2.3, 0.95)))
     assert np.array_equal(got.c_ttc, _reference_batch_ttc(ps.positions, ps.headings, ps.speeds, f, (2.3, 0.95), TTC_WINDOW))
@@ -303,14 +304,14 @@ def _reference_batch_ttc(pos, heads, speeds, f, ego_dims, window):
     px = pos[p_l, s_l, 0, None] + adv * np.cos(head)[:, None]
     py = pos[p_l, s_l, 1, None] + adv * np.sin(head)[:, None]
     j_idx = np.minimum(s_l[:, None] + np.arange(1, n_sub + 1), f.steps)
-    dx = f.positions[:, j_idx, 0] - px  # (A, L, J)
-    dy = f.positions[:, j_idx, 1] - py
+    dx = f.planes[0][:, j_idx] - px  # (A, L, J)
+    dy = f.planes[1][:, j_idx] - py
     reach = math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths)
     near = dx * dx + dy * dy < (reach**2)[:, None, None]
     a_i, l_i, j_i = np.nonzero(near)
     hit = boxes_overlap(
-        dx[a_i, l_i, j_i], dy[a_i, l_i, j_i], head[l_i], *ego_dims,
-        f.headings[a_i], f.half_lengths[a_i], f.half_widths[a_i],
+        dx[a_i, l_i, j_i], dy[a_i, l_i, j_i], np.cos(head[l_i]), np.sin(head[l_i]), *ego_dims,
+        f.trig[0][a_i], f.trig[1][a_i], f.half_lengths[a_i], f.half_widths[a_i],
     )
     out[p_l[l_i[hit]]] = 0.0
     return out

@@ -18,9 +18,14 @@ from radstack.scene import (
     Trajectory,
     generate_synthetic_scenario,
 )
+from radstack import simulator
 from radstack.simulator import (
+    LOW_SPEED,
+    LOW_SPEED_GAIN,
+    LQR_Q_HEADING,
+    LQR_Q_LATERAL,
+    LQR_R_STEER,
     STEER_LIMIT,
-    LqrConfig,
     SimConfig,
     bicycle_step,
     load_episode_log,
@@ -119,19 +124,20 @@ def test_lqr_converges_from_half_metre_offset():
     assert max(errors[60:]) < 0.05
 
 
-def test_riccati_fixed_point_converged():
-    cfg = LqrConfig()
-    k49 = lqr_gain(5.0, 0.1, 2.7, cfg, iterations=49)
-    k50 = lqr_gain(5.0, 0.1, 2.7, cfg, iterations=50)
+def test_riccati_fixed_point_converged(monkeypatch):
+    monkeypatch.setattr(simulator, "RICCATI_STEPS", 49)
+    k49 = lqr_gain(5.0, 0.1, 2.7)
+    monkeypatch.setattr(simulator, "RICCATI_STEPS", 50)
+    k50 = lqr_gain(5.0, 0.1, 2.7)
     assert np.abs(k49 - k50).max() < 1e-9
 
 
-def _dare_gain_by_recursion(speed, dt, wheelbase, cfg):
+def _dare_gain_by_recursion(speed, dt, wheelbase):
     """Oracle: the textbook matrix Riccati recursion, iterated to a 1e-12 step."""
     A = np.array([[1.0, speed * dt], [0.0, 1.0]])
     B = np.array([[0.0], [speed * dt / wheelbase]])
-    Q = np.diag([cfg.q_lateral, cfg.q_heading])
-    R = np.array([[cfg.r_steer]])
+    Q = np.diag([LQR_Q_LATERAL, LQR_Q_HEADING])
+    R = np.array([[LQR_R_STEER]])
     P = Q
     for _ in range(100_000):
         K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
@@ -147,26 +153,24 @@ def _dare_gain_by_recursion(speed, dt, wheelbase, cfg):
 def test_lqr_gain_matches_dare_fixed_point(speed):
     # Low speeds are the creep/relaxation regime, where a fixed short
     # recursion is furthest from the fixed point.
-    cfg = LqrConfig()
-    expected = _dare_gain_by_recursion(speed, 0.1, 2.7, cfg)
-    got = lqr_gain(speed, 0.1, 2.7, cfg)
+    expected = _dare_gain_by_recursion(speed, 0.1, 2.7)
+    got = lqr_gain(speed, 0.1, 2.7)
     assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
-def test_lqr_gain_raises_when_unsolvable_or_capped():
-    cfg = LqrConfig()
+def test_lqr_gain_raises_when_unsolvable_or_capped(monkeypatch):
     with pytest.raises(ValueError, match="speed 0.0"):
-        lqr_gain(0.0, 0.1, 2.7, cfg)  # B = 0: not stabilisable
-    with pytest.raises(ValueError, match="speed 5.0"):
-        lqr_gain(5.0, 0.1, 2.7, cfg, iterations=2)
+        lqr_gain(0.0, 0.1, 2.7)  # B = 0: not stabilisable
+    monkeypatch.setattr(simulator, "RICCATI_STEPS", 2)
+    with pytest.raises(ValueError, match="in 2 steps at speed 5.0"):
+        lqr_gain(5.0, 0.1, 2.7)
 
 
-@pytest.mark.parametrize("speed", [0.0, 0.05, LqrConfig().low_speed * 0.999])
+@pytest.mark.parametrize("speed", [0.0, 0.05, LOW_SPEED * 0.999])
 def test_lqr_track_below_low_speed_uses_fixed_gain(speed):
-    cfg = LqrConfig()
     ego = _ego(y=0.5, speed=speed)
-    _, steer = lqr_track(ego, _reference(v=5.0), cfg)
-    assert steer == pytest.approx(-cfg.low_speed_gain[0] * 0.5, abs=1e-12)
+    _, steer = lqr_track(ego, _reference(v=5.0))
+    assert steer == pytest.approx(-LOW_SPEED_GAIN[0] * 0.5, abs=1e-12)
 
 
 def test_step_agents_idm_approaches_reference_speed():
@@ -192,8 +196,9 @@ def test_step_agents_platoon_no_collision():
             for j in range(i + 1, 3):
                 a, b = agents[i], agents[j]
                 assert not boxes_overlap(
-                    b.pose.x - a.pose.x, b.pose.y - a.pose.y, a.pose.heading, a.half_length, a.half_width,
-                    b.pose.heading, b.half_length, b.half_width,
+                    b.pose.x - a.pose.x, b.pose.y - a.pose.y, math.cos(a.pose.heading), math.sin(a.pose.heading),
+                    a.half_length, a.half_width, math.cos(b.pose.heading), math.sin(b.pose.heading),
+                    b.half_length, b.half_width,
                 )
 
 
