@@ -244,6 +244,29 @@ class ScoreContext:
 BROAD_PHASE_SLACK = 1e-6  # m; keeps the TTC broad phase conservative under rounding
 
 
+def _agents_in_reach(f: WorldForecast, xy, speeds, ego_dims) -> WorldForecast:
+    """The forecast less the agents whose box over their planes lies farther
+    than hypot(ego_dims) + hypot(half extents) + BROAD_PHASE_SLACK, in x or in
+    y, from the (2, P, S+1) samples' box widened on every side by (n_sub dt) *
+    max(speeds), the farthest a TTC projection moves a sample. Kept agents keep
+    their order; a NaN keeps an agent, and so does an empty set of rows."""
+    if not len(f) or not xy.size:
+        return f
+    widen = int(TTC_WINDOW / f.dt) * f.dt * max(float(speeds.max()), 0.0)
+    box = xy.reshape(2, -1)
+    lo, hi = box.min(axis=1) - widen, box.max(axis=1) + widen
+    gap = np.maximum(f.planes.min(axis=2) - hi[:, None], lo[:, None] - f.planes.max(axis=2))  # (2, A)
+    far = gap > math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths) + BROAD_PHASE_SLACK
+    (keep,) = (~(far[0] | far[1])).nonzero()
+    if len(keep) == len(f):
+        return f
+    sub = object.__new__(WorldForecast)
+    sub.dt, sub.steps, sub.agents = f.dt, f.steps, tuple(f.agents[i] for i in keep.tolist())
+    sub.planes, sub.trig, sub.velocities = f.planes.take(keep, axis=1), f.trig.take(keep, axis=1), f.velocities[keep]
+    sub.half_lengths, sub.half_widths = f.half_lengths.take(keep), f.half_widths.take(keep)
+    return sub
+
+
 def _batch_ttc(xy, cs, speeds, f: WorldForecast, ego_dims, window: float) -> np.ndarray:
     """Forward-projection clearance flag per proposal (1 = clear).
 
@@ -259,6 +282,8 @@ def _batch_ttc(xy, cs, speeds, f: WorldForecast, ego_dims, window: float) -> np.
     leaves no pair, every flag is 1 and the function returns. x and y go
     through each stage as one stacked array, and every stage reads its
     inputs by flat index with take, at a fraction of a fancy index's cost.
+    score_proposals passes only the agents of _agents_in_reach; one it drops
+    has no projected centre within reach, so the flags are the full forecast's.
     """
     out = np.ones(len(speeds))
     n_sub = int(window / f.dt)
@@ -415,8 +440,12 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     The route is projected once per call, arclengths only: the distinct row
     starts, every row's end point (for the gains) and every sample of the
     appended rows (for their direction term; rollout rows carry their own
-    arclength). The collision term skips its box test when no (row, agent,
-    sample) centre pair is within reach, as _batch_ttc does; both are exact.
+    arclength). The collision and TTC terms see only the agents of
+    _agents_in_reach: its box holds every sample and projected centre (the
+    rounding is monotone, |cos|, |sin| <= 1), so a dropped agent has no centre
+    within reach in either term, and kept agents keep their order and
+    arithmetic. The collision term skips its box test when no (row, agent,
+    sample) centre pair is within reach, as _batch_ttc does; all are exact.
     The direction term runs only on the rows that can travel against their
     path: appended rows, and rollout rows on a path with an opposing flag. A
     rollout row's arclength never decreases (the rollout's speed is never
@@ -433,6 +462,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     route = ctx.route_path
     if steps != f.steps:
         raise ValueError("trajectory and forecast horizons differ")
+    f = _agents_in_reach(f, xy, speeds, ctx.ego_dims)
 
     # Multiplicative terms; collision pairs prefiltered by center distance.
     cols = np.ones(n)

@@ -146,9 +146,21 @@ def _reference_collision(pos, heads, f, ego_dims):
     return out
 
 
+def _spy_on_ttc_forecasts(monkeypatch):
+    """The number of agents of each forecast score_proposals hands _batch_ttc, in call order."""
+    seen, batch_ttc = [], scoring._batch_ttc
+
+    def spy(xy, cs, speeds, f, *rest):
+        seen.append(len(f))
+        return batch_ttc(xy, cs, speeds, f, *rest)
+
+    monkeypatch.setattr(scoring, "_batch_ttc", spy)
+    return seen
+
+
 def test_rows_beyond_every_agents_reach_skip_the_pair_stages(monkeypatch, plain_scenario, plain_path):
-    # No (row, agent) pair comes within reach, so the collision and TTC
-    # terms return before their pair and box stages, and every column is
+    # No (row, agent) pair comes within reach: the cull drops both agents, so
+    # the collision and TTC terms see an empty forecast, and every column is
     # the one their full formulas and an agent-free scoring give.
     rows = [_straight_traj(v=v, steps=40, y=y) for v, y in ((10.0, 0.0), (6.0, 1.0), (0.0, 0.0), (3.0, -1.0))]
     agents = [
@@ -164,7 +176,9 @@ def test_rows_beyond_every_agents_reach_skip_the_pair_stages(monkeypatch, plain_
     free = score_proposals(ps, ctx([]))
     f = ctx(agents).forecast
     monkeypatch.setattr(scoring, "boxes_overlap", None)  # any call fails
+    seen = _spy_on_ttc_forecasts(monkeypatch)
     got = score_proposals(ps, ctx(agents))
+    assert seen == [0]
     assert np.array_equal(got.c_col, _reference_collision(ps.positions, ps.headings, f, (2.3, 0.95)))
     assert np.array_equal(got.c_ttc, _reference_batch_ttc(ps.positions, ps.headings, ps.speeds, f, (2.3, 0.95), TTC_WINDOW))
     for field in fields(Scores):
@@ -382,6 +396,106 @@ def test_batch_ttc_broad_phase_matches_full_grid(case, window):
     for rows in ((pos, heads, speeds), (pos[p], heads[p], single)):
         expected = _reference_batch_ttc(*rows, f, ego_dims, window)
         assert np.array_equal(_batch_ttc(*_planes(*rows[:2]), rows[2], f, ego_dims, window), expected)
+
+
+def test_ttc_widening_keeps_an_agent_only_the_last_projection_reaches(monkeypatch, plain_scenario, plain_path):
+    # Every sample sits at the origin heading +x; only sample 0 is live, at
+    # 10 m/s, so its projected centre reaches x = (n_sub dt) * 10 at the last
+    # sub-step and 1 m short of it at the one before. A static post there,
+    # edge to edge with that projection, lies beyond every sample's reach.
+    # Thin boxes put the contact within 1 cm of the cull bound: the post is
+    # kept and flags the row; 1 cm farther out it is culled and the row clear.
+    ego_dims, steps, v = (2.3, 0.1), 20, 10.0
+    speeds = np.zeros(steps + 1)
+    speeds[0] = v
+    ps = _proposal_set([_traj_from_xy(np.zeros((steps + 1, 2)), speeds=speeds, heading=0.0)])
+    contact = int(TTC_WINDOW / 0.1) * 0.1 * v + ego_dims[0] + 1.0
+    reach = math.hypot(*ego_dims) + math.hypot(1.0, 0.1)
+    assert contact > reach
+    seen = _spy_on_ttc_forecasts(monkeypatch)
+    for x, c_ttc, kept in ((contact, 0.0, 1), (contact + 0.01, 1.0, 0)):
+        post = static_car("post", x, 0.0, half_length=1.0, half_width=0.1)
+        ctx = ScoreContext(
+            scenario=plain_scenario, forecast=forecast_agents([post], steps, 0.1), route_path=plain_path,
+            goal_norm=100.0, ego_dims=ego_dims,
+        )
+        got = score_proposals(ps, ctx)
+        assert (got.c_col[0], got.c_ttc[0], seen[-1]) == (1.0, c_ttc, kept)
+
+
+def _at_cull_bound(lo, hi, bound, sign, inside):
+    """A coordinate above hi (sign 1) or below lo (sign -1) whose gap to
+    [lo, hi], rounded as the scorer rounds it, is the largest at most bound
+    (inside) or the smallest above it (outside)."""
+    def gap(c):
+        return c - hi if sign > 0 else lo - c
+
+    c = hi + bound if sign > 0 else lo - bound
+    while gap(c) > bound:
+        c = math.nextafter(c, -sign * math.inf)
+    while gap(math.nextafter(c, sign * math.inf)) <= bound:
+        c = math.nextafter(c, sign * math.inf)
+    return c if inside else math.nextafter(c, sign * math.inf)
+
+
+@st.composite
+def _cull_case(draw):
+    """A _ttc_case with agents at the cull bound and one agent that only a
+    live sample's projection at the last sub-step reaches.
+
+    Agents at the bound start just inside or just outside it, on any side of
+    the samples' box widened by the TTC projection, centred on it along the
+    other axis, static or moving away from it. Returns the case, its full
+    forecast, and the ids of the agents at the bound with whether each is
+    inside.
+    """
+    pos, heads, speeds, f, ego_dims = draw(_ttc_case())
+    dt, steps, n_sub = f.dt, f.steps, int(TTC_WINDOW / f.dt)
+    agents = list(f.agents)
+    if draw(st.booleans()):
+        # Sample k of row p, moved to the +x edge of the square and heading
+        # +x: its projection at the last sub-step touches the agent's rear
+        # edge, more than 11 m beyond every sample.
+        p, k = draw(st.integers(0, len(pos) - 1)), draw(st.integers(0, steps))
+        v, y = draw(st.floats(10.0, 15.0)), draw(st.floats(-15.0, 15.0))
+        pos[p, k], heads[p, k], speeds[p, k] = (15.0, y), 0.0, v
+        hl, hw = draw(st.floats(0.3, 2.5)), draw(st.floats(0.3, 1.2))
+        x = 15.0 + n_sub * dt * v + ego_dims[0] + hl
+        agents.append(AgentState(id="last", pose=Pose2(x, y, 0.0), speed=0.0, half_length=hl, half_width=hw, kind="static"))
+    widen = n_sub * dt * max(float(speeds.max()), 0.0)
+    lo, hi = pos.reshape(-1, 2).min(axis=0) - widen, pos.reshape(-1, 2).max(axis=0) + widen
+    at_bound = {}
+    for i in range(draw(st.integers(0, 3))):
+        axis, sign, inside = draw(st.integers(0, 1)), draw(st.sampled_from([1, -1])), draw(st.booleans())
+        hl, hw = draw(st.floats(0.3, 2.5)), draw(st.floats(0.3, 1.2))
+        bound = math.hypot(*ego_dims) + float(np.hypot(hl, hw)) + scoring.BROAD_PHASE_SLACK
+        centre = 0.5 * (lo + hi)
+        centre[axis] = _at_cull_bound(lo[axis], hi[axis], bound, sign, inside)
+        heading = (0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi)[2 * axis + (sign < 0)]  # away from the box
+        speed = draw(st.sampled_from([0.0, 0.0, 5.0]))
+        agents.append(AgentState(
+            id=f"b{i}", pose=Pose2(float(centre[0]), float(centre[1]), heading), speed=speed,
+            half_length=hl, half_width=hw, kind="static" if speed == 0.0 else "vehicle",
+        ))
+        at_bound[f"b{i}"] = inside
+    return (pos, heads, speeds, ego_dims), forecast_agents(agents, steps, dt), at_bound
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_cull_case())
+def test_collision_and_ttc_with_the_agent_cull_match_the_full_grid_bitwise(case):
+    (pos, heads, speeds, ego_dims), f, at_bound = case
+    ps = ProposalSet.empty(f.dt, f.steps)
+    ps.append(f.dt, pos, heads, speeds, ["idm"] * len(pos))
+    scenario = straight_scenario()
+    ctx = ScoreContext(scenario=scenario, forecast=f, route_path=straight_path(scenario), ego_dims=ego_dims)
+    got = score_proposals(ps, ctx)
+    assert np.array_equal(got.c_col.view(np.int64), _reference_collision(pos, heads, f, ego_dims).view(np.int64))
+    want = _reference_batch_ttc(pos, heads, speeds, f, ego_dims, TTC_WINDOW)
+    assert np.array_equal(got.c_ttc.view(np.int64), want.view(np.int64))
+    kept = {a.id for a in scoring._agents_in_reach(f, _planes(pos, heads)[0], speeds, ego_dims).agents}
+    assert {i for i, inside in at_bound.items() if inside} <= kept
+    assert not {i for i, inside in at_bound.items() if not inside} & kept
 
 
 # -- relaxation ----------------------------------------------------------------
