@@ -39,9 +39,10 @@ SegmentStack stacks several tables' segment arrays, padded to the longest,
 and project_points_to_polylines projects a batch of points onto all of them
 at once, in the same bits as one project_points_to_polyline per table. A
 Scenario stacks its lanes once (Scenario.lane_stack): step_agents projects
-every agent and the ego onto every lane with one call, and the topology's
-graph_search and augment_with_adjacents share one projection of the ego onto
-every lane per tick (Scenario.on_lanes).
+every agent and the ego onto every lane with one call
+(Scenario.project_onto_lanes), and the topology's graph_search and
+augment_with_adjacents read the ego's row of it on the next tick
+(Scenario.on_lanes).
 
 The planner's per-tick path calls numpy through ufuncs, ndarray methods and
 slicing, not through numpy's Python-level functions (np.diff, np.clip,
@@ -328,6 +329,13 @@ class SegmentTable:
         (segment_index): at a vertex, the one starting there."""
         s = self._clamp(s)
         return self._interp(s), self.headings[self.segment_index(s)]
+
+    def frame_at(self, s) -> tuple:
+        """(positions (..., 2), left normals (2, ...)) at arclengths s: the
+        positions of pose_at, and the (-sin, cos) of its heading read from
+        the segment array's cached rows, not recomputed."""
+        s = self._clamp(s)
+        return self._interp(s), self.seg[8:10].take(self.segment_index(s), axis=1)
 
     def resample(self, ds: float) -> "SegmentTable":
         """The polyline at uniform arclength step ds, the last step shorter.

@@ -34,8 +34,12 @@ CURVATURE_LOOKAHEAD = 30.0  # m of path ahead summarized in features
 # Features
 
 
-def extract_features(ego: EgoState, agents, path: ProposalPath, goal: Pose2) -> np.ndarray:
+def extract_features(ego: EgoState, agents, path: ProposalPath, goal: Pose2, projection: tuple) -> np.ndarray:
     """Fixed-length scene descriptor, all geometry in the ego frame.
+
+    projection is the ego's (arclength, signed lateral, heading error) on
+    path, as project_onto_path returns it; the hybrid planner passes the one
+    its rollout computed, so the ego is not projected again.
 
     Layout (D = 64):
       0..2   ego speed, accel, steering
@@ -51,7 +55,7 @@ def extract_features(ego: EgoState, agents, path: ProposalPath, goal: Pose2) -> 
     f[1] = ego.accel
     f[2] = ego.steering
 
-    s_ego, lateral, heading_err = project_onto_path(path, ego.pose)
+    s_ego, lateral, heading_err = projection
     f[3] = lateral
     f[4] = heading_err
     f[5] = min(path.length - s_ego, 200.0)
@@ -126,7 +130,7 @@ def harvest_training_samples(
     for i, expert in zip(range(0, len(ego_states) - horizon_steps, stride), windows):
         ego = ego_states[i]
         path = graph_search(ego, scenario)[0]
-        feats = extract_features(ego, agents_seq[i], path, scenario.goal)
+        feats = extract_features(ego, agents_seq[i], path, scenario.goal, project_onto_path(path, ego.pose))
         samples.append(TrainingSample(features=feats, expert=expert))
     return samples
 

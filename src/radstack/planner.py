@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import HorizonMismatchError
+from .geometry import normalize_angle
 from .hybrid import DEFAULT_LEARNED_OFFSETS, hybrid_select
 from .planhead import (
     CLASSIFY_AND_REFINE,
@@ -130,6 +131,7 @@ class Planner:
             1e-6, math.hypot(scenario.goal.x - ego0.pose.x, scenario.goal.y - ego0.pose.y)
         )
         self._static_paths = None
+        self._forecast = None
         self._history: list = []
         self._relax_hold = False
         self._relax_hold_since: float | None = None
@@ -208,7 +210,14 @@ class Planner:
         stage_times.append(("topology", time.perf_counter() - t0))
 
         t1 = time.perf_counter()
-        forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
+        # The forecast is a function of the agents alone, and AgentState is
+        # frozen: while every agent is the same object (step_agents returns
+        # static agents unchanged), the last tick's forecast is this one's.
+        forecast = self._forecast
+        if forecast is None or len(forecast.agents) != len(agents) or any(
+            a is not b for a, b in zip(forecast.agents, agents)
+        ):
+            forecast = self._forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
         proposals = generate_proposals(ego, paths, agents, cfg.proposal, base_params=cfg.idm)
         vocabulary_rows = None
         if cfg.enable_vocabulary and self.vocabulary is not None:
@@ -231,7 +240,10 @@ class Planner:
             ego_dims=(ego.half_length, ego.half_width),
         )
         if self.kind == "hybrid":
-            features = extract_features(ego, agents, route_path, self.scenario.goal)
+            # The rollout projected the ego onto every path; path 0 is the route.
+            s_ego, lateral, path_heading = proposals.ego_projection[0].tolist()
+            route_projection = (s_ego, lateral, normalize_angle(ego.pose.heading - path_heading))
+            features = extract_features(ego, agents, route_path, self.scenario.goal, route_projection)
             learned, head_times = plan_anytime(
                 self.model, features, ego, budget=cfg.planhead_budget
             )
@@ -243,12 +255,10 @@ class Planner:
             winner, scores, best = select_best(proposals, ctx)
         stage_times.append(("scoring", time.perf_counter() - t2))
 
-        # Sample 0 of a path's rollout arclength is the ego's projection onto
-        # that path; the rollout rows come first, path by path.
-        first_rows = proposals.path_index[proposals.tracked].searchsorted(np.arange(len(paths)))
+        # The rollout carries each path's centre point at the ego's projection.
         gap = 0.0
-        for path, s_ego in zip(paths, proposals.s_track[first_rows, 0]):
-            gap = max(gap, float(np.linalg.norm(path.segments.points_at(s_ego) - path.start)))
+        for path, centre in zip(paths, proposals.path_centres):
+            gap = max(gap, float(np.linalg.norm(centre - path.start)))
         return PlanResult(
             trajectory=winner,
             breakdowns=scores,
@@ -265,12 +275,12 @@ class Planner:
         t0 = time.perf_counter()
         paths = self._paths(ego)
         route_path = paths[0]
-        features = extract_features(ego, agents, route_path, self.scenario.goal)
+        projection = project_onto_path(route_path, ego.pose)
+        features = extract_features(ego, agents, route_path, self.scenario.goal, projection)
         stage_times = [("features", time.perf_counter() - t0)]
         traj, head_times = plan_anytime(self.model, features, ego, budget=cfg.planhead_budget)
         stage_times.extend(head_times)
-        s_ego, _, _ = project_onto_path(route_path, ego.pose)
-        gap = float(np.linalg.norm(route_path.segments.points_at(s_ego) - route_path.start))
+        gap = float(np.linalg.norm(route_path.segments.points_at(projection[0]) - route_path.start))
         return PlanResult(
             trajectory=traj,
             breakdowns=[],

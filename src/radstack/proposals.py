@@ -11,7 +11,7 @@ the safety authority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -94,6 +94,13 @@ class ProposalSet:
     their path (path_index into paths) and rollout arclength s_track. Rows
     added by append (vocabulary and learned plans) have path_index
     -1, offset and fraction 0 and a NaN s_track. A row's index is its position.
+
+    Per path, the set also carries what the rollout computed at the ego:
+    ego_projection holds the ego's projection onto the path (arclength,
+    signed lateral and the heading of the segment under the foot point, the
+    values project_onto_path reads), and path_centres the path's centre
+    point at that arclength (points_at). The planner reads the features'
+    route projection and the replan root gap from them.
     """
 
     dt: float
@@ -106,6 +113,8 @@ class ProposalSet:
     fractions: np.ndarray  # (P,)
     tags: np.ndarray  # (P,) int codes into TRAJECTORY_TAGS
     paths: tuple = ()
+    ego_projection: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # (paths, 3): s, lateral, heading
+    path_centres: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))  # (paths, 2)
 
     @classmethod
     def empty(cls, dt: float, horizon_steps: int) -> "ProposalSet":
@@ -432,9 +441,14 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     Row i follows paths[path_of_row[i]] toward lateral offset targets[i] at
     reference speed v0[i]; every other IDM parameter comes from p. Rows are
     path-major: path_of_row is non-decreasing, so each path's rows are one
-    slice. The ego and all agents are projected onto each path in one call,
-    the ego as point 0. Returns (positions (n, S+1, 2), headings, speeds,
-    arclengths along each row's path), the last three (n, S+1).
+    slice, and every path has at least one row. The ego and all agents are
+    projected onto each path in one call, the ego as point 0. Returns
+    (positions (n, S+1, 2), headings, speeds, arclengths along each row's
+    path), the last three (n, S+1), then the ego's projection onto each path
+    (paths, 3): its arclength, lateral and the heading of the segment under
+    its foot point, row 0 of that call; and each path's centre point at that
+    arclength (paths, 2), sample 0 of the read-back (_read_back) before
+    sample 0 is pinned to the ego.
 
     The kernel's lead columns are only the agents that can lead some row
     (_can_lead); the others are dropped before the rows are expanded, and
@@ -454,7 +468,7 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     # longitudinal speed is taken against the heading of the path segment
     # holding its arclength.
     n_agents = len(agents)
-    ego_sl = np.empty((2, len(paths)))  # s, lat
+    ego_proj = np.empty((3, len(paths)))  # s, lat, path heading
     ag = np.zeros((3, len(paths), n_agents))  # s, lat, v_lon
     pts = np.array([[ego.pose.x, ego.pose.y]] + [[a.pose.x, a.pose.y] for a in agents])
     if n_agents:
@@ -463,14 +477,14 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
         ).T
     for j, path in enumerate(paths):
         table = path.segments
-        s_j, l_j, _, _ = project_points_to_polyline(pts, table)
-        ego_sl[:, j] = s_j[0], l_j[0]
+        s_j, l_j, h_j, _ = project_points_to_polyline(pts, table)
+        ego_proj[:, j] = s_j[0], l_j[0], h_j[0]
         if n_agents:
             ag[0, j], ag[1, j] = s_j[1:], l_j[1:]
             ag[2, j] = speed * np.cos(heading - table.headings[table.segment_index(s_j[1:])])
 
     if n_agents:
-        lead = _can_lead(ag[0], ag[2], ego_sl[0], dt, steps)
+        lead = _can_lead(ag[0], ag[2], ego_proj[0], dt, steps)
         if np.count_nonzero(lead) < n_agents:
             ag, half_length, half_width = ag[:, :, lead], half_length[lead], half_width[lead]
             n_agents = ag.shape[2]
@@ -486,7 +500,7 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     path_len = np.array([p.length for p in paths])[path_of_row]
     terminus = np.array([p.ends_at_terminus for p in paths], dtype=bool)[path_of_row]
 
-    s, l = ego_sl[:, path_of_row]
+    s, l = ego_proj[:2, path_of_row]
     v = np.full(n, ego.speed)
 
     s_hist = np.empty((steps + 1, n))
@@ -526,16 +540,7 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
         steps,
     )
 
-    # Reconstruct world-frame samples: centerline point + lateral along the
-    # normal (-sin, cos), one slice of rows per path.
-    xy = np.empty((steps + 1, n, 2))
-    edges = path_of_row.searchsorted(np.arange(len(paths) + 1))
-    for j, path in enumerate(paths):
-        rows = slice(edges[j], edges[j + 1])
-        pos, head = path.segments.pose_at(s_hist[:, rows])
-        xy[:, rows, 0] = pos[..., 0] - l_hist[:, rows] * np.sin(head)
-        xy[:, rows, 1] = pos[..., 1] + l_hist[:, rows] * np.cos(head)
-
+    xy, centres = _read_back(paths, path_of_row, s_hist, l_hist)
     heads, speeds = segment_headings_and_speeds(xy, ego.pose.heading, ego.speed, dt)
     # Rows first; sample 0 is pinned to the exact ego state.
     positions = np.ascontiguousarray(xy.transpose(1, 0, 2))
@@ -544,7 +549,30 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     headings[:, 0] = ego.pose.heading
     speeds = np.ascontiguousarray(speeds.T)
     speeds[:, 0] = ego.speed
-    return positions, headings, speeds, np.ascontiguousarray(s_hist.T)
+    return positions, headings, speeds, np.ascontiguousarray(s_hist.T), np.ascontiguousarray(ego_proj.T), centres
+
+
+def _read_back(paths, path_of_row, s_hist, l_hist):
+    """World-frame samples (S+1, n, 2) of the rows' (s, l) histories, and
+    each path's centre point at its rows' sample 0 (paths, 2).
+
+    A sample is the path's centre point at s plus l along the left normal
+    (-sin, cos) of the segment holding s (SegmentTable.frame_at), one slice
+    of rows per path. The normal comes from the segment array's cached rows,
+    which hold np.sin and np.cos of the heading row; x + l * (-sin) equals
+    x - l * sin to the bit, so the samples are those of np.sin and np.cos
+    taken on the gathered headings.
+    """
+    xy = np.empty(s_hist.shape + (2,))
+    centres = np.empty((len(paths), 2))
+    edges = path_of_row.searchsorted(np.arange(len(paths) + 1))
+    for j, path in enumerate(paths):
+        rows = slice(edges[j], edges[j + 1])
+        pos, normal = path.segments.frame_at(s_hist[:, rows])
+        centres[j] = pos[0, 0]
+        normal *= l_hist[:, rows]
+        _add(pos, normal.transpose(1, 2, 0), xy[:, rows])
+    return xy, centres
 
 
 def generate_proposals(
@@ -568,10 +596,10 @@ def generate_proposals(
     fractions = np.array(cfg.speed_fractions, dtype=float)[None].repeat(len(paths) * n_off, axis=0).reshape(-1)
     limits = np.array([path.speed_limit for path in paths], dtype=float)[path_index]
     v0 = np.maximum(0.1, fractions * limits)
-    positions, headings, speeds, s_track = _rollout_rows(
+    positions, headings, speeds, s_track, ego_projection, centres = _rollout_rows(
         ego, paths, path_index, offsets, v0, base_params, agents, cfg
     )
     return ProposalSet(
         cfg.dt, positions, headings, speeds, s_track, path_index,
-        offsets, fractions, np.zeros(len(path_index), int), tuple(paths),
+        offsets, fractions, np.zeros(len(path_index), int), tuple(paths), ego_projection, centres,
     )

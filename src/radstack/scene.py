@@ -299,21 +299,36 @@ class Scenario:
         project_points_to_polylines call projects onto every lane."""
         return SegmentStack(lane.segments for lane in self.lanes)
 
+    def project_onto_lanes(self, ps: np.ndarray) -> tuple:
+        """project_points_to_polylines(ps, self.lane_stack): (s, lateral,
+        heading), each (L, N), and the foot points (L, N, 2).
+
+        The last point's arclengths and foot points go into on_lanes' memo:
+        step_agents projects the post-step ego as its last entity, and the
+        next tick's graph_search asks on_lanes for that same position. Row k
+        of a batch holds the bits of a batch of that point alone, so the
+        memo returns what a fresh projection would.
+        """
+        s, lateral, heading, foot = project_points_to_polylines(ps, self.lane_stack)
+        last = s[:, -1], foot[:, -1]
+        for a in last:
+            a.flags.writeable = False
+        object.__setattr__(self, "_on_lanes", (tuple(ps[-1].tolist()), last))
+        return s, lateral, heading, foot
+
     def on_lanes(self, x: float, y: float) -> tuple:
         """(arclength (L,), foot point (L, 2)) of the point (x, y) on every
-        lane, in lane order, from one project_points_to_polylines call.
+        lane, in lane order, from one project_onto_lanes call.
 
-        The last point's result is kept: on a tick, graph_search and
-        augment_with_adjacents ask for the same ego position and share one
-        projection.
+        The last point projected onto the lanes is remembered: on a tick,
+        graph_search and augment_with_adjacents ask for the same ego
+        position and share one projection, and that position is the ego
+        that step_agents projected last.
         """
         key, result = self._on_lanes
         if key != (x, y):
-            s, _, _, foot = project_points_to_polylines(np.array([[x, y]]), self.lane_stack)
-            result = s[:, 0], foot[:, 0]
-            for a in result:
-                a.flags.writeable = False
-            object.__setattr__(self, "_on_lanes", ((x, y), result))
+            self.project_onto_lanes(np.array([[x, y]]))
+            _, result = self._on_lanes
         return result
 
     @property

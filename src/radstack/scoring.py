@@ -369,11 +369,15 @@ def _batch_comfort(speeds, heads, dt) -> np.ndarray:
 def _batch_direction(s, path_index, paths) -> np.ndarray:
     """Driving-direction credit per row from its arclengths s (P, S+1) along
     paths[path_index], path index -1 taking the last path: 1 below DIR_EPS m
-    of travel against the lane direction, 0.5 below DIR_TOL m, else 0."""
-    opposing = np.empty((len(s), s.shape[1] - 1), dtype=bool)
+    of travel against the lane direction, 0.5 below DIR_TOL m, else 0. A
+    path with no opposing flag needs no segment lookup: its rows run with
+    the lane at every step."""
+    opposing = np.zeros((len(s), s.shape[1] - 1), dtype=bool)
     for j in set(path_index.tolist()):
-        rows = path_index == j
         path = paths[j]
+        if not np.count_nonzero(path.opposing_mask):
+            continue
+        rows = path_index == j
         seg = path.s.searchsorted(s[rows, :-1], side="right") - 1
         opposing[rows] = path.opposing_mask[np.minimum(np.maximum(seg, 0), len(path.opposing_mask) - 1)]
     ds = s[:, 1:] - s[:, :-1]
@@ -415,6 +419,38 @@ class Scores:
         return (self[i] for i in range(len(self)))
 
 
+def _route_arclengths(pos, appended, route: ProposalPath) -> tuple:
+    """(gain along the route per row (P,), route arclengths of the appended
+    rows' samples (m, S+1)), from one project_arclengths call in which each
+    point appears once.
+
+    The batch holds each distinct row start once (in practice all rows start
+    at the ego pose; otherwise by np.unique on x + iy, where -0.0 and 0.0
+    merge, which leaves s unchanged), every row's end point, then samples
+    1..S-1 of the appended rows, which carry no arclength of their own. An
+    appended row's samples 0 and S are its start and end entries. A point's
+    projection does not depend on the rest of the batch, so each value has
+    the bits of a batch of every sample.
+    """
+    n, width = pos.shape[:2]
+    start = pos[:, 0, :]
+    if n and (start == start[0]).all():
+        first, start_of_row = [0], np.zeros(n, dtype=np.intp)
+    else:
+        _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
+    (rows,) = appended.nonzero()
+    s_route = project_arclengths(
+        np.concatenate([start[first], pos[:, -1, :], pos[rows, 1:-1].reshape(-1, 2)]), route.segments
+    )
+    k = len(first)
+    ends = s_route[k : k + n]
+    s_appended = np.empty((len(rows), width))
+    s_appended[:, 0] = s_route[start_of_row[rows]]
+    s_appended[:, -1] = ends[rows]
+    s_appended[:, 1:-1] = s_route[k + n :].reshape(len(rows), width - 2)
+    return ends - s_route[start_of_row], s_appended
+
+
 def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     """Score every row of the set in one batch.
 
@@ -437,15 +473,17 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     flat index and runs its sub-step grid as (J, pairs) on stacked x/y; and
     _batch_comfort makes its four |x| <= bound tests one comparison.
 
-    The route is projected once per call, arclengths only: the distinct row
-    starts, every row's end point (for the gains) and every sample of the
-    appended rows (for their direction term; rollout rows carry their own
-    arclength). The collision and TTC terms see only the agents of
-    _agents_in_reach: its box holds every sample and projected centre (the
-    rounding is monotone, |cos|, |sin| <= 1), so a dropped agent has no centre
-    within reach in either term, and kept agents keep their order and
-    arithmetic. The collision term skips its box test when no (row, agent,
-    sample) centre pair is within reach, as _batch_ttc does; all are exact.
+    The route is projected once per call, arclengths only, and each point
+    once (_route_arclengths): the distinct row starts and every row's end
+    point give the gains, and an appended row's direction term reads its
+    samples 0 and S from those entries, so only its samples 1..S-1 join the
+    batch (rollout rows carry their own arclength). The collision and TTC
+    terms see only the agents of _agents_in_reach: its box holds every
+    sample and projected centre (the rounding is monotone, |cos|, |sin| <=
+    1), so a dropped agent has no centre within reach in either term, and
+    kept agents keep their order and arithmetic. The collision term skips
+    its box test when no (row, agent, sample) centre pair is within reach,
+    as _batch_ttc does; all are exact.
     The direction term runs only on the rows that can travel against their
     path: appended rows, and rollout rows on a path with an opposing flag. A
     rollout row's arclength never decreases (the rollout's speed is never
@@ -487,23 +525,8 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     inside = points_in_polygons(wx, wy, ctx.scenario.drivable_area, ctx.scenario.drivable_boxes)
     ras = np.logical_and.reduce(inside, axis=(0, 2)).astype(float)
 
-    # Route arclengths in one projection call: each distinct row start once
-    # (in practice all rows start at the ego pose; otherwise by np.unique on
-    # x + iy, where -0.0 and 0.0 merge, which leaves s unchanged), every row's
-    # end point, then every sample of the appended rows, which carry no
-    # arclength of their own. A point's projection does not depend on the
-    # rest of the batch.
-    start = pos[:, 0, :]
-    if n and (start == start[0]).all():
-        first, start_of_row = [0], np.zeros(n, dtype=np.intp)
-    else:
-        _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
     appended = ~proposals.tracked
-    s_route = project_arclengths(
-        np.concatenate([start[first], pos[:, -1, :], pos[appended].reshape(-1, 2)]), route.segments
-    )
-    k = len(first)
-    gains = s_route[k : k + n] - s_route[start_of_row]
+    gains, s_appended = _route_arclengths(pos, appended, route)
 
     ras_eff = np.maximum(ras, RELAX_FLOOR) if ctx.relax.active else ras
     feasible = (cols * ras_eff) > 0
@@ -523,7 +546,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     # Speed and direction compliance against each row's own path; path index
     # -1 (an appended row) picks the route path, appended last. Rollouts carry
     # their arclength along their path; appended rows take their route
-    # arclengths from the projection above.
+    # arclengths from _route_arclengths.
     paths = proposals.paths + (route,)
     limits = np.array([p.speed_limit for p in paths])[proposals.path_index]
     c_sps = 1.0 - (speeds > (limits + SPEED_TOL)[:, None]).mean(axis=1)
@@ -532,7 +555,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     c_drs = np.ones(n)
     if len(rows):
         s = proposals.s_track[rows]
-        s[appended[rows]] = s_route[k + n :].reshape(-1, steps + 1)
+        s[appended[rows]] = s_appended
         c_drs[rows] = _batch_direction(s, proposals.path_index[rows], paths)
 
     goal = ctx.scenario.goal

@@ -34,7 +34,6 @@ from .geometry import (
     normalize_angle,
     normalize_angles,
     project_point_once,
-    project_points_to_polylines,
     SegmentTable,
 )
 from .planner import Planner
@@ -247,7 +246,8 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
     replay: every non-static agent continues at its scripted constant velocity.
 
     One pass serves every vehicle: one projection of the agents and the ego
-    onto every lane (Scenario.lane_stack), the lane choice as one masked
+    onto every lane (Scenario.project_onto_lanes, which keeps the ego's for
+    the next tick's topology), the lane choice as one masked
     argmin over the lanes in id order, then the lead search, IDM and pure
     pursuit once over all laned vehicles, each on its own lane's row.
     """
@@ -269,7 +269,7 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
     if veh:
         veh = np.array(veh)
         _, _, eh, ev, ehl, ehw = ent.T
-        s_e, lat_e, head_e, _ = project_points_to_polylines(ent[:, :2], scenario.lane_stack)
+        s_e, lat_e, head_e, _ = scenario.project_onto_lanes(ent[:, :2])
 
         # The first least |lateral| over the eligible lanes in id order.
         by_id = np.array(sorted(range(len(lanes)), key=lambda k: lanes[k].id))

@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radstack.geometry import normalize_angles, points_in_polygon, polygon_as_aabb, project_points_to_polyline
+from radstack.geometry import (
+    normalize_angles,
+    points_in_polygon,
+    polygon_as_aabb,
+    project_arclengths,
+    project_points_to_polyline,
+)
 from radstack.proposals import (
     B_HARD,
     CORRIDOR_HALF_WIDTH,
@@ -349,6 +355,39 @@ def reference_rollout_rows(ego, paths, path_of_row, targets, v0, p, agents, cfg)
     speeds = np.ascontiguousarray(speeds.T)
     speeds[:, 0] = ego.speed
     return positions, headings, speeds, np.ascontiguousarray(s_hist.T)
+
+
+def reference_read_back(paths, path_of_row, s_hist, l_hist):
+    """The rollout read-back by pose_at and np.sin and np.cos of the
+    gathered headings, and each path's centre point by points_at at its
+    first row's sample 0: the tests' bitwise reference for
+    proposals._read_back, which reads the segment array's cached -sin and
+    cos instead."""
+    xy = np.empty(s_hist.shape + (2,))
+    centres = np.empty((len(paths), 2))
+    edges = np.searchsorted(path_of_row, np.arange(len(paths) + 1))
+    for j, path in enumerate(paths):
+        rows = slice(edges[j], edges[j + 1])
+        pos, head = path.segments.pose_at(s_hist[:, rows])
+        xy[:, rows, 0] = pos[..., 0] - l_hist[:, rows] * np.sin(head)
+        xy[:, rows, 1] = pos[..., 1] + l_hist[:, rows] * np.cos(head)
+        centres[j] = path.segments.points_at(s_hist[0, edges[j]])
+    return xy, centres
+
+
+def reference_route_arclengths(pos, appended, route):
+    """The scorer's route projection with every sample of the appended rows
+    in the batch: the tests' bitwise reference for scoring._route_arclengths,
+    which projects only their samples 1..S-1 and reads samples 0 and S from
+    the rows' start and end entries."""
+    n, width = pos.shape[:2]
+    start = pos[:, 0, :]
+    _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
+    s_route = project_arclengths(
+        np.concatenate([start[first], pos[:, -1, :], pos[appended].reshape(-1, 2)]), route.segments
+    )
+    k = len(first)
+    return s_route[k : k + n] - s_route[start_of_row], s_route[k + n :].reshape(-1, width)
 
 
 class ReferenceSegmentTable:

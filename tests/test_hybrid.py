@@ -3,14 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from radstack import planhead, planner, topology
 from radstack.errors import HorizonMismatchError
 from radstack.hybrid import hybrid_select, inject_learned
+from radstack.planhead import init_model
+from radstack.planner import Planner
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
-from radstack.scene import EgoState, Trajectory
+from radstack.scene import EgoState, Trajectory, generate_synthetic_scenario
+from radstack.simulator import run_episode
 from radstack.scoring import ScoreContext, ScoreWeights, forecast_agents, select_best
 from radstack.topology import graph_search
 
-from conftest import static_car, straight_path, straight_scenario
+from conftest import four_prototype_vocabulary, static_car, straight_path, straight_scenario
 
 
 def _straight_learned(v=8.0, steps=40, dt=0.1, y=0.0, tag="learned"):
@@ -154,3 +158,19 @@ def test_hybrid_breakdown_schema_shared(plain_scenario):
     assert rec_idm.keys() == rec_learned.keys()
     for key in ("c_col", "c_ra", "c_ttc", "c_sp", "c_cf", "goal_cost"):
         assert rec_idm[key] == pytest.approx(rec_learned[key], abs=1e-9)
+
+
+def test_no_hybrid_tick_projects_the_ego_onto_a_path_again(monkeypatch):
+    # The features and the root gap read the rollout's ego projection; only
+    # the planhead kind and training harvests call project_onto_path.
+    def forbidden(*args):
+        raise AssertionError("project_onto_path called on a hybrid tick")
+
+    for module in (planner, planhead, topology):
+        monkeypatch.setattr(module, "project_onto_path", forbidden)
+    vocab = four_prototype_vocabulary()
+    model = init_model(vocab, seed=0)
+    for kind in ("blocked_lane", "intersection_turn"):
+        scenario = generate_synthetic_scenario(kind, 7)
+        log = run_episode(scenario, Planner(scenario, "hybrid", vocabulary=vocab, model=model))
+        assert len(log.records) > 10

@@ -27,6 +27,7 @@ from radstack.planhead import (
     train,
 )
 from radstack.scene import AgentState, EgoState, Pose2, generate_synthetic_scenario, save_scenario
+from radstack.topology import project_onto_path
 from radstack.vocabulary import Vocabulary
 
 from conftest import straight_path, straight_scenario
@@ -381,7 +382,7 @@ def test_plan_anytime_encodes_once(monkeypatch):
 def test_features_agent_slots_zero_when_alone():
     s = straight_scenario()
     path = straight_path(s)
-    f = extract_features(s.ego, [], path, s.goal)
+    f = extract_features(s.ego, [], path, s.goal, project_onto_path(path, s.ego.pose))
     assert f.shape == (64,)
     assert np.all(f[11:59] == 0.0)
 
@@ -390,7 +391,7 @@ def test_features_rigid_transform_invariant():
     s = straight_scenario()
     path = straight_path(s)
     agent = AgentState(id="a", pose=Pose2(12.0, 1.0, 0.3), speed=3.0, half_length=2, half_width=1)
-    f1 = extract_features(s.ego, [agent], path, s.goal)
+    f1 = extract_features(s.ego, [agent], path, s.goal, project_onto_path(path, s.ego.pose))
 
     # Same scene rotated by 90 degrees and translated.
     dx, dy, rot = 100.0, -40.0, math.pi / 2
@@ -422,7 +423,7 @@ def test_features_rigid_transform_invariant():
         seed=0,
     )
     path2 = graph_search(ego2, s2)[0]
-    f2 = extract_features(ego2, [agent2], path2, s2.goal)
+    f2 = extract_features(ego2, [agent2], path2, s2.goal, project_onto_path(path2, ego2.pose))
     assert np.allclose(f1, f2, atol=1e-9)
 
 
@@ -430,7 +431,7 @@ def test_features_relative_agent_state_oracle():
     s = straight_scenario(ego_speed=5.0)
     path = straight_path(s)
     agent = AgentState(id="a", pose=Pose2(10.0, 0.0, 0.0), speed=7.0, half_length=2.2, half_width=0.9)
-    f = extract_features(s.ego, [agent], path, s.goal)
+    f = extract_features(s.ego, [agent], path, s.goal, project_onto_path(path, s.ego.pose))
     base = 11
     assert f[base + 0] == pytest.approx(10.0)  # ahead
     assert f[base + 1] == pytest.approx(0.0)

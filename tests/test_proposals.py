@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,10 +23,18 @@ from radstack.proposals import (
     generate_proposals,
     idm_accel,
 )
+from radstack.geometry import normalize_angle, project_points_to_polyline
 from radstack.scene import SCENARIO_KINDS, AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
-from radstack.topology import augment_with_adjacents, graph_search
+from radstack.topology import augment_with_adjacents, graph_search, project_onto_path
 
-from conftest import reference_rollout_rows, reference_step_kernel, static_car, straight_path, straight_scenario
+from conftest import (
+    reference_read_back,
+    reference_rollout_rows,
+    reference_step_kernel,
+    static_car,
+    straight_path,
+    straight_scenario,
+)
 
 
 def test_idm_free_flow_equilibrium():
@@ -80,9 +89,9 @@ def _default_cfg():
 
 def _rollout(ego, path, offset, p, agents, cfg):
     """One rollout row along path toward a lateral offset, with p as it stands (v0 included)."""
-    positions, headings, speeds, _ = _rollout_rows(
+    positions, headings, speeds = _rollout_rows(
         ego, [path], np.zeros(1, dtype=int), np.array([float(offset)]), np.array([p.v0]), p, agents, cfg
-    )
+    )[:3]
     return Trajectory(cfg.dt, positions[0], headings[0], speeds[0], "idm")
 
 
@@ -611,7 +620,55 @@ def test_rollout_rows_match_reference_set_up_bitwise(case):
     # from the segment table, the lead-column cut and the rebuild on row
     # slices must give the per-path projections, every agent column and
     # boolean-mask rebuild of the reference to the bit.
-    _assert_bitwise_equal(_rollout_rows(**case), reference_rollout_rows(**case))
+    _assert_bitwise_equal(_rollout_rows(**case)[:4], reference_rollout_rows(**case))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_rollout_case(), dx=st.floats(-5.0, 30.0), dy=st.floats(-4.0, 4.0), dh=st.floats(-1.0, 1.0))
+def test_rollout_carries_the_ego_projection_and_centre_points_bitwise(case, dx, dy, dh):
+    # With the ego moved off the paths' root, the carried projection (row 0
+    # of the [ego; agents] batch) must be project_onto_path's on every path,
+    # and the carried centre point (sample 0 of the read-back) points_at(s).
+    pose = case["ego"].pose
+    ego = replace(case["ego"], pose=Pose2(pose.x + dx, pose.y + dy, pose.heading + dh))
+    _, _, _, s_track, projection, centres = _rollout_rows(**{**case, "ego": ego})
+    paths = case["paths"]
+    assert projection.shape == (len(paths), 3) and centres.shape == (len(paths), 2)
+    first_rows = case["path_of_row"].searchsorted(np.arange(len(paths)))
+    for j, path in enumerate(paths):
+        s, lateral, heading_err = project_onto_path(path, ego.pose)
+        (path_heading,) = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), path.segments)[2]
+        assert np.array_equal(_bits(projection[j]), _bits([s, lateral, path_heading]))
+        assert normalize_angle(ego.pose.heading - projection[j, 2]) == heading_err
+        assert np.array_equal(_bits(s_track[first_rows[j], 0]), _bits(s))
+        assert np.array_equal(_bits(centres[j]), _bits(path.segments.points_at(s)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_rollout_case(), seed=st.integers(0, 2**32 - 1))
+def test_read_back_matches_the_sin_cos_reference_bitwise(case, seed):
+    # Arclengths before the start, past the end, exactly on vertices and
+    # between them; laterals of either sign and exactly 0.
+    rng = np.random.default_rng(seed)
+    paths, path_of_row = case["paths"], case["path_of_row"]
+    shape = (41, len(path_of_row))
+    lengths = np.array([p.length for p in paths])[path_of_row]
+    s = rng.uniform(-0.1, 1.1, shape) * lengths
+    on_vertex = rng.random(shape) < 0.3
+    for i, j in zip(*on_vertex.nonzero()):
+        vertices = paths[path_of_row[j]].s
+        s[i, j] = vertices[rng.integers(len(vertices))]
+    l = rng.uniform(-3.0, 3.0, shape)
+    l[rng.random(shape) < 0.2] = 0.0
+    got = proposals._read_back(paths, path_of_row, s, l)
+    want = reference_read_back(paths, path_of_row, s, l)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def _kernel_columns(monkeypatch):
@@ -635,7 +692,7 @@ def test_rollout_drops_a_static_car_behind_the_ego_bitwise(monkeypatch):
     # The path starts at the ego, so the car projects to s = 0 and never passes s + 1e-9.
     case = _straight_rows_case([static_car("behind", -10.0, 0.0)])
     seen = _kernel_columns(monkeypatch)
-    new = _rollout_rows(**case)
+    new = _rollout_rows(**case)[:4]
     assert seen == [0]
     _assert_bitwise_equal(new, reference_rollout_rows(**case))  # the reference passes every agent
 
@@ -644,7 +701,7 @@ def test_rollout_keeps_a_faster_car_that_passes_the_ego_bitwise(monkeypatch):
     car = AgentState("passer", Pose2(-10.0, 0.0, 0.0), speed=12.0, half_length=2.3, half_width=1.0)
     case = _straight_rows_case([static_car("behind", -10.0, 0.0), car])
     seen = _kernel_columns(monkeypatch)
-    new = _rollout_rows(**case)
+    new = _rollout_rows(**case)[:4]
     assert seen == [1]
     _assert_bitwise_equal(new, reference_rollout_rows(**case))
     # The kept column leads: without it the rollout differs.

@@ -2,13 +2,15 @@ import json
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from radstack.errors import IoError, ParseError, ValidationError
-from radstack.geometry import SegmentTable, project_arclengths
+from radstack import geometry
+from radstack.geometry import SegmentTable, project_arclengths, project_points_to_polylines
 from radstack.scene import (
     SCENARIO_KINDS,
     AgentState,
@@ -26,6 +28,7 @@ from radstack.scene import (
     scenario_to_dict,
     segment_headings_and_speeds,
 )
+from radstack.simulator import step_agents
 from radstack.topology import augment_with_adjacents, graph_search
 
 from conftest import rect, reference_segment_headings_and_speeds, straight_lane, straight_scenario
@@ -570,3 +573,35 @@ def test_scenario_keys_and_polygon_sizes_are_checked(keys, value, message):
     with pytest.raises(ValidationError) as info:
         scenario_from_dict(doc)
     assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    pruned=st.booleans(),
+)
+def test_on_lanes_memo_seeded_by_step_agents_matches_a_fresh_projection_bitwise(kind, seed, n, pruned):
+    # step_agents projects vehicles and then the ego onto every lane; the
+    # ego's row, kept for on_lanes, must hold the bits of the one-point
+    # projection the next tick's graph_search would otherwise make, also when
+    # the batch takes the pruned pass (PRUNE_MIN_PAIRS 0).
+    scenario = generate_synthetic_scenario(kind, 7)
+    rng = np.random.default_rng(seed)
+
+    def pose_near_lanes():
+        lane = scenario.lanes[rng.integers(len(scenario.lanes))]
+        (x, y), head = lane.segments.pose_at(rng.uniform(0.0, lane.length))
+        return Pose2(float(x + rng.normal(0.0, 1.5)), float(y + rng.normal(0.0, 1.5)), float(head))
+
+    agents = [AgentState(f"v{i}", pose_near_lanes(), float(rng.uniform(0.0, 10.0)), 2.3, 1.0) for i in range(n)]
+    ego = EgoState(pose=pose_near_lanes(), speed=5.0)
+    with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", 0 if pruned else geometry.PRUNE_MIN_PAIRS):
+        step_agents(agents, scenario, "reactive_idm", 0.1, ego=ego)
+    key, (s, foot) = scenario._on_lanes
+    assert key == (ego.pose.x, ego.pose.y)
+    assert scenario.on_lanes(ego.pose.x, ego.pose.y)[0] is s  # a memo hit
+    fresh_s, _, _, fresh_foot = project_points_to_polylines(np.array([[ego.pose.x, ego.pose.y]]), scenario.lane_stack)
+    assert np.array_equal(s.view(np.int64), fresh_s[:, 0].view(np.int64))
+    assert np.array_equal(foot.view(np.int64), fresh_foot[:, 0].view(np.int64))

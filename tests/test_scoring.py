@@ -1,15 +1,19 @@
 import itertools
 import math
 from dataclasses import fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from radstack import scoring
-from radstack.geometry import CONTACT_TOL, SegmentTable, boxes_overlap, rect_corners_batch
+from radstack.geometry import CHUNK, CONTACT_TOL, SegmentTable, boxes_overlap, rect_corners_batch
+from radstack.planhead import init_model
+from radstack.planner import Planner
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
-from radstack.scene import AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
+from radstack.scene import SCENARIO_KINDS, AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
+from radstack.simulator import run_episode
 from radstack.scoring import (
     RELAX_FLOOR,
     SPEED_TOL,
@@ -30,11 +34,13 @@ from radstack.scoring import (
 from radstack.topology import ProposalPath, augment_with_adjacents, graph_search
 
 from conftest import (
+    four_prototype_vocabulary,
     rect,
     reference_batch_comfort,
     reference_batch_direction,
     reference_points_in_polygons,
     reference_project_points,
+    reference_route_arclengths,
     static_car,
     straight_path,
     straight_scenario,
@@ -779,6 +785,120 @@ def test_scores_of_a_mixed_set_match_the_references_bitwise():
         assert np.array_equal(getattr(got, name).view(np.int64), ref.view(np.int64)), name
 
 
+@lru_cache(maxsize=None)
+def _kind_rollouts(kind, seed):
+    """A synthetic kind's paths (opposing bypass included) and their rollout rows at the start."""
+    scenario = generate_synthetic_scenario(kind, seed)
+    ego = scenario.ego
+    paths = augment_with_adjacents(graph_search(ego, scenario), scenario, ego, enable_opposing=True)
+    return scenario, paths, generate_proposals(ego, paths, scenario.agents, ProposalConfig())
+
+
+@st.composite
+def _appended_case(draw):
+    """Rollout rows of a synthetic kind plus 0-12 appended rows anchored at
+    the ego: random walks, some holding their samples still for a while,
+    some passing close to the route's chunk-boundary vertices, one in five
+    starting off the ego."""
+    scenario, paths, rollouts = _kind_rollouts(draw(st.sampled_from(SCENARIO_KINDS)), draw(st.integers(7, 8)))
+    ps = replace(rollouts)  # append rebinds the arrays; the cached set stays as it is
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, width = draw(st.integers(0, 12)), ps.horizon_steps + 1
+    ego = scenario.ego
+    if m:
+        step = rng.normal(0.0, 1.0, (m, width - 1, 2)) + [ego.speed * ps.dt, 0.0]
+        step[rng.random((m, width - 1)) < 0.3] = 0.0  # repeated samples
+        pos = np.empty((m, width, 2))
+        pos[:, 0] = ego.pose.x, ego.pose.y
+        pos[rng.random(m) < 0.2, 0] += rng.normal(0.0, 2.0, 2)
+        pos[:, 1:] = pos[:, :1] + step.cumsum(axis=1)
+        boundary = paths[0].points[::CHUNK]
+        near = rng.random((m, width)) < 0.2
+        near[:, 0] = False
+        k = int(near.sum())
+        pos[near] = boundary[rng.integers(len(boundary), size=k)] + rng.normal(0.0, 1e-6, (k, 2))
+        heads = rng.uniform(-math.pi, math.pi, (m, width))
+        speeds = rng.uniform(0.0, 12.0, (m, width))
+        ps.append(ps.dt, pos, heads, speeds, ["vocabulary"] * m)
+    ctx = ScoreContext(
+        scenario=scenario,
+        forecast=forecast_agents(scenario.agents, ps.horizon_steps, ps.dt),
+        route_path=paths[0],
+        goal_norm=100.0,
+    )
+    return ps, ctx
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_appended_case())
+def test_route_arclengths_of_the_shortened_batch_match_the_full_batch_bitwise(case):
+    # Samples 0 and S of an appended row come from the start and end entries
+    # of the batch: the gains, the appended rows' arclengths and every score
+    # column must be those of a batch holding every sample.
+    ps, ctx = case
+    appended = ~ps.tracked
+    got = scoring._route_arclengths(ps.positions, appended, ctx.route_path)
+    want = reference_route_arclengths(ps.positions, appended, ctx.route_path)
+    for a, b in zip(got, want):
+        _assert_bitwise(a, b)
+    scores = score_proposals(ps, ctx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "_route_arclengths", reference_route_arclengths)
+        full = score_proposals(ps, ctx)
+    for name in scoring._TERMS:
+        _assert_bitwise(getattr(scores, name), getattr(full, name))
+
+
+def test_no_appended_end_sample_enters_the_route_projection(monkeypatch):
+    # Seed-7 hybrid ticks: every score call projects the distinct starts,
+    # the row ends and samples 1..S-1 of each appended row, nothing more.
+    scenario = generate_synthetic_scenario("intersection_turn", 7)
+    vocab = four_prototype_vocabulary()
+    calls = []
+    project = scoring.project_arclengths
+    score = scoring.score_proposals
+
+    def spy_score(proposals, ctx):
+        calls.append([proposals, None])
+        return score(proposals, ctx)
+
+    def spy_project(ps, table):
+        calls[-1][1] = np.array(ps)
+        return project(ps, table)
+
+    monkeypatch.setattr(scoring, "score_proposals", spy_score)
+    monkeypatch.setattr(scoring, "project_arclengths", spy_project)
+    run_episode(scenario, Planner(scenario, "hybrid", vocabulary=vocab, model=init_model(vocab, seed=0)))
+    assert len(calls) > 10
+    for proposals, batch in calls:
+        appended = ~proposals.tracked
+        n, m, steps = len(proposals), int(appended.sum()), proposals.horizon_steps
+        assert m == 4 + 3  # the vocabulary, the learned plan and its two offset variants
+        assert len(batch) == 1 + n + m * (steps - 1)  # one distinct start: every row starts at the ego
+        assert np.array_equal(batch[1 + n :], proposals.positions[appended, 1:-1].reshape(-1, 2))
+
+
+def test_forecast_is_kept_while_every_agent_is_the_same_object_bitwise():
+    scenario = generate_synthetic_scenario("deadlock_pair", 7)
+    agents = list(scenario.agents)
+    planner = Planner(scenario, "rad")
+    planner.plan(scenario.ego, agents)
+    kept = planner._forecast
+    planner.plan(scenario.ego, list(agents))  # a new list of the same objects
+    assert planner._forecast is kept
+    fresh = forecast_agents(agents, kept.steps, kept.dt)
+    assert kept.agents == fresh.agents
+    for name in ("planes", "velocities", "trig", "half_lengths", "half_widths"):
+        _assert_bitwise(getattr(kept, name), getattr(fresh, name))
+    # A new object, even an equal one, and a changed count each rebuild it.
+    moved = [replace(agents[0])] + agents[1:]
+    planner.plan(scenario.ego, moved)
+    assert planner._forecast is not kept and planner._forecast.agents == tuple(moved)
+    rebuilt = planner._forecast
+    planner.plan(scenario.ego, moved[1:])
+    assert planner._forecast is not rebuilt and len(planner._forecast) == len(moved) - 1
+
+
 def _score_context(scenario, path, agents=(), relax=RelaxationState(), weights=None):
     return ScoreContext(
         scenario=scenario,
@@ -894,7 +1014,7 @@ def test_batch_comfort_matches_reference_bitwise(seed, rows, steps, dt):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 4), rows=st.integers(1, 30), steps=st.integers(1, 40))
 def test_batch_direction_matches_reference_bitwise(seed, n_paths, rows, steps):
-    # Paths with repeated vertices and mixed opposing flags; rollouts that
+    # Paths with repeated vertices and mixed opposing flags or none; rollouts that
     # advance, stop and reverse, also before the start and past the end. The
     # last path serves the rows with path index -1, as the route does.
     rng = np.random.default_rng(seed)
@@ -904,7 +1024,7 @@ def test_batch_direction_matches_reference_bitwise(seed, n_paths, rows, steps):
         step = rng.choice([0.0, 0.5, 1.0], m - 1, p=[0.1, 0.3, 0.6])
         pts = np.stack([np.concatenate([[0.0], np.cumsum(step)]), np.zeros(m)], axis=1)
         paths.append(
-            ProposalPath((), SegmentTable(pts), "ego_route", 10.0, rng.random(m) < 0.4)
+            ProposalPath((), SegmentTable(pts), "ego_route", 10.0, rng.random(m) < rng.choice([0.0, 0.4]))
         )
     path_index = rng.integers(-1, n_paths - 1, rows)
     s = rng.uniform(-3.0, 5.0, (rows, 1)) + np.cumsum(rng.normal(0.4, 0.6, (rows, steps + 1)), axis=1)

@@ -18,7 +18,7 @@ from radstack.scene import (
     Trajectory,
     generate_synthetic_scenario,
 )
-from radstack import simulator
+from radstack import planner as planner_module, simulator
 from radstack.simulator import (
     LOW_SPEED,
     LOW_SPEED_GAIN,
@@ -571,3 +571,22 @@ def test_events_recorded_once(blocked_scenario):
     log = run_episode(blocked_scenario, "baseline_static", SimConfig())
     names = log.event_names
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("kind", ["blocked_lane", "deadlock_pair"])
+def test_a_static_agent_episode_builds_its_forecast_once(kind, monkeypatch):
+    # step_agents returns static agents unchanged, so every tick after the
+    # first reuses the planner's forecast.
+    calls = []
+    forecast_agents = planner_module.forecast_agents
+
+    def counted(*args):
+        calls.append(args)
+        return forecast_agents(*args)
+
+    monkeypatch.setattr(planner_module, "forecast_agents", counted)
+    scenario = generate_synthetic_scenario(kind, 7)
+    assert scenario.agents and all(a.kind == "static" for a in scenario.agents)
+    log = run_episode(scenario, Planner(scenario, "rad"))
+    assert len(log.records) > 10
+    assert len(calls) == 1
