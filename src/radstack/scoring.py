@@ -387,14 +387,61 @@ def _batch_direction(s, path_index, paths) -> np.ndarray:
 
 # ScoreBreakdown's score fields in declaration order (all but relaxed).
 _TERMS = tuple(f.name for f in fields(ScoreBreakdown)[:-1])
+# The columns an appended row's pending direction term leaves open.
+_LAZY = ("c_dr", "aggregate")
+_C_DR, _AGGREGATE = (_TERMS.index(name) for name in _LAZY)
 
 
-@dataclass(frozen=True, eq=False)
+class _PendingDirection:
+    """The direction credit c_dr of the appended rows, taken when it is read.
+
+    An appended row carries no arclength of its own, so its c_dr needs its
+    samples 1..S-1 projected onto the route; samples 0 and S are the row's
+    start and end entries of the gains batch. Until resolve takes a row, the
+    columns hold its c_dr as 0 and its aggregate at c_dr = 0, a lower bound.
+    The arrays read here are captured when the rows are scored, not the
+    ProposalSet, whose append rebinds its arrays.
+    """
+
+    def __init__(self, mask, columns, pos, s_start, s_end, ctx: ScoreContext):
+        self.mask = mask  # (P,) rows still pending
+        self.columns = columns  # Scores' columns in _TERMS order; resolve writes c_dr and aggregate
+        self.pos, self.s_start, self.s_end = pos, s_start, s_end
+        self.route, self.weights, self.relax, self.goal_norm = ctx.route_path, ctx.weights, ctx.relax, ctx.goal_norm
+
+    def aggregate(self, rows, c_dr):
+        """The aggregate of rows (indices) at direction credit c_dr."""
+        c_col, c_ra, c_mp, c_ttc, _, c_sp, c_ep, c_cf, goal_cost, _ = (c.take(rows) for c in self.columns)
+        return aggregate(
+            c_col, c_ra, c_mp, (c_ttc, c_dr, c_sp, c_ep, c_cf), goal_cost, self.weights, self.relax, self.goal_norm
+        )
+
+    def resolve(self, rows) -> None:
+        """Write the exact c_dr and aggregate of pending rows (indices) into
+        the columns, their inner samples projected onto the route in one batch."""
+        m, width = len(rows), self.pos.shape[1]
+        s = np.empty((m, width))
+        s[:, 0] = self.s_start.take(rows)
+        s[:, -1] = self.s_end.take(rows)
+        inner = self.pos[rows, 1:-1].reshape(-1, 2)
+        s[:, 1:-1] = project_arclengths(inner, self.route.segments).reshape(m, width - 2)
+        c_dr = _batch_direction(s, np.zeros(m, dtype=np.intp), (self.route,))
+        self.columns[_C_DR][rows] = c_dr
+        self.columns[_AGGREGATE][rows] = self.aggregate(rows, c_dr)
+        self.mask[rows] = False
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Scores:
     """Score terms as (P,) columns over the proposal rows.
 
     Reads as a sequence of ScoreBreakdown: a record is built only when an
     entry is indexed or iterated.
+
+    The appended rows' c_dr and aggregate are pending (_PendingDirection)
+    until read: indexing takes the indexed row's, and reading the c_dr or
+    aggregate column, or iterating, takes every pending row's in one batch.
+    Either way a value has the bits an eager scorer gives it.
     """
 
     c_col: np.ndarray
@@ -409,46 +456,65 @@ class Scores:
     aggregate: np.ndarray
     relaxed: bool = False
 
+    def __init__(self, *columns, relaxed: bool = False, pending: _PendingDirection | None = None):
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_pending", pending)
+        object.__setattr__(self, "relaxed", relaxed)
+        for name, column in zip(_TERMS, columns):
+            if pending is None or name not in _LAZY:
+                object.__setattr__(self, name, column)
+
+    def __getattr__(self, name):
+        # Reached only for c_dr and aggregate, and only while rows are pending.
+        if name not in _LAZY:
+            raise AttributeError(name)
+        self._resolve_all()
+        return self.__dict__[name]
+
+    def _resolve_all(self) -> None:
+        """Take every pending row's direction term in one batch, then hold
+        the finished c_dr and aggregate columns as plain attributes."""
+        pending = self._pending
+        if pending is None:
+            return
+        (rows,) = pending.mask.nonzero()
+        if len(rows):
+            pending.resolve(rows)
+        object.__setattr__(self, "_pending", None)
+        object.__setattr__(self, "c_dr", self._columns[_C_DR])
+        object.__setattr__(self, "aggregate", self._columns[_AGGREGATE])
+
     def __len__(self):
-        return len(self.aggregate)
+        return len(self.c_col)
 
     def __getitem__(self, i) -> ScoreBreakdown:
-        return ScoreBreakdown(*(float(getattr(self, name)[i]) for name in _TERMS), relaxed=self.relaxed)
+        pending = self._pending
+        if pending is not None and pending.mask[i]:
+            pending.resolve([i % len(self)])
+        return ScoreBreakdown(*(float(column[i]) for column in self._columns), relaxed=self.relaxed)
 
     def __iter__(self):
+        self._resolve_all()
         return (self[i] for i in range(len(self)))
 
 
-def _route_arclengths(pos, appended, route: ProposalPath) -> tuple:
-    """(gain along the route per row (P,), route arclengths of the appended
-    rows' samples (m, S+1)), from one project_arclengths call in which each
-    point appears once.
+def _route_arclengths(pos, route: ProposalPath) -> tuple:
+    """Route arclengths of each row's start and end sample, (P,) each, from
+    one project_arclengths call in which each point appears once.
 
     The batch holds each distinct row start once (in practice all rows start
     at the ego pose; otherwise by np.unique on x + iy, where -0.0 and 0.0
-    merge, which leaves s unchanged), every row's end point, then samples
-    1..S-1 of the appended rows, which carry no arclength of their own. An
-    appended row's samples 0 and S are its start and end entries. A point's
-    projection does not depend on the rest of the batch, so each value has
-    the bits of a batch of every sample.
+    merge, which leaves s unchanged), then every row's end point. A point's
+    projection does not depend on the rest of the batch.
     """
-    n, width = pos.shape[:2]
+    n = len(pos)
     start = pos[:, 0, :]
     if n and (start == start[0]).all():
         first, start_of_row = [0], np.zeros(n, dtype=np.intp)
     else:
         _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
-    (rows,) = appended.nonzero()
-    s_route = project_arclengths(
-        np.concatenate([start[first], pos[:, -1, :], pos[rows, 1:-1].reshape(-1, 2)]), route.segments
-    )
-    k = len(first)
-    ends = s_route[k : k + n]
-    s_appended = np.empty((len(rows), width))
-    s_appended[:, 0] = s_route[start_of_row[rows]]
-    s_appended[:, -1] = ends[rows]
-    s_appended[:, 1:-1] = s_route[k + n :].reshape(len(rows), width - 2)
-    return ends - s_route[start_of_row], s_appended
+    s_route = project_arclengths(np.concatenate([start[first], pos[:, -1, :]]), route.segments)
+    return s_route.take(start_of_row), s_route[len(first) :]
 
 
 def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
@@ -475,19 +541,20 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
 
     The route is projected once per call, arclengths only, and each point
     once (_route_arclengths): the distinct row starts and every row's end
-    point give the gains, and an appended row's direction term reads its
-    samples 0 and S from those entries, so only its samples 1..S-1 join the
-    batch (rollout rows carry their own arclength). The collision and TTC
-    terms see only the agents of _agents_in_reach: its box holds every
-    sample and projected centre (the rounding is monotone, |cos|, |sin| <=
-    1), so a dropped agent has no centre within reach in either term, and
-    kept agents keep their order and arithmetic. The collision term skips
-    its box test when no (row, agent, sample) centre pair is within reach,
-    as _batch_ttc does; all are exact.
-    The direction term runs only on the rows that can travel against their
-    path: appended rows, and rollout rows on a path with an opposing flag. A
-    rollout row's arclength never decreases (the rollout's speed is never
-    negative), so every other row's credit is exactly 1.
+    point give the gains. An appended row's direction term also needs its
+    samples 1..S-1 on the route (rollout rows carry their own arclength), so
+    it is left pending (Scores, _PendingDirection): its c_dr and aggregate
+    are taken when read, and select_best takes only the rows that can win.
+    The collision and TTC terms see only the agents of _agents_in_reach: its
+    box holds every sample and projected centre (the rounding is monotone,
+    |cos|, |sin| <= 1), so a dropped agent has no centre within reach in
+    either term, and kept agents keep their order and arithmetic. The
+    collision term skips its box test when no (row, agent, sample) centre
+    pair is within reach, as _batch_ttc does; all are exact.
+    Of the rollout rows, the direction term runs only on those on a path
+    with an opposing flag. A rollout row's arclength never decreases (the
+    rollout's speed is never negative), so every other one's credit is
+    exactly 1.
     """
     n = len(proposals)
     steps = proposals.horizon_steps
@@ -525,8 +592,8 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     inside = points_in_polygons(wx, wy, ctx.scenario.drivable_area, ctx.scenario.drivable_boxes)
     ras = np.logical_and.reduce(inside, axis=(0, 2)).astype(float)
 
-    appended = ~proposals.tracked
-    gains, s_appended = _route_arclengths(pos, appended, route)
+    s_start, s_end = _route_arclengths(pos, route)
+    gains = s_end - s_start
 
     ras_eff = np.maximum(ras, RELAX_FLOOR) if ctx.relax.active else ras
     feasible = (cols * ras_eff) > 0
@@ -545,27 +612,29 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
 
     # Speed and direction compliance against each row's own path; path index
     # -1 (an appended row) picks the route path, appended last. Rollouts carry
-    # their arclength along their path; appended rows take their route
-    # arclengths from _route_arclengths.
+    # their arclength along their path; appended rows' c_dr is pending, 0
+    # until resolved.
     paths = proposals.paths + (route,)
     limits = np.array([p.speed_limit for p in paths])[proposals.path_index]
     c_sps = 1.0 - (speeds > (limits + SPEED_TOL)[:, None]).mean(axis=1)
-    may_oppose = np.array([np.count_nonzero(p.opposing_mask) > 0 for p in proposals.paths] + [True])
+    may_oppose = np.array([np.count_nonzero(p.opposing_mask) > 0 for p in proposals.paths] + [False])
     (rows,) = may_oppose[proposals.path_index].nonzero()
     c_drs = np.ones(n)
     if len(rows):
-        s = proposals.s_track[rows]
-        s[appended[rows]] = s_appended
-        c_drs[rows] = _batch_direction(s, proposals.path_index[rows], paths)
+        c_drs[rows] = _batch_direction(proposals.s_track[rows], proposals.path_index[rows], paths)
+    appended = ~proposals.tracked
+    (rows,) = appended.nonzero()
+    c_drs[rows] = 0.0
 
     goal = ctx.scenario.goal
     goal_costs = np.hypot(xy[0, :, -1] - goal.x, xy[1, :, -1] - goal.y)
     objectives = (c_ttcs, c_drs, c_sps, c_eps, c_cfs)
-    return Scores(
+    columns = (
         cols, ras, mps, *objectives, goal_costs,
         aggregate(cols, ras, mps, objectives, goal_costs, ctx.weights, ctx.relax, ctx.goal_norm),
-        relaxed=ctx.relax.active,
     )
+    pending = _PendingDirection(appended, columns, pos, s_start, s_end, ctx) if len(rows) else None
+    return Scores(*columns, relaxed=ctx.relax.active, pending=pending)
 
 
 def select_best(proposals: ProposalSet, ctx: ScoreContext) -> tuple:
@@ -574,9 +643,32 @@ def select_best(proposals: ProposalSet, ctx: ScoreContext) -> tuple:
     Ties break on tag priority (idm first), then lowest row, so the result is
     independent of input permutation given stable indices. Only the winner
     becomes a Trajectory.
+
+    Only the pending rows that can win get their direction term. A pending
+    row's aggregate lies between its values at c_dr = 0 and c_dr = 1, under
+    rounding too: every step from c_dr to the aggregate is non-decreasing
+    (w_dr >= 0, P >= 0, a division by a positive weight total, the relax
+    floor a maximum). T is the first key (-aggregate, tag, row) with each
+    pending row at its lower bound; the winner's key sorts at or before it.
+    A pending row whose key at its upper bound sorts after T cannot win and
+    stays pending; the others, and any with a NaN bound, are resolved. Every
+    row left pending then sorts after T at its lower bound too, so the
+    lexsort picks the winner the exact aggregate gives.
     """
     if not len(proposals):
         raise ValueError("cannot select from an empty proposal set")
     scores = score_proposals(proposals, ctx)
-    best = int(np.lexsort((np.arange(len(proposals)), proposals.tags, -scores.aggregate))[0])
+    keys = (np.arange(len(proposals)), proposals.tags)
+    lower = scores._columns[_AGGREGATE]  # exact, or a pending row's lower bound
+    best = int(np.lexsort(keys + (-lower,))[0])
+    pending = scores._pending
+    if pending is not None:
+        (rows,) = pending.mask.nonzero()
+        upper, first = pending.aggregate(rows, 1.0), lower[best]
+        tags, tag = proposals.tags.take(rows), proposals.tags[best]
+        can_win = (upper > first) | ((upper == first) & ((tags < tag) | ((tags == tag) & (rows <= best))))
+        can_win |= np.isnan(upper) | np.isnan(lower.take(rows))
+        if np.count_nonzero(can_win):
+            pending.resolve(rows[can_win])
+            best = int(np.lexsort(keys + (-lower,))[0])
     return proposals.trajectory(best), scores, best

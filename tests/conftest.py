@@ -30,6 +30,7 @@ from radstack.scene import (
     generate_synthetic_scenario,
     segment_headings_and_speeds,
 )
+from radstack import scoring
 from radstack.scoring import (
     COMFORT_ACCEL_MAX,
     COMFORT_DECEL_MAX,
@@ -388,6 +389,27 @@ def reference_route_arclengths(pos, appended, route):
     )
     k = len(first)
     return s_route[k : k + n] - s_route[start_of_row], s_route[k + n :].reshape(-1, width)
+
+
+def reference_scores(proposals, ctx):
+    """The scorer with every direction term taken eagerly: score_proposals'
+    other columns, c_dr of every row at once, each appended row's samples
+    all projected onto the route in one batch (reference_route_arclengths),
+    and the aggregate over every row. A dict of columns by name: the tests'
+    bitwise reference for scoring.Scores, whose appended rows' c_dr and
+    aggregate are taken when read."""
+    scores = scoring.score_proposals(proposals, ctx)
+    c = {name: getattr(scores, name) for name in scoring._TERMS if name not in ("c_dr", "aggregate")}
+    appended = ~proposals.tracked
+    _, s_appended = reference_route_arclengths(proposals.positions, appended, ctx.route_path)
+    s = proposals.s_track.copy()
+    s[appended] = s_appended
+    c["c_dr"] = reference_batch_direction(s, proposals.path_index, proposals.paths + (ctx.route_path,))
+    objectives = tuple(c[name] for name in ("c_ttc", "c_dr", "c_sp", "c_ep", "c_cf"))
+    c["aggregate"] = scoring.aggregate(
+        c["c_col"], c["c_ra"], c["c_mp"], objectives, c["goal_cost"], ctx.weights, ctx.relax, ctx.goal_norm
+    )
+    return c
 
 
 class ReferenceSegmentTable:

@@ -41,6 +41,7 @@ from conftest import (
     reference_points_in_polygons,
     reference_project_points,
     reference_route_arclengths,
+    reference_scores,
     static_car,
     straight_path,
     straight_scenario,
@@ -794,18 +795,43 @@ def _kind_rollouts(kind, seed):
     return scenario, paths, generate_proposals(ego, paths, scenario.agents, ProposalConfig())
 
 
+APPENDED_TAGS = ("learned", "learned_offset", "vocabulary")
+
+
 @st.composite
 def _appended_case(draw):
-    """Rollout rows of a synthetic kind plus 0-12 appended rows anchored at
-    the ego: random walks, some holding their samples still for a while,
-    some passing close to the route's chunk-boundary vertices, one in five
-    starting off the ego."""
+    """Rollout rows of a synthetic kind plus appended rows, with relaxation
+    on or off. The appended rows, each under a drawn tag: 0-12 random walks
+    anchored at the ego, some holding their samples still for a while, some
+    passing close to the route's chunk-boundary vertices, one in five
+    starting off the ego; 0-3 route rollout rows run backwards from a drawn
+    sample, so their direction credit is 0, 0.5 or 1; 0-2 copies of the
+    best rollout row, which tie its aggregate and lose on tag and row; 0-2
+    copies of it that step back once, by 1-4 samples, so their credit may
+    fall while their other terms barely move; and 0-2 duplicates of rows
+    already appended. Half the sets drop the best rollout row itself, so
+    that appended rows can win."""
     scenario, paths, rollouts = _kind_rollouts(draw(st.sampled_from(SCENARIO_KINDS)), draw(st.integers(7, 8)))
-    ps = replace(rollouts)  # append rebinds the arrays; the cached set stays as it is
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, width = draw(st.integers(0, 12)), ps.horizon_steps + 1
-    ego = scenario.ego
+    width = rollouts.horizon_steps + 1
+    ctx = ScoreContext(
+        scenario=scenario,
+        forecast=forecast_agents(scenario.agents, rollouts.horizon_steps, rollouts.dt),
+        route_path=paths[0],
+        relax=RelaxationState(active=draw(st.booleans())),
+        goal_norm=100.0,
+    )
+    best = int(score_proposals(rollouts, ctx).aggregate.argmax())
+    kept = np.arange(len(rollouts)) != best if draw(st.booleans()) else np.ones(len(rollouts), dtype=bool)
+    # A new set either way: append rebinds the arrays, and the cached set stays as it is.
+    ps = replace(rollouts, **{
+        name: getattr(rollouts, name)[kept]
+        for name in ("positions", "headings", "speeds", "s_track", "path_index", "offsets", "fractions", "tags")
+    })
+    rows = []  # (positions, headings, speeds) per appended row
+    m = draw(st.integers(0, 12))
     if m:
+        ego = scenario.ego
         step = rng.normal(0.0, 1.0, (m, width - 1, 2)) + [ego.speed * ps.dt, 0.0]
         step[rng.random((m, width - 1)) < 0.3] = 0.0  # repeated samples
         pos = np.empty((m, width, 2))
@@ -817,65 +843,247 @@ def _appended_case(draw):
         near[:, 0] = False
         k = int(near.sum())
         pos[near] = boundary[rng.integers(len(boundary), size=k)] + rng.normal(0.0, 1e-6, (k, 2))
-        heads = rng.uniform(-math.pi, math.pi, (m, width))
-        speeds = rng.uniform(0.0, 12.0, (m, width))
-        ps.append(ps.dt, pos, heads, speeds, ["vocabulary"] * m)
-    ctx = ScoreContext(
-        scenario=scenario,
-        forecast=forecast_agents(scenario.agents, ps.horizon_steps, ps.dt),
-        route_path=paths[0],
-        goal_norm=100.0,
-    )
+        rows += zip(pos, rng.uniform(-math.pi, math.pi, (m, width)), rng.uniform(0.0, 12.0, (m, width)))
+    route_rows = (rollouts.path_index == 0).nonzero()[0]
+    for _ in range(draw(st.integers(0, 3))):
+        r, k = rng.choice(route_rows), draw(st.integers(1, width - 1))
+        back = np.maximum(k - np.arange(width), 0)
+        rows.append((rollouts.positions[r, back], rollouts.headings[r, back], rollouts.speeds[r, back]))
+    rows += [(rollouts.positions[best], rollouts.headings[best], rollouts.speeds[best])] * draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        j, back = draw(st.integers(2, width - 2)), draw(st.integers(1, 4))
+        step_back = np.arange(width)
+        step_back[j] = max(j - back - 1, 0)
+        rows.append((rollouts.positions[best, step_back], rollouts.headings[best], rollouts.speeds[best]))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        rows.append(rows[rng.integers(len(rows))])
+    if rows:
+        pos, heads, speeds = (np.stack(column) for column in zip(*rows))
+        ps.append(ps.dt, pos, heads, speeds, rng.choice(APPENDED_TAGS, len(rows)).tolist())
     return ps, ctx
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=_appended_case())
 def test_route_arclengths_of_the_shortened_batch_match_the_full_batch_bitwise(case):
-    # Samples 0 and S of an appended row come from the start and end entries
-    # of the batch: the gains, the appended rows' arclengths and every score
-    # column must be those of a batch holding every sample.
+    # The gains batch holds the distinct row starts and the row ends only:
+    # its gains, and the start and end arclengths a pending row's direction
+    # term reads, must be those of a batch holding every appended sample.
     ps, ctx = case
     appended = ~ps.tracked
-    got = scoring._route_arclengths(ps.positions, appended, ctx.route_path)
-    want = reference_route_arclengths(ps.positions, appended, ctx.route_path)
-    for a, b in zip(got, want):
-        _assert_bitwise(a, b)
-    scores = score_proposals(ps, ctx)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scoring, "_route_arclengths", reference_route_arclengths)
-        full = score_proposals(ps, ctx)
+    s_start, s_end = scoring._route_arclengths(ps.positions, ctx.route_path)
+    gains, s_appended = reference_route_arclengths(ps.positions, appended, ctx.route_path)
+    _assert_bitwise(s_end - s_start, gains)
+    _assert_bitwise(s_start[appended], s_appended[:, 0])
+    _assert_bitwise(s_end[appended], s_appended[:, -1])
+
+
+def _record_terms(record):
+    return np.array([getattr(record, name) for name in scoring._TERMS])
+
+
+def _row_terms(columns, i):
+    return np.array([columns[name][i] for name in scoring._TERMS])
+
+
+def _assert_reads_bitwise(scores, want, order):
+    """Records indexed in order, then every record and column, hold want's bits."""
+    for i in order:
+        _assert_bitwise(_record_terms(scores[i]), _row_terms(want, i))
+    for i in range(len(scores)):
+        _assert_bitwise(_record_terms(scores[i]), _row_terms(want, i))
     for name in scoring._TERMS:
-        _assert_bitwise(getattr(scores, name), getattr(full, name))
+        _assert_bitwise(getattr(scores, name), want[name])
 
 
-def test_no_appended_end_sample_enters_the_route_projection(monkeypatch):
-    # Seed-7 hybrid ticks: every score call projects the distinct starts,
-    # the row ends and samples 1..S-1 of each appended row, nothing more.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_appended_case(), data=st.data())
+def test_pending_direction_terms_match_the_eager_scorer_bitwise(case, data):
+    # Every way of reading the scores gives the eager scorer's bits: records
+    # indexed in any order (negative indices too) before the columns, the
+    # columns first, iteration, and each of these after select_best, whose
+    # winner is the one a lexsort of the eager aggregate picks.
+    ps, ctx = case
+    n = len(ps)
+    want = reference_scores(ps, ctx)
+    order = data.draw(st.lists(st.integers(-n, n - 1), max_size=n))
+    _assert_reads_bitwise(score_proposals(ps, ctx), want, order)
+    scores = score_proposals(ps, ctx)
+    for name in scoring._TERMS:  # the columns first
+        _assert_bitwise(getattr(scores, name), want[name])
+    _assert_reads_bitwise(scores, want, order)
+    scores = score_proposals(ps, ctx)
+    for i, record in enumerate(scores):
+        _assert_bitwise(_record_terms(record), _row_terms(want, i))
+        assert record.relaxed == ctx.relax.active
+    _, scores, best = select_best(ps, ctx)
+    assert best == np.lexsort((np.arange(n), ps.tags, -want["aggregate"]))[0]
+    _assert_reads_bitwise(scores, want, order)
+
+
+# An objective term: [0, 1] and its edge values, -0.0 among them.
+_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    weights=st.tuples(*[st.floats(0.0, 10.0)] * 6).filter(lambda w: sum(w[:5]) > 0),
+    terms=st.tuples(*[_UNIT] * 7),
+    credits=st.lists(_UNIT, max_size=8),
+    goal_cost=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e3)),
+    goal_norm=st.sampled_from([0.0, 1.0, 100.0]),
+    relax=st.booleans(),
+)
+def test_aggregate_is_non_decreasing_in_the_direction_credit_bitwise(weights, terms, credits, goal_cost, goal_norm, relax):
+    # select_best's premise: with every other term fixed, the aggregate as
+    # computed, rounding included, never falls as c_dr rises, so its values
+    # at c_dr = 0 and 1 bound it at every credit between.
+    c_col, c_ra, c_mp, c_ttc, c_sp, c_ep, c_cf = (np.full(len(credits) + 2, t) for t in terms)
+    c_dr = np.array(sorted([0.0, 1.0] + credits))
+    agg = aggregate(
+        c_col, c_ra, c_mp, (c_ttc, c_dr, c_sp, c_ep, c_cf), np.full(len(c_dr), goal_cost),
+        ScoreWeights(*weights), RelaxationState(active=relax), goal_norm,
+    )
+    assert (agg[:-1] <= agg[1:]).all()
+
+
+def test_a_pending_row_with_a_nan_bound_is_resolved_and_never_wins(monkeypatch, plain_scenario, plain_path):
+    # Three appended rows; a NaN comfort term gives row 0 a NaN aggregate at
+    # both bounds. select_best must take its direction term (its inner
+    # samples open the candidates' projection batch) and pick a finite row.
+    ps = _proposal_set([_straight_traj(v=v) for v in (9.0, 8.0, 3.0)])
+    ctx = _score_context(plain_scenario, plain_path)
+    comfort = scoring._batch_comfort
+
+    def nan_first(speeds, heads, dt):
+        c = comfort(speeds, heads, dt)
+        c[0] = np.nan
+        return c
+
+    monkeypatch.setattr(scoring, "_batch_comfort", nan_first)
+    want = reference_scores(ps, ctx)
+    assert np.isnan(want["aggregate"][0]) and np.isfinite(want["aggregate"][1:]).all()
+    batches = []
+    project = scoring.project_arclengths
+    monkeypatch.setattr(scoring, "project_arclengths", lambda p, table: batches.append(np.array(p)) or project(p, table))
+    _, scores, best = select_best(ps, ctx)
+    assert best != 0 and best == np.lexsort((np.arange(len(ps)), ps.tags, -want["aggregate"]))[0]
+    inner = ps.positions[0, 1:-1]
+    assert len(batches) == 2 and np.array_equal(batches[1][: len(inner)], inner)
+    _assert_bitwise(_record_terms(scores[0]), _row_terms(want, 0))
+    assert len(batches) == 2
+
+
+def test_a_pending_row_whose_upper_bound_ties_the_threshold_is_resolved_and_wins(monkeypatch, plain_scenario, plain_path):
+    # Two appended rows with one start, end, speed and heading profile. Row 1
+    # steps back 2.4 m once (c_dr 0) and row 0 has c_ttc 0, so with w_ttc =
+    # w_dr their aggregates tie bit for bit. Row 1 at its lower bound is the
+    # threshold, and row 0's upper bound only ties it: row 0 must still be
+    # resolved, and win on its lower row.
+    base = _straight_traj(v=8.0)
+    step_back = np.arange(base.horizon_steps + 1)
+    step_back[20] = 16
+    ps = _proposal_set([base, replace(base, positions=base.positions[step_back])])
+    ctx = _score_context(plain_scenario, plain_path, weights=ScoreWeights(w_ttc=1.0, w_dr=1.0))
+    ttc = scoring._batch_ttc
+
+    def first_unclear(*args):
+        c = ttc(*args)
+        c[0] = 0.0
+        return c
+
+    monkeypatch.setattr(scoring, "_batch_ttc", first_unclear)
+    want = reference_scores(ps, ctx)
+    assert want["c_dr"].tolist() == [1.0, 0.0] and want["c_ttc"].tolist() == [0.0, 1.0]
+    assert want["aggregate"][0] == want["aggregate"][1]
+    _, scores, best = select_best(ps, ctx)
+    assert best == 0
+    for name in scoring._TERMS:
+        _assert_bitwise(getattr(scores, name), want[name])
+
+
+def test_indexing_a_pending_row_projects_that_row_alone(monkeypatch):
+    # run_episode reads the winner's record every tick: indexing takes the
+    # indexed row's direction term only, once. Reading an eager column or a
+    # rollout row projects nothing; the aggregate column, then, the other
+    # pending rows, in one call.
+    ps, ctx = _mixed_set()
+    n = len(ps)
+    batches = []
+    project = scoring.project_arclengths
+    monkeypatch.setattr(scoring, "project_arclengths", lambda p, table: batches.append(np.array(p)) or project(p, table))
+    scores = score_proposals(ps, ctx)
+    assert len(batches) == 1  # the gains
+    scores[n - 2]
+    scores[-2]
+    scores[0]
+    scores.c_ep
+    assert len(batches) == 2 and np.array_equal(batches[1], ps.positions[n - 2, 1:-1])
+    scores.aggregate
+    scores.c_dr
+    list(scores)
+    assert len(batches) == 3 and np.array_equal(batches[2], ps.positions[[n - 3, n - 1], 1:-1].reshape(-1, 2))
+
+
+def test_only_rows_that_can_win_enter_the_route_projection(monkeypatch):
+    # Seed-7 hybrid ticks without record_breakdowns. Each score call projects
+    # the one distinct start and the row ends; select_best then projects the
+    # inner samples of the appended rows that can win, by the eager bounds,
+    # in one more call if there are any, and reading the winner's record
+    # projects nothing. Iterating the scores afterwards, as record_breakdowns
+    # does, projects the inner samples of the rest in one call.
     scenario = generate_synthetic_scenario("intersection_turn", 7)
     vocab = four_prototype_vocabulary()
-    calls = []
+    calls = []  # [proposals, context, projection batches, scores] per score call
     project = scoring.project_arclengths
     score = scoring.score_proposals
 
     def spy_score(proposals, ctx):
-        calls.append([proposals, None])
-        return score(proposals, ctx)
+        calls.append([proposals, ctx, [], None])
+        calls[-1][3] = score(proposals, ctx)
+        return calls[-1][3]
 
     def spy_project(ps, table):
-        calls[-1][1] = np.array(ps)
+        calls[-1][2].append(np.array(ps))
         return project(ps, table)
 
     monkeypatch.setattr(scoring, "score_proposals", spy_score)
     monkeypatch.setattr(scoring, "project_arclengths", spy_project)
     run_episode(scenario, Planner(scenario, "hybrid", vocabulary=vocab, model=init_model(vocab, seed=0)))
+    monkeypatch.undo()
     assert len(calls) > 10
-    for proposals, batch in calls:
+    resolved = 0
+    for proposals, ctx, scored, scores in calls:
+        n, pos = len(proposals), proposals.positions
         appended = ~proposals.tracked
-        n, m, steps = len(proposals), int(appended.sum()), proposals.horizon_steps
-        assert m == 4 + 3  # the vocabulary, the learned plan and its two offset variants
-        assert len(batch) == 1 + n + m * (steps - 1)  # one distinct start: every row starts at the ego
-        assert np.array_equal(batch[1 + n :], proposals.positions[appended, 1:-1].reshape(-1, 2))
+        assert appended.sum() == 4 + 3  # the vocabulary, the learned plan and its two offset variants
+        want = reference_scores(proposals, ctx)
+        bounds = []
+        for credit in (0.0, 1.0):
+            c_dr = np.where(appended, credit, want["c_dr"])
+            objectives = (want["c_ttc"], c_dr, want["c_sp"], want["c_ep"], want["c_cf"])
+            bounds.append(aggregate(
+                want["c_col"], want["c_ra"], want["c_mp"], objectives, want["goal_cost"],
+                ctx.weights, ctx.relax, ctx.goal_norm,
+            ))
+        lower, upper = bounds
+        keys = list(zip(-lower, proposals.tags, range(n)))
+        first = min(keys)
+        can_win = appended & np.array([(-upper[i], proposals.tags[i], i) <= first for i in range(n)])
+        assert np.array_equal(scored[0], np.concatenate([pos[:1, 0], pos[:, -1]]))
+        assert len(scored) == 1 + bool(can_win.any())
+        if can_win.any():
+            assert np.array_equal(scored[1], pos[can_win, 1:-1].reshape(-1, 2))
+        resolved += int(can_win.sum())
+        batches = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "project_arclengths", lambda ps, table: batches.append(np.array(ps)) or project(ps, table))
+            records = list(scores)
+        rest = appended & ~can_win
+        assert len(batches) == 1 and np.array_equal(batches[0], pos[rest, 1:-1].reshape(-1, 2))
+        for i, record in enumerate(records):
+            _assert_bitwise(_record_terms(record), _row_terms(want, i))
+    assert 0 < resolved < 7 * len(calls)
 
 
 def test_forecast_is_kept_while_every_agent_is_the_same_object_bitwise():
