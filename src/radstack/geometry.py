@@ -16,9 +16,10 @@ table keeps it.
 
 Projection onto a polyline takes a batch of points (one point is a batch of
 one) as (x, y) planes, and does each x/y pair of operations as one call on
-stacked (2, ...) arrays. Both projections share one core: _nearest_index
-finds each point's nearest segment, one take of the segment array reads the
-chosen columns, and _nearest_foot takes the clamped foot parameter on them:
+stacked (2, ...) arrays. Every projection shares one core: _nearest_segments
+runs one dense pass of every point against every segment and keeps each
+point's nearest, one take of the segment array reads the chosen columns, and
+_nearest_foot takes the clamped foot parameter on them:
 - project_points_to_polyline returns arclength, signed lateral, heading and
   foot point per point;
 - project_arclengths returns the arclength alone, for callers that use
@@ -28,12 +29,7 @@ chosen columns, and _nearest_foot takes the clamped foot parameter on them:
   once (lqr_track's new reference on every tick) without building its
   segment array: the same core on the table's narrow rows, and the heading,
   -sin and cos of the chosen segment alone.
-Below PRUNE_MIN_PAIRS points x segments the core runs the dense pass over
-every segment. Above it, a broad phase over CHUNK-segment chunk boxes
-(_chunk_runs) bounds each point's run of chunks, and the grouped pruned pass
-runs the same narrow arithmetic once per group of points sharing a first
-chunk, on the contiguous column slice that holds the group's chunks. All of
-them return the same bits.
+All of them return the same bits.
 
 SegmentStack stacks several tables' segment arrays, padded to the longest,
 and project_points_to_polylines projects a batch of points onto all of them
@@ -225,15 +221,12 @@ def points_in_polygons(x: np.ndarray, y: np.ndarray, polygons, boxes) -> np.ndar
     return inside
 
 
-CHUNK = 8  # segments per broad-phase chunk of a SegmentTable
-PRUNE_MIN_PAIRS = 12_000  # points x segments from which the broad phase pays for itself
-PRUNE_MARGIN = 1e-6  # m; slack on the broad phase's upper bound, far above rounding
 SEG_ROWS = 10  # rows of a SegmentTable's per-segment array
 
 
 def _narrow_rows(table, rows) -> None:
-    """Fill rows (5, n_segments) with the narrow phase's rows of a table's
-    segments: start x, start y, direction x, direction y, inverse squared
+    """Fill rows (5, n_segments) with the rows of a table's segments that
+    the nearest-segment pass reads: start x, start y, direction x, direction y, inverse squared
     length."""
     rows[:2] = table.points[:-1].T
     rows[2:4] = table._d.T
@@ -254,14 +247,12 @@ class SegmentTable:
 
     The program's one polyline type: positions and poses at arclengths,
     uniform resampling and (through project_points_to_polyline) projection
-    all read it. `seg` is the per-segment array (SEG_ROWS, n_chunks * CHUNK):
+    all read it. `seg` is the per-segment array (SEG_ROWS, n_segments):
     each column holds one segment's start x and y, direction x and y, inverse
     squared length (0 for a degenerate segment), start arclength, length,
-    heading (by math.atan2, 0 if degenerate) and the heading's -sin and cos,
-    padded to whole CHUNK-segment chunks by repeating the last segment.
+    heading (by math.atan2, 0 if degenerate) and the heading's -sin and cos.
     `seg` is built by the first projection (or the first read of
-    `headings`, a view of its heading row) and the chunks' bounding boxes by
-    the first large projection, so a polyline that is never projected pays
+    `headings`, its heading row), so a polyline that is never projected pays
     only for its arclengths.
     """
 
@@ -274,18 +265,15 @@ class SegmentTable:
         self.s = np.empty(len(self.lengths) + 1)
         self.s[0] = 0.0
         self.lengths.cumsum(out=self.s[1:])
-        self.n_chunks = -(-len(self.len2) // CHUNK)
 
     @cached_property
     def seg(self) -> np.ndarray:
-        m = self.n_segments
-        seg = np.empty((SEG_ROWS, self.n_chunks * CHUNK))
-        _narrow_rows(self, seg[:5, :m])
-        seg[5, :m] = self.s[:-1]
-        seg[6, :m] = self.lengths
-        seg[7, :m] = [math.atan2(dy, dx) for dx, dy in self._d.tolist()]
-        _trig_rows(seg[7:, :m])
-        seg[:, m:] = seg[:, m - 1 : m]
+        seg = np.empty((SEG_ROWS, self.n_segments))
+        _narrow_rows(self, seg[:5])
+        seg[5] = self.s[:-1]
+        seg[6] = self.lengths
+        seg[7] = [math.atan2(dy, dx) for dx, dy in self._d.tolist()]
+        _trig_rows(seg[7:])
         return seg
 
     @property
@@ -294,7 +282,7 @@ class SegmentTable:
 
         By math.atan2: numpy's arctan2 may take a vector routine that differs
         from it in the last bit on some CPUs."""
-        return self.seg[7, : self.n_segments]
+        return self.seg[7]
 
     @property
     def n_segments(self) -> int:
@@ -353,44 +341,6 @@ class SegmentTable:
             targets[-1] = total
         return SegmentTable(self.points_at(targets))
 
-    @cached_property
-    def boxes(self) -> tuple:
-        """The broad phase's arrays, each shaped (2, n, 1) for (x, y) against
-        (2, 1, N) points: every chunk's box corners lo and hi over its
-        vertices, and the chunk-boundary vertices (n_chunks + 1 of them)."""
-        m, c = self.n_segments, self.n_chunks
-        pad = np.concatenate([self.points, self.points[-1:].repeat(c * CHUNK - m, axis=0)])
-        inner = pad[:-1].reshape(c, CHUNK, 2)
-        ends = pad[CHUNK::CHUNK]  # each chunk's closing vertex
-        lo = np.minimum(inner.min(axis=1), ends)
-        hi = np.maximum(inner.max(axis=1), ends)
-        return tuple(a.T.copy()[:, :, None] for a in (lo, hi, pad[::CHUNK]))
-
-
-def _chunk_runs(ps: np.ndarray, table: SegmentTable):
-    """First and one past the last chunk that may hold each point's nearest segment, (N,) each.
-
-    A chunk is pruned when the distance from the point to its box exceeds the
-    distance to the nearest chunk-boundary vertex plus PRUNE_MARGIN: every
-    segment in it is then farther than a point of the polyline, so it holds
-    neither the minimum nor a tie with it. Any contiguous window of segments
-    that holds every surviving chunk of a point therefore gives the same first
-    minimum as the whole polyline. A point whose distances are not numbers
-    keeps every chunk. Each operation runs once on stacked x and y, over
-    (chunks, points) arrays whose rows run along the points.
-    """
-    lo, hi, vertices = table.boxes
-    p = ps.T.copy()[:, None, :]  # (2, 1, N)
-    gap = lo - p
-    np.maximum(gap, p - hi, out=gap)
-    np.maximum(gap, 0.0, out=gap)
-    gap *= gap
-    dv = vertices - p
-    dv *= dv
-    reach = np.sqrt((dv[0] + dv[1]).min(axis=0)) + PRUNE_MARGIN
-    keep = ~(gap[0] + gap[1] > reach * reach)  # (C, N)
-    return keep.argmax(axis=0), (keep * np.arange(1, table.n_chunks + 1)[:, None]).max(axis=0)
-
 
 def _nearest_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Index of each point's first segment of least squared distance to its
@@ -405,32 +355,8 @@ def _nearest_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
 
 
 def _nearest_index(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
-    """Index (N,) of each point's first nearest segment of the polyline.
-
-    Below PRUNE_MIN_PAIRS points x segments the narrow phase runs over every
-    segment. Above it, _chunk_runs bounds each point's window; points are
-    grouped by their first surviving chunk, and each group runs the narrow
-    phase on the contiguous column slice from that chunk to the group's last
-    survivor, which gives the dense pass's index.
-    """
-    m = table.n_segments
-    seg = table.seg
-    if len(ps) * m < PRUNE_MIN_PAIRS:
-        return _nearest_segments(ps.T[:, :, None], seg[:, None, :m])
-    first, end = _chunk_runs(ps, table)
-    order = first.argsort()
-    first = first[order]
-    bounds = [0, *((first[1:] != first[:-1]).nonzero()[0] + 1).tolist(), len(ps)]
-    starts = bounds[:-1]
-    ends = np.maximum.reduceat(end[order], starts).tolist()
-    p = ps.take(order, axis=0).T[:, :, None]
-    sorted_idx = np.empty(len(ps), dtype=np.intp)
-    for a, b, c0, c1 in zip(starts, bounds[1:], first[starts].tolist(), ends):
-        lo = c0 * CHUNK
-        sorted_idx[a:b] = _nearest_segments(p[:, a:b], seg[:, None, lo : min(c1 * CHUNK, m)]) + lo
-    idx = np.empty(len(ps), dtype=np.intp)
-    idx[order] = sorted_idx
-    return idx
+    """Index (N,) of each point's first nearest segment of the polyline."""
+    return _nearest_segments(ps.T[:, :, None], table.seg[:, None])
 
 
 def _nearest_foot(p: np.ndarray, seg: np.ndarray):
@@ -440,8 +366,8 @@ def _nearest_foot(p: np.ndarray, seg: np.ndarray):
     lays them out for every segment), the clamped foot parameter u and the
     offset d (2, ...) from the segment start. Each x/y pair of operations is
     one call on the stacked planes, and the chosen segment's values come
-    from the narrow phase's own arithmetic, so every value is bit-identical
-    to the dense pass."""
+    from the dense pass's own arithmetic, so every value is bit-identical
+    to it."""
     d = p - seg[:2]
     t = d * seg[2:4]
     u = t[0] + t[1]
@@ -489,7 +415,7 @@ def project_point_once(x: float, y: float, table: SegmentTable) -> tuple:
     """(s, lateral, heading), each (1,), of one point on a polyline that is
     projected only this once, in the bits of project_points_to_polyline.
 
-    The dense narrow phase runs on the table's narrow rows alone, and only
+    The dense pass runs on the table's narrow rows alone, and only
     the chosen segment's column gets its arclengths, its heading (by
     math.atan2, as in the segment array) and its -sin and cos, so the
     table's segment array is never built. lqr_track projects the ego onto
@@ -512,10 +438,9 @@ class SegmentStack:
     batch of points onto all of them (project_points_to_polylines).
 
     Row k holds tables[k]'s segment array (SegmentTable.seg), padded to the
-    longest polyline by repeating its last segment, as a table pads its
-    chunks: a padded copy ties with the real last segment, and the first
-    minimum keeps the real one. `seg` is (SEG_ROWS, L, 1, W), for the dense
-    narrow phase against (2, 1, N, 1) points.
+    longest polyline by repeating its last segment: a padded copy ties with
+    the real last segment, and the first minimum keeps the real one. `seg`
+    is (SEG_ROWS, L, 1, W), for the dense pass against (2, 1, N, 1) points.
     """
 
     def __init__(self, tables):
@@ -524,9 +449,8 @@ class SegmentStack:
         seg = np.empty((SEG_ROWS, len(self.tables), width))
         for k, t in enumerate(self.tables):
             m = t.n_segments
-            seg[:, k, :m] = t.seg[:, :m]
+            seg[:, k, :m] = t.seg
             seg[:, k, m:] = seg[:, k, m - 1 : m]
-        self.width = width
         self.seg = seg[:, :, None, :]
         self._flat = seg.reshape(SEG_ROWS, -1)  # gathered at row * width + segment
         self._row_start = (np.arange(len(self.tables)) * width)[:, None]
@@ -537,14 +461,9 @@ def project_points_to_polylines(ps: np.ndarray, stack: SegmentStack):
 
     ps: (N, 2). Returns (s, lateral, heading), each (L, N), and the foot
     points (L, N, 2); row k holds project_points_to_polyline(ps,
-    stack.tables[k]) in every bit. Below PRUNE_MIN_PAIRS points x polylines
-    x stack width one dense narrow phase covers every pair; from it on, each
-    polyline's nearest segments come from _nearest_index, as for one table.
+    stack.tables[k]) in every bit: one dense pass covers every pair.
     """
     ps = np.asarray(ps, dtype=float)
     p = ps.T[:, None]  # (2, 1, N)
-    if len(ps) * len(stack.tables) * stack.width < PRUNE_MIN_PAIRS:
-        idx = _nearest_segments(p[..., None], stack.seg)
-    else:
-        idx = np.array([_nearest_index(ps, t) for t in stack.tables])
+    idx = _nearest_segments(p[..., None], stack.seg)
     return _projection(p, stack._flat.take(idx + stack._row_start, axis=1))

@@ -500,21 +500,21 @@ class Scores:
 
 def _route_arclengths(pos, route: ProposalPath) -> tuple:
     """Route arclengths of each row's start and end sample, (P,) each, from
-    one project_arclengths call in which each point appears once.
+    one project_arclengths call.
 
-    The batch holds each distinct row start once (in practice all rows start
-    at the ego pose; otherwise by np.unique on x + iy, where -0.0 and 0.0
-    merge, which leaves s unchanged), then every row's end point. A point's
-    projection does not depend on the rest of the batch.
+    The batch holds the rows' shared start once when every row starts at one
+    point (in practice the ego pose), else every row's start, then every
+    row's end point. A point's projection does not depend on the rest of the
+    batch.
     """
     n = len(pos)
     start = pos[:, 0, :]
     if n and (start == start[0]).all():
-        first, start_of_row = [0], np.zeros(n, dtype=np.intp)
+        start, start_of_row = start[:1], np.zeros(n, dtype=np.intp)
     else:
-        _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
-    s_route = project_arclengths(np.concatenate([start[first], pos[:, -1, :]]), route.segments)
-    return s_route.take(start_of_row), s_route[len(first) :]
+        start_of_row = np.arange(n)
+    s_route = project_arclengths(np.concatenate([start, pos[:, -1, :]]), route.segments)
+    return s_route.take(start_of_row), s_route[len(start) :]
 
 
 def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
@@ -539,9 +539,9 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     flat index and runs its sub-step grid as (J, pairs) on stacked x/y; and
     _batch_comfort makes its four |x| <= bound tests one comparison.
 
-    The route is projected once per call, arclengths only, and each point
-    once (_route_arclengths): the distinct row starts and every row's end
-    point give the gains. An appended row's direction term also needs its
+    The route is projected once per call, arclengths only
+    (_route_arclengths): the row starts and every row's end point give the
+    gains. An appended row's direction term also needs its
     samples 1..S-1 on the route (rollout rows carry their own arclength), so
     it is left pending (Scores, _PendingDirection): its c_dr and aggregate
     are taken when read, and select_best takes only the rows that can win.

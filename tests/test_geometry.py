@@ -1,11 +1,9 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from radstack import geometry
 from radstack.geometry import (
     boxes_overlap,
     normalize_angle,
@@ -240,17 +238,20 @@ def _assert_bitwise(got, ref):
 
 
 ONE_POINT_CHECKS = 8  # points per example also projected one at a time
+LARGE_BATCH_PAIRS = 12_000  # points x segments of a large batch
 
 
 def _assert_warm_and_one_point_paths(ps, pts, want):
     """want is the projection of ps onto the polyline pts. A table whose
-    segment array an earlier call built gives it in every bit, and so does
+    segment array an earlier call built gives it in every bit, its
+    arclengths alone too (project_arclengths), and so does
     project_point_once, point by point, on a table whose array it never
     builds (lqr_track's path)."""
     warm = SegmentTable(pts)
     project_arclengths(pts[-1:], warm)  # builds the segment array
     assert "seg" in warm.__dict__
     _assert_bitwise(project_points_to_polyline(ps, warm), want)
+    _assert_bitwise((project_arclengths(ps, warm),), want[:1])
     for i in range(min(len(ps), ONE_POINT_CHECKS)):
         fresh = SegmentTable(pts)
         _assert_bitwise(project_point_once(*ps[i].tolist(), fresh), [a[i : i + 1] for a in want[:3]])
@@ -265,8 +266,7 @@ def _random_polyline_case(draw):
     zero-length segment), fold straight back over the last step, or jump
     back to an earlier vertex. Points sit near the line, on vertices, past
     either end along the end segment's direction, or far off. The batch
-    holds 1-20 points or enough to reach PRUNE_MIN_PAIRS points x segments,
-    so both sides of the broad-phase threshold are drawn.
+    holds 1-20 points or enough to reach LARGE_BATCH_PAIRS points x segments.
     """
     m = draw(st.integers(2, 300)) - 1  # segments
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -286,7 +286,7 @@ def _random_polyline_case(draw):
         else:
             pts[i + 1] = pts[i] + steps[i]
     if draw(st.booleans()):
-        n = -(-geometry.PRUNE_MIN_PAIRS // m) + draw(st.integers(0, 30))
+        n = -(-LARGE_BATCH_PAIRS // m) + draw(st.integers(0, 30))
     else:
         n = draw(st.integers(1, 20))
     kind = rng.integers(0, 5, n)
@@ -346,17 +346,14 @@ def test_projection_matches_reference_and_sampling_oracle(case):
 
 @st.composite
 def _projection_case(draw):
-    """A polyline and query points that stress the broad phase.
+    """A polyline and query points that stress ties and distance.
 
-    Polylines have 1-60 segments (any remainder modulo the chunk size): a
-    lattice walk of axis-aligned unit-multiple segments, where points on a
-    bend's bisector tie exactly between two segments, a zigzag whose chunk
-    boxes are wide but whose segments are far from most of the box, or a
+    Polylines have 1-60 segments: a lattice walk of axis-aligned
+    unit-multiple segments, where points on a bend's bisector tie exactly
+    between two segments, a zigzag of steep alternating segments, or a
     smooth random walk with an occasional repeated vertex. Points sit on
-    vertices, on bisectors, near the line, or up to 10 km off it (far
-    points widen every window, so only some examples have them); 1-40 or
-    200-400 points, so points x segments falls on both sides of
-    PRUNE_MIN_PAIRS.
+    vertices, on bisectors, near the line, or up to 10 km off it (only some
+    examples have far points); 1-40 or 200-400 points.
     """
     m = draw(st.integers(1, 60))
     n = draw(st.one_of(st.integers(1, 40), st.integers(200, 400)))
@@ -397,73 +394,13 @@ def _projection_case(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_projection_case())
-def test_pruned_projection_matches_dense_reference_bitwise(case):
+def test_projection_ties_match_dense_reference_bitwise(case):
     ps, pts = case
     ref = reference_project_points(ps, pts)
     table = SegmentTable(pts)
     assert np.array_equal(table.s, np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))]))
-    for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then the broad phase always
-        with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
-            _assert_bitwise(project_points_to_polyline(ps, table), ref)
-            _assert_warm_and_one_point_paths(ps, pts, ref)
-
-
-@st.composite
-def _grouped_projection_case(draw):
-    """A route-sized polyline and a batch that takes the grouped pruned pass.
-
-    60-200 segments: a smooth walk of 0.5-2 m segments (a resampled route),
-    or a lattice walk of unit-multiple axis-aligned steps with a turn at
-    every chunk boundary, whose vertices and corner bisectors tie exactly
-    between the last segment of one chunk and the first of the next. The
-    batch holds just enough points to reach PRUNE_MIN_PAIRS points x
-    segments and up to 200 more, spread along the whole polyline so their
-    windows start in several chunks: near vertices, on chunk-boundary
-    vertices and their diagonals, past both ends along the end segments,
-    and a few far off.
-    """
-    m = draw(st.integers(60, 200))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        heading = np.cumsum(rng.normal(0.0, 0.15, m))
-        steps = np.stack([np.cos(heading), np.sin(heading)], axis=1) * rng.uniform(0.5, 2.0, (m, 1))
-    else:
-        axes = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
-        steps = axes[(np.arange(m) // geometry.CHUNK) % 4] * rng.integers(1, 3, (m, 1))
-    pts = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]) + rng.integers(-500, 500, 2)
-    n = -(-geometry.PRUNE_MIN_PAIRS // m) + draw(st.integers(0, 200))
-    vertex = pts[rng.integers(0, m + 1, n)]
-    boundary = pts[::geometry.CHUNK][rng.integers(0, len(pts[::geometry.CHUNK]), n)]
-    diagonal = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[rng.integers(0, 4, n)]
-    t = rng.uniform(0.0, 15.0, (n, 1))
-    first, last = pts[1] - pts[0], pts[-1] - pts[-2]
-    kind = rng.choice(7, n, p=(0.35, 0.15, 0.15, 0.1, 0.1, 0.1, 0.05))
-    ps = np.select(
-        [(kind == k)[:, None] for k in range(6)],
-        [
-            vertex + rng.normal(0.0, 2.0, (n, 2)),
-            boundary,
-            boundary + rng.choice([0.25, 0.5, 1.0], (n, 1)) * diagonal,
-            pts[0] - t * first,
-            pts[-1] + t * last,
-            vertex + rng.normal(0.0, 0.3, (n, 2)),
-        ],
-        vertex + rng.uniform(-1e3, 1e3, (n, 2)),
-    )
-    return ps, pts
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=_grouped_projection_case())
-def test_grouped_projection_matches_dense_reference_bitwise(case):
-    ps, pts = case
-    table = SegmentTable(pts)
-    assert len(ps) * table.n_segments >= geometry.PRUNE_MIN_PAIRS
-    first, _ = geometry._chunk_runs(ps, table)
-    assert len(set(first.tolist())) > 1  # several groups, each on its own column slice
-    ref = reference_project_points(ps, pts)
     _assert_bitwise(project_points_to_polyline(ps, table), ref)
-    _assert_bitwise((project_arclengths(ps, table),), ref[:1])
+    _assert_warm_and_one_point_paths(ps, pts, ref)
 
 
 @st.composite
@@ -478,7 +415,7 @@ def _stack_case(draw):
     either end along the end segment, near a polyline, or anywhere in a box
     about all of them (the origin included). The batch holds 1-30 points,
     or enough for points x polylines x stack width to reach
-    PRUNE_MIN_PAIRS.
+    LARGE_BATCH_PAIRS.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lines = []
@@ -493,7 +430,7 @@ def _stack_case(draw):
         lines.append(np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]) + rng.integers(-30, 31, 2))
     width = max(len(pts) - 1 for pts in lines)
     n = draw(st.one_of(st.integers(1, 30), st.integers(0, 40).map(
-        lambda extra: -(-geometry.PRUNE_MIN_PAIRS // (len(lines) * width)) + extra
+        lambda extra: -(-LARGE_BATCH_PAIRS // (len(lines) * width)) + extra
     )))
     ps = np.empty((n, 2))
     diagonal = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -517,12 +454,9 @@ def _stack_case(draw):
 def test_projection_onto_a_stack_matches_each_polyline_bitwise(case):
     ps, lines = case
     tables = [SegmentTable(pts) for pts in lines]
-    stack = SegmentStack(tables)
-    for threshold in (geometry.PRUNE_MIN_PAIRS, 0):  # as shipped, then polyline by polyline always
-        with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", threshold):
-            got = project_points_to_polylines(ps, stack)
-        for k, table in enumerate(tables):
-            _assert_bitwise([a[k] for a in got], project_points_to_polyline(ps, table))
+    got = project_points_to_polylines(ps, SegmentStack(tables))
+    for k, table in enumerate(tables):
+        _assert_bitwise([a[k] for a in got], project_points_to_polyline(ps, table))
 
 
 def test_resample_of_a_zero_length_polyline_is_one_point():

@@ -2,14 +2,12 @@ import json
 import math
 import os
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from radstack.errors import IoError, ParseError, ValidationError
-from radstack import geometry
 from radstack.geometry import SegmentTable, project_arclengths, project_points_to_polylines
 from radstack.scene import (
     SCENARIO_KINDS,
@@ -518,8 +516,6 @@ def _lane_reads(s):
         (Scenario, "drivable_boxes", _drivable_reads),
         (Scenario, "lane_stack", _lane_reads),
         (SegmentTable, "seg", lambda t: project_arclengths(np.array([[3.0, 1.0]]), t)),
-        # 200 points x 100 segments: past PRUNE_MIN_PAIRS, so the broad phase reads the chunk boxes
-        (SegmentTable, "boxes", lambda t: project_arclengths(np.c_[np.linspace(0.0, 100.0, 200), np.ones(200)], t)),
     ],
 )
 def test_lazy_caches_are_built_once_per_object(monkeypatch, cls, name, reads):
@@ -580,13 +576,11 @@ def test_scenario_keys_and_polygon_sizes_are_checked(keys, value, message):
     kind=st.sampled_from(SCENARIO_KINDS),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 12),
-    pruned=st.booleans(),
 )
-def test_on_lanes_memo_seeded_by_step_agents_matches_a_fresh_projection_bitwise(kind, seed, n, pruned):
+def test_on_lanes_memo_seeded_by_step_agents_matches_a_fresh_projection_bitwise(kind, seed, n):
     # step_agents projects vehicles and then the ego onto every lane; the
     # ego's row, kept for on_lanes, must hold the bits of the one-point
-    # projection the next tick's graph_search would otherwise make, also when
-    # the batch takes the pruned pass (PRUNE_MIN_PAIRS 0).
+    # projection the next tick's graph_search would otherwise make.
     scenario = generate_synthetic_scenario(kind, 7)
     rng = np.random.default_rng(seed)
 
@@ -597,8 +591,7 @@ def test_on_lanes_memo_seeded_by_step_agents_matches_a_fresh_projection_bitwise(
 
     agents = [AgentState(f"v{i}", pose_near_lanes(), float(rng.uniform(0.0, 10.0)), 2.3, 1.0) for i in range(n)]
     ego = EgoState(pose=pose_near_lanes(), speed=5.0)
-    with mock.patch.object(geometry, "PRUNE_MIN_PAIRS", 0 if pruned else geometry.PRUNE_MIN_PAIRS):
-        step_agents(agents, scenario, "reactive_idm", 0.1, ego=ego)
+    step_agents(agents, scenario, "reactive_idm", 0.1, ego=ego)
     key, (s, foot) = scenario._on_lanes
     assert key == (ego.pose.x, ego.pose.y)
     assert scenario.on_lanes(ego.pose.x, ego.pose.y)[0] is s  # a memo hit

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radstack import scoring
-from radstack.geometry import CHUNK, CONTACT_TOL, SegmentTable, boxes_overlap, rect_corners_batch
+from radstack.geometry import CONTACT_TOL, SegmentTable, boxes_overlap, rect_corners_batch
 from radstack.planhead import init_model
 from radstack.planner import Planner
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
@@ -838,11 +838,11 @@ def _appended_case(draw):
         pos[:, 0] = ego.pose.x, ego.pose.y
         pos[rng.random(m) < 0.2, 0] += rng.normal(0.0, 2.0, 2)
         pos[:, 1:] = pos[:, :1] + step.cumsum(axis=1)
-        boundary = paths[0].points[::CHUNK]
+        vertices = paths[0].points
         near = rng.random((m, width)) < 0.2
         near[:, 0] = False
         k = int(near.sum())
-        pos[near] = boundary[rng.integers(len(boundary), size=k)] + rng.normal(0.0, 1e-6, (k, 2))
+        pos[near] = vertices[rng.integers(len(vertices), size=k)] + rng.normal(0.0, 1e-6, (k, 2))
         rows += zip(pos, rng.uniform(-math.pi, math.pi, (m, width)), rng.uniform(0.0, 12.0, (m, width)))
     route_rows = (rollouts.path_index == 0).nonzero()[0]
     for _ in range(draw(st.integers(0, 3))):

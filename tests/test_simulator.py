@@ -465,9 +465,10 @@ def test_rad_breakdown_log_matches_recorded_digest(tmp_path, blocked_scenario):
 
 # sha256 of the same episode log when `rad` also scores a hand-made
 # 4-prototype vocabulary (151 ticks to goal_reached, 38 of them won by a
-# vocabulary row, 5134 proposal rows). Each tick re-projects the 164 samples of
-# the vocabulary rows onto the route, above PRUNE_MIN_PAIRS, so this pins the
-# broad-phase projection. Regenerate as above.
+# vocabulary row, 5134 proposal rows). Recording a tick's breakdowns resolves
+# every vocabulary row's pending direction term, which projects the rows' 156
+# inner samples onto the route, so this pins the dense projection of a large
+# batch and the direction terms read from it. Regenerate as above.
 BLOCKED_LANE_7_VOCABULARY_LOG_SHA256 = "80d22b1cc85eb1b3c6728d9bcdf425ec4bf77f6909615225931cf212e2778f50"
 
 
