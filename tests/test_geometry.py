@@ -15,6 +15,7 @@ from radstack.geometry import (
     project_point_once,
     project_points_to_polyline,
     project_points_to_polylines,
+    SEG_ROWS,
     SegmentStack,
     SegmentTable,
     rect_corners,
@@ -457,6 +458,51 @@ def test_projection_onto_a_stack_matches_each_polyline_bitwise(case):
     got = project_points_to_polylines(ps, SegmentStack(tables))
     for k, table in enumerate(tables):
         _assert_bitwise([a[k] for a in got], project_points_to_polyline(ps, table))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_random_polyline_case())
+def test_segment_array_holds_one_column_per_segment_bitwise(case):
+    # One column per segment, unpadded, each filled as the class docstring
+    # says; a degenerate segment has inverse squared length 0 and heading 0.
+    _, pts, _ = case
+    table = SegmentTable(pts)
+    d = pts[1:] - pts[:-1]
+    len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    heading = np.array([math.atan2(dy, dx) for dx, dy in d.tolist()])
+    want = np.stack([
+        pts[:-1, 0],
+        pts[:-1, 1],
+        d[:, 0],
+        d[:, 1],
+        [1.0 / l2 if l2 > 0 else 0.0 for l2 in len2.tolist()],
+        table.s[:-1],
+        np.sqrt(len2),
+        heading,
+        -np.sin(heading),
+        np.cos(heading),
+    ])
+    assert table.seg.shape == (SEG_ROWS, len(pts) - 1)
+    _assert_bitwise(list(table.seg), list(want))
+    assert table.headings.base is table.seg  # the heading row, not a copy
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_stack_case())
+def test_stack_pads_each_row_with_its_last_segment_bitwise(case):
+    # Row k is tables[k]'s segment array, then copies of its last column out
+    # to the widest table; _flat gathers row k's segment i at k * width + i.
+    _, lines = case
+    tables = [SegmentTable(pts) for pts in lines]
+    stack = SegmentStack(tables)
+    width = max(t.n_segments for t in tables)
+    assert stack.seg.shape == (SEG_ROWS, len(tables), 1, width)
+    for k, t in enumerate(tables):
+        m = t.n_segments
+        row = stack.seg[:, k, 0]
+        _assert_bitwise((row[:, :m],), (t.seg,))
+        _assert_bitwise((row[:, m:],), (np.repeat(t.seg[:, -1:], width - m, axis=1),))
+        _assert_bitwise((stack._flat[:, stack._row_start[k, 0] : stack._row_start[k, 0] + width],), (row,))
 
 
 def test_resample_of_a_zero_length_polyline_is_one_point():

@@ -510,12 +510,20 @@ def _lane_reads(s):
         s.on_lanes(x, 0.5)
 
 
+def _heading_reads(t):
+    # headings, pose_at and frame_at read the segment array without projecting
+    t.headings
+    t.pose_at(np.array([0.0, 50.5, 100.0]))
+    t.frame_at(np.array([0.0, 50.5, 100.0]))
+
+
 @pytest.mark.parametrize(
     "cls, name, reads",
     [
         (Scenario, "drivable_boxes", _drivable_reads),
         (Scenario, "lane_stack", _lane_reads),
         (SegmentTable, "seg", lambda t: project_arclengths(np.array([[3.0, 1.0]]), t)),
+        (SegmentTable, "seg", _heading_reads),
     ],
 )
 def test_lazy_caches_are_built_once_per_object(monkeypatch, cls, name, reads):
