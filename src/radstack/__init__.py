@@ -2,9 +2,10 @@
 
 Rule-based planning with per-tick topology replanning, lane-change and
 opposing-lane augmentation, goal-directed scoring, trajectory-vocabulary
-proposals and context-aware rule relaxation; a small learned plan head with
-staged (interruptible) inference; a hybrid integration; and a deterministic
-2D simulator plus benchmark harness to exercise all of it.
+proposals and context-aware rule relaxation; a small learned plan head whose
+staged inference classifies, then refines within its budget; a hybrid
+integration; and a deterministic 2D simulator plus benchmark harness to
+exercise all of it.
 """
 
 from .errors import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import write_text
-from .geometry import project_arclengths
+from .geometry import project_points_to_polyline
 from .planner import Planner, PlannerConfig
 from .simulator import EpisodeLog, SimConfig, run_episode
 
@@ -59,7 +59,7 @@ def route_completion(log: EpisodeLog) -> float:
     route, _, _ = log.scenario.chain(log.scenario.route)
     goal, start = log.scenario.goal, log.scenario.ego.pose
     x, y = log.records[-1]["ego"][0], log.records[-1]["ego"][1]
-    s_goal, s_start, s_end = project_arclengths(np.array([[goal.x, goal.y], [start.x, start.y], [x, y]]), route)
+    s_goal, s_start, s_end = project_points_to_polyline(np.array([[goal.x, goal.y], [start.x, start.y], [x, y]]), route)[0]
     if s_goal <= 0:
         return 1.0
     return float(min(1.0, max(0.0, (s_end - s_start) / max(s_goal - s_start, 1e-9))))

@@ -52,7 +52,7 @@ def _numbers(v, path):
 def _disturbances(v, path):
     """((tick, lateral metres), ...) from [[tick, metres], ...]."""
     pairs = array(v, path, ConfigError, (None, 2), "a list of [tick, metres] pairs").tolist()
-    return tuple((integer(tick, f"{path}[{i}][0]", ConfigError), m) for i, (tick, m) in enumerate(pairs))
+    return tuple((integer(tick, f"{path}[{i}][0]", ConfigError, at_least=0), m) for i, (tick, m) in enumerate(pairs))
 
 
 _SECTIONS = {

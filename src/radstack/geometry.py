@@ -16,25 +16,18 @@ table keeps it.
 
 Projection onto a polyline takes a batch of points (one point is a batch of
 one) as (x, y) planes, and does each x/y pair of operations as one call on
-stacked (2, ...) arrays. Every projection shares one core: _nearest_segments
+stacked (2, ...) arrays. One core serves every projection: _nearest_segments
 runs one dense pass of every point against every segment and keeps each
 point's nearest, one take of the segment array reads the chosen columns, and
-_nearest_foot takes the clamped foot parameter on them:
-- project_points_to_polyline returns arclength, signed lateral, heading and
-  foot point per point;
-- project_arclengths returns the arclength alone, for callers that use
-  nothing else (the scorer's route progress and direction, route completion,
-  a bypass's merge point), so they pay for no lateral, heading or foot;
-- project_point_once projects one point onto a polyline projected only that
-  once (lqr_track's new reference on every tick) without building its
-  segment array: the same core on the table's narrow rows, and the heading,
-  -sin and cos of the chosen segment alone.
-All of them return the same bits.
+_projection gives arclength, signed lateral, heading and foot point on them.
+It has one entry per layout, each returning all four, which a caller unpacks:
+- project_points_to_polyline, onto one polyline (a SegmentTable);
+- project_points_to_polylines, onto every polyline of a SegmentStack, which
+  stacks several tables' segment arrays padded to the longest; its row k
+  holds the first entry's bits for table k.
+A point's projection does not depend on the rest of its batch.
 
-SegmentStack stacks several tables' segment arrays, padded to the longest,
-and project_points_to_polylines projects a batch of points onto all of them
-at once, in the same bits as one project_points_to_polyline per table. A
-Scenario stacks its lanes once (Scenario.lane_stack): step_agents projects
+A Scenario stacks its lanes once (Scenario.lane_stack): step_agents projects
 every agent and the ego onto every lane with one call
 (Scenario.project_onto_lanes), and the topology's graph_search and
 augment_with_adjacents read the ego's row of it on the next tick
@@ -224,24 +217,6 @@ def points_in_polygons(x: np.ndarray, y: np.ndarray, polygons, boxes) -> np.ndar
 SEG_ROWS = 10  # rows of a SegmentTable's per-segment array
 
 
-def _narrow_rows(table, rows) -> None:
-    """Fill rows (5, n_segments) with the rows of a table's segments that
-    the nearest-segment pass reads: start x, start y, direction x, direction y, inverse squared
-    length."""
-    rows[:2] = table.points[:-1].T
-    rows[2:4] = table._d.T
-    rows[4] = np.where(table.len2 > 0, 1.0 / np.maximum(table.len2, 1e-300), 0.0)
-
-
-def _trig_rows(rows) -> None:
-    """Fill rows[1:3] with -sin and cos of the headings in rows[0], by np.sin
-    and np.cos on the contiguous heading row: the same vector routine, and
-    so the same bits, as on any gathered copy of it."""
-    np.sin(rows[0], out=rows[1])
-    np.negative(rows[1], out=rows[1])
-    np.cos(rows[0], out=rows[2])
-
-
 class SegmentTable:
     """A polyline's points, arclengths and per-segment array, built once.
 
@@ -269,11 +244,17 @@ class SegmentTable:
     @cached_property
     def seg(self) -> np.ndarray:
         seg = np.empty((SEG_ROWS, self.n_segments))
-        _narrow_rows(self, seg[:5])
+        seg[:2] = self.points[:-1].T
+        seg[2:4] = self._d.T
+        seg[4] = np.where(self.len2 > 0, 1.0 / np.maximum(self.len2, 1e-300), 0.0)
         seg[5] = self.s[:-1]
         seg[6] = self.lengths
         seg[7] = [math.atan2(dy, dx) for dx, dy in self._d.tolist()]
-        _trig_rows(seg[7:])
+        # -sin and cos on the contiguous heading row: the same vector routine,
+        # and so the same bits, as on any gathered copy of it
+        np.sin(seg[7], out=seg[8])
+        np.negative(seg[8], out=seg[8])
+        np.cos(seg[7], out=seg[9])
         return seg
 
     @property
@@ -354,11 +335,6 @@ def _nearest_segments(p: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return (d[0] + d[1]).argmin(axis=-1)
 
 
-def _nearest_index(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
-    """Index (N,) of each point's first nearest segment of the polyline."""
-    return _nearest_segments(ps.T[:, :, None], table.seg[:, None])
-
-
 def _nearest_foot(p: np.ndarray, seg: np.ndarray):
     """The core of every projection: for points p as (x, y) planes and the
     columns seg of their segments (broadcast against each other: (2, N) and
@@ -389,48 +365,17 @@ def _projection(p: np.ndarray, seg: np.ndarray):
     return seg[5] + u * seg[6], d[0] + d[1], seg[7], foot
 
 
-def project_arclengths(ps: np.ndarray, table: SegmentTable) -> np.ndarray:
-    """Arclength (N,) of each point's projection onto the polyline: the s of
-    project_points_to_polyline, without lateral, heading or foot point."""
-    ps = np.asarray(ps, dtype=float)
-    idx = _nearest_index(ps, table)
-    seg = table.seg[:7].take(idx, axis=1)
-    u, _ = _nearest_foot(ps.T, seg)
-    return seg[5] + u * seg[6]
-
-
 def project_points_to_polyline(ps: np.ndarray, table: SegmentTable):
     """Vectorized projection of many points onto one polyline.
 
     ps: (N, 2). Returns (s, lateral, heading at the foot point), each (N,),
     and the foot points (N, 2); lateral is positive to the left of the travel
     direction. Each point takes the first segment of least squared distance
-    to its clamped foot point (_nearest_index).
+    to its clamped foot point (_nearest_segments).
     """
-    ps = np.asarray(ps, dtype=float)
-    return _projection(ps.T, table.seg.take(_nearest_index(ps, table), axis=1))
-
-
-def project_point_once(x: float, y: float, table: SegmentTable) -> tuple:
-    """(s, lateral, heading), each (1,), of one point on a polyline that is
-    projected only this once, in the bits of project_points_to_polyline.
-
-    The dense pass runs on the table's narrow rows alone, and only
-    the chosen segment's column gets its arclengths, its heading (by
-    math.atan2, as in the segment array) and its -sin and cos, so the
-    table's segment array is never built. lqr_track projects the ego onto
-    its new reference this way on every tick.
-    """
-    p = np.array([[x], [y]])
-    seg = np.empty((SEG_ROWS, table.n_segments))  # rows 5 on: the chosen column only
-    _narrow_rows(table, seg[:5])
-    i = int(_nearest_segments(p[:, :, None], seg[:5, None])[0])
-    chosen = seg[:, i : i + 1]
-    dx, dy = table._d[i].tolist()
-    chosen[5:8, 0] = table.s[i], table.lengths[i], math.atan2(dy, dx)
-    _trig_rows(chosen[7:])
-    s, lateral, heading, _ = _projection(p, chosen)
-    return s, lateral, heading
+    p = np.asarray(ps, dtype=float).T
+    seg = table.seg
+    return _projection(p, seg.take(_nearest_segments(p[:, :, None], seg[:, None]), axis=1))
 
 
 class SegmentStack:

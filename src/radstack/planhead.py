@@ -2,8 +2,9 @@
 zero-initialized refinement head, trained with a soft cross-entropy over
 prototype proximity plus a mean per-waypoint refinement loss.
 
-Inference is staged: one encoder+classifier pass always yields a valid plan;
-refinement is an optional second stage that can be skipped or interrupted.
+Inference is staged, under one of two budgets: classify_only stops after the
+encoder+classifier pass, which always yields a valid plan; classify_and_refine
+adds the refinement stage on the same encoding.
 Gradients are computed by hand (no autograd dependency).
 """
 
@@ -344,17 +345,15 @@ def plan_anytime(
     features: np.ndarray,
     ego: EgoState,
     budget: str = CLASSIFY_AND_REFINE,
-    interrupt=None,
 ):
     """Staged inference: classification always yields a complete plan.
 
     Returns (Trajectory, stage timings). The features are encoded once, in
     the classify stage, and refinement reads the same encoding; both stages
     run the forward passes training runs (_encode, _classify, _refine) on a
-    batch of one. With budget=classify_only, or when `interrupt()` reports
-    True after the classify stage, the coarse prototype plan v_hat (the
-    best-scoring prototype) is returned; it is never an error and never a
-    partial trajectory.
+    batch of one. With budget=classify_only the coarse prototype plan v_hat
+    (the best-scoring prototype) is returned; it is never an error and never
+    a partial trajectory.
     """
     if budget not in (CLASSIFY_ONLY, CLASSIFY_AND_REFINE):
         raise ValueError(f"unknown budget {budget!r}")
@@ -365,7 +364,7 @@ def plan_anytime(
     timings.append(("classify", time.perf_counter() - t0))
 
     waypoints = v_hat
-    if budget == CLASSIFY_AND_REFINE and not (interrupt is not None and interrupt()):
+    if budget == CLASSIFY_AND_REFINE:
         t1 = time.perf_counter()
         off, _ = _refine(model, h, v_hat[None])
         waypoints = v_hat + off[0].reshape(model.t, 2)

@@ -24,7 +24,6 @@ from .geometry import (
     boxes_overlap,
     normalize_angles,
     points_in_polygons,
-    project_arclengths,
     project_points_to_polyline,
     rect_corners_batch,
     to_local_frame,
@@ -424,7 +423,7 @@ class _PendingDirection:
         s[:, 0] = self.s_start.take(rows)
         s[:, -1] = self.s_end.take(rows)
         inner = self.pos[rows, 1:-1].reshape(-1, 2)
-        s[:, 1:-1] = project_arclengths(inner, self.route.segments).reshape(m, width - 2)
+        s[:, 1:-1] = project_points_to_polyline(inner, self.route.segments)[0].reshape(m, width - 2)
         c_dr = _batch_direction(s, np.zeros(m, dtype=np.intp), (self.route,))
         self.columns[_C_DR][rows] = c_dr
         self.columns[_AGGREGATE][rows] = self.aggregate(rows, c_dr)
@@ -500,7 +499,7 @@ class Scores:
 
 def _route_arclengths(pos, route: ProposalPath) -> tuple:
     """Route arclengths of each row's start and end sample, (P,) each, from
-    one project_arclengths call.
+    one project_points_to_polyline call.
 
     The batch holds the rows' shared start once when every row starts at one
     point (in practice the ego pose), else every row's start, then every
@@ -513,7 +512,7 @@ def _route_arclengths(pos, route: ProposalPath) -> tuple:
         start, start_of_row = start[:1], np.zeros(n, dtype=np.intp)
     else:
         start_of_row = np.arange(n)
-    s_route = project_arclengths(np.concatenate([start, pos[:, -1, :]]), route.segments)
+    s_route = project_points_to_polyline(np.concatenate([start, pos[:, -1, :]]), route.segments)[0]
     return s_route.take(start_of_row), s_route[len(start) :]
 
 
@@ -539,8 +538,8 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     flat index and runs its sub-step grid as (J, pairs) on stacked x/y; and
     _batch_comfort makes its four |x| <= bound tests one comparison.
 
-    The route is projected once per call, arclengths only
-    (_route_arclengths): the row starts and every row's end point give the
+    The route is projected once per call (_route_arclengths), and only the
+    arclengths are read: the row starts and every row's end point give the
     gains. An appended row's direction term also needs its
     samples 1..S-1 on the route (rollout rows carry their own arclength), so
     it is left pending (Scores, _PendingDirection): its c_dr and aggregate

@@ -33,7 +33,7 @@ from .geometry import (
     boxes_overlap,
     normalize_angle,
     normalize_angles,
-    project_point_once,
+    project_points_to_polyline,
     SegmentTable,
 )
 from .planner import Planner
@@ -77,6 +77,16 @@ class SimConfig:
         number(self.goal_radius, "SimConfig.goal_radius", ValueError, at_least=0)
         number(self.deadlock_window, "SimConfig.deadlock_window", ValueError, above=0)
         number(self.deadlock_displacement, "SimConfig.deadlock_displacement", ValueError, at_least=0)
+        # run_episode fires a disturbance at its exact tick: a fractional or
+        # negative one would never fire.
+        if not isinstance(self.disturbances, (tuple, list)):
+            raise expected(ValueError, "SimConfig.disturbances", "a sequence of (tick, metres) pairs", self.disturbances)
+        for i, pair in enumerate(self.disturbances):
+            path = f"SimConfig.disturbances[{i}]"
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise expected(ValueError, path, "a (tick, metres) pair", pair)
+            integer(pair[0], f"{path}[0]", ValueError, at_least=0)
+            number(pair[1], f"{path}[1]", ValueError)
 
 
 @dataclass
@@ -202,7 +212,7 @@ def lqr_track(ego: EgoState, reference: Trajectory) -> tuple:
     pts = reference.positions
     table = SegmentTable(pts)
     s_cum = table.s
-    (s,), (e_lat,), (ref_head,) = project_point_once(ego.pose.x, ego.pose.y, table)
+    (s,), (e_lat,), (ref_head,), _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), table)
     e_head = normalize_angle(ego.pose.heading - ref_head)
 
     idx = min(max(int(s_cum.searchsorted(s, side="right")) - 1, 0), len(pts) - 2)

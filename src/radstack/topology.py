@@ -22,7 +22,6 @@ import numpy as np
 from .errors import OffMapError
 from .geometry import (
     normalize_angle,
-    project_arclengths,
     project_points_to_polyline,
     SegmentTable,
 )
@@ -223,7 +222,7 @@ def _splice_opposing(scenario, opp_lane_id, base: ProposalPath, ego_xy, horizon_
     bypass_pts = np.concatenate([foot, rev.points[keep], rev.points_at(s_end)[None]])
 
     # Merge back onto the base path MERGE_GAP metres past the bypass end.
-    (s_merge,) = project_arclengths(bypass_pts[-1:], base.segments)
+    (s_merge,), _, _, _ = project_points_to_polyline(bypass_pts[-1:], base.segments)
     s_back = min(s_merge + MERGE_GAP, base.length)
     tail = np.concatenate([base.segments.points_at(s_back)[None], base.points[base.s > s_back + 1e-9]])
     pts = np.concatenate([bypass_pts, tail])

@@ -8,7 +8,6 @@ from radstack.geometry import (
     normalize_angles,
     points_in_polygon,
     polygon_as_aabb,
-    project_arclengths,
     project_points_to_polyline,
 )
 from radstack.proposals import (
@@ -384,9 +383,9 @@ def reference_route_arclengths(pos, appended, route):
     n, width = pos.shape[:2]
     start = pos[:, 0, :]
     _, first, start_of_row = np.unique(start[:, 0] + 1j * start[:, 1], return_index=True, return_inverse=True)
-    s_route = project_arclengths(
+    s_route = project_points_to_polyline(
         np.concatenate([start[first], pos[:, -1, :], pos[appended].reshape(-1, 2)]), route.segments
-    )
+    )[0]
     k = len(first)
     return s_route[k : k + n] - s_route[start_of_row], s_route[k + n :].reshape(-1, width)
 

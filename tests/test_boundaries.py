@@ -135,6 +135,12 @@ def test_config_fields_raise_config_error(change):
         (SimConfig, {"goal_radius": math.inf}, "SimConfig.goal_radius"),
         (SimConfig, {"deadlock_window": 0.0}, "SimConfig.deadlock_window"),
         (SimConfig, {"deadlock_displacement": math.nan}, "SimConfig.deadlock_displacement"),
+        (SimConfig, {"disturbances": ((3, math.nan),)}, "SimConfig.disturbances[0][1]"),
+        (SimConfig, {"disturbances": ((3, 1.0), (0.5, 1.0))}, "SimConfig.disturbances[1][0]"),
+        (SimConfig, {"disturbances": ((-2, 1.0),)}, "SimConfig.disturbances[0][0]"),
+        (SimConfig, {"disturbances": ((3, 1.0, 0.0),)}, "SimConfig.disturbances[0]"),
+        (SimConfig, {"disturbances": ("ab",)}, "SimConfig.disturbances[0]"),
+        (SimConfig, {"disturbances": "ab"}, "SimConfig.disturbances"),
     ],
 )
 def test_config_dataclasses_reject_a_bad_field_by_name(cls, kwargs, field):

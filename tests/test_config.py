@@ -71,15 +71,20 @@ def test_good_values_pass_and_build():
         ("sim", "goal_radius", math.inf),
         ("sim", "agent_policy", "idm"),
         ("sim", "disturbances", [[30]]),
+        ("sim", "disturbances", [[3, 1.0], [-2, 1.0]]),
+        ("sim", "disturbances", [[3, 1.0], [0.5, 1.0]]),
         ("sim", "deadlock_window", 0.0),
         ("sim", "record_breakdowns", "yes"),
     ],
 )
 def test_bad_value_names_its_field(section, key, value):
     # The config reader names the field, or the dataclass check after it does
-    # (e.g. "sim.dt: SimConfig.dt: expected ..."); a bad element is named by its index.
+    # (e.g. "sim.dt: SimConfig.dt: expected ..."); a bad element is named by
+    # its index, and a bad tick by its pair's index and its own.
     doc = {section: {key: value}}
     element = r"\[1\]" if key in ("learned_offsets", "speed_fractions") else ""
+    if key == "disturbances" and len(value) == 2:
+        element = r"\[1\]\[0\]"
     with pytest.raises(ConfigError, match=f"^{section}\\.{key}({element}|: [A-Za-z]+\\.{key}{element}): expected "):
         validate_config(doc)
         build_planner_config(doc)

@@ -11,8 +11,6 @@ from radstack.geometry import (
     points_in_polygon,
     points_in_polygons,
     polygon_as_aabb,
-    project_arclengths,
-    project_point_once,
     project_points_to_polyline,
     project_points_to_polylines,
     SEG_ROWS,
@@ -244,19 +242,16 @@ LARGE_BATCH_PAIRS = 12_000  # points x segments of a large batch
 
 def _assert_warm_and_one_point_paths(ps, pts, want):
     """want is the projection of ps onto the polyline pts. A table whose
-    segment array an earlier call built gives it in every bit, its
-    arclengths alone too (project_arclengths), and so does
-    project_point_once, point by point, on a table whose array it never
-    builds (lqr_track's path)."""
+    segment array an earlier call built gives it in every bit, and so does
+    each point projected alone, as a batch of one on a fresh table
+    (lqr_track's path)."""
     warm = SegmentTable(pts)
-    project_arclengths(pts[-1:], warm)  # builds the segment array
+    project_points_to_polyline(pts[-1:], warm)  # builds the segment array
     assert "seg" in warm.__dict__
     _assert_bitwise(project_points_to_polyline(ps, warm), want)
-    _assert_bitwise((project_arclengths(ps, warm),), want[:1])
     for i in range(min(len(ps), ONE_POINT_CHECKS)):
         fresh = SegmentTable(pts)
-        _assert_bitwise(project_point_once(*ps[i].tolist(), fresh), [a[i : i + 1] for a in want[:3]])
-        assert "seg" not in fresh.__dict__
+        _assert_bitwise(project_points_to_polyline(ps[i : i + 1], fresh), [a[i : i + 1] for a in want])
 
 
 @st.composite

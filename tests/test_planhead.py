@@ -348,18 +348,15 @@ def test_plan_anytime_zero_init_budgets_identical():
     assert np.array_equal(t1.positions, t2.positions)
 
 
-def test_plan_anytime_interrupt_bit_identical():
+def test_plan_anytime_budgets_time_their_stages_and_refinement_moves_the_plan():
     vocab = _tiny_vocab()
     model = init_model(vocab, d=8, h=16, seed=0)
     model.params["wr2"][:] = 0.3  # make refinement non-trivial
     x = np.random.default_rng(12).normal(size=8)
-    t_only, _ = plan_anytime(model, x, _ego(), budget=CLASSIFY_ONLY)
-    t_interrupt, timings = plan_anytime(
-        model, x, _ego(), budget=CLASSIFY_AND_REFINE, interrupt=lambda: True
-    )
-    assert np.array_equal(t_only.positions, t_interrupt.positions)
+    t_only, timings = plan_anytime(model, x, _ego(), budget=CLASSIFY_ONLY)
     assert [name for name, _ in timings] == ["classify"]
-    t_full, _ = plan_anytime(model, x, _ego(), budget=CLASSIFY_AND_REFINE)
+    t_full, timings = plan_anytime(model, x, _ego(), budget=CLASSIFY_AND_REFINE)
+    assert [name for name, _ in timings] == ["classify", "refine"]
     assert not np.array_equal(t_only.positions, t_full.positions)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radstack.errors import IoError, ParseError, ValidationError
-from radstack.geometry import SegmentTable, project_arclengths, project_points_to_polylines
+from radstack.geometry import SegmentTable, project_points_to_polyline, project_points_to_polylines
 from radstack.scene import (
     SCENARIO_KINDS,
     AgentState,
@@ -522,7 +522,7 @@ def _heading_reads(t):
     [
         (Scenario, "drivable_boxes", _drivable_reads),
         (Scenario, "lane_stack", _lane_reads),
-        (SegmentTable, "seg", lambda t: project_arclengths(np.array([[3.0, 1.0]]), t)),
+        (SegmentTable, "seg", lambda t: project_points_to_polyline(np.array([[3.0, 1.0]]), t)),
         (SegmentTable, "seg", _heading_reads),
     ],
 )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from dataclasses import fields, replace
 from functools import lru_cache
 
@@ -947,6 +948,21 @@ def test_aggregate_is_non_decreasing_in_the_direction_credit_bitwise(weights, te
     assert (agg[:-1] <= agg[1:]).all()
 
 
+def _spy_route_projections(mp, record):
+    """Make scoring's projection hand each batch of the scorer's route
+    projections (_route_arclengths, _PendingDirection.resolve) to record
+    before projecting it. The relaxation check's corridor projection
+    (_blocker_distance) goes to the same function and is not recorded."""
+    project = scoring.project_points_to_polyline
+
+    def spy(ps, table):
+        if sys._getframe(1).f_code.co_name in ("_route_arclengths", "resolve"):
+            record(np.array(ps))
+        return project(ps, table)
+
+    mp.setattr(scoring, "project_points_to_polyline", spy)
+
+
 def test_a_pending_row_with_a_nan_bound_is_resolved_and_never_wins(monkeypatch, plain_scenario, plain_path):
     # Three appended rows; a NaN comfort term gives row 0 a NaN aggregate at
     # both bounds. select_best must take its direction term (its inner
@@ -964,8 +980,7 @@ def test_a_pending_row_with_a_nan_bound_is_resolved_and_never_wins(monkeypatch, 
     want = reference_scores(ps, ctx)
     assert np.isnan(want["aggregate"][0]) and np.isfinite(want["aggregate"][1:]).all()
     batches = []
-    project = scoring.project_arclengths
-    monkeypatch.setattr(scoring, "project_arclengths", lambda p, table: batches.append(np.array(p)) or project(p, table))
+    _spy_route_projections(monkeypatch, batches.append)
     _, scores, best = select_best(ps, ctx)
     assert best != 0 and best == np.lexsort((np.arange(len(ps)), ps.tags, -want["aggregate"]))[0]
     inner = ps.positions[0, 1:-1]
@@ -1010,8 +1025,7 @@ def test_indexing_a_pending_row_projects_that_row_alone(monkeypatch):
     ps, ctx = _mixed_set()
     n = len(ps)
     batches = []
-    project = scoring.project_arclengths
-    monkeypatch.setattr(scoring, "project_arclengths", lambda p, table: batches.append(np.array(p)) or project(p, table))
+    _spy_route_projections(monkeypatch, batches.append)
     scores = score_proposals(ps, ctx)
     assert len(batches) == 1  # the gains
     scores[n - 2]
@@ -1035,7 +1049,6 @@ def test_only_rows_that_can_win_enter_the_route_projection(monkeypatch):
     scenario = generate_synthetic_scenario("intersection_turn", 7)
     vocab = four_prototype_vocabulary()
     calls = []  # [proposals, context, projection batches, scores] per score call
-    project = scoring.project_arclengths
     score = scoring.score_proposals
 
     def spy_score(proposals, ctx):
@@ -1043,12 +1056,8 @@ def test_only_rows_that_can_win_enter_the_route_projection(monkeypatch):
         calls[-1][3] = score(proposals, ctx)
         return calls[-1][3]
 
-    def spy_project(ps, table):
-        calls[-1][2].append(np.array(ps))
-        return project(ps, table)
-
     monkeypatch.setattr(scoring, "score_proposals", spy_score)
-    monkeypatch.setattr(scoring, "project_arclengths", spy_project)
+    _spy_route_projections(monkeypatch, lambda batch: calls[-1][2].append(batch))
     run_episode(scenario, Planner(scenario, "hybrid", vocabulary=vocab, model=init_model(vocab, seed=0)))
     monkeypatch.undo()
     assert len(calls) > 10
@@ -1077,7 +1086,7 @@ def test_only_rows_that_can_win_enter_the_route_projection(monkeypatch):
         resolved += int(can_win.sum())
         batches = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scoring, "project_arclengths", lambda ps, table: batches.append(np.array(ps)) or project(ps, table))
+            _spy_route_projections(mp, batches.append)
             records = list(scores)
         rest = appended & ~can_win
         assert len(batches) == 1 and np.array_equal(batches[0], pos[rest, 1:-1].reshape(-1, 2))
