@@ -24,19 +24,16 @@ from dataclasses import replace
 from functools import partial
 
 from .errors import ConfigError, array, expected, from_text, integer, number, obj, read_json, string
-from .planhead import CLASSIFY_AND_REFINE, CLASSIFY_ONLY
 from .planner import PlannerConfig
 from .simulator import SimConfig
 
 
 # Value readers: (value, field path) -> the value as its dataclass takes it.
-# The weights, proposal, idm and sim dataclasses check their own ranges, so
-# their readers check type and shape only; PlannerConfig's ranges are here.
+# Every section's dataclass checks its own ranges, so the readers check type
+# and shape only.
 _number = partial(number, error=ConfigError)
 _integer = partial(integer, error=ConfigError)
-_count = partial(integer, error=ConfigError, at_least=1)
-_positive = partial(number, error=ConfigError, above=0)
-_non_negative = partial(number, error=ConfigError, at_least=0)
+_string = partial(string, error=ConfigError)
 
 
 def _bool(v, path):
@@ -62,11 +59,11 @@ _SECTIONS = {
         "enable_opposing": _bool,
         "enable_vocabulary": _bool,
         "enable_relaxation": _bool,
-        "max_paths": _count,
-        "horizon_length": _positive,
-        "min_progress": _non_negative,
+        "max_paths": _integer,
+        "horizon_length": _number,
+        "min_progress": _number,
         "learned_offsets": _numbers,
-        "planhead_budget": partial(string, error=ConfigError, choices=(CLASSIFY_ONLY, CLASSIFY_AND_REFINE)),
+        "planhead_budget": _string,
     },
     "weights": dict.fromkeys(("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal"), _number),
     "proposal": {"offsets": _numbers, "speed_fractions": _numbers, "horizon": _number, "dt": _number},
@@ -74,7 +71,7 @@ _SECTIONS = {
     "sim": {
         "dt": _number,
         "planner_period": _integer,
-        "agent_policy": partial(string, error=ConfigError),
+        "agent_policy": _string,
         "disturbances": _disturbances,
         "goal_radius": _number,
         "deadlock_window": _number,
@@ -93,9 +90,8 @@ def load_config(path) -> dict:
 def validate_config(doc: dict) -> dict:
     """doc with every value read as its dataclass takes it. Unknown keys, and
     values of the wrong type or shape, raise ConfigError naming the field
-    (e.g. ``sim.planner_period``); so do the planner section's values out of
-    range. The other ranges are checked when build_*_config makes the
-    dataclass."""
+    (e.g. ``sim.planner_period``). Ranges are checked when build_*_config
+    makes the dataclass."""
     doc = obj(doc, "", ConfigError, optional=(*_ASSET_KEYS, *_SECTIONS))
     out = {key: string(doc[key], key, ConfigError) for key in _ASSET_KEYS if key in doc}
     for section, readers in _SECTIONS.items():

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import HorizonMismatchError
+from .errors import HorizonMismatchError, integer, number, string
 from .geometry import normalize_angle
 from .hybrid import DEFAULT_LEARNED_OFFSETS, hybrid_select
 from .planhead import (
     CLASSIFY_AND_REFINE,
+    CLASSIFY_ONLY,
     PlanHeadModel,
     extract_features,
     plan_anytime,
@@ -68,6 +69,14 @@ class PlannerConfig:
     min_progress: float = MIN_PROGRESS
     learned_offsets: tuple = DEFAULT_LEARNED_OFFSETS
     planhead_budget: str = CLASSIFY_AND_REFINE
+
+    def __post_init__(self):
+        integer(self.max_paths, "PlannerConfig.max_paths", ValueError, at_least=1)
+        number(self.horizon_length, "PlannerConfig.horizon_length", ValueError, above=0)
+        number(self.min_progress, "PlannerConfig.min_progress", ValueError, at_least=0)
+        for i, o in enumerate(self.learned_offsets):
+            number(o, f"PlannerConfig.learned_offsets[{i}]", ValueError)
+        string(self.planhead_budget, "PlannerConfig.planhead_budget", ValueError, (CLASSIFY_ONLY, CLASSIFY_AND_REFINE))
 
     def without_goal(self) -> "PlannerConfig":
         return replace(self, weights=replace(self.weights, w_goal=0.0))
@@ -133,8 +142,7 @@ class Planner:
         self._static_paths = None
         self._forecast = None
         self._history: list = []
-        self._relax_hold = False
-        self._relax_hold_since: float | None = None
+        self._relax_hold_since: float | None = None  # None while no relaxation is held
 
     # -- relaxation hysteresis ------------------------------------------------
 
@@ -143,19 +151,14 @@ class Planner:
             return RelaxationState()
         det = detect_relaxation(self._history, agents, route_path, dt=self.config.proposal.dt, ego=ego)
         if det.active:
-            if not self._relax_hold:
-                self._relax_hold = True
+            if self._relax_hold_since is None:
                 self._relax_hold_since = t
             return det
-        if self._relax_hold:
+        if self._relax_hold_since is not None:
             blocker = _blocker_distance(ego, agents, route_path)
             on_road = footprint_inside_drivable(ego, self.scenario)
-            timed_out = (
-                self._relax_hold_since is not None
-                and t - self._relax_hold_since > RELAX_HOLD_TIMEOUT
-            )
+            timed_out = t - self._relax_hold_since > RELAX_HOLD_TIMEOUT
             if (blocker is None and on_road) or timed_out:
-                self._relax_hold = False
                 self._relax_hold_since = None
                 return det
             # Hold the relaxation through the escape maneuver: the trigger
@@ -219,12 +222,10 @@ class Planner:
         ):
             forecast = self._forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
         proposals = generate_proposals(ego, paths, agents, cfg.proposal, base_params=cfg.idm)
-        vocabulary_rows = None
         if cfg.enable_vocabulary and self.vocabulary is not None:
             vocab = self.vocabulary
-            vocabulary_rows = instantiate_prototype(vocab.prototypes, ego, vocab.dt)
-            if self.kind != "hybrid":  # the hybrid appends them with its learned rows
-                proposals.append(vocab.dt, *vocabulary_rows, ("vocabulary",) * vocab.K)
+            rows = instantiate_prototype(vocab.prototypes, ego, vocab.dt)
+            proposals.append(vocab.dt, *rows, ("vocabulary",) * vocab.K)
         stage_times.append(("proposals", time.perf_counter() - t1))
 
         t2 = time.perf_counter()
@@ -248,9 +249,7 @@ class Planner:
                 self.model, features, ego, budget=cfg.planhead_budget
             )
             stage_times.extend(head_times)
-            winner, scores, proposals, best = hybrid_select(
-                proposals, learned, ctx, cfg.learned_offsets, vocabulary_rows
-            )
+            winner, scores, proposals, best = hybrid_select(proposals, learned, ctx, cfg.learned_offsets)
         else:
             winner, scores, best = select_best(proposals, ctx)
         stage_times.append(("scoring", time.perf_counter() - t2))

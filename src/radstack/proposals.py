@@ -258,10 +258,8 @@ def _step_kernel(
     deprecates a third positional argument to np.maximum and np.minimum, and
     the tests turn that DeprecationWarning into an error.
 
-    A step makes 42 ufunc calls with agents (39 when bypass_clear has no
-    True) and 26 without (28 with a terminus), and 15 more when some row
-    creeps. Each value is computed by the same operations in the same order
-    as in the elementwise form, so the result is the same to the bit.
+    Each value is computed by the same operations in the same order as in
+    the elementwise form, so the result is the same to the bit.
     """
     n, n_agents = a_s.shape
     eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl = np.array(
@@ -269,7 +267,6 @@ def _step_kernel(
          [ego_half_length]]
     ).repeat(n, axis=1)
     any_terminus = bool(terminus.any())
-    any_clear = bool(bypass_clear.any())
 
     # Stacked buffers, one row per quantity:
     #   sl[k] = (s, l, s + 1e-9) at step k, the last row written by step k
@@ -296,7 +293,6 @@ def _step_kernel(
     v_ratio, q = ratio
     lead_gap = np.zeros((2, n))
     raw_gap, v_lead = lead_gap
-    raw_gap.fill(np.inf)  # free flow; v_lead then only enters through s_star / gap = 0
     a_creep, neg_rate, tmp = np.zeros((3, n))
     bypass = np.zeros(n, dtype=bool)
     if n_agents:
@@ -333,8 +329,9 @@ def _step_kernel(
         row_base = np.arange(n) * n_cols
         j = np.zeros(n, dtype=np.intp)
         flat = np.zeros(n, dtype=np.intp)
-    elif any_terminus:
-        # A row without a terminus never stops for the path end: (inf - s) - ehl = inf.
+    else:
+        # A row without a terminus never stops for the path end: (inf - s) - ehl
+        # = inf, the free-flow gap, where v_lead = 0 only enters through s_star / gap = 0.
         path_end = np.where(terminus, path_len, np.inf)
 
     for k in range(steps):
@@ -358,10 +355,9 @@ def _step_kernel(
             # A row without a lead keeps gap = inf, where v_lead only enters
             # through s_star / gap = 0, so it needs no masking.
             g_v_flat.take(flat, axis=1, out=lead_gap, mode="clip")
-            if any_clear:
-                _greater(clear, not_lead, mask)  # clear and a lead
-                mask_flat.take(flat, out=bypass, mode="clip")
-        elif any_terminus:
+            _greater(clear, not_lead, mask)  # clear and a lead
+            mask_flat.take(flat, out=bypass, mode="clip")
+        else:
             _subtract(path_end, s_k, raw_gap)
             _subtract(raw_gap, ehl, raw_gap)
         _maximum(raw_gap, gap_floor, out=gap)
@@ -381,7 +377,7 @@ def _step_kernel(
         _subtract(one, v_ratio, a)
         _subtract(a, q, a)
         _multiply(a_max, a, a)
-        if any_clear and np.count_nonzero(bypass):  # count_nonzero: a third of any()'s call cost
+        if np.count_nonzero(bypass):  # count_nonzero: a third of any()'s call cost
             # The go-around gap floor shrinks as the blend gains lateral
             # clearance, so the rollout can spiral out of a tight pocket;
             # the scorer's collision check remains the safety authority.

@@ -29,7 +29,6 @@ from .scene import EgoState, Pose2, Scenario
 
 LOCALIZATION_RADIUS = 10.0  # m
 CONTAINMENT_RADIUS = 2.0  # m, ego counts as "on" lanes this close
-SNAP_RADIUS = 0.5  # m
 DEFAULT_MAX_PATHS = 5
 DEFAULT_HORIZON_LENGTH = 120.0  # m
 RESAMPLE_DS = 1.0  # m

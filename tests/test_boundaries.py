@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from radstack.config import build_planner_config, build_sim_config, validate_config
 from radstack.errors import ConfigError, ParseError, ValidationError
 from radstack.planhead import init_model, load_model, save_model
+from radstack.planner import PlannerConfig
 from radstack.proposals import MIN_DT, IdmParams, ProposalConfig
 from radstack.scene import generate_synthetic_scenario, scenario_from_dict, scenario_to_dict
 from radstack.scoring import ScoreWeights
@@ -120,6 +121,13 @@ def test_config_fields_raise_config_error(change):
         (ProposalConfig, {"offsets": (-math.inf, 0.0)}, "ProposalConfig.offsets[0]"),
         (ProposalConfig, {"speed_fractions": (math.nan,)}, "ProposalConfig.speed_fractions[0]"),
         (ProposalConfig, {"speed_fractions": (0.5, math.inf)}, "ProposalConfig.speed_fractions[1]"),
+        (PlannerConfig, {"max_paths": 0}, "PlannerConfig.max_paths"),
+        (PlannerConfig, {"max_paths": 2.5}, "PlannerConfig.max_paths"),
+        (PlannerConfig, {"horizon_length": -5.0}, "PlannerConfig.horizon_length"),
+        (PlannerConfig, {"horizon_length": math.inf}, "PlannerConfig.horizon_length"),
+        (PlannerConfig, {"min_progress": -0.1}, "PlannerConfig.min_progress"),
+        (PlannerConfig, {"learned_offsets": (0.5, math.nan)}, "PlannerConfig.learned_offsets[1]"),
+        (PlannerConfig, {"planhead_budget": "all"}, "PlannerConfig.planhead_budget"),
         (ScoreWeights, {"w_ttc": math.nan}, "ScoreWeights.w_ttc"),
         (ScoreWeights, {"w_goal": math.inf}, "ScoreWeights.w_goal"),
         (ScoreWeights, {"w_dr": -1.0}, "ScoreWeights.w_dr"),
@@ -152,6 +160,7 @@ def test_config_dataclasses_accept_their_bounds():
     SimConfig(dt=MIN_DT, planner_period=1, goal_radius=0.0, deadlock_displacement=0.0)
     ScoreWeights(w_dr=0.0, w_goal=0.0)
     ProposalConfig(offsets=(-3.0, 0.0, 3.0), speed_fractions=(1.0,))
+    PlannerConfig(max_paths=1, min_progress=0.0, learned_offsets=(), planhead_budget="classify_only")
 
 
 @pytest.fixture(scope="module")

@@ -152,8 +152,12 @@ def test_cli_reports_a_mistyped_scenario_field_in_one_line(tmp_path, capsys, edi
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"planner": {"max_paths": "abc"}}, "run: planner.max_paths: expected an integer >= 1, got 'abc'\n"),
+        ({"planner": {"max_paths": "abc"}}, "run: planner.max_paths: expected an integer, got 'abc'\n"),
         ({"sim": {"dt": "x"}}, "run: sim.dt: expected a finite number, got 'x'\n"),
+        (
+            {"planner": {"max_paths": 0}},
+            "run: planner.max_paths: PlannerConfig.max_paths: expected an integer >= 1, got 0\n",
+        ),
     ],
 )
 def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config, message):

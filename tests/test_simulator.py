@@ -6,6 +6,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+from radstack.bench import episode_outcome
 from radstack.geometry import normalize_angle
 from radstack.planhead import init_model
 from radstack.planner import Planner, PlannerConfig
@@ -423,6 +424,18 @@ def test_run_episode_empty_road_reaches_goal():
     assert log.event_names == ["goal_reached"]
 
 
+def test_run_episode_ends_at_a_head_on_collision():
+    # A replay vehicle drives down the ego's single lane against it and
+    # never yields: the episode stops on the tick the boxes first overlap.
+    oncoming = AgentState(id="oncoming", pose=Pose2(60.0, 0.0, math.pi), speed=10.0, half_length=2.3, half_width=1.0)
+    s = straight_scenario(agents=(oncoming,))
+    log = run_episode(s, "rad", SimConfig(agent_policy="replay"))
+    tick, name = log.events[-1]
+    assert name == "collision"
+    assert len(log.records) == tick and log.records[-1]["tick"] == tick - 1
+    assert episode_outcome(log) == "collision"
+
+
 def test_run_episode_blocked_baseline_deadlocks(blocked_scenario):
     log = run_episode(blocked_scenario, "baseline_static", SimConfig())
     assert "deadlock" in log.event_names
@@ -483,8 +496,8 @@ def test_rad_vocabulary_log_matches_recorded_digest(tmp_path, blocked_scenario):
 # sha256 of the `hybrid` episode log on the same scenario with the same
 # vocabulary and an untrained plan head (init_model seed 0; 153 ticks to
 # goal_reached, won by 97 idm, 16 learned, 34 learned_offset and 6 vocabulary
-# rows). It pins the learned and offset rows, their one append with the
-# vocabulary rows and the merged route projection of the score call. numpy's
+# rows). It pins the learned and offset rows, appended after the vocabulary
+# rows, and the merged route projection of the score call. numpy's
 # float64 arctan2 and power take other last bits on its AVX-512 dispatch
 # path than on its AVX2 or baseline path, so each family has its own value
 # (the AVX2 one is read with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL

@@ -9,14 +9,11 @@ from radstack.errors import OffMapError
 from radstack.planner import Planner
 from radstack.scene import EgoState, Lane, Pose2, Scenario, generate_synthetic_scenario
 from radstack.simulator import SimConfig, run_episode
-from radstack.topology import (
-    SNAP_RADIUS,
-    augment_with_adjacents,
-    graph_search,
-    project_onto_path,
-)
+from radstack.topology import _enumerate_chains, augment_with_adjacents, graph_search, project_onto_path
 
 from conftest import rect, straight_lane, straight_scenario
+
+SNAP_RADIUS = 0.5  # m, how far a path's start may lie from the ego's projection
 
 
 def test_single_lane_single_path(plain_scenario):
@@ -85,6 +82,30 @@ def test_diamond_fork_returns_both_branches():
     assert ("a_trunk", "b_down") in seqs
     # Route-aligned chain sorts first.
     assert paths[0].lane_sequence == ("a_trunk", "b_up", "c_merge")
+
+
+def test_chains_on_a_two_lane_loop_never_repeat_a_lane():
+    # Each lane is the other's successor: expansion stops where the next lane
+    # is already in the chain, however long the horizon.
+    a = Lane(id="loop_a", centerline=(Pose2(0, 0, 0), Pose2(20, 0, 0), Pose2(20, 20, 0)),
+             speed_limit=10.0, successors=("loop_b",))
+    b = Lane(id="loop_b", centerline=(Pose2(20, 20, 0), Pose2(0, 20, 0), Pose2(0, 0, 0)),
+             speed_limit=10.0, successors=("loop_a",))
+    s = Scenario(
+        lanes=(a, b),
+        drivable_area=(rect(-5, -5, 25, 25),),
+        crosswalks=(),
+        agents=(),
+        ego=EgoState(pose=Pose2(10.0, 0.0, 0.0), speed=5.0),
+        route=("loop_a", "loop_b"),
+        goal=Pose2(0.0, 10.0, 0.0),
+        duration=20.0,
+        seed=0,
+    )
+    assert _enumerate_chains(s, "loop_a", 10.0, 1000.0) == [("loop_a", "loop_b")]
+    assert _enumerate_chains(s, "loop_b", 0.0, 1000.0) == [("loop_b", "loop_a")]
+    paths = graph_search(s.ego, s, horizon_length=1000.0)
+    assert [p.lane_sequence for p in paths] == [("loop_a", "loop_b")]
 
 
 def test_off_map_error():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radstack.errors import DegenerateClusterError, HorizonMismatchError, ParseError, ValidationError
+from radstack import vocabulary
 from radstack.planner import Planner
 from radstack.scene import EgoState, Pose2, generate_synthetic_scenario
 from radstack.simulator import SimConfig, run_episode
@@ -86,6 +87,19 @@ def test_kmeans_degenerate_all_identical():
     samples = [np.full((4, 2), 0.01) for _ in range(8)]
     with pytest.raises(DegenerateClusterError):
         kmeans_cluster(samples, 3, seed=0)
+
+
+def test_kmeans_reseeds_an_empty_cluster_at_the_farthest_sample(monkeypatch):
+    # A second seed far from every sample takes no member on the first pass;
+    # it moves to the sample farthest from its center, and the two pairs
+    # of samples become the two clusters.
+    samples = [np.array([[0.5, 0.0], [x, 0.0]]) for x in (1.0, 1.1, 5.0, 5.1)]
+    far = np.array([0.5, 0.0, 100.0, 0.0])
+    monkeypatch.setattr(vocabulary, "_kmeans_pp_init", lambda x, k, rng: np.stack([x[0], far]))
+    vocab = kmeans_cluster(samples, 2, seed=0)
+    assert np.allclose(vocab.prototypes, [[[0.5, 0.0], [1.05, 0.0]], [[0.5, 0.0], [5.05, 0.0]]], atol=1e-12)
+    assert vocab.sse_history[-1] == pytest.approx(0.01)
+    assert (np.diff(vocab.sse_history) <= 1e-9).all()
 
 
 def test_kmeans_requires_enough_samples():
