@@ -89,32 +89,14 @@ def to_local_frame(points, x: float, y: float, heading: float) -> np.ndarray:
     return out
 
 
-def rect_corners(
-    x: float, y: float, heading: float, half_length: float, half_width: float
-) -> np.ndarray:
-    """Corners of an oriented rectangle, counterclockwise, world frame.
-
-    Order: front-left, rear-left, rear-right, front-right for heading 0 this is
-    (+l,+w), (-l,+w), (-l,-w), (+l,-w) -- counterclockwise.
-    """
-    c, s = math.cos(heading), math.sin(heading)
-    local = np.array(
-        [
-            [half_length, half_width],
-            [-half_length, half_width],
-            [-half_length, -half_width],
-            [half_length, -half_width],
-        ]
-    )
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([x, y])
-
-
 def rect_corners_batch(xy: np.ndarray, cs: np.ndarray, half_length: float, half_width: float) -> np.ndarray:
-    """Corners for a batch of poses, in rect_corners' order, corner-first:
+    """Corners of oriented rectangles, counterclockwise, corner-first:
     positions xy and the headings' cos and sin cs, each as planes (2, ...),
-    -> the corners' (x, y) planes, (2, 4, ...). Each corner is x + lx cos -
-    ly sin, y + lx sin + ly cos, both planes in one call per operation."""
+    -> the corners' (x, y) planes, (2, 4, ...). The corners are front-left,
+    rear-left, rear-right, front-right; for heading 0, (+l, +w), (-l, +w),
+    (-l, -w), (+l, -w). Each corner is x + lx cos - ly sin, y + lx sin +
+    ly cos, both planes in one call per operation: elementwise products and
+    sums, so a pose's corners do not depend on the rest of its batch."""
     shape = (1, 4) + (1,) * (cs.ndim - 1)
     l, w = half_length, half_width
     out = np.array([l, -l, -l, l]).reshape(shape) * cs[:, None]

@@ -17,8 +17,6 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import HorizonMismatchError, integer, number, string
 from .geometry import normalize_angle
 from .hybrid import DEFAULT_LEARNED_OFFSETS, hybrid_select
@@ -257,7 +255,7 @@ class Planner:
         # The rollout carries each path's centre point at the ego's projection.
         gap = 0.0
         for path, centre in zip(paths, proposals.path_centres):
-            gap = max(gap, float(np.linalg.norm(centre - path.start)))
+            gap = max(gap, math.dist(centre, path.start))
         return PlanResult(
             trajectory=winner,
             breakdowns=scores,
@@ -279,7 +277,7 @@ class Planner:
         stage_times = [("features", time.perf_counter() - t0)]
         traj, head_times = plan_anytime(self.model, features, ego, budget=cfg.planhead_budget)
         stage_times.extend(head_times)
-        gap = float(np.linalg.norm(route_path.segments.points_at(projection[0]) - route_path.start))
+        gap = math.dist(route_path.segments.points_at(projection[0]), route_path.start)
         return PlanResult(
             trajectory=traj,
             breakdowns=[],

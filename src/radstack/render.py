@@ -5,8 +5,8 @@ and the ego trace colored by the winning proposal's tag per tick.
 from __future__ import annotations
 
 from .errors import write_text
-from .geometry import rect_corners
-from .simulator import EpisodeLog
+from .scene import agent_footprint
+from .simulator import EpisodeLog, record_agents, record_ego
 
 TAG_COLORS = {
     "idm": "#1f77b4",
@@ -71,12 +71,10 @@ def episode_svg(log: EpisodeLog) -> str:
         picks.append(len(log.records) - 1)
     for i in picks:
         fade = 0.15 + 0.55 * (i / max(1, len(log.records) - 1))
-        for a in log.records[i]["agents"]:
-            _, ax, ay, ah, _, hl, hw, kind = a
-            corners = rect_corners(ax, ay, ah, hl, hw)
-            color = "#8c2d2d" if kind == "static" else "#b4762d"
+        for a in record_agents(log.records[i]):
+            color = "#8c2d2d" if a.kind == "static" else "#b4762d"
             parts.append(
-                f'<polygon points="{_poly_points(corners, tf)}" fill="{color}" '
+                f'<polygon points="{_poly_points(agent_footprint(a), tf)}" fill="{color}" '
                 f'fill-opacity="{fade:.2f}" stroke="none"/>'
             )
 
@@ -93,10 +91,9 @@ def episode_svg(log: EpisodeLog) -> str:
             )
         prev = (x, y)
     for i in picks:
-        ex, ey, eh = log.records[i]["ego"][:3]
-        corners = rect_corners(ex, ey, eh, scenario.ego.half_length, scenario.ego.half_width)
+        ego = record_ego(log.records[i], scenario.ego)
         parts.append(
-            f'<polygon points="{_poly_points(corners, tf)}" fill="none" stroke="#1a4a78" '
+            f'<polygon points="{_poly_points(agent_footprint(ego), tf)}" fill="none" stroke="#1a4a78" '
             f'stroke-width="1"/>'
         )
 

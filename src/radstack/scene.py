@@ -23,7 +23,7 @@ from .geometry import (
     points_in_polygons,
     polygon_as_aabb,
     project_points_to_polylines,
-    rect_corners,
+    rect_corners_batch,
     SegmentStack,
     SegmentTable,
 )
@@ -269,7 +269,7 @@ class Scenario:
             pts, opposing = [], []
             for lane in lanes:
                 p = lane.points
-                if pts and np.linalg.norm(pts[-1][-1] - p[0]) < 1e-6:
+                if pts and math.dist(pts[-1][-1], p[0]) < 1e-6:
                     p = p[1:]
                 pts.append(p)
                 opposing.append(np.full(len(p), lane.direction == "opposing"))
@@ -353,7 +353,7 @@ def validate_scenario(s: Scenario) -> None:
                 raise ValidationError(f"lanes[{lane.id}].{label}: unknown lane id {ref!r}")
         for succ_id in lane.successors:
             succ = s.lane_by_id(succ_id)
-            gap = float(np.linalg.norm(succ.start.xy - lane.end.xy))
+            gap = math.dist(succ.start.xy, lane.end.xy)
             if gap > JOIN_EPSILON:
                 raise ValidationError(
                     f"lanes[{lane.id}].successors: {succ_id!r} starts {gap:.3f} m from lane end"
@@ -392,11 +392,15 @@ def validate_scenario(s: Scenario) -> None:
 
 
 def agent_footprint(a) -> np.ndarray:
-    """Oriented-rectangle footprint (4 world-frame corners, counterclockwise).
+    """Oriented-rectangle footprint: the 4 world-frame corners (4, 2),
+    counterclockwise, of rect_corners_batch on the one pose, with the
+    heading's np.cos and np.sin, as score_proposals takes them.
 
     Accepts AgentState or EgoState.
     """
-    return rect_corners(a.pose.x, a.pose.y, a.pose.heading, a.half_length, a.half_width)
+    p = a.pose
+    cs = np.array([np.cos(p.heading), np.sin(p.heading)])
+    return rect_corners_batch(np.array([p.x, p.y]), cs, a.half_length, a.half_width).T
 
 
 def footprint_inside_drivable(a, scenario: Scenario) -> bool:

@@ -16,8 +16,9 @@ from radstack.geometry import (
     SEG_ROWS,
     SegmentStack,
     SegmentTable,
-    rect_corners,
+    rect_corners_batch,
 )
+from radstack.scene import AgentState, Pose2, agent_footprint
 
 from conftest import ReferenceSegmentTable, reference_project_points
 
@@ -55,30 +56,42 @@ def test_normalize_angles_matches_np_mod_form_bitwise(a):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_rect_corners_axis_aligned():
-    c = rect_corners(0.0, 0.0, 0.0, 2.0, 1.0)
-    assert set(map(tuple, np.round(c, 9))) == {(2, 1), (-2, 1), (-2, -1), (2, -1)}
+def _footprint(x, y, heading, half_length, half_width):
+    """agent_footprint of a static box at the pose (x, y, heading)."""
+    return agent_footprint(AgentState("box", Pose2(x, y, heading), 0.0, half_length, half_width, "static"))
 
 
-def test_rect_corners_quarter_turn_swaps_extents():
-    c = rect_corners(0.0, 0.0, math.pi / 2, 2.0, 1.0)
-    assert np.allclose(np.abs(c[:, 0]).max(), 1.0)
-    assert np.allclose(np.abs(c[:, 1]).max(), 2.0)
+@settings(derandomize=True, max_examples=100)
+@given(
+    st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-math.pi, math.pi)), min_size=1, max_size=8),
+    st.floats(0.3, 5.0),
+    st.floats(0.3, 5.0),
+)
+def test_agent_footprint_is_its_column_of_rect_corners_batch_bitwise(poses, hl, hw):
+    # One pose's np.cos and np.sin, and its corners, carry the bits of that
+    # pose's column in a batch.
+    poses = [Pose2(x, y, h) for x, y, h in poses]
+    heads = np.array([p.heading for p in poses])
+    xy = np.array([[p.x for p in poses], [p.y for p in poses]])
+    batch = rect_corners_batch(xy, np.array([np.cos(heads), np.sin(heads)]), hl, hw)  # (2, 4, N)
+    for k, p in enumerate(poses):
+        one = _footprint(p.x, p.y, p.heading, hl, hw)  # (4, 2)
+        assert np.array_equal(one.T.view(np.int64), batch[:, :, k].view(np.int64))
 
 
-def test_rect_corners_rotation_oracle():
+def test_agent_footprint_rotation_oracle():
     # Hand-applied 2x2 rotation of the local corners.
     h = math.pi / 4
     rot = np.array([[math.cos(h), -math.sin(h)], [math.sin(h), math.cos(h)]])
     local = np.array([[2.0, 1.0], [-2.0, 1.0], [-2.0, -1.0], [2.0, -1.0]])
     expected = local @ rot.T + np.array([3.0, -1.0])
-    got = rect_corners(3.0, -1.0, h, 2.0, 1.0)
+    got = _footprint(3.0, -1.0, h, 2.0, 1.0)
     assert np.allclose(got, expected, atol=1e-12)
 
 
 @given(st.floats(-math.pi, math.pi), st.floats(0.3, 5.0), st.floats(0.3, 5.0))
-def test_rect_corners_counterclockwise(heading, hl, hw):
-    c = rect_corners(0.0, 0.0, heading, hl, hw)
+def test_agent_footprint_counterclockwise(heading, hl, hw):
+    c = _footprint(0.0, 0.0, heading, hl, hw)
     for i in range(4):
         a, b = c[i], c[(i + 1) % 4]
         u, v = b - a, c[(i + 2) % 4] - b
@@ -98,7 +111,7 @@ def _corner_sat(a, b):
     Projects all 8 corners on the 4 unit edge normals. Returns (overlap, gap):
     gap is the largest separation over the axes, <= 0 when the boxes overlap.
     """
-    ca, cb = rect_corners(*a), rect_corners(*b)
+    ca, cb = _footprint(*a), _footprint(*b)
     gap = -math.inf
     for c in (ca, cb):
         for edge in (c[1] - c[0], c[3] - c[0]):

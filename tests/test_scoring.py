@@ -11,13 +11,23 @@ from hypothesis import given, settings, strategies as st
 from radstack import scoring
 from radstack.geometry import CONTACT_TOL, SegmentTable, boxes_overlap, rect_corners_batch
 from radstack.planhead import init_model
-from radstack.planner import Planner
+from radstack.planner import RELAX_HOLD_TIMEOUT, Planner
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
-from radstack.scene import SCENARIO_KINDS, AgentState, EgoState, Pose2, Trajectory, generate_synthetic_scenario
+from radstack.scene import (
+    SCENARIO_KINDS,
+    AgentState,
+    EgoState,
+    Pose2,
+    Trajectory,
+    agent_footprint,
+    footprint_inside_drivable,
+    generate_synthetic_scenario,
+)
 from radstack.simulator import run_episode
 from radstack.scoring import (
     RELAX_FLOOR,
     SPEED_TOL,
+    T_BLOCK,
     TTC_WINDOW,
     RelaxationState,
     ScoreContext,
@@ -553,6 +563,61 @@ def test_relaxation_skips_blocker_search_below_t_block(plain_path):
     assert r.active and r.blocker_distance is not None
 
 
+# -- relaxation hold (Planner._relaxation) -------------------------------------
+
+
+def _blocked_planner():
+    """A rad planner on the straight road, a static car parked on the lane at x = 58."""
+    blocker = static_car("b", 58.0, 0.0)
+    return Planner(straight_scenario(agents=(blocker,)), "rad"), [blocker]
+
+
+def _moving(x, y):
+    return EgoState(pose=Pose2(x, y, 0.0), speed=2.0)
+
+
+def _trigger(planner, agents):
+    """Plan calls with the ego stopped 8 m behind the blocker, t = 0, 0.1, ...;
+    the relaxation state of each call."""
+    stopped = EgoState(pose=Pose2(50.0, 0.0, 0.0), speed=0.0)
+    return [planner.plan(stopped, agents, t=0.1 * k).relax for k in range(round(T_BLOCK / 0.1))]
+
+
+def test_relaxation_triggers_on_the_thirtieth_stopped_plan_call():
+    planner, agents = _blocked_planner()
+    states = _trigger(planner, agents)
+    assert [r.active for r in states] == [False] * 29 + [True]
+    assert [r.blocker_distance for r in states[:29]] == [None] * 29
+    assert states[-1].stopped_duration >= T_BLOCK
+    assert states[-1].blocker_distance == pytest.approx((58.0 - 2.3) - (50.0 + 2.3))
+
+
+def test_relaxation_hold_stays_while_blocked_or_off_road_and_releases_when_both_clear():
+    planner, agents = _blocked_planner()
+    assert _trigger(planner, agents)[-1].active  # at t = 2.9
+    # Moving again: the trigger is off, but the blocker is still in the corridor ahead.
+    held = planner.plan(_moving(52.0, 0.0), agents, t=3.0).relax
+    assert held.active and held.stopped_duration == 0.0
+    assert held.blocker_distance == pytest.approx((58.0 - 2.3) - (52.0 + 2.3))
+    # Past the blocker, which is now fully behind, with the footprint's left
+    # corners at y = 4.45, beyond the drivable edge y = 4.
+    off_road = planner.plan(_moving(65.0, 3.5), agents, t=3.1).relax
+    assert off_road.active and off_road.blocker_distance is None
+    # Back on the road with nothing ahead: released, and it stays released.
+    for t in (3.2, 3.3):
+        assert not planner.plan(_moving(66.0, 0.0), agents, t=t).relax.active
+
+
+def test_relaxation_hold_releases_after_the_timeout_with_the_blocker_still_there():
+    planner, agents = _blocked_planner()
+    assert _trigger(planner, agents)[-1].active  # held since t = 2.9
+    ego = _moving(52.0, 0.0)  # behind the blocker, which stays in the corridor
+    assert planner.plan(ego, agents, t=2.9 + RELAX_HOLD_TIMEOUT - 0.1).relax.active
+    assert not planner.plan(ego, agents, t=2.9 + RELAX_HOLD_TIMEOUT + 0.1).relax.active
+    # Released, it holds again only after a new trigger.
+    assert not planner.plan(ego, agents, t=2.9 + RELAX_HOLD_TIMEOUT + 0.2).relax.active
+
+
 # -- aggregation ----------------------------------------------------------------
 
 
@@ -699,6 +764,59 @@ def test_drivable_term_matches_the_union_of_polygons_bitwise(polygons, poses):
     assert np.array_equal(c_ra.view(np.int64), want.view(np.int64))
     if poses:  # the cases hold rows on both sides of the boundary
         assert 0.0 < c_ra.mean() < 1.0
+
+
+@lru_cache(maxsize=None)
+def _box_and_triangle():
+    """The straight road's drivable box plus a triangle on its left edge, and the route path."""
+    tri = np.array([[60.0, 4.0], [80.0, 4.0], [70.0, 12.0]])
+    scenario = replace(straight_scenario(), drivable_area=(rect(-5.0, -4.0, 125.0, 4.0), tri))
+    return scenario, straight_path(scenario)
+
+
+_BOX_EDGES = ((1, 4.0, 1), (1, -4.0, -1), (0, -5.0, -1), (0, 125.0, 1))  # (plane, value, outward sign)
+
+
+@st.composite
+def _footprint_pose(draw):
+    """(x, y, heading, half_length, half_width, edge): a pose anywhere around
+    the drivable area (edge None), or one whose outermost corner k toward a
+    box edge lies within a few ulps of it, the other corners inside (edge
+    (k, plane, value))."""
+    heading = Pose2(0.0, 0.0, draw(st.floats(-math.pi, math.pi))).heading
+    hl, hw = draw(st.floats(0.5, 3.0)), draw(st.floats(0.3, 1.5))
+    if draw(st.booleans()):
+        return draw(st.floats(-10.0, 130.0)), draw(st.floats(-8.0, 14.0)), heading, hl, hw, None
+    plane, value, outward = draw(st.sampled_from(_BOX_EDGES))
+    c, s = np.cos(heading), np.sin(heading)
+    corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))  # rect_corners_batch's order
+    offsets = [float(lx * c - ly * s if plane == 0 else lx * s + ly * c) for lx, ly in corners]
+    k = max(range(4), key=lambda i: outward * offsets[i])
+    at = value - offsets[k]
+    nudge = draw(st.integers(-2, 2))
+    for _ in range(abs(nudge)):
+        at = math.nextafter(at, math.copysign(math.inf, nudge))
+    along = draw(st.floats(-0.5, 0.5) if plane == 0 else st.floats(5.0, 55.0))
+    x, y = (at, along) if plane == 0 else (along, at)
+    return x, y, heading, hl, hw, (k, plane, value)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_footprint_pose())
+def test_footprint_inside_drivable_is_the_drivable_term_of_a_standing_row(case):
+    # The off_road event and the relaxation hold read the ego's footprint as
+    # score_proposals reads a row's: the same corners, at the boundary too.
+    x, y, heading, hl, hw, edge = case
+    scenario, path = _box_and_triangle()
+    ego = EgoState(pose=Pose2(x, y, heading), speed=0.0, half_length=hl, half_width=hw)
+    if edge is not None:
+        k, plane, value = edge
+        assert abs(agent_footprint(ego)[k, plane] - value) <= 16 * math.ulp(value)
+    ps = _proposal_set(_rows([(ego.pose.x, ego.pose.y, ego.pose.heading)]))
+    ctx = ScoreContext(
+        scenario=scenario, forecast=forecast_agents([], 10, 0.1), route_path=path, goal_norm=100.0, ego_dims=(hl, hw)
+    )
+    assert score_proposals(ps, ctx).c_ra[0] == float(footprint_inside_drivable(ego, scenario))
 
 
 def test_scoring_an_empty_set_returns_empty_scores():

@@ -1,11 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+import radstack
 from radstack.bench import episode_outcome
 from radstack.geometry import normalize_angle
 from radstack.planhead import init_model
@@ -539,8 +544,8 @@ TRAFFIC_LOG_SHA256 = {
         "avx2_or_baseline": "ec988312685215b89459c1f9be43cc0e9612e08b592abbd7bf2b8b3e8d7fccff",
     },
     "intersection_turn": {
-        "avx512": "6181302af889951828e1e95015d28c7160f47d5e5b9471e1e5d402b8fcfd76f8",
-        "avx2_or_baseline": "c4f743987d980c475a73550ab68cc8ae5910a75076143bdd7b00afde19ff9ead",
+        "avx512": "9449eb032ed3435d8c540c936e0e5dec190ac18d495d3ef8235ea4ccdace43c9",
+        "avx2_or_baseline": "bfc52d0146b037d8c3a64a4a781969180ae4e775c81f5e95c97d237ab4ae5511",
     },
 }
 
@@ -551,6 +556,26 @@ def test_traffic_log_matches_recorded_digest(tmp_path, kind):
     p = tmp_path / "traffic.jsonl"
     save_episode_log(log, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == TRAFFIC_LOG_SHA256[kind][_dispatch_family()]
+
+
+def test_traffic_log_does_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel per CPU, and its kernels round differently
+    # (an FMA or not). The episode calls no BLAS routine, so a run under the
+    # Prescott kernel writes this process's log to the byte.
+    code = (
+        "import sys\n"
+        "from conftest import with_traffic\n"
+        "from radstack.simulator import SimConfig, run_episode, save_episode_log\n"
+        "log = run_episode(with_traffic('intersection_turn'), 'rad', SimConfig(record_breakdowns=True))\n"
+        "save_episode_log(log, sys.argv[1])\n"
+    )
+    paths = [str(Path(radstack.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(paths)}
+    other, here = tmp_path / "prescott.jsonl", tmp_path / "here.jsonl"
+    done = subprocess.run([sys.executable, "-c", code, str(other)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    save_episode_log(run_episode(with_traffic("intersection_turn"), "rad", SimConfig(record_breakdowns=True)), here)
+    assert other.read_bytes() == here.read_bytes()
 
 
 def test_episode_log_round_trip(tmp_path, blocked_scenario):
