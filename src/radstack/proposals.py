@@ -377,7 +377,8 @@ def _step_kernel(
         _subtract(one, v_ratio, a)
         _subtract(a, q, a)
         _multiply(a_max, a, a)
-        if np.count_nonzero(bypass):  # count_nonzero: a third of any()'s call cost
+        # Without agent columns bypass stays all False. count_nonzero: a third of any()'s call cost.
+        if n_agents and np.count_nonzero(bypass):
             # The go-around gap floor shrinks as the blend gains lateral
             # clearance, so the rollout can spiral out of a tight pocket;
             # the scorer's collision check remains the safety authority.

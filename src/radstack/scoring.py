@@ -105,7 +105,11 @@ class ScoreBreakdown:
 
 
 class WorldForecast:
-    """Constant-velocity, constant-heading agent extrapolation over the horizon."""
+    """Constant-velocity, constant-heading agent extrapolation over the horizon.
+
+    radii holds each agent's circumradius, hypot(half_length, half_width),
+    which the agent cull, the collision term and _batch_ttc read.
+    """
 
     def __init__(self, agents, horizon_steps: int, dt: float):
         self.dt = dt
@@ -125,6 +129,7 @@ class WorldForecast:
         self.trig = trig  # (2, A): cos and sin of the headings
         self.half_lengths = np.array([a.half_length for a in self.agents])
         self.half_widths = np.array([a.half_width for a in self.agents])
+        self.radii = np.hypot(self.half_lengths, self.half_widths)
 
     def __len__(self):
         return len(self.agents)
@@ -255,7 +260,7 @@ def _agents_in_reach(f: WorldForecast, xy, speeds, ego_dims) -> WorldForecast:
     box = xy.reshape(2, -1)
     lo, hi = box.min(axis=1) - widen, box.max(axis=1) + widen
     gap = np.maximum(f.planes.min(axis=2) - hi[:, None], lo[:, None] - f.planes.max(axis=2))  # (2, A)
-    far = gap > math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths) + BROAD_PHASE_SLACK
+    far = gap > math.hypot(*ego_dims) + f.radii + BROAD_PHASE_SLACK
     (keep,) = (~(far[0] | far[1])).nonzero()
     if len(keep) == len(f):
         return f
@@ -263,6 +268,7 @@ def _agents_in_reach(f: WorldForecast, xy, speeds, ego_dims) -> WorldForecast:
     sub.dt, sub.steps, sub.agents = f.dt, f.steps, tuple(f.agents[i] for i in keep.tolist())
     sub.planes, sub.trig, sub.velocities = f.planes.take(keep, axis=1), f.trig.take(keep, axis=1), f.velocities[keep]
     sub.half_lengths, sub.half_widths = f.half_lengths.take(keep), f.half_widths.take(keep)
+    sub.radii = f.radii.take(keep)
     return sub
 
 
@@ -276,8 +282,19 @@ def _batch_ttc(xy, cs, speeds, f: WorldForecast, ego_dims, window: float) -> np.
     live sample) pair, the ego's projected centres lie on a segment, and so
     do the agent's forecast centres over its clamped steps; each segment lies
     in the circle around its midpoint. Only pairs whose circles come within
-    reach get the (J, pairs) centre-distance grid, pairs along its inner
-    axis, and only centres within reach get the box test; when a stage
+    reach pass. Slab: a passing pair is dropped when the midpoint gap's
+    component along the sample's left normal n = (-sin, cos) exceeds
+    hw_ego + hl_a |sin D| + hw_a |cos D| + |v_a . n| t_half + BROAD_PHASE_SLACK,
+    D the agent's heading relative to the sample's (|sin D| and |cos D| are
+    boxes_overlap's s and c). The cut is exact: the projection moves the ego
+    only along its own heading, so every projected centre of the pair has
+    the midpoint's offset along n; over its clamped steps the agent's centre
+    moves along n by at most |v_a . n| t_half from its midpoint; so past the
+    bound every sub-step's centre offset along n exceeds boxes_overlap's
+    bound on its second axis, the ego's width axis, which separates the
+    boxes. The slack covers CONTACT_TOL and rounding, as for the circles.
+    The kept pairs get the (J, pairs) centre-distance grid, pairs along its
+    inner axis, and only centres within reach get the box test; when a stage
     leaves no pair, every flag is 1 and the function returns. x and y go
     through each stage as one stacked array, and every stage reads its
     inputs by flat index with take, at a fraction of a fancy index's cost.
@@ -295,32 +312,46 @@ def _batch_ttc(xy, cs, speeds, f: WorldForecast, ego_dims, window: float) -> np.
     live_xy = xy.reshape(2, -1).take(live, axis=1)  # (2, L)
     live_cs = cs.reshape(2, -1).take(live, axis=1)
     taus = np.arange(1, n_sub + 1) * f.dt  # (J,)
-    reach = math.hypot(*ego_dims) + np.hypot(f.half_lengths, f.half_widths)  # (A,)
+    reach = math.hypot(*ego_dims) + f.radii  # (A,)
 
     tau_mid, tau_half = 0.5 * (taus[0] + taus[-1]), 0.5 * (taus[-1] - taus[0])
     j0, j1 = np.minimum(s_l + 1, f.steps), np.minimum(s_l + n_sub, f.steps)
     t_mid, t_half = 0.5 * (j0 + j1) * f.dt, 0.5 * (j1 - j0) * f.dt  # (L,)
     gap = f.planes[:, :, :1] + f.velocities.T[:, :, None] * t_mid - (live_xy + v * tau_mid * live_cs)[:, None]
-    gap *= gap  # (2, A, L)
+    gap2 = gap * gap  # (2, A, L); the slab reads the signed gap
     bound = (
         reach[:, None] + v * tau_half + np.hypot(*f.velocities.T)[:, None] * t_half + BROAD_PHASE_SLACK
     )
-    pair = (gap[0] + gap[1] <= bound * bound).reshape(-1).nonzero()[0]  # flat (agent, live sample)
+    pair = (gap2[0] + gap2[1] <= bound * bound).reshape(-1).nonzero()[0]  # flat (agent, live sample)
     if not len(pair):
         return out
     a_i = pair // len(live)
     l_i = pair - a_i * len(live)
+    pair_cs = live_cs.take(l_i, axis=1)  # (2, pairs)
+
+    # Slab: rows (agent cos, sin), (velocity) and (midpoint gap), each crossed with the sample's heading.
+    w = np.empty((3, 2, len(pair)))
+    f.trig.take(a_i, axis=1, out=w[0], mode="clip")
+    f.velocities.T.take(a_i, axis=1, out=w[1], mode="clip")
+    gap.reshape(2, -1).take(pair, axis=1, out=w[2], mode="clip")
+    across = np.abs(w[:, 1] * pair_cs[0] - w[:, 0] * pair_cs[1])  # (3, pairs): |sin D|, |v_a . n|, |gap . n|
+    c = np.abs(w[0, 0] * pair_cs[0] + w[0, 1] * pair_cs[1])  # |cos D|
+    slab = f.half_lengths.take(a_i) * across[0] + f.half_widths.take(a_i) * c + across[1] * t_half.take(l_i)
+    slab += ego_dims[1] + BROAD_PHASE_SLACK
+    (kept,) = (across[2] <= slab).nonzero()
+    if not len(kept):
+        return out
+    a_i, l_i, pair_cs = a_i.take(kept), l_i.take(kept), pair_cs.take(kept, axis=1)
 
     adv = taus[:, None] * v.take(l_i)  # (J, pairs)
     j_idx = np.minimum(s_l.take(l_i) + np.arange(1, n_sub + 1)[:, None], f.steps)
     pair_xy = live_xy.take(l_i, axis=1)[:, None]  # (2, 1, pairs)
-    pair_cs = live_cs.take(l_i, axis=1)
     d = f.planes.reshape(2, -1).take(a_i * (f.steps + 1) + j_idx, axis=1) - (pair_xy + adv * pair_cs[:, None])
     d2 = d * d  # (2, J, pairs)
     near = (d2[0] + d2[1] < (reach * reach).take(a_i)).reshape(-1).nonzero()[0]  # flat (sub-step, pair)
     if not len(near):
         return out
-    k = near % len(pair)
+    k = near % len(kept)
     a_k = a_i.take(k)
     dk = d.reshape(2, -1).take(near, axis=1)
     ego_cs = pair_cs.take(k, axis=1)
@@ -549,7 +580,10 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     |cos|, |sin| <= 1), so a dropped agent has no centre within reach in
     either term, and kept agents keep their order and arithmetic. The
     collision term skips its box test when no (row, agent, sample) centre
-    pair is within reach, as _batch_ttc does; all are exact.
+    pair is within reach, as _batch_ttc does. _batch_ttc also drops the
+    (agent, live sample) pairs outside the slab along the sample's left
+    normal that the ego's width axis separates at every sub-step (see its
+    docstring); all are exact.
     Of the rollout rows, the direction term runs only on those on a path
     with an opposing flag. A rollout row's arclength never decreases (the
     rollout's speed is never negative), so every other one's credit is
@@ -572,7 +606,7 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     cols = np.ones(n)
     if len(f):
         samples = n * (steps + 1)
-        reach = math.hypot(*ctx.ego_dims) + np.hypot(f.half_lengths, f.half_widths)  # (A,)
+        reach = math.hypot(*ctx.ego_dims) + f.radii  # (A,)
         d = f.planes[:, :, None] - xy[:, None]  # (2, A, P, S+1)
         d2 = d * d
         near = (d2[0] + d2[1] < (reach * reach)[:, None, None]).reshape(-1).nonzero()[0]  # flat (agent, row, sample)

@@ -363,6 +363,14 @@ def _ttc_case(draw):
     centre at one sub-step. Samples include speeds at the 0.05 m/s live
     threshold and samples close enough to the horizon that forecast indices
     clamp. One agent may sit exactly at reach from one projected centre.
+    Agents beside a projected centre sit on the edge of _batch_ttc's slab:
+    at that sub-step's forecast step, their centre lies along the sample's
+    left or right normal at the ego-lateral contact distance hw_ego + hl |sin D|
+    + hw |cos D|, offset by -1e-6 m, -1 ulp, 0, +1 ulp, +1e-6 m or +2e-6 m, at a
+    relative heading D of 0, pi/2 or oblique; static, moving along the ego's
+    heading (D = 0), across it (D = pi/2), or obliquely. A moving one's centre
+    at the pair's midpoint step lies off that distance, so only the slab's
+    |v_a . n| t_half term can keep its pair.
     """
     dt = draw(st.sampled_from([0.1, 0.125]))
     steps = draw(st.integers(2, 20))
@@ -399,6 +407,27 @@ def _ttc_case(draw):
         x = pos[p, k, 0] + 2.0 * (j * dt) + reach
         agents.append(AgentState(id="r", pose=Pose2(x, pos[p, k, 1], 0.0), speed=0.0,
                                  half_length=1.0, half_width=0.75, kind="static"))
+    for i in range(draw(st.integers(0, 3))):
+        p, k, j = draw(st.integers(0, n_props - 1)), draw(st.integers(0, steps)), draw(st.integers(1, 9))
+        rel = draw(st.one_of(st.just(0.0), st.just(0.5 * math.pi), st.floats(0.1, 1.4)))
+        heading = float(heads[p, k]) + rel + draw(st.sampled_from([0.0, math.pi]))
+        hl, hw = draw(st.floats(0.3, 2.5)), draw(st.floats(0.3, 1.2))
+        contact = ego_dims[1] + hl * abs(math.sin(rel)) + hw * abs(math.cos(rel))
+        offset = draw(st.sampled_from(["-ulp", "+ulp", -1e-6, 0.0, 1e-6, 2e-6]))
+        if isinstance(offset, str):
+            lateral = math.nextafter(contact, math.inf if offset == "+ulp" else -math.inf)
+        else:
+            lateral = contact + offset
+        side = draw(st.sampled_from([1.0, -1.0]))
+        normal = side * np.array([-math.sin(heads[p, k]), math.cos(heads[p, k])])
+        centre = pos[p, k] + speeds[p, k] * j * dt * np.array([math.cos(heads[p, k]), math.sin(heads[p, k])])
+        centre += lateral * normal
+        speed = draw(st.sampled_from([0.0, 0.5, 4.0, 15.0]))
+        start = centre - speed * min(k + j, steps) * dt * np.array([math.cos(heading), math.sin(heading)])
+        agents.append(AgentState(
+            id=f"slab{i}", pose=Pose2(float(start[0]), float(start[1]), heading), speed=speed,
+            half_length=hl, half_width=hw, kind="static" if speed == 0.0 else "vehicle",
+        ))
     return pos, heads, speeds, forecast_agents(agents, steps, dt), ego_dims
 
 
@@ -439,6 +468,27 @@ def test_ttc_widening_keeps_an_agent_only_the_last_projection_reaches(monkeypatc
         )
         got = score_proposals(ps, ctx)
         assert (got.c_col[0], got.c_ttc[0], seen[-1]) == (1.0, c_ttc, kept)
+
+
+def test_ttc_slab_oracle_row_passing_a_parked_car_matches_full_grid():
+    # A row at 5 m/s heading +x passes a car parked beside x = 10. With the
+    # car's side edge to edge with the row's projected footprint (lateral
+    # centre gap hw_ego + hw_car) the projection touches it; 1 cm farther out
+    # it clears. A car 1 m beyond contact that drives at the row's line at
+    # 2 m/s closes that gap within TTC_WINDOW, and the projection meets it.
+    # Each flag is also the full grid's.
+    row = _straight_traj(v=5.0, steps=40)
+    edge = 0.95 + 1.0
+    crossing = AgentState(
+        id="m", pose=Pose2(10.0, 0.95 + 2.3 + 1.0, -0.5 * math.pi), speed=2.0, half_length=2.3, half_width=1.0
+    )
+    assert 1.0 / crossing.speed < TTC_WINDOW
+    for car, c_ttc in ((static_car("c", 10.0, edge), 0.0), (static_car("c", 10.0, edge + 0.01), 1.0), (crossing, 0.0)):
+        got = _score([row], agents=[car]).c_ttc
+        f = forecast_agents([car], 40, 0.1)
+        assert got[0] == c_ttc
+        assert np.array_equal(got, _reference_batch_ttc(row.positions[None], row.headings[None], row.speeds[None], f,
+                                                        (2.3, 0.95), TTC_WINDOW))
 
 
 def _at_cull_bound(lo, hi, bound, sign, inside):
@@ -1223,7 +1273,7 @@ def test_forecast_is_kept_while_every_agent_is_the_same_object_bitwise():
     assert planner._forecast is kept
     fresh = forecast_agents(agents, kept.steps, kept.dt)
     assert kept.agents == fresh.agents
-    for name in ("planes", "velocities", "trig", "half_lengths", "half_widths"):
+    for name in ("planes", "velocities", "trig", "half_lengths", "half_widths", "radii"):
         _assert_bitwise(getattr(kept, name), getattr(fresh, name))
     # A new object, even an equal one, and a changed count each rebuild it.
     moved = [replace(agents[0])] + agents[1:]
