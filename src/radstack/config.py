@@ -1,10 +1,10 @@
 """Config documents: the same JSON text format as scenario files, carrying
-overrides of the defaults. Each section overrides one dataclass:
+overrides of the defaults. Each section overrides one dataclass, and its keys
+are that dataclass's fields:
 
-  planner  -- PlannerConfig: toggles, max_paths, horizon_length, min_progress,
-              learned_offsets, planhead_budget
+  planner  -- PlannerConfig, the fields with a plain default
   weights  -- ScoreWeights
-  proposal -- ProposalConfig: offsets, speed_fractions, horizon, dt
+  proposal -- ProposalConfig
   idm      -- IdmParams
   sim      -- SimConfig
 
@@ -20,7 +20,7 @@ RADSTACK_SEED overrides seed flags for CI runs.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from functools import partial
 
 from .errors import ConfigError, array, expected, from_text, integer, number, obj, read_json, string
@@ -52,32 +52,24 @@ def _disturbances(v, path):
     return tuple((integer(tick, f"{path}[{i}][0]", ConfigError, at_least=0), m) for i, (tick, m) in enumerate(pairs))
 
 
+# The reader of a field with a plain default, by the default's type.
+_READERS = {bool: _bool, int: _integer, float: _number, str: _string, tuple: _numbers}
+
+
+def _readers(cls) -> dict:
+    """{field name: reader} of cls's fields with a plain default, the reader
+    picked by the default's type. A field with a default factory is a section
+    of its own."""
+    return {f.name: _READERS[type(f.default)] for f in fields(cls) if f.default is not MISSING}
+
+
+# The sections: PlannerConfig's plain fields, then its dataclass fields (those
+# with a default factory) in declaration order, then SimConfig.
+_NESTED = {f.name: f.default_factory for f in fields(PlannerConfig) if f.default_factory is not MISSING}
 _SECTIONS = {
-    "planner": {
-        "replan": _bool,
-        "enable_adjacents": _bool,
-        "enable_opposing": _bool,
-        "enable_vocabulary": _bool,
-        "enable_relaxation": _bool,
-        "max_paths": _integer,
-        "horizon_length": _number,
-        "min_progress": _number,
-        "learned_offsets": _numbers,
-        "planhead_budget": _string,
-    },
-    "weights": dict.fromkeys(("w_ttc", "w_dr", "w_sp", "w_ep", "w_cf", "w_goal"), _number),
-    "proposal": {"offsets": _numbers, "speed_fractions": _numbers, "horizon": _number, "dt": _number},
-    "idm": dict.fromkeys(("v0", "T_h", "s0", "a_max", "b_comf", "delta"), _number),
-    "sim": {
-        "dt": _number,
-        "planner_period": _integer,
-        "agent_policy": _string,
-        "disturbances": _disturbances,
-        "goal_radius": _number,
-        "deadlock_window": _number,
-        "deadlock_displacement": _number,
-        "record_breakdowns": _bool,
-    },
+    "planner": _readers(PlannerConfig),
+    **{section: _readers(cls) for section, cls in _NESTED.items()},
+    "sim": {**_readers(SimConfig), "disturbances": _disturbances},  # pairs, not numbers
 }
 _ASSET_KEYS = ("model_path", "vocab_path")
 
@@ -114,7 +106,7 @@ def _replaced(base, section: str, values: dict):
 def build_planner_config(doc: dict) -> PlannerConfig:
     doc = validate_config(doc)
     cfg = PlannerConfig()
-    for section in ("proposal", "weights", "idm"):  # PlannerConfig fields of the same names
+    for section in _NESTED:  # PlannerConfig fields of the same names
         if section in doc:
             cfg = replace(cfg, **{section: _replaced(getattr(cfg, section), section, doc[section])})
     return _replaced(cfg, "planner", doc.get("planner", {}))

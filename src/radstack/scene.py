@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +35,7 @@ TRAJECTORY_TAGS = ("idm", "learned", "learned_offset", "vocabulary", "replay")
 
 MAX_SEGMENT_LENGTH = 25.0  # m, max spacing between centerline points
 JOIN_EPSILON = 0.1  # m, successor start must join within this of lane end
-DEFAULT_STEERING_LIMIT = 0.6  # rad
+STEER_LIMIT = 0.6  # rad: EgoState checks it, bicycle_step and step_agents' pure pursuit clamp to it
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class EgoState:
             raise ValidationError("ego.wheelbase: must be > 0")
         if self.half_length <= 0 or self.half_width <= 0:
             raise ValidationError("ego half extents must be > 0")
-        if abs(self.steering) > DEFAULT_STEERING_LIMIT + 1e-9:
+        if abs(self.steering) > STEER_LIMIT + 1e-9:
             raise ValidationError("ego.steering: exceeds steering limit")
 
 
@@ -410,55 +410,27 @@ def footprint_inside_drivable(a, scenario: Scenario) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Serialization (schema v1). Key order is fixed so save -> load -> save is
-# byte-identical; floats use repr round-tripping via json.
+# Serialization (schema v1). Keys follow the dataclasses' field order, so
+# save -> load -> save is byte-identical; floats use repr round-tripping via json.
 
 
-def _pose_to_list(p: Pose2):
-    return [p.x, p.y, p.heading]
+def _to_json(v):
+    """v as JSON values: a Pose2 as [x, y, heading], any other dataclass as an
+    object of its fields in declaration order, an array as a list of floats,
+    a tuple as a list of its elements' values."""
+    if isinstance(v, Pose2):
+        return [v.x, v.y, v.heading]
+    if is_dataclass(v):
+        return {f.name: _to_json(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, np.ndarray):
+        return v.astype(float).tolist()
+    if isinstance(v, tuple):
+        return [_to_json(x) for x in v]
+    return v
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "lanes": [
-            {
-                "id": lane.id,
-                "centerline": [_pose_to_list(p) for p in lane.centerline],
-                "speed_limit": lane.speed_limit,
-                "successors": list(lane.successors),
-                "left_adjacent": lane.left_adjacent,
-                "right_adjacent": lane.right_adjacent,
-                "direction": lane.direction,
-            }
-            for lane in s.lanes
-        ],
-        "drivable_area": [[[float(x), float(y)] for x, y in poly] for poly in s.drivable_area],
-        "crosswalks": [[[float(x), float(y)] for x, y in poly] for poly in s.crosswalks],
-        "agents": [
-            {
-                "id": a.id,
-                "pose": _pose_to_list(a.pose),
-                "speed": a.speed,
-                "half_length": a.half_length,
-                "half_width": a.half_width,
-                "kind": a.kind,
-            }
-            for a in s.agents
-        ],
-        "ego": {
-            "pose": _pose_to_list(s.ego.pose),
-            "speed": s.ego.speed,
-            "accel": s.ego.accel,
-            "steering": s.ego.steering,
-            "wheelbase": s.ego.wheelbase,
-            "half_length": s.ego.half_length,
-            "half_width": s.ego.half_width,
-        },
-        "route": list(s.route),
-        "goal": _pose_to_list(s.goal),
-        "duration": s.duration,
-        "seed": s.seed,
-    }
+    return _to_json(s)
 
 
 _SCENARIO_KEYS = ("lanes", "drivable_area", "crosswalks", "agents", "ego", "route", "goal", "duration", "seed")
@@ -537,8 +509,6 @@ def load_scenario(path) -> Scenario:
 
 # --------------------------------------------------------------------------
 # Synthetic scenarios. Pure functions of (kind, seed).
-
-SCENARIO_KINDS = ("blocked_lane", "lane_change_required", "intersection_turn", "deadlock_pair")
 
 _CAR_HALF_LENGTH = 2.3
 _CAR_HALF_WIDTH = 1.0
@@ -704,6 +674,7 @@ _GENERATORS = {
     "intersection_turn": _intersection_turn,
     "deadlock_pair": _deadlock_pair,
 }
+SCENARIO_KINDS = tuple(_GENERATORS)
 
 
 def generate_synthetic_scenario(kind: str, seed: int) -> Scenario:

@@ -461,9 +461,9 @@ class _PendingDirection:
         self.mask[rows] = False
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Scores:
-    """Score terms as (P,) columns over the proposal rows.
+    """Score terms as (P,) columns over the proposal rows, one attribute per
+    ScoreBreakdown field.
 
     Reads as a sequence of ScoreBreakdown: a record is built only when an
     entry is indexed or iterated.
@@ -474,25 +474,13 @@ class Scores:
     Either way a value has the bits an eager scorer gives it.
     """
 
-    c_col: np.ndarray
-    c_ra: np.ndarray
-    c_mp: np.ndarray
-    c_ttc: np.ndarray
-    c_dr: np.ndarray
-    c_sp: np.ndarray
-    c_ep: np.ndarray
-    c_cf: np.ndarray
-    goal_cost: np.ndarray
-    aggregate: np.ndarray
-    relaxed: bool = False
-
     def __init__(self, *columns, relaxed: bool = False, pending: _PendingDirection | None = None):
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_pending", pending)
-        object.__setattr__(self, "relaxed", relaxed)
+        self._columns = columns
+        self._pending = pending
+        self.relaxed = relaxed
         for name, column in zip(_TERMS, columns):
             if pending is None or name not in _LAZY:
-                object.__setattr__(self, name, column)
+                setattr(self, name, column)
 
     def __getattr__(self, name):
         # Reached only for c_dr and aggregate, and only while rows are pending.
@@ -510,9 +498,8 @@ class Scores:
         (rows,) = pending.mask.nonzero()
         if len(rows):
             pending.resolve(rows)
-        object.__setattr__(self, "_pending", None)
-        object.__setattr__(self, "c_dr", self._columns[_C_DR])
-        object.__setattr__(self, "aggregate", self._columns[_AGGREGATE])
+        self._pending = None
+        self.c_dr, self.aggregate = self._columns[_C_DR], self._columns[_AGGREGATE]
 
     def __len__(self):
         return len(self.c_col)

@@ -42,6 +42,7 @@ from .scene import (
     AgentState,
     EgoState,
     Pose2,
+    STEER_LIMIT,
     TRAJECTORY_TAGS,
     Scenario,
     Trajectory,
@@ -52,7 +53,6 @@ from .scene import (
 
 MAX_ACCEL_CMD = 3.0  # m/s^2
 MAX_BRAKE_CMD = 6.0  # m/s^2
-STEER_LIMIT = 0.6  # rad
 
 AGENT_POLICIES = ("reactive_idm", "replay")
 EVENT_NAMES = ("collision", "off_road", "goal_reached", "deadlock", "off_map_error")

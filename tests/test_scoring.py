@@ -1,7 +1,7 @@
 import itertools
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -199,9 +199,9 @@ def test_rows_beyond_every_agents_reach_skip_the_pair_stages(monkeypatch, plain_
     assert seen == [0]
     assert np.array_equal(got.c_col, _reference_collision(ps.positions, ps.headings, f, (2.3, 0.95)))
     assert np.array_equal(got.c_ttc, _reference_batch_ttc(ps.positions, ps.headings, ps.speeds, f, (2.3, 0.95), TTC_WINDOW))
-    for field in fields(Scores):
-        a, b = getattr(got, field.name), getattr(free, field.name)
-        assert a == b if field.name == "relaxed" else np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert got.relaxed == free.relaxed
+    for name in scoring._TERMS:
+        assert np.array_equal(getattr(got, name).view(np.int64), getattr(free, name).view(np.int64))
 
 
 def test_one_box_contact_at_contact_tol_kills_the_row():
@@ -1205,6 +1205,20 @@ def test_indexing_a_pending_row_projects_that_row_alone(monkeypatch):
     scores.c_dr
     list(scores)
     assert len(batches) == 3 and np.array_equal(batches[2], ps.positions[[n - 3, n - 1], 1:-1].reshape(-1, 2))
+
+
+def test_repr_leaves_pending_rows_pending():
+    # A debugger or a log line that shows the scores must not take the
+    # pending rows' direction terms.
+    scenario = generate_synthetic_scenario("blocked_lane", 7)
+    planner = Planner(scenario, "rad", vocabulary=four_prototype_vocabulary())
+    scores = planner.plan(scenario.ego, list(scenario.agents), t=0.0).breakdowns
+    assert isinstance(scores, Scores)
+    pending = scores._pending.mask.copy()
+    assert pending.any()
+    repr(scores)
+    assert scores._pending is not None
+    assert np.array_equal(scores._pending.mask, pending)
 
 
 def test_only_rows_that_can_win_enter_the_route_projection(monkeypatch):

@@ -14,7 +14,7 @@ import radstack
 from radstack.bench import episode_outcome
 from radstack.geometry import normalize_angle
 from radstack.planhead import init_model
-from radstack.planner import Planner, PlannerConfig
+from radstack.planner import PLANNER_KINDS, Planner, PlannerConfig
 from radstack.proposals import CORRIDOR_MARGIN, IdmParams, idm_accel
 from radstack.scene import (
     SCENARIO_KINDS,
@@ -464,6 +464,26 @@ def test_run_episode_bit_deterministic(tmp_path, blocked_scenario):
     save_episode_log(a, pa)
     save_episode_log(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("kind", PLANNER_KINDS)
+def test_every_planner_kind_runs_in_closed_loop(tmp_path, kind):
+    # planhead, the learned-only planner, runs in no other test and in no
+    # benchmark workload.
+    scenario = replace(generate_synthetic_scenario("blocked_lane", 7), duration=5.0)
+    vocab = four_prototype_vocabulary()
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for p in paths:
+        planner = Planner(scenario, kind, vocabulary=vocab, model=init_model(vocab, seed=0))
+        log = run_episode(scenario, planner, SimConfig(record_breakdowns=True))
+        save_episode_log(log, p)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(log.records) > 10
+    if kind == "planhead":
+        assert all(r["tag"] == "learned" and r["breakdown"] is None for r in log.records)
+        assert not log.proposal_records
+    if kind == "baseline_static":
+        assert all(r["path_starts"] == log.records[0]["path_starts"] for r in log.records)
 
 
 # sha256 of the `rad` episode log with every proposal's breakdown on
