@@ -3,7 +3,9 @@
 Subcommands: gen-scenarios, run, cluster-vocab, train-head, bench, render.
 Usage errors exit 2; runtime errors exit 1 with a command-tagged message.
 Every command is deterministic given its flags and seed; RADSTACK_SEED
-overrides seed flags for CI.
+overrides seed flags for CI. Every output flag's directory (a file's parent,
+or the directory itself) is created with its parents; when that fails the
+command exits 1 with an IoError naming the flag.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ def _output_dir(path, flag: str) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise IoError(f"{flag} {path}: cannot create directory: {e.strerror}") from e
+    return out
+
+
+def _output_file(path, flag: str) -> Path:
+    """The file path given to `flag`, its directory created as _output_dir does."""
+    out = Path(path)
+    _output_dir(out.parent, flag)
     return out
 
 
@@ -154,10 +163,11 @@ def _cmd_run(args) -> int:
     kind = args.planner.replace("-", "_")
     scenario = load_scenario(args.scenario)
     planner_cfg, sim_cfg, vocab, model = _load_run_context(args, [kind])
+    log_path = _output_file(args.log, "--log") if args.log else None
     planner = Planner(scenario, kind=kind, config=planner_cfg, vocabulary=vocab, model=model)
     log = run_episode(scenario, planner, sim_cfg)
-    if args.log:
-        save_episode_log(log, args.log)
+    if log_path:
+        save_episode_log(log, log_path)
     events = ", ".join(f"{name}@{tick}" for tick, name in log.events) or "none"
     print(f"planner={kind} ticks={len(log.records)} events: {events}")
     return 0
@@ -171,6 +181,7 @@ def _episode_logs(directory):
 
 
 def _cmd_cluster_vocab(args) -> int:
+    out = _output_file(args.out, "--out")
     logs = _episode_logs(args.episodes)
     samples = []
     for log in logs:
@@ -180,12 +191,13 @@ def _cmd_cluster_vocab(args) -> int:
             f"harvested only {len(samples)} samples, need at least k={args.k}"
         )
     vocab = kmeans_cluster(samples, args.k, seed=resolve_seed(args.seed), dt=logs[0].dt)
-    save_vocabulary(vocab, args.out)
+    save_vocabulary(vocab, out)
     print(f"clustered {len(samples)} samples into K={vocab.K} prototypes -> {args.out}")
     return 0
 
 
 def _cmd_train_head(args) -> int:
+    out = _output_file(args.out, "--out")
     vocab = load_vocabulary(args.vocab)
     logs = _episode_logs(args.samples)
     samples = []
@@ -200,7 +212,7 @@ def _cmd_train_head(args) -> int:
     seed = resolve_seed(args.seed)
     model = init_model(vocab, seed=seed)
     model, curve = train(model, samples, epochs=args.epochs, lr=args.lr)
-    save_model(model, args.out)
+    save_model(model, out)
     print(
         f"trained on {len(samples)} samples for {args.epochs} epochs: "
         f"loss {curve[0]:.4f} -> {curve[-1]:.4f} -> {args.out}"
@@ -217,6 +229,7 @@ def _cmd_bench(args) -> int:
     toggles = [t.strip() for t in args.toggles.split(",") if t.strip()]
     planner_cfg, sim_cfg, vocab, model = _load_run_context(args, planners)
 
+    report_path = _output_file(args.report, "--report")
     logs_dir = _output_dir(args.logs_dir, "--logs-dir") if args.logs_dir else None
 
     report = run_suite(
@@ -225,14 +238,14 @@ def _cmd_bench(args) -> int:
     )
     for (name, kind, toggle), log in report.logs.items():
         save_episode_log(log, logs_dir / f"{name}__{kind}__{toggle}.jsonl")
-    emit_report(report, args.format, args.report)
+    emit_report(report, args.format, report_path)
     print(f"{len(report.rows)} rows -> {args.report}")
     return 0
 
 
 def _cmd_render(args) -> int:
-    log = load_episode_log(args.log)
-    render_episode_svg(log, args.out)
+    out = _output_file(args.out, "--out")
+    render_episode_svg(load_episode_log(args.log), out)
     print(args.out)
     return 0
 

@@ -20,7 +20,6 @@ from .errors import ValidationError, array, expected, integer, items, number, ob
 from .geometry import (
     normalize_angle,
     points_in_polygon,
-    points_in_polygons,
     polygon_as_aabb,
     project_points_to_polylines,
     rect_corners_batch,
@@ -404,9 +403,28 @@ def agent_footprint(a) -> np.ndarray:
 
 
 def footprint_inside_drivable(a, scenario: Scenario) -> bool:
-    """True iff every footprint corner lies in the drivable union (boundary inclusive)."""
-    x, y = agent_footprint(a).T
-    return bool(points_in_polygons(x, y, scenario.drivable_area, scenario.drivable_boxes).all())
+    """True iff every footprint corner lies in the drivable union (boundary inclusive).
+
+    One pose, so no array pass per polygon: each corner of agent_footprint
+    is tested against Scenario.drivable_boxes in scalars, and only the
+    corners no box holds go through points_in_polygon, once per polygon
+    without a box. This is points_in_polygons on the corners, to the bit:
+    a box test is the same four comparisons on the same floats, and
+    points_in_polygon decides each point by its own row of elementwise
+    operations, so a corner's answer does not depend on its batch.
+    """
+    boxes = scenario.drivable_boxes
+    left = []
+    for x, y in agent_footprint(a).tolist():
+        for box in boxes:
+            if box is not None and box[0] <= x <= box[2] and box[1] <= y <= box[3]:
+                break
+        else:
+            left.append((x, y))
+    for poly, box in zip(scenario.drivable_area, boxes):
+        if left and box is None:
+            left = [p for p, hit in zip(left, points_in_polygon(np.array(left), poly).tolist()) if not hit]
+    return not left
 
 
 # --------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .geometry import (
 )
 from .planner import Planner
 from .proposals import CORRIDOR_MARGIN, MIN_DT, IdmParams, idm_accel
+from .scoring import BROAD_PHASE_SLACK
 from .scene import (
     AgentState,
     EgoState,
@@ -208,23 +209,44 @@ def lqr_track(ego: EgoState, reference: Trajectory) -> tuple:
     Lateral: LQR on [cross-track error, heading error] linearized at the
     current speed, plus curvature feedforward. Longitudinal: proportional to
     the speed error at a short lookahead. Commands are clamped by bicycle_step.
+
+    The planner pins the plan's sample 0 to the ego on every tick it runs,
+    so at planner_period 1 the ego is always there. When both coordinate
+    differences to sample 0 are exactly +0.0 and segment 0 has positive
+    length, the dense projection's result is known without a SegmentTable,
+    to the bit: the offset from segment 0's start is (+0, +0) and stays so
+    when the foot point's +-0 products are taken off, so segment 0 has
+    squared distance 0 and is the first minimum, at u = +-0; s = 0 + u *
+    length = +0.0, so idx = 0 and ds is segment 0's length; the lateral is
+    (+0, +0) . (-sin h0, cos h0), whose sign only the signs of the sine and
+    cosine decide, h0 being segment 0's math.atan2 as in the segment array.
+    Any other ego (planner_period > 1, a zero-length segment 0, a -0.0
+    difference) takes the dense projection (project_points_to_polyline).
+    Exact for finite coordinates at map scale, where no product of the
+    dense pass overflows into a NaN that it would pick.
     """
     pts = reference.positions
-    table = SegmentTable(pts)
-    s_cum = table.s
-    (s,), (e_lat,), (ref_head,), _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), table)
+    (x0, y0), (x1, y1) = pts[:2].tolist()
+    ex, ey = ego.pose.x - x0, ego.pose.y - y0
+    dx, dy = x1 - x0, y1 - y0
+    len2 = dx * dx + dy * dy
+    if ex == 0.0 == ey and math.copysign(1.0, ex) == 1.0 == math.copysign(1.0, ey) and len2 > 0.0:
+        idx, ref_head, seg_len = 0, math.atan2(dy, dx), math.sqrt(len2)
+        e_lat = 0.0 * -np.sin(ref_head) + 0.0 * np.cos(ref_head)
+    else:
+        table = SegmentTable(pts)
+        (s,), (e_lat,), (ref_head,), _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), table)
+        idx = min(max(int(table.s.searchsorted(s, side="right")) - 1, 0), len(pts) - 2)
+        seg_len = table.s[idx + 1] - table.s[idx]
     e_head = normalize_angle(ego.pose.heading - ref_head)
 
-    idx = min(max(int(s_cum.searchsorted(s, side="right")) - 1, 0), len(pts) - 2)
     look = min(idx + LOOKAHEAD_STEPS, len(pts) - 1)
     v_ref = float(reference.speeds[look])
     accel_cmd = K_SPEED * (v_ref - ego.speed)
 
     # Curvature feedforward from the reference headings around the projection.
     heads = reference.headings
-    j = min(idx + 1, len(heads) - 1)
-    ds = max(s_cum[j] - s_cum[idx], 1e-6) if j > idx else 1e-6
-    kappa = normalize_angle(heads[j] - heads[idx]) / ds if j > idx else 0.0
+    kappa = normalize_angle(heads[idx + 1] - heads[idx]) / max(seg_len, 1e-6)
     kappa = float(min(max(kappa, -0.5), 0.5))  # np.clip's NaN and -0.0, without its wrapper
 
     if ego.speed < LOW_SPEED:
@@ -254,6 +276,8 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
     steers by pure pursuit. Vehicles off every lane and pedestrians move at
     constant velocity; static agents do not move.
     replay: every non-static agent continues at its scripted constant velocity.
+    A list of static agents alone comes back as it is, before any array is
+    built.
 
     One pass serves every vehicle: one projection of the agents and the ego
     onto every lane (Scenario.project_onto_lanes, which keeps the ego's for
@@ -264,8 +288,8 @@ def step_agents(agents, scenario: Scenario, policy: str, dt: float, ego: EgoStat
     if policy not in AGENT_POLICIES:
         raise ValueError(f"unknown agent policy {policy!r}")
     agents = list(agents)
-    if not agents:
-        return []
+    if all(a.kind == "static" for a in agents):
+        return agents  # the same objects, as below: static agents never move
     n = len(agents)
     lanes = scenario.lanes
     veh = [i for i, a in enumerate(agents) if a.kind == "vehicle"] if policy == "reactive_idm" and lanes else []
@@ -364,12 +388,28 @@ def record_agents(rec: dict):
 
 
 def _ego_collides(ego: EgoState, agents) -> bool:
+    """True iff the ego's box overlaps some agent's (boxes_overlap).
+
+    Agents whose centre lies farther from the ego's than the two
+    circumradii plus BROAD_PHASE_SLACK are dropped first, as
+    scoring._agents_in_reach drops them, and with none left no array is
+    built. The cut is exact: a box lies within its circumradius of its
+    centre, and CONTACT_TOL widens boxes_overlap's four axis tests by 1e-9 m,
+    which moves the touching set at most sqrt(2) * 1e-9 m beyond the circles
+    (adjacent axes of the two boxes meet at 90 degrees or less), far inside
+    the slack; a kept agent's flag does not depend on the others.
+    """
+    e = ego.pose
+    reach = math.hypot(ego.half_length, ego.half_width) + BROAD_PHASE_SLACK
+    agents = [
+        a for a in agents
+        if math.hypot(a.pose.x - e.x, a.pose.y - e.y) <= reach + math.hypot(a.half_length, a.half_width)
+    ]
     if not agents:
         return False
     x, y, h, hl, hw = np.array(
         [[a.pose.x, a.pose.y, a.pose.heading, a.half_length, a.half_width] for a in agents]
     ).T
-    e = ego.pose
     ca, sa = np.cos(e.heading), np.sin(e.heading)
     hit = boxes_overlap(x - e.x, y - e.y, ca, sa, ego.half_length, ego.half_width, np.cos(h), np.sin(h), hl, hw)
     return bool(hit.any())

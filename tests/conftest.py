@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from radstack.geometry import (
+    SegmentTable,
+    boxes_overlap,
+    normalize_angle,
     normalize_angles,
     points_in_polygon,
+    points_in_polygons,
     polygon_as_aabb,
     project_points_to_polyline,
 )
@@ -26,6 +30,7 @@ from radstack.scene import (
     Lane,
     Pose2,
     Scenario,
+    agent_footprint,
     generate_synthetic_scenario,
     segment_headings_and_speeds,
 )
@@ -40,6 +45,7 @@ from radstack.scoring import (
     DIR_EPS,
     DIR_TOL,
 )
+from radstack.simulator import K_SPEED, LOOKAHEAD_STEPS, LOW_SPEED, LOW_SPEED_GAIN, lqr_gain
 from radstack.topology import ProposalPath, graph_search, project_onto_path
 from radstack.vocabulary import Vocabulary
 
@@ -484,3 +490,52 @@ def reference_batch_direction(s, path_index, paths):
     ds = np.diff(s, axis=1)
     against = np.where(opposing, np.maximum(ds, 0.0), np.maximum(-ds, 0.0)).sum(axis=1)
     return np.where(against < DIR_EPS, 1.0, np.where(against < DIR_TOL, 0.5, 0.0))
+
+
+def reference_lqr_track(ego, reference):
+    """The tracker with the dense projection on every call: the tests'
+    bitwise reference for simulator.lqr_track, which skips the projection
+    when the ego is the plan's pinned sample 0."""
+    pts = reference.positions
+    table = SegmentTable(pts)
+    s_cum = table.s
+    (s,), (e_lat,), (ref_head,), _ = project_points_to_polyline(np.array([[ego.pose.x, ego.pose.y]]), table)
+    e_head = normalize_angle(ego.pose.heading - ref_head)
+    idx = min(max(int(s_cum.searchsorted(s, side="right")) - 1, 0), len(pts) - 2)
+    look = min(idx + LOOKAHEAD_STEPS, len(pts) - 1)
+    accel_cmd = K_SPEED * (float(reference.speeds[look]) - ego.speed)
+    heads = reference.headings
+    j = min(idx + 1, len(heads) - 1)
+    ds = max(s_cum[j] - s_cum[idx], 1e-6) if j > idx else 1e-6
+    kappa = normalize_angle(heads[j] - heads[idx]) / ds if j > idx else 0.0
+    kappa = float(min(max(kappa, -0.5), 0.5))
+    if ego.speed < LOW_SPEED:
+        k1, k2 = LOW_SPEED_GAIN
+        steer_fb = -k1 * e_lat - k2 * e_head
+    else:
+        k = lqr_gain(ego.speed, reference.dt, ego.wheelbase)
+        steer_fb = float(-(k[0] * e_lat + k[1] * e_head))
+    return accel_cmd, steer_fb + math.atan(ego.wheelbase * kappa)
+
+
+def reference_ego_collides(ego, agents):
+    """Every agent through one boxes_overlap call: the tests' bitwise
+    reference for simulator._ego_collides, which drops agents out of reach
+    first."""
+    if not agents:
+        return False
+    x, y, h, hl, hw = np.array(
+        [[a.pose.x, a.pose.y, a.pose.heading, a.half_length, a.half_width] for a in agents]
+    ).T
+    e = ego.pose
+    ca, sa = np.cos(e.heading), np.sin(e.heading)
+    hit = boxes_overlap(x - e.x, y - e.y, ca, sa, ego.half_length, ego.half_width, np.cos(h), np.sin(h), hl, hw)
+    return bool(hit.any())
+
+
+def reference_footprint_inside_drivable(a, scenario):
+    """points_in_polygons on agent_footprint's corners: the tests' bitwise
+    reference for scene.footprint_inside_drivable, which tests one pose's
+    corners in scalars."""
+    x, y = agent_footprint(a).T
+    return bool(points_in_polygons(x, y, scenario.drivable_area, scenario.drivable_boxes).all())

@@ -34,3 +34,40 @@ def test_cli_commands_chain_from_scenarios_to_a_hybrid_run(tmp_path, monkeypatch
     records = load_episode_log(log).records
     assert len(records) > 1
     assert len(list(ET.parse(svg).getroot().iter(SVG_LINE))) == len(records) - 1
+
+
+def test_every_output_flag_creates_its_directory(tmp_path, monkeypatch, capsys):
+    # Each of the five file outputs into a fresh nested directory, which the
+    # command creates as gen-scenarios --out and bench --logs-dir create theirs.
+    monkeypatch.delenv("RADSTACK_SEED", raising=False)
+    scenarios = tmp_path / "scenarios"
+    assert main(["gen-scenarios", "--kind", "intersection_turn", "--seed", "7", "--out", str(scenarios)]) == 0
+    log = tmp_path / "run" / "logs" / "rad.jsonl"
+    outputs = {
+        "run": log,
+        "render": tmp_path / "render" / "svg" / "rad.svg",
+        "cluster-vocab": tmp_path / "vocab" / "k4" / "vocab.json",
+        "train-head": tmp_path / "model" / "e2" / "model.json",
+        "bench": tmp_path / "bench" / "reports" / "report.json",
+    }
+    commands = {
+        "run": ["--scenario", str(scenarios / "intersection_turn_0007.json"), "--planner", "rad", "--log"],
+        "render": ["--log", str(log), "--out"],
+        "cluster-vocab": ["--episodes", str(log.parent), "--k", "4", "--out"],
+        "train-head": ["--samples", str(log.parent), "--vocab", str(outputs["cluster-vocab"]), "--epochs", "2",
+                       "--out"],
+        "bench": ["--scenarios", str(scenarios), "--planners", "baseline-static", "--report"],
+    }
+    for command, path in outputs.items():
+        assert main([command, *commands[command], str(path)]) == 0, capsys.readouterr().err
+        assert path.stat().st_size > 0, command
+
+    # A directory that cannot be made: the command names the flag in one line.
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    capsys.readouterr()
+    for command, flag in (("run", "--log"), ("render", "--out"), ("bench", "--report")):
+        assert main([command, *commands[command], str(blocker / "sub" / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"{command}: {flag} {blocker / 'sub'}: cannot create directory"), err

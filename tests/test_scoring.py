@@ -49,6 +49,7 @@ from conftest import (
     rect,
     reference_batch_comfort,
     reference_batch_direction,
+    reference_footprint_inside_drivable,
     reference_points_in_polygons,
     reference_project_points,
     reference_route_arclengths,
@@ -867,6 +868,26 @@ def test_footprint_inside_drivable_is_the_drivable_term_of_a_standing_row(case):
         scenario=scenario, forecast=forecast_agents([], 10, 0.1), route_path=path, goal_norm=100.0, ego_dims=(hl, hw)
     )
     assert score_proposals(ps, ctx).c_ra[0] == float(footprint_inside_drivable(ego, scenario))
+
+
+_AT_TRIANGLE = st.tuples(
+    st.floats(58.0, 82.0), st.floats(2.0, 12.0), st.floats(-math.pi, math.pi), st.floats(0.5, 3.0),
+    st.floats(0.3, 1.5), st.none(),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(_footprint_pose(), _AT_TRIANGLE), st.sampled_from([(0, 1), (1, 0), (0,)]))
+def test_footprint_inside_drivable_matches_points_in_polygons_bitwise(case, order):
+    # One pose's corners in scalars against the boxes, the rest through
+    # points_in_polygon: the batch routine's answer, at a box edge +- ulps
+    # and over the triangle (no box), which comes before or after the box
+    # or not at all.
+    x, y, heading, hl, hw, _ = case
+    scenario, _ = _box_and_triangle()
+    scenario = replace(scenario, drivable_area=tuple(scenario.drivable_area[i] for i in order))
+    ego = EgoState(pose=Pose2(x, y, heading), speed=0.0, half_length=hl, half_width=hw)
+    assert footprint_inside_drivable(ego, scenario) is reference_footprint_inside_drivable(ego, scenario)
 
 
 def test_scoring_an_empty_set_returns_empty_scores():

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ from radstack.scene import (
     Trajectory,
     generate_synthetic_scenario,
 )
-from radstack import planner as planner_module, simulator
+from radstack import planner as planner_module, scoring, simulator
 from radstack.simulator import (
     LOW_SPEED,
     LOW_SPEED_GAIN,
@@ -44,6 +46,8 @@ from radstack.simulator import (
 
 from conftest import (
     four_prototype_vocabulary,
+    reference_ego_collides,
+    reference_lqr_track,
     reference_project_points,
     static_car,
     straight_lane,
@@ -177,6 +181,91 @@ def test_lqr_track_below_low_speed_uses_fixed_gain(speed):
     ego = _ego(y=0.5, speed=speed)
     _, steer = lqr_track(ego, _reference(v=5.0))
     assert steer == pytest.approx(-LOW_SPEED_GAIN[0] * 0.5, abs=1e-12)
+
+
+def _bits(x):
+    return struct.pack("<d", float(x))
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _tracking_case(draw):
+    """(ego, reference) for lqr_track: the ego at the plan's sample 0, at
+    +-0 coordinates against a +-0 sample 0, or off the start; a first
+    segment along +-x or +-y, at any angle, of zero or sub-micrometre length;
+    e_head = 0 or any heading; speeds either side of LOW_SPEED."""
+    mode = draw(st.sampled_from(["pinned", "signed_zeros", "off_start"]))
+    if mode == "signed_zeros":
+        x0, y0 = draw(_SIGNED_ZEROS), draw(_SIGNED_ZEROS)
+        ex, ey = draw(_SIGNED_ZEROS), draw(_SIGNED_ZEROS)
+    else:
+        x0, y0 = draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0))
+        ex, ey = x0, y0
+        if mode == "off_start":
+            ex += draw(st.floats(-2.0, 2.0))
+            ey += draw(st.floats(-2.0, 2.0))
+    length = draw(st.sampled_from([0.0, 1e-9, 3e-7, 9.99e-7, 0.05, 0.8, 2.0]))
+    direction = draw(st.sampled_from(["+x", "-x", "+y", "-y", "any"]))
+    if direction == "any":
+        angle = draw(st.floats(-math.pi, math.pi))
+        x1, y1 = x0 + length * math.cos(angle), y0 + length * math.sin(angle)
+    else:
+        sign = 1.0 if direction[0] == "+" else -1.0
+        x1, y1 = (x0 + sign * length, y0) if direction[1] == "x" else (x0, y0 + sign * length)
+    pts = [(x0, y0), (x1, y1)]
+    for angle, step in draw(st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 1.5)), max_size=12)):
+        x, y = pts[-1]
+        pts.append((x + step * math.cos(angle), y + step * math.sin(angle)))
+    n = len(pts)
+    # +-0 headings at samples 0 and 1 give a -0.0 curvature, through which
+    # the sign of a zero lateral reaches the steering command.
+    heads = [draw(st.one_of(_SIGNED_ZEROS, st.floats(-math.pi, math.pi))) for _ in range(2)]
+    heads += draw(st.lists(st.floats(-math.pi, math.pi), min_size=n - 2, max_size=n - 2))
+    speeds = draw(st.lists(st.floats(0.0, 15.0), min_size=n, max_size=n))
+    heading = draw(st.one_of(st.floats(-math.pi, math.pi), st.just(math.atan2(y1 - y0, x1 - x0))))
+    speed = draw(st.sampled_from([0.0, 0.05, math.nextafter(LOW_SPEED, 0.0), LOW_SPEED, 0.3, 4.0, 12.0]))
+    reference = Trajectory(draw(st.sampled_from([0.1, 0.125])), np.array(pts), np.array(heads), np.array(speeds))
+    return EgoState(pose=Pose2(ex, ey, heading), speed=speed), reference
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_tracking_case())
+def test_lqr_track_from_the_pinned_start_matches_the_general_projection_bitwise(case):
+    ego, reference = case
+    got, want = lqr_track(ego, reference), reference_lqr_track(ego, reference)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+@pytest.mark.parametrize("speed", [0.0, 5.0])
+@pytest.mark.parametrize(
+    "dx, dy", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8), (-0.6, 0.8), (-0.6, -0.8), (0.6, -0.8)]
+)
+def test_lqr_track_signed_zeros_at_the_start_match_the_general_projection_bitwise(dx, dy, speed):
+    # A zero lateral's sign reaches the steering command only through a
+    # -0.0 curvature and a zero heading error: every signed-zero combination
+    # of the ego's and sample 0's coordinates and of the first two headings.
+    zeros = (0.0, -0.0)
+    for ex, ey, x0, y0, h0, h1 in itertools.product(zeros, repeat=6):
+        pts = np.array([[x0, y0], [x0 + dx, y0 + dy], [x0 + 2 * dx, y0 + 2 * dy]])
+        reference = Trajectory(0.1, pts, np.array([h0, h1, h1]), np.full(3, 5.0))
+        for heading in (math.atan2(dy, dx), 0.0, -0.0):
+            ego = EgoState(pose=Pose2(ex, ey, heading), speed=speed)
+            got, want = lqr_track(ego, reference), reference_lqr_track(ego, reference)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], (ex, ey, x0, y0, h0, h1, heading)
+
+
+def test_lqr_track_from_the_pinned_start_builds_no_segment_table(monkeypatch):
+    # Every tick at planner_period 1 tracks a plan whose sample 0 is the ego.
+    built = []
+    table = simulator.SegmentTable
+    monkeypatch.setattr(simulator, "SegmentTable", lambda pts: built.append(pts) or table(pts))
+    log = run_episode(with_traffic("intersection_turn"), "rad", SimConfig())
+    assert len(log.records) > 100 and built == []
+    ego = _ego(x=0.0, y=0.25)  # beside the reference: the general projection
+    lqr_track(ego, _reference())
+    assert len(built) == 1
 
 
 def test_step_agents_idm_approaches_reference_speed():
@@ -414,6 +503,81 @@ def test_static_agents_never_move():
         assert out[0].pose == blocker.pose
 
 
+def test_step_agents_returns_an_all_static_list_as_it_is(monkeypatch):
+    s = straight_scenario()
+    agents = (static_car("a", 30.0, 0.0), static_car("b", 50.0, 3.0, heading=0.4))
+    monkeypatch.setattr(simulator, "np", None)  # no array is built
+    for policy in ("reactive_idm", "replay"):
+        out = step_agents(agents, s, policy, 0.1, ego=s.ego)
+        assert isinstance(out, list) and len(out) == 2
+        assert all(o is a for o, a in zip(out, agents))
+    assert step_agents((), s, "replay", 0.1) == []
+
+
+# Half extents of _ego_collides_case's boxes. Its ego sits at the origin, so
+# an agent on an axis lies at a distance computed without rounding.
+_BOX_DIMS = ((2.3, 0.95), (1.0, 1.0), (0.4, 0.3))
+
+
+@st.composite
+def _ego_collides_case(draw):
+    """(ego, agents): agents at the reach boundary of the cut (on an axis,
+    exactly there or a few ulps either side), boxes laid edge to edge or
+    corner to corner within a few CONTACT_TOL of touching, and agents
+    anywhere near."""
+    hl, hw = draw(st.sampled_from(_BOX_DIMS))
+    ego = EgoState(pose=Pose2(0.0, 0.0, draw(st.floats(-math.pi, math.pi))), speed=1.0, half_length=hl, half_width=hw)
+    agents = []
+    for i in range(draw(st.integers(0, 4))):
+        ahl, ahw = draw(st.sampled_from(_BOX_DIMS))
+        heading = draw(st.floats(-math.pi, math.pi))
+        kind = draw(st.sampled_from(["boundary", "edge", "corner", "near"]))
+        if kind == "boundary":
+            bound = math.hypot(hl, hw) + scoring.BROAD_PHASE_SLACK + math.hypot(ahl, ahw)
+            nudge = draw(st.integers(-3, 3))
+            for _ in range(abs(nudge)):
+                bound = math.nextafter(bound, math.copysign(math.inf, nudge))
+            x, y = draw(st.sampled_from([(bound, 0.0), (-bound, 0.0), (0.0, bound), (0.0, -bound)]))
+        else:
+            h = ego.pose.heading
+            gap = draw(st.sampled_from([-1e-9, 0.0, 5e-10, 1e-9, 1.4e-9, 2e-9, 1e-7]))
+            if kind == "edge":  # aligned or quarter-turned, nose to tail or side by side
+                turn = draw(st.sampled_from([0.0, math.pi / 2, math.pi]))
+                heading = h + turn
+                a_along, a_across = (ahw, ahl) if turn == math.pi / 2 else (ahl, ahw)
+                if draw(st.booleans()):
+                    lx, ly = hl + a_along + gap, draw(st.floats(-0.5, 0.5))
+                else:
+                    lx, ly = draw(st.floats(-0.5, 0.5)), hw + a_across + gap
+            elif kind == "corner":  # aligned, corners meeting on the diagonal
+                heading = h
+                lx, ly = hl + ahl + gap, hw + ahw + gap
+            else:
+                lx, ly = draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))
+            x, y = lx * math.cos(h) - ly * math.sin(h), lx * math.sin(h) + ly * math.cos(h)
+        agents.append(AgentState(f"a{i}", Pose2(x, y, heading), 0.0, ahl, ahw, "static"))
+    return ego, agents
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_ego_collides_case())
+def test_ego_collides_reach_cut_matches_the_full_box_test_bitwise(case):
+    ego, agents = case
+    assert simulator._ego_collides(ego, agents) is reference_ego_collides(ego, agents)
+
+
+def test_ego_collides_builds_no_array_without_an_agent_in_reach(monkeypatch):
+    ego = _ego()
+    bound = math.hypot(ego.half_length, ego.half_width) + scoring.BROAD_PHASE_SLACK + math.hypot(2.3, 1.0)
+    beyond = static_car("beyond", math.nextafter(bound, math.inf), 0.0)
+    at = static_car("at", bound, 0.0)
+    assert not reference_ego_collides(ego, [beyond, at])  # 1e-6 m apart at the least
+    monkeypatch.setattr(simulator, "np", None)
+    assert simulator._ego_collides(ego, [beyond]) is False
+    with pytest.raises(AttributeError):  # an agent at the bound is kept, and tested
+        simulator._ego_collides(ego, [beyond, at])
+
+
 def test_planner_by_name_plans_with_the_proposal_sampling():
     # 4 s is no multiple of 0.3 s: a planner sampled at the simulation step
     # could not be built. The named planner plans at ProposalConfig's 0.1 s.
@@ -576,6 +740,26 @@ def test_traffic_log_matches_recorded_digest(tmp_path, kind):
     p = tmp_path / "traffic.jsonl"
     save_episode_log(log, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == TRAFFIC_LOG_SHA256[kind][_dispatch_family()]
+
+
+# sha256 of the `rad` episode log on intersection_turn seed 7 at
+# planner_period 2 (159 ticks to goal_reached). On every second tick the ego
+# has moved off the plan's sample 0, so lqr_track takes its general
+# projection there, through the turn; every other recorded log plans each
+# tick and tracks from the pinned start. Recorded at the commit before that
+# shortcut, so it pins the general path as it was. Each dispatch family has
+# its own value, as for the hybrid log. Regenerate as above.
+PERIOD_2_LOG_SHA256 = {
+    "avx512": "99cd0e6a2338c5a6ba303ece0fa626a6a13fb351e50174bbf852b06641d82c0e",
+    "avx2_or_baseline": "344e4a94a535eb8672a9598877514f197db0558df26f124528ab2f8a6f0e97d5",
+}
+
+
+def test_period_2_log_matches_recorded_digest(tmp_path):
+    log = run_episode(generate_synthetic_scenario("intersection_turn", 7), "rad", SimConfig(planner_period=2))
+    p = tmp_path / "period_2.jsonl"
+    save_episode_log(log, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == PERIOD_2_LOG_SHA256[_dispatch_family()]
 
 
 def test_traffic_log_does_not_depend_on_the_blas_kernel(tmp_path):
