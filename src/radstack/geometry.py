@@ -231,7 +231,8 @@ class SegmentTable:
         seg[4] = np.where(self.len2 > 0, 1.0 / np.maximum(self.len2, 1e-300), 0.0)
         seg[5] = self.s[:-1]
         seg[6] = self.lengths
-        seg[7] = [math.atan2(dy, dx) for dx, dy in self._d.tolist()]
+        dx, dy = self._d.T.tolist()
+        seg[7] = list(map(math.atan2, dy, dx))  # map: less per-segment overhead than a comprehension
         # -sin and cos on the contiguous heading row: the same vector routine,
         # and so the same bits, as on any gathered copy of it
         np.sin(seg[7], out=seg[8])

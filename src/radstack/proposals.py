@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -258,8 +259,25 @@ def _step_kernel(
     deprecates a third positional argument to np.maximum and np.minimum, and
     the tests turn that DeprecationWarning into an error.
 
-    Each value is computed by the same operations in the same order as in
-    the elementwise form, so the result is the same to the bit.
+    Each step's row views come from one zip over the history and per-step
+    buffers, made before the loop: the same memory as an index per step.
+
+    Three calls of the elementwise form are left out, their result known
+    before they run, given v >= 0 (the ego's speed, then max(0, v + a dt))
+    and v0, delta and a_max > 0:
+    - min(a, a_max), on every step: r = (v / v0) ** delta >= 0 and q * q
+      >= 0, so y = fl(fl(1 - r) - q * q) <= 1 and, rounding being
+      monotone, fl(a_max * y) <= a_max. The creep value is bounded the same
+      way, and so are max(a, a_creep) and max(a, -B_HARD). A NaN passes
+      min unchanged.
+    - v - v_lead and max(0, s_star), on a lead-free step: v_lead is 0 on
+      every row (lead_gap is never written there), and v - 0 is v, also for
+      -0.0; v * T_h + v * v / brake_scale is then a sum of terms >= 0 (v =
+      -0.0 gives -0.0 + +0.0 = +0.0), which max(0, .) returns unchanged.
+      With agents a lead can be faster than the row, so both calls stay.
+
+    Every other value is computed by the same operations in the same order
+    as in the elementwise form, so the result is the same to the bit.
     """
     n, n_agents = a_s.shape
     eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl = np.array(
@@ -334,16 +352,20 @@ def _step_kernel(
         # = inf, the free-flow gap, where v_lead = 0 only enters through s_star / gap = 0.
         path_end = np.where(terminus, path_len, np.inf)
 
-    for k in range(steps):
-        sl_k = s_l[k]
-        s_k, l_k = sl_k
+    # Per step: s, l, the (s, l) row and the next one; with agents also the
+    # s + 1e-9 row, the flat state, (s_ak, a_lat) and the lead test value.
+    agent_rows = (s_eps[:-1], sl_flat[:-1], sl_ak, lead_test) if n_agents else (repeat(None),) * 4
+    step_rows = zip(sl[:-1, 0], sl[:-1, 1], s_l[:-1], s_l[1:], *agent_rows)
+    for s_k, l_k, sl_k, sl_next, eps_k, flat_k, ak_k, test_k in step_rows:
+        # s_star = s0 + max(0, v * T_h + v * (v - v_lead) / brake_scale)
+        _multiply(v_now, T_h, s_star)
         if n_agents:
-            _add(s_k, eps, s_eps[k])
-            sl_flat[k].take(pair_index, out=pairs, mode="clip")
-            _subtract(sl_ak[k], pair_s_l, rel_s_l)
+            _add(s_k, eps, eps_k)
+            flat_k.take(pair_index, out=pairs, mode="clip")
+            _subtract(ak_k, pair_s_l, rel_s_l)
             _absolute(dl_a, dl_a)
             # Not a lead: at or behind s + 1e-9, or outside the band.
-            _less_equal(lead_test[k], pair_s_eps, not_lead)
+            _less_equal(test_k, pair_s_eps, not_lead)
             _greater_equal(dl_a, band, mask)
             _bitwise_or(not_lead, mask, not_lead)
             # g = ((s_ak - s) - hlen) - ego_half_length for a lead, else inf
@@ -357,18 +379,19 @@ def _step_kernel(
             g_v_flat.take(flat, axis=1, out=lead_gap, mode="clip")
             _greater(clear, not_lead, mask)  # clear and a lead
             mask_flat.take(flat, out=bypass, mode="clip")
+            _subtract(v_now, v_lead, tmp)
+            _multiply(v_now, tmp, tmp)
+            _divide(tmp, brake_scale, tmp)
+            _add(s_star, tmp, s_star)
+            _maximum(zero, s_star, out=s_star)
         else:
             _subtract(path_end, s_k, raw_gap)
             _subtract(raw_gap, ehl, raw_gap)
+            # v_lead = 0: v * (v - 0) is v * v, and max(0, .) keeps the sum
+            _multiply(v_now, v_now, tmp)
+            _divide(tmp, brake_scale, tmp)
+            _add(s_star, tmp, s_star)
         _maximum(raw_gap, gap_floor, out=gap)
-
-        # s_star = s0 + max(0, v * T_h + v * (v - v_lead) / brake_scale)
-        _multiply(v_now, T_h, s_star)
-        _subtract(v_now, v_lead, tmp)
-        _multiply(v_now, tmp, tmp)
-        _divide(tmp, brake_scale, tmp)
-        _add(s_star, tmp, s_star)
-        _maximum(zero, s_star, out=s_star)
         _add(s0, s_star, s_star)
         # a = a_max * (1 - (v / v0) ** delta - q * q), q = s_star / gap (0 in free flow)
         _divide(v_s_star, den, ratio)
@@ -398,8 +421,8 @@ def _step_kernel(
             _multiply(a_max, a_creep, a_creep)
             _maximum(a, a_creep, out=a_creep)
             np.putmask(a, bypass, a_creep)
+        # a <= a_max already (see the docstring): only the braking clamp
         _maximum(a, neg_b_hard, out=a)
-        _minimum(a, a_max, out=a)
 
         # rate = min(LATERAL_RATE, LATERAL_SPEED_RATIO * v) * dt, all from the step's starting v
         _multiply(lat_ratio, v_now, rate)
@@ -412,7 +435,7 @@ def _step_kernel(
         _subtract(targets, l_k, dl)
         _maximum(dl, neg_rate, out=dl)
         _minimum(dl, rate_dt, out=dl)
-        _add(sl_k, ds_dl, s_l[k + 1])
+        _add(sl_k, ds_dl, sl_next)
     s_hist[:] = sl[:, 0]
     l_hist[:] = sl[:, 1]
     s[:], l[:] = s_l[steps]
@@ -537,21 +560,22 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
         steps,
     )
 
-    xy, centres = _read_back(paths, path_of_row, s_hist, l_hist)
-    heads, speeds = segment_headings_and_speeds(xy, ego.pose.heading, ego.speed, dt)
+    s_track = np.ascontiguousarray(s_hist.T)
+    positions, centres = _read_back(paths, path_of_row, s_track, np.ascontiguousarray(l_hist.T))
+    heads, speeds = segment_headings_and_speeds(positions.transpose(1, 0, 2), ego.pose.heading, ego.speed, dt)
     # Rows first; sample 0 is pinned to the exact ego state.
-    positions = np.ascontiguousarray(xy.transpose(1, 0, 2))
     positions[:, 0] = (ego.pose.x, ego.pose.y)
     headings = np.ascontiguousarray(heads.T)
     headings[:, 0] = ego.pose.heading
     speeds = np.ascontiguousarray(speeds.T)
     speeds[:, 0] = ego.speed
-    return positions, headings, speeds, np.ascontiguousarray(s_hist.T), np.ascontiguousarray(ego_proj.T), centres
+    return positions, headings, speeds, s_track, np.ascontiguousarray(ego_proj.T), centres
 
 
-def _read_back(paths, path_of_row, s_hist, l_hist):
-    """World-frame samples (S+1, n, 2) of the rows' (s, l) histories, and
-    each path's centre point at its rows' sample 0 (paths, 2).
+def _read_back(paths, path_of_row, s_rows, l_rows):
+    """World-frame samples (n, S+1, 2) of the rows' (s, l) histories, each
+    (n, S+1), and each path's centre point at its first row's sample 0
+    (paths, 2).
 
     A sample is the path's centre point at s plus l along the left normal
     (-sin, cos) of the segment holding s (SegmentTable.frame_at), one slice
@@ -559,16 +583,21 @@ def _read_back(paths, path_of_row, s_hist, l_hist):
     which hold np.sin and np.cos of the heading row; x + l * (-sin) equals
     x - l * sin to the bit, so the samples are those of np.sin and np.cos
     taken on the gathered headings.
+
+    The histories come row-major, so np.interp reads each row's arclengths
+    in time order. A rollout's arclengths never decrease, so its guessed
+    search mostly hits; every value is elementwise in s, so the order
+    changes no bit.
     """
-    xy = np.empty(s_hist.shape + (2,))
+    xy = np.empty(s_rows.shape + (2,))
     centres = np.empty((len(paths), 2))
     edges = path_of_row.searchsorted(np.arange(len(paths) + 1))
     for j, path in enumerate(paths):
         rows = slice(edges[j], edges[j + 1])
-        pos, normal = path.segments.frame_at(s_hist[:, rows])
+        pos, normal = path.segments.frame_at(s_rows[rows])
         centres[j] = pos[0, 0]
-        normal *= l_hist[:, rows]
-        _add(pos, normal.transpose(1, 2, 0), xy[:, rows])
+        normal *= l_rows[rows]
+        _add(pos, normal.transpose(1, 2, 0), xy[rows])
     return xy, centres
 
 

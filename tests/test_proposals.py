@@ -355,7 +355,7 @@ def _reference_step_kernel(
 
 
 @st.composite
-def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False):
+def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False, standstill=False):
     """Random kernel inputs: rows 1-40, agents 0-9, steps 1-40.
 
     Agents are moving or static; some rows end at a path terminus, some of
@@ -366,6 +366,9 @@ def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False):
     the bit. bypass_heavy puts every agent 2-15 m ahead inside the row's band
     with a target that clears it, so most rows creep; all_terminus ends every
     row at a path terminus; no_agents has no agents and some terminus rows.
+    standstill starts most rows at exactly +0.0 or -0.0 m/s and puts half
+    of the rows in free flow (no terminus, every agent static behind them),
+    where q = 0 and r = 0, so their first step accelerates at a_max exactly.
     """
     n = draw(st.integers(1, 40))
     n_agents = 0 if no_agents else draw(st.integers(1 if bypass_heavy else 0, 9))
@@ -388,6 +391,8 @@ def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False):
     a_vlon = np.where(rng.random((n, n_agents)) < static_share, 0.0, rng.uniform(-3.0, 10.0, (n, n_agents)))
     a_band = rng.uniform(2.0, 3.0, (n, n_agents))
     a_hlen = rng.uniform(0.3, 2.5, (n, n_agents))
+    if standstill:
+        v = np.where(rng.random(n) < 0.8, rng.choice([0.0, -0.0], n), v)
     if bypass_heavy:
         a_s = s[:, None] + rng.uniform(2.0, 15.0, (n, n_agents))
         a_lat = l[:, None] + rng.uniform(-0.5, 0.5, (n, n_agents))
@@ -397,6 +402,11 @@ def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False):
     at_end = rng.random(n) < at_end_share
     path_len[at_end] = s[at_end] + rng.choice([-3.0, -1e-9, 0.0, 5e-10, 1e-9], int(at_end.sum()))
     terminus |= at_end
+    if standstill:
+        free = rng.random(n) < 0.5
+        terminus[free] = False
+        a_s[free] = s[free, None] - rng.uniform(0.0, 10.0, (int(free.sum()), n_agents))
+        a_vlon[free] = 0.0
     if n_agents:
         end_tie = rng.random(n) < end_tie_share
         a_s[end_tie, 0] = path_len[end_tie]
@@ -459,15 +469,19 @@ def test_step_kernel_matches_scalar_reference(case):
     np.testing.assert_allclose(l_vec, l_ref, rtol=0.0, atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     case=st.one_of(
-        _kernel_case(), _kernel_case(bypass_heavy=True), _kernel_case(all_terminus=True), _kernel_case(no_agents=True)
+        _kernel_case(), _kernel_case(bypass_heavy=True), _kernel_case(all_terminus=True), _kernel_case(no_agents=True),
+        _kernel_case(standstill=True), _kernel_case(standstill=True, no_agents=True),
     )
 )
 def test_step_kernel_matches_numpy_reference_bitwise(case):
     # The buffered kernel must compute the reference's arithmetic in the same
     # order: every history sample and the final s, l and v agree in all 64 bits.
+    # The reference keeps every clamp and v - v_lead, so each call the kernel
+    # leaves out is checked, at its boundaries too on the standstill cases:
+    # speeds of +0.0 and -0.0, and free-flow rows at a = a_max exactly.
     n, steps = len(case["s"]), case["steps"]
     results = []
     for kernel in (reference_step_kernel, _step_kernel):
@@ -649,24 +663,40 @@ def test_rollout_carries_the_ego_projection_and_centre_points_bitwise(case, dx, 
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=_rollout_case(), seed=st.integers(0, 2**32 - 1))
-def test_read_back_matches_the_sin_cos_reference_bitwise(case, seed):
+@given(case=_rollout_case(), seed=st.integers(0, 2**32 - 1), monotone=st.booleans())
+def test_read_back_matches_the_sin_cos_reference_bitwise(case, seed, monotone):
     # Arclengths before the start, past the end, exactly on vertices and
-    # between them; laterals of either sign and exactly 0.
+    # between them; laterals of either sign and exactly 0. The read-back takes
+    # them row-major, so np.interp reads each row in time order: unsorted
+    # rows pin its cold search, and the monotone arm's rows, non-decreasing
+    # with standstill repeats as a rollout's are, its guessed one.
     rng = np.random.default_rng(seed)
     paths, path_of_row = case["paths"], case["path_of_row"]
-    shape = (41, len(path_of_row))
+    n = len(path_of_row)
+    shape = (41, n)
     lengths = np.array([p.length for p in paths])[path_of_row]
-    s = rng.uniform(-0.1, 1.1, shape) * lengths
-    on_vertex = rng.random(shape) < 0.3
-    for i, j in zip(*on_vertex.nonzero()):
-        vertices = paths[path_of_row[j]].s
-        s[i, j] = vertices[rng.integers(len(vertices))]
+    if monotone:
+        # Rows start before the path, at its start, on a vertex or along it;
+        # the longer ones run past its end.
+        step = rng.uniform(0.0, 0.06, shape) * lengths
+        step[rng.random(shape) < 0.3] = 0.0
+        step[0] = rng.uniform(-0.1, 0.9, n) * lengths
+        step[0, rng.random(n) < 0.2] = 0.0
+        for j in (rng.random(n) < 0.2).nonzero()[0]:
+            vertices = paths[path_of_row[j]].s
+            step[0, j] = vertices[rng.integers(len(vertices))]
+        s = step.cumsum(axis=0)
+    else:
+        s = rng.uniform(-0.1, 1.1, shape) * lengths
+        on_vertex = rng.random(shape) < 0.3
+        for i, j in zip(*on_vertex.nonzero()):
+            vertices = paths[path_of_row[j]].s
+            s[i, j] = vertices[rng.integers(len(vertices))]
     l = rng.uniform(-3.0, 3.0, shape)
     l[rng.random(shape) < 0.2] = 0.0
-    got = proposals._read_back(paths, path_of_row, s, l)
-    want = reference_read_back(paths, path_of_row, s, l)
-    for a, b in zip(got, want):
+    got = proposals._read_back(paths, path_of_row, s.T, l.T)
+    xy, centres = reference_read_back(paths, path_of_row, s, l)
+    for a, b in zip(got, (xy.transpose(1, 0, 2), centres)):
         assert a.shape == b.shape
         assert np.array_equal(_bits(a), _bits(b))
 
