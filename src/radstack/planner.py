@@ -31,6 +31,7 @@ from .proposals import IdmParams, ProposalConfig, ProposalSet, generate_proposal
 from .scene import EgoState, Scenario, Trajectory, footprint_inside_drivable
 from .scoring import (
     MIN_PROGRESS,
+    STOPPED_SPEED,
     RelaxationState,
     ScoreContext,
     ScoreWeights,
@@ -50,6 +51,7 @@ from .vocabulary import Vocabulary, instantiate_prototype
 
 PLANNER_KINDS = ("rad", "planhead", "hybrid", "baseline_static")
 RELAX_HOLD_TIMEOUT = 30.0  # s, safety cap on a held relaxation maneuver
+STOPPED_TICKS_MAX = 600  # plan calls; a longer stop counts as this many
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ class Planner:
         )
         self._static_paths = None
         self._forecast = None
-        self._history: list = []
+        self._stopped = 0  # consecutive plan calls below STOPPED_SPEED, up to the current one
         self._relax_hold_since: float | None = None  # None while no relaxation is held
 
     # -- relaxation hysteresis ------------------------------------------------
@@ -147,7 +149,7 @@ class Planner:
     def _relaxation(self, ego: EgoState, agents, route_path, t: float) -> RelaxationState:
         if not self.config.enable_relaxation:
             return RelaxationState()
-        det = detect_relaxation(self._history, agents, route_path, dt=self.config.proposal.dt, ego=ego)
+        det = detect_relaxation(self._stopped, agents, route_path, self.config.proposal.dt, ego)
         if det.active:
             if self._relax_hold_since is None:
                 self._relax_hold_since = t
@@ -195,9 +197,7 @@ class Planner:
     # -- main entry -----------------------------------------------------------
 
     def plan(self, ego: EgoState, agents, t: float = 0.0) -> PlanResult:
-        self._history.append(ego)
-        if len(self._history) > 600:
-            del self._history[: len(self._history) - 600]
+        self._stopped = min(self._stopped + 1, STOPPED_TICKS_MAX) if ego.speed < STOPPED_SPEED else 0
         if self.kind == "planhead":
             return self._plan_learned(ego, agents)
         return self._plan_rules(ego, agents, t)

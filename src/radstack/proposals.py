@@ -199,38 +199,22 @@ _less_equal, _greater_equal, _greater, _bitwise_or = np.less_equal, np.greater_e
 
 
 def _step_kernel(
-    s_hist,
-    l_hist,
-    s,
-    l,
-    v,
-    targets,
-    v0,
-    T_h,
-    s0,
-    a_max,
-    brake_scale,
-    delta,
-    creep_v0,
-    a_s,
-    a_lat,
-    a_vlon,
-    a_band,
-    a_hlen,
-    bypass_clear,
-    path_len,
-    terminus,
-    ego_half_length,
-    dt,
-    steps,
+    start, speed, targets, v0, p: IdmParams, a_rows, a_band, a_hlen, path_len, terminus, ego_half_length, dt, steps
 ):
     """IDM + lateral-blend integration, one array update per step for all rows.
 
     Per step and row: pick the nearest agent ahead whose lateral band covers
     the current blend position (the first such agent on equal gaps); follow it
     with IDM, or creep past it when the proposal's target offset clears the
-    band; brake for the path terminus. Fills s_hist and l_hist (rows 0..steps)
-    and leaves s, l and v at the last step.
+    band; brake for the path terminus.
+
+    The n rows start at start, (2, n) (s, l), all at the ego's speed, and row
+    i drives toward lateral targets[i] at reference speed v0[i]; the other
+    IDM parameters come from p. a_rows holds the A agents' (3, n, A)
+    arclength, lateral and longitudinal speed on each row's path, a_band and
+    a_hlen their (A,) lateral bands and half lengths. Returns the (S+1, n)
+    arclength and lateral histories, views of one buffer allocated here; no
+    argument is written.
 
     On arrays this small a ufunc call costs mostly its own overhead, and a
     call that broadcasts an (n, 1) operand against (n, A) costs about twice a
@@ -279,11 +263,16 @@ def _step_kernel(
     Every other value is computed by the same operations in the same order
     as in the elementwise form, so the result is the same to the bit.
     """
+    a_s, a_lat, a_vlon = a_rows
     n, n_agents = a_s.shape
-    eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl = np.array(
-        [[1e-9], [0.05], [0.0], [1.0], [-B_HARD], [LATERAL_RATE], [LATERAL_SPEED_RATIO], [CREEP_MIN_GAP],
-         [ego_half_length]]
-    ).repeat(n, axis=1)
+    # The IDM parameters are (n,) columns too: a scalar exponent of 2 or 0.5
+    # rounds differently from a column of them.
+    eps, gap_floor, zero, one, neg_b_hard, lat_rate, lat_ratio, creep_floor, ehl, T_h, s0, a_max, brake_scale, delta = (
+        np.array(
+            [[1e-9], [0.05], [0.0], [1.0], [-B_HARD], [LATERAL_RATE], [LATERAL_SPEED_RATIO], [CREEP_MIN_GAP],
+             [ego_half_length], [p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]]
+        ).repeat(n, axis=1)
+    )
     any_terminus = bool(terminus.any())
 
     # Stacked buffers, one row per quantity:
@@ -295,17 +284,18 @@ def _step_kernel(
     #   state[2:] / (creep_v0, creep_gap) on the creep branch;
     #   lead_gap = (gap before its floor, v_lead) of the chosen lead.
     sl = np.empty((steps + 1, 3, n))
-    sl[0, :2] = s, l
+    sl[0, :2] = start
     sl_flat, s_l, s_eps = sl.reshape(steps + 1, -1), sl[:, :2], sl[:, 2]
     state = np.zeros((4, n))
     a, rate, v_now, s_star = state
-    v_now[:] = v
+    v_now[:] = speed
     incr = np.empty((4, n))
     a_dt, rate_dt, _, dl = incr
     a_rate_v, v_s_star, scaled, ds_dl = state[:3], state[2:], incr[:3], incr[2:]
     dts = np.full((3, n), dt)
     den, den_creep = np.zeros((2, 2, n))
-    den[0], den_creep[0] = v0, creep_v0
+    den[0] = v0
+    _minimum(v0, CREEP_SPEED, out=den_creep[0])
     gap, creep_gap = den[1], den_creep[1]
     ratio = np.empty((2, n))
     v_ratio, q = ratio
@@ -331,14 +321,14 @@ def _step_kernel(
         # rel = (s_ak - s, |a_lat - l|, band) and g_v = (g, v_lon) per pair
         rel = np.empty((3, n, n_cols))
         rel_s_l, rel_s, dl_a, band = rel[:2], rel[0], rel[1], rel[2]
-        band[:, :n_agents], band[:, end] = a_band, np.inf
+        band[:, :n_agents], band[:, end] = a_band, np.inf  # the (A,) rows broadcast over the n rows
         g_v = np.empty((2, n, n_cols))
         g = g_v[0]
         g_v[1, :, :n_agents], g_v[1, :, end] = a_vlon, 0.0
         hlen = np.zeros((n, n_cols))
         hlen[:, :n_agents] = a_hlen
         clear = np.zeros((n, n_cols), dtype=bool)
-        clear[:, :n_agents] = bypass_clear
+        clear[:, :n_agents] = np.abs(a_lat - targets[:, None]) >= a_band  # the target clears the band
         ehl_a = np.full((n, n_cols), ego_half_length)
         inf_a = np.full((n, n_cols), np.inf)
         not_lead, mask = np.zeros((2, n, n_cols), dtype=bool)
@@ -436,10 +426,7 @@ def _step_kernel(
         _maximum(dl, neg_rate, out=dl)
         _minimum(dl, rate_dt, out=dl)
         _add(sl_k, ds_dl, sl_next)
-    s_hist[:] = sl[:, 0]
-    l_hist[:] = sl[:, 1]
-    s[:], l[:] = s_l[steps]
-    v[:] = v_now
+    return sl[:, 0], sl[:, 1]
 
 
 def _can_lead(a_s, a_vlon, ego_s, dt, steps):
@@ -480,7 +467,6 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
     - a row with no lead keeps gap = inf, so q = s_star / gap is 0 whatever
       v_lead the new column 0 gives, and its bypass stays False.
     """
-    n = len(path_of_row)
     steps = cfg.horizon_steps
     dt = cfg.dt
 
@@ -507,57 +493,14 @@ def _rollout_rows(ego: EgoState, paths, path_of_row, targets, v0, p: IdmParams, 
         lead = _can_lead(ag[0], ag[2], ego_proj[0], dt, steps)
         if np.count_nonzero(lead) < n_agents:
             ag, half_length, half_width = ag[:, :, lead], half_length[lead], half_width[lead]
-            n_agents = ag.shape[2]
-    a_s, a_lat, a_vlon = ag[:, path_of_row]  # each (n, A)
-    if n_agents:
         band = np.maximum(CORRIDOR_HALF_WIDTH, half_width + ego.half_width + CORRIDOR_MARGIN)
-        a_band = band[None].repeat(n, axis=0)  # contiguous (n, A): cheaper per step than a broadcast view
-        a_hlen = half_length[None].repeat(n, axis=0)
     else:
-        a_band = a_hlen = np.zeros((n, 0))
-
-    creep_v0 = np.minimum(v0, CREEP_SPEED)
-    path_len = np.array([p.length for p in paths])[path_of_row]
-    terminus = np.array([p.ends_at_terminus for p in paths], dtype=bool)[path_of_row]
-
-    s, l = ego_proj[:2, path_of_row]
-    v = np.full(n, ego.speed)
-
-    s_hist = np.empty((steps + 1, n))
-    l_hist = np.empty((steps + 1, n))
-
-    bypass_clear = np.abs(a_lat - targets[:, None]) >= a_band
-    # The shared IDM parameters go in as (n,) columns: on arrays this small a
-    # Python-scalar operand costs more per ufunc call than a column, and a
-    # scalar exponent of 2 or 0.5 rounds differently from a column of them.
-    T_h, s0, a_max, brake_scale, delta = np.array(
-        [[p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]]
-    ).repeat(n, axis=1)
-    _step_kernel(
-        s_hist,
-        l_hist,
-        s,
-        l,
-        v,
-        targets,
-        v0,
-        T_h,
-        s0,
-        a_max,
-        brake_scale,
-        delta,
-        creep_v0,
-        a_s,
-        a_lat,
-        a_vlon,
-        a_band,
-        a_hlen,
-        bypass_clear,
-        path_len,
-        terminus,
-        float(ego.half_length),
-        dt,
-        steps,
+        band = half_length = np.zeros(0)
+    path_len = np.array([path.length for path in paths])[path_of_row]
+    terminus = np.array([path.ends_at_terminus for path in paths], dtype=bool)[path_of_row]
+    s_hist, l_hist = _step_kernel(
+        ego_proj[:2, path_of_row], ego.speed, targets, v0, p, ag[:, path_of_row], band, half_length,
+        path_len, terminus, float(ego.half_length), dt, steps,
     )
 
     s_track = np.ascontiguousarray(s_hist.T)

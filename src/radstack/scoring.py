@@ -139,31 +139,16 @@ def forecast_agents(agents, horizon_steps: int, dt: float) -> WorldForecast:
     return WorldForecast(agents, horizon_steps, dt)
 
 
-def detect_relaxation(
-    history,
-    agents,
-    path: ProposalPath,
-    dt: float = 0.1,
-    ego: EgoState | None = None,
-) -> RelaxationState:
+def detect_relaxation(stopped_ticks: int, agents, path: ProposalPath, dt: float, ego: EgoState) -> RelaxationState:
     """Relaxation triggers when the ego has idled behind a static blocker.
 
-    history: recent ego states (oldest first, current last), spaced dt apart.
-    Active iff speed stayed < 0.5 m/s for at least T_BLOCK seconds and a
-    stopped agent occupies the route corridor within D_BLOCK ahead. The
-    blocker is searched for only after T_BLOCK stopped; before that
-    blocker_distance is None.
+    stopped_ticks: the number of consecutive ticks, dt apart and up to the
+    current one, with speed below STOPPED_SPEED. Active iff that run lasts at
+    least T_BLOCK seconds and a stopped agent occupies the route corridor
+    within D_BLOCK ahead of ego. The blocker is searched for only after
+    T_BLOCK stopped; before that blocker_distance is None.
     """
-    if not history:
-        return RelaxationState()
-    ego = ego or history[-1]
-    run = 0
-    for state in reversed(history):
-        if state.speed < STOPPED_SPEED:
-            run += 1
-        else:
-            break
-    stopped_duration = run * dt
+    stopped_duration = stopped_ticks * dt
     if stopped_duration < T_BLOCK:
         return RelaxationState(stopped_duration=stopped_duration)
     blocker_distance = _blocker_distance(ego, agents, path)
@@ -619,9 +604,8 @@ def score_proposals(proposals: ProposalSet, ctx: ScoreContext) -> Scores:
     feasible = (cols * ras_eff) > 0
     feasible_gain = float(gains[feasible].max()) if feasible.any() else 0.0
     max_gain = float(np.maximum(gains, 0.0).max()) if n else 0.0
-    stall = gains < ctx.min_progress
-    exempt = feasible_gain < ctx.min_progress
-    mps = np.where(stall & ~exempt, 0.0, 1.0)
+    # No row stalls when no feasible row makes the minimum progress.
+    mps = np.ones(n) if feasible_gain < ctx.min_progress else np.where(gains < ctx.min_progress, 0.0, 1.0)
 
     c_ttcs = _batch_ttc(xy, cs, speeds, f, ctx.ego_dims, TTC_WINDOW)
     c_cfs = _batch_comfort(speeds, heads, proposals.dt)

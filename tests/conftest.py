@@ -189,41 +189,30 @@ def reference_project_points(ps, pts):
 
 
 def reference_step_kernel(
-    s_hist,
-    l_hist,
-    s,
-    l,
-    v,
-    targets,
-    v0,
-    T_h,
-    s0,
-    a_max,
-    brake_scale,
-    delta,
-    creep_v0,
-    a_s,
-    a_lat,
-    a_vlon,
-    a_band,
-    a_hlen,
-    bypass_clear,
-    path_len,
-    terminus,
-    ego_half_length,
-    dt,
-    steps,
+    start, speed, targets, v0, p, a_rows, a_band, a_hlen, path_len, terminus, ego_half_length, dt, steps
 ):
     """The allocating numpy form of the rollout kernel: the tests' bitwise
     reference for proposals._step_kernel, which computes the same arithmetic
-    in the same order into preallocated buffers.
+    in the same order into preallocated buffers. Takes its arguments and
+    returns its (S+1, n) arclength and lateral histories as it does.
 
     Per step and row: pick the nearest agent ahead whose lateral band covers
     the current blend position (the first such agent on equal gaps); follow it
     with IDM, or creep past it when the proposal's target offset clears the
-    band; brake for the path terminus. s, l and v are advanced in place.
+    band; brake for the path terminus.
     """
+    a_s, a_lat, a_vlon = a_rows
+    s, l = start.copy()
     n = len(s)
+    v = np.full(n, speed)
+    T_h, s0, a_max, brake_scale, delta = np.repeat(
+        [[p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]], n, axis=1
+    )
+    creep_v0 = np.minimum(v0, CREEP_SPEED)
+    bypass_clear = np.abs(a_lat - targets[:, None]) >= a_band
+    s_hist = np.empty((steps + 1, n))
+    l_hist = np.empty((steps + 1, n))
+    s_hist[0], l_hist[0] = s, l
     rows = np.arange(n)
     has_agents = a_s.shape[1] > 0
     any_terminus = bool(terminus.any())
@@ -258,7 +247,7 @@ def reference_step_kernel(
             # The go-around gap floor shrinks as the blend gains lateral
             # clearance, so the rollout can spiral out of a tight pocket;
             # the scorer's collision check remains the safety authority.
-            overlap = 1.0 - dl_a[rows, j] / a_band[rows, j]
+            overlap = 1.0 - dl_a[rows, j] / a_band[j]
             creep_gap = np.maximum(gap - CREEP_MIN_GAP * overlap + s0, 0.05)
             q_creep = s_star / creep_gap
             a_creep = a_max * (1.0 - (v / creep_v0) ** delta - q_creep * q_creep)
@@ -271,6 +260,7 @@ def reference_step_kernel(
         l += np.minimum(np.maximum(targets - l, -rate), rate)
         s_hist[k + 1] = s
         l_hist[k + 1] = l
+    return s_hist, l_hist
 
 
 def reference_points_in_polygons(pts, polygons):
@@ -318,26 +308,13 @@ def reference_rollout_rows(ego, paths, path_of_row, targets, v0, p, agents, cfg)
             _, path_head = path.segments.pose_at(s_a)
             ag[:, j] = s_a, lat_a, speed * np.cos(heading - path_head)
 
-    a_s, a_lat, a_vlon = ag[:, path_of_row]
     if n_agents:
         band = np.maximum(CORRIDOR_HALF_WIDTH, half_width + ego.half_width + CORRIDOR_MARGIN)
-        a_band = np.tile(band, (n, 1))
-        a_hlen = np.tile(half_length, (n, 1))
     else:
-        a_band = a_hlen = np.zeros((n, 0))
-    s = s_ego_p[path_of_row].copy()
-    l = l_ego_p[path_of_row].copy()
-    v = np.full(n, ego.speed)
-    s_hist = np.empty((steps + 1, n))
-    l_hist = np.empty((steps + 1, n))
-    T_h, s0, a_max, brake_scale, delta = np.repeat(
-        [[p.T_h], [p.s0], [p.a_max], [2.0 * math.sqrt(p.a_max * p.b_comf)], [p.delta]], n, axis=1
-    )
-    _step_kernel(
-        s_hist, l_hist, s, l, v, targets, v0, T_h, s0, a_max, brake_scale, delta,
-        np.minimum(v0, CREEP_SPEED), a_s, a_lat, a_vlon, a_band, a_hlen,
-        np.abs(a_lat - targets[:, None]) >= a_band,
-        np.array([path.length for path in paths])[path_of_row],
+        band = half_length = np.zeros(0)
+    s_hist, l_hist = _step_kernel(
+        np.stack([s_ego_p, l_ego_p])[:, path_of_row], ego.speed, targets, v0, p, ag[:, path_of_row],
+        band, half_length, np.array([path.length for path in paths])[path_of_row],
         np.array([path.ends_at_terminus for path in paths], dtype=bool)[path_of_row],
         float(ego.half_length), cfg.dt, steps,
     )

@@ -257,30 +257,7 @@ def test_config_rejects_an_offset_past_max_offset():
 
 
 def _reference_step_kernel(
-    s_hist,
-    l_hist,
-    s,
-    l,
-    v,
-    targets,
-    v0,
-    T_h,
-    s0,
-    a_max,
-    brake_scale,
-    delta,
-    creep_v0,
-    a_s,
-    a_lat,
-    a_vlon,
-    a_band,
-    a_hlen,
-    bypass_clear,
-    path_len,
-    terminus,
-    ego_half_length,
-    dt,
-    steps,
+    start, speed, targets, v0, p, a_rows, a_band, a_hlen, path_len, terminus, ego_half_length, dt, steps
 ):
     """The scalar steps x rows x agents loop that `_step_kernel` vectorizes.
 
@@ -288,8 +265,13 @@ def _reference_step_kernel(
     current blend position; follow it with IDM, or creep past it when the
     proposal's target offset clears the band; brake for the path terminus.
     """
-    n = len(s)
-    n_agents = a_s.shape[1]
+    a_s, a_lat, a_vlon = a_rows
+    n, n_agents = a_s.shape
+    s, l = start.tolist()
+    v = [speed] * n
+    s_hist, l_hist = np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    s_hist[0], l_hist[0] = s, l
+    brake_scale = 2.0 * math.sqrt(p.a_max * p.b_comf)
     for k in range(steps):
         t_now = k * dt
         for i in range(n):
@@ -302,14 +284,14 @@ def _reference_step_kernel(
                 if s_ak <= s[i] + 1e-9:
                     continue
                 dl_j = abs(a_lat[i, j] - l[i])
-                if dl_j >= a_band[i, j]:
+                if dl_j >= a_band[j]:
                     continue
-                g = s_ak - s[i] - a_hlen[i, j] - ego_half_length
+                g = s_ak - s[i] - a_hlen[j] - ego_half_length
                 if g < gap:
                     gap = g
                     v_lead = a_vlon[i, j]
-                    bypass = bypass_clear[i, j]
-                    overlap = 1.0 - dl_j / a_band[i, j]
+                    bypass = abs(a_lat[i, j] - targets[i]) >= a_band[j]
+                    overlap = 1.0 - dl_j / a_band[j]
             if terminus[i]:
                 term_gap = path_len[i] - s[i] - ego_half_length
                 if term_gap < gap:
@@ -319,25 +301,25 @@ def _reference_step_kernel(
             if gap < 0.05:
                 gap = 0.05
 
-            s_star = s0[i] + max(0.0, v[i] * T_h[i] + v[i] * (v[i] - v_lead) / brake_scale[i])
+            s_star = p.s0 + max(0.0, v[i] * p.T_h + v[i] * (v[i] - v_lead) / brake_scale)
             if math.isinf(gap):
                 interaction = 0.0
             else:
                 interaction = (s_star / gap) ** 2
-            a = a_max[i] * (1.0 - (v[i] / v0[i]) ** delta[i] - interaction)
+            a = p.a_max * (1.0 - (v[i] / v0[i]) ** p.delta - interaction)
             if bypass and not math.isinf(gap):
                 # The go-around gap floor shrinks as the blend gains lateral
                 # clearance, so the rollout can spiral out of a tight pocket;
                 # the scorer's collision check remains the safety authority.
                 floor = CREEP_MIN_GAP * overlap
-                creep_gap = max(gap - floor + s0[i], 0.05)
-                a_creep = a_max[i] * (
-                    1.0 - (v[i] / creep_v0[i]) ** delta[i] - (s_star / creep_gap) ** 2
+                creep_gap = max(gap - floor + p.s0, 0.05)
+                a_creep = p.a_max * (
+                    1.0 - (v[i] / min(v0[i], CREEP_SPEED)) ** p.delta - (s_star / creep_gap) ** 2
                 )
                 if a_creep > a:
                     a = a_creep
-            if a > a_max[i]:
-                a = a_max[i]
+            if a > p.a_max:
+                a = p.a_max
             elif a < -B_HARD:
                 a = -B_HARD
 
@@ -352,23 +334,27 @@ def _reference_step_kernel(
             l[i] = l[i] + dl
             s_hist[k + 1, i] = s[i]
             l_hist[k + 1, i] = l[i]
+    return s_hist, l_hist
 
 
 @st.composite
 def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False, standstill=False):
-    """Random kernel inputs: rows 1-40, agents 0-9, steps 1-40.
+    """Random kernel inputs, every array read-only: rows 1-40, agents 0-9,
+    steps 1-40, and one IdmParams.
 
     Agents are moving or static; some rows end at a path terminus, some of
     them starting within 1e-9 m of the path end or past it; targets clear
-    some agents' bands (bypass_clear), or none do; tie rows give agents 0 and
-    1 the same gap but different lateral positions; end-tie rows put agent 0
-    at the path end with half length 0, so its gap equals the terminus gap to
-    the bit. bypass_heavy puts every agent 2-15 m ahead inside the row's band
-    with a target that clears it, so most rows creep; all_terminus ends every
-    row at a path terminus; no_agents has no agents and some terminus rows.
-    standstill starts most rows at exactly +0.0 or -0.0 m/s and puts half
-    of the rows in free flow (no terminus, every agent static behind them),
-    where q = 0 and r = 0, so their first step accelerates at a_max exactly.
+    some agents' bands, or (no_clear) every agent lies within 1.9 m of its
+    row's target, inside every band (>= 2 m), so no target clears one. Tie
+    rows give agents 0 and 1 the same gap but different lateral positions;
+    end-tie rows put agent 0 at the path end with half length 0, so its gap
+    equals the terminus gap to the bit. bypass_heavy puts every agent 2-15 m
+    ahead inside the row's band with a target that clears it, so most rows
+    creep; all_terminus ends every row at a path terminus; no_agents has no
+    agents and some terminus rows. standstill starts the rows at exactly
+    +0.0 or -0.0 m/s most of the time and puts half of the rows in free flow
+    (no terminus, every agent static behind them), where q = 0 and r = 0, so
+    their first step accelerates at a_max exactly.
     """
     n = draw(st.integers(1, 40))
     n_agents = 0 if no_agents else draw(st.integers(1 if bypass_heavy else 0, 9))
@@ -382,17 +368,25 @@ def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False, 
 
     s = rng.uniform(0.0, 5.0, n)
     l = rng.uniform(-1.5, 1.5, n)
-    v = rng.uniform(0.0, 12.0, n)
+    speed = rng.uniform(0.0, 12.0)
     targets = rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], n)
     v0 = rng.uniform(0.5, 15.0, n)
-    a_max = rng.uniform(0.8, 2.5, n)
+    p = IdmParams(
+        T_h=rng.uniform(1.0, 2.5),
+        s0=rng.uniform(1.0, 4.0),
+        a_max=rng.uniform(0.8, 2.5),
+        b_comf=rng.uniform(1.0, 3.0),
+        delta=float(rng.choice([2.0, 4.0, 4.5])),
+    )
     a_s = s[:, None] + rng.uniform(-10.0, 60.0, (n, n_agents))
     a_lat = rng.uniform(-4.0, 4.0, (n, n_agents))
     a_vlon = np.where(rng.random((n, n_agents)) < static_share, 0.0, rng.uniform(-3.0, 10.0, (n, n_agents)))
-    a_band = rng.uniform(2.0, 3.0, (n, n_agents))
-    a_hlen = rng.uniform(0.3, 2.5, (n, n_agents))
-    if standstill:
-        v = np.where(rng.random(n) < 0.8, rng.choice([0.0, -0.0], n), v)
+    a_band = rng.uniform(2.0, 3.0, n_agents)
+    a_hlen = rng.uniform(0.3, 2.5, n_agents)
+    if no_clear:
+        a_lat = targets[:, None] + rng.uniform(-0.9, 0.9, (n, n_agents))
+    if standstill and rng.random() < 0.8:
+        speed = float(rng.choice([0.0, -0.0]))
     if bypass_heavy:
         a_s = s[:, None] + rng.uniform(2.0, 15.0, (n, n_agents))
         a_lat = l[:, None] + rng.uniform(-0.5, 0.5, (n, n_agents))
@@ -410,52 +404,41 @@ def _kernel_case(draw, bypass_heavy=False, all_terminus=False, no_agents=False, 
     if n_agents:
         end_tie = rng.random(n) < end_tie_share
         a_s[end_tie, 0] = path_len[end_tie]
-        a_hlen[end_tie, 0] = 0.0
-        a_lat[end_tie, 0] = l[end_tie]
+        if end_tie.any():
+            a_hlen[0] = 0.0
+        if no_clear:
+            l[end_tie] = a_lat[end_tie, 0]
+        else:
+            a_lat[end_tie, 0] = l[end_tie]
         terminus |= end_tie
     if n_agents >= 2:
         tie = rng.random(n) < tie_share
-        for col in (a_s, a_vlon, a_hlen):
+        for col in (a_s, a_vlon):
             col[tie, 1] = col[tie, 0]
+        if tie.any():
+            a_hlen[1] = a_hlen[0]
         a_lat[tie, 1] = a_lat[tie, 0] + rng.choice([-1.0, 1.0], int(tie.sum()))
-    bypass_clear = np.abs(a_lat - targets[:, None]) >= a_band
     if no_clear:
-        bypass_clear[:] = False
-    return dict(
-        s=s,
-        l=l,
-        v=v,
+        assert not (np.abs(a_lat - targets[:, None]) >= a_band).any()
+    case = dict(
+        start=np.array([s, l]),
+        speed=speed,
         targets=targets,
         v0=v0,
-        T_h=rng.uniform(1.0, 2.5, n),
-        s0=rng.uniform(1.0, 4.0, n),
-        a_max=a_max,
-        brake_scale=2.0 * np.sqrt(a_max * rng.uniform(1.0, 3.0, n)),
-        delta=rng.choice([2.0, 4.0, 4.5], n),
-        creep_v0=np.minimum(v0, CREEP_SPEED),
-        a_s=a_s,
-        a_lat=a_lat,
-        a_vlon=a_vlon,
+        p=p,
+        a_rows=np.array([a_s, a_lat, a_vlon]),
         a_band=a_band,
         a_hlen=a_hlen,
-        bypass_clear=bypass_clear,
         path_len=path_len,
         terminus=terminus,
         ego_half_length=2.3,
         dt=0.1,
         steps=steps,
     )
-
-
-def _run_kernel(kernel, case):
-    args = dict(case)
-    n, steps = len(case["s"]), case["steps"]
-    s_hist, l_hist = np.empty((steps + 1, n)), np.empty((steps + 1, n))
-    s_hist[0], l_hist[0] = case["s"], case["l"]
-    for name in ("s", "l", "v"):
-        args[name] = case[name].copy()
-    kernel(s_hist, l_hist, **args)
-    return s_hist, l_hist
+    for value in case.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return case
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -463,8 +446,8 @@ def _run_kernel(kernel, case):
 def test_step_kernel_matches_scalar_reference(case):
     # Not bit-identical: numpy's array power may round x ** delta 1 ulp away
     # from the libm pow the scalar loop calls.
-    s_ref, l_ref = _run_kernel(_reference_step_kernel, case)
-    s_vec, l_vec = _run_kernel(_step_kernel, case)
+    s_ref, l_ref = _reference_step_kernel(**case)
+    s_vec, l_vec = _step_kernel(**case)
     np.testing.assert_allclose(s_vec, s_ref, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(l_vec, l_ref, rtol=0.0, atol=1e-12)
 
@@ -478,20 +461,17 @@ def test_step_kernel_matches_scalar_reference(case):
 )
 def test_step_kernel_matches_numpy_reference_bitwise(case):
     # The buffered kernel must compute the reference's arithmetic in the same
-    # order: every history sample and the final s, l and v agree in all 64 bits.
-    # The reference keeps every clamp and v - v_lead, so each call the kernel
-    # leaves out is checked, at its boundaries too on the standstill cases:
-    # speeds of +0.0 and -0.0, and free-flow rows at a = a_max exactly.
-    n, steps = len(case["s"]), case["steps"]
-    results = []
-    for kernel in (reference_step_kernel, _step_kernel):
-        args = dict(case, s=case["s"].copy(), l=case["l"].copy(), v=case["v"].copy())
-        s_hist, l_hist = np.full((steps + 1, n), np.nan), np.full((steps + 1, n), np.nan)
-        s_hist[0], l_hist[0] = case["s"], case["l"]
-        kernel(s_hist, l_hist, **args)
-        results.append((s_hist, l_hist, args["s"], args["l"], args["v"]))
-    for ref, new in zip(*results):
-        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+    # order: every history sample agrees in all 64 bits. The reference keeps
+    # every clamp and v - v_lead, so each call the kernel leaves out is
+    # checked, at its boundaries too on the standstill cases: speeds of +0.0
+    # and -0.0, and free-flow rows at a = a_max exactly. Every input array is
+    # read-only, so a kernel that writes into one raises.
+    with pytest.raises(ValueError, match="read-only"):
+        case["start"][0] = case["start"][0]
+    n, steps = case["targets"].shape[0], case["steps"]
+    for ref, new in zip(reference_step_kernel(**case), _step_kernel(**case)):
+        assert new.shape == (steps + 1, n)
+        assert np.array_equal(_bits(new), _bits(ref))
 
 
 def test_rollout_stops_before_path_terminus():
@@ -706,7 +686,7 @@ def _kernel_columns(monkeypatch):
     seen = []
 
     def spy(*args):
-        seen.append(args[13].shape[1])  # a_s, (n, A)
+        seen.append(args[5].shape[2])  # a_rows, (3, n, A)
         return _step_kernel(*args)
 
     monkeypatch.setattr(proposals, "_step_kernel", spy)

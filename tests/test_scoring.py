@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from radstack import scoring
 from radstack.geometry import CONTACT_TOL, SegmentTable, boxes_overlap, rect_corners_batch
 from radstack.planhead import init_model
-from radstack.planner import RELAX_HOLD_TIMEOUT, Planner
+from radstack.planner import RELAX_HOLD_TIMEOUT, STOPPED_TICKS_MAX, Planner
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
 from radstack.scene import (
     SCENARIO_KINDS,
@@ -27,6 +27,7 @@ from radstack.simulator import run_episode
 from radstack.scoring import (
     RELAX_FLOOR,
     SPEED_TOL,
+    STOPPED_SPEED,
     T_BLOCK,
     TTC_WINDOW,
     RelaxationState,
@@ -570,47 +571,50 @@ def test_collision_and_ttc_with_the_agent_cull_match_the_full_grid_bitwise(case)
 # -- relaxation ----------------------------------------------------------------
 
 
-def _history(speeds):
-    return [EgoState(pose=Pose2(50.0, 0.0, 0.0), speed=v) for v in speeds]
+_STOPPED_EGO = EgoState(pose=Pose2(50.0, 0.0, 0.0), speed=0.0)
+
+
+def _stopped_ticks(speeds):
+    """The stopped count a Planner holds after plan calls at these speeds, oldest first."""
+    run = 0
+    for v in speeds:
+        run = min(run + 1, STOPPED_TICKS_MAX) if v < STOPPED_SPEED else 0
+    return run
 
 
 def test_relaxation_inactive_in_free_flow(plain_path):
-    hist = _history([8.0] * 60)
-    r = detect_relaxation(hist, [], plain_path, dt=0.1)
+    r = detect_relaxation(_stopped_ticks([8.0] * 60), [], plain_path, 0.1, _STOPPED_EGO)
     assert not r.active
 
 
 def test_relaxation_active_behind_static_blocker(plain_path):
-    hist = _history([0.0] * 50)
     blocker = static_car("b", 58.0, 0.0)
-    r = detect_relaxation(hist, [blocker], plain_path, dt=0.1)
+    r = detect_relaxation(_stopped_ticks([0.0] * 50), [blocker], plain_path, 0.1, _STOPPED_EGO)
     assert r.active
     assert r.stopped_duration >= 3.0
     assert r.blocker_distance == pytest.approx(58.0 - 50.0 - 2.3 - 2.3, abs=0.3)
 
 
 def test_relaxation_requires_blocker(plain_path):
-    hist = _history([0.0] * 50)
-    r = detect_relaxation(hist, [], plain_path, dt=0.1)
+    r = detect_relaxation(_stopped_ticks([0.0] * 50), [], plain_path, 0.1, _STOPPED_EGO)
     assert not r.active
     assert r.stopped_duration >= 3.0
 
 
 def test_relaxation_requires_stop_duration(plain_path):
-    hist = _history([8.0] * 40 + [0.0] * 10)  # only 1 s stopped
     blocker = static_car("b", 58.0, 0.0)
-    r = detect_relaxation(hist, [blocker], plain_path, dt=0.1)
-    assert not r.active
+    r = detect_relaxation(_stopped_ticks([8.0] * 40 + [0.0] * 10), [blocker], plain_path, 0.1, _STOPPED_EGO)
+    assert not r.active  # only 1 s stopped
 
 
 def test_relaxation_skips_blocker_search_below_t_block(plain_path):
     # Stopped just under T_BLOCK behind a blocker the search would find.
     blocker = static_car("b", 58.0, 0.0)
-    r = detect_relaxation(_history([8.0] * 40 + [0.0] * 29), [blocker], plain_path, dt=0.1)
+    r = detect_relaxation(_stopped_ticks([8.0] * 40 + [0.0] * 29), [blocker], plain_path, 0.1, _STOPPED_EGO)
     assert not r.active
     assert r.blocker_distance is None
     assert r.stopped_duration == pytest.approx(2.9)
-    r = detect_relaxation(_history([8.0] * 40 + [0.0] * 30), [blocker], plain_path, dt=0.1)
+    r = detect_relaxation(_stopped_ticks([8.0] * 40 + [0.0] * 30), [blocker], plain_path, 0.1, _STOPPED_EGO)
     assert r.active and r.blocker_distance is not None
 
 
@@ -641,6 +645,18 @@ def test_relaxation_triggers_on_the_thirtieth_stopped_plan_call():
     assert [r.blocker_distance for r in states[:29]] == [None] * 29
     assert states[-1].stopped_duration >= T_BLOCK
     assert states[-1].blocker_distance == pytest.approx((58.0 - 2.3) - (50.0 + 2.3))
+
+
+def test_relaxation_counts_a_stop_of_700_plan_calls_as_600_and_one_moving_call_resets_it():
+    # A stop of more than STOPPED_TICKS_MAX = 600 plan calls reads as 600 of them: 60 s at dt = 0.1.
+    planner, agents = _blocked_planner()
+    stopped = EgoState(pose=Pose2(50.0, 0.0, 0.0), speed=0.0)
+    for k in range(700):
+        relax = planner.plan(stopped, agents, t=0.1 * k).relax
+    assert relax.active and relax.stopped_duration == 60.0
+    moving = planner.plan(_moving(50.0, 0.0), agents, t=70.0).relax
+    assert moving.stopped_duration == 0.0
+    assert planner.plan(stopped, agents, t=70.1).relax.stopped_duration == 0.1
 
 
 def test_relaxation_hold_stays_while_blocked_or_off_road_and_releases_when_both_clear():
@@ -952,7 +968,7 @@ def test_scores_of_a_mixed_set_match_the_references_bitwise():
     gains = s_end - s_start
     feasible = c_col * c_ra > 0
     exempt = (gains[feasible].max() if feasible.any() else 0.0) < ctx.min_progress
-    c_mp = np.where((gains < ctx.min_progress) & ~exempt, 0.0, 1.0)
+    c_mp = np.ones(n) if exempt else np.where(gains < ctx.min_progress, 0.0, 1.0)
     c_ep = np.minimum(1.0, np.maximum(gains, 0.0) / np.maximum(gains, 0.0).max())
     limits = np.array([p.speed_limit for p in paths])[ps.path_index]
     c_sp = 1.0 - (speeds > (limits + SPEED_TOL)[:, None]).mean(axis=1)
