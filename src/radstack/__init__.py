@@ -50,8 +50,6 @@ from .planhead import (
     extract_features,
     init_model,
     plan_anytime,
-    plan_loss,
-    refine_loss,
     soft_targets,
     train,
 )

@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 from .bench import REPORT_FORMATS, TOGGLE_PRESETS, emit_report, run_suite
-from .config import build_planner_config, build_sim_config, load_config, resolve_seed
+from .config import build_configs, load_config, resolve_seed
 from .errors import IoError, RadstackError, from_text, integer, number
 from .planhead import harvest_training_samples, init_model, load_model, save_model, train
 from .planner import PLANNER_KINDS, Planner
@@ -30,6 +30,14 @@ from .vocabulary import kmeans_cluster, load_vocabulary, save_vocabulary, slice_
 # argparse types: an integer >= 1, a finite number > 0.
 _count = partial(from_text, read=integer, error=argparse.ArgumentTypeError, at_least=1)
 _positive_float = partial(from_text, read=number, error=argparse.ArgumentTypeError, above=0)
+
+
+def _names(text: str) -> list:
+    """argparse type of a comma-separated list: its non-empty names, at least one."""
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no name in {text!r}; give at least one, comma-separated")
+    return names
 
 
 def _output_dir(path, flag: str) -> Path:
@@ -91,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="batch closed-loop evaluation and report")
     p.add_argument("--scenarios", required=True, help="directory of scenario files")
-    p.add_argument("--planners", required=True, help="comma-separated planner kinds")
-    p.add_argument("--toggles", default="full", help=f"comma-separated presets: {','.join(sorted(TOGGLE_PRESETS))}")
+    p.add_argument("--planners", type=_names, required=True, help="comma-separated planner kinds")
+    p.add_argument("--toggles", type=_names, default="full", help=f"comma-separated presets: {','.join(sorted(TOGGLE_PRESETS))}")
     p.add_argument("--report", required=True)
     p.add_argument("--format", default="structured", choices=REPORT_FORMATS)
     p.add_argument("--config", default=None)
@@ -140,9 +148,7 @@ def _load_run_context(args, kinds):
     """(planner config, sim config, vocabulary, model) of `run` and `bench`
     for planners of the given kinds: the --config file, with --vocab and
     --model taking precedence over its vocab_path and model_path."""
-    doc = load_config(args.config) if args.config else {}
-    planner_cfg = build_planner_config(doc)
-    sim_cfg = build_sim_config(doc)
+    doc, planner_cfg, sim_cfg = load_config(args.config) if args.config else build_configs({})
     if getattr(args, "breakdowns", False):
         sim_cfg = replace(sim_cfg, record_breakdowns=True)
     vocab = None
@@ -225,15 +231,14 @@ def _cmd_bench(args) -> int:
     if not scenario_paths:
         raise RadstackError(f"no scenario files (*.json) found in {args.scenarios}")
     items = [(p.stem, load_scenario(p)) for p in scenario_paths]
-    planners = [k.strip().replace("-", "_") for k in args.planners.split(",") if k.strip()]
-    toggles = [t.strip() for t in args.toggles.split(",") if t.strip()]
+    planners = [k.replace("-", "_") for k in args.planners]
     planner_cfg, sim_cfg, vocab, model = _load_run_context(args, planners)
 
     report_path = _output_file(args.report, "--report")
     logs_dir = _output_dir(args.logs_dir, "--logs-dir") if args.logs_dir else None
 
     report = run_suite(
-        items, planners, toggles, sim_cfg, planner_cfg,
+        items, planners, args.toggles, sim_cfg, planner_cfg,
         vocabulary=vocab, model=model, keep_logs=logs_dir is not None,
     )
     for (name, kind, toggle), log in report.logs.items():

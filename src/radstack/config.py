@@ -13,7 +13,8 @@ plus model_path and vocab_path, the plan-head and vocabulary files.
 Sampling: proposal.horizon and proposal.dt set the plan that every planner
 samples (the horizon a whole multiple of dt); sim.dt is the simulation step.
 
-Unknown keys and bad values are ConfigErrors naming the field.
+Unknown keys and bad values are ConfigErrors naming the field, and the file
+when read by load_config.
 RADSTACK_SEED overrides seed flags for CI runs.
 """
 
@@ -23,7 +24,7 @@ import os
 from dataclasses import MISSING, fields, replace
 from functools import partial
 
-from .errors import ConfigError, array, expected, from_text, integer, number, obj, read_json, string
+from .errors import ConfigError, array, expected, from_text, integer, load_json, number, obj, string
 from .planner import PlannerConfig
 from .simulator import SimConfig
 
@@ -74,9 +75,17 @@ _SECTIONS = {
 _ASSET_KEYS = ("model_path", "vocab_path")
 
 
-def load_config(path) -> dict:
-    """Parse and read a config document; unknown keys and bad values raise ConfigError."""
-    return validate_config(read_json(path, "config file"))
+def load_config(path) -> tuple:
+    """build_configs of a config file. Unknown keys and bad values, those the
+    config dataclasses' own checks reject included, raise ConfigError naming
+    the file and the field."""
+    return load_json(path, "config file", build_configs, ConfigError)
+
+
+def build_configs(doc: dict) -> tuple:
+    """(doc as validate_config reads it, its PlannerConfig, its SimConfig)."""
+    doc = validate_config(doc)
+    return doc, build_planner_config(doc), build_sim_config(doc)
 
 
 def validate_config(doc: dict) -> dict:

@@ -75,6 +75,15 @@ def read_json(path, what: str):
         raise ParseError(f"malformed {what} {path}: {e}") from e
 
 
+def load_json(path, what: str, parse, error):
+    """parse(document) of a JSON file; its `error` names the file."""
+    doc = read_json(path, what)
+    try:
+        return parse(doc)
+    except error as e:
+        raise error(f"malformed {what} {path}: {e}") from e
+
+
 def write_text(path, text: str, what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as f:

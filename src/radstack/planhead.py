@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ParseError, array, integer, number, obj, read_json, write_text
+from .errors import DivergenceError, ParseError, array, integer, load_json, number, obj, write_text
 from .geometry import to_local_frame
 from .scene import EgoState, Pose2, Trajectory
 from .topology import ProposalPath, project_onto_path
@@ -232,20 +232,6 @@ def soft_targets(v_star: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     return e / e.sum()
 
 
-def plan_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """log-sum-exp(s) - y . s, evaluated with max-subtraction."""
-    s = np.asarray(logits, dtype=float)
-    m = s.max()
-    lse = m + math.log(np.exp(s - m).sum())
-    return float(lse - (y * s).sum())
-
-
-def refine_loss(refined: np.ndarray, v_star: np.ndarray) -> float:
-    """Mean over waypoints of the per-waypoint Euclidean error (not squared)."""
-    diff = np.asarray(refined, dtype=float) - np.asarray(v_star, dtype=float)
-    return float(np.linalg.norm(diff, axis=-1).mean())
-
-
 # --------------------------------------------------------------------------
 # Training
 
@@ -394,21 +380,21 @@ def save_model(model: PlanHeadModel, path) -> None:
 def load_model(path) -> PlanHeadModel:
     """Read a model file. A missing field, or a size, vocab, dt or parameter
     of the wrong type or shape or with a non-finite value, raises ParseError
-    naming the field."""
-    doc = read_json(path, "model file")
-    try:
-        obj(doc, "", ParseError, ("d", "h", "k", "t", "dt", "vocab", "params"), optional=None)
-        d, h, k, t = (integer(doc[name], name, ParseError, at_least=1) for name in "dhkt")
-        dt = number(doc["dt"], "dt", ParseError, above=0)
-        protos = array(doc["vocab"], "vocab", ParseError, (k, 2 * t), f"{k * 2 * t} numbers in {k} rows")
-        shapes = _param_shapes(d, h, k, t)
-        doc_params = obj(doc["params"], "params", ParseError, tuple(shapes), optional=None)
-        params = {}
-        for name, shape in shapes.items():
-            size = math.prod(shape)
-            values = array(doc_params[name], f"params.{name}", ParseError, (size,), f"{size} numbers")
-            params[name] = values.reshape(shape)
-    except ParseError as e:
-        raise ParseError(f"malformed model file {path}: {e}") from e
+    naming the file and the field."""
+    return load_json(path, "model file", _model_from_dict, ParseError)
+
+
+def _model_from_dict(doc) -> PlanHeadModel:
+    obj(doc, "", ParseError, ("d", "h", "k", "t", "dt", "vocab", "params"), optional=None)
+    d, h, k, t = (integer(doc[name], name, ParseError, at_least=1) for name in "dhkt")
+    dt = number(doc["dt"], "dt", ParseError, above=0)
+    protos = array(doc["vocab"], "vocab", ParseError, (k, 2 * t), f"{k * 2 * t} numbers in {k} rows")
+    shapes = _param_shapes(d, h, k, t)
+    doc_params = obj(doc["params"], "params", ParseError, tuple(shapes), optional=None)
+    params = {}
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        values = array(doc_params[name], f"params.{name}", ParseError, (size,), f"{size} numbers")
+        params[name] = values.reshape(shape)
     vocab = Vocabulary(prototypes=protos.reshape(k, t, 2), dt=dt)
     return PlanHeadModel(vocab=vocab, d=d, h=h, params=params)

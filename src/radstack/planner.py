@@ -140,7 +140,6 @@ class Planner:
             1e-6, math.hypot(scenario.goal.x - ego0.pose.x, scenario.goal.y - ego0.pose.y)
         )
         self._static_paths = None
-        self._forecast = None
         self._stopped = 0  # consecutive plan calls below STOPPED_SPEED, up to the current one
         self._relax_hold_since: float | None = None  # None while no relaxation is held
 
@@ -211,14 +210,7 @@ class Planner:
         stage_times.append(("topology", time.perf_counter() - t0))
 
         t1 = time.perf_counter()
-        # The forecast is a function of the agents alone, and AgentState is
-        # frozen: while every agent is the same object (step_agents returns
-        # static agents unchanged), the last tick's forecast is this one's.
-        forecast = self._forecast
-        if forecast is None or len(forecast.agents) != len(agents) or any(
-            a is not b for a, b in zip(forecast.agents, agents)
-        ):
-            forecast = self._forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
+        forecast = forecast_agents(agents, cfg.proposal.horizon_steps, cfg.proposal.dt)
         proposals = generate_proposals(ego, paths, agents, cfg.proposal, base_params=cfg.idm)
         if cfg.enable_vocabulary and self.vocabulary is not None:
             vocab = self.vocabulary

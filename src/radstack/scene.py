@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, array, expected, integer, items, number, obj, read_json, string, write_text
+from .errors import ValidationError, array, expected, integer, items, load_json, number, obj, string, write_text
 from .geometry import (
     normalize_angle,
     points_in_polygon,
@@ -522,7 +522,8 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_json(path, "scenario file"))
+    """Read a scenario file; a bad field raises ValidationError naming the file and the field."""
+    return load_json(path, "scenario file", scenario_from_dict, ValidationError)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import json
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from radstack.cli import main
 from radstack.simulator import load_episode_log
@@ -71,3 +74,32 @@ def test_every_output_flag_creates_its_directory(tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"{command}: {flag} {blocker / 'sub'}: cannot create directory"), err
+
+
+def test_bench_rejects_an_empty_planner_or_toggle_list(tmp_path, monkeypatch, capsys):
+    # A list that names nothing is a usage error naming its flag, not a 0-row report.
+    monkeypatch.delenv("RADSTACK_SEED", raising=False)
+    scenarios = tmp_path / "scenarios"
+    assert main(["gen-scenarios", "--kind", "blocked_lane", "--seed", "7", "--out", str(scenarios)]) == 0
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    for flag, other in (("--planners", []), ("--toggles", ["--planners", "rad"])):
+        for empty in ("", " , "):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["bench", "--scenarios", str(scenarios), *other, flag, empty, "--report", str(report)])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: no name in {empty!r}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_bench_names_the_scenario_file_it_cannot_load(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RADSTACK_SEED", raising=False)
+    scenarios = tmp_path / "scenarios"
+    assert main(["gen-scenarios", "--kind", "blocked_lane", "--seed", "7", "--count", "2", "--out", str(scenarios)]) == 0
+    bad = sorted(scenarios.glob("*.json"))[1]
+    doc = json.loads(bad.read_text())
+    doc["ego"]["speed"] = -1.0
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["bench", "--scenarios", str(scenarios), "--planners", "rad", "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"bench: malformed scenario file {bad}: ego.speed: must be >= 0\n"

@@ -103,6 +103,12 @@ def test_asset_path_must_be_a_string(key):
         validate_config({key: 5})
 
 
+def _in_file(message, what, path):
+    """message as the CLI prints it when the loader names the file: `run: malformed {what} {path}: ...`."""
+    command, rest = message.split(": ", 1)
+    return f"{command}: malformed {what} {path}: {rest}"
+
+
 def _scenario_file(tmp_path, **overrides):
     doc = scenario_to_dict(generate_synthetic_scenario("blocked_lane", 7))
     doc.update(overrides)
@@ -120,10 +126,11 @@ def _scenario_file(tmp_path, **overrides):
     ],
 )
 def test_cli_reports_malformed_scenario_seed_in_one_line(tmp_path, capsys, seed, message):
-    assert main(["run", "--scenario", _scenario_file(tmp_path, seed=seed), "--planner", "rad"]) == 1
+    path = _scenario_file(tmp_path, seed=seed)
+    assert main(["run", "--scenario", path, "--planner", "rad"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message
+    assert captured.err == _in_file(message, "scenario file", path)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +153,7 @@ def test_cli_reports_a_mistyped_scenario_field_in_one_line(tmp_path, capsys, edi
     assert main(["run", "--scenario", str(path), "--planner", "rad"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message
+    assert captured.err == _in_file(message, "scenario file", path)
 
 
 @pytest.mark.parametrize(
@@ -167,7 +174,7 @@ def test_cli_reports_malformed_config_value_in_one_line(tmp_path, capsys, config
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message
+    assert captured.err == _in_file(message, "config file", cfg)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +229,7 @@ def test_cli_names_the_config_keys_a_dataclass_check_rejects(tmp_path, capsys, c
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message
+    assert captured.err == _in_file(message, "config file", cfg)
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,11 @@ from radstack.planhead import (
     _batch_forward_backward,
     _classify,
     _encode,
+    _refine,
     extract_features,
     init_model,
     load_model,
     plan_anytime,
-    plan_loss,
-    refine_loss,
     save_model,
     soft_targets,
     train,
@@ -97,6 +96,22 @@ def test_soft_targets_sum_to_one_and_shift_invariant():
 
 
 # -- losses --------------------------------------------------------------------
+# train computes both losses batched in _batch_forward_backward; these are the
+# one-sample definitions it is checked against.
+
+
+def plan_loss(logits: np.ndarray, y: np.ndarray) -> float:
+    """log-sum-exp(s) - y . s, evaluated with max-subtraction."""
+    s = np.asarray(logits, dtype=float)
+    m = s.max()
+    lse = m + math.log(np.exp(s - m).sum())
+    return float(lse - (y * s).sum())
+
+
+def refine_loss(refined: np.ndarray, v_star: np.ndarray) -> float:
+    """Mean over waypoints of the per-waypoint Euclidean error (not squared)."""
+    diff = np.asarray(refined, dtype=float) - np.asarray(v_star, dtype=float)
+    return float(np.linalg.norm(diff, axis=-1).mean())
 
 
 def test_plan_loss_single_class_zero():
@@ -261,6 +276,24 @@ def test_full_parameter_gradient_check():
             fd = (lp - lm) / (2 * eps)
             denom = max(abs(fd), abs(gf[i]), 1e-7)
             assert abs(fd - gf[i]) / denom < 1e-3, f"{name}[{i}]: fd={fd} analytic={gf[i]}"
+
+
+def test_batch_loss_is_the_mean_of_the_one_sample_losses():
+    vocab = _tiny_vocab(k=3, t=4)
+    model = init_model(vocab, d=8, h=6, seed=2)
+    rng = np.random.default_rng(3)
+    model.params["wr2"] = rng.normal(0, 0.05, size=model.params["wr2"].shape)
+    samples = _toy_samples(vocab, n=5, seed=4)
+    x = np.stack([s.features for s in samples])
+    y = np.stack([soft_targets(s.expert, vocab) for s in samples])
+    v_star = np.stack([s.expert for s in samples])
+    loss, _ = _batch_forward_backward(model, x, y, v_star)
+    h, _ = _encode(model, x)
+    logits = _classify(model, h)
+    v_hat = vocab.prototypes[logits.argmax(axis=1)]
+    refined = v_hat + _refine(model, h, v_hat)[0].reshape(v_hat.shape)
+    want = np.mean([plan_loss(logits[i], y[i]) + refine_loss(refined[i], v_star[i]) for i in range(len(samples))])
+    assert loss == pytest.approx(want, rel=1e-12)
 
 
 def test_training_reduces_loss_and_is_deterministic():

@@ -450,7 +450,7 @@ def test_cli_run_reports_malformed_scenario_in_one_line(tmp_path, capsys):
     assert main(["run", "--scenario", str(p), "--planner", "rad"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "run: lanes: expected a list, got 5\n"
+    assert captured.err == f"run: malformed scenario file {p}: lanes: expected a list, got 5\n"
 
 
 @pytest.mark.parametrize("value", [None, True, False, 1.5, math.nan, math.inf, "7", [7]])

@@ -15,6 +15,7 @@ from radstack.planner import RELAX_HOLD_TIMEOUT, STOPPED_TICKS_MAX, Planner
 from radstack.proposals import ProposalConfig, ProposalSet, generate_proposals
 from radstack.scene import (
     SCENARIO_KINDS,
+    TRAJECTORY_TAGS,
     AgentState,
     EgoState,
     Pose2,
@@ -58,6 +59,7 @@ from conftest import (
     static_car,
     straight_path,
     straight_scenario,
+    with_traffic,
 )
 
 
@@ -1084,6 +1086,29 @@ def test_route_arclengths_of_the_shortened_batch_match_the_full_batch_bitwise(ca
     _assert_bitwise(s_end[appended], s_appended[:, -1])
 
 
+@pytest.mark.parametrize("kind", ["rad", "hybrid"])
+def test_every_scored_set_shares_sample_0_across_its_rows(kind, monkeypatch):
+    # _route_arclengths projects one start for a set whose rows all start at
+    # one point. Every set the planner scores is one: the rollout rows (each
+    # lateral offset), the vocabulary rows, the learned row and its offsets
+    # all start at the ego, bit for bit.
+    vocab = four_prototype_vocabulary()
+    model = init_model(vocab, seed=0) if kind == "hybrid" else None
+    sets = []
+    score = scoring.score_proposals
+    monkeypatch.setattr(scoring, "score_proposals", lambda proposals, ctx: sets.append(proposals) or score(proposals, ctx))
+    for scenario in (generate_synthetic_scenario("blocked_lane", 7), with_traffic("intersection_turn")):
+        run_episode(scenario, Planner(scenario, kind, vocabulary=vocab, model=model))
+    assert len(sets) > 100
+    tags = set()
+    for proposals in sets:
+        start = proposals.positions[:, 0]
+        assert (start == start[0]).all()
+        tags.update(TRAJECTORY_TAGS[t] for t in proposals.tags)
+    assert any((proposals.offsets != 0).any() for proposals in sets)
+    assert tags == {"idm", "vocabulary"} | ({"learned", "learned_offset"} if kind == "hybrid" else set())
+
+
 def _record_terms(record):
     return np.array([getattr(record, name) for name in scoring._TERMS])
 
@@ -1312,27 +1337,6 @@ def test_only_rows_that_can_win_enter_the_route_projection(monkeypatch):
         for i, record in enumerate(records):
             _assert_bitwise(_record_terms(record), _row_terms(want, i))
     assert 0 < resolved < 7 * len(calls)
-
-
-def test_forecast_is_kept_while_every_agent_is_the_same_object_bitwise():
-    scenario = generate_synthetic_scenario("deadlock_pair", 7)
-    agents = list(scenario.agents)
-    planner = Planner(scenario, "rad")
-    planner.plan(scenario.ego, agents)
-    kept = planner._forecast
-    planner.plan(scenario.ego, list(agents))  # a new list of the same objects
-    assert planner._forecast is kept
-    fresh = forecast_agents(agents, kept.steps, kept.dt)
-    assert kept.agents == fresh.agents
-    for name in ("planes", "velocities", "trig", "half_lengths", "half_widths", "radii"):
-        _assert_bitwise(getattr(kept, name), getattr(fresh, name))
-    # A new object, even an equal one, and a changed count each rebuild it.
-    moved = [replace(agents[0])] + agents[1:]
-    planner.plan(scenario.ego, moved)
-    assert planner._forecast is not kept and planner._forecast.agents == tuple(moved)
-    rebuilt = planner._forecast
-    planner.plan(scenario.ego, moved[1:])
-    assert planner._forecast is not rebuilt and len(planner._forecast) == len(moved) - 1
 
 
 def _score_context(scenario, path, agents=(), relax=RelaxationState(), weights=None):

@@ -655,14 +655,18 @@ def test_every_planner_kind_runs_in_closed_loop(tmp_path, kind):
 # A change that keeps planning byte-identical keeps this value. To regenerate
 # after a deliberate behaviour change, run this test's episode, save the log
 # with save_episode_log and take `sha256sum` of the file; say why it moved.
-BLOCKED_LANE_7_BREAKDOWN_LOG_SHA256 = "b7e7dcecba1ef6972230955694e139f7756d6a7748d077378c0edc03e786d482"
+# Each dispatch family has its own value, as for the hybrid log below.
+BLOCKED_LANE_7_BREAKDOWN_LOG_SHA256 = {
+    "avx512": "b7e7dcecba1ef6972230955694e139f7756d6a7748d077378c0edc03e786d482",
+    "avx2_or_baseline": "e5fb7288030c4cf653e4fb2704a6af318dcbdacf51cba75de498bb64314ff33b",
+}
 
 
 def test_rad_breakdown_log_matches_recorded_digest(tmp_path, blocked_scenario):
     log = run_episode(blocked_scenario, "rad", SimConfig(record_breakdowns=True))
     p = tmp_path / "rad.jsonl"
     save_episode_log(log, p)
-    assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_BREAKDOWN_LOG_SHA256
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_BREAKDOWN_LOG_SHA256[_dispatch_family()]
 
 
 # sha256 of the same episode log when `rad` also scores a hand-made
@@ -670,8 +674,12 @@ def test_rad_breakdown_log_matches_recorded_digest(tmp_path, blocked_scenario):
 # vocabulary row, 5134 proposal rows). Recording a tick's breakdowns resolves
 # every vocabulary row's pending direction term, which projects the rows' 156
 # inner samples onto the route, so this pins the dense projection of a large
-# batch and the direction terms read from it. Regenerate as above.
-BLOCKED_LANE_7_VOCABULARY_LOG_SHA256 = "80d22b1cc85eb1b3c6728d9bcdf425ec4bf77f6909615225931cf212e2778f50"
+# batch and the direction terms read from it. One value per dispatch family;
+# regenerate as above.
+BLOCKED_LANE_7_VOCABULARY_LOG_SHA256 = {
+    "avx512": "80d22b1cc85eb1b3c6728d9bcdf425ec4bf77f6909615225931cf212e2778f50",
+    "avx2_or_baseline": "6e07761dffe42edb3964382344c1cdef418d51537ecb6ea1e873760d7e397875",
+}
 
 
 def test_rad_vocabulary_log_matches_recorded_digest(tmp_path, blocked_scenario):
@@ -679,7 +687,7 @@ def test_rad_vocabulary_log_matches_recorded_digest(tmp_path, blocked_scenario):
     log = run_episode(blocked_scenario, planner, SimConfig(record_breakdowns=True))
     p = tmp_path / "rad_vocabulary.jsonl"
     save_episode_log(log, p)
-    assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_VOCABULARY_LOG_SHA256
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == BLOCKED_LANE_7_VOCABULARY_LOG_SHA256[_dispatch_family()]
 
 
 # sha256 of the `hybrid` episode log on the same scenario with the same
@@ -817,9 +825,9 @@ def test_events_recorded_once(blocked_scenario):
 
 
 @pytest.mark.parametrize("kind", ["blocked_lane", "deadlock_pair"])
-def test_a_static_agent_episode_builds_its_forecast_once(kind, monkeypatch):
-    # step_agents returns static agents unchanged, so every tick after the
-    # first reuses the planner's forecast.
+def test_every_plan_builds_its_forecast_through_forecast_agents(kind, monkeypatch):
+    # The forecast hook perfbench times is planner.forecast_agents: every plan
+    # calls it once, static agents included.
     calls = []
     forecast_agents = planner_module.forecast_agents
 
@@ -830,6 +838,10 @@ def test_a_static_agent_episode_builds_its_forecast_once(kind, monkeypatch):
     monkeypatch.setattr(planner_module, "forecast_agents", counted)
     scenario = generate_synthetic_scenario(kind, 7)
     assert scenario.agents and all(a.kind == "static" for a in scenario.agents)
-    log = run_episode(scenario, Planner(scenario, "rad"))
+    planner = Planner(scenario, "rad")
+    plans = []
+    plan = planner.plan
+    monkeypatch.setattr(planner, "plan", lambda *args, **kw: plans.append(args) or plan(*args, **kw))
+    log = run_episode(scenario, planner)
     assert len(log.records) > 10
-    assert len(calls) == 1
+    assert len(calls) == len(plans) > 1
